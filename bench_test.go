@@ -30,6 +30,7 @@ import (
 	"autowrap/internal/engine"
 	"autowrap/internal/experiments"
 	"autowrap/internal/extract"
+	"autowrap/internal/gen"
 	"autowrap/internal/lr"
 	"autowrap/internal/segment"
 	"autowrap/internal/serve"
@@ -371,6 +372,68 @@ func BenchmarkExtractStream(b *testing.B) {
 		if n == 0 {
 			b.Fatal("stream extracted nothing")
 		}
+	}
+}
+
+// bulkFixture renders 16 large dealer pages (150–200 records, ≈ 22 KB each —
+// the recorded benchmark's extract_bulk page shape) and compiles the rule an
+// inductor gives on their gold labels.
+func bulkFixture(b *testing.B, newInductor func(*autowrap.Corpus) autowrap.Inductor) (autowrap.Portable, []extract.Page) {
+	b.Helper()
+	pool := gen.BusinessPool(7, 4000, 0)
+	for seed := int64(1); ; seed++ {
+		site, err := gen.DealerSite(gen.DealerConfig{Seed: seed, Pool: pool,
+			NumPages: 16, MinRecords: 150, MaxRecords: 200})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if site.LRHostile {
+			continue // built so that no LR rule separates the names
+		}
+		w, err := autowrap.NaiveLearn(newInductor(site.Corpus), site.Gold["name"])
+		if err != nil {
+			b.Fatal(err)
+		}
+		p, err := autowrap.Compile(w)
+		if err != nil {
+			b.Fatal(err)
+		}
+		pages := make([]extract.Page, len(site.Corpus.Pages))
+		for i, pg := range site.Corpus.Pages {
+			pages[i] = extract.Page{ID: sizeName("p", i), HTML: pg.HTML}
+		}
+		return p, pages
+	}
+}
+
+// BenchmarkRunBulk16 is one bulk request below the codec: Runtime.Run over
+// 16 large raw-HTML pages, for an XPATH and an LR rule. It keeps the bulk
+// path in view of scripts/bench.sh; the recorded benchmark's extract_bulk
+// workload (bench/) is the end-to-end measure.
+func BenchmarkRunBulk16(b *testing.B) {
+	for _, lang := range []struct {
+		name        string
+		newInductor func(*autowrap.Corpus) autowrap.Inductor
+	}{
+		{"XPATH", autowrap.NewXPathInductor},
+		{"LR", func(c *autowrap.Corpus) autowrap.Inductor { return autowrap.NewLRInductor(c, 0) }},
+	} {
+		b.Run(lang.name, func(b *testing.B) {
+			p, pages := bulkFixture(b, lang.newInductor)
+			rt := extract.New(p, extract.Options{})
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				batch, err := rt.Run(context.Background(), pages)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if batch.Stats.Failed > 0 || batch.Stats.Records < 16*150 {
+					b.Fatalf("bulk extraction went wrong: %v", batch.Stats)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/16e3, "us/page")
+		})
 	}
 }
 

@@ -190,7 +190,7 @@ func TestSerializeWithSpansLocatesText(t *testing.T) {
 			if !ok {
 				t.Fatalf("missing span for %q", n.Data)
 			}
-			if html[span[0]:span[1]] != EscapeText(n.Data) {
+			if html[span[0]:span[1]] != string(appendEscaped(nil, n.Data, false)) {
 				t.Fatalf("span %v of %q = %q", span, n.Data, html[span[0]:span[1]])
 			}
 		}

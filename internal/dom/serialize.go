@@ -1,91 +1,112 @@
 package dom
 
-import "strings"
-
-// VoidElements are HTML elements that never have children and serialize
-// without a closing tag.
-var VoidElements = map[string]bool{
-	"area": true, "base": true, "br": true, "col": true, "embed": true,
-	"hr": true, "img": true, "input": true, "link": true, "meta": true,
-	"param": true, "source": true, "track": true, "wbr": true,
+// IsVoid reports whether tag names a void element: one that never has
+// children and serializes without a closing tag. It is a switch, not a map:
+// the parser and the serializer ask once per element on the serving path.
+func IsVoid(tag string) bool {
+	switch tag {
+	case "area", "base", "br", "col", "embed", "hr", "img", "input",
+		"link", "meta", "param", "source", "track", "wbr":
+		return true
+	}
+	return false
 }
 
-// SerializeOptions controls HTML rendering.
-type SerializeOptions struct {
-	// TextSpans, when non-nil, receives the byte span [start,end) of every
-	// text node's escaped content in the output. The LR inductor uses these
-	// spans to locate nodes inside the character stream.
-	TextSpans map[*Node][2]int
+// TextSpan locates one text node's escaped content in a serialization:
+// bytes [Start,End) of the output.
+type TextSpan struct {
+	Node       *Node
+	Start, End int
+}
+
+// AppendHTML appends the HTML rendering of the subtree rooted at n to dst
+// and returns the extended buffer. When spans is non-nil it also appends one
+// TextSpan per serialized text node, in document order, with offsets into
+// the returned buffer. It is the one serializer: Serialize and
+// SerializeWithSpans are conveniences over it, and callers on a hot path
+// pass recycled dst and spans storage so a page serializes without
+// allocating.
+func AppendHTML(dst []byte, n *Node, spans *[]TextSpan) []byte {
+	switch n.Type {
+	case DocumentNode:
+		for _, c := range n.Children {
+			dst = AppendHTML(dst, c, spans)
+		}
+	case TextNode:
+		start := len(dst)
+		if n.Parent != nil && n.Parent.Raw {
+			dst = append(dst, n.Data...)
+		} else {
+			dst = appendEscaped(dst, n.Data, false)
+		}
+		if spans != nil {
+			*spans = append(*spans, TextSpan{Node: n, Start: start, End: len(dst)})
+		}
+	case ElementNode:
+		dst = append(dst, '<')
+		dst = append(dst, n.Tag...)
+		for _, a := range n.Attrs {
+			dst = append(dst, ' ')
+			dst = append(dst, a.Key...)
+			dst = append(dst, '=', '"')
+			dst = appendEscaped(dst, a.Val, true)
+			dst = append(dst, '"')
+		}
+		dst = append(dst, '>')
+		if IsVoid(n.Tag) {
+			return dst
+		}
+		for _, c := range n.Children {
+			dst = AppendHTML(dst, c, spans)
+		}
+		dst = append(dst, '<', '/')
+		dst = append(dst, n.Tag...)
+		dst = append(dst, '>')
+	}
+	return dst
+}
+
+// appendEscaped appends s with & < > (and, for a double-quoted attribute
+// value, ") replaced by their character references, copying the runs in
+// between whole.
+func appendEscaped(dst []byte, s string, attr bool) []byte {
+	last := 0
+	for i := 0; i < len(s); i++ {
+		var ref string
+		switch s[i] {
+		case '&':
+			ref = "&amp;"
+		case '<':
+			ref = "&lt;"
+		case '>':
+			ref = "&gt;"
+		case '"':
+			if !attr {
+				continue
+			}
+			ref = "&quot;"
+		default:
+			continue
+		}
+		dst = append(dst, s[last:i]...)
+		dst = append(dst, ref...)
+		last = i + 1
+	}
+	return append(dst, s[last:]...)
 }
 
 // Serialize renders the subtree rooted at n as HTML.
 func Serialize(n *Node) string {
-	var sb strings.Builder
-	serialize(&sb, n, nil)
-	return sb.String()
+	return string(AppendHTML(nil, n, nil))
 }
 
 // SerializeWithSpans renders the subtree and records text-node spans.
 func SerializeWithSpans(n *Node) (string, map[*Node][2]int) {
-	spans := make(map[*Node][2]int)
-	var sb strings.Builder
-	serialize(&sb, n, spans)
-	return sb.String(), spans
-}
-
-func serialize(sb *strings.Builder, n *Node, spans map[*Node][2]int) {
-	switch n.Type {
-	case DocumentNode:
-		for _, c := range n.Children {
-			serialize(sb, c, spans)
-		}
-	case TextNode:
-		start := sb.Len()
-		if n.Parent != nil && n.Parent.Raw {
-			sb.WriteString(n.Data)
-		} else {
-			sb.WriteString(EscapeText(n.Data))
-		}
-		if spans != nil {
-			spans[n] = [2]int{start, sb.Len()}
-		}
-	case ElementNode:
-		sb.WriteByte('<')
-		sb.WriteString(n.Tag)
-		for _, a := range n.Attrs {
-			sb.WriteByte(' ')
-			sb.WriteString(a.Key)
-			sb.WriteString(`="`)
-			sb.WriteString(EscapeAttr(a.Val))
-			sb.WriteByte('"')
-		}
-		sb.WriteByte('>')
-		if VoidElements[n.Tag] {
-			return
-		}
-		for _, c := range n.Children {
-			serialize(sb, c, spans)
-		}
-		sb.WriteString("</")
-		sb.WriteString(n.Tag)
-		sb.WriteByte('>')
+	var list []TextSpan
+	html := string(AppendHTML(nil, n, &list))
+	spans := make(map[*Node][2]int, len(list))
+	for _, s := range list {
+		spans[s.Node] = [2]int{s.Start, s.End}
 	}
-}
-
-// EscapeText escapes character data for HTML text content.
-func EscapeText(s string) string {
-	if !strings.ContainsAny(s, "&<>") {
-		return s
-	}
-	r := strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;")
-	return r.Replace(s)
-}
-
-// EscapeAttr escapes character data for a double-quoted attribute value.
-func EscapeAttr(s string) string {
-	if !strings.ContainsAny(s, `&<>"`) {
-		return s
-	}
-	r := strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
-	return r.Replace(s)
+	return html, spans
 }

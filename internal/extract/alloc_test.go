@@ -1,6 +1,7 @@
 package extract_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -63,6 +64,45 @@ func TestExtractOneAllocBudget(t *testing.T) {
 	})
 	if avg > extractOneAllocBudget {
 		t.Fatalf("ExtractOne allocates %.1f times per call, budget is %d", avg, extractOneAllocBudget)
+	}
+}
+
+// runBatchAllocBudget is the fixed allocation cost of one Run on top of its
+// pages: the Batch, its Results and started slices, and the worker pool's
+// goroutines, closures and wait group. It does not grow with the batch.
+const runBatchAllocBudget = 16
+
+// TestRunAllocBudget is the bulk-request twin of the gate above: Run parses
+// into the same recycled workspaces ExtractOne does, so a 16-page batch of
+// large pages costs 16 single-page budgets plus the fixed batch term — not
+// the ~4,000 allocations a page that a fresh tree per page used to cost.
+func TestRunAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race detector instruments allocations; budgets describe production builds")
+	}
+	p, err := xpinduct.CompileRule(`//td[@class='v']/text()`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const records = 160
+	large := "<html><body><table>" +
+		strings.Repeat("<tr><td class='k'>label</td><td class='v'>value text</td></tr>", records) +
+		"</table></body></html>"
+	in := make([]extract.Page, 16)
+	for i := range in {
+		in[i] = extract.Page{ID: "bulk", HTML: large}
+	}
+	rt := extract.New(p, extract.Options{})
+	run := func() {
+		batch, err := rt.Run(context.Background(), in)
+		if err != nil || batch.Stats.Records != len(in)*records {
+			t.Fatalf("bulk extraction = %v, %v", batch.Stats, err)
+		}
+	}
+	run() // warm the workspaces
+	budget := float64(len(in)*extractOneAllocBudget + runBatchAllocBudget)
+	if avg := testing.AllocsPerRun(50, run); avg > budget {
+		t.Fatalf("Run over %d large pages allocates %.1f times, budget is %.0f", len(in), avg, budget)
 	}
 }
 

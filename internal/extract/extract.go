@@ -47,13 +47,13 @@ type Result struct {
 	Index int
 	// Texts are the extracted records' trimmed contents in document order.
 	Texts []string
-	// Nodes are the matched text nodes (nil when the page failed). On the
-	// ExtractOne fast path they are also nil whenever the runtime parsed
-	// HTML itself: that parse tree comes from an internal pool and is
-	// recycled before ExtractOne returns, so only Texts — which never
-	// alias the pooled tree — survive. Callers that need the matched nodes
-	// must pass a pre-parsed Page.Root (or use Run/Stream, which always
-	// build caller-owned trees).
+	// Nodes are the matched text nodes of a page that arrived as Page.Root
+	// — nodes of the caller's own tree. They are nil when the page failed,
+	// and nil whenever the runtime parsed Page.HTML itself, through
+	// ExtractOne, Run and Stream alike: that parse tree is a recycled
+	// workspace, released before the result is handed over, so only Texts
+	// — which never alias it — survive. Callers that need the matched
+	// nodes parse the page themselves and pass the Root.
 	Nodes []*dom.Node
 	// Err is the page's failure, including recovered panics and — for
 	// pages never started — the run's cancellation cause.
@@ -253,11 +253,11 @@ func (r *Runtime) observe(res *Result) {
 // paying the batch machinery for one page.
 //
 // When the page arrives as raw HTML (Page.Root == nil), the parse tree is
-// taken from a pool and recycled before returning: the steady-state fast
+// a recycled workspace released before returning: the steady-state fast
 // path allocates only the Texts it hands back (see Result.Nodes for the
 // aliasing contract). TestExtractOneAllocBudget pins that budget.
 func (r *Runtime) ExtractOne(pg Page) Result {
-	res := r.one(pg, 0, true)
+	res := r.one(pg, 0)
 	r.observe(&res)
 	return res
 }
@@ -265,7 +265,10 @@ func (r *Runtime) ExtractOne(pg Page) Result {
 // Run extracts every page of a batch on the worker pool. The returned
 // Batch always has one entry per page (index-aligned, so output is
 // independent of the worker count); per-page failures land in that page's
-// Result.Err and never abort the run. The error return is reserved for
+// Result.Err and never abort the run. Each page takes ExtractOne's path —
+// raw HTML parses into a recycled workspace (see Result.Nodes), so a batch
+// costs its pages' ExtractOne budgets plus a fixed term
+// (TestRunAllocBudget). The error return is reserved for
 // cancellation: when ctx is done before every page was processed, Run
 // stops claiming new pages, marks the unstarted ones with ctx's error, and
 // returns that error alongside the partial results.
@@ -278,7 +281,7 @@ func (r *Runtime) Run(ctx context.Context, pages []Page) (*Batch, error) {
 	start := time.Now()
 	ctxErr := par.ForContext(ctx, len(pages), r.opt.Workers, func(i int) {
 		started[i] = true
-		batch.Results[i] = r.one(pages[i], i, false)
+		batch.Results[i] = r.one(pages[i], i)
 		r.observe(&batch.Results[i])
 	})
 	batch.Stats.Wall = time.Since(start)
@@ -309,12 +312,12 @@ func (s *Stats) tally(res *Result) {
 	s.Records += len(res.Texts)
 }
 
-// one extracts a single page with panic isolation. With pooled set, a page
-// arriving as raw HTML is parsed into a recycled workspace tree that is
-// released before returning — Result.Nodes stays nil on that path, since
-// the nodes would dangle into the pool (Texts are always safe: text Data
-// never aliases pooled storage).
-func (r *Runtime) one(pg Page, idx int, pooled bool) (out Result) {
+// one extracts a single page with panic isolation — the one per-page path
+// under ExtractOne, Run and Stream. A page arriving as raw HTML is parsed
+// into a recycled workspace that is released before returning (also when
+// the wrapper panics), so Result.Nodes stays nil for it. Texts are always
+// safe: text Data aliases the page's HTML or is freshly allocated.
+func (r *Runtime) one(pg Page, idx int) (out Result) {
 	out.ID, out.Index = pg.ID, idx
 	start := time.Now()
 	defer func() {
@@ -325,23 +328,17 @@ func (r *Runtime) one(pg Page, idx int, pooled bool) (out Result) {
 		}
 	}()
 	root := pg.Root
-	fromPool := false
 	if root == nil {
 		if pg.HTML == "" {
 			out.Err = fmt.Errorf("extract: page %q: neither Root nor HTML set", pg.ID)
 			return
 		}
-		if pooled {
-			t := htmlparse.AcquireTree()
-			defer t.Release()
-			root = t.Parse(pg.HTML)
-			fromPool = true
-		} else {
-			root = htmlparse.Parse(pg.HTML)
-		}
+		t := htmlparse.AcquireTree()
+		defer t.Release()
+		root = t.Parse(pg.HTML)
 	}
 	nodes := r.p.ApplyPage(root)
-	if !fromPool {
+	if pg.Root != nil {
 		out.Nodes = nodes
 	}
 	out.Texts = make([]string, len(nodes))
@@ -375,7 +372,8 @@ func (st *Stream) Stats() Stats {
 // Stream extracts pages as they arrive on in, with bounded workers and a
 // bounded in-flight window, emitting results in input order regardless of
 // which worker finishes first — the streaming path keeps the same
-// determinism contract as Run. Cancelling ctx stops the stream at the next
+// determinism contract as Run, and the same per-page path (recycled parse
+// workspaces; see Result.Nodes). Cancelling ctx stops the stream at the next
 // page boundary; the results already emitted form a prefix of the input.
 func (r *Runtime) Stream(ctx context.Context, in <-chan Page) *Stream {
 	workers := r.opt.Workers
@@ -441,7 +439,7 @@ func (r *Runtime) Stream(ctx context.Context, in <-chan Page) *Stream {
 		go func() {
 			defer wg.Done()
 			for j := range jobs {
-				res := r.one(j.page, j.idx, false)
+				res := r.one(j.page, j.idx)
 				r.observe(&res)
 				select {
 				case outs <- res:

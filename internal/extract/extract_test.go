@@ -13,6 +13,7 @@ import (
 	"autowrap/internal/corpus"
 	"autowrap/internal/dom"
 	"autowrap/internal/extract"
+	"autowrap/internal/htmlparse"
 	"autowrap/internal/lr"
 	"autowrap/internal/wrapper"
 	"autowrap/internal/xpinduct"
@@ -87,30 +88,130 @@ func TestRunExtractsRecords(t *testing.T) {
 	}
 }
 
+// outcome is what the three entry points must agree on for one page.
+type outcome struct {
+	ID       string
+	Index    int
+	Texts    []string
+	Failed   bool
+	HasNodes bool
+}
+
+func outcomeOf(res extract.Result) outcome {
+	return outcome{ID: res.ID, Index: res.Index, Texts: res.Texts, Failed: res.Err != nil, HasNodes: res.Nodes != nil}
+}
+
+func runOutcomes(t *testing.T, rt *extract.Runtime, in []extract.Page) []outcome {
+	t.Helper()
+	batch, err := rt.Run(context.Background(), in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := make([]outcome, len(batch.Results))
+	for i, res := range batch.Results {
+		out[i] = outcomeOf(res)
+	}
+	return out
+}
+
+// streamResults pushes in through Stream and collects what it delivers.
+func streamResults(rt *extract.Runtime, in []extract.Page) []extract.Result {
+	ch := make(chan extract.Page, len(in))
+	for _, pg := range in {
+		ch <- pg
+	}
+	close(ch)
+	var out []extract.Result
+	for res := range rt.Stream(context.Background(), ch).Results() {
+		out = append(out, res)
+	}
+	return out
+}
+
+func streamOutcomes(rt *extract.Runtime, in []extract.Page) []outcome {
+	var out []outcome
+	for _, res := range streamResults(rt, in) {
+		out = append(out, outcomeOf(res))
+	}
+	return out
+}
+
+// mixedPages is a batch exercising every per-page branch: raw HTML, a
+// caller-owned tree, a page that matches nothing and one that fails.
+func mixedPages(n int) []extract.Page {
+	in := pages(n)
+	in[1] = extract.Page{ID: "tree", Root: htmlparse.Parse(page(1, 3))}
+	in[2] = extract.Page{ID: "empty"} // neither Root nor HTML
+	in[3] = extract.Page{ID: "no-match", HTML: `<html><body><p>nothing here</p></body></html>`}
+	return in
+}
+
 // TestRunDeterministicAcrossWorkers is the serving-side determinism
-// contract: extraction output is byte-identical whatever the worker count.
+// contract, for all three entry points at once: Run ≡ Stream ≡ per-page
+// ExtractOne on Texts, Err and ID (and Index, for the two that number
+// pages), whatever the worker count — for an XPATH and an LR wrapper.
 func TestRunDeterministicAcrossWorkers(t *testing.T) {
-	in := pages(25)
-	var ref [][]string
-	for _, workers := range []int{1, 2, 4, runtime.GOMAXPROCS(0), 0} {
-		rt := extract.New(compiled(t), extract.Options{Workers: workers})
-		batch, err := rt.Run(context.Background(), in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		texts := make([][]string, len(batch.Results))
-		for i, res := range batch.Results {
-			if res.Err != nil {
-				t.Fatalf("workers=%d page %d: %v", workers, i, res.Err)
+	in := mixedPages(25)
+	lrRule := &lr.Compiled{Left: `<td class="v">`, Right: "</td>"}
+	for name, p := range map[string]wrapper.Portable{"xpath": compiled(t), "lr": lrRule} {
+		ref := make([]outcome, len(in))
+		one := extract.New(p, extract.Options{})
+		for i, pg := range in {
+			ref[i] = outcomeOf(one.ExtractOne(pg))
+			if ref[i].Index != 0 {
+				t.Fatalf("%s: ExtractOne numbered page %d as %d", name, i, ref[i].Index)
 			}
-			texts[i] = res.Texts
+			ref[i].Index = i
 		}
-		if ref == nil {
-			ref = texts
-			continue
+		if ref[0].Failed || len(ref[0].Texts) != 2 || !ref[2].Failed || len(ref[3].Texts) != 0 {
+			t.Fatalf("%s: fixture outcomes = %+v", name, ref[:4])
 		}
-		if !reflect.DeepEqual(ref, texts) {
-			t.Fatalf("workers=%d produced different output", workers)
+		for _, workers := range []int{1, 2, 4, 8, runtime.GOMAXPROCS(0), 0} {
+			rt := extract.New(p, extract.Options{Workers: workers})
+			if got := runOutcomes(t, rt, in); !reflect.DeepEqual(got, ref) {
+				t.Fatalf("%s workers=%d: Run differs from per-page ExtractOne:\n got %+v\nwant %+v", name, workers, got, ref)
+			}
+			if got := streamOutcomes(rt, in); !reflect.DeepEqual(got, ref) {
+				t.Fatalf("%s workers=%d: Stream differs from per-page ExtractOne:\n got %+v\nwant %+v", name, workers, got, ref)
+			}
+		}
+	}
+}
+
+// TestNodesOnlyForCallerOwnedTrees pins the one Nodes contract of
+// ExtractOne, Run and Stream: a page the runtime parsed itself comes back
+// with Texts only (its tree went back to the pool), a page that
+// arrived as Page.Root comes back with the matched nodes of that very tree.
+func TestNodesOnlyForCallerOwnedTrees(t *testing.T) {
+	rt := extract.New(compiled(t), extract.Options{Workers: 2})
+	root := htmlparse.Parse(page(5, 3))
+	var want []*dom.Node
+	root.Walk(func(n *dom.Node) bool {
+		if n.Type == dom.TextNode && strings.HasPrefix(n.Data, "rec-") {
+			want = append(want, n)
+		}
+		return true
+	})
+	in := []extract.Page{{ID: "html", HTML: page(5, 3)}, {ID: "tree", Root: root}}
+
+	var got [][]extract.Result
+	got = append(got, []extract.Result{rt.ExtractOne(in[0]), rt.ExtractOne(in[1])})
+	batch, err := rt.Run(context.Background(), in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got = append(got, batch.Results, streamResults(rt, in))
+
+	for k, entry := range []string{"ExtractOne", "Run", "Stream"} {
+		html, tree := got[k][0], got[k][1]
+		if html.Err != nil || tree.Err != nil || len(html.Texts) != 3 || !reflect.DeepEqual(html.Texts, tree.Texts) {
+			t.Fatalf("%s: results = %+v / %+v", entry, html, tree)
+		}
+		if html.Nodes != nil {
+			t.Fatalf("%s: HTML page leaked %d nodes of a recycled tree", entry, len(html.Nodes))
+		}
+		if !reflect.DeepEqual(tree.Nodes, want) {
+			t.Fatalf("%s: Root page Nodes = %v, want the caller's %v", entry, tree.Nodes, want)
 		}
 	}
 }
@@ -166,6 +267,52 @@ func TestRunIsolatesPanics(t *testing.T) {
 		if i != 1 && res.Err != nil {
 			t.Fatalf("page %d failed: %v", i, res.Err)
 		}
+	}
+}
+
+// TestPanicReleasesWorkspace: a wrapper that panics mid-apply must not leak
+// or poison the recycled tree its page was parsed into — on one worker, the
+// page right after every panic extracts exactly what a fresh parse gives,
+// through all three entry points.
+func TestPanicReleasesWorkspace(t *testing.T) {
+	rt := extract.New(panicky{}, extract.Options{Workers: 1})
+	var in []extract.Page
+	for i := 0; i < 8; i++ {
+		in = append(in, extract.Page{ID: "boom", HTML: fmt.Sprintf(`<html><body><p>boom %d</p><ul><li>x</li></ul></body></html>`, i)},
+			extract.Page{ID: "ok", HTML: page(i, 3)})
+	}
+	check := func(entry string, i int, res extract.Result) {
+		t.Helper()
+		if in[i].ID == "boom" {
+			if res.Err == nil || !strings.Contains(res.Err.Error(), "panicked") || res.Texts != nil || res.Nodes != nil {
+				t.Fatalf("%s page %d: panic not isolated: %+v", entry, i, res)
+			}
+			return
+		}
+		var want []string
+		for _, n := range corpus.ExtractableTexts(htmlparse.Parse(in[i].HTML)) {
+			want = append(want, strings.TrimSpace(n.Data))
+		}
+		if res.Err != nil || !reflect.DeepEqual(res.Texts, want) {
+			t.Fatalf("%s page %d after a panic: %v (err %v), want %v", entry, i, res.Texts, res.Err, want)
+		}
+	}
+	for i, pg := range in {
+		check("ExtractOne", i, rt.ExtractOne(pg))
+	}
+	batch, err := rt.Run(context.Background(), in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, res := range batch.Results {
+		check("Run", i, res)
+	}
+	streamed := streamResults(rt, in)
+	if len(streamed) != len(in) {
+		t.Fatalf("stream delivered %d of %d pages", len(streamed), len(in))
+	}
+	for i, res := range streamed {
+		check("Stream", i, res)
 	}
 }
 
@@ -444,8 +591,8 @@ func TestHealthCountersAndOnResult(t *testing.T) {
 }
 
 // TestExtractOneMatchesRun pins the single-page serving path: ExtractOne
-// returns the same records Run finds for the page, with the same health
-// accounting and OnResult tap, minus the batch machinery.
+// returns the same result Run and Stream give for the page, with the same
+// health accounting and OnResult tap, minus the batch machinery.
 func TestExtractOneMatchesRun(t *testing.T) {
 	var taps atomic.Int64
 	rt := extract.New(compiled(t), extract.Options{
@@ -461,17 +608,20 @@ func TestExtractOneMatchesRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(res.Texts, batch.Results[0].Texts) {
-		t.Fatalf("ExtractOne %v != Run %v", res.Texts, batch.Results[0].Texts)
+	if !reflect.DeepEqual(outcomeOf(res), outcomeOf(batch.Results[0])) {
+		t.Fatalf("ExtractOne %+v != Run %+v", outcomeOf(res), outcomeOf(batch.Results[0]))
+	}
+	if streamed := streamOutcomes(rt, []extract.Page{pg}); !reflect.DeepEqual(streamed, []outcome{outcomeOf(res)}) {
+		t.Fatalf("ExtractOne %+v != Stream %+v", outcomeOf(res), streamed)
 	}
 	if res.ID != "one" || res.Index != 0 || res.Elapsed <= 0 {
 		t.Fatalf("result metadata = %+v", res)
 	}
-	if got := rt.Health(); got.Pages != 2 || got.Records != 6 {
-		t.Fatalf("health after ExtractOne + Run = %+v, want 2 pages / 6 records", got)
+	if got := rt.Health(); got.Pages != 3 || got.Records != 9 {
+		t.Fatalf("health after ExtractOne + Run + Stream = %+v, want 3 pages / 9 records", got)
 	}
-	if taps.Load() != 2 {
-		t.Fatalf("OnResult fired %d times, want 2", taps.Load())
+	if taps.Load() != 3 {
+		t.Fatalf("OnResult fired %d times, want 3", taps.Load())
 	}
 
 	// Failures are isolated the same way as in Run.

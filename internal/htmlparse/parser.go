@@ -43,11 +43,13 @@ func Parse(src string) *dom.Node {
 // tree's arena; any tree returned by a previous parse on the same workspace
 // is invalidated.
 func (t *Tree) parse(src string) *dom.Node {
-	t.used = 0
-	t.tz = tokenizer{src: src, attrs: t.tz.attrs[:0]}
+	if t.used > 0 { // a second Parse without a Release; a pooled tree arrives reset
+		t.reset()
+	}
+	t.tz.src = src
 	doc := t.newNode()
 	doc.Type = dom.DocumentNode
-	t.stack = append(t.stack[:0], doc)
+	t.stack = append(t.stack, doc)
 	top := func() *dom.Node { return t.stack[len(t.stack)-1] }
 
 	// Text accumulates as a single pending run in the common case; runs
@@ -125,7 +127,7 @@ func (t *Tree) parse(src string) *dom.Node {
 				el.Raw = true
 			}
 			top().Append(el)
-			if tok.typ == tokStartTag && !dom.VoidElements[tok.data] {
+			if tok.typ == tokStartTag && !dom.IsVoid(tok.data) {
 				t.stack = append(t.stack, el)
 			}
 		case tokEndTag:

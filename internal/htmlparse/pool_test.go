@@ -1,8 +1,11 @@
 package htmlparse
 
 import (
+	"runtime"
 	"strings"
 	"testing"
+	"time"
+	"unsafe"
 
 	"autowrap/internal/dom"
 )
@@ -112,5 +115,71 @@ func TestTextDataDoesNotAliasScratch(t *testing.T) {
 	tr.Parse("<p>\n   SECOND   run\n</p>") // overwrite the scratch
 	if got != "first text" {
 		t.Fatalf("text data mutated by the next parse: %q", got)
+	}
+}
+
+// TestReleasedTreeDoesNotPinSource: node tags, text, attributes and the
+// tokenizer all alias the page source, and an idle workspace lives until
+// the process exits — so Release has to drop every one of those references,
+// or each idle workspace keeps a whole request body alive. The page lives in
+// a buffer with a cleanup attached; once the workspace is released and the
+// test's own references are dead, a collection must free it even though the
+// workspace itself is still reachable.
+func TestReleasedTreeDoesNotPinSource(t *testing.T) {
+	tr := &Tree{} // held by the test, whatever the pool does with it
+	freed := make(chan struct{})
+	func() {
+		buf := []byte(`<html><body class="page" id=main><!-- c --><ul data-x='1' data-y="2" data-z=3>` +
+			strings.Repeat(`<li class="row"><a href="/x?a=1">plain text</a>  spaced   text <b>5 < 6</b></li>`, 50) +
+			`</ul><script>var a = "<li>";</script><p>tail` + "</p></body></html>")
+		runtime.AddCleanup(&buf[0], func(struct{}) { close(freed) }, struct{}{})
+		root := tr.Parse(unsafe.String(&buf[0], len(buf)))
+		if n := len(dom.Serialize(root)); n < len(buf)/2 {
+			t.Fatalf("fixture parsed to %d bytes of %d", n, len(buf))
+		}
+		tr.Release()
+	}()
+	for i := 0; i < 50; i++ {
+		runtime.GC()
+		select {
+		case <-freed:
+			runtime.KeepAlive(tr)
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	runtime.KeepAlive(tr)
+	t.Fatal("a released workspace still references the page it parsed")
+}
+
+// TestReleaseZeroesNodes: after Release every used node is zero except for
+// its recycled (and cleared) Children and Attrs storage, the tokenizer
+// scratch holds nothing.
+func TestReleaseZeroesNodes(t *testing.T) {
+	tr := &Tree{}
+	tr.Parse(`<ul a="1" b='2' c=3>` + strings.Repeat("<li class=k>x</li>", 40) + "</ul><p class=k>narrow</p>")
+	tr.Release()
+	if tr.used != 0 || tr.tz.src != "" || len(tr.stack) != 0 {
+		t.Fatalf("workspace not reset: used=%d len(src)=%d stack=%d", tr.used, len(tr.tz.src), len(tr.stack))
+	}
+	kept := 0
+	for i, n := range tr.arena {
+		if n.Type != 0 || n.Tag != "" || n.Data != "" || n.Raw || n.Parent != nil || len(n.Attrs) != 0 || len(n.Children) != 0 {
+			t.Fatalf("arena node %d not zeroed: %+v", i, n)
+		}
+		for _, a := range n.Attrs[:cap(n.Attrs)] {
+			if a != (dom.Attr{}) {
+				t.Fatalf("arena node %d keeps a stale attribute %v", i, a)
+			}
+		}
+		kept += cap(n.Children) + cap(n.Attrs)
+	}
+	if kept == 0 {
+		t.Fatal("reset threw the nodes' Children and Attrs storage away")
+	}
+	for _, a := range tr.tz.attrs[:cap(tr.tz.attrs)] {
+		if a != (attr{}) {
+			t.Fatalf("tokenizer scratch keeps a stale attribute %v", a)
+		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"autowrap/internal/dataset"
 	"autowrap/internal/dom"
 	"autowrap/internal/htmlparse"
+	"autowrap/internal/testutil/refhtml"
 )
 
 // The round-trip property: every parsed tree is a fixed point of
@@ -49,9 +50,36 @@ func treeEqual(a, b *dom.Node, path string) (bool, string) {
 	return true, ""
 }
 
+// assertMatchesReference holds dom's serializer to the reference one on a
+// parsed tree: the same bytes, and the same span for every text node, in
+// document order.
+func assertMatchesReference(t *testing.T, name string, root *dom.Node) {
+	t.Helper()
+	want, wantSpans := refhtml.Serialize(root)
+	var spans []dom.TextSpan
+	got := dom.AppendHTML(nil, root, &spans)
+	if string(got) != want {
+		t.Fatalf("%s: serializer differs from reference:\n got %q\nwant %q", name, got, want)
+	}
+	if len(spans) != len(wantSpans) {
+		t.Fatalf("%s: %d text spans, reference has %d", name, len(spans), len(wantSpans))
+	}
+	i := 0
+	root.Walk(func(n *dom.Node) bool {
+		if w, ok := wantSpans[n]; ok {
+			if sp := spans[i]; sp.Node != n || [2]int{sp.Start, sp.End} != w {
+				t.Fatalf("%s: span %d = %q [%d,%d), reference %q %v", name, i, sp.Node.Data, sp.Start, sp.End, n.Data, w)
+			}
+			i++
+		}
+		return true
+	})
+}
+
 func assertRoundTrip(t *testing.T, name, src string) {
 	t.Helper()
 	t1 := htmlparse.Parse(src)
+	assertMatchesReference(t, name, t1)
 	h1 := dom.Serialize(t1)
 	t2 := htmlparse.Parse(h1)
 	h2 := dom.Serialize(t2)
@@ -129,6 +157,7 @@ func TestRoundTripGeneratedSites(t *testing.T) {
 				if h := dom.Serialize(t1); h != page.HTML {
 					t.Fatalf("%s: serialization not stable", name)
 				}
+				assertMatchesReference(t, name, t1)
 				checked++
 			}
 		}

@@ -2,6 +2,7 @@ package lr
 
 import (
 	"fmt"
+	"sync"
 
 	"autowrap/internal/corpus"
 	"autowrap/internal/dom"
@@ -35,34 +36,51 @@ func (c *Compiled) Lang() string { return "lr" }
 // Rule implements wrapper.Portable, matching Wrapper.Rule.
 func (c *Compiled) Rule() string { return fmt.Sprintf("LR(%q, %q)", c.Left, c.Right) }
 
+// applyScratch is one ApplyPage call's working storage, pooled so that
+// steady-state serving allocates only the result slice.
+type applyScratch struct {
+	html  []byte
+	spans []dom.TextSpan
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(applyScratch) }}
+
 // ApplyPage implements wrapper.Portable: serialize the page the same way
 // corpus construction does, then match every extractable text node whose
 // left context ends with Left and whose right context begins with Right.
+// Matches are compacted to the front of the span list as they are found, so
+// the result is sized exactly and nodes come out in document order.
 func (c *Compiled) ApplyPage(root *dom.Node) []*dom.Node {
-	html, spans := dom.SerializeWithSpans(root)
-	var out []*dom.Node
-	root.Walk(func(n *dom.Node) bool {
-		if !corpus.IsExtractableText(n) {
-			return true
+	sc := scratchPool.Get().(*applyScratch)
+	defer func() {
+		clear(sc.spans) // a pooled scratch must not pin the page's tree
+		sc.html, sc.spans = sc.html[:0], sc.spans[:0]
+		scratchPool.Put(sc)
+	}()
+	sc.html = dom.AppendHTML(sc.html, root, &sc.spans)
+	k := 0
+	for _, sp := range sc.spans {
+		if corpus.IsExtractableText(sp.Node) && c.matches(sc.html, sp) {
+			sc.spans[k] = sp
+			k++
 		}
-		span, ok := spans[n]
-		if !ok {
-			return true
-		}
-		if c.matches(html, span) {
-			out = append(out, n)
-		}
-		return true
-	})
+	}
+	if k == 0 {
+		return nil
+	}
+	out := make([]*dom.Node, k)
+	for i, sp := range sc.spans[:k] {
+		out[i] = sp.Node
+	}
 	return out
 }
 
-func (c *Compiled) matches(html string, span [2]int) bool {
-	if span[0] < len(c.Left) || span[1]+len(c.Right) > len(html) {
+func (c *Compiled) matches(html []byte, sp dom.TextSpan) bool {
+	if sp.Start < len(c.Left) || sp.End+len(c.Right) > len(html) {
 		return false
 	}
-	return html[span[0]-len(c.Left):span[0]] == c.Left &&
-		html[span[1]:span[1]+len(c.Right)] == c.Right
+	return string(html[sp.Start-len(c.Left):sp.Start]) == c.Left &&
+		string(html[sp.End:sp.End+len(c.Right)]) == c.Right
 }
 
 var _ wrapper.Portable = (*Compiled)(nil)

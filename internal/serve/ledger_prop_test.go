@@ -34,8 +34,15 @@ func TestGateLedgerProperty(t *testing.T) {
 	// Snapshot checker: runs concurrently with the storm, asserting the
 	// mid-run properties that must hold at every instant — gauge bounds,
 	// counter monotonicity, and bounded skew between the server ledger and
-	// what clients have already recorded (at most one in-progress acquire
-	// per worker can be counted server-side but not yet client-side).
+	// what clients have recorded. The client counters are read on both
+	// sides of the snapshot: the checker can be descheduled between its
+	// reads for arbitrarily long, so only the sandwich
+	// clientsBefore − workers ≤ server ≤ clientsAfter + workers is sound
+	// (the server counts before the client classifies, and at most one
+	// acquire per worker is counted on one side but not yet the other).
+	clients := func() [3]int64 {
+		return [3]int64{admitted.Load(), rejected.Load(), timedOut.Load()}
+	}
 	stop := make(chan struct{})
 	var checker sync.WaitGroup
 	checker.Add(1)
@@ -43,7 +50,9 @@ func TestGateLedgerProperty(t *testing.T) {
 		defer checker.Done()
 		var prev GateSnapshot
 		for {
+			before := clients()
 			s := g.Snapshot()
+			after := clients()
 			if s.InFlight < 0 || s.InFlight > maxInFlight {
 				t.Errorf("in_flight gauge escaped [0,%d]: %d", maxInFlight, s.InFlight)
 			}
@@ -54,20 +63,17 @@ func TestGateLedgerProperty(t *testing.T) {
 				s.TimedOut < prev.TimedOut {
 				t.Errorf("counters went backwards: %+v after %+v", s, prev)
 			}
-			for _, skew := range []struct {
-				name         string
-				server, mine int64
+			for i, skew := range []struct {
+				name   string
+				server int64
 			}{
-				{"admitted", s.Admitted, admitted.Load()},
-				{"rejected", s.Rejected, rejected.Load()},
-				{"timed_out", s.TimedOut, timedOut.Load()},
+				{"admitted", s.Admitted},
+				{"rejected", s.Rejected},
+				{"timed_out", s.TimedOut},
 			} {
-				// Server counts before the client classifies, so server >=
-				// client - (snapshot raced ahead) and the gap is bounded by
-				// the number of acquires in flight.
-				if skew.server < skew.mine-workers || skew.server > skew.mine+workers {
-					t.Errorf("%s ledger skew beyond in-flight bound: server=%d clients=%d",
-						skew.name, skew.server, skew.mine)
+				if skew.server < before[i]-workers || skew.server > after[i]+workers {
+					t.Errorf("%s ledger skew beyond in-flight bound: server=%d clients=[%d,%d]",
+						skew.name, skew.server, before[i], after[i])
 				}
 			}
 			prev = s

@@ -456,23 +456,29 @@ func (d *jsonCursor) u4() (rune, error) {
 	if d.i+4 > len(d.b) {
 		return 0, errors.New("truncated \\u escape")
 	}
-	var r rune
-	for k := 0; k < 4; k++ {
-		c := d.b[d.i+k]
-		switch {
-		case c >= '0' && c <= '9':
-			r = r<<4 | rune(c-'0')
-		case c >= 'a' && c <= 'f':
-			r = r<<4 | rune(c-'a'+10)
-		case c >= 'A' && c <= 'F':
-			r = r<<4 | rune(c-'A'+10)
-		default:
-			return 0, fmt.Errorf("invalid \\u escape digit %q", c)
-		}
+	h := d.b[d.i : d.i+4]
+	r := rune(hexVal[h[0]])<<12 | rune(hexVal[h[1]])<<8 | rune(hexVal[h[2]])<<4 | rune(hexVal[h[3]])
+	if r < 0 {
+		return 0, fmt.Errorf("invalid \\u escape %q", h)
 	}
 	d.i += 4
 	return r, nil
 }
+
+// hexVal maps a hex digit to its value and every other byte to -1, which
+// survives the shifts and ors of u4 as a negative rune.
+var hexVal = func() (t [256]int8) {
+	for i := range t {
+		t[i] = -1
+	}
+	for i := 0; i < 10; i++ {
+		t['0'+i] = int8(i)
+	}
+	for i := 0; i < 6; i++ {
+		t['a'+i], t['A'+i] = int8(10+i), int8(10+i)
+	}
+	return
+}()
 
 // integer scans a plain integer (what a timeout_ms field may hold).
 func (d *jsonCursor) integer() (int, error) {

@@ -16,7 +16,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-PATTERN="${BENCH_PATTERN:-EngineBatch|Extract|HealthObserve|ServeExtract|ShardedDispatch|JobsSubmit|LogAppend|AuditAppend}"
+PATTERN="${BENCH_PATTERN:-EngineBatch|Extract|RunBulk16|HealthObserve|ServeExtract|ShardedDispatch|JobsSubmit|LogAppend|AuditAppend}"
 TIME="${BENCH_TIME:-1s}"
 COUNT="${BENCH_COUNT:-1}"
 

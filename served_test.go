@@ -402,15 +402,18 @@ func TestAutoRepairHealsWithoutAdminCall(t *testing.T) {
 		t.Fatalf("post-heal extraction: %d records, want %d gold", len(got), len(want))
 	}
 
-	// The repair rode the job plane: a done auto-repair job is visible.
-	var sawRepair bool
-	for _, j := range srv.Jobs().List() {
-		if j.Kind == "repair" && j.Site == clean.Name && j.State == "done" {
-			sawRepair = true
+	// The repair rode the job plane: a done auto-repair job is visible. The
+	// promoted version serves before its job finishes (it still refreshes
+	// the serving binding), so give the job until the deadline to get there.
+	for sawRepair := false; !sawRepair; time.Sleep(5 * time.Millisecond) {
+		for _, j := range srv.Jobs().List() {
+			if j.Kind == "repair" && j.Site == clean.Name && j.State == "done" {
+				sawRepair = true
+			}
 		}
-	}
-	if !sawRepair {
-		t.Fatalf("no done repair job in %+v", srv.Jobs().List())
+		if !sawRepair && time.Now().After(deadline) {
+			t.Fatalf("no done repair job in %+v", srv.Jobs().List())
+		}
 	}
 	// The monitor re-armed against the new wrapper.
 	if h, ok := monitor.Site(clean.Name); !ok || h.Tripped() {
