@@ -71,7 +71,8 @@ func (d *Dictionary) Annotate(c *corpus.Corpus) *bitset.Set {
 // MatchesText reports whether the text contains an exact mention of some
 // dictionary entry.
 func (d *Dictionary) MatchesText(text string) bool {
-	words := Tokenize(text)
+	var buf [16]string // a text node is rarely longer: its words stay on the stack
+	words := appendWords(buf[:0], strings.ToLower(text))
 	for i, w := range words {
 		for _, entry := range d.byFirst[w] {
 			if len(entry) <= len(words)-i && equalWords(words[i:i+len(entry)], entry) {
@@ -92,25 +93,32 @@ func equalWords(a, b []string) bool {
 }
 
 // Tokenize splits text into lowercase alphanumeric words; everything else
-// is a boundary.
+// is a boundary. The words are slices of the lowered string, not copies.
 func Tokenize(s string) []string {
-	var out []string
-	var cur strings.Builder
-	flush := func() {
-		if cur.Len() > 0 {
-			out = append(out, cur.String())
-			cur.Reset()
+	return appendWords(nil, strings.ToLower(s))
+}
+
+// appendWords appends the words of an already lowered string to dst. A word
+// is a run of the bytes a–z and 0–9. Every other byte is a boundary, the
+// bytes of a multi-byte rune included — none of them is a word byte, so the
+// split is the one a rune-by-rune scan makes.
+func appendWords(dst []string, lower string) []string {
+	start := -1
+	for i := 0; i < len(lower); i++ {
+		c := lower[i]
+		if c >= 'a' && c <= 'z' || c >= '0' && c <= '9' {
+			if start < 0 {
+				start = i
+			}
+		} else if start >= 0 {
+			dst = append(dst, lower[start:i])
+			start = -1
 		}
 	}
-	for _, r := range strings.ToLower(s) {
-		if r >= 'a' && r <= 'z' || r >= '0' && r <= '9' {
-			cur.WriteRune(r)
-		} else {
-			flush()
-		}
+	if start >= 0 {
+		dst = append(dst, lower[start:])
 	}
-	flush()
-	return out
+	return dst
 }
 
 // Regexp labels text nodes whose content matches the pattern.

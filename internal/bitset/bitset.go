@@ -4,10 +4,7 @@
 // the wrapper space across hundreds of websites cheap.
 package bitset
 
-import (
-	"hash/fnv"
-	"math/bits"
-)
+import "math/bits"
 
 // Set is a fixed-universe bitset. The zero value is an empty set over an
 // empty universe; use New to size it.
@@ -202,18 +199,23 @@ func (s *Set) ForEach(fn func(i int)) {
 	}
 }
 
-// Signature returns a hash identifying the set contents. Wrapper-space
-// deduplication keys on this plus Equal verification on collision.
+// Signature returns a hash identifying the set contents: 64-bit FNV-1a over
+// the words as little-endian bytes. Wrapper-space deduplication keys on this
+// plus Equal verification on collision. The value, not just its spread, is
+// load-bearing: it is the last tie-break of core's candidate ranking, so a
+// different hash function could change which wrapper wins a tie.
 func (s *Set) Signature() uint64 {
-	h := fnv.New64a()
-	var buf [8]byte
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	h := uint64(offset64)
 	for _, w := range s.words {
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(w >> (8 * uint(i)))
+		for i := 0; i < 64; i += 8 {
+			h = (h ^ (w >> uint(i) & 0xff)) * prime64
 		}
-		h.Write(buf[:])
 	}
-	return h.Sum64()
+	return h
 }
 
 func (s *Set) mustMatch(o *Set) {

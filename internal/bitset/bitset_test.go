@@ -1,6 +1,8 @@
 package bitset
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math/rand"
 	"sort"
 	"testing"
@@ -80,6 +82,42 @@ func TestSignatureDistinguishes(t *testing.T) {
 	}
 	if a.Signature() != c.Signature() {
 		t.Fatal("equal sets have different signatures")
+	}
+}
+
+// refSignature is Signature as it was written before it was inlined: the
+// standard library's FNV-1a fed each word as eight little-endian bytes.
+func refSignature(s *Set) uint64 {
+	h := fnv.New64a()
+	var buf [8]byte
+	for _, w := range s.words {
+		binary.LittleEndian.PutUint64(buf[:], w)
+		h.Write(buf[:])
+	}
+	return h.Sum64()
+}
+
+// TestSignatureIsFNV1a pins the hash's value, not just its behaviour: core's
+// ranking breaks its last tie on it, so it must stay hash/fnv's FNV-1a over
+// the words — including the empty universe and sizes that leave a partial
+// last word.
+func TestSignatureIsFNV1a(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for _, n := range []int{0, 1, 63, 64, 65, 127, 128, 130, 1000, 8999} {
+		for trial := 0; trial < 20; trial++ {
+			s := New(n)
+			for i := 0; i < n; i++ {
+				if rng.Intn(3) == 0 {
+					s.Add(i)
+				}
+			}
+			if trial == 0 {
+				s = Full(n)
+			}
+			if got, want := s.Signature(), refSignature(s); got != want {
+				t.Fatalf("universe %d trial %d: Signature = %#x, hash/fnv = %#x", n, trial, got, want)
+			}
+		}
 	}
 }
 

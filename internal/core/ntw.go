@@ -9,8 +9,10 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sort"
+	"time"
 
 	"autowrap/internal/bitset"
 	"autowrap/internal/corpus"
@@ -73,10 +75,19 @@ type Result struct {
 	Candidates []Candidate
 	// EnumCalls is the number of inductor calls the enumeration made.
 	EnumCalls int64
+	// Enumerate and Rank are the wall-clock times of the run's two halves.
+	Enumerate, Rank time.Duration
 }
 
 // Learn runs the generate-and-test framework: enumerate, score, rank.
 func Learn(ind wrapper.Inductor, labels *bitset.Set, cfg Config) (*Result, error) {
+	return LearnContext(context.Background(), ind, labels, cfg)
+}
+
+// LearnContext is Learn for a caller that may give up: once ctx is done it
+// returns an error wrapping ctx.Err() at the next boundary — after
+// enumeration, after ranking — instead of a result.
+func LearnContext(ctx context.Context, ind wrapper.Inductor, labels *bitset.Set, cfg Config) (*Result, error) {
 	if cfg.Scorer == nil {
 		return nil, fmt.Errorf("core: Config.Scorer is required")
 	}
@@ -84,11 +95,15 @@ func Learn(ind wrapper.Inductor, labels *bitset.Set, cfg Config) (*Result, error
 		return &Result{}, nil
 	}
 	c := ind.Corpus()
+	start := time.Now()
 	enumRes, err := enum.Run(cfg.enumerator(), ind, labels, cfg.EnumOptions)
 	if err != nil {
 		return nil, fmt.Errorf("core: enumeration failed: %w", err)
 	}
-	res := &Result{EnumCalls: enumRes.Calls}
+	res := &Result{EnumCalls: enumRes.Calls, Enumerate: time.Since(start)}
+	if err := ctx.Err(); err != nil {
+		return nil, fmt.Errorf("core: stopped after enumeration: %w", err)
+	}
 	// Scoring is the hot loop: every enumerated wrapper is scored against
 	// the labels and the publication model (segmentation + KDE lookups),
 	// and the candidates are independent — fan them out. Each goroutine
@@ -107,28 +122,43 @@ func Learn(ind wrapper.Inductor, labels *bitset.Set, cfg Config) (*Result, error
 	if len(res.Candidates) > 0 {
 		res.Best = &res.Candidates[0]
 	}
+	res.Rank = time.Since(start) - res.Enumerate
+	if err := ctx.Err(); err != nil {
+		return nil, fmt.Errorf("core: stopped after ranking: %w", err)
+	}
 	return res, nil
 }
 
 // sortCandidates orders by total score, breaking ties deterministically:
-// more covered labels, then smaller output, then output signature.
+// more covered labels, then smaller output, then output signature. The keys
+// are computed once per candidate, not once per comparison.
 func sortCandidates(cands []Candidate, labels *bitset.Set) {
-	sort.SliceStable(cands, func(i, j int) bool {
-		a, b := cands[i], cands[j]
+	type keyed struct {
+		Candidate
+		cover, size int
+		sig         uint64
+	}
+	ks := make([]keyed, len(cands))
+	for i, c := range cands {
+		out := c.Wrapper.Extract()
+		ks[i] = keyed{c, bitset.AndCount(labels, out), out.Count(), out.Signature()}
+	}
+	sort.SliceStable(ks, func(i, j int) bool {
+		a, b := &ks[i], &ks[j]
 		if a.Score.Total != b.Score.Total {
 			return a.Score.Total > b.Score.Total
 		}
-		ca := bitset.AndCount(labels, a.Wrapper.Extract())
-		cb := bitset.AndCount(labels, b.Wrapper.Extract())
-		if ca != cb {
-			return ca > cb
+		if a.cover != b.cover {
+			return a.cover > b.cover
 		}
-		na, nb := a.Wrapper.Extract().Count(), b.Wrapper.Extract().Count()
-		if na != nb {
-			return na < nb
+		if a.size != b.size {
+			return a.size < b.size
 		}
-		return a.Wrapper.Extract().Signature() < b.Wrapper.Extract().Signature()
+		return a.sig < b.sig
 	})
+	for i := range ks {
+		cands[i] = ks[i].Candidate
+	}
 }
 
 // Naive is the baseline of Sec. 7.2: run the inductor directly on the full

@@ -6,7 +6,9 @@ package corpus
 
 import (
 	"fmt"
+	"slices"
 	"strings"
+	"sync"
 
 	"autowrap/internal/bitset"
 	"autowrap/internal/dom"
@@ -18,13 +20,15 @@ type Page struct {
 	Index int       // position within the corpus
 	Root  *dom.Node // document root
 
-	// HTML is the canonical serialization of Root; Spans locates each text
-	// node's content inside it. The LR inductor works on this string.
-	HTML  string
-	Spans map[*dom.Node][2]int
+	// HTML is the canonical serialization of Root. The LR inductor works
+	// on this string.
+	HTML string
 
 	// Texts are the extractable (non-whitespace) text nodes in preorder.
+	// Spans is aligned with it: Texts[i]'s escaped content is
+	// HTML[Spans[i][0]:Spans[i][1]].
 	Texts []*dom.Node
+	Spans [][2]int
 
 	// Tokens is the page's preorder tag-token sequence (text nodes appear
 	// as the interned "#text" token); TextPos[i] is the position of
@@ -38,10 +42,14 @@ type Page struct {
 type Corpus struct {
 	Pages []*Page
 
-	texts   []*dom.Node // ordinal -> node
-	pageOf  []int       // ordinal -> page index
-	inPage  []int       // ordinal -> index within page.Texts
-	ordinal map[*dom.Node]int
+	texts  []*dom.Node // ordinal -> node
+	pageOf []int       // ordinal -> page index
+	inPage []int       // ordinal -> index within page.Texts
+
+	// ordinal inverts texts. Learning never asks, so it is built on the
+	// first OrdinalOf.
+	ordinalOnce sync.Once
+	ordinal     map[*dom.Node]int
 
 	tokenIDs map[string]int32
 	tokens   []string
@@ -55,23 +63,46 @@ const TextTokenID int32 = 0
 // inductors.
 func New(docs []*dom.Node) *Corpus {
 	c := &Corpus{
-		ordinal:  make(map[*dom.Node]int),
 		tokenIDs: map[string]int32{dom.TextTag: TextTokenID},
 		tokens:   []string{dom.TextTag},
 	}
+	// The serialization buffer and its span list are reused from page to
+	// page; each page keeps an exact-size copy of the first and, of the
+	// second, only the spans of its extractable texts.
+	var (
+		buf   []byte
+		spans []dom.TextSpan
+	)
 	for i, doc := range docs {
-		html, spans := dom.SerializeWithSpans(doc)
-		p := &Page{Index: i, Root: doc, HTML: html, Spans: spans}
+		buf, spans = buf[:0], spans[:0]
+		buf = dom.AppendHTML(buf, doc, &spans)
+		p := &Page{Index: i, Root: doc, HTML: string(buf)}
+		// Nearly every text node is extractable: size for all of them.
+		p.Texts = make([]*dom.Node, 0, len(spans))
+		p.Spans = make([][2]int, 0, len(spans))
+		p.TextPos = make([]int, 0, len(spans))
+		c.texts = slices.Grow(c.texts, len(spans))
+		c.pageOf = slices.Grow(c.pageOf, len(spans))
+		c.inPage = slices.Grow(c.inPage, len(spans))
+		next := 0 // the walk and the serializer meet text nodes in the same order
 		doc.Walk(func(n *dom.Node) bool {
 			switch n.Type {
 			case dom.TextNode:
 				p.Tokens = append(p.Tokens, TextTokenID)
+				// A text the serializer does not reach (under a void
+				// element, which the parser never builds) keeps [0,0).
+				var span [2]int
+				for k := next; k < len(spans); k++ {
+					if spans[k].Node == n {
+						span, next = [2]int{spans[k].Start, spans[k].End}, k+1
+						break
+					}
+				}
 				if IsExtractableText(n) {
-					ord := len(c.texts)
+					p.Spans = append(p.Spans, span)
 					c.texts = append(c.texts, n)
 					c.pageOf = append(c.pageOf, i)
 					c.inPage = append(c.inPage, len(p.Texts))
-					c.ordinal[n] = ord
 					p.TextPos = append(p.TextPos, len(p.Tokens)-1)
 					p.Texts = append(p.Texts, n)
 				}
@@ -153,6 +184,12 @@ func (c *Corpus) IndexInPage(ord int) int { return c.inPage[ord] }
 // OrdinalOf returns the global ordinal of a text node, or -1 when the node
 // is not part of the extractable universe.
 func (c *Corpus) OrdinalOf(n *dom.Node) int {
+	c.ordinalOnce.Do(func() {
+		c.ordinal = make(map[*dom.Node]int, len(c.texts))
+		for ord, t := range c.texts {
+			c.ordinal[t] = ord
+		}
+	})
 	if ord, ok := c.ordinal[n]; ok {
 		return ord
 	}

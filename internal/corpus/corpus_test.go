@@ -62,8 +62,7 @@ func TestScriptTextExcluded(t *testing.T) {
 func TestSpansLocateEscapedText(t *testing.T) {
 	c := ParseHTML([]string{`<p>Tom &amp; Jerry</p>`})
 	p := c.Pages[0]
-	n := p.Texts[0]
-	span := p.Spans[n]
+	span := p.Spans[0]
 	if got := p.HTML[span[0]:span[1]]; got != "Tom &amp; Jerry" {
 		t.Fatalf("span content = %q", got)
 	}

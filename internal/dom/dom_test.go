@@ -181,17 +181,18 @@ func TestSerializeVoidElements(t *testing.T) {
 
 func TestSerializeWithSpansLocatesText(t *testing.T) {
 	doc := sampleTree()
-	html, spans := SerializeWithSpans(doc)
+	var spans []TextSpan
+	html := AppendHTML(nil, doc, &spans)
 	count := 0
 	doc.Walk(func(n *Node) bool {
 		if n.Type == TextNode {
-			count++
-			span, ok := spans[n]
-			if !ok {
+			if count == len(spans) || spans[count].Node != n {
 				t.Fatalf("missing span for %q", n.Data)
 			}
-			if html[span[0]:span[1]] != string(appendEscaped(nil, n.Data, false)) {
-				t.Fatalf("span %v of %q = %q", span, n.Data, html[span[0]:span[1]])
+			span := spans[count]
+			count++
+			if string(html[span.Start:span.End]) != string(appendEscaped(nil, n.Data, false)) {
+				t.Fatalf("span %v of %q = %q", span, n.Data, html[span.Start:span.End])
 			}
 		}
 		return true

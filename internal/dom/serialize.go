@@ -22,10 +22,9 @@ type TextSpan struct {
 // AppendHTML appends the HTML rendering of the subtree rooted at n to dst
 // and returns the extended buffer. When spans is non-nil it also appends one
 // TextSpan per serialized text node, in document order, with offsets into
-// the returned buffer. It is the one serializer: Serialize and
-// SerializeWithSpans are conveniences over it, and callers on a hot path
-// pass recycled dst and spans storage so a page serializes without
-// allocating.
+// the returned buffer. It is the one serializer: Serialize is a convenience
+// over it, and callers on a hot path pass recycled dst and spans storage so
+// a page serializes without allocating.
 func AppendHTML(dst []byte, n *Node, spans *[]TextSpan) []byte {
 	switch n.Type {
 	case DocumentNode:
@@ -98,15 +97,4 @@ func appendEscaped(dst []byte, s string, attr bool) []byte {
 // Serialize renders the subtree rooted at n as HTML.
 func Serialize(n *Node) string {
 	return string(AppendHTML(nil, n, nil))
-}
-
-// SerializeWithSpans renders the subtree and records text-node spans.
-func SerializeWithSpans(n *Node) (string, map[*Node][2]int) {
-	var list []TextSpan
-	html := string(AppendHTML(nil, n, &list))
-	spans := make(map[*Node][2]int, len(list))
-	for _, s := range list {
-		spans[s.Node] = [2]int{s.Start, s.End}
-	}
-	return html, spans
 }

@@ -60,18 +60,6 @@ func assertSerializersAgree(t *testing.T, n *dom.Node) {
 	if got := dom.Serialize(n); got != wantHTML {
 		t.Fatalf("Serialize:\n got %q\nwant %q", got, wantHTML)
 	}
-	gotHTML, gotSpans := dom.SerializeWithSpans(n)
-	if gotHTML != wantHTML {
-		t.Fatalf("SerializeWithSpans html:\n got %q\nwant %q", gotHTML, wantHTML)
-	}
-	if len(gotSpans) != len(wantSpans) {
-		t.Fatalf("SerializeWithSpans: %d spans, want %d", len(gotSpans), len(wantSpans))
-	}
-	for node, want := range wantSpans {
-		if got, ok := gotSpans[node]; !ok || got != want {
-			t.Fatalf("SerializeWithSpans: span of %q = %v (present %v), want %v", node.Data, got, ok, want)
-		}
-	}
 
 	// AppendHTML after a prefix, into recycled storage: offsets are
 	// positions in the returned buffer, spans come in document order.

@@ -64,8 +64,23 @@ type Report struct {
 	HadIncumbent bool
 	// CandidateEval and IncumbentEval are the held-out comparisons.
 	CandidateEval, IncumbentEval Eval
-	// LearnElapsed is the wall-clock re-learning time.
+	// LearnElapsed is the wall-clock re-learning time; Stages breaks the
+	// whole repair down.
 	LearnElapsed time.Duration
+	Stages       Stages
+}
+
+// Stages is where one repair's wall-clock time went.
+type Stages struct {
+	// Parse is building the training corpus from the fresh pages.
+	Parse time.Duration
+	// Annotate, Build, Enumerate and Rank are the re-learn's own stages.
+	engine.Stages
+	// Validate is the held-out comparison: each held-out page parsed once,
+	// candidate and incumbent applied to it.
+	Validate time.Duration
+	// Promote is staging the candidate and, on a win, promoting it.
+	Promote time.Duration
 }
 
 // String renders the report as a one-line summary.
@@ -138,13 +153,19 @@ func (r *Repairer) Repair(ctx context.Context, site string, fresh []string) (*Re
 	}
 
 	// Re-learn on the training split.
+	report := &Report{Site: site, TrainPages: len(train), HoldoutPages: len(holdout)}
+	start := time.Now()
 	c := corpus.ParseHTML(train)
+	report.Stages.Parse = time.Since(start)
+	if err := ctx.Err(); err != nil {
+		return nil, fmt.Errorf("drift: repair %s: stopped after parse: %w", site, err)
+	}
 	spec, err := r.Spec(site, c)
 	if err != nil {
 		return nil, fmt.Errorf("drift: repair %s: spec: %w", site, err)
 	}
 	spec.Name, spec.Corpus = site, c
-	start := time.Now()
+	start = time.Now()
 	batch, err := engine.LearnBatch(ctx, []engine.SiteSpec{spec}, r.Engine)
 	if err != nil {
 		return nil, fmt.Errorf("drift: repair %s: %w", site, err)
@@ -163,28 +184,28 @@ func (r *Repairer) Repair(ctx context.Context, site string, fresh []string) (*Re
 	if err != nil {
 		return nil, fmt.Errorf("drift: repair %s: compile: %w", site, err)
 	}
-	report := &Report{
-		Site:         site,
-		TrainPages:   len(train),
-		HoldoutPages: len(holdout),
-		LearnElapsed: time.Since(start),
-	}
+	report.LearnElapsed, report.Stages.Stages = time.Since(start), res.Stages
 
 	// Validate against the incumbent on the held-out split.
-	report.CandidateEval = evalOn(candidate, holdout)
+	start = time.Now()
+	var incumbent wrapper.Portable
 	incumbentEntry, hasIncumbent := r.Store.Active(site)
 	report.HadIncumbent = hasIncumbent
 	if hasIncumbent {
-		incumbent, err := incumbentEntry.Compile()
-		if err != nil {
+		if incumbent, err = incumbentEntry.Compile(); err != nil {
 			return nil, fmt.Errorf("drift: repair %s: incumbent v%d: %w",
 				site, incumbentEntry.Version, err)
 		}
-		report.IncumbentEval = evalOn(incumbent, holdout)
+	}
+	report.CandidateEval, report.IncumbentEval = evalOn(holdout, candidate, incumbent)
+	report.Stages.Validate = time.Since(start)
+	if err := ctx.Err(); err != nil {
+		return nil, fmt.Errorf("drift: repair %s: stopped before staging: %w", site, err)
 	}
 
 	// Stage the candidate; promote only on a strict held-out win (or when
 	// nothing serves yet).
+	start = time.Now()
 	meta := store.Meta{
 		Score:   best.Score.Total,
 		Profile: store.ProfileOf(c.PerPageCounts(best.Wrapper.Extract())),
@@ -208,19 +229,34 @@ func (r *Repairer) Repair(ctx context.Context, site string, fresh []string) (*Re
 			}
 		}
 	}
+	report.Stages.Promote = time.Since(start)
 	return report, nil
 }
 
-// evalOn applies a compiled wrapper to raw held-out pages and tallies its
-// extraction footprint.
-func evalOn(p wrapper.Portable, htmls []string) Eval {
-	e := Eval{Pages: len(htmls)}
+// evalOn tallies the extraction footprints of the candidate and, when there
+// is one, the incumbent on the raw held-out pages. Each page is parsed once,
+// into one recycled workspace: only the counts outlive it.
+func evalOn(htmls []string, candidate, incumbent wrapper.Portable) (cand, inc Eval) {
+	tree := htmlparse.AcquireTree()
+	defer tree.Release()
+	cand.Pages = len(htmls)
+	if incumbent != nil {
+		inc.Pages = len(htmls)
+	}
 	for _, html := range htmls {
-		n := len(p.ApplyPage(htmlparse.Parse(html)))
-		if n > 0 {
-			e.NonEmpty++
-			e.Records += n
+		root := tree.Parse(html)
+		cand.add(len(candidate.ApplyPage(root)))
+		if incumbent != nil {
+			inc.add(len(incumbent.ApplyPage(root)))
 		}
 	}
-	return e
+	return cand, inc
+}
+
+// add tallies one page that yielded n records.
+func (e *Eval) add(n int) {
+	if n > 0 {
+		e.NonEmpty++
+		e.Records += n
+	}
 }

@@ -2,11 +2,14 @@ package drift_test
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"autowrap/internal/annotate"
+	"autowrap/internal/bitset"
 	"autowrap/internal/core"
 	"autowrap/internal/corpus"
 	"autowrap/internal/dataset"
@@ -66,7 +69,7 @@ func learnSpec(annot annotate.Annotator) drift.LearnSpec {
 
 // learnInto learns the site from scratch and stores + promotes the winner,
 // returning the active entry.
-func learnInto(t *testing.T, s *store.Store, site *gen.Site, annot annotate.Annotator) store.Entry {
+func learnInto(t testing.TB, s *store.Store, site *gen.Site, annot annotate.Annotator) store.Entry {
 	t.Helper()
 	spec, _ := learnSpec(annot)(site.Name, site.Corpus)
 	spec.Name, spec.Corpus = site.Name, site.Corpus
@@ -292,5 +295,71 @@ func TestRepairedEquivalentToFreshLearn(t *testing.T) {
 		if len(got) == 0 {
 			t.Fatalf("seed %d drift %d: degenerate property (no records)", tc.seed, tc.drift)
 		}
+	}
+}
+
+// stoppingAnnotator ends the repair's context in the middle of the learn.
+type stoppingAnnotator struct {
+	annotate.Annotator
+	stop func()
+}
+
+func (a stoppingAnnotator) Annotate(c *corpus.Corpus) *bitset.Set {
+	a.stop()
+	return a.Annotator.Annotate(c)
+}
+
+// TestRepairStopsWithNothingStaged: a repair whose context is cancelled, or
+// whose deadline passes, while it learns returns the context's error and
+// leaves the store as it found it — no candidate staged, nothing promoted —
+// even though the learn it had started would have won.
+func TestRepairStopsWithNothingStaged(t *testing.T) {
+	clean, mutated, annot := dealersPair(t, 1001, 16, 2)
+	s := store.New()
+	v1 := learnInto(t, s, clean, annot)
+
+	for _, tc := range []struct {
+		name string
+		ctx  func() (context.Context, context.CancelFunc, func())
+		want error
+	}{
+		{"cancelled", func() (context.Context, context.CancelFunc, func()) {
+			ctx, cancel := context.WithCancel(context.Background())
+			return ctx, cancel, cancel
+		}, context.Canceled},
+		{"past deadline", func() (context.Context, context.CancelFunc, func()) {
+			ctx, cancel := context.WithTimeout(context.Background(), time.Millisecond)
+			return ctx, cancel, func() { <-ctx.Done() }
+		}, context.DeadlineExceeded},
+		{"dead on arrival", func() (context.Context, context.CancelFunc, func()) {
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			return ctx, cancel, func() { t.Error("annotator reached under a context that was already done") }
+		}, context.Canceled},
+	} {
+		ctx, cancel, stop := tc.ctx()
+		rep := &drift.Repairer{Store: s, Spec: learnSpec(stoppingAnnotator{annot, stop})}
+		report, err := rep.Repair(ctx, clean.Name, htmlsOf(mutated))
+		cancel()
+		if report != nil || !errors.Is(err, tc.want) {
+			t.Fatalf("%s: report %v, err %v; want %v", tc.name, report, err, tc.want)
+		}
+		if active, _ := s.Active(clean.Name); active.Version != v1.Version || len(s.History(clean.Name)) != 1 {
+			t.Fatalf("%s: store moved: active v%d, %d versions", tc.name, active.Version, len(s.History(clean.Name)))
+		}
+	}
+
+	// The same repair, left alone, stages v2 and promotes it.
+	rep := &drift.Repairer{Store: s, Spec: learnSpec(annot)}
+	report, err := rep.Repair(context.Background(), clean.Name, htmlsOf(mutated))
+	if err != nil || !report.Promoted || report.Candidate.Version != 2 {
+		t.Fatalf("uninterrupted repair: %v, %+v", err, report)
+	}
+	st := report.Stages
+	if st.Parse <= 0 || st.Annotate <= 0 || st.Build <= 0 || st.Enumerate <= 0 || st.Rank <= 0 || st.Validate <= 0 || st.Promote <= 0 {
+		t.Fatalf("stage times not recorded: %+v", st)
+	}
+	if sum := st.Annotate + st.Build + st.Enumerate + st.Rank; sum > report.LearnElapsed {
+		t.Fatalf("learn stages sum to %v, more than the learn's %v", sum, report.LearnElapsed)
 	}
 }

@@ -4,12 +4,14 @@
 // of independent websites. Each site is an isolated unit of work: the batch
 // runs on a bounded worker pool, a failing (or even panicking) site yields
 // an error in its own slot without disturbing the rest, cancellation stops
-// the batch at the next site boundary, and the engine aggregates throughput
-// and latency statistics so speedups are measurable rather than anecdotal.
+// the batch at the next stage boundary of each running site, and the engine
+// aggregates throughput and latency statistics so speedups are measurable
+// rather than anecdotal.
 package engine
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime/debug"
 	"sync"
@@ -75,12 +77,22 @@ type SiteResult struct {
 	// Result is the ranked wrapper space (nil on error or skip).
 	Result *core.Result
 	// Err is the site's failure, including recovered panics and — for
-	// sites never started — the batch's cancellation cause.
+	// sites never started or stopped between stages — the batch's
+	// cancellation cause.
 	Err error
 	// Skipped marks sites whose label count fell below Options.MinLabels.
 	Skipped bool
-	// Elapsed is the site's wall-clock learning latency.
+	// Elapsed is the site's wall-clock learning latency; Stages says where
+	// it went.
 	Elapsed time.Duration
+	Stages  Stages
+}
+
+// Stages is the wall-clock time of each stage of one site's pipeline. A
+// stage the site did not reach (or, for Annotate, that precomputed Labels
+// made unnecessary) is zero.
+type Stages struct {
+	Annotate, Build, Enumerate, Rank time.Duration
 }
 
 // Stats aggregates a batch run.
@@ -178,8 +190,10 @@ func New(opt Options) *Engine {
 // or learning errors, panics — land in that site's SiteResult.Err/Skipped
 // and never abort the batch. The error return is reserved for batch-level
 // cancellation: when ctx is done before every site finished, LearnBatch
-// stops claiming new sites, marks the unstarted ones with ctx's error, and
-// returns that error alongside the partial results.
+// stops claiming new sites, stops each running site at its next stage
+// boundary (after annotate, build, enumerate, rank), marks those and the
+// unstarted ones with ctx's error, and returns that error alongside the
+// partial results.
 func (e *Engine) LearnBatch(ctx context.Context, specs []SiteSpec) (*BatchResult, error) {
 	opt := e.opt
 	if opt.MinLabels <= 0 {
@@ -196,7 +210,7 @@ func (e *Engine) LearnBatch(ctx context.Context, specs []SiteSpec) (*BatchResult
 	start := time.Now()
 	ctxErr := par.ForContext(ctx, len(specs), opt.Workers, func(i int) {
 		started[i] = true
-		batch.Sites[i] = learnSite(i, &specs[i], opt.MinLabels)
+		batch.Sites[i] = learnSite(ctx, i, &specs[i], opt.MinLabels)
 		if opt.Progress != nil {
 			mu.Lock()
 			done++
@@ -223,6 +237,9 @@ func (e *Engine) LearnBatch(ctx context.Context, specs []SiteSpec) (*BatchResult
 			batch.Stats.Skipped++
 		case r.Err != nil:
 			batch.Stats.Failed++
+			if ctxErr == nil && ctx.Err() != nil && errors.Is(r.Err, ctx.Err()) {
+				ctxErr = ctx.Err() // every site started, this one was cut short
+			}
 		default:
 			batch.Stats.Learned++
 			batch.Stats.EnumCalls += r.Result.EnumCalls
@@ -231,8 +248,9 @@ func (e *Engine) LearnBatch(ctx context.Context, specs []SiteSpec) (*BatchResult
 	return batch, ctxErr
 }
 
-// learnSite runs the full per-site pipeline with panic isolation.
-func learnSite(index int, spec *SiteSpec, minLabels int) (out SiteResult) {
+// learnSite runs the full per-site pipeline with panic isolation, giving up
+// between stages once ctx is done.
+func learnSite(ctx context.Context, index int, spec *SiteSpec, minLabels int) (out SiteResult) {
 	out.Name, out.Index = spec.Name, index
 	start := time.Now()
 	defer func() {
@@ -248,26 +266,43 @@ func learnSite(index int, spec *SiteSpec, minLabels int) (out SiteResult) {
 		return
 	}
 	out.Corpus = spec.Corpus
+	stopped := func(after string) bool {
+		err := ctx.Err()
+		if err != nil {
+			out.Err = fmt.Errorf("engine: site %q: stopped after %s: %w", spec.Name, after, err)
+		}
+		return err != nil
+	}
 	labels := spec.Labels
 	if labels == nil {
 		labels = spec.Annotator.Annotate(spec.Corpus)
+		out.Stages.Annotate = time.Since(start)
 	}
 	out.Labels = labels
+	if stopped("annotate") {
+		return
+	}
 	if labels.Count() < minLabels {
 		out.Skipped = true
 		return
 	}
+	buildStart := time.Now()
 	ind, err := spec.NewInductor(spec.Corpus)
 	if err != nil {
 		out.Err = fmt.Errorf("engine: site %q: inductor: %w", spec.Name, err)
 		return
 	}
-	res, err := core.Learn(ind, labels, spec.Config)
+	out.Stages.Build = time.Since(buildStart)
+	if stopped("build") {
+		return
+	}
+	res, err := core.LearnContext(ctx, ind, labels, spec.Config)
 	if err != nil {
 		out.Err = fmt.Errorf("engine: site %q: learn: %w", spec.Name, err)
 		return
 	}
 	out.Result = res
+	out.Stages.Enumerate, out.Stages.Rank = res.Enumerate, res.Rank
 	return
 }
 

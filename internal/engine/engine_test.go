@@ -343,3 +343,70 @@ func TestLearnBatchIsolatesNestedScoringPanic(t *testing.T) {
 		t.Fatalf("stats = %+v", batch.Stats)
 	}
 }
+
+// hookAnnotator runs hook before annotating; hookInductor runs it on the
+// first Induce, i.e. in the middle of enumeration.
+type hookAnnotator struct {
+	annotate.Annotator
+	hook func()
+}
+
+func (a hookAnnotator) Annotate(c *corpus.Corpus) *bitset.Set {
+	a.hook()
+	return a.Annotator.Annotate(c)
+}
+
+type hookInductor struct {
+	wrapper.FeatureInductor
+	hook func()
+}
+
+func (h hookInductor) Induce(labels *bitset.Set) (wrapper.Wrapper, error) {
+	h.hook()
+	return h.FeatureInductor.Induce(labels)
+}
+
+// TestLearnBatchStopsRunningSiteBetweenStages: a one-site batch whose
+// context is cancelled while a stage runs must not carry on to a result —
+// par.ForContext alone reports success once every index has run. The site
+// fails at the boundary after the stage, wrapping the context's error, and
+// the batch reports the cancellation.
+func TestLearnBatchStopsRunningSiteBetweenStages(t *testing.T) {
+	for _, stage := range []string{"annotate", "build", "enumeration"} {
+		ctx, cancel := context.WithCancel(context.Background())
+		spec := testSpecs(1)[0]
+		switch stage {
+		case "annotate":
+			spec.Annotator = hookAnnotator{spec.Annotator, cancel}
+		case "build":
+			spec.NewInductor = func(c *corpus.Corpus) (wrapper.Inductor, error) {
+				cancel()
+				return xpathFactory(c)
+			}
+		case "enumeration":
+			spec.NewInductor = func(c *corpus.Corpus) (wrapper.Inductor, error) {
+				return hookInductor{xpinduct.New(c, xpinduct.Options{}), cancel}, nil
+			}
+		}
+		batch, err := LearnBatch(ctx, []SiteSpec{spec}, Options{})
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled during %s: batch err = %v, want context.Canceled", stage, err)
+		}
+		r := batch.Sites[0]
+		if r.Result != nil || !errors.Is(r.Err, context.Canceled) || !strings.Contains(r.Err.Error(), "stopped after "+stage) {
+			t.Fatalf("cancelled during %s: result %v, err %v", stage, r.Result, r.Err)
+		}
+		if st := batch.Stats; st.Failed != 1 || st.Learned != 0 || st.Unstarted != 0 {
+			t.Fatalf("cancelled during %s: stats %+v", stage, st)
+		}
+	}
+	// A context that ends only after the last stage changes nothing.
+	batch, err := LearnBatch(context.Background(), testSpecs(1), Options{})
+	if err != nil || batch.Sites[0].Result == nil {
+		t.Fatalf("uncancelled batch: %v, %+v", err, batch.Sites[0])
+	}
+	if st := batch.Sites[0].Stages; st.Annotate <= 0 || st.Build <= 0 || st.Enumerate <= 0 || st.Rank <= 0 {
+		t.Fatalf("stage times not recorded: %+v", st)
+	}
+}

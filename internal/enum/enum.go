@@ -17,6 +17,8 @@ package enum
 import (
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 	"sort"
 
 	"autowrap/internal/bitset"
@@ -222,43 +224,107 @@ func BottomUp(ind wrapper.Inductor, labels *bitset.Set, opt Options) (*Result, e
 // attribute's values; finally φ is called once per distinct set. For a
 // feature-based inductor the produced sets are exactly the closed subsets
 // of L, so the inductor is called exactly k times (Theorem 3).
+//
+// Every set the algorithm touches is a subset of L, so Z lives in L's own
+// index space: label i is bit i of a ⌈|L|/64⌉-word set, whatever the size
+// of the corpus. A node's value for an attribute does not depend on the set
+// it is looked at in, so subdivision(s, a) = {s ∩ g : g ∈ subdivision(L, a)}:
+// the inductor subdivides L once per attribute and each worklist set is cut
+// with that partition. Sets are expanded back to the universe only for the
+// k Induce calls.
 func TopDown(ind wrapper.FeatureInductor, labels *bitset.Set, opt Options) (*Result, error) {
-	if labels.Empty() {
+	ords := labels.Indices() // label i is ords[i]
+	if len(ords) == 0 {
 		return &Result{}, nil
 	}
-	seen := make(map[uint64][]*bitset.Set)
-	contains := func(s *bitset.Set) bool {
-		for _, t := range seen[s.Signature()] {
-			if t.Equal(s) {
-				return true
-			}
-		}
-		return false
+	local := make([]int32, labels.Len()) // ordinal -> label index, read at members of L only
+	for i, ord := range ords {
+		local[ord] = int32(i)
 	}
-	var zs []*bitset.Set
-	add := func(s *bitset.Set) {
-		if s.Empty() || contains(s) {
+	nw := (len(ords) + 63) / 64
+
+	// Z: distinct non-empty subsets of L in insertion order, nw words each,
+	// back to back; seen maps a hash of a set's words to the sets with it.
+	var z []uint64
+	set := func(i int) []uint64 { return z[i*nw : (i+1)*nw] }
+	seen := make(map[uint64][]int32)
+	piece := make([]uint64, nw)
+	add := func() { // piece joins Z unless it is empty or already there
+		var h, any uint64
+		for _, w := range piece {
+			any |= w
+			h = (h ^ w) * 0x9e3779b97f4a7c15
+			h ^= h >> 29
+		}
+		if any == 0 {
 			return
 		}
-		seen[s.Signature()] = append(seen[s.Signature()], s)
-		zs = append(zs, s)
+		for _, i := range seen[h] {
+			if slices.Equal(set(int(i)), piece) {
+				return
+			}
+		}
+		seen[h] = append(seen[h], int32(len(z)/nw))
+		z = append(z, piece...)
 	}
-	add(labels.Clone())
+	for i := range ords {
+		piece[i/64] |= 1 << uint(i%64)
+	}
+	add()
 
+	var (
+		parts   []uint64                   // subdivision(L, a), nw words a group
+		groupOf = make([]int32, len(ords)) // label index -> its group in parts
+		have    = make([]uint64, nw)       // the labels that have a
+		rem     = make([]uint64, nw)
+	)
 	for _, a := range ind.Attrs(labels) {
-		snapshot := zs // sets added in this pass share a's value: no-op to resplit
-		for _, s := range snapshot {
-			for _, sub := range ind.Subdivide(s, a) {
-				add(sub)
+		groups := ind.Subdivide(labels, a)
+		parts = append(parts[:0], make([]uint64, nw*len(groups))...)
+		clear(have)
+		for g, group := range groups {
+			group.ForEach(func(ord int) {
+				i := local[ord]
+				parts[g*nw+int(i/64)] |= 1 << uint(i%64)
+				have[i/64] |= 1 << uint(i%64)
+				groupOf[i] = int32(g)
+			})
+		}
+		// Sets added in this pass share a's value: no-op to resplit.
+		for si, n := 0, len(z)/nw; si < n; si++ {
+			// rem is what is left of set si to cut: its labels that have a,
+			// less the pieces cut so far. Taking the piece of the lowest
+			// label left yields pieces by smallest member — the order the
+			// inductor's own subdivision(s, a) lists them in.
+			for w, word := range set(si) {
+				rem[w] = word & have[w]
+			}
+			for w := 0; w < nw; {
+				if rem[w] == 0 {
+					w++
+					continue
+				}
+				part := parts[int(groupOf[w*64+bits.TrailingZeros64(rem[w])])*nw:]
+				for v, word := range set(si) {
+					piece[v] = word & part[v]
+					rem[v] &^= part[v]
+				}
+				add()
 			}
 		}
 	}
 
 	d := newDedup()
 	var calls int64
-	for _, s := range zs {
+	for si := 0; si < len(z)/nw; si++ {
 		if calls >= opt.maxCalls() {
 			return nil, fmt.Errorf("enum: TopDown exceeded %d inductor calls", opt.maxCalls())
+		}
+		s := bitset.New(labels.Len())
+		for w, word := range set(si) {
+			for ; word != 0; word &= word - 1 {
+				s.Add(ords[w*64+bits.TrailingZeros64(word)])
+			}
 		}
 		w, err := ind.Induce(s)
 		if err != nil {

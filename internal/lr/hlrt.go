@@ -38,11 +38,6 @@ type HLRT struct {
 	// maxRegion caps the learned h and t lengths.
 	maxRegion int
 
-	// starts/ends are the byte offsets of every extractable node per page,
-	// parallel to Page.Texts.
-	starts [][]int
-	ends   [][]int
-
 	induceCalls int64
 }
 
@@ -72,23 +67,7 @@ func NewHLRT(c *corpus.Corpus, maxContext, maxRegion int) *HLRT {
 	if maxRegion <= 0 {
 		maxRegion = DefaultMaxRegion
 	}
-	h := &HLRT{
-		c:         c,
-		lr:        New(c, maxContext),
-		maxRegion: maxRegion,
-		starts:    make([][]int, len(c.Pages)),
-		ends:      make([][]int, len(c.Pages)),
-	}
-	for pi, p := range c.Pages {
-		h.starts[pi] = make([]int, len(p.Texts))
-		h.ends[pi] = make([]int, len(p.Texts))
-		for i, n := range p.Texts {
-			span := p.Spans[n]
-			h.starts[pi][i] = span[0]
-			h.ends[pi][i] = span[1]
-		}
-	}
-	return h
+	return &HLRT{c: c, lr: New(c, maxContext), maxRegion: maxRegion}
 }
 
 // Name implements wrapper.Inductor.
@@ -119,8 +98,8 @@ func (h *HLRT) Induce(labels *bitset.Set) (wrapper.Wrapper, error) {
 			right = right[:textutil.CommonPrefixLen(right, h.lr.rights[ord])]
 		}
 		pi := h.c.PageOf(ord)
-		idx := h.c.IndexInPage(ord)
-		start, end := h.starts[pi][idx], h.ends[pi][idx]
+		span := h.c.Pages[pi].Spans[h.c.IndexInPage(ord)]
+		start, end := span[0], span[1]
 		if cur, ok := firstOn[pi]; !ok || start < cur {
 			firstOn[pi] = start
 		}
@@ -158,7 +137,7 @@ func (h *HLRT) Induce(labels *bitset.Set) (wrapper.Wrapper, error) {
 
 func (h *HLRT) extract(head, tail, left, right string) *bitset.Set {
 	out := h.c.EmptySet()
-	for pi, p := range h.c.Pages {
+	for _, p := range h.c.Pages {
 		regionStart := 0
 		if head != "" {
 			i := strings.Index(p.HTML, head)
@@ -179,7 +158,7 @@ func (h *HLRT) extract(head, tail, left, right string) *bitset.Set {
 			continue
 		}
 		for idx, n := range p.Texts {
-			if h.starts[pi][idx] < regionStart || h.ends[pi][idx] > regionEnd {
+			if p.Spans[idx][0] < regionStart || p.Spans[idx][1] > regionEnd {
 				continue
 			}
 			ord := h.c.OrdinalOf(n)

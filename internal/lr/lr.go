@@ -68,13 +68,9 @@ func New(c *corpus.Corpus, maxContext int) *Inductor {
 		rights: make([]string, c.NumTexts()),
 		cache:  make(map[string]*bitset.Set),
 	}
+	ord := 0 // pages list their texts in ordinal order
 	for _, p := range c.Pages {
-		for _, n := range p.Texts {
-			ord := c.OrdinalOf(n)
-			span, ok := p.Spans[n]
-			if !ok {
-				continue
-			}
+		for _, span := range p.Spans {
 			lo := span[0] - maxContext
 			if lo < 0 {
 				lo = 0
@@ -85,6 +81,7 @@ func New(c *corpus.Corpus, maxContext int) *Inductor {
 			}
 			ind.lefts[ord] = p.HTML[lo:span[0]]
 			ind.rights[ord] = p.HTML[span[1]:hi]
+			ord++
 		}
 	}
 	return ind

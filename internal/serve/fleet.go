@@ -297,11 +297,7 @@ func (f *ShardRouter) handleExtract(w http.ResponseWriter, r *http.Request) {
 		sc.raw = append(sc.raw[:0], sc.body...)
 	}
 	if err := decodeExtractRequest(sc); err != nil {
-		if err == errTrailing {
-			writeError(w, http.StatusBadRequest, "%v", err)
-			return
-		}
-		writeError(w, http.StatusBadRequest, "bad JSON: %v", err)
+		writeDecodeError(w, err)
 		return
 	}
 	// An empty site falls through to finishExtract's own 400 (the local
@@ -635,11 +631,11 @@ func (f *ShardRouter) handleRepair(w http.ResponseWriter, r *http.Request) {
 	if !requirePost(w, r) {
 		return
 	}
-	var req RepairRequest
-	if !readJSONLimited(w, r, &req, f.maxBodyBytes) {
+	var req LearnRequest
+	if !readMaintenance(w, r, &req, false, f.maxBodyBytes) {
 		return
 	}
-	f.owner(req.Site).Repair(w, req)
+	f.owner(req.Site).Repair(w, req.repair())
 }
 
 // handleLearn routes a learn to the shard the ring assigns the new site
@@ -650,7 +646,7 @@ func (f *ShardRouter) handleLearn(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req LearnRequest
-	if !readJSONLimited(w, r, &req, f.maxBodyBytes) {
+	if !readMaintenance(w, r, &req, true, f.maxBodyBytes) {
 		return
 	}
 	f.owner(req.Site).Learn(w, req)

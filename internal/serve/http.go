@@ -417,11 +417,34 @@ func (s *Server) decodeExtract(w http.ResponseWriter, r *http.Request, sc *extra
 		return false
 	}
 	if err := decodeExtractRequest(sc); err != nil {
-		if err == errTrailing {
-			writeError(w, http.StatusBadRequest, "%v", err)
-			return false
-		}
-		writeError(w, http.StatusBadRequest, "bad JSON: %v", err)
+		writeDecodeError(w, err)
+		return false
+	}
+	return true
+}
+
+// writeDecodeError answers the 400 of a body the wire decoders refused.
+func writeDecodeError(w http.ResponseWriter, err error) {
+	if err == errTrailing {
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
+	writeError(w, http.StatusBadRequest, "bad JSON: %v", err)
+}
+
+// readMaintenance reads the body of a learn or repair request into a pooled
+// scratch and decodes it there, answering the error response itself when it
+// returns false. Only the decoded strings outlive the call. max is the byte
+// cap — servers and the fleet's front door decode through the same code
+// with their own limits.
+func readMaintenance(w http.ResponseWriter, r *http.Request, req *LearnRequest, learn bool, max int64) bool {
+	sc := acquireScratch()
+	defer releaseScratch(sc)
+	if !readBodyInto(w, r, sc, max) {
+		return false
+	}
+	if err := decodeMaintenanceRequest(sc.body, req, learn); err != nil {
+		writeDecodeError(w, err)
 		return false
 	}
 	return true
@@ -778,6 +801,11 @@ type LearnRequest struct {
 	TimeoutMS int `json:"timeout_ms,omitempty"`
 }
 
+// repair is the repair request a body decoded without corpus_dir holds.
+func (r LearnRequest) repair() RepairRequest {
+	return RepairRequest{Site: r.Site, Pages: r.Pages, TimeoutMS: r.TimeoutMS}
+}
+
 // RepairResponse is a finished learn/repair job's result payload
 // (Snapshot.Result on GET /v1/jobs/{id}).
 type RepairResponse struct {
@@ -797,6 +825,22 @@ type RepairResponse struct {
 	HoldoutPagesUsed   int    `json:"holdout_pages"`
 	MonitorReset       bool   `json:"monitor_reset"`
 	PreviousServingVer int    `json:"previous_serving_version,omitempty"`
+	// StagesUS says where the job's time went, in microseconds.
+	StagesUS StagesUS `json:"stages_us"`
+}
+
+// StagesUS is one learn/repair job's wall-clock time by stage: the
+// repairer's own (drift.Stages) and Persist, everything after it — the
+// serving refresh, the durable store appends and the audit records.
+type StagesUS struct {
+	Parse     int64 `json:"parse"`
+	Annotate  int64 `json:"annotate"`
+	Build     int64 `json:"build"`
+	Enumerate int64 `json:"enumerate"`
+	Rank      int64 `json:"rank"`
+	Validate  int64 `json:"validate"`
+	Promote   int64 `json:"promote"`
+	Persist   int64 `json:"persist"`
 }
 
 // JobSnapshot aliases the job manager's wire snapshot — the GET /v1/jobs
@@ -844,6 +888,7 @@ func (s *Server) RunMaintenance(ctx context.Context, site string, pages []string
 		return nil, err
 	}
 	// Hot-swap so the promoted wrapper serves the very next request.
+	persistStart := time.Now()
 	progress("validated; refreshing serving binding")
 	serving, err := s.cfg.Dispatcher.Refresh(site)
 	if err != nil {
@@ -888,6 +933,16 @@ func (s *Server) RunMaintenance(ctx context.Context, site string, pages []string
 		HoldoutPagesUsed:   report.HoldoutPages,
 		MonitorReset:       report.Promoted && s.cfg.Dispatcher.Monitor() != nil,
 		PreviousServingVer: prev,
+		StagesUS: StagesUS{
+			Parse:     report.Stages.Parse.Microseconds(),
+			Annotate:  report.Stages.Annotate.Microseconds(),
+			Build:     report.Stages.Build.Microseconds(),
+			Enumerate: report.Stages.Enumerate.Microseconds(),
+			Rank:      report.Stages.Rank.Microseconds(),
+			Validate:  report.Stages.Validate.Microseconds(),
+			Promote:   report.Stages.Promote.Microseconds(),
+			Persist:   time.Since(persistStart).Microseconds(),
+		},
 	}, nil
 }
 
@@ -937,11 +992,11 @@ func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request) {
 	if !requirePost(w, r) {
 		return
 	}
-	var req RepairRequest
-	if !s.readJSON(w, r, &req) {
+	var req LearnRequest
+	if !readMaintenance(w, r, &req, false, s.cfg.MaxBodyBytes) {
 		return
 	}
-	s.finishRepair(w, req)
+	s.finishRepair(w, req.repair())
 }
 
 // finishRepair validates a decoded repair request and enqueues it on
@@ -978,7 +1033,7 @@ func (s *Server) handleLearn(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req LearnRequest
-	if !s.readJSON(w, r, &req) {
+	if !readMaintenance(w, r, &req, true, s.cfg.MaxBodyBytes) {
 		return
 	}
 	s.finishLearn(w, req)

@@ -207,8 +207,8 @@ func (m *Maintainer) submit(site string, now time.Time) bool {
 				m.opt.Log.Printf("serve: auto-repair %s failed: %v", site, err)
 				return nil, err
 			}
-			m.opt.Log.Printf("serve: auto-repair %s: %s (candidate v%d, serving v%d)",
-				site, res.ValidationVerdict, res.CandidateVersion, res.ServingVersion)
+			m.opt.Log.Printf("serve: auto-repair %s: %s (candidate v%d, serving v%d; stages_us %+v)",
+				site, res.ValidationVerdict, res.CandidateVersion, res.ServingVersion, res.StagesUS)
 			return res, nil
 		})
 	if err != nil {

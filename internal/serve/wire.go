@@ -227,7 +227,7 @@ func decodeExtractRequest(sc *extractScratch) error {
 				d.ws()
 			}
 		default:
-			if err := d.skip(); err != nil {
+			if err := d.skip(0); err != nil {
 				return err
 			}
 		}
@@ -240,6 +240,127 @@ func decodeExtractRequest(sc *extractScratch) error {
 		}
 		d.ws()
 	}
+}
+
+// decodeMaintenanceRequest parses the body of POST /v1/repair or
+// /v1/learn into req with the cursor /v1/extract uses: page bodies are
+// unescaped in place inside body and copied out once. It accepts and rejects
+// the bodies json.Decoder.Decode did, with the same field values — unknown
+// keys skipped, keys case-folded, null a no-op (a nil slice for pages), the
+// last of a duplicated key winning — so a caller cannot tell the decoders
+// apart except by the wording of a 400 (and by unknown values nested within
+// three levels of encoding/json's limit, see maxSkipDepth). corpus_dir is a
+// field of a learn request only; a repair skips it like any unknown key.
+func decodeMaintenanceRequest(body []byte, req *LearnRequest, learn bool) error {
+	d := jsonCursor{b: body}
+	d.ws()
+	if d.tryNull() {
+		return d.endOfValue()
+	}
+	if err := d.expect('{'); err != nil {
+		return err
+	}
+	d.ws()
+	if d.tryByte('}') {
+		return d.endOfValue()
+	}
+	for {
+		key, err := d.str()
+		if err != nil {
+			return err
+		}
+		d.ws()
+		if err := d.expect(':'); err != nil {
+			return err
+		}
+		d.ws()
+		switch {
+		case keyIs(key, "site"):
+			err = d.strField(&req.Site)
+		case keyIs(key, "corpus_dir") && learn:
+			err = d.strField(&req.CorpusDir)
+		case keyIs(key, "timeout_ms"):
+			if !d.tryNull() {
+				req.TimeoutMS, err = d.integer()
+			}
+		case keyIs(key, "pages"):
+			req.Pages, err = d.strings(req.Pages)
+		default:
+			err = d.skip(0)
+		}
+		if err != nil {
+			return err
+		}
+		d.ws()
+		if d.tryByte('}') {
+			return d.endOfValue()
+		}
+		if err := d.expect(','); err != nil {
+			return err
+		}
+		d.ws()
+	}
+}
+
+// strField decodes a string value into *dst; null leaves it untouched.
+func (d *jsonCursor) strField(dst *string) error {
+	if d.tryNull() {
+		return nil
+	}
+	v, err := d.str()
+	if err == nil {
+		*dst = toWireString(v)
+	}
+	return err
+}
+
+// strings decodes an array of strings over old, the field's value so far,
+// the way encoding/json decodes into a slice it has already filled (a
+// duplicated key): elements are overwritten in place, a null element keeps
+// what its slot held — even a slot beyond old's length that an earlier,
+// longer array left behind — and the slice is cut to the new length. null
+// for the whole array is a nil slice.
+func (d *jsonCursor) strings(old []string) ([]string, error) {
+	if d.tryNull() {
+		return nil, nil
+	}
+	if err := d.expect('['); err != nil {
+		return nil, err
+	}
+	d.ws()
+	if d.tryByte(']') {
+		return []string{}, nil
+	}
+	out := old[:0]
+	for {
+		if len(out) == cap(out) {
+			out = append(out, "")
+		} else {
+			out = out[:len(out)+1]
+		}
+		if err := d.strField(&out[len(out)-1]); err != nil {
+			return nil, err
+		}
+		d.ws()
+		if d.tryByte(']') {
+			return out, nil
+		}
+		if err := d.expect(','); err != nil {
+			return nil, err
+		}
+		d.ws()
+	}
+}
+
+// endOfValue is the check json.Decoder.More made after a maintenance body:
+// whitespace, then the end of input — or a stray ']' or '}', which More
+// does not count as more data. Everything else is trailing data.
+func (d *jsonCursor) endOfValue() error {
+	d.ws()
+	if d.i < len(d.b) && d.b[d.i] != ']' && d.b[d.i] != '}' {
+		return errTrailing
+	}
+	return nil
 }
 
 // jsonCursor is a minimal JSON scanner over the pooled body buffer.
@@ -335,7 +456,7 @@ func (d *jsonCursor) page() (pageIn, error) {
 			}
 			pg.html = toWireString(v)
 		default:
-			if err := d.skip(); err != nil {
+			if err := d.skip(0); err != nil {
 				return pg, err
 			}
 		}
@@ -508,11 +629,21 @@ func (d *jsonCursor) integer() (int, error) {
 	return n, nil
 }
 
-// skip consumes one arbitrary JSON value (unknown fields).
-func (d *jsonCursor) skip() error {
+// maxSkipDepth is how deep a skipped value may nest: encoding/json's limit
+// of 10,000 open objects and arrays, less the three a request's own
+// structure can put around the value. Without a limit skip recurses as deep
+// as a hostile body nests.
+const maxSkipDepth = 10000 - 3
+
+// skip consumes one arbitrary JSON value (unknown fields). depth is the
+// number of skipped objects and arrays open around it: 0 from a decoder.
+func (d *jsonCursor) skip(depth int) error {
 	d.ws()
 	if d.i >= len(d.b) {
 		return errors.New("unexpected end of body")
+	}
+	if c := d.b[d.i]; (c == '{' || c == '[') && depth >= maxSkipDepth {
+		return errors.New("exceeded max depth")
 	}
 	switch c := d.b[d.i]; {
 	case c == '"':
@@ -532,7 +663,7 @@ func (d *jsonCursor) skip() error {
 			if err := d.expect(':'); err != nil {
 				return err
 			}
-			if err := d.skip(); err != nil {
+			if err := d.skip(depth + 1); err != nil {
 				return err
 			}
 			d.ws()
@@ -551,7 +682,7 @@ func (d *jsonCursor) skip() error {
 			return nil
 		}
 		for {
-			if err := d.skip(); err != nil {
+			if err := d.skip(depth + 1); err != nil {
 				return err
 			}
 			d.ws()
@@ -624,22 +755,27 @@ func (d *jsonCursor) lit(s string) error {
 	return nil
 }
 
-// keyIs matches an object key case-insensitively (ASCII), the same
-// tolerance encoding/json field matching has.
+// keyIs matches an object key against a lower-case ASCII field name with
+// the tolerance encoding/json's field matching has: letters fold by case,
+// and the two non-ASCII runes that fold into ASCII — ſ (U+017F) to s and the
+// Kelvin sign (U+212A) to k — count as those letters.
 func keyIs(key []byte, name string) bool {
-	if len(key) != len(name) {
-		return false
-	}
-	for i := 0; i < len(key); i++ {
+	j := 0
+	for i := 0; i < len(key); i, j = i+1, j+1 {
 		c := key[i]
-		if c >= 'A' && c <= 'Z' {
+		switch {
+		case c >= 'A' && c <= 'Z':
 			c += 'a' - 'A'
+		case c == 0xC5 && i+1 < len(key) && key[i+1] == 0xBF:
+			c, i = 's', i+1
+		case c == 0xE2 && i+2 < len(key) && key[i+1] == 0x84 && key[i+2] == 0xAA:
+			c, i = 'k', i+2
 		}
-		if c != name[i] {
+		if j >= len(name) || c != name[j] {
 			return false
 		}
 	}
-	return true
+	return j == len(name)
 }
 
 // toWireString copies a decoded value out of the body buffer into a real

@@ -75,3 +75,24 @@ func FuzzDecodeExtractRequest(f *testing.F) {
 		}
 	})
 }
+
+// FuzzDecodeMaintenanceRequest holds the cursor decode of /v1/repair and
+// /v1/learn bodies to the json.Decoder + More() decode those routes had
+// before: the same bodies refused (and the same ones as trailing data), the
+// same fields out of the rest, nothing aliasing the pooled buffer.
+func FuzzDecodeMaintenanceRequest(f *testing.F) {
+	for _, body := range maintenanceBodies {
+		f.Add([]byte(body), true)
+		f.Add([]byte(body), false)
+	}
+	for _, seed := range chaos.Seeds() {
+		f.Add(seed, true)
+	}
+	bodies := chaos.NewBodies(2)
+	for i := 0; i < 64; i++ {
+		f.Add(bodies.Malformed(), i%2 == 0)
+	}
+	f.Fuzz(func(t *testing.T, body []byte, learn bool) {
+		checkMaintenanceDecode(t, body, learn)
+	})
+}

@@ -2,6 +2,7 @@ package wrapper
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -12,8 +13,14 @@ import (
 // FeatureSpace is the shared implementation of feature-based inductors
 // (paper Sec. 4.2): every text node carries a set of (attribute, value)
 // features; induction intersects the label features and extraction takes
-// the conjunction of the per-feature bitsets. TABLE, LR and XPATH are all
-// thin constructors over this type.
+// the conjunction of the per-feature bitsets. TABLE and XPATH are thin
+// constructors over this type.
+//
+// Attributes and features are interned to dense ids in first-seen order
+// (FeatureID). The numbering is observable — Features() exposes it
+// and sorted feature lists follow it — so a constructor's rules are
+// reproducible only while it first names each attribute and feature in the
+// same order.
 type FeatureSpace struct {
 	name string
 	c    *corpus.Corpus
@@ -24,7 +31,7 @@ type FeatureSpace struct {
 	featVal   []string
 	attrs     []Attr
 	attrIDs   map[Attr]int32
-	byKey     map[string]int32
+	byKey     map[featKey]int32
 
 	// renderRule converts an intersected feature set into the wrapper
 	// language's native syntax.
@@ -33,8 +40,16 @@ type FeatureSpace struct {
 	induceCalls int64
 }
 
+// featKey identifies a feature: an interned attribute and its value.
+type featKey struct {
+	attr int32
+	val  string
+}
+
 // NewFeatureSpace creates an empty feature space over the corpus's text
-// universe. Constructors populate it via AddFeature and then call Seal.
+// universe. Constructors populate it via AddFeature (or FeatureID and
+// Attach, when they can name a feature once and attach it to many nodes)
+// and then call Seal.
 func NewFeatureSpace(name string, c *corpus.Corpus,
 	render func(fs *FeatureSpace, featIDs []int32) string) *FeatureSpace {
 	fs := &FeatureSpace{
@@ -42,22 +57,22 @@ func NewFeatureSpace(name string, c *corpus.Corpus,
 		c:          c,
 		nodeFeats:  make([][]int32, c.NumTexts()),
 		attrIDs:    make(map[Attr]int32),
-		byKey:      make(map[string]int32),
+		byKey:      make(map[featKey]int32),
 		renderRule: render,
 	}
 	return fs
 }
 
-// AddFeature attaches feature (a, value) to the text node with the given
-// ordinal. Adding the same feature twice to a node is a no-op.
-func (fs *FeatureSpace) AddFeature(ord int, a Attr, value string) {
+// FeatureID interns the feature (a, value) — and a, when it is new — and
+// returns the feature's id.
+func (fs *FeatureSpace) FeatureID(a Attr, value string) int32 {
 	aid, ok := fs.attrIDs[a]
 	if !ok {
 		aid = int32(len(fs.attrs))
 		fs.attrIDs[a] = aid
 		fs.attrs = append(fs.attrs, a)
 	}
-	key := string([]byte{byte(aid), byte(aid >> 8), byte(aid >> 16), byte(aid >> 24)}) + value
+	key := featKey{aid, value}
 	fid, ok := fs.byKey[key]
 	if !ok {
 		fid = int32(len(fs.featBits))
@@ -66,17 +81,32 @@ func (fs *FeatureSpace) AddFeature(ord int, a Attr, value string) {
 		fs.featAttr = append(fs.featAttr, aid)
 		fs.featVal = append(fs.featVal, value)
 	}
-	if fs.featBits[fid].Has(ord) {
-		return
+	return fid
+}
+
+// Attach gives the text node with the given ordinal every feature in fids.
+// A feature the node already has is skipped.
+func (fs *FeatureSpace) Attach(ord int, fids []int32) {
+	feats := slices.Grow(fs.nodeFeats[ord], len(fids))
+	for _, fid := range fids {
+		if bits := fs.featBits[fid]; !bits.Has(ord) {
+			bits.Add(ord)
+			feats = append(feats, fid)
+		}
 	}
-	fs.featBits[fid].Add(ord)
-	fs.nodeFeats[ord] = append(fs.nodeFeats[ord], fid)
+	fs.nodeFeats[ord] = feats
+}
+
+// AddFeature attaches feature (a, value) to the text node with the given
+// ordinal. Adding the same feature twice to a node is a no-op.
+func (fs *FeatureSpace) AddFeature(ord int, a Attr, value string) {
+	fs.Attach(ord, []int32{fs.FeatureID(a, value)})
 }
 
 // Seal sorts per-node feature lists; must be called once after population.
 func (fs *FeatureSpace) Seal() {
 	for _, f := range fs.nodeFeats {
-		sort.Slice(f, func(i, j int) bool { return f[i] < f[j] })
+		slices.Sort(f)
 	}
 }
 

@@ -1,0 +1,47 @@
+package xpinduct
+
+import (
+	"testing"
+
+	"autowrap/internal/corpus"
+	"autowrap/internal/gen"
+)
+
+// largeSite is the feature build's working set on the repair path: nine
+// training pages of 150–200 records of one dealer site.
+func largeSite(tb testing.TB) *corpus.Corpus {
+	tb.Helper()
+	site, err := gen.DealerSite(gen.DealerConfig{
+		Seed: 41, Pool: gen.BusinessPool(1, 4000, 0), NumPages: 9, MinRecords: 150, MaxRecords: 200})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return site.Corpus
+}
+
+func BenchmarkNewLarge(b *testing.B) {
+	c := largeSite(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		New(c, Options{})
+	}
+}
+
+// buildAllocBudget is New's allocation ceiling on largeSite (≈ 9,500 text
+// nodes). What must be allocated is what leaves the call: one feature list a
+// text node, one bitset a feature, the interning maps — ≈ 10,600 in all. The
+// text-by-text construction this replaced made 169,000 (a map key per
+// (text, ancestor, feature), an ancestor slice per text); a return to
+// anything per (text, ancestor) breaks the budget several times over.
+const buildAllocBudget = 12_000
+
+func TestBuildAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector instruments allocations; budgets describe production builds")
+	}
+	c := largeSite(t)
+	if avg := testing.AllocsPerRun(3, func() { New(c, Options{}) }); avg > buildAllocBudget {
+		t.Fatalf("xpinduct.New over %d text nodes: %.0f allocations, budget %d", c.NumTexts(), avg, buildAllocBudget)
+	}
+}

@@ -13,6 +13,7 @@ import (
 	"strings"
 
 	"autowrap/internal/corpus"
+	"autowrap/internal/dom"
 	"autowrap/internal/wrapper"
 	"autowrap/internal/xpath"
 )
@@ -28,34 +29,150 @@ type Options struct {
 	IgnoreAttrs []string
 }
 
-// New builds the XPATH inductor over the corpus.
+// New builds the XPATH inductor over the corpus in one walk of each page
+// with the stack of open nodes. Same-tag child numbers are counted as a
+// parent's children go by, once per parent. A node contributes the same
+// features to every text node pos levels below it, so it interns them the
+// first time such a text node is met and remembers the ids: the feature map
+// is consulted per (node, pos), and a text node costs a copy of its
+// ancestors' remembered ids.
+//
+// Features are interned in the order a text-by-text, ancestor-by-ancestor
+// construction first meets them (tag, child number, then the HTML attributes
+// in source order), so feature ids — and with them Features(), Rule() and
+// Extract() of every induced wrapper — do not depend on how the space was
+// built.
 func New(c *corpus.Corpus, opt Options) *wrapper.FeatureSpace {
-	ignored := make(map[string]bool, len(opt.IgnoreAttrs))
-	for _, k := range opt.IgnoreAttrs {
-		ignored[strings.ToLower(k)] = true
+	b := builder{
+		fs:       wrapper.NewFeatureSpace("xpath", c, renderRule),
+		maxDepth: opt.MaxDepth,
+		ignored:  make(map[string]bool, len(opt.IgnoreAttrs)),
 	}
-	fs := wrapper.NewFeatureSpace("xpath", c, renderRule)
-	for ord := 0; ord < c.NumTexts(); ord++ {
-		n := c.Text(ord)
-		pos := 0
-		for _, anc := range n.Ancestors() {
-			pos++
-			if opt.MaxDepth > 0 && pos > opt.MaxDepth {
-				break
-			}
-			fs.AddFeature(ord, wrapper.Attr{Kind: "tag", Pos: pos}, anc.Tag)
-			fs.AddFeature(ord, wrapper.Attr{Kind: "cn", Pos: pos},
-				strconv.Itoa(anc.ChildNumber()))
-			for _, a := range anc.Attrs {
-				if ignored[a.Key] {
-					continue
-				}
-				fs.AddFeature(ord, wrapper.Attr{Kind: "@" + a.Key, Pos: pos}, a.Val)
-			}
+	for _, k := range opt.IgnoreAttrs {
+		b.ignored[strings.ToLower(k)] = true
+	}
+	for _, p := range c.Pages {
+		b.visit(p.Root, 0)
+		b.ids = b.ids[:0] // no node is open: nothing remembers them
+	}
+	if b.ord != c.NumTexts() {
+		panic("xpinduct: page trees changed since the corpus indexed them")
+	}
+	b.fs.Seal()
+	return b.fs
+}
+
+// builder is the state of New's walk.
+type builder struct {
+	fs       *wrapper.FeatureSpace
+	maxDepth int
+	ignored  map[string]bool
+
+	// stack holds the open nodes, outermost first. Popped frames keep
+	// their slices for the next node opened at that depth.
+	stack []frame
+	ids   []int32 // the feature ids open nodes remember, back to back
+	feats []int32 // one text node's features, reused
+	ord   int     // ordinal of the next extractable text node
+}
+
+// frame is one open node.
+type frame struct {
+	n  *dom.Node
+	cn int // same-tag child number; 0 for a root and for non-elements
+	// counts tallies n's element children by tag as the walk passes them:
+	// a parent has few distinct child tags, so a short list, not a map.
+	counts []tagCount
+	// memo[pos-1] is the range of builder.ids holding the features n
+	// contributes as a text node's pos-th ancestor. The zero range has not
+	// been built: a built one holds at least tag and child number.
+	memo [][2]int
+}
+
+type tagCount struct {
+	tag string
+	n   int
+}
+
+// visit walks the subtree of n in document order — the order the corpus
+// numbered its text nodes in.
+func (b *builder) visit(n *dom.Node, cn int) {
+	if corpus.IsExtractableText(n) {
+		b.text(n)
+	}
+	if len(n.Children) == 0 {
+		return
+	}
+	at := len(b.stack)
+	if at == cap(b.stack) {
+		b.stack = append(b.stack, frame{})
+	}
+	b.stack = b.stack[:at+1]
+	f := &b.stack[at]
+	f.n, f.cn, f.counts, f.memo = n, cn, f.counts[:0], f.memo[:0]
+	for _, ch := range n.Children {
+		k := 0
+		if ch.Type == dom.ElementNode {
+			k = b.stack[at].childNumber(ch.Tag)
+		}
+		b.visit(ch, k)
+	}
+	b.stack = b.stack[:at]
+}
+
+// childNumber counts one more element child with the given tag.
+func (f *frame) childNumber(tag string) int {
+	for i := range f.counts {
+		if f.counts[i].tag == tag {
+			f.counts[i].n++
+			return f.counts[i].n
 		}
 	}
-	fs.Seal()
-	return fs
+	f.counts = append(f.counts, tagCount{tag, 1})
+	return 1
+}
+
+// text attaches to the next text node the features of its ancestors: the
+// open nodes from the innermost out to, but excluding, the nearest document
+// node.
+func (b *builder) text(n *dom.Node) {
+	if c := b.fs.Corpus(); b.ord >= c.NumTexts() || c.Text(b.ord) != n {
+		panic("xpinduct: page trees changed since the corpus indexed them")
+	}
+	b.feats = b.feats[:0]
+	for i, pos := len(b.stack)-1, 1; i >= 0 && b.stack[i].n.Type != dom.DocumentNode; i, pos = i-1, pos+1 {
+		if b.maxDepth > 0 && pos > b.maxDepth {
+			break
+		}
+		m := b.features(&b.stack[i], pos)
+		b.feats = append(b.feats, b.ids[m[0]:m[1]]...)
+	}
+	b.fs.Attach(b.ord, b.feats)
+	b.ord++
+}
+
+// features returns the range of b.ids holding the features f's node
+// contributes at relative position pos, interning them on first use.
+func (b *builder) features(f *frame, pos int) [2]int {
+	for len(f.memo) < pos {
+		f.memo = append(f.memo, [2]int{})
+	}
+	if f.memo[pos-1][1] == 0 {
+		start := len(b.ids)
+		b.intern(wrapper.Attr{Kind: "tag", Pos: pos}, f.n.Tag)
+		b.intern(wrapper.Attr{Kind: "cn", Pos: pos}, strconv.Itoa(f.cn))
+		for _, a := range f.n.Attrs {
+			if !b.ignored[a.Key] {
+				b.intern(wrapper.Attr{Kind: "@" + a.Key, Pos: pos}, a.Val)
+			}
+		}
+		f.memo[pos-1] = [2]int{start, len(b.ids)}
+	}
+	return f.memo[pos-1]
+}
+
+func (b *builder) intern(a wrapper.Attr, value string) {
+	b.ids = append(b.ids, b.fs.FeatureID(a, value))
 }
 
 // renderRule converts an intersected feature set into the equivalent xpath

@@ -16,6 +16,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -28,6 +29,17 @@ import (
 // waitJob polls GET /v1/jobs/{id} until the job reaches a terminal state
 // and fails the test unless that state is done.
 func waitJob(t *testing.T, base, id string) serve.JobSnapshot {
+	t.Helper()
+	snap := waitJobEnd(t, base, id)
+	if snap.State != "done" {
+		t.Fatalf("job %s finished %s: %s", id, snap.State, snap.Error)
+	}
+	return snap
+}
+
+// waitJobEnd polls GET /v1/jobs/{id} until the job reaches a terminal
+// state, whichever it is.
+func waitJobEnd(t *testing.T, base, id string) serve.JobSnapshot {
 	t.Helper()
 	deadline := time.Now().Add(60 * time.Second)
 	for {
@@ -42,9 +54,6 @@ func waitJob(t *testing.T, base, id string) serve.JobSnapshot {
 			t.Fatalf("decoding job %s: %v", id, err)
 		}
 		if snap.State.Terminal() {
-			if snap.State != "done" {
-				t.Fatalf("job %s finished %s: %s", id, snap.State, snap.Error)
-			}
 			return snap
 		}
 		if time.Now().After(deadline) {
@@ -467,6 +476,81 @@ func TestRepairAnswers202WhileExtractGateSaturated(t *testing.T) {
 	job := waitJob(t, hs.URL, accepted.JobID)
 	if res := repairResult(t, job); !res.Promoted {
 		t.Fatalf("background repair result = %+v, want promoted", res)
+	}
+}
+
+// hookAnnotator runs whatever hook is installed before it annotates: the
+// seam a test uses to act while a learn is in flight.
+type hookAnnotator struct {
+	autowrap.Annotator
+	hook *atomic.Pointer[func()]
+}
+
+func (a hookAnnotator) Annotate(c *autowrap.Corpus) *autowrap.NodeSet {
+	if h := a.hook.Load(); h != nil {
+		(*h)()
+	}
+	return a.Annotator.Annotate(c)
+}
+
+// TestRunningRepairJobCanBeStopped: POST /v1/jobs/{id}/cancel and
+// timeout_ms must reach a repair that is already learning. Either way the
+// job ends without a result and the store keeps its one version; left
+// alone, the same request promotes v2 and says where its time went.
+func TestRunningRepairJobCanBeStopped(t *testing.T) {
+	clean, mutated, annot := maintPair(t)
+	var hook atomic.Pointer[func()]
+	srv, hs, _ := learnedServerFromSites(t, clean, hookAnnotator{annot, &hook}, nil, 0)
+	var pages []string
+	for _, p := range mutated.Corpus.Pages {
+		pages = append(pages, p.HTML)
+	}
+	submit := func(timeoutMS int) serve.JobSnapshot {
+		var accepted serve.JobAccepted
+		if code := postJSON(t, hs.URL+"/v1/repair",
+			serve.RepairRequest{Site: clean.Name, Pages: pages, TimeoutMS: timeoutMS}, &accepted); code != http.StatusAccepted {
+			t.Fatalf("repair: status %d (%+v), want 202", code, accepted)
+		}
+		return waitJobEnd(t, hs.URL, accepted.JobID)
+	}
+	unchanged := func(when string) {
+		st := srv.Dispatcher().Store()
+		if active, _ := st.Active(clean.Name); active.Version != 1 || len(st.History(clean.Name)) != 1 {
+			t.Fatalf("%s: store moved: active v%d, %d versions", when, active.Version, len(st.History(clean.Name)))
+		}
+	}
+
+	cancelRunning := func() {
+		for _, j := range srv.Jobs().List() {
+			if j.State == "running" {
+				if code := postJSON(t, hs.URL+"/v1/jobs/"+j.ID+"/cancel", struct{}{}, nil); code != http.StatusOK {
+					t.Errorf("cancel %s: status %d", j.ID, code)
+				}
+			}
+		}
+	}
+	hook.Store(&cancelRunning)
+	if snap := submit(0); snap.State != "canceled" || snap.Result != nil {
+		t.Fatalf("cancelled mid-learn: job %+v, want canceled", snap)
+	}
+	unchanged("after cancel")
+
+	outlast := func() { time.Sleep(20 * time.Millisecond) }
+	hook.Store(&outlast)
+	if snap := submit(1); snap.State != "failed" || !strings.Contains(snap.Error, "context deadline exceeded") {
+		t.Fatalf("timeout_ms passed mid-learn: job %+v, want failed with context deadline exceeded", snap)
+	}
+	unchanged("after timeout")
+
+	hook.Store(nil)
+	snap := submit(0)
+	res := repairResult(t, snap)
+	if snap.State != "done" || !res.Promoted || res.CandidateVersion != 2 {
+		t.Fatalf("uninterrupted repair: job %+v", snap)
+	}
+	if us := res.StagesUS; us.Parse <= 0 || us.Annotate <= 0 || us.Build <= 0 || us.Enumerate <= 0 ||
+		us.Rank <= 0 || us.Validate <= 0 || us.Persist <= 0 {
+		t.Fatalf("stages_us not reported: %+v", us)
 	}
 }
 
