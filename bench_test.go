@@ -683,6 +683,58 @@ func BenchmarkForwardExtractLocal(b *testing.B) { benchForwardExtract(b, false) 
 // the per-request price of splitting the fleet into processes.
 func BenchmarkForwardExtractForwarded(b *testing.B) { benchForwardExtract(b, true) }
 
+// BenchmarkForwardRepair is the relay of a maintenance body: a /v1/repair
+// of the recorded benchmark's shape (12 large pages, ≈ 650 KB of JSON)
+// posted to a forwarding front over a loopback shard. The shard has no
+// repairer, so it reads and decodes the body as any shard does and answers
+// 501 — what is timed is the body's way there, not a learn. B/op is the
+// figure to watch: the front holds the body once, in its pooled scratch.
+func BenchmarkForwardRepair(b *testing.B) {
+	_, pages := bulkFixture(b, func(c *autowrap.Corpus) autowrap.Inductor { return autowrap.NewXPathInductor(c) })
+	req := serve.RepairRequest{Site: "bench"}
+	for _, pg := range pages[:12] {
+		req.Pages = append(req.Pages, pg.HTML)
+	}
+	body, err := json.Marshal(req)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ring := shard.NewRing(1, 64)
+	shardSrv, err := serve.NewServer(serve.ServerConfig{Dispatcher: serve.NewDispatcher(store.New(), serve.Options{}), Ring: ring})
+	if err != nil {
+		b.Fatal(err)
+	}
+	shardHS := httptest.NewServer(shardSrv.Handler())
+	b.Cleanup(shardHS.Close)
+	fwd, err := serve.NewForwardRouter(ring, []string{strings.TrimPrefix(shardHS.URL, "http://")}, serve.ForwardOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	front := httptest.NewServer(fwd.Handler())
+	b.Cleanup(front.Close)
+	client := &http.Client{}
+	post := func() {
+		resp, err := client.Post(front.URL+"/v1/repair", "application/json", bytes.NewReader(body))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusNotImplemented {
+			b.Fatalf("status %d, want the shard's 501", resp.StatusCode)
+		}
+		if _, err := io.Copy(io.Discard, resp.Body); err != nil {
+			b.Fatal(err)
+		}
+		resp.Body.Close()
+	}
+	post() // warm-up: connections, pooled scratches
+	b.SetBytes(int64(len(body)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		post()
+	}
+}
+
 // shardedFixture builds the fleet's dispatch layer at benchmark scale:
 // one learned wrapper served under nSites site names, consistent-hash
 // partitioned across N dispatchers exactly the way wrapserved -shards

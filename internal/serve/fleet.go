@@ -47,8 +47,8 @@ type ShardRouter struct {
 	// forwarding router has none (Shard returns nil).
 	shards []*Server
 	// peers are the remote shard addresses, index-aligned with clients
-	// (empty for an in-process fleet); hasRemote gates the raw-body copy
-	// on the extract hot path.
+	// (empty for an in-process fleet). hasRemote makes the front a relay:
+	// it peeks at a body for its route and leaves the decode to the owner.
 	peers     []string
 	hasRemote bool
 	// Front-door decode limits; an in-process fleet borrows shard 0's
@@ -277,13 +277,13 @@ func (f *ShardRouter) route(w http.ResponseWriter, r *http.Request) {
 
 // --- hot path ---
 
-// handleExtract decodes once at the front door — same pooled scratch,
-// same in-place parse as a single server — reads the site out of the
-// decoded request, and hands the scratch to the owning shard's client.
-// One parse, one ring lookup; the in-process transport adds zero
-// allocations on top of the single-server path, the forwarding one adds
-// a single pooled copy of the raw body (the in-place decode destroys
-// the encoded form the peer needs).
+// handleExtract reads the body into the pooled scratch, finds the site in
+// it and hands the scratch to the owning shard's client: one ring lookup,
+// and one parse wherever the shard is. An in-process fleet decodes here —
+// same in-place parse as a single server, zero allocations on top of it —
+// and the shard serves from the decoded scratch; a forwarding front only
+// peeks (see decodeRouted) and the shard's process decodes the client's
+// own bytes.
 func (f *ShardRouter) handleExtract(w http.ResponseWriter, r *http.Request) {
 	if !requirePost(w, r) {
 		return
@@ -293,17 +293,37 @@ func (f *ShardRouter) handleExtract(w http.ResponseWriter, r *http.Request) {
 	if !readBodyInto(w, r, sc, f.maxBodyBytes) {
 		return
 	}
-	if f.hasRemote {
-		sc.raw = append(sc.raw[:0], sc.body...)
-	}
-	if err := decodeExtractRequest(sc); err != nil {
-		writeDecodeError(w, err)
+	if !f.decodeRouted(w, sc.body, &sc.site, &sc.timeoutMS, func() error { return decodeExtractRequest(sc) }) {
 		return
 	}
 	// An empty site falls through to finishExtract's own 400 (the local
 	// transport) or the peer's (the forwarding one routes it to shard
 	// Owner("") and the peer answers the same 400).
-	f.clients[f.ring.Owner(sc.site)].Extract(w, r, sc)
+	f.owner(sc.site).Extract(w, r, sc)
+}
+
+// decodeRouted learns from an extract, learn or repair body what the owning
+// shard's client needs. In front of remote peers that is the route alone:
+// peekRoute fills *site and *timeoutMS and leaves body as the client sent
+// it, for the peer to decode. In front of in-process shards — and to word
+// the 400 of a body the peek refused, which no decoder accepts — decode
+// runs the route's own decoder over body. The error response is already
+// written when it returns false.
+func (f *ShardRouter) decodeRouted(w http.ResponseWriter, body []byte, site *string, timeoutMS *int, decode func() error) bool {
+	var err error
+	if f.hasRemote {
+		if *site, *timeoutMS, err = peekRoute(body); err == nil {
+			return true
+		}
+	}
+	if derr := decode(); derr != nil {
+		err = derr
+	}
+	if err != nil {
+		writeDecodeError(w, err)
+		return false
+	}
+	return true
 }
 
 // --- health + metrics ---
@@ -621,7 +641,7 @@ func (f *ShardRouter) handleLifecycle(w http.ResponseWriter, r *http.Request, op
 	if !readJSONLimited(w, r, &req, f.maxBodyBytes) {
 		return
 	}
-	f.owner(req.Site).Lifecycle(w, op, req)
+	f.owner(req.Site).Lifecycle(w, r, op, req)
 }
 
 // handleRepair routes a drift repair to the owning shard's job plane:
@@ -631,11 +651,13 @@ func (f *ShardRouter) handleRepair(w http.ResponseWriter, r *http.Request) {
 	if !requirePost(w, r) {
 		return
 	}
+	sc := acquireScratch()
+	defer releaseScratch(sc)
 	var req LearnRequest
-	if !readMaintenance(w, r, &req, false, f.maxBodyBytes) {
+	if !f.readMaintenance(w, r, sc, &req, false) {
 		return
 	}
-	f.owner(req.Site).Repair(w, req.repair())
+	f.owner(req.Site).Repair(w, r, req.repair(), sc.body)
 }
 
 // handleLearn routes a learn to the shard the ring assigns the new site
@@ -645,11 +667,23 @@ func (f *ShardRouter) handleLearn(w http.ResponseWriter, r *http.Request) {
 	if !requirePost(w, r) {
 		return
 	}
+	sc := acquireScratch()
+	defer releaseScratch(sc)
 	var req LearnRequest
-	if !readMaintenance(w, r, &req, true, f.maxBodyBytes) {
+	if !f.readMaintenance(w, r, sc, &req, true) {
 		return
 	}
-	f.owner(req.Site).Learn(w, req)
+	f.owner(req.Site).Learn(w, r, req, sc.body)
+}
+
+// readMaintenance reads a learn or repair body into sc and decodes it into
+// req as far as the owner's client needs it (decodeRouted): all of it for
+// an in-process shard, Site and TimeoutMS for a peer, which gets sc.body.
+func (f *ShardRouter) readMaintenance(w http.ResponseWriter, r *http.Request, sc *extractScratch, req *LearnRequest, learn bool) bool {
+	return readBodyInto(w, r, sc, f.maxBodyBytes) &&
+		f.decodeRouted(w, sc.body, &req.Site, &req.TimeoutMS, func() error {
+			return decodeMaintenanceRequest(sc.body, req, learn)
+		})
 }
 
 // owner resolves a site to its shard client. The empty site maps to some

@@ -4,8 +4,8 @@
 // the two implementations decide what a "shard" is. localShard wraps an
 // in-process *Server with the same direct calls the router always made
 // (byte-identical wire behavior, zero extra allocations); httpShard
-// forwards to an independently booted shard process over persistent
-// connections. The router's logic — ring lookup, decode-once,
+// relays to an independently booted shard process over the peer link
+// (link.go). The router's logic — ring lookup, one decode per request,
 // bucket-level metric merging, ordered drain — is written once against
 // the seam and cannot diverge between the two deployments.
 
@@ -64,20 +64,30 @@ type ShardReport struct {
 // shard. Write-path methods (Extract, Lifecycle, Learn, Repair, JobGet,
 // JobCancel) answer on the ResponseWriter themselves — passthrough
 // semantics, so a shard's 429/503 backpressure and error bodies reach
-// the client unchanged. Read-path methods return data for the router to
-// merge. Implementations: localShard (in-process) and httpShard
-// (forwarding front end).
+// the client unchanged — and take the client's *http.Request, whose
+// context bounds them: a client that hangs up, or a front shutting down,
+// ends the call. Read-path methods return data for the router to merge.
+// Implementations: localShard (in-process) and httpShard (forwarding
+// front end). The body-carrying methods are handed the body both ways,
+// decoded and as bytes, because the two read different halves: an
+// in-process shard serves what the router decoded, a peer is sent the
+// client's bytes and decodes them itself.
 type ShardClient interface {
-	// Extract serves a decoded extract request. sc was filled by the
-	// router's front-door decode; sc.raw holds the still-encoded body when
-	// the fleet has remote peers.
+	// Extract serves the extract request the router read into sc and
+	// routed by sc.site. The router of an in-process fleet decoded it (sc
+	// holds the pages; sc.body is spent); a forwarding front only peeked —
+	// sc.site and sc.timeoutMS are set and sc.body is still the client's
+	// bytes.
 	Extract(w http.ResponseWriter, r *http.Request, sc *extractScratch)
 	// Lifecycle applies a promote (store.OpPromote) or rollback
 	// (store.OpRollback).
-	Lifecycle(w http.ResponseWriter, op store.Op, req AdminRequest)
+	Lifecycle(w http.ResponseWriter, r *http.Request, op store.Op, req AdminRequest)
 	// Learn and Repair enqueue maintenance jobs on the shard's job plane.
-	Learn(w http.ResponseWriter, req LearnRequest)
-	Repair(w http.ResponseWriter, req RepairRequest)
+	// req is what the router decoded: everything in an in-process fleet,
+	// Site and TimeoutMS alone at a forwarding front, where body is the
+	// client's bytes (valid until the method returns).
+	Learn(w http.ResponseWriter, r *http.Request, req LearnRequest, body []byte)
+	Repair(w http.ResponseWriter, r *http.Request, req RepairRequest, body []byte)
 	// Jobs lists the shard's retained jobs. JobGet and JobCancel resolve
 	// one job by ID, reporting false when the shard does not know it (the
 	// router then tries elsewhere or answers 404).

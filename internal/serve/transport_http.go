@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"log"
-	"net"
 	"net/http"
 	"strings"
 	"time"
@@ -17,51 +16,32 @@ import (
 )
 
 // httpShard is the forwarding ShardClient: the shard is an independently
-// booted wrapserved process, reached over a per-shard pool of persistent
-// connections. Every request carries the front end's ring fingerprint
-// (RingHashHeader) so the peer can refuse a topology mismatch, and the
-// front's request deadline propagates as the forwarded request's context
-// (plus the body's own timeout_ms, which the shard clamps again).
-// Write-path calls are passthrough — the shard's status, backpressure
-// headers (Retry-After, Location) and error bodies reach the client
-// unchanged; 429 and 503 in particular are the shard's own words.
-// Read-path calls retry once on transport errors; write paths never
-// retry (an extract, promote or learn may have been applied even when
-// the response was lost).
+// booted wrapserved process, and every call to it — the six relaying ones
+// and the five the front reads itself — is one exchange over the peer
+// link (link.go), bounded by the caller's context and the call budget.
+// Every request carries the front end's ring fingerprint (RingHashHeader)
+// so the peer can refuse a topology mismatch. The front is a relay, not a
+// second server: bodies go to the peer as the client sent them (it has
+// only been peeked at for its route; the shard's decoder is the one that
+// validates) plus the timeout_ms already inside them, which the shard
+// clamps again; the peer's status, backpressure headers (Retry-After,
+// Location) and body come back unchanged, streamed — 429 and 503 in
+// particular are the shard's own words. A peer the link cannot reach, or
+// whose answer breaks off before it can be passed on, is a 503 naming
+// the shard and its address (ErrShardUnavailable).
 type httpShard struct {
-	shard    int
-	addr     string // host:port
-	base     string // http://host:port
-	ringHash string
-	client   *http.Client
+	shard int
+	link  *peerLink
 	// timeout bounds any single forwarded call when the incoming request
 	// carries no tighter deadline.
 	timeout time.Duration
 	log     *log.Logger
 }
 
-// newHTTPShard builds the client for one peer with its own persistent
-// connection pool (connections to a dead peer must not poison another
-// peer's pool).
+// newHTTPShard builds the client for one peer with its own connection
+// pool (connections to a dead peer must not poison another peer's).
 func newHTTPShard(shardID int, addr, ringHash string, timeout time.Duration, lg *log.Logger) *httpShard {
-	tr := &http.Transport{
-		DialContext: (&net.Dialer{
-			Timeout:   2 * time.Second,
-			KeepAlive: 30 * time.Second,
-		}).DialContext,
-		MaxIdleConns:        32,
-		MaxIdleConnsPerHost: 32,
-		IdleConnTimeout:     90 * time.Second,
-	}
-	return &httpShard{
-		shard:    shardID,
-		addr:     addr,
-		base:     "http://" + addr,
-		ringHash: ringHash,
-		client:   &http.Client{Transport: tr},
-		timeout:  timeout,
-		log:      lg,
-	}
+	return &httpShard{shard: shardID, link: newPeerLink(addr, ringHash), timeout: timeout, log: lg}
 }
 
 // unavailable answers for a peer the front could not reach: 503 with the
@@ -69,132 +49,91 @@ func newHTTPShard(shardID int, addr, ringHash string, timeout time.Duration, lg 
 // availability instead of a global failure.
 func (c *httpShard) unavailable(w http.ResponseWriter, what string, err error) {
 	writeError(w, http.StatusServiceUnavailable,
-		"%v: shard %d (%s): %s: %v", ErrShardUnavailable, c.shard, c.addr, what, err)
+		"%v: shard %d (%s): %s: %v", ErrShardUnavailable, c.shard, c.link.addr, what, err)
 }
 
-// relay copies a peer's response to the client: status, content headers,
-// the backpressure and job-location headers, then the body.
-func relay(w http.ResponseWriter, resp *http.Response) {
-	h := w.Header()
-	for _, k := range [...]string{"Content-Type", "Content-Length", "Retry-After", "Allow", "Location"} {
-		if v := resp.Header.Get(k); v != "" {
-			h.Set(k, v)
+// forward relays one request to the peer and the peer's answer to the
+// client. body is sent as it is. A peer's 404 is held back when hide404
+// is set — forward then reports false and has written nothing, so the
+// router can ask another shard.
+func (c *httpShard) forward(w http.ResponseWriter, r *http.Request, method, path string, body []byte, timeoutMS int, hide404 bool) bool {
+	pc, err := c.link.send(r.Context(), method, path, body, clampTimeout(c.timeout, timeoutMS))
+	if err != nil {
+		c.unavailable(w, path, err)
+		return true
+	}
+	if hide404 && pc.status == http.StatusNotFound {
+		c.link.release(pc, pc.copyBody(io.Discard))
+		return false
+	}
+	err = pc.relayTo(w)
+	c.link.release(pc, err)
+	if err != nil {
+		// The status is out, so the failure cannot be a 503 any more. Ending
+		// the handler normally would end the client's response as if it were
+		// whole; under net/http's server this panic drops the client's
+		// connection instead (and logs no stack). A handler driven directly,
+		// as tests and the bench's in-process ladder do, just returns.
+		if r.Context().Err() == nil {
+			c.log.Printf("serve: shard %d (%s): %s: relay broke off mid-body: %v", c.shard, c.link.addr, path, err)
+		}
+		if r.Context().Value(http.ServerContextKey) != nil {
+			panic(http.ErrAbortHandler)
 		}
 	}
-	w.WriteHeader(resp.StatusCode)
-	_, _ = io.Copy(w, resp.Body)
+	return true
 }
 
-// do sends one forwarded request. Idempotent GETs retry once on a
-// transport error — the only failure mode where retrying cannot double-
-// apply anything; everything else fails to the caller immediately.
-func (c *httpShard) do(req *http.Request, idempotent bool) (*http.Response, error) {
-	resp, err := c.client.Do(req)
-	if err != nil && idempotent && req.Context().Err() == nil {
-		resp, err = c.client.Do(req)
-	}
-	return resp, err
-}
-
-// get builds an idempotent read against the peer, bounded by the
-// client's call budget when ctx has no tighter deadline.
-func (c *httpShard) get(ctx context.Context, path string) (*http.Response, context.CancelFunc, error) {
-	ctx, cancel := context.WithTimeout(ctx, c.timeout)
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+path, nil)
+// fetch performs one exchange whose answer the front reads itself and
+// returns the status and the whole body. GETs are retried once (see
+// peerLink.send).
+func (c *httpShard) fetch(ctx context.Context, method, path string, body []byte, budget time.Duration) (int, []byte, error) {
+	pc, err := c.link.send(ctx, method, path, body, budget)
 	if err != nil {
-		cancel()
-		return nil, nil, err
+		return 0, nil, err
 	}
-	req.Header.Set(RingHashHeader, c.ringHash)
-	resp, err := c.do(req, true)
-	if err != nil {
-		cancel()
-		return nil, nil, err
-	}
-	return resp, cancel, nil
+	var buf bytes.Buffer
+	err = pc.copyBody(&buf)
+	status := pc.status
+	c.link.release(pc, err)
+	return status, buf.Bytes(), err
 }
 
 // getJSON performs an idempotent read and decodes the 200 body into v.
 func (c *httpShard) getJSON(ctx context.Context, path string, v any) error {
-	resp, cancel, err := c.get(ctx, path)
+	status, body, err := c.fetch(ctx, http.MethodGet, path, nil, c.timeout)
 	if err != nil {
 		return err
 	}
-	defer cancel()
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		b, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return fmt.Errorf("shard %d (%s): GET %s: %s: %s",
-			c.shard, c.addr, path, resp.Status, strings.TrimSpace(string(b)))
+	if status != http.StatusOK {
+		return fmt.Errorf("shard %d (%s): GET %s: %d %s: %s", c.shard, c.link.addr, path,
+			status, http.StatusText(status), strings.TrimSpace(string(body[:min(len(body), 512)])))
 	}
-	return json.NewDecoder(resp.Body).Decode(v)
+	return json.Unmarshal(body, v)
 }
 
-// forwardJSON re-encodes a decoded admin/maintenance request and relays
-// the peer's answer. These paths are rare (operator calls, repair
-// completions); encoding/json is fine here.
-func (c *httpShard) forwardJSON(w http.ResponseWriter, ctx context.Context, path string, body any, timeoutMS int) {
-	buf, err := json.Marshal(body)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "encoding forwarded request: %v", err)
-		return
-	}
-	ctx, cancel := context.WithTimeout(ctx, clampTimeout(c.timeout, timeoutMS))
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+path, bytes.NewReader(buf))
-	if err != nil {
-		c.unavailable(w, path, err)
-		return
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(RingHashHeader, c.ringHash)
-	resp, err := c.do(req, false)
-	if err != nil {
-		c.unavailable(w, path, err)
-		return
-	}
-	defer resp.Body.Close()
-	relay(w, resp)
-}
-
-// Extract forwards the still-encoded request body (sc.raw — the decode
-// unescapes sc.body in place, so the raw copy is the forwardable one).
-// The shard re-decodes with the same codec; deadline propagation is the
-// context here plus the timeout_ms already inside the body.
 func (c *httpShard) Extract(w http.ResponseWriter, r *http.Request, sc *extractScratch) {
-	ctx, cancel := context.WithTimeout(r.Context(), clampTimeout(c.timeout, sc.timeoutMS))
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/v1/extract", bytes.NewReader(sc.raw))
-	if err != nil {
-		c.unavailable(w, "extract", err)
-		return
-	}
-	req.ContentLength = int64(len(sc.raw))
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(RingHashHeader, c.ringHash)
-	resp, err := c.do(req, false)
-	if err != nil {
-		c.unavailable(w, "extract", err)
-		return
-	}
-	defer resp.Body.Close()
-	relay(w, resp)
+	c.forward(w, r, http.MethodPost, "/v1/extract", sc.body, sc.timeoutMS, false)
 }
 
-func (c *httpShard) Lifecycle(w http.ResponseWriter, op store.Op, req AdminRequest) {
+// Lifecycle re-encodes the request the router decoded: a promote or
+// rollback body is some sixty bytes, and decoding it with encoding/json
+// at the front keeps that decoder's 400s where they were.
+func (c *httpShard) Lifecycle(w http.ResponseWriter, r *http.Request, op store.Op, req AdminRequest) {
 	path := "/v1/promote"
 	if op == store.OpRollback {
 		path = "/v1/rollback"
 	}
-	c.forwardJSON(w, context.Background(), path, req, 0)
+	body, _ := json.Marshal(req) // a string and an int: cannot fail
+	c.forward(w, r, http.MethodPost, path, body, 0, false)
 }
 
-func (c *httpShard) Learn(w http.ResponseWriter, req LearnRequest) {
-	c.forwardJSON(w, context.Background(), "/v1/learn", req, req.TimeoutMS)
+func (c *httpShard) Learn(w http.ResponseWriter, r *http.Request, req LearnRequest, body []byte) {
+	c.forward(w, r, http.MethodPost, "/v1/learn", body, req.TimeoutMS, false)
 }
 
-func (c *httpShard) Repair(w http.ResponseWriter, req RepairRequest) {
-	c.forwardJSON(w, context.Background(), "/v1/repair", req, req.TimeoutMS)
+func (c *httpShard) Repair(w http.ResponseWriter, r *http.Request, req RepairRequest, body []byte) {
+	c.forward(w, r, http.MethodPost, "/v1/repair", body, req.TimeoutMS, false)
 }
 
 func (c *httpShard) Jobs(ctx context.Context) ([]jobs.Snapshot, error) {
@@ -205,42 +144,15 @@ func (c *httpShard) Jobs(ctx context.Context) ([]jobs.Snapshot, error) {
 	return out, nil
 }
 
-// jobPassthrough relays GET /v1/jobs/{id} or POST .../cancel. A peer 404
-// reports false so the router can keep looking; a transport failure is
+// JobGet and JobCancel relay GET /v1/jobs/{id} and POST .../cancel. A peer
+// 404 reports false so the router can keep looking; a transport failure is
 // answered here (the job, if it exists, lives on an unreachable shard).
-func (c *httpShard) jobPassthrough(w http.ResponseWriter, r *http.Request, path string, post bool) bool {
-	ctx, cancel := context.WithTimeout(r.Context(), c.timeout)
-	defer cancel()
-	method := http.MethodGet
-	if post {
-		method = http.MethodPost
-	}
-	req, err := http.NewRequestWithContext(ctx, method, c.base+path, nil)
-	if err != nil {
-		c.unavailable(w, path, err)
-		return true
-	}
-	req.Header.Set(RingHashHeader, c.ringHash)
-	resp, err := c.do(req, !post)
-	if err != nil {
-		c.unavailable(w, path, err)
-		return true
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode == http.StatusNotFound {
-		_, _ = io.Copy(io.Discard, resp.Body)
-		return false
-	}
-	relay(w, resp)
-	return true
-}
-
 func (c *httpShard) JobGet(w http.ResponseWriter, r *http.Request, id string) bool {
-	return c.jobPassthrough(w, r, jobsPrefix+id, false)
+	return c.forward(w, r, http.MethodGet, jobsPrefix+id, nil, 0, true)
 }
 
 func (c *httpShard) JobCancel(w http.ResponseWriter, r *http.Request, id string) bool {
-	return c.jobPassthrough(w, r, jobsPrefix+id+"/cancel", true)
+	return c.forward(w, r, http.MethodPost, jobsPrefix+id+"/cancel", nil, 0, true)
 }
 
 func (c *httpShard) Metrics(ctx context.Context, now time.Time) (ShardReport, error) {
@@ -261,17 +173,15 @@ func (c *httpShard) Metrics(ctx context.Context, now time.Time) (ShardReport, er
 }
 
 func (c *httpShard) Healthz(ctx context.Context) (HealthzResponse, error) {
-	resp, cancel, err := c.get(ctx, "/healthz")
+	_, body, err := c.fetch(ctx, http.MethodGet, "/healthz", nil, c.timeout)
 	if err != nil {
 		return HealthzResponse{}, err
 	}
-	defer cancel()
-	defer resp.Body.Close()
 	// A draining shard answers 503 with the same body shape; both are a
 	// reachable peer's truthful view.
 	var h HealthzResponse
-	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
-		return HealthzResponse{}, fmt.Errorf("shard %d (%s): healthz: %v", c.shard, c.addr, err)
+	if err := json.Unmarshal(body, &h); err != nil {
+		return HealthzResponse{}, fmt.Errorf("shard %d (%s): healthz: %v", c.shard, c.link.addr, err)
 	}
 	return h, nil
 }
@@ -290,33 +200,28 @@ func (c *httpShard) SetDraining(bool) {}
 
 // Drain asks the peer to run its job plane dry (POST /v1/drain). The
 // front calls this after its own listener stopped accepting — the
-// ordered fleet drain: front first, then shards.
+// ordered fleet drain: front first, then shards. ctx's deadline, not the
+// call budget, is how long the peer may take.
 func (c *httpShard) Drain(ctx context.Context) error {
-	ms := 0
+	budget, ms := c.timeout, 0
 	if dl, ok := ctx.Deadline(); ok {
-		ms = int(time.Until(dl) / time.Millisecond)
+		budget = time.Until(dl)
+		ms = int(budget / time.Millisecond)
 	}
-	buf, _ := json.Marshal(DrainRequest{TimeoutMS: ms})
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+"/v1/drain", bytes.NewReader(buf))
+	req, _ := json.Marshal(DrainRequest{TimeoutMS: ms}) // one int: cannot fail
+	status, body, err := c.fetch(ctx, http.MethodPost, "/v1/drain", req, budget)
 	if err != nil {
-		return err
+		return fmt.Errorf("%w: shard %d (%s): drain: %v", ErrShardUnavailable, c.shard, c.link.addr, err)
 	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(RingHashHeader, c.ringHash)
-	resp, err := c.do(req, false)
-	if err != nil {
-		return fmt.Errorf("%w: shard %d (%s): drain: %v", ErrShardUnavailable, c.shard, c.addr, err)
-	}
-	defer resp.Body.Close()
 	var dr DrainResponse
-	if err := json.NewDecoder(resp.Body).Decode(&dr); err != nil {
-		return fmt.Errorf("shard %d (%s): drain: %v", c.shard, c.addr, err)
+	if err := json.Unmarshal(body, &dr); err != nil {
+		return fmt.Errorf("shard %d (%s): drain: %v", c.shard, c.link.addr, err)
 	}
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("shard %d (%s): drain: %s: %s", c.shard, c.addr, resp.Status, dr.Error)
+	if status != http.StatusOK {
+		return fmt.Errorf("shard %d (%s): drain: %d %s: %s", c.shard, c.link.addr, status, http.StatusText(status), dr.Error)
 	}
 	if dr.Error != "" {
-		return fmt.Errorf("shard %d (%s): drain: %s", c.shard, c.addr, dr.Error)
+		return fmt.Errorf("shard %d (%s): drain: %s", c.shard, c.link.addr, dr.Error)
 	}
 	return nil
 }

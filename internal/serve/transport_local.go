@@ -21,7 +21,7 @@ func (c localShard) Extract(w http.ResponseWriter, r *http.Request, sc *extractS
 	c.s.finishExtract(w, r, sc)
 }
 
-func (c localShard) Lifecycle(w http.ResponseWriter, op store.Op, req AdminRequest) {
+func (c localShard) Lifecycle(w http.ResponseWriter, _ *http.Request, op store.Op, req AdminRequest) {
 	if op == store.OpRollback {
 		c.s.finishRollback(w, req)
 		return
@@ -29,8 +29,13 @@ func (c localShard) Lifecycle(w http.ResponseWriter, op store.Op, req AdminReque
 	c.s.finishPromote(w, req)
 }
 
-func (c localShard) Learn(w http.ResponseWriter, req LearnRequest)   { c.s.finishLearn(w, req) }
-func (c localShard) Repair(w http.ResponseWriter, req RepairRequest) { c.s.finishRepair(w, req) }
+func (c localShard) Learn(w http.ResponseWriter, _ *http.Request, req LearnRequest, _ []byte) {
+	c.s.finishLearn(w, req)
+}
+
+func (c localShard) Repair(w http.ResponseWriter, _ *http.Request, req RepairRequest, _ []byte) {
+	c.s.finishRepair(w, req)
+}
 
 func (c localShard) Jobs(ctx context.Context) ([]jobs.Snapshot, error) {
 	m := c.s.Jobs()

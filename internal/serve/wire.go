@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -35,12 +36,6 @@ type pageIn struct{ id, html string }
 type extractScratch struct {
 	body []byte // raw request body; string values are unescaped in place
 	out  []byte // response buffer
-	// raw is a copy of the body taken before the in-place decode —
-	// decoding destroys the encoded form, and a forwarding front end needs
-	// the original bytes to relay to the owning shard. Only fleets with
-	// remote peers pay for the copy (and the buffer is pooled, so steady
-	// state is still allocation-free); local fleets leave it empty.
-	raw []byte
 
 	site      string
 	timeoutMS int
@@ -68,10 +63,7 @@ func releaseScratch(sc *extractScratch) {
 	if cap(sc.out) > maxPooledBuf {
 		sc.out = nil
 	}
-	if cap(sc.raw) > maxPooledBuf {
-		sc.raw = nil
-	}
-	sc.body, sc.out, sc.raw = sc.body[:0], sc.out[:0], sc.raw[:0]
+	sc.body, sc.out = sc.body[:0], sc.out[:0]
 	sc.site, sc.timeoutMS = "", 0
 	sc.single, sc.hasSingle = pageIn{}, false
 	for i := range sc.pages {
@@ -798,6 +790,163 @@ func toWireString(v []byte) string {
 		v = v[size:]
 	}
 	return string(out)
+}
+
+// --- routing peek ---
+
+// peekRoute reads what a forwarding front needs of an extract, learn or
+// repair body — the top-level site and timeout_ms, the same two keys in all
+// three — and changes no byte of it, so the client's own bytes go on to the
+// owning shard. The front routes, the shard validates: for every body
+// decodeExtractRequest or decodeMaintenanceRequest accepts, peekRoute
+// returns the site and timeout_ms they decode (keys case-folded and
+// unescaped, the last of a duplicated key winning, null a no-op, invalid
+// UTF-8 coerced to U+FFFD, which can change the ring owner); every other
+// value is stepped over by its quotes and brackets alone. A body it passes
+// may therefore be one the shard refuses — with the 400 this front would have
+// worded, the decoders being the same code — but one it refuses no decoder
+// accepts.
+func peekRoute(body []byte) (site string, timeoutMS int, err error) {
+	d := jsonCursor{b: body}
+	d.ws()
+	if d.tryNull() {
+		return "", 0, d.endOfValue()
+	}
+	if err := d.expect('{'); err != nil {
+		return "", 0, err
+	}
+	d.ws()
+	if d.tryByte('}') {
+		return "", 0, d.endOfValue()
+	}
+	for {
+		key, err := d.peekStr()
+		if err != nil {
+			return "", 0, err
+		}
+		d.ws()
+		if err := d.expect(':'); err != nil {
+			return "", 0, err
+		}
+		d.ws()
+		switch {
+		case keyIs(key, "site"):
+			if !d.tryNull() {
+				var v []byte
+				if v, err = d.peekStr(); err == nil {
+					site = toWireString(v)
+				}
+			}
+		case keyIs(key, "timeout_ms"):
+			if !d.tryNull() {
+				timeoutMS, err = d.integer()
+			}
+		default:
+			err = d.stepOver()
+		}
+		if err != nil {
+			return "", 0, err
+		}
+		d.ws()
+		if d.tryByte('}') {
+			// The maintenance decoders' end check, the laxer of the two: a
+			// stray closer after an extract body is the shard's 400.
+			if err := d.endOfValue(); err != nil {
+				return "", 0, err
+			}
+			return site, timeoutMS, nil
+		}
+		if err := d.expect(','); err != nil {
+			return "", 0, err
+		}
+		d.ws()
+	}
+}
+
+// peekStr is str for a body that must stay as it is: a string without
+// escapes comes back as a view of the body, one with escapes is unescaped in
+// a copy (keys and site names are short, and escapes in them rare).
+func (d *jsonCursor) peekStr() ([]byte, error) {
+	start := d.i
+	if err := d.stepOverStr(); err != nil {
+		return nil, err
+	}
+	if raw := d.b[start:d.i]; bytes.IndexByte(raw, '\\') >= 0 {
+		c := jsonCursor{b: bytes.Clone(raw)}
+		return c.str()
+	}
+	return d.b[start+1 : d.i-1], nil
+}
+
+// stepOverStr steps over a string by its quotes alone: it ends at the first
+// '"' that an odd run of backslashes does not escape. What lies between is
+// not validated.
+func (d *jsonCursor) stepOverStr() error {
+	if err := d.expect('"'); err != nil {
+		return err
+	}
+	for {
+		j := bytes.IndexByte(d.b[d.i:], '"')
+		if j < 0 {
+			return errors.New("unterminated string")
+		}
+		d.i += j + 1
+		k := d.i - 2 // the byte before the quote; the opening quote stops the run
+		for d.b[k] == '\\' {
+			k--
+		}
+		if (d.i-k)%2 == 0 {
+			return nil
+		}
+	}
+}
+
+// stepOver steps over the value of a key the peek does not read: a string by
+// its quotes, an object or array by counting brackets outside strings, a
+// number or literal up to the next delimiter. Page HTML is nearly all of a
+// body and goes by at IndexByte speed; none of it is validated here.
+func (d *jsonCursor) stepOver() error {
+	depth := 0
+	for start := d.i; d.i < len(d.b); {
+		switch d.b[d.i] {
+		case '"':
+			if err := d.stepOverStr(); err != nil {
+				return err
+			}
+		case '{', '[':
+			depth++
+			d.i++
+			continue
+		case '}', ']':
+			if depth == 0 {
+				return d.scalarEnd(start)
+			}
+			depth--
+			d.i++
+		case ',', ' ', '\t', '\n', '\r':
+			if depth == 0 {
+				return d.scalarEnd(start)
+			}
+			d.i++
+			continue
+		default:
+			d.i++
+			continue
+		}
+		if depth == 0 {
+			return nil
+		}
+	}
+	return errors.New("unexpected end of body")
+}
+
+// scalarEnd ends stepOver at the delimiter after a number or literal; a
+// delimiter where the value should start is an error.
+func (d *jsonCursor) scalarEnd(start int) error {
+	if d.i == start {
+		return fmt.Errorf("unexpected character %q at offset %d", d.b[d.i], d.i)
+	}
+	return nil
 }
 
 // --- response encoder ---

@@ -96,3 +96,29 @@ func FuzzDecodeMaintenanceRequest(f *testing.F) {
 		checkMaintenanceDecode(t, body, learn)
 	})
 }
+
+// FuzzPeekRoute holds the routing peek of a forwarding front to the
+// decoders it stands in for (checkPeek: same site and timeout_ms wherever a
+// decoder accepts, no byte changed), and the front built on it to the front
+// that decoded every body before forwarding it (peekFleet.check: same
+// status, relayed headers and body bytes on each of the three routes).
+func FuzzPeekRoute(f *testing.F) {
+	for _, seed := range chaos.Seeds() {
+		f.Add(seed, uint8(0))
+	}
+	for i, body := range maintenanceBodies {
+		f.Add([]byte(body), uint8(1+i%2))
+	}
+	for i, body := range peekBodies {
+		f.Add([]byte(body), uint8(i))
+	}
+	bodies := chaos.NewBodies(5)
+	for i := 0; i < 64; i++ {
+		f.Add(bodies.Malformed(), uint8(i))
+	}
+	fleet := newPeekFleet(f)
+	f.Fuzz(func(t *testing.T, body []byte, route uint8) {
+		checkPeek(t, body)
+		fleet.check(t, peekRoutes[int(route)%len(peekRoutes)], body)
+	})
+}
