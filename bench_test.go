@@ -1,7 +1,8 @@
 // Benchmarks regenerating every table and figure of the paper's evaluation
 // at reduced scale (see DESIGN.md for the experiment index and cmd/benchrun
-// for paper-scale runs), plus the multi-site engine benchmarks tracked for
-// regressions by scripts/bench.sh and CI (see benchmarks/README.md).
+// for paper-scale runs), plus microbenchmarks of the engine, the runtime and
+// the serving layers to run while working on them; the recorded benchmark
+// (bench/) is what a change is judged by.
 //
 // Each benchmark runs one full experiment per iteration and reports the
 // headline quantities as custom metrics (F1 values, call counts, sites/sec,
@@ -407,9 +408,8 @@ func bulkFixture(b *testing.B, newInductor func(*autowrap.Corpus) autowrap.Induc
 }
 
 // BenchmarkRunBulk16 is one bulk request below the codec: Runtime.Run over
-// 16 large raw-HTML pages, for an XPATH and an LR rule. It keeps the bulk
-// path in view of scripts/bench.sh; the recorded benchmark's extract_bulk
-// workload (bench/) is the end-to-end measure.
+// 16 large raw-HTML pages, for an XPATH and an LR rule; the recorded
+// benchmark's extract_bulk workload (bench/) is the end-to-end measure.
 func BenchmarkRunBulk16(b *testing.B) {
 	for _, lang := range []struct {
 		name        string

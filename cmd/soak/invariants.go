@@ -156,7 +156,7 @@ func (h *harness) fetchGate() (serve.GateSnapshot, error) {
 	if err != nil {
 		return serve.GateSnapshot{}, err
 	}
-	if h.router != nil {
+	if h.o.shards > 1 {
 		var m serve.FleetMetricsResponse
 		if err := json.Unmarshal(raw, &m); err != nil {
 			return serve.GateSnapshot{}, err
@@ -272,7 +272,7 @@ func (h *harness) checkGateLedger() {
 // themselves exactly once traffic has settled: the fleet-wide merge, the
 // per-shard sum and the per-site sum are three views of one ledger.
 func (h *harness) checkMetricsConsistent() {
-	if h.router == nil {
+	if h.o.shards == 1 {
 		return // single server exposes no rollups to cross-check
 	}
 	raw, err := h.getJSON("/metrics")

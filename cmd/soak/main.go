@@ -150,7 +150,9 @@ func (h *harness) run() {
 	h.runTraffic(trafficDur)
 
 	h.awaitHeals(time.Now().Add(h.o.duration - trafficDur + 15*time.Second))
-	h.stopMaintainers()
+	// The production drain's first step: readiness flips, which stops every
+	// node's auto-repair loop, so the ledgers below compare settled state.
+	h.plane.SetDraining(true)
 	h.awaitJobsIdle(20 * time.Second)
 
 	if h.o.breakMode == "ledger" {

@@ -95,14 +95,19 @@ type harness struct {
 	// the post-teardown drill; runTraffic's WaitGroup orders the two.
 	garbageSeg string
 
-	baseURL   string
-	addr      string
-	ln        net.Listener
-	hs        *http.Server
-	router    *serve.ShardRouter // nil when shards == 1
-	single    *serve.Server      // nil when shards > 1
+	baseURL string
+	addr    string
+	ln      net.Listener
+	hs      *http.Server
+	// plane is what the listener serves and the drain drains: the one node
+	// when shards == 1, the router over them otherwise. servers are the
+	// nodes themselves, for the checks that read a node's own ledgers.
+	plane interface {
+		Handler() http.Handler
+		SetDraining(bool)
+		Drain(context.Context) error
+	}
 	servers   []*serve.Server
-	maints    []*serve.Maintainer
 	client    *http.Client
 	transport *http.Transport
 
@@ -257,27 +262,21 @@ func (h *harness) learnStore() (*store.Store, error) {
 	return st, nil
 }
 
-// boot assembles the same serving stack wrapserved does — store,
-// monitor, dispatcher, gate, repairer, job plane, maintainer — for one
-// shard or a fleet, and mounts it on a real localhost listener. Running
-// in-process keeps every internal ledger inspectable while traffic still
-// crosses a genuine TCP + HTTP boundary.
+// boot builds the daemon's nodes by calling the daemon's constructor,
+// serve.NewNode — one node, or a fleet of them under a router — and
+// mounts the result on a real localhost listener. Running in-process
+// keeps every internal ledger inspectable while traffic still crosses a
+// genuine TCP + HTTP boundary.
 func (h *harness) boot() error {
 	newInductor := func(c *autowrap.Corpus) (autowrap.Inductor, error) {
 		return autowrap.NewXPathInductor(c), nil
 	}
-	repairerFor := func(st *store.Store, mon *drift.Monitor) *drift.Repairer {
-		return &drift.Repairer{
-			Store: st,
-			Spec: func(site string, c *autowrap.Corpus) (autowrap.BatchSite, error) {
-				return autowrap.BatchSite{
-					Annotator:   h.annot,
-					NewInductor: newInductor,
-					Config:      autowrap.NewLearnConfig(autowrap.GenericModels(c), autowrap.Options{}),
-				}, nil
-			},
-			Monitor: mon,
-		}
+	spec := func(site string, c *autowrap.Corpus) (autowrap.BatchSite, error) {
+		return autowrap.BatchSite{
+			Annotator:   h.annot,
+			NewInductor: newInductor,
+			Config:      autowrap.NewLearnConfig(autowrap.GenericModels(c), autowrap.Options{}),
+		}, nil
 	}
 	// The durability plane under test: the whole fleet shares one backend
 	// and one audit ledger, exactly as wrapserved wires them.
@@ -308,39 +307,45 @@ func (h *harness) boot() error {
 	}
 	h.aud = aud
 
-	buildShard := func(k int, st *store.Store) (*serve.Server, error) {
-		mon := drift.NewMonitor(drift.Policy{Window: 8, MinPages: 4})
-		dispatcher := serve.NewDispatcher(st, serve.Options{Monitor: mon, RecentPages: 64})
-		return serve.NewServer(serve.ServerConfig{
-			Dispatcher: dispatcher,
-			Gate: serve.NewGate(serve.GateOptions{
-				MaxInFlight: gateInFlight, MaxQueue: gateQueue, RetryAfter: 50 * time.Millisecond,
-			}),
+	node := func(k int, st *store.Store, idPrefix string) (*serve.Server, error) {
+		cfg := serve.NodeConfig{
+			Store:          st,
+			RecentPages:    64,
+			Monitor:        &drift.Policy{Window: 8, MinPages: 4},
+			Gate:           serve.GateOptions{MaxInFlight: gateInFlight, MaxQueue: gateQueue, RetryAfter: 50 * time.Millisecond},
+			Spec:           spec,
+			Jobs:           jobs.Options{Workers: jobWorkers, QueueDepth: jobQueueDepth, IDPrefix: idPrefix},
+			Shard:          k,
+			Backend:        h.backend,
+			Audit:          h.aud,
+			Log:            h.log,
 			RequestTimeout: requestTimeout,
 			MaxPages:       64,
-			Repairer:       repairerFor(st, mon),
-			Jobs: jobs.New(jobs.Options{
-				Workers: jobWorkers, QueueDepth: jobQueueDepth,
-				IDPrefix: fmt.Sprintf("s%d-", k),
-			}),
-			Backend: h.backend,
-			Shard:   k,
-			Audit:   h.aud,
-			Log:     h.log,
-		})
+		}
+		if h.o.breakMode != "heal" {
+			cfg.Maintainer = &serve.MaintainerOptions{
+				Interval: 250 * time.Millisecond,
+				MinGap:   1500 * time.Millisecond,
+				MinPages: 4,
+				Log:      h.log,
+			}
+		}
+		srv, err := serve.NewNode(cfg)
+		if err == nil {
+			h.servers = append(h.servers, srv)
+		}
+		return srv, err
 	}
-
 	if h.o.shards == 1 {
 		st, err := h.backend.Load()
 		if err != nil {
 			return err
 		}
-		srv, err := buildShard(0, st)
+		srv, err := node(0, st, "")
 		if err != nil {
 			return err
 		}
-		h.single = srv
-		h.servers = []*serve.Server{srv}
+		h.plane = srv
 	} else {
 		ring := shard.NewRing(h.o.shards, h.o.vnodes)
 		router, err := serve.NewShardRouter(ring, func(k int) (*serve.Server, error) {
@@ -348,31 +353,12 @@ func (h *harness) boot() error {
 			if err != nil {
 				return nil, err
 			}
-			return buildShard(k, st)
+			return node(k, st, fmt.Sprintf("s%d-", k))
 		})
 		if err != nil {
 			return err
 		}
-		h.router = router
-		for k := 0; k < h.o.shards; k++ {
-			h.servers = append(h.servers, router.Shard(k))
-		}
-	}
-
-	if h.o.breakMode != "heal" {
-		for _, srv := range h.servers {
-			m, err := serve.NewMaintainer(srv, serve.MaintainerOptions{
-				Interval: 250 * time.Millisecond,
-				MinGap:   1500 * time.Millisecond,
-				MinPages: 4,
-				Log:      h.log,
-			})
-			if err != nil {
-				return err
-			}
-			m.Start()
-			h.maints = append(h.maints, m)
-		}
+		h.plane = router
 	}
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -382,13 +368,7 @@ func (h *harness) boot() error {
 	h.ln = ln
 	h.addr = ln.Addr().String()
 	h.baseURL = "http://" + h.addr
-	var handler http.Handler
-	if h.router != nil {
-		handler = h.router.Handler()
-	} else {
-		handler = h.single.Handler()
-	}
-	h.hs = &http.Server{Handler: handler}
+	h.hs = &http.Server{Handler: h.plane.Handler()}
 	go func() {
 		if err := h.hs.Serve(ln); !errors.Is(err, http.ErrServerClosed) {
 			h.serveErr <- err
@@ -402,28 +382,13 @@ func (h *harness) boot() error {
 	return nil
 }
 
-func (h *harness) setDraining(v bool) {
-	if h.router != nil {
-		h.router.SetDraining(v)
-		return
-	}
-	h.single.SetDraining(v)
-}
-
-func (h *harness) stopMaintainers() {
-	for _, m := range h.maints {
-		m.Stop()
-	}
-	h.maints = nil
-}
-
-// drainAndTeardown runs the production shutdown ordering — readiness
-// flip, HTTP shutdown (in-flight requests finish), job planes closed —
-// under a watchdog: a drain that cannot finish inside its budget is
-// itself an invariant violation, and the harness moves on to the
-// post-mortem checks instead of hanging on a stuck job forever.
+// drainAndTeardown finishes the production shutdown ordering — readiness
+// already flipped (run did that to stop auto-repair ahead of the settled
+// ledger checks), now HTTP shutdown (in-flight requests finish) and the
+// job planes run dry — under a watchdog: a drain that cannot finish inside
+// its budget is itself an invariant violation, and the harness moves on to
+// the post-mortem checks instead of hanging on a stuck job forever.
 func (h *harness) drainAndTeardown() {
-	h.setDraining(true)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
@@ -432,17 +397,8 @@ func (h *harness) drainAndTeardown() {
 		if err := h.hs.Shutdown(ctx); err != nil {
 			h.viol.add("clean-drain", fmt.Sprintf("http shutdown: %v", err))
 		}
-		if h.router != nil {
-			if err := h.router.Drain(ctx); err != nil {
-				h.viol.add("clean-drain", fmt.Sprintf("fleet job drain: %v", err))
-			}
-		} else if m := h.single.Jobs(); m != nil {
-			if err := m.Drain(ctx); err != nil {
-				h.viol.add("clean-drain", fmt.Sprintf("job drain: %v", err))
-			}
-		}
-		for _, srv := range h.servers {
-			srv.Close()
+		if err := h.plane.Drain(ctx); err != nil {
+			h.viol.add("clean-drain", fmt.Sprintf("job drain: %v", err))
 		}
 		if err := h.backend.Close(); err != nil {
 			h.viol.add("clean-drain", fmt.Sprintf("store backend close: %v", err))

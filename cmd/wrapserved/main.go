@@ -77,22 +77,31 @@
 // operator in the loop, and a repair that loses held-out validation leaves
 // the incumbent serving.
 //
-// On SIGTERM or SIGINT the daemon flips /healthz to 503 (so load balancers
-// drain it), finishes in-flight requests, then drains the job plane —
-// queued jobs are canceled, the running job is given the remainder of
-// -drain-timeout — and exits 0.
+// Whatever the role, the process serves one or more nodes: a node is a
+// slice of the registry with the whole serving stack round it (monitor,
+// dispatcher, gate, job plane, optional auto-repair), assembled in one
+// place, serve.NewNode. Standalone is one node over the whole registry.
+// With -shards N (> 1) the daemon runs a consistent-hash fleet: N nodes
+// behind the one listener, each owning the sites the ring assigns it. All
+// endpoints are unchanged; requests and lifecycle events route to the
+// owning node, /metrics aggregates across the fleet, and admin mutations
+// persist through the one shared backend. -vnodes tunes the ring (must
+// match across restarts for a stable assignment); size -shards to the
+// host's cores. Capacities are per node and multiply: -max-inflight,
+// -queue, -learn-workers and -job-queue size each node, so a 4-shard fleet
+// admits 4x the standalone traffic. -role shard is one such node as its
+// own process — partition -shard-index of a -shards ring, refusing sites
+// the ring assigns elsewhere (421) and requests pinned to a different ring
+// (503) — and -role front owns no node at all: it forwards to the shard
+// processes at -peers after a ring-agreement handshake with each.
 //
-// With -shards N (> 1) the daemon runs a consistent-hash fleet instead of
-// a single server: N complete serving stacks — store partition, gate,
-// dispatcher, monitor, job plane, optional auto-repair — behind the one
-// listener, each shard owning the sites the ring assigns it. All endpoints
-// are unchanged; requests and lifecycle events route to the owning shard,
-// /metrics aggregates across the fleet, and admin mutations persist the
-// merged registry. -vnodes tunes the ring (must match across restarts for
-// a stable assignment); size -shards to the host's cores. SIGTERM drains
-// the fleet in order: healthz flip first, in-flight requests next, every
-// shard's job queue run dry last (queued jobs complete rather than being
-// canceled, up to -drain-timeout).
+// Every role drains the same way. On SIGTERM or SIGINT the daemon flips
+// /healthz to 503 (load balancers steer away, new job submissions are
+// refused, auto-repair stops), finishes in-flight requests, then runs the
+// job planes dry: every job that was accepted — queued or running —
+// completes, and only at -drain-timeout is whatever is left canceled. A
+// front asks each peer to do that last step (POST /v1/drain) after its own
+// listener closed. Then it logs "drained cleanly" and exits 0.
 package main
 
 import (
@@ -106,11 +115,11 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"strings"
 	"syscall"
 	"time"
 
 	"autowrap"
-	"autowrap/internal/annotate"
 	"autowrap/internal/audit"
 	"autowrap/internal/drift"
 	"autowrap/internal/engine"
@@ -166,46 +175,53 @@ type options struct {
 }
 
 func main() {
-	var o options
-	flag.StringVar(&o.storePath, "store", "wrappers.json", "wrapper store path (required; must exist)")
-	flag.StringVar(&o.storeBackend, "store-backend", "file", "durable store backend: file (atomic JSON registry) | log (append-only segmented log, O(event) persists)")
-	flag.StringVar(&o.storeLogDir, "store-log-dir", "", "segment directory for -store-backend=log (default <store>.log; an empty log seeds itself from -store)")
-	flag.StringVar(&o.auditLog, "audit-log", "", "append lifecycle events to a hash-chained audit ledger at this path (empty disables)")
-	flag.StringVar(&o.addr, "addr", ":8080", "listen address")
-	flag.IntVar(&o.workers, "workers", 0, "extraction workers per batch request (0 = GOMAXPROCS)")
-	flag.IntVar(&o.maxInflight, "max-inflight", 64, "max concurrently executing extract requests")
-	flag.IntVar(&o.queue, "queue", 0, "max extract requests waiting for a slot (0 = 4x max-inflight, negative disables queueing)")
-	flag.DurationVar(&o.retryAfter, "retry-after", time.Second, "Retry-After hint attached to 429 responses")
-	flag.DurationVar(&o.timeout, "timeout", 30*time.Second, "per-request extraction deadline")
-	flag.IntVar(&o.maxPages, "max-pages", 256, "max pages per extract request")
-	flag.IntVar(&o.window, "window", 32, "drift-monitor sliding window in pages (0 disables monitoring)")
-	flag.StringVar(&o.dictPath, "dict", "", "dictionary file enabling /v1/learn and /v1/repair (one entry per line)")
-	flag.StringVar(&o.kind, "kind", "xpath", "re-learn wrapper language for /v1/learn and /v1/repair: xpath | lr")
-	flag.DurationVar(&o.drainT, "drain-timeout", 30*time.Second, "max time to wait for in-flight requests and running jobs on shutdown")
-	flag.IntVar(&o.learnWorkers, "learn-workers", 1, "background learn/repair job workers (isolated from the extract pools)")
-	flag.IntVar(&o.jobQueue, "job-queue", 16, "max queued learn/repair jobs before submissions get 429")
-	flag.StringVar(&o.corpusRoot, "learn-corpus-root", "", "directory /v1/learn corpus_dir paths are confined to (empty disables corpus_dir)")
-	flag.IntVar(&o.recentPages, "recent-pages", 64, "recently served pages cached per site as auto-repair fuel (only cached with -auto-repair; 0 disables)")
-	flag.BoolVar(&o.autoRepair, "auto-repair", false, "auto-enqueue repair jobs when drift trips (needs -dict, -window > 0 and -recent-pages > 0)")
-	flag.DurationVar(&o.autoInterval, "auto-repair-interval", 2*time.Second, "scan period for tripped sites the trip hook could not enqueue")
-	flag.DurationVar(&o.autoGap, "auto-repair-gap", time.Minute, "per-site minimum time between auto-repair submissions")
-	flag.IntVar(&o.shards, "shards", 1, "run a sharded fleet: N consistent-hash partitions, each with its own dispatcher, gate, monitor and job plane (1 = single unsharded server)")
-	flag.IntVar(&o.vnodes, "vnodes", shard.DefaultVNodes, "virtual nodes per shard on the routing ring (must match across restarts)")
-	flag.StringVar(&o.role, "role", "", "fleet role: empty (single process, optionally in-process sharded via -shards), shard (boot exactly partition -shard-index of an N=-shards ring) or front (forward to -peers, no local store)")
-	flag.IntVar(&o.shardIndex, "shard-index", 0, "which ring partition this process owns (-role shard; 0 <= k < -shards)")
-	flag.StringVar(&o.peers, "peers", "", "comma-separated host:port shard addresses, ring order (-role front; ring size = number of peers)")
-	flag.DurationVar(&o.logSyncInterval, "store-log-sync-interval", 0, "group-commit fsync interval for -store-backend=log (0 = fsync every append; >0 trades a bounded loss window for throughput)")
-	flag.StringVar(&o.auditVerify, "audit-verify", "", "verify the hash-chained audit ledger at this path and exit (0 intact, 4 tampered, 1 other)")
-	flag.StringVar(&o.auditExport, "audit-export", "", "verify the ledger at this path, dump its Merkle checkpoint roots as JSON lines, and exit (same exit codes as -audit-verify)")
-	flag.StringVar(&o.debugAddr, "debug-addr", "", "separate listen address serving net/http/pprof (e.g. localhost:6060); keep it off the public network")
+	o := defineFlags(flag.CommandLine)
 	flag.Parse()
 	if o.auditVerify != "" || o.auditExport != "" {
-		os.Exit(runAuditVerb(o, os.Stdout, os.Stderr))
+		os.Exit(runAuditVerb(*o, os.Stdout, os.Stderr))
 	}
-	if err := run(o); err != nil {
+	if err := run(*o); err != nil {
 		fmt.Fprintln(os.Stderr, "wrapserved:", err)
 		os.Exit(1)
 	}
+}
+
+// defineFlags declares every flag on fs; the options it returns are filled
+// in when fs parses a command line.
+func defineFlags(fs *flag.FlagSet) *options {
+	o := new(options)
+	fs.StringVar(&o.storePath, "store", "wrappers.json", "wrapper store path (required; must exist)")
+	fs.StringVar(&o.storeBackend, "store-backend", "file", "durable store backend: file (atomic JSON registry) | log (append-only segmented log, O(event) persists)")
+	fs.StringVar(&o.storeLogDir, "store-log-dir", "", "segment directory for -store-backend=log (default <store>.log; an empty log seeds itself from -store)")
+	fs.StringVar(&o.auditLog, "audit-log", "", "append lifecycle events to a hash-chained audit ledger at this path (empty disables)")
+	fs.StringVar(&o.addr, "addr", ":8080", "listen address")
+	fs.IntVar(&o.workers, "workers", 0, "extraction workers per batch request (0 = GOMAXPROCS)")
+	fs.IntVar(&o.maxInflight, "max-inflight", 64, "max concurrently executing extract requests")
+	fs.IntVar(&o.queue, "queue", 0, "max extract requests waiting for a slot (0 = 4x max-inflight, negative disables queueing)")
+	fs.DurationVar(&o.retryAfter, "retry-after", time.Second, "Retry-After hint attached to 429 responses")
+	fs.DurationVar(&o.timeout, "timeout", 30*time.Second, "per-request extraction deadline")
+	fs.IntVar(&o.maxPages, "max-pages", 256, "max pages per extract request")
+	fs.IntVar(&o.window, "window", 32, "drift-monitor sliding window in pages (0 disables monitoring)")
+	fs.StringVar(&o.dictPath, "dict", "", "dictionary file enabling /v1/learn and /v1/repair (one entry per line)")
+	fs.StringVar(&o.kind, "kind", "xpath", "re-learn wrapper language for /v1/learn and /v1/repair: xpath | lr")
+	fs.DurationVar(&o.drainT, "drain-timeout", 30*time.Second, "max time to wait for in-flight requests and running jobs on shutdown")
+	fs.IntVar(&o.learnWorkers, "learn-workers", 1, "background learn/repair job workers (isolated from the extract pools)")
+	fs.IntVar(&o.jobQueue, "job-queue", 16, "max queued learn/repair jobs before submissions get 429")
+	fs.StringVar(&o.corpusRoot, "learn-corpus-root", "", "directory /v1/learn corpus_dir paths are confined to (empty disables corpus_dir)")
+	fs.IntVar(&o.recentPages, "recent-pages", 64, "recently served pages cached per site as auto-repair fuel (only cached with -auto-repair; 0 disables)")
+	fs.BoolVar(&o.autoRepair, "auto-repair", false, "auto-enqueue repair jobs when drift trips (needs -dict, -window > 0 and -recent-pages > 0)")
+	fs.DurationVar(&o.autoInterval, "auto-repair-interval", 2*time.Second, "scan period for tripped sites the trip hook could not enqueue")
+	fs.DurationVar(&o.autoGap, "auto-repair-gap", time.Minute, "per-site minimum time between auto-repair submissions")
+	fs.IntVar(&o.shards, "shards", 1, "run a sharded fleet: N consistent-hash partitions, each with its own dispatcher, gate, monitor and job plane (1 = single unsharded server)")
+	fs.IntVar(&o.vnodes, "vnodes", shard.DefaultVNodes, "virtual nodes per shard on the routing ring (must match across restarts)")
+	fs.StringVar(&o.role, "role", "", "fleet role: empty (single process, optionally in-process sharded via -shards), shard (boot exactly partition -shard-index of an N=-shards ring) or front (forward to -peers, no local store)")
+	fs.IntVar(&o.shardIndex, "shard-index", 0, "which ring partition this process owns (-role shard; 0 <= k < -shards)")
+	fs.StringVar(&o.peers, "peers", "", "comma-separated host:port shard addresses, ring order (-role front; ring size = number of peers)")
+	fs.DurationVar(&o.logSyncInterval, "store-log-sync-interval", 0, "group-commit fsync interval for -store-backend=log (0 = fsync every append; >0 trades a bounded loss window for throughput)")
+	fs.StringVar(&o.auditVerify, "audit-verify", "", "verify the hash-chained audit ledger at this path and exit (0 intact, 4 tampered, 1 other)")
+	fs.StringVar(&o.auditExport, "audit-export", "", "verify the ledger at this path, dump its Merkle checkpoint roots as JSON lines, and exit (same exit codes as -audit-verify)")
+	fs.StringVar(&o.debugAddr, "debug-addr", "", "separate listen address serving net/http/pprof (e.g. localhost:6060); keep it off the public network")
+	return o
 }
 
 // openBackend opens the durable store backend the flags select. The
@@ -269,113 +285,23 @@ func openLedger(o options, logger *log.Logger) (*audit.Ledger, error) {
 	return led, nil
 }
 
+// plane is what a process serves and drains, whatever its role: one node
+// (*serve.Server), or a router over in-process nodes or over peers
+// (*serve.ShardRouter).
+type plane interface {
+	Handler() http.Handler
+	SetDraining(bool)
+	Drain(context.Context) error
+}
+
+// run boots the role's plane and serves it until a signal drains it.
 func run(o options) error {
 	logger := log.New(os.Stderr, "wrapserved: ", log.LstdFlags)
-	switch o.role {
-	case "":
-		// Single process: standalone, or the whole fleet in-process.
-	case "shard":
-		return runShard(o, logger)
-	case "front":
-		return runFront(o, logger)
-	default:
-		return fmt.Errorf("-role %q: want shard, front or empty", o.role)
-	}
-	if o.shards > 1 {
-		return runFleet(o, logger)
-	}
-
-	be, err := openBackend(o, logger)
+	p, closeStores, err := boot(o, logger)
 	if err != nil {
 		return err
 	}
-	defer be.Close()
-	led, err := openLedger(o, logger)
-	if err != nil {
-		return err
-	}
-	defer led.Close()
-
-	st, err := be.Load()
-	if err != nil {
-		return err
-	}
-	var mon *drift.Monitor
-	if o.window > 0 {
-		mon = drift.NewMonitor(drift.Policy{
-			Window: o.window,
-			OnTrip: func(site string, s drift.Stats) {
-				logger.Printf("DRIFT TRIPPED: %s", s)
-				if err := led.Append(0, audit.EventDriftTrip, site, 0, s.String()); err != nil {
-					logger.Printf("audit drift trip %s: %v", site, err)
-				}
-			},
-		})
-	}
-	// The recent-page ring exists to fuel auto-repair; without it nothing
-	// reads the cache, so don't pay a copy per served page to fill it.
-	recentPages := 0
-	if o.autoRepair {
-		recentPages = o.recentPages
-	}
-	dispatcher := serve.NewDispatcher(st, serve.Options{
-		Workers: o.workers, Monitor: mon, RecentPages: recentPages,
-	})
-
-	var repairer *drift.Repairer
-	if o.dictPath != "" {
-		rep, err := newRepairer(st, mon, o.dictPath, o.kind)
-		if err != nil {
-			return err
-		}
-		repairer = rep
-	}
-	if o.autoRepair {
-		switch {
-		case repairer == nil:
-			return fmt.Errorf("-auto-repair needs -dict (no annotator to re-learn with)")
-		case mon == nil:
-			return fmt.Errorf("-auto-repair needs drift monitoring (-window > 0)")
-		case o.recentPages <= 0:
-			return fmt.Errorf("-auto-repair needs -recent-pages > 0 (no cached pages to re-learn from)")
-		}
-	}
-
-	var jobsM *jobs.Manager
-	if repairer != nil {
-		jobsM = jobs.New(jobs.Options{Workers: o.learnWorkers, QueueDepth: o.jobQueue})
-	}
-	srv, err := serve.NewServer(serve.ServerConfig{
-		Dispatcher: dispatcher,
-		Gate: serve.NewGate(serve.GateOptions{
-			MaxInFlight: o.maxInflight, MaxQueue: o.queue, RetryAfter: o.retryAfter,
-		}),
-		RequestTimeout:  o.timeout,
-		MaxPages:        o.maxPages,
-		Repairer:        repairer,
-		Jobs:            jobsM,
-		LearnCorpusRoot: o.corpusRoot,
-		Backend:         be,
-		Audit:           led,
-		Log:             logger,
-	})
-	if err != nil {
-		return err
-	}
-
-	var maintainer *serve.Maintainer
-	if o.autoRepair {
-		maintainer, err = serve.NewMaintainer(srv, serve.MaintainerOptions{
-			Interval: o.autoInterval,
-			MinGap:   o.autoGap,
-			Log:      logger,
-		})
-		if err != nil {
-			return err
-		}
-		maintainer.Start()
-		defer maintainer.Stop()
-	}
+	defer closeStores()
 
 	// The pprof endpoints live on their own listener: the production
 	// handler's static route table never exposes /debug/pprof/*.
@@ -386,11 +312,9 @@ func run(o options) error {
 		}()
 	}
 
-	hs := &http.Server{Addr: o.addr, Handler: srv.Handler()}
+	hs := &http.Server{Addr: o.addr, Handler: p.Handler()}
 	errc := make(chan error, 1)
 	go func() {
-		logger.Printf("serving %d site(s) from %s on %s (maintenance plane %s, auto-repair %s)",
-			st.Len(), o.storePath, o.addr, enabledWord(repairer != nil), enabledWord(o.autoRepair))
 		if err := hs.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
 			errc <- err
 			return
@@ -398,10 +322,13 @@ func run(o options) error {
 		errc <- nil
 	}()
 
-	// Graceful drain: flip readiness first so load balancers steer away,
-	// let in-flight requests finish, then close the job plane — queued
-	// jobs are canceled (they never started), running jobs get whatever
-	// remains of the drain budget before being canceled mid-learn.
+	// Graceful drain, the same for every role: flip readiness first so
+	// load balancers steer away (each node stops its auto-repair loop with
+	// it), let in-flight requests finish, then run the job planes dry —
+	// nothing that was accepted is dropped; only at -drain-timeout is the
+	// remainder canceled. The drain is one-shot per node: when a front end
+	// already drained this shard over POST /v1/drain, SIGTERM just
+	// finishes the listener.
 	sigc := make(chan os.Signal, 1)
 	signal.Notify(sigc, syscall.SIGTERM, syscall.SIGINT)
 	select {
@@ -409,40 +336,169 @@ func run(o options) error {
 		return err
 	case sig := <-sigc:
 		logger.Printf("%s: draining (up to %v)...", sig, o.drainT)
-		srv.SetDraining(true)
-		if maintainer != nil {
-			maintainer.Stop() // no new auto jobs while draining
-		}
+		p.SetDraining(true)
 		ctx, cancel := context.WithTimeout(context.Background(), o.drainT)
 		defer cancel()
 		if err := hs.Shutdown(ctx); err != nil {
 			return fmt.Errorf("drain: %w", err)
 		}
-		if jobsM != nil {
-			if err := jobsM.Drain(ctx); err != nil {
-				logger.Printf("job drain: running job canceled at deadline: %v", err)
-			}
+		if err := p.Drain(ctx); err != nil {
+			logger.Printf("job drain: remaining jobs canceled at deadline: %v", err)
 		}
 		logger.Printf("drained cleanly")
 		return <-errc
 	}
 }
 
-// newRepairer wires the maintenance plane's learn recipe for /v1/learn,
-// /v1/repair and auto-repair: re-learn with a dictionary annotator over
-// the fresh pages, in the configured wrapper language.
-func newRepairer(st *store.Store, mon *drift.Monitor, dictPath, kind string) (*drift.Repairer, error) {
-	annot, err := loadAnnotator(dictPath, kind)
-	if err != nil {
-		return nil, err
+// boot validates the flags, opens what the role keeps on disk and
+// assembles its plane. -role front holds no store: it owns the ring (size
+// = number of -peers, in ring order) and forwards every request to the
+// owning shard process, after a handshake with each peer — fingerprint and
+// shard index must agree; an unreachable peer degrades that partition
+// instead of failing the boot. Every other role is built from nodes over
+// one backend and one ledger: one node standalone, one per ring partition
+// under a router with -shards N, exactly partition -shard-index with -role
+// shard. The returned func closes backend and ledger once the plane has
+// drained.
+func boot(o options, logger *log.Logger) (plane, func(), error) {
+	switch o.role {
+	case "":
+	case "shard":
+		if o.shards < 1 {
+			return nil, nil, fmt.Errorf("-role shard needs -shards >= 1 (the ring size)")
+		}
+		if o.shardIndex < 0 || o.shardIndex >= o.shards {
+			return nil, nil, fmt.Errorf("-shard-index %d out of range [0, %d)", o.shardIndex, o.shards)
+		}
+	case "front":
+		peers := splitPeers(o.peers)
+		if len(peers) == 0 {
+			return nil, nil, fmt.Errorf("-role front needs -peers host:port,...")
+		}
+		if o.shards > 1 && o.shards != len(peers) {
+			return nil, nil, fmt.Errorf("-shards %d disagrees with %d peer(s); the front sizes the ring from -peers", o.shards, len(peers))
+		}
+		ring := shard.NewRing(len(peers), o.vnodes)
+		router, err := serve.NewForwardRouter(ring, peers, serve.ForwardOptions{RequestTimeout: o.timeout, Log: logger})
+		if err != nil {
+			return nil, nil, err
+		}
+		logger.Printf("front on %s: forwarding to %d shard(s) %v (ring %s)", o.addr, len(peers), peers, ring.Fingerprint())
+		return router, func() {}, nil
+	default:
+		return nil, nil, fmt.Errorf("-role %q: want shard, front or empty", o.role)
 	}
-	return makeRepairer(st, mon, annot, kind), nil
+	if o.autoRepair {
+		switch {
+		case o.dictPath == "":
+			return nil, nil, fmt.Errorf("-auto-repair needs -dict (no annotator to re-learn with)")
+		case o.window <= 0:
+			return nil, nil, fmt.Errorf("-auto-repair needs drift monitoring (-window > 0)")
+		case o.recentPages <= 0:
+			return nil, nil, fmt.Errorf("-auto-repair needs -recent-pages > 0 (no cached pages to re-learn from)")
+		}
+	}
+	var spec drift.LearnSpec
+	if o.dictPath != "" {
+		var err error
+		if spec, err = learnSpec(o.dictPath, o.kind); err != nil {
+			return nil, nil, err
+		}
+	}
+
+	be, err := openBackend(o, logger)
+	if err != nil {
+		return nil, nil, err
+	}
+	led, err := openLedger(o, logger)
+	if err != nil {
+		be.Close()
+		return nil, nil, err
+	}
+	closeStores := func() {
+		be.Close()
+		led.Close()
+	}
+
+	// A nil ring is the standalone server: one node over the whole
+	// registry, wire-identical to before there were fleets.
+	var ring *shard.Ring
+	if o.role == "shard" || o.shards > 1 {
+		ring = shard.NewRing(o.shards, o.vnodes)
+	}
+	sites := 0
+	node := func(k int) (*serve.Server, error) {
+		cfg := serve.NodeConfig{
+			Workers:         o.workers,
+			RecentPages:     o.recentPages,
+			Gate:            serve.GateOptions{MaxInFlight: o.maxInflight, MaxQueue: o.queue, RetryAfter: o.retryAfter},
+			Spec:            spec,
+			Jobs:            jobs.Options{Workers: o.learnWorkers, QueueDepth: o.jobQueue},
+			Shard:           k,
+			Backend:         be, // shared; each node reports only its own events
+			Audit:           led,
+			Log:             logger,
+			RequestTimeout:  o.timeout,
+			MaxPages:        o.maxPages,
+			LearnCorpusRoot: o.corpusRoot,
+		}
+		if o.window > 0 {
+			cfg.Monitor = &drift.Policy{Window: o.window}
+		}
+		if o.autoRepair {
+			cfg.Maintainer = &serve.MaintainerOptions{Interval: o.autoInterval, MinGap: o.autoGap, Log: logger}
+		}
+		var err error
+		if ring == nil {
+			cfg.Store, err = be.Load()
+		} else {
+			// Boot from the owned partition only, at a validation cost
+			// proportional to it: the backend may hold the full registry
+			// (every shard process sharing one seed file) or a pre-split
+			// one. The s<k>- job-id prefix lets a router send a job
+			// lookup straight to the node that ran it.
+			cfg.Store, err = be.LoadPartition(ring, k)
+			cfg.Jobs.IDPrefix = fmt.Sprintf("s%d-", k)
+		}
+		if err != nil {
+			return nil, err
+		}
+		// Only a node that is its own process enforces the ring — it can
+		// be reached past the front, or by a front that disagrees on the
+		// topology. In-process nodes sit behind the router that owns it.
+		if o.role == "shard" {
+			cfg.Ring = ring
+		}
+		sites += cfg.Store.Len()
+		return serve.NewNode(cfg)
+	}
+
+	var p plane
+	what := "standalone"
+	switch {
+	case o.role == "shard":
+		p, err = node(o.shardIndex)
+		what = fmt.Sprintf("shard %d/%d, ring %s", o.shardIndex, o.shards, ring.Fingerprint())
+	case ring != nil:
+		p, err = serve.NewShardRouter(ring, node)
+		what = fmt.Sprintf("%d shards, %d vnodes each", o.shards, ring.VNodes())
+	default:
+		p, err = node(0)
+	}
+	if err != nil {
+		closeStores()
+		return nil, nil, err
+	}
+	logger.Printf("serving %d site(s) from %s on %s (%s; maintenance plane %s, auto-repair %s)",
+		sites, o.storePath, o.addr, what, enabledWord(spec != nil), enabledWord(o.autoRepair))
+	return p, closeStores, nil
 }
 
-// loadAnnotator reads the dictionary and validates the wrapper kind once
-// — a fleet builds N repairers from one annotator instead of re-reading
-// the file per shard.
-func loadAnnotator(dictPath, kind string) (annotate.Annotator, error) {
+// learnSpec wires the maintenance plane's learn recipe for /v1/learn,
+// /v1/repair and auto-repair: re-learn with a dictionary annotator over
+// the fresh pages, in the configured wrapper language. The dictionary is
+// read and the kind validated once; every node of a fleet shares the spec.
+func learnSpec(dictPath, kind string) (drift.LearnSpec, error) {
 	entries, err := experiments.ReadDictFile(dictPath)
 	if err != nil {
 		return nil, err
@@ -453,192 +509,28 @@ func loadAnnotator(dictPath, kind string) (annotate.Annotator, error) {
 	if _, err := experiments.NewInductor(kind, autowrap.ParsePages([]string{"<p>probe</p>"})); err != nil {
 		return nil, err
 	}
-	return autowrap.DictionaryAnnotator(filepath.Base(dictPath), entries), nil
+	annot := autowrap.DictionaryAnnotator(filepath.Base(dictPath), entries)
+	return func(site string, c *autowrap.Corpus) (engine.SiteSpec, error) {
+		return engine.SiteSpec{
+			Annotator: annot,
+			NewInductor: func(c *autowrap.Corpus) (autowrap.Inductor, error) {
+				return experiments.NewInductor(kind, c)
+			},
+			Config: autowrap.NewLearnConfig(autowrap.GenericModels(c), autowrap.Options{}),
+		}, nil
+	}, nil
 }
 
-// makeRepairer binds the shared annotator to one store + monitor pair —
-// per shard in a fleet, once for the single-server path.
-func makeRepairer(st *store.Store, mon *drift.Monitor, annot annotate.Annotator, kind string) *drift.Repairer {
-	return &drift.Repairer{
-		Store: st,
-		Spec: func(site string, c *autowrap.Corpus) (engine.SiteSpec, error) {
-			return engine.SiteSpec{
-				Annotator: annot,
-				NewInductor: func(c *autowrap.Corpus) (autowrap.Inductor, error) {
-					return experiments.NewInductor(kind, c)
-				},
-				Config: autowrap.NewLearnConfig(autowrap.GenericModels(c), autowrap.Options{}),
-			}, nil
-		},
-		Monitor: mon,
-	}
-}
-
-// runFleet boots the sharded serving plane: a consistent-hash ring over
-// -shards partitions, each with its own store partition (loaded with
-// validation cost proportional to the partition, not the whole file),
-// dispatcher, gate, drift monitor, job plane and optional auto-repair
-// maintainer. One listener fronts them all through serve.ShardRouter;
-// admin mutations persist the merged registry back to -store.
-//
-// Per-shard capacities multiply: -max-inflight, -queue, -learn-workers
-// and -job-queue size each shard, so a 4-shard fleet admits 4x the
-// single-server traffic.
-func runFleet(o options, logger *log.Logger) error {
-	ring := shard.NewRing(o.shards, o.vnodes)
-
-	be, err := openBackend(o, logger)
-	if err != nil {
-		return err
-	}
-	defer be.Close()
-	led, err := openLedger(o, logger)
-	if err != nil {
-		return err
-	}
-	defer led.Close()
-
-	var annot annotate.Annotator
-	if o.dictPath != "" {
-		a, err := loadAnnotator(o.dictPath, o.kind)
-		if err != nil {
-			return err
-		}
-		annot = a
-	}
-	if o.autoRepair {
-		switch {
-		case annot == nil:
-			return fmt.Errorf("-auto-repair needs -dict (no annotator to re-learn with)")
-		case o.window <= 0:
-			return fmt.Errorf("-auto-repair needs drift monitoring (-window > 0)")
-		case o.recentPages <= 0:
-			return fmt.Errorf("-auto-repair needs -recent-pages > 0 (no cached pages to re-learn from)")
+// splitPeers parses the -peers list, dropping empty elements so a
+// trailing comma is harmless.
+func splitPeers(s string) []string {
+	var out []string
+	for _, p := range strings.Split(s, ",") {
+		if p = strings.TrimSpace(p); p != "" {
+			out = append(out, p)
 		}
 	}
-	recentPages := 0
-	if o.autoRepair {
-		recentPages = o.recentPages
-	}
-
-	totalSites := 0
-	router, err := serve.NewShardRouter(ring, func(k int) (*serve.Server, error) {
-		st, err := be.LoadPartition(ring, k)
-		if err != nil {
-			return nil, err
-		}
-		totalSites += st.Len()
-		var mon *drift.Monitor
-		if o.window > 0 {
-			mon = drift.NewMonitor(drift.Policy{
-				Window: o.window,
-				OnTrip: func(site string, s drift.Stats) {
-					logger.Printf("DRIFT TRIPPED (shard %d): %s", k, s)
-					if err := led.Append(k, audit.EventDriftTrip, site, 0, s.String()); err != nil {
-						logger.Printf("audit drift trip %s: %v", site, err)
-					}
-				},
-			})
-		}
-		dispatcher := serve.NewDispatcher(st, serve.Options{
-			Workers: o.workers, Monitor: mon, RecentPages: recentPages,
-		})
-		var repairer *drift.Repairer
-		var jobsM *jobs.Manager
-		if annot != nil {
-			repairer = makeRepairer(st, mon, annot, o.kind)
-			jobsM = jobs.New(jobs.Options{
-				Workers: o.learnWorkers, QueueDepth: o.jobQueue,
-				IDPrefix: fmt.Sprintf("s%d-", k),
-			})
-		}
-		return serve.NewServer(serve.ServerConfig{
-			Dispatcher: dispatcher,
-			Gate: serve.NewGate(serve.GateOptions{
-				MaxInFlight: o.maxInflight, MaxQueue: o.queue, RetryAfter: o.retryAfter,
-			}),
-			RequestTimeout:  o.timeout,
-			MaxPages:        o.maxPages,
-			Repairer:        repairer,
-			Jobs:            jobsM,
-			LearnCorpusRoot: o.corpusRoot,
-			Backend:         be, // shared; each shard reports only its own events
-			Shard:           k,
-			Audit:           led,
-			Log:             logger,
-		})
-	})
-	if err != nil {
-		return err
-	}
-
-	var maintainers []*serve.Maintainer
-	if o.autoRepair {
-		for k := 0; k < o.shards; k++ {
-			m, err := serve.NewMaintainer(router.Shard(k), serve.MaintainerOptions{
-				Interval: o.autoInterval,
-				MinGap:   o.autoGap,
-				Log:      logger,
-			})
-			if err != nil {
-				return err
-			}
-			m.Start()
-			maintainers = append(maintainers, m)
-		}
-		defer func() {
-			for _, m := range maintainers {
-				m.Stop()
-			}
-		}()
-	}
-
-	if o.debugAddr != "" {
-		go func() {
-			logger.Printf("pprof debug server on http://%s/debug/pprof/", o.debugAddr)
-			logger.Printf("pprof server: %v", http.ListenAndServe(o.debugAddr, nil))
-		}()
-	}
-
-	hs := &http.Server{Addr: o.addr, Handler: router.Handler()}
-	errc := make(chan error, 1)
-	go func() {
-		logger.Printf("serving %d site(s) from %s on %s across %d shards (%d vnodes each, maintenance plane %s, auto-repair %s)",
-			totalSites, o.storePath, o.addr, o.shards, ring.VNodes(),
-			enabledWord(annot != nil), enabledWord(o.autoRepair))
-		if err := hs.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
-			errc <- err
-			return
-		}
-		errc <- nil
-	}()
-
-	// Fleet drain ordering: flip /healthz first (load balancers steer
-	// away while every shard keeps admitting), stop the auto-repair
-	// scanners, finish in-flight requests, then quiesce the job planes
-	// last — queued jobs run to completion, nothing accepted is dropped.
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, syscall.SIGTERM, syscall.SIGINT)
-	select {
-	case err := <-errc:
-		return err
-	case sig := <-sigc:
-		logger.Printf("%s: draining %d shards (up to %v)...", sig, o.shards, o.drainT)
-		router.SetDraining(true)
-		for _, m := range maintainers {
-			m.Stop()
-		}
-		ctx, cancel := context.WithTimeout(context.Background(), o.drainT)
-		defer cancel()
-		if err := hs.Shutdown(ctx); err != nil {
-			return fmt.Errorf("drain: %w", err)
-		}
-		if err := router.Drain(ctx); err != nil {
-			logger.Printf("job drain: remaining jobs canceled at deadline: %v", err)
-		}
-		logger.Printf("drained cleanly")
-		return <-errc
-	}
+	return out
 }
 
 func enabledWord(b bool) string {

@@ -61,7 +61,8 @@ type ShardRouter struct {
 }
 
 // NewShardRouter builds an in-process fleet. build is called once per
-// shard ID, in order, and returns that shard's fully-wired Server.
+// shard ID, in order, and returns that shard's node (NewNode over the
+// shard's store partition, or a Server wired by hand).
 // Persistence is the store backend's job: wire one shared store.Backend
 // into every shard's ServerConfig (with ServerConfig.Shard set to the
 // shard's id) and each lifecycle event is reported by — and costs —

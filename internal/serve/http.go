@@ -22,7 +22,6 @@ import (
 	"autowrap/internal/jobs"
 	"autowrap/internal/shard"
 	"autowrap/internal/store"
-	"autowrap/internal/store/filestore"
 )
 
 // ServerConfig wires a Server. Dispatcher is required; everything else has
@@ -48,20 +47,12 @@ type ServerConfig struct {
 	// isolated from the extract hot path: learning never occupies a Gate
 	// slot, extraction never occupies a job worker.
 	Jobs *jobs.Manager
-	// JobTimeout is the per-job learn/repair deadline (default 10x
-	// RequestTimeout — learning is orders of magnitude heavier than
-	// extraction). A job's timeout_ms may shorten it, never extend it.
-	JobTimeout time.Duration
 	// LearnCorpusRoot, when set, enables LearnRequest.CorpusDir and
 	// confines it: a learn job only reads *.html from directories under
 	// this root. Empty (the default) rejects corpus_dir submissions —
 	// an HTTP endpoint must not get to point the daemon at arbitrary
 	// server-side paths.
 	LearnCorpusRoot string
-	// StorePath, when set (and Backend is not), persists the registry
-	// after every successful admin mutation by wrapping the path in a
-	// filestore backend — the pre-backend behaviour, same bytes on disk.
-	StorePath string
 	// Backend, when set, receives every lifecycle event (new version,
 	// promote, rollback) after it succeeds in memory. NewServer attaches
 	// the dispatcher's store to it under Shard, so a fleet's shards share
@@ -103,9 +94,6 @@ func (c ServerConfig) withDefaults() ServerConfig {
 	if c.MaxBodyBytes <= 0 {
 		c.MaxBodyBytes = 32 << 20
 	}
-	if c.JobTimeout <= 0 {
-		c.JobTimeout = 10 * c.RequestTimeout
-	}
 	if c.Jobs == nil && c.Repairer != nil {
 		c.Jobs = jobs.New(jobs.Options{})
 	}
@@ -136,47 +124,52 @@ func (c ServerConfig) withDefaults() ServerConfig {
 //	GET  /v1/jobs/{id} one job's state/progress/result
 //	POST /v1/jobs/{id}/cancel  cancel a queued or running job
 type Server struct {
-	cfg      ServerConfig
-	started  time.Time
-	draining atomic.Bool
-	ownJobs  bool // the manager was created by withDefaults, not the caller
-	closed   atomic.Bool
-	// drainedJobs makes the job plane's quiesce one-shot: /v1/drain and
-	// the process's own shutdown may both ask, the first one does the work.
+	cfg ServerConfig
+	// jobTimeout is the per-job learn/repair deadline: 10x RequestTimeout,
+	// learning being orders of magnitude heavier than extraction. A job's
+	// timeout_ms may shorten it, never extend it.
+	jobTimeout time.Duration
+	started    time.Time
+	draining   atomic.Bool
+	ownJobs    bool // the manager is the server's to drain on Close, not the caller's
+	// drainedJobs makes the job plane's drain one-shot: /v1/drain, the
+	// process's own shutdown and Close may all ask, the first does the work.
 	drainedJobs atomic.Bool
 	// lifecycleMu serializes {in-memory mutation, backend append} pairs
 	// so the event order a log backend replays matches the order the
 	// registry actually mutated. Lifecycle events are rare (admin calls,
 	// repair completions); this never touches the extract hot path.
 	lifecycleMu sync.Mutex
+	// tripHook installs onTrip on the monitor once; maint is the started
+	// auto-repair loop onTrip kicks (nil: trips are logged and audited,
+	// nothing is enqueued).
+	tripHook sync.Once
+	maint    atomic.Pointer[Maintainer]
 }
 
-// NewServer builds the HTTP layer over a dispatcher.
+// NewServer builds the HTTP layer over a dispatcher and whatever other
+// parts the caller picked by hand; NewNode is the assembly that picks
+// them all.
 func NewServer(cfg ServerConfig) (*Server, error) {
 	if cfg.Dispatcher == nil {
 		return nil, fmt.Errorf("serve: ServerConfig.Dispatcher is required")
-	}
-	if cfg.Backend == nil && cfg.StorePath != "" {
-		be, err := filestore.Open(cfg.StorePath)
-		if err != nil {
-			return nil, fmt.Errorf("serve: %w", err)
-		}
-		cfg.Backend = be
 	}
 	if cfg.Backend != nil {
 		cfg.Backend.Attach(cfg.Shard, cfg.Dispatcher.Store())
 	}
 	ownJobs := cfg.Jobs == nil && cfg.Repairer != nil
-	return &Server{cfg: cfg.withDefaults(), started: time.Now(), ownJobs: ownJobs}, nil
+	cfg = cfg.withDefaults()
+	return &Server{cfg: cfg, jobTimeout: 10 * cfg.RequestTimeout, started: time.Now(), ownJobs: ownJobs}, nil
 }
 
-// Close releases what the server created itself — today that is the job
-// manager withDefaults builds when a Repairer is configured without an
-// explicit Jobs field (its worker goroutine would otherwise outlive the
-// server). A caller-supplied manager is the caller's to drain; Close
-// leaves it running. Idempotent.
+// Close releases what the server owns: it stops a started maintainer and,
+// unless Drain already ran, cancels what is left on a job manager the
+// server created (withDefaults' or a node's — its workers would otherwise
+// outlive the server). A manager the caller passed to NewServer is the
+// caller's to drain. Idempotent.
 func (s *Server) Close() error {
-	if !s.ownJobs || s.cfg.Jobs == nil || !s.closed.CompareAndSwap(false, true) {
+	s.stopMaintainer()
+	if !s.ownJobs || !s.drainedJobs.CompareAndSwap(false, true) {
 		return nil
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -195,22 +188,61 @@ func (s *Server) Dispatcher() *Dispatcher { return s.cfg.Dispatcher }
 func (s *Server) Jobs() *jobs.Manager { return s.cfg.Jobs }
 
 // SetDraining flips readiness: while draining, /healthz answers 503 (so
-// traffic steers away) but in-flight and newly arriving extractions still
-// complete — the process owner decides when to stop accepting connections.
-func (s *Server) SetDraining(v bool) { s.draining.Store(v) }
+// traffic steers away) and job submissions are refused, but in-flight and
+// newly arriving extractions still complete — the process owner decides
+// when to stop accepting connections. Draining also stops a started
+// auto-repair maintainer: a node on its way out enqueues nothing new.
+func (s *Server) SetDraining(v bool) {
+	s.draining.Store(v)
+	if v {
+		s.stopMaintainer()
+	}
+}
 
-// QuiesceJobs runs the job plane dry exactly once: new submissions are
-// already rejected (the caller flipped draining), queued jobs execute to
-// completion bounded by ctx, then the workers exit. Both POST /v1/drain
-// and the process's own shutdown path may call it; only the first does
-// the work, so an HTTP-initiated fleet drain followed by SIGTERM cannot
-// double-drain the manager. Nil manager or a repeat call is a no-op.
-func (s *Server) QuiesceJobs(ctx context.Context) error {
+func (s *Server) stopMaintainer() {
+	if m := s.maint.Load(); m != nil {
+		m.Stop()
+	}
+}
+
+// Drain runs the job plane dry exactly once: new submissions are already
+// rejected (the caller flipped draining), accepted jobs — queued as well
+// as running — execute to completion, and only when ctx expires first is
+// the remainder canceled; then the workers exit. It is the last step of
+// every role's shutdown (SetDraining(true) → http.Server.Shutdown →
+// Drain) and what POST /v1/drain does for a front end; whoever asks first
+// does the work, so an HTTP-initiated fleet drain followed by SIGTERM
+// cannot double-drain the manager. Nil manager or a repeat call is a no-op.
+func (s *Server) Drain(ctx context.Context) error {
 	m := s.cfg.Jobs
 	if m == nil || !s.drainedJobs.CompareAndSwap(false, true) {
 		return nil
 	}
 	return m.Quiesce(ctx)
+}
+
+// onTrip is the node's trip hook, on the monitor from hookTrips until the
+// process ends: a drift trip is logged with its shard and audited whether
+// or not anything can act on it — also while draining — and kicks
+// auto-repair only while a maintainer is started. It runs on the serving
+// worker that observed the tripping page.
+func (s *Server) onTrip(site string, st drift.Stats) {
+	s.cfg.Log.Printf("DRIFT TRIPPED (shard %d): %s", s.cfg.Shard, st)
+	s.audit(audit.EventDriftTrip, site, 0, st.String())
+	if m := s.maint.Load(); m != nil {
+		m.Kick(site)
+	}
+}
+
+// hookTrips installs onTrip on the dispatcher's monitor, once. NewNode
+// calls it as soon as the server exists; Maintainer.Start does for a
+// hand-assembled server, whose monitor nobody hooked.
+func (s *Server) hookTrips() {
+	s.tripHook.Do(func() {
+		if mon := s.cfg.Dispatcher.Monitor(); mon != nil {
+			mon.SetOnTrip(s.onTrip)
+		}
+	})
 }
 
 // handleDrain serves POST /v1/drain on shard-role servers: the front
@@ -232,10 +264,10 @@ func (s *Server) handleDrain(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.SetDraining(true)
-	ctx, cancel := context.WithTimeout(r.Context(), clampTimeout(s.cfg.JobTimeout, req.TimeoutMS))
+	ctx, cancel := context.WithTimeout(r.Context(), clampTimeout(s.jobTimeout, req.TimeoutMS))
 	defer cancel()
 	resp := DrainResponse{Status: "draining", JobsQuiesced: true}
-	if err := s.QuiesceJobs(ctx); err != nil {
+	if err := s.Drain(ctx); err != nil {
 		resp.JobsQuiesced = false
 		resp.Error = err.Error()
 	}
@@ -1021,7 +1053,7 @@ func (s *Server) finishRepair(w http.ResponseWriter, req RepairRequest) {
 		return
 	}
 	pages := req.Pages
-	s.submitMaintenance(w, jobs.KindRepair, req.Site, clampTimeout(s.cfg.JobTimeout, req.TimeoutMS),
+	s.submitMaintenance(w, jobs.KindRepair, req.Site, clampTimeout(s.jobTimeout, req.TimeoutMS),
 		func() ([]string, error) { return pages, nil })
 }
 
@@ -1078,7 +1110,7 @@ func (s *Server) finishLearn(w http.ResponseWriter, req LearnRequest) {
 		}
 		loadPages = func() ([]string, error) { return readCorpusDir(dir, s.cfg.MaxPages) }
 	}
-	s.submitMaintenance(w, jobs.KindLearn, req.Site, clampTimeout(s.cfg.JobTimeout, req.TimeoutMS), loadPages)
+	s.submitMaintenance(w, jobs.KindLearn, req.Site, clampTimeout(s.jobTimeout, req.TimeoutMS), loadPages)
 }
 
 // confineCorpusDir resolves a learn request's corpus_dir against the

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"autowrap/internal/audit"
-	"autowrap/internal/drift"
 	"autowrap/internal/jobs"
 )
 
@@ -96,9 +95,11 @@ func NewMaintainer(s *Server, opt MaintainerOptions) (*Maintainer, error) {
 	}, nil
 }
 
-// Start installs the trip hook and launches the scan loop. Start is
-// idempotent while running, and a stopped maintainer can be started
-// again (the control channels are per-Start).
+// Start arms auto-repair and launches the scan loop: from here the
+// server's trip hook (Server.onTrip — installed now if NewNode has not
+// already) kicks this maintainer on every trip. Start is idempotent while
+// running, and a stopped maintainer can be started again (the control
+// channels are per-Start).
 func (m *Maintainer) Start() {
 	m.mu.Lock()
 	if m.started {
@@ -110,16 +111,14 @@ func (m *Maintainer) Start() {
 	m.done = make(chan struct{})
 	stop, done := m.stop, m.done
 	m.mu.Unlock()
-	m.server.cfg.Dispatcher.Monitor().SetOnTrip(func(site string, s drift.Stats) {
-		m.opt.Log.Printf("serve: DRIFT TRIPPED: %s", s)
-		m.server.audit(audit.EventDriftTrip, site, 0, s.String())
-		m.Kick(site)
-	})
+	m.server.hookTrips()
+	m.server.maint.Store(m)
 	go m.loop(stop, done)
 }
 
-// Stop detaches the trip hook and stops the scan loop. Jobs already
-// enqueued keep running; the process owner drains the job manager.
+// Stop disarms auto-repair and stops the scan loop; the trip hook stays,
+// so trips are still logged and audited. Jobs already enqueued keep
+// running; the process owner drains the job manager.
 func (m *Maintainer) Stop() {
 	m.mu.Lock()
 	if !m.started {
@@ -129,7 +128,7 @@ func (m *Maintainer) Stop() {
 	m.started = false
 	stop, done := m.stop, m.done
 	m.mu.Unlock()
-	m.server.cfg.Dispatcher.Monitor().SetOnTrip(nil)
+	m.server.maint.CompareAndSwap(m, nil)
 	close(stop)
 	<-done
 }
@@ -199,7 +198,7 @@ func (m *Maintainer) submit(site string, now time.Time) bool {
 	}
 	snap, err := m.server.cfg.Jobs.Submit(jobs.KindRepair, site,
 		func(ctx context.Context, progress func(string)) (any, error) {
-			ctx, cancel := context.WithTimeout(ctx, m.server.cfg.JobTimeout)
+			ctx, cancel := context.WithTimeout(ctx, m.server.jobTimeout)
 			defer cancel()
 			defer m.clearPending(site)
 			res, err := m.server.RunMaintenance(ctx, site, pages, progress)

@@ -104,4 +104,4 @@ func (c localShard) AuditView(ctx context.Context, n int) (AuditResponse, error)
 
 func (c localShard) SetDraining(v bool) { c.s.SetDraining(v) }
 
-func (c localShard) Drain(ctx context.Context) error { return c.s.QuiesceJobs(ctx) }
+func (c localShard) Drain(ctx context.Context) error { return c.s.Drain(ctx) }

@@ -193,7 +193,8 @@ echo "smoke-serve: malformed-body storm all 4xx, daemon healthy"
 
 # Clean drain with a queued job: stack two repair submissions (one runs,
 # one queues behind the single learn worker), then SIGTERM. The daemon
-# must cancel the queued job, wait out the running one, and exit 0.
+# must finish both — a job it answered 202 for is not dropped, queued or
+# running — within -drain-timeout, and exit 0.
 pages_json="$(python3 - "$newdir" <<'PY'
 import glob, json, sys
 pages = [open(p).read() for p in sorted(glob.glob(sys.argv[1] + "/page-*.html"))[:6]]
