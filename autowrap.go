@@ -34,8 +34,10 @@
 // promotion. NewDispatcher and NewServer put all of it behind one HTTP
 // service — multi-site dispatch with hot-swapped wrapper versions,
 // admission control with backpressure, and drift repair over the wire;
-// cmd/wrapserved is the ready-made daemon and cmd/loadgen its load
-// harness. See docs/ARCHITECTURE.md for the end-to-end walkthrough.
+// cmd/wrapserved is the ready-made daemon, cmd/loadgen its load harness,
+// and cmd/wrapinduce the offline CLI (learn into a store, apply a stored
+// wrapper to fresh pages, roll back). See docs/ARCHITECTURE.md for the
+// end-to-end walkthrough.
 package autowrap
 
 import (
@@ -84,30 +86,19 @@ type (
 	// Result is a ranked wrapper space; Result.Best is the learned
 	// wrapper.
 	Result = core.Result
-	// Candidate is one ranked wrapper.
-	Candidate = core.Candidate
 	// Models bundles the annotation and publication models used for
 	// ranking.
 	Models = rank.Scorer
 
-	// Engine is the concurrent multi-site batch learner: N sites in,
-	// bounded workers, per-site error isolation, aggregate throughput
-	// stats. Build one with NewEngine, or use LearnBatch for one-shot
-	// batches.
-	Engine = engine.Engine
 	// BatchSite describes one site of a batch (corpus + annotator or
 	// precomputed labels + inductor factory + learning config).
 	BatchSite = engine.SiteSpec
 	// BatchOptions bounds a batch run (worker count, label threshold,
 	// progress callback).
 	BatchOptions = engine.Options
-	// BatchResult holds one SiteOutcome per input site plus BatchStats.
+	// BatchResult holds one result per input site, index-aligned, plus the
+	// batch's aggregate stats.
 	BatchResult = engine.BatchResult
-	// SiteOutcome is one site's learned result, error, or skip.
-	SiteOutcome = engine.SiteResult
-	// BatchStats aggregates a batch: learned/failed/skipped counts, wall
-	// and serial-equivalent work time, speedup and sites/sec.
-	BatchStats = engine.Stats
 	// LearnConfig is the per-site learning configuration carried by a
 	// BatchSite; build one with NewLearnConfig.
 	LearnConfig = core.Config
@@ -123,8 +114,6 @@ type (
 	// WrapperStore is a versioned registry of compiled wrappers keyed by
 	// site, with atomic Save/Load.
 	WrapperStore = store.Store
-	// StoredWrapper is one immutable version in a WrapperStore.
-	StoredWrapper = store.Entry
 	// StoredMeta carries provenance (score, label count) into a store Put.
 	StoredMeta = store.Meta
 
@@ -133,30 +122,18 @@ type (
 	Extractor = extract.Runtime
 	// ExtractPage is one unit of serving work (raw HTML or parsed Root).
 	ExtractPage = extract.Page
-	// ExtractResult is one page's extraction outcome.
-	ExtractResult = extract.Result
 	// ExtractBatch is an Extractor.Run outcome: index-aligned results
 	// plus throughput stats.
 	ExtractBatch = extract.Batch
-	// ExtractStream is a running streaming extraction (Extractor.Stream).
-	ExtractStream = extract.Stream
-	// ExtractStats aggregates a run: pages/sec, records/sec, speedup.
-	ExtractStats = extract.Stats
 	// ExtractOptions bounds an Extractor (worker count, stream window) and
 	// carries the OnResult health tap a Monitor hooks into.
 	ExtractOptions = extract.Options
-	// RuntimeHealth is an Extractor's lifetime health snapshot
-	// (Extractor.Health): pages, failures, empties, records.
-	RuntimeHealth = extract.HealthCounts
 
 	// Monitor aggregates serving-time health signals per site and trips a
 	// site when its sliding window violates the HealthPolicy — the
 	// detection half of the wrapper-maintenance loop. Build one with
 	// NewMonitor.
 	Monitor = drift.Monitor
-	// SiteHealth is one monitored site's sliding-window state; wire its
-	// Observe method into ExtractOptions.OnResult.
-	SiteHealth = drift.SiteHealth
 	// HealthPolicy configures when a site trips (window size, empty and
 	// failure fractions, record-count collapse vs. the learn-time
 	// profile).
@@ -170,12 +147,6 @@ type (
 	// on fresh pages, stage the winner as a new store version, and promote
 	// it only after it beats the incumbent on a held-out sample.
 	Repairer = drift.Repairer
-	// RepairReport is one repair attempt's outcome.
-	RepairReport = drift.Report
-	// RepairEval summarizes a wrapper's held-out validation footprint.
-	RepairEval = drift.Eval
-	// RelearnSpec builds the per-site re-learning recipe a Repairer uses.
-	RelearnSpec = drift.LearnSpec
 
 	// Dispatcher routes extraction requests to per-site hot-swappable
 	// runtimes, all backed by one WrapperStore: a promote or rollback swaps
@@ -185,12 +156,6 @@ type (
 	// DispatcherOptions bounds a Dispatcher (extraction workers) and wires
 	// its drift Monitor.
 	DispatcherOptions = serve.Options
-	// ServedExtraction is one dispatcher request's outcome: the wrapper
-	// version that served it plus per-page results.
-	ServedExtraction = serve.Extraction
-	// SiteServingStatus is one site's serving state (active vs serving
-	// version, epoch, health, drift window, request metrics).
-	SiteServingStatus = serve.SiteStatus
 	// Server is the HTTP extraction service over a Dispatcher: the
 	// /v1/extract hot path behind an AdmissionGate, /healthz, /metrics and
 	// the lifecycle admin routes. Build one with NewServer; cmd/wrapserved
@@ -214,10 +179,6 @@ type (
 	// /metrics across the fleet. Build one with NewShardRouter;
 	// cmd/wrapserved -shards N is the ready-made fleet daemon.
 	ShardRouter = serve.ShardRouter
-	// ForwardOptions tunes a forwarding front end built with
-	// NewForwardRouter: per-request timeout, body cap, boot-handshake
-	// behavior.
-	ForwardOptions = serve.ForwardOptions
 
 	// JobManager is the asynchronous maintenance plane: a bounded queue of
 	// learn/repair jobs drained by a worker pool isolated from the extract
@@ -226,11 +187,6 @@ type (
 	JobManager = jobs.Manager
 	// JobOptions sizes a JobManager (workers, queue depth, history).
 	JobOptions = jobs.Options
-	// JobSnapshot is one job's point-in-time public state
-	// (queued/running/done/failed/canceled, timings, result).
-	JobSnapshot = jobs.Snapshot
-	// JobMetrics is the maintenance plane's counters for /metrics.
-	JobMetrics = jobs.Metrics
 	// Maintainer is the autonomous repair loop: drift trips auto-enqueue
 	// rate-limited repair jobs re-learning from recently served pages.
 	// Build one with NewMaintainer.
@@ -245,9 +201,6 @@ type (
 	// LogStoreBackend (OpenLogStore) appends one fsync'd record per
 	// event to a segmented, CRC-framed, crash-recovering log.
 	StoreBackend = store.Backend
-	// StoreOp names one lifecycle mutation on the backend wire
-	// (put/candidate/promote/rollback).
-	StoreOp = store.Op
 	// FileStoreBackend is the atomic-JSON-file StoreBackend.
 	FileStoreBackend = filestore.Backend
 	// LogStoreBackend is the append-only segmented-log StoreBackend.
@@ -261,12 +214,8 @@ type (
 	AuditLedger = audit.Ledger
 	// AuditLedgerOptions tunes an AuditLedger (checkpoint cadence, ring).
 	AuditLedgerOptions = audit.Options
-	// AuditRecord is one chained ledger entry.
-	AuditRecord = audit.Record
 	// AuditReport summarizes a verified ledger walk.
 	AuditReport = audit.Report
-	// AuditStats are the ledger's live counters (under /metrics).
-	AuditStats = audit.Stats
 )
 
 // Ranking variants (the paper's Sec. 7.3 ablations).
@@ -286,11 +235,9 @@ const (
 	EnumNaive    = enum.AlgoNaive
 )
 
-// Job kinds of the asynchronous maintenance plane (JobManager.Submit).
-const (
-	JobKindLearn  = jobs.KindLearn
-	JobKindRepair = jobs.KindRepair
-)
+// JobKindRepair is the maintenance plane's repair job kind
+// (JobManager.Submit).
+const JobKindRepair = jobs.KindRepair
 
 // ZipcodePattern matches five-digit US zipcodes (the Appendix A regexp
 // annotator).
@@ -336,15 +283,6 @@ func NewXPathInductor(c *Corpus) Inductor {
 // delimiter length capped at maxContext bytes (0 selects the default, 64).
 func NewLRInductor(c *Corpus, maxContext int) Inductor {
 	return lr.New(c, maxContext)
-}
-
-// NewHLRTInductor builds the HLRT extension of LR: head/tail strings
-// restrict extraction to a page region, defeating navigation chrome whose
-// local markup mimics the record list. The simplified induction guarantees
-// fidelity only (not full well-behavedness), so prefer it as a direct
-// learner rather than under enumeration; see the package documentation.
-func NewHLRTInductor(c *Corpus, maxContext, maxRegion int) Inductor {
-	return lr.NewHLRT(c, maxContext, maxRegion)
 }
 
 // TrainingSite pairs a corpus with known-good extractions; LearnModels fits
@@ -409,14 +347,7 @@ func LearnModels(samples []TrainingSite, annot Annotator, opt ModelOptions) (*Mo
 // covering typical record lists (2–6 text fields per record, near-regular
 // alignment). Use LearnModels with gold samples when available; the generic
 // models are enough for well-structured sites and power the quickstart.
-func GenericModels(c *Corpus) *Models {
-	schema := stats.MustKDE([]int{2, 3, 3, 4, 4, 5, 5, 6}, stats.KDEOptions{Support: 64})
-	align := stats.MustKDE([]int{0, 0, 0, 1, 1, 2, 3, 5}, stats.KDEOptions{Support: 256})
-	return &Models{
-		Ann: rank.NewAnnotationModel(0.95, 0.30),
-		Pub: &rank.PublicationModel{Schema: schema, Align: align},
-	}
-}
+func GenericModels(c *Corpus) *Models { return rank.GenericScorer() }
 
 // Options configures Learn.
 type Options struct {
@@ -441,9 +372,6 @@ type Options struct {
 func Learn(ind Inductor, labels *NodeSet, m *Models, opt Options) (*Result, error) {
 	return core.Learn(ind, labels, NewLearnConfig(m, opt))
 }
-
-// NewEngine builds a reusable multi-site batch learner.
-func NewEngine(opt BatchOptions) *Engine { return engine.New(opt) }
 
 // NewLearnConfig builds a BatchSite's learning configuration from ranking
 // models and the same Options Learn takes.
@@ -513,14 +441,6 @@ func NewWrapperStore() *WrapperStore { return store.New() }
 // validating every stored rule eagerly.
 func LoadWrapperStore(path string) (*WrapperStore, error) { return store.Load(path) }
 
-// LoadWrapperStorePartition reads only one shard's slice of a saved
-// registry: sites the ring assigns elsewhere are skipped before any
-// validation or rule compilation, so a shard's boot cost is proportional
-// to its partition, not the whole registry.
-func LoadWrapperStorePartition(path string, ring *ShardRing, shardID int) (*WrapperStore, error) {
-	return store.LoadPartition(path, ring, shardID)
-}
-
 // StoreBatch records a LearnBatch run's winners in the store: one new
 // version per successfully learned site. It returns how many sites were
 // stored; compile failures are joined into err without blocking the rest.
@@ -573,18 +493,6 @@ func NewShardRing(shards, vnodes int) *ShardRing { return shard.NewRing(shards, 
 // http.Server; cmd/wrapserved -shards N is the ready-made fleet daemon.
 func NewShardRouter(ring *ShardRing, build func(shardID int) (*Server, error)) (*ShardRouter, error) {
 	return serve.NewShardRouter(ring, build)
-}
-
-// NewForwardRouter builds the multi-process fleet front end: the same
-// router surface as NewShardRouter, but each partition is a shard
-// PROCESS at peers[k] ("host:port") reached over persistent
-// connections, with the ring topology pinned per request via the
-// X-Ring-Hash header. At boot it handshakes every reachable peer's
-// ring fingerprint (a mismatch fails the boot; an unreachable peer only
-// degrades its partition). cmd/wrapserved -role front is the
-// ready-made daemon; -role shard boots the matching peer process.
-func NewForwardRouter(ring *ShardRing, peers []string, opt ForwardOptions) (*ShardRouter, error) {
-	return serve.NewForwardRouter(ring, peers, opt)
 }
 
 // OpenFileStore opens the atomic-JSON-file store backend over path —

@@ -13,10 +13,11 @@ import (
 	"sync/atomic"
 	"time"
 
-	"autowrap"
 	"autowrap/internal/audit"
+	"autowrap/internal/corpus"
 	"autowrap/internal/dataset"
 	"autowrap/internal/drift"
+	"autowrap/internal/engine"
 	"autowrap/internal/jobs"
 	"autowrap/internal/lr"
 	"autowrap/internal/serve"
@@ -83,7 +84,7 @@ type harness struct {
 	sites  []*soakSite
 	extras []*soakSite // learned at runtime via /v1/learn
 	flips  []*flipSite
-	annot  autowrap.Annotator
+	spec   drift.LearnSpec // the daemon's learn recipe over the dataset's dictionary
 
 	storePath string
 	logDir    string // segment dir when -store-backend=log
@@ -185,7 +186,9 @@ func (h *harness) buildCorpora() error {
 	if err != nil {
 		return err
 	}
-	h.annot = ds.Annotator
+	if h.spec, err = engine.Recipe(ds.Annotator, engine.KindXPath); err != nil {
+		return err
+	}
 	for i, site := range ds.Sites {
 		s := &soakSite{name: site.Name}
 		for _, p := range site.Corpus.Pages {
@@ -229,20 +232,14 @@ func flipPage(i int) string {
 // batch engine and hand-stages the flip sites (v1 alpha promoted, v2 beta
 // candidate).
 func (h *harness) learnStore() (*store.Store, error) {
-	var specs []autowrap.BatchSite
-	for _, s := range h.sites {
-		c := autowrap.ParsePages(s.clean)
-		specs = append(specs, autowrap.BatchSite{
-			Name:      s.name,
-			Corpus:    c,
-			Annotator: h.annot,
-			NewInductor: func(c *autowrap.Corpus) (autowrap.Inductor, error) {
-				return autowrap.NewXPathInductor(c), nil
-			},
-			Config: autowrap.NewLearnConfig(autowrap.GenericModels(c), autowrap.Options{}),
-		})
+	specs := make([]engine.SiteSpec, len(h.sites))
+	for i, s := range h.sites {
+		var err error
+		if specs[i], err = h.spec(s.name, corpus.ParseHTML(s.clean)); err != nil {
+			return nil, err
+		}
 	}
-	batch, err := autowrap.LearnBatch(context.Background(), specs, autowrap.BatchOptions{})
+	batch, err := engine.LearnBatch(context.Background(), specs, engine.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -268,16 +265,6 @@ func (h *harness) learnStore() (*store.Store, error) {
 // keeps every internal ledger inspectable while traffic still crosses a
 // genuine TCP + HTTP boundary.
 func (h *harness) boot() error {
-	newInductor := func(c *autowrap.Corpus) (autowrap.Inductor, error) {
-		return autowrap.NewXPathInductor(c), nil
-	}
-	spec := func(site string, c *autowrap.Corpus) (autowrap.BatchSite, error) {
-		return autowrap.BatchSite{
-			Annotator:   h.annot,
-			NewInductor: newInductor,
-			Config:      autowrap.NewLearnConfig(autowrap.GenericModels(c), autowrap.Options{}),
-		}, nil
-	}
 	// The durability plane under test: the whole fleet shares one backend
 	// and one audit ledger, exactly as wrapserved wires them.
 	switch h.o.storeBackend {
@@ -313,7 +300,7 @@ func (h *harness) boot() error {
 			RecentPages:    64,
 			Monitor:        &drift.Policy{Window: 8, MinPages: 4},
 			Gate:           serve.GateOptions{MaxInFlight: gateInFlight, MaxQueue: gateQueue, RetryAfter: 50 * time.Millisecond},
-			Spec:           spec,
+			Spec:           h.spec,
 			Jobs:           jobs.Options{Workers: jobWorkers, QueueDepth: jobQueueDepth, IDPrefix: idPrefix},
 			Shard:          k,
 			Backend:        h.backend,

@@ -114,17 +114,14 @@ import (
 	_ "net/http/pprof" // registers /debug/pprof/* on DefaultServeMux for -debug-addr
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strings"
 	"syscall"
 	"time"
 
-	"autowrap"
+	"autowrap/internal/annotate"
 	"autowrap/internal/audit"
 	"autowrap/internal/drift"
 	"autowrap/internal/engine"
-	"autowrap/internal/experiments"
-	"autowrap/internal/jobs"
 	"autowrap/internal/serve"
 	"autowrap/internal/shard"
 	"autowrap/internal/store"
@@ -132,32 +129,23 @@ import (
 	"autowrap/internal/store/logstore"
 )
 
-// options carries the parsed flag set.
+// options carries the parsed flag set. The node-sizing flags fill node
+// (and maintainer) directly: node is the template every node of the process
+// is a copy of, completed by boot with what is per process and per node.
 type options struct {
 	storePath    string
 	storeBackend string
 	storeLogDir  string
 	auditLog     string
 
-	addr        string
-	workers     int
-	maxInflight int
-	queue       int
-	retryAfter  time.Duration
-	timeout     time.Duration
-	maxPages    int
-	window      int
-	dictPath    string
-	kind        string
-	drainT      time.Duration
-
-	learnWorkers int
-	jobQueue     int
-	corpusRoot   string
-	recentPages  int
-	autoRepair   bool
-	autoInterval time.Duration
-	autoGap      time.Duration
+	addr       string
+	node       serve.NodeConfig
+	maintainer serve.MaintainerOptions
+	window     int
+	dictPath   string
+	kind       string
+	drainT     time.Duration
+	autoRepair bool
 
 	shards int
 	vnodes int
@@ -195,23 +183,23 @@ func defineFlags(fs *flag.FlagSet) *options {
 	fs.StringVar(&o.storeLogDir, "store-log-dir", "", "segment directory for -store-backend=log (default <store>.log; an empty log seeds itself from -store)")
 	fs.StringVar(&o.auditLog, "audit-log", "", "append lifecycle events to a hash-chained audit ledger at this path (empty disables)")
 	fs.StringVar(&o.addr, "addr", ":8080", "listen address")
-	fs.IntVar(&o.workers, "workers", 0, "extraction workers per batch request (0 = GOMAXPROCS)")
-	fs.IntVar(&o.maxInflight, "max-inflight", 64, "max concurrently executing extract requests")
-	fs.IntVar(&o.queue, "queue", 0, "max extract requests waiting for a slot (0 = 4x max-inflight, negative disables queueing)")
-	fs.DurationVar(&o.retryAfter, "retry-after", time.Second, "Retry-After hint attached to 429 responses")
-	fs.DurationVar(&o.timeout, "timeout", 30*time.Second, "per-request extraction deadline")
-	fs.IntVar(&o.maxPages, "max-pages", 256, "max pages per extract request")
+	fs.IntVar(&o.node.Workers, "workers", 0, "extraction workers per batch request (0 = GOMAXPROCS)")
+	fs.IntVar(&o.node.Gate.MaxInFlight, "max-inflight", 64, "max concurrently executing extract requests")
+	fs.IntVar(&o.node.Gate.MaxQueue, "queue", 0, "max extract requests waiting for a slot (0 = 4x max-inflight, negative disables queueing)")
+	fs.DurationVar(&o.node.Gate.RetryAfter, "retry-after", time.Second, "Retry-After hint attached to 429 responses")
+	fs.DurationVar(&o.node.RequestTimeout, "timeout", 30*time.Second, "per-request extraction deadline")
+	fs.IntVar(&o.node.MaxPages, "max-pages", 256, "max pages per extract request")
 	fs.IntVar(&o.window, "window", 32, "drift-monitor sliding window in pages (0 disables monitoring)")
 	fs.StringVar(&o.dictPath, "dict", "", "dictionary file enabling /v1/learn and /v1/repair (one entry per line)")
 	fs.StringVar(&o.kind, "kind", "xpath", "re-learn wrapper language for /v1/learn and /v1/repair: xpath | lr")
 	fs.DurationVar(&o.drainT, "drain-timeout", 30*time.Second, "max time to wait for in-flight requests and running jobs on shutdown")
-	fs.IntVar(&o.learnWorkers, "learn-workers", 1, "background learn/repair job workers (isolated from the extract pools)")
-	fs.IntVar(&o.jobQueue, "job-queue", 16, "max queued learn/repair jobs before submissions get 429")
-	fs.StringVar(&o.corpusRoot, "learn-corpus-root", "", "directory /v1/learn corpus_dir paths are confined to (empty disables corpus_dir)")
-	fs.IntVar(&o.recentPages, "recent-pages", 64, "recently served pages cached per site as auto-repair fuel (only cached with -auto-repair; 0 disables)")
+	fs.IntVar(&o.node.Jobs.Workers, "learn-workers", 1, "background learn/repair job workers (isolated from the extract pools)")
+	fs.IntVar(&o.node.Jobs.QueueDepth, "job-queue", 16, "max queued learn/repair jobs before submissions get 429")
+	fs.StringVar(&o.node.LearnCorpusRoot, "learn-corpus-root", "", "directory /v1/learn corpus_dir paths are confined to (empty disables corpus_dir)")
+	fs.IntVar(&o.node.RecentPages, "recent-pages", 64, "recently served pages cached per site as auto-repair fuel (only cached with -auto-repair; 0 disables)")
 	fs.BoolVar(&o.autoRepair, "auto-repair", false, "auto-enqueue repair jobs when drift trips (needs -dict, -window > 0 and -recent-pages > 0)")
-	fs.DurationVar(&o.autoInterval, "auto-repair-interval", 2*time.Second, "scan period for tripped sites the trip hook could not enqueue")
-	fs.DurationVar(&o.autoGap, "auto-repair-gap", time.Minute, "per-site minimum time between auto-repair submissions")
+	fs.DurationVar(&o.maintainer.Interval, "auto-repair-interval", 2*time.Second, "scan period for tripped sites the trip hook could not enqueue")
+	fs.DurationVar(&o.maintainer.MinGap, "auto-repair-gap", time.Minute, "per-site minimum time between auto-repair submissions")
 	fs.IntVar(&o.shards, "shards", 1, "run a sharded fleet: N consistent-hash partitions, each with its own dispatcher, gate, monitor and job plane (1 = single unsharded server)")
 	fs.IntVar(&o.vnodes, "vnodes", shard.DefaultVNodes, "virtual nodes per shard on the routing ring (must match across restarts)")
 	fs.StringVar(&o.role, "role", "", "fleet role: empty (single process, optionally in-process sharded via -shards), shard (boot exactly partition -shard-index of an N=-shards ring) or front (forward to -peers, no local store)")
@@ -379,7 +367,7 @@ func boot(o options, logger *log.Logger) (plane, func(), error) {
 			return nil, nil, fmt.Errorf("-shards %d disagrees with %d peer(s); the front sizes the ring from -peers", o.shards, len(peers))
 		}
 		ring := shard.NewRing(len(peers), o.vnodes)
-		router, err := serve.NewForwardRouter(ring, peers, serve.ForwardOptions{RequestTimeout: o.timeout, Log: logger})
+		router, err := serve.NewForwardRouter(ring, peers, serve.ForwardOptions{RequestTimeout: o.node.RequestTimeout, Log: logger})
 		if err != nil {
 			return nil, nil, err
 		}
@@ -394,16 +382,29 @@ func boot(o options, logger *log.Logger) (plane, func(), error) {
 			return nil, nil, fmt.Errorf("-auto-repair needs -dict (no annotator to re-learn with)")
 		case o.window <= 0:
 			return nil, nil, fmt.Errorf("-auto-repair needs drift monitoring (-window > 0)")
-		case o.recentPages <= 0:
+		case o.node.RecentPages <= 0:
 			return nil, nil, fmt.Errorf("-auto-repair needs -recent-pages > 0 (no cached pages to re-learn from)")
 		}
 	}
-	var spec drift.LearnSpec
+	// The dictionary is read and the kind validated once; every node of a
+	// fleet shares the one re-learning recipe behind /v1/learn, /v1/repair
+	// and auto-repair.
+	tmpl := o.node
 	if o.dictPath != "" {
-		var err error
-		if spec, err = learnSpec(o.dictPath, o.kind); err != nil {
+		dict, err := annotate.ReadDictionary(o.dictPath)
+		if err != nil {
 			return nil, nil, err
 		}
+		if tmpl.Spec, err = engine.Recipe(dict, o.kind); err != nil {
+			return nil, nil, err
+		}
+	}
+	if o.window > 0 {
+		tmpl.Monitor = &drift.Policy{Window: o.window}
+	}
+	if o.autoRepair {
+		o.maintainer.Log = logger
+		tmpl.Maintainer = &o.maintainer
 	}
 
 	be, err := openBackend(o, logger)
@@ -427,27 +428,12 @@ func boot(o options, logger *log.Logger) (plane, func(), error) {
 		ring = shard.NewRing(o.shards, o.vnodes)
 	}
 	sites := 0
+	tmpl.Backend = be // shared; each node reports only its own events
+	tmpl.Audit = led
+	tmpl.Log = logger
 	node := func(k int) (*serve.Server, error) {
-		cfg := serve.NodeConfig{
-			Workers:         o.workers,
-			RecentPages:     o.recentPages,
-			Gate:            serve.GateOptions{MaxInFlight: o.maxInflight, MaxQueue: o.queue, RetryAfter: o.retryAfter},
-			Spec:            spec,
-			Jobs:            jobs.Options{Workers: o.learnWorkers, QueueDepth: o.jobQueue},
-			Shard:           k,
-			Backend:         be, // shared; each node reports only its own events
-			Audit:           led,
-			Log:             logger,
-			RequestTimeout:  o.timeout,
-			MaxPages:        o.maxPages,
-			LearnCorpusRoot: o.corpusRoot,
-		}
-		if o.window > 0 {
-			cfg.Monitor = &drift.Policy{Window: o.window}
-		}
-		if o.autoRepair {
-			cfg.Maintainer = &serve.MaintainerOptions{Interval: o.autoInterval, MinGap: o.autoGap, Log: logger}
-		}
+		cfg := tmpl
+		cfg.Shard = k
 		var err error
 		if ring == nil {
 			cfg.Store, err = be.Load()
@@ -490,35 +476,8 @@ func boot(o options, logger *log.Logger) (plane, func(), error) {
 		return nil, nil, err
 	}
 	logger.Printf("serving %d site(s) from %s on %s (%s; maintenance plane %s, auto-repair %s)",
-		sites, o.storePath, o.addr, what, enabledWord(spec != nil), enabledWord(o.autoRepair))
+		sites, o.storePath, o.addr, what, enabledWord(tmpl.Spec != nil), enabledWord(o.autoRepair))
 	return p, closeStores, nil
-}
-
-// learnSpec wires the maintenance plane's learn recipe for /v1/learn,
-// /v1/repair and auto-repair: re-learn with a dictionary annotator over
-// the fresh pages, in the configured wrapper language. The dictionary is
-// read and the kind validated once; every node of a fleet shares the spec.
-func learnSpec(dictPath, kind string) (drift.LearnSpec, error) {
-	entries, err := experiments.ReadDictFile(dictPath)
-	if err != nil {
-		return nil, err
-	}
-	if len(entries) == 0 {
-		return nil, fmt.Errorf("dictionary %s is empty", dictPath)
-	}
-	if _, err := experiments.NewInductor(kind, autowrap.ParsePages([]string{"<p>probe</p>"})); err != nil {
-		return nil, err
-	}
-	annot := autowrap.DictionaryAnnotator(filepath.Base(dictPath), entries)
-	return func(site string, c *autowrap.Corpus) (engine.SiteSpec, error) {
-		return engine.SiteSpec{
-			Annotator: annot,
-			NewInductor: func(c *autowrap.Corpus) (autowrap.Inductor, error) {
-				return experiments.NewInductor(kind, c)
-			},
-			Config: autowrap.NewLearnConfig(autowrap.GenericModels(c), autowrap.Options{}),
-		}, nil
-	}, nil
 }
 
 // splitPeers parses the -peers list, dropping empty elements so a

@@ -16,8 +16,11 @@
 package annotate
 
 import (
+	"bufio"
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"regexp"
 	"strings"
 
@@ -55,6 +58,34 @@ func NewDictionary(name string, entries []string) *Dictionary {
 		d.size++
 	}
 	return d
+}
+
+// ReadDictionary builds a dictionary annotator, named after the file, from
+// the commands' dictionary-file format: one entry per line, blank lines
+// and '#' comments skipped. A file with no usable entry is an error — an
+// annotator that can label nothing cannot drive a learn.
+func ReadDictionary(path string) (*Dictionary, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	var entries []string
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		line := strings.TrimSpace(sc.Text())
+		if line != "" && !strings.HasPrefix(line, "#") {
+			entries = append(entries, line)
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return nil, err
+	}
+	d := NewDictionary(filepath.Base(path), entries)
+	if d.size == 0 {
+		return nil, fmt.Errorf("dictionary %s is empty", path)
+	}
+	return d, nil
 }
 
 // Name implements Annotator.

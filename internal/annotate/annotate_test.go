@@ -1,7 +1,10 @@
 package annotate
 
 import (
+	"errors"
 	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -86,6 +89,33 @@ func TestDictionarySize(t *testing.T) {
 	d := NewDictionary("d", []string{"a", "b", "", "   "})
 	if d.Size() != 2 {
 		t.Fatalf("Size = %d, want 2 (blank entries dropped)", d.Size())
+	}
+}
+
+func TestReadDictionary(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "names.txt")
+	if err := os.WriteFile(path, []byte("# stores\n\n  Porter Furniture  \nbestbuy\n#woodland\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	d, err := ReadDictionary(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.Name() != "names.txt" || d.Size() != 2 {
+		t.Fatalf("name %q size %d, want names.txt with 2 entries", d.Name(), d.Size())
+	}
+	if !d.MatchesText("PORTER FURNITURE") || d.MatchesText("WOODLAND, MS 38652") {
+		t.Fatal("entries trimmed and comments skipped, or not")
+	}
+	if err := os.WriteFile(path, []byte("# only a comment\n---\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ReadDictionary(path); err == nil || !strings.Contains(err.Error(), "is empty") {
+		t.Fatalf("a dictionary with no usable entry: %v", err)
+	}
+	if _, err := ReadDictionary(filepath.Join(dir, "missing.txt")); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("a missing file: %v", err)
 	}
 }
 

@@ -3,6 +3,8 @@ package drift_test
 import (
 	"context"
 	"testing"
+
+	"autowrap/internal/testutil/race"
 )
 
 var churnLayouts = []string{"table", "divs", "linklist", "dl", "headings"}
@@ -40,7 +42,7 @@ func BenchmarkRepairLarge(b *testing.B) {
 const repairAllocBudget = 80_000
 
 func TestRepairAllocBudget(t *testing.T) {
-	if raceEnabled {
+	if race.Enabled {
 		t.Skip("race detector bypasses sync.Pool; budgets describe production builds")
 	}
 	c := newChurnSite(t, "table")

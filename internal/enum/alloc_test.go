@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"autowrap/internal/gen"
+	"autowrap/internal/testutil/race"
 	"autowrap/internal/xpinduct"
 )
 
@@ -17,7 +18,7 @@ import (
 const topDownAllocBudget = 2_600
 
 func TestTopDownAllocBudget(t *testing.T) {
-	if raceEnabled {
+	if race.Enabled {
 		t.Skip("the race detector instruments allocations; budgets describe production builds")
 	}
 	site, err := gen.DealerSite(gen.DealerConfig{

@@ -6,56 +6,23 @@
 package experiments
 
 import (
-	"bufio"
-	"fmt"
-	"os"
-	"strings"
-
 	"autowrap/internal/corpus"
 	"autowrap/internal/dataset"
-	"autowrap/internal/lr"
+	"autowrap/internal/engine"
 	"autowrap/internal/segment"
 	"autowrap/internal/stats"
 	"autowrap/internal/wrapper"
-	"autowrap/internal/xpinduct"
 )
-
-// ReadDictFile reads the CLIs' shared dictionary-file format: one entry
-// per line, blank lines and '#' comments skipped. wrapinduce, wrapserve
-// and wrapserved all accept it.
-func ReadDictFile(path string) ([]string, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	var out []string
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line != "" && !strings.HasPrefix(line, "#") {
-			out = append(out, line)
-		}
-	}
-	return out, sc.Err()
-}
 
 // Inductor kinds used across experiments.
 const (
-	KindXPath = "xpath"
-	KindLR    = "lr"
+	KindXPath = engine.KindXPath
+	KindLR    = engine.KindLR
 )
 
 // NewInductor builds the named inductor over a site corpus.
 func NewInductor(kind string, c *corpus.Corpus) (wrapper.Inductor, error) {
-	switch kind {
-	case KindXPath:
-		return xpinduct.New(c, xpinduct.Options{}), nil
-	case KindLR:
-		return lr.New(c, 0), nil
-	default:
-		return nil, fmt.Errorf("experiments: unknown inductor kind %q", kind)
-	}
+	return engine.NewInductor(kind, c)
 }
 
 // defaultModels learns the scorer from a dataset's training half with

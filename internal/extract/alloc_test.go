@@ -8,6 +8,7 @@ import (
 	"autowrap/internal/dom"
 	"autowrap/internal/extract"
 	"autowrap/internal/htmlparse"
+	"autowrap/internal/testutil/race"
 	"autowrap/internal/xpinduct"
 )
 
@@ -37,7 +38,7 @@ var allocBudgetPage = "<html><body><table>" +
 // the pools are warm. It fails on any steady-state heap growth regression
 // in the parse/eval/extract pipeline.
 func TestExtractOneAllocBudget(t *testing.T) {
-	if raceEnabled {
+	if race.Enabled {
 		t.Skip("race detector bypasses sync.Pool; budgets describe production builds")
 	}
 	p, err := xpinduct.CompileRule(`//td[@class='v']/text()`)
@@ -77,7 +78,7 @@ const runBatchAllocBudget = 16
 // large pages costs 16 single-page budgets plus the fixed batch term — not
 // the ~4,000 allocations a page that a fresh tree per page used to cost.
 func TestRunAllocBudget(t *testing.T) {
-	if raceEnabled {
+	if race.Enabled {
 		t.Skip("race detector instruments allocations; budgets describe production builds")
 	}
 	p, err := xpinduct.CompileRule(`//td[@class='v']/text()`)

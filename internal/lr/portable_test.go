@@ -9,6 +9,7 @@ import (
 	"autowrap/internal/dom"
 	"autowrap/internal/gen"
 	"autowrap/internal/htmlparse"
+	"autowrap/internal/testutil/race"
 	"autowrap/internal/testutil/refhtml"
 )
 
@@ -215,7 +216,7 @@ func TestCompiledMatchesReferenceOnHostileDelimiters(t *testing.T) {
 // slice and nothing else — serialization and spans live in pooled scratch.
 // The budget is 2 to leave room for one growth step of the result.
 func TestLRApplyAllocBudget(t *testing.T) {
-	if raceEnabled {
+	if race.Enabled {
 		t.Skip("race detector bypasses sync.Pool; budgets describe production builds")
 	}
 	site, err := gen.DealerSite(gen.DealerConfig{Seed: 1, Pool: gen.BusinessPool(7, 4000, 0),

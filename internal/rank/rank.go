@@ -152,6 +152,22 @@ type Scorer struct {
 	Pub *PublicationModel
 }
 
+// GenericScorer returns ranking models with broad, domain-independent
+// priors: annotator p=0.95/r=0.30 and publication-model distributions
+// covering typical record lists (2–6 text fields per record, near-regular
+// alignment). Models fitted from gold samples (LearnPublicationModel) rank
+// better where samples exist; the generic ones are enough for
+// well-structured sites and are what every dictionary-driven learn in the
+// commands and the daemon uses.
+func GenericScorer() *Scorer {
+	schema := stats.MustKDE([]int{2, 3, 3, 4, 4, 5, 5, 6}, stats.KDEOptions{Support: 64})
+	align := stats.MustKDE([]int{0, 0, 0, 1, 1, 2, 3, 5}, stats.KDEOptions{Support: 256})
+	return &Scorer{
+		Ann: NewAnnotationModel(0.95, 0.30),
+		Pub: &PublicationModel{Schema: schema, Align: align},
+	}
+}
+
 // Score breaks down a candidate's score. Ranking compares Total.
 type Score struct {
 	LogL  float64 // ln P(L|X) (up to constant)

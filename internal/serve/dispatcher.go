@@ -392,11 +392,3 @@ func (d *Dispatcher) metricsAccumNow(now time.Time) metricsAccum {
 	})
 	return acc
 }
-
-// AggregateMetrics merges every served site's request ledger into one
-// snapshot: summed counters and rates, and latency quantiles of the
-// merged histogram population (not averages of per-site quantiles).
-func (d *Dispatcher) AggregateMetrics() MetricsSnapshot {
-	acc := d.metricsAccumNow(time.Now())
-	return acc.snapshot()
-}

@@ -103,9 +103,6 @@ type ForwardOptions struct {
 	// RequestTimeout bounds each forwarded call (default 30s); a
 	// request's timeout_ms may shorten it, never extend it.
 	RequestTimeout time.Duration
-	// MaxBodyBytes caps request bodies at the front door (default 32
-	// MiB), before any bytes are forwarded.
-	MaxBodyBytes int64
 	// SkipHandshake disables the boot-time ring-agreement check against
 	// reachable peers. Per-request agreement (RingHashHeader) is always
 	// enforced by the shards themselves.
@@ -134,9 +131,6 @@ func NewForwardRouter(ring *shard.Ring, peers []string, opt ForwardOptions) (*Sh
 	if opt.RequestTimeout <= 0 {
 		opt.RequestTimeout = 30 * time.Second
 	}
-	if opt.MaxBodyBytes <= 0 {
-		opt.MaxBodyBytes = 32 << 20
-	}
 	if opt.Log == nil {
 		opt.Log = log.Default()
 	}
@@ -146,7 +140,7 @@ func NewForwardRouter(ring *shard.Ring, peers []string, opt ForwardOptions) (*Sh
 		shards:         make([]*Server, len(peers)),
 		peers:          append([]string(nil), peers...),
 		hasRemote:      true,
-		maxBodyBytes:   opt.MaxBodyBytes,
+		maxBodyBytes:   defaultMaxBodyBytes, // capped at the front door, before any byte is forwarded
 		requestTimeout: opt.RequestTimeout,
 		started:        time.Now(),
 		log:            opt.Log,
@@ -480,12 +474,7 @@ func (f *ShardRouter) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		sites = append(sites, rep.Sites...)
 		if rep.AuditStats != nil {
 			haveAudit = true
-			auditSum.Records += rep.AuditStats.Records
-			auditSum.Events += rep.AuditStats.Events
-			auditSum.Checkpoints += rep.AuditStats.Checkpoints
-			if rep.AuditStats.LastSeq > auditSum.LastSeq {
-				auditSum.LastSeq = rep.AuditStats.LastSeq
-			}
+			addAuditStats(&auditSum, *rep.AuditStats)
 		}
 		resp.Gate.InFlight += row.Gate.InFlight
 		resp.Gate.Waiting += row.Gate.Waiting
@@ -541,6 +530,15 @@ func (f *ShardRouter) auditLedger() *audit.Ledger {
 	return nil
 }
 
+// addAuditStats folds one shard ledger's counters into a fleet sum: every
+// shard process keeps its own chain, so counts add and LastSeq is the max.
+func addAuditStats(sum *audit.Stats, s audit.Stats) {
+	sum.Records += s.Records
+	sum.Events += s.Events
+	sum.Checkpoints += s.Checkpoints
+	sum.LastSeq = max(sum.LastSeq, s.LastSeq)
+}
+
 // handleAudit serves the fleet's lifecycle ledger. An in-process fleet
 // has one shared chain, answered from any shard's view. A multi-process
 // fleet has one chain per shard process; the front merges their recent
@@ -581,12 +579,7 @@ func (f *ShardRouter) handleAudit(w http.ResponseWriter, r *http.Request) {
 		}
 		merged.Enabled = true
 		merged.Records = append(merged.Records, views[k].Records...)
-		merged.Stats.Records += views[k].Stats.Records
-		merged.Stats.Events += views[k].Stats.Events
-		merged.Stats.Checkpoints += views[k].Stats.Checkpoints
-		if views[k].Stats.LastSeq > merged.Stats.LastSeq {
-			merged.Stats.LastSeq = views[k].Stats.LastSeq
-		}
+		addAuditStats(&merged.Stats, views[k].Stats)
 	}
 	sort.SliceStable(merged.Records, func(i, j int) bool {
 		if merged.Records[i].TimeMS != merged.Records[j].TimeMS {
@@ -726,39 +719,24 @@ func (f *ShardRouter) handleJobs(w http.ResponseWriter, r *http.Request) {
 // parsed straight out of the ID; IDs without a parseable prefix fall
 // back to asking every shard, and the one that knows it answers.
 func (f *ShardRouter) routeJob(w http.ResponseWriter, r *http.Request) {
-	path := r.URL.Path
-	if !strings.HasPrefix(path, jobsPrefix) {
+	id, cancel, ok := parseJobPath(r.URL.Path)
+	if !ok {
 		http.NotFound(w, r)
 		return
 	}
-	rest := path[len(jobsPrefix):]
-	if id, ok := strings.CutSuffix(rest, "/cancel"); ok && id != "" && !strings.Contains(id, "/") {
-		if !requireMethod(w, r, http.MethodPost) {
-			return
-		}
-		if f.dispatchJob(w, r, id, func(c ShardClient) bool { return c.JobCancel(w, r, id) }) {
-			return
-		}
+	method, call := http.MethodGet, func(c ShardClient) bool { return c.JobGet(w, r, id) }
+	if cancel {
+		method, call = http.MethodPost, func(c ShardClient) bool { return c.JobCancel(w, r, id) }
+	}
+	if requireMethod(w, r, method) && !f.dispatchJob(id, call) {
 		writeError(w, http.StatusNotFound, "%v: %q", jobs.ErrNotFound, id)
-		return
 	}
-	if rest == "" || strings.Contains(rest, "/") {
-		http.NotFound(w, r)
-		return
-	}
-	if !requireMethod(w, r, http.MethodGet) {
-		return
-	}
-	if f.dispatchJob(w, r, rest, func(c ShardClient) bool { return c.JobGet(w, r, rest) }) {
-		return
-	}
-	writeError(w, http.StatusNotFound, "%v: %q", jobs.ErrNotFound, rest)
 }
 
 // dispatchJob routes a job-by-ID call: straight to the shard named by
 // the ID's "s<k>-" prefix when it parses, otherwise a scan over every
 // shard. Reports whether some shard handled it.
-func (f *ShardRouter) dispatchJob(w http.ResponseWriter, r *http.Request, id string, call func(ShardClient) bool) bool {
+func (f *ShardRouter) dispatchJob(id string, call func(ShardClient) bool) bool {
 	if k, ok := shardOfJobID(id); ok && k < len(f.clients) {
 		return call(f.clients[k])
 	}

@@ -81,6 +81,10 @@ type ServerConfig struct {
 	Log *log.Logger
 }
 
+// defaultMaxBodyBytes is the request-body cap of a server that sets none,
+// and of every forwarding front.
+const defaultMaxBodyBytes = 32 << 20
+
 func (c ServerConfig) withDefaults() ServerConfig {
 	if c.Gate == nil {
 		c.Gate = NewGate(GateOptions{})
@@ -92,7 +96,7 @@ func (c ServerConfig) withDefaults() ServerConfig {
 		c.MaxPages = 256
 	}
 	if c.MaxBodyBytes <= 0 {
-		c.MaxBodyBytes = 32 << 20
+		c.MaxBodyBytes = defaultMaxBodyBytes
 	}
 	if c.Jobs == nil && c.Repairer != nil {
 		c.Jobs = jobs.New(jobs.Options{})
@@ -573,7 +577,9 @@ type HealthzResponse struct {
 	Ring *RingInfo `json:"ring,omitempty"`
 }
 
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
+// healthz is this node's health view: what GET /healthz answers, and what
+// an in-process fleet router reads without the HTTP round trip.
+func (s *Server) healthz() HealthzResponse {
 	resp := HealthzResponse{
 		Status:    "ok",
 		Sites:     s.cfg.Dispatcher.Store().Len(),
@@ -587,9 +593,16 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			Shard:  s.cfg.Shard,
 		}
 	}
-	code := http.StatusOK
 	if s.draining.Load() {
 		resp.Status = "draining"
+	}
+	return resp
+}
+
+func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
+	resp := s.healthz()
+	code := http.StatusOK
+	if resp.Status == "draining" {
 		code = http.StatusServiceUnavailable
 	}
 	writeJSON(w, code, resp)
@@ -610,9 +623,12 @@ type MetricsResponse struct {
 	Sites []SiteStatus `json:"sites"`
 }
 
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+// metrics is this node's /metrics view at now, less the accumulator only a
+// shard-role server puts on the wire: what GET /metrics answers, and what
+// an in-process fleet router reads without the HTTP round trip.
+func (s *Server) metrics(now time.Time) MetricsResponse {
 	resp := MetricsResponse{
-		UptimeSec: int64(time.Since(s.started).Seconds()),
+		UptimeSec: int64(now.Sub(s.started).Seconds()),
 		Gate:      s.cfg.Gate.Snapshot(),
 		Sites:     s.cfg.Dispatcher.Status(),
 	}
@@ -620,13 +636,19 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		m := s.cfg.Jobs.Metrics()
 		resp.Jobs = &m
 	}
-	if s.cfg.Ring != nil {
-		acc := s.cfg.Dispatcher.metricsAccumNow(time.Now())
-		resp.Accum = wireAccumFrom(&acc)
-	}
 	if s.cfg.Audit != nil {
 		a := s.cfg.Audit.Stats()
 		resp.Audit = &a
+	}
+	return resp
+}
+
+func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
+	now := time.Now()
+	resp := s.metrics(now)
+	if s.cfg.Ring != nil {
+		acc := s.cfg.Dispatcher.metricsAccumNow(now)
+		resp.Accum = wireAccumFrom(&acc)
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
@@ -737,7 +759,8 @@ func (s *Server) finishAdmin(w http.ResponseWriter, entry store.Entry, err, pers
 	})
 }
 
-func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
+// handleLifecycle serves POST /v1/promote and POST /v1/rollback.
+func (s *Server) handleLifecycle(w http.ResponseWriter, r *http.Request, op store.Op) {
 	if !requirePost(w, r) {
 		return
 	}
@@ -745,63 +768,42 @@ func (s *Server) handlePromote(w http.ResponseWriter, r *http.Request) {
 	if !s.readJSON(w, r, &req) {
 		return
 	}
-	s.finishPromote(w, req)
+	s.finishLifecycle(w, op, req)
 }
 
-// finishPromote applies a decoded promote against this server's
-// dispatcher — the fleet router decodes once and calls the owning
-// shard's finishPromote, so the hot-swap (and its epoch bump) happens
-// only in the shard that serves the site.
-func (s *Server) finishPromote(w http.ResponseWriter, req AdminRequest) {
-	if req.Site == "" || req.Version < 1 {
+// finishLifecycle applies a decoded promote (store.OpPromote) or rollback
+// (store.OpRollback) against this server's dispatcher — the fleet router
+// decodes once and calls the owning shard's finishLifecycle, so the
+// hot-swap (and its epoch bump) happens only in the shard that serves the
+// site.
+func (s *Server) finishLifecycle(w http.ResponseWriter, op store.Op, req AdminRequest) {
+	rollback := op == store.OpRollback
+	switch {
+	case rollback && req.Site == "":
+		writeError(w, http.StatusBadRequest, "site is required")
+		return
+	case !rollback && (req.Site == "" || req.Version < 1):
 		writeError(w, http.StatusBadRequest, "site and version >= 1 are required")
 		return
 	}
 	if s.refuseNotOwned(w, req.Site) {
 		return
 	}
+	apply := func() (store.Entry, error) { return s.cfg.Dispatcher.Promote(req.Site, req.Version) }
+	event, detail := audit.EventPromote, "admin promote"
+	if rollback {
+		apply = func() (store.Entry, error) { return s.cfg.Dispatcher.Rollback(req.Site) }
+		event, detail = audit.EventRollback, "admin rollback"
+	}
 	s.lifecycleMu.Lock()
-	entry, err := s.cfg.Dispatcher.Promote(req.Site, req.Version)
+	entry, err := apply()
 	var perr error
 	if err == nil {
-		perr = s.persistPromotion(req.Site, store.OpPromote, entry.Version)
+		perr = s.persistPromotion(req.Site, op, entry.Version)
 	}
 	s.lifecycleMu.Unlock()
 	if err == nil && perr == nil {
-		s.audit(audit.EventPromote, req.Site, entry.Version, "admin promote")
-	}
-	s.finishAdmin(w, entry, err, perr)
-}
-
-func (s *Server) handleRollback(w http.ResponseWriter, r *http.Request) {
-	if !requirePost(w, r) {
-		return
-	}
-	var req AdminRequest
-	if !s.readJSON(w, r, &req) {
-		return
-	}
-	s.finishRollback(w, req)
-}
-
-// finishRollback is finishPromote's rollback twin.
-func (s *Server) finishRollback(w http.ResponseWriter, req AdminRequest) {
-	if req.Site == "" {
-		writeError(w, http.StatusBadRequest, "site is required")
-		return
-	}
-	if s.refuseNotOwned(w, req.Site) {
-		return
-	}
-	s.lifecycleMu.Lock()
-	entry, err := s.cfg.Dispatcher.Rollback(req.Site)
-	var perr error
-	if err == nil {
-		perr = s.persistPromotion(req.Site, store.OpRollback, entry.Version)
-	}
-	s.lifecycleMu.Unlock()
-	if err == nil && perr == nil {
-		s.audit(audit.EventRollback, req.Site, entry.Version, "admin rollback")
+		s.audit(event, req.Site, entry.Version, detail)
 	}
 	s.finishAdmin(w, entry, err, perr)
 }

@@ -23,6 +23,7 @@ import (
 	"autowrap/internal/shard"
 	"autowrap/internal/store"
 	"autowrap/internal/testutil/leakcheck"
+	"autowrap/internal/testutil/race"
 )
 
 // peerAnswer is what a scripted peer does with one request.
@@ -559,7 +560,7 @@ const forwardAllocBudget = 40
 // mallocs of the front's handler over a loopback shard, less those of the
 // in-process router's for the same request.
 func TestForwardExtractAllocBudget(t *testing.T) {
-	if raceEnabled {
+	if race.Enabled {
 		t.Skip("race detector bypasses sync.Pool; budgets describe production builds")
 	}
 	ring := shard.NewRing(1, 64)

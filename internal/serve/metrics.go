@@ -267,8 +267,8 @@ type metricsAccum struct {
 }
 
 // addSite folds one live site ledger into the accumulator. The reads are
-// the same unsynchronized atomic loads Snapshot does; a request landing
-// mid-fold skews one counter by one, which /metrics tolerates.
+// unsynchronized atomic loads; a request landing mid-fold skews one counter
+// by one, which /metrics tolerates.
 func (a *metricsAccum) addSite(m *SiteMetrics, now time.Time) {
 	a.requests += m.requests.Load()
 	a.pages += m.pages.Load()
@@ -326,22 +326,9 @@ func (a *metricsAccum) snapshot() MetricsSnapshot {
 	return s
 }
 
-// Snapshot reads the ledger.
+// Snapshot reads the ledger: an aggregate of one.
 func (m *SiteMetrics) Snapshot() MetricsSnapshot {
-	s := MetricsSnapshot{
-		Requests:     m.requests.Load(),
-		Pages:        m.pages.Load(),
-		PageFails:    m.pageFails.Load(),
-		Records:      m.records.Load(),
-		Errors:       m.errors.Load(),
-		QPS:          m.qps.Rate(time.Now()),
-		LatencyP50Ms: m.latency.Quantile(0.50) / 1000,
-		LatencyP90Ms: m.latency.Quantile(0.90) / 1000,
-		LatencyP99Ms: m.latency.Quantile(0.99) / 1000,
-		LatencyMaxMs: float64(m.latency.max.Load()) / 1000,
-	}
-	if s.Requests > 0 {
-		s.LatencyMeanMs = float64(m.latency.sum.Load()) / float64(s.Requests) / 1000
-	}
-	return s
+	var a metricsAccum
+	a.addSite(m, time.Now())
+	return a.snapshot()
 }

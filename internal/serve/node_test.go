@@ -24,6 +24,7 @@ import (
 	"autowrap/internal/lr"
 	"autowrap/internal/store"
 	"autowrap/internal/testutil/leakcheck"
+	"autowrap/internal/testutil/race"
 )
 
 // nodeTestStore holds two sites; "shop" has v1 (alpha records, serving) and
@@ -156,7 +157,7 @@ func TestNodeMatchesHandAssembly(t *testing.T) {
 		t.Errorf("second repair on a standalone node answers\n%s\nwant 202 and job-000002", got)
 	}
 
-	if raceEnabled {
+	if race.Enabled {
 		return // the race detector bypasses sync.Pool; allocation counts describe production builds
 	}
 	allocs := func(h http.Handler) float64 {

@@ -3,6 +3,8 @@ package serve
 import (
 	"net/http"
 	"strings"
+
+	"autowrap/internal/store"
 )
 
 // Handler returns the server's route table: a precompiled static dispatch
@@ -35,9 +37,9 @@ func (s *Server) route(w http.ResponseWriter, r *http.Request) {
 	case "/v1/sites":
 		s.handleSites(w, r)
 	case "/v1/promote":
-		s.handlePromote(w, r)
+		s.handleLifecycle(w, r, store.OpPromote)
 	case "/v1/rollback":
-		s.handleRollback(w, r)
+		s.handleLifecycle(w, r, store.OpRollback)
 	case "/v1/repair":
 		s.handleRepair(w, r)
 	case "/v1/learn":
@@ -59,31 +61,36 @@ func (s *Server) route(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// routeJob dispatches the parameterized jobs routes: the {id} segment must
-// be non-empty and slash-free, exactly as the previous mux patterns
-// demanded.
+// parseJobPath resolves the two parameterized jobs routes, for the server
+// and the fleet router alike: GET /v1/jobs/{id} and POST
+// /v1/jobs/{id}/cancel, where the {id} segment must be non-empty and
+// slash-free, exactly as the previous mux patterns demanded. ok is false
+// for every other path, which is a 404.
+func parseJobPath(path string) (id string, cancel, ok bool) {
+	rest, found := strings.CutPrefix(path, jobsPrefix)
+	if !found {
+		return "", false, false
+	}
+	if head, found := strings.CutSuffix(rest, "/cancel"); found && head != "" && !strings.Contains(head, "/") {
+		return head, true, true
+	}
+	return rest, false, rest != "" && !strings.Contains(rest, "/")
+}
+
 func (s *Server) routeJob(w http.ResponseWriter, r *http.Request) {
-	path := r.URL.Path
-	if !strings.HasPrefix(path, jobsPrefix) {
+	id, cancel, ok := parseJobPath(r.URL.Path)
+	switch {
+	case !ok:
 		http.NotFound(w, r)
-		return
-	}
-	rest := path[len(jobsPrefix):]
-	if id, ok := strings.CutSuffix(rest, "/cancel"); ok && id != "" && !strings.Contains(id, "/") {
-		if !requireMethod(w, r, http.MethodPost) {
-			return
+	case cancel:
+		if requireMethod(w, r, http.MethodPost) {
+			s.handleJobCancel(w, r, id)
 		}
-		s.handleJobCancel(w, r, id)
-		return
+	default:
+		if requireMethod(w, r, http.MethodGet) {
+			s.handleJobGet(w, r, id)
+		}
 	}
-	if rest == "" || strings.Contains(rest, "/") {
-		http.NotFound(w, r)
-		return
-	}
-	if !requireMethod(w, r, http.MethodGet) {
-		return
-	}
-	s.handleJobGet(w, r, rest)
 }
 
 // requireMethod enforces a method-specific route, answering 405 with an

@@ -22,11 +22,7 @@ func (c localShard) Extract(w http.ResponseWriter, r *http.Request, sc *extractS
 }
 
 func (c localShard) Lifecycle(w http.ResponseWriter, _ *http.Request, op store.Op, req AdminRequest) {
-	if op == store.OpRollback {
-		c.s.finishRollback(w, req)
-		return
-	}
-	c.s.finishPromote(w, req)
+	c.s.finishLifecycle(w, op, req)
 }
 
 func (c localShard) Learn(w http.ResponseWriter, _ *http.Request, req LearnRequest, _ []byte) {
@@ -70,32 +66,15 @@ func (c localShard) JobCancel(w http.ResponseWriter, r *http.Request, id string)
 }
 
 func (c localShard) Metrics(ctx context.Context, now time.Time) (ShardReport, error) {
-	rep := ShardReport{
-		Gate:  c.s.Gate().Snapshot(),
-		Sites: c.s.Dispatcher().Status(),
+	m := c.s.metrics(now)
+	return ShardReport{
+		Gate: m.Gate, Jobs: m.Jobs, Sites: m.Sites, AuditStats: m.Audit,
 		accum: c.s.Dispatcher().metricsAccumNow(now),
-	}
-	if m := c.s.Jobs(); m != nil {
-		jm := m.Metrics()
-		rep.Jobs = &jm
-	}
-	if led := c.s.Audit(); led != nil {
-		st := led.Stats()
-		rep.AuditStats = &st
-	}
-	return rep, nil
+	}, nil
 }
 
 func (c localShard) Healthz(ctx context.Context) (HealthzResponse, error) {
-	resp := HealthzResponse{
-		Status:    "ok",
-		Sites:     c.s.Dispatcher().Store().Len(),
-		UptimeSec: int64(time.Since(c.s.started).Seconds()),
-	}
-	if c.s.draining.Load() {
-		resp.Status = "draining"
-	}
-	return resp, nil
+	return c.s.healthz(), nil
 }
 
 func (c localShard) AuditView(ctx context.Context, n int) (AuditResponse, error) {

@@ -89,16 +89,3 @@ func Merge(parts ...*Store) (*Store, error) {
 	}
 	return out, nil
 }
-
-// SitesByShard summarizes ownership: for each shard in [0, shards), the
-// sorted site names the partitioner assigns to it out of this registry.
-func (s *Store) SitesByShard(ring Partitioner, shards int) [][]string {
-	out := make([][]string, shards)
-	for _, site := range s.Sites() { // Sites() sorts, so each bucket stays sorted
-		k := ring.Owner(site)
-		if k >= 0 && k < shards {
-			out[k] = append(out[k], site)
-		}
-	}
-	return out
-}

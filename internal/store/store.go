@@ -348,13 +348,6 @@ func (s *Store) PutBatch(batch *engine.BatchResult) (stored int, err error) {
 	return stored, errors.Join(errs...)
 }
 
-// FromBatch builds a fresh registry from a batch run's winners.
-func FromBatch(batch *engine.BatchResult) (*Store, int, error) {
-	s := New()
-	n, err := s.PutBatch(batch)
-	return s, n, err
-}
-
 // storeFile is the on-disk format: versioned envelope around the registry.
 // Promotions is always written (even empty), so its absence identifies a
 // pre-lifecycle file; Load then synthesizes a one-entry log activating

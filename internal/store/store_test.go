@@ -383,7 +383,8 @@ func TestFromBatchStoresWinners(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, stored, err := store.FromBatch(batch)
+	s := store.New()
+	stored, err := s.PutBatch(batch)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -571,9 +572,9 @@ func TestPutBatchRecordsProfile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, n, err := store.FromBatch(batch)
-	if err != nil || n != 1 {
-		t.Fatalf("FromBatch: n=%d err=%v", n, err)
+	s := store.New()
+	if n, err := s.PutBatch(batch); err != nil || n != 1 {
+		t.Fatalf("PutBatch: n=%d err=%v", n, err)
 	}
 	e, _ := s.Active("profiled")
 	if e.Profile == nil {

@@ -5,6 +5,7 @@ import (
 
 	"autowrap/internal/corpus"
 	"autowrap/internal/gen"
+	"autowrap/internal/testutil/race"
 )
 
 // largeSite is the feature build's working set on the repair path: nine
@@ -37,7 +38,7 @@ func BenchmarkNewLarge(b *testing.B) {
 const buildAllocBudget = 12_000
 
 func TestBuildAllocBudget(t *testing.T) {
-	if raceEnabled {
+	if race.Enabled {
 		t.Skip("the race detector instruments allocations; budgets describe production builds")
 	}
 	c := largeSite(t)

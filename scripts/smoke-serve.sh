@@ -15,33 +15,26 @@
 #
 # After the in-process phases: the offline audit verbs (-audit-verify /
 # -audit-export and their documented exit codes: 0 intact, 4 tampered,
-# 1 unreadable), then the multi-process fleet — two -role shard
-# processes behind a -role front, asserting forwarded == direct
-# extraction, learn routed to the owning shard process, partial
-# availability after a shard is killed, and the ordered front-first
-# drain.
+# 1 unreadable). The multi-process fleet (-role shard processes behind a
+# -role front, one of them killed) is not re-done here in bash: the
+# soak-smoke job's `go run ./cmd/soak -shards 2 -multiproc` boots the
+# real binaries and asserts it with named invariants.
 #
-#   SMOKE_PORT  listen port (default 8931; later phases use port+1..+5)
+#   SMOKE_PORT  listen port (default 8931; later phases use port+1, +2)
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 WORK="$(mktemp -d)"
 SERVED_PID=""
 FLEET_PID=""
-S0_PID=""
-S1_PID=""
-FRONT_PID=""
 cleanup() {
   if [ -n "$SERVED_PID" ]; then kill "$SERVED_PID" 2>/dev/null || true; fi
   if [ -n "$FLEET_PID" ]; then kill "$FLEET_PID" 2>/dev/null || true; fi
-  if [ -n "$FRONT_PID" ]; then kill "$FRONT_PID" 2>/dev/null || true; fi
-  if [ -n "$S0_PID" ]; then kill -9 "$S0_PID" 2>/dev/null || true; fi
-  if [ -n "$S1_PID" ]; then kill -9 "$S1_PID" 2>/dev/null || true; fi
   rm -rf "$WORK"
 }
 trap cleanup EXIT
 
-go build -o "$WORK" ./cmd/sitegen ./cmd/wrapserve ./cmd/wrapserved ./cmd/loadgen
+go build -o "$WORK" ./cmd/sitegen ./cmd/wrapinduce ./cmd/wrapserved ./cmd/loadgen
 
 # A 4-site corpus; each site's gold list doubles as a clean dictionary.
 # Learn the first two sites ahead of time; the third stays out of the
@@ -67,7 +60,7 @@ for dir in "$WORK"/corpus/DEALERS/*/; do
     continue
   fi
   site="$name"
-  "$WORK/wrapserve" -learn -store "$WORK/wrappers.json" -site "$name" \
+  "$WORK/wrapinduce" -store "$WORK/wrappers.json" -site "$name" \
     -dict <(cut -f2 "$dir/name.gold.txt" | sort -u) "$dir"/page-*.html > /dev/null
 done
 sort -u "$WORK/dict-all.txt" -o "$WORK/dict-all.txt"
@@ -420,143 +413,4 @@ if [ "$code" != "1" ]; then
 fi
 echo "smoke-serve: audit verbs OK (verify=0, export=0, tampered=4, missing=1)"
 
-# --- Multi-process fleet: two -role shard processes + a -role front ---
-# Each shard process boots its ring partition from its own copy of the
-# registry and its own audit ledger; the front owns the ring and
-# forwards. The phases: forwarded extraction is byte-identical to
-# direct (modulo elapsed_us timing), a learn through the front lands on
-# the owning shard PROCESS, killing one shard leaves the other
-# partition serving (503 naming the dead shard for its sites), and the
-# drain is ordered: front first, then the survivors.
-S0_ADDR="127.0.0.1:$((${SMOKE_PORT:-8931} + 3))"
-S1_ADDR="127.0.0.1:$((${SMOKE_PORT:-8931} + 4))"
-FRONT_ADDR="127.0.0.1:$((${SMOKE_PORT:-8931} + 5))"
-cp "$WORK/wrappers.json" "$WORK/shard0.json"
-cp "$WORK/wrappers.json" "$WORK/shard1.json"
-"$WORK/wrapserved" -role shard -shard-index 0 -shards 2 \
-  -store "$WORK/shard0.json" -audit-log "$WORK/shard0-audit.jsonl" \
-  -addr "$S0_ADDR" -dict "$WORK/dict-all.txt" \
-  -learn-workers 1 -job-queue 8 -learn-corpus-root "$WORK/corpus" &> "$WORK/shard0.log" &
-S0_PID=$!
-"$WORK/wrapserved" -role shard -shard-index 1 -shards 2 \
-  -store "$WORK/shard1.json" -audit-log "$WORK/shard1-audit.jsonl" \
-  -addr "$S1_ADDR" -dict "$WORK/dict-all.txt" \
-  -learn-workers 1 -job-queue 8 -learn-corpus-root "$WORK/corpus" &> "$WORK/shard1.log" &
-S1_PID=$!
-"$WORK/wrapserved" -role front -peers "$S0_ADDR,$S1_ADDR" \
-  -addr "$FRONT_ADDR" &> "$WORK/front.log" &
-FRONT_PID=$!
-
-for a in "$S0_ADDR" "$S1_ADDR" "$FRONT_ADDR"; do
-  healthy=""
-  for _ in $(seq 1 50); do
-    if curl -fsS "http://$a/healthz" > /dev/null 2>&1; then healthy=yes; break; fi
-    sleep 0.2
-  done
-  if [ -z "$healthy" ]; then
-    echo "smoke-serve: multiproc process on $a never became healthy" >&2
-    cat "$WORK/shard0.log" "$WORK/shard1.log" "$WORK/front.log" >&2
-    exit 1
-  fi
-done
-curl -fsS "http://$FRONT_ADDR/healthz" \
-  | python3 -c 'import json,sys; d=json.load(sys.stdin); ps=d["peers"]; assert len(ps)==2 and all(p["ok"] for p in ps), d; print("multiproc healthz: front sees %d live peer(s), %d sites" % (len(ps), d["sites"]))'
-
-# Which shard process owns the demo site? Ask the front's merged
-# /v1/sites, then pin the matching direct address.
-owner="$(curl -fsS "http://$FRONT_ADDR/v1/sites" \
-  | python3 -c "import json,sys; print([s['shard'] for s in json.load(sys.stdin) if s['site'] == '$site'][0])")"
-direct="$S0_ADDR"; [ "$owner" = "1" ] && direct="$S1_ADDR"
-
-# Forwarded == direct, byte for byte once per-request timing is masked.
-curl -fsS -X POST --data-binary @"$WORK/req.json" "http://$FRONT_ADDR/v1/extract" > "$WORK/via-front.json"
-curl -fsS -X POST --data-binary @"$WORK/req.json" "http://$direct/v1/extract" > "$WORK/via-direct.json"
-python3 - "$WORK/via-front.json" "$WORK/via-direct.json" <<'PY'
-import re, sys
-mask = lambda p: re.sub(rb'"elapsed_us":[0-9]+', b'"elapsed_us":0', open(p, "rb").read())
-a, b = mask(sys.argv[1]), mask(sys.argv[2])
-assert a == b, "forwarded response differs from direct:\n%s\n%s" % (a, b)
-print("multiproc parity: forwarded extract == direct extract (%d bytes)" % len(a))
-PY
-
-# A learn submitted through the front must run on the owning shard
-# process: the job id carries its s<k>- prefix and polls done via the
-# front's routed /v1/jobs.
-MP_JOB="$(curl -fsS -X POST -d "{\"site\":\"$site\",\"corpus_dir\":\"$WORK/corpus/DEALERS/$site\"}" \
-  "http://$FRONT_ADDR/v1/learn" \
-  | python3 -c 'import json,sys; d=json.load(sys.stdin); assert d["state"] in ("queued","running"), d; print(d["job_id"])')"
-mp_shard="${MP_JOB%%-*}"; mp_shard="${mp_shard#s}"
-if [ "$mp_shard" != "$owner" ]; then
-  echo "smoke-serve: multiproc learn ran on shard $mp_shard, ring owner is $owner" >&2
-  exit 1
-fi
-state=""
-for _ in $(seq 1 100); do
-  state="$(curl -fsS "http://$FRONT_ADDR/v1/jobs/$MP_JOB" \
-    | python3 -c 'import json,sys; print(json.load(sys.stdin)["state"])')"
-  [ "$state" = "done" ] && break
-  case "$state" in failed|canceled)
-    echo "smoke-serve: multiproc learn job ended $state" >&2; exit 1 ;; esac
-  sleep 0.2
-done
-if [ "$state" != "done" ]; then
-  echo "smoke-serve: multiproc learn job stuck in state $state" >&2
-  exit 1
-fi
-echo "multiproc learn landed on owning shard process $owner ($MP_JOB)"
-
-# Kill the owning shard process outright (no drain). The front must
-# stay healthy, serve the surviving partition, and answer 503 naming
-# the dead shard for sites it owned.
-victim_pid="$S0_PID"; victim_addr="$S0_ADDR"; survivor_addr="$S1_ADDR"
-if [ "$owner" = "1" ]; then victim_pid="$S1_PID"; victim_addr="$S1_ADDR"; survivor_addr="$S0_ADDR"; fi
-kill -9 "$victim_pid"
-wait "$victim_pid" 2>/dev/null || true
-if [ "$owner" = "1" ]; then S1_PID=""; else S0_PID=""; fi
-
-code="$(curl -s -o "$WORK/dead.json" -w '%{http_code}' -X POST \
-  --data-binary @"$WORK/req.json" "http://$FRONT_ADDR/v1/extract")"
-if [ "$code" != "503" ]; then
-  echo "smoke-serve: extract for dead shard answered $code, want 503" >&2
-  exit 1
-fi
-grep -q "shard $owner ($victim_addr)" "$WORK/dead.json" || {
-  echo "smoke-serve: 503 does not name the dead shard: $(cat "$WORK/dead.json")" >&2
-  exit 1
-}
-# A site on the surviving shard still extracts through the front.
-livesite="$(curl -fsS "http://$survivor_addr/v1/sites" \
-  | python3 -c 'import json,sys; s=json.load(sys.stdin); assert s, "survivor serves no sites"; print(s[0]["site"])')"
-python3 - "$livesite" "$WORK/corpus/DEALERS/$livesite/page-000.html" > "$WORK/req-live.json" <<'PY'
-import json, sys
-print(json.dumps({"site": sys.argv[1],
-                  "page": {"id": "smoke-mp", "html": open(sys.argv[2]).read()}}))
-PY
-curl -fsS -X POST --data-binary @"$WORK/req-live.json" "http://$FRONT_ADDR/v1/extract" \
-  | python3 -c 'import json,sys; d=json.load(sys.stdin); r=d["results"][0]["records"]; assert r, d; print("multiproc partial availability: surviving shard extracts %d records" % len(r))'
-curl -fsS "http://$FRONT_ADDR/healthz" \
-  | python3 -c "import json,sys; d=json.load(sys.stdin); dead=[p for p in d['peers'] if not p['ok']]; assert len(dead)==1 and dead[0]['shard']==$owner, d; print('multiproc healthz: front up, shard %d reported down' % dead[0]['shard'])"
-
-# Ordered drain: the front goes first (stops admitting, finishes its
-# in-flight forwards, drains the peers' job planes remotely), then the
-# surviving shard is terminated.
-kill -TERM "$FRONT_PID"
-wait "$FRONT_PID"
-FRONT_PID=""
-grep -q "drained cleanly" "$WORK/front.log" || {
-  echo "smoke-serve: no front clean-drain log line" >&2; cat "$WORK/front.log" >&2; exit 1;
-}
-survivor_pid="$S0_PID$S1_PID" # exactly one survivor is still set
-survivor_log="$WORK/shard0.log"; [ "$owner" = "0" ] && survivor_log="$WORK/shard1.log"
-kill -TERM "$survivor_pid"
-wait "$survivor_pid"
-S0_PID=""; S1_PID=""
-grep -q "drained cleanly" "$survivor_log" || {
-  echo "smoke-serve: no surviving-shard clean-drain log line" >&2; cat "$survivor_log" >&2; exit 1;
-}
-# The surviving shard's audit ledger must still verify end to end.
-survivor_audit="$WORK/shard0-audit.jsonl"; [ "$owner" = "0" ] && survivor_audit="$WORK/shard1-audit.jsonl"
-"$WORK/wrapserved" -audit-verify "$survivor_audit"
-echo "smoke-serve: multiproc OK (parity, routed learn, partial availability, ordered drain)"
-
-echo "smoke-serve: OK (single server + 4-shard fleet + log backend with audit + audit verbs + multi-process fleet)"
+echo "smoke-serve: OK (single server + 4-shard fleet + log backend with audit + audit verbs)"

@@ -594,8 +594,8 @@ func TestHTTPLearnJobNewSite(t *testing.T) {
 }
 
 // TestFacadeShardedFleet pins the facade's sharding surface end to end:
-// learn a small batch, save it, reload each shard's slice with
-// LoadWrapperStorePartition, front the per-shard servers with
+// learn a small batch, save it, reload each shard's slice with the
+// backend's LoadPartition, front the per-shard servers with
 // NewShardRouter, and extract every site through the one fleet handler —
 // each request dispatched by the ring to the shard that owns the site.
 func TestFacadeShardedFleet(t *testing.T) {
