@@ -180,6 +180,37 @@ func (n *Node) ChildNumber() int {
 	return 0
 }
 
+// ChildCounter numbers an element's children by tag as they go by:
+// ChildNumber for whoever meets the children in document order and would
+// rather not walk the siblings again for each. A parent has few distinct
+// child tags, so a short list, not a map.
+type ChildCounter []tagCount
+
+type tagCount struct {
+	tag string
+	n   int
+}
+
+// Next counts one more element child with the given tag and returns its
+// same-tag child number.
+func (c *ChildCounter) Next(tag string) int {
+	for i := range *c {
+		if (*c)[i].tag == tag {
+			(*c)[i].n++
+			return (*c)[i].n
+		}
+	}
+	*c = append(*c, tagCount{tag, 1})
+	return 1
+}
+
+// Reset empties the counter for the next parent, keeping its storage and
+// none of the tags (which may alias a page).
+func (c *ChildCounter) Reset() {
+	clear(*c)
+	*c = (*c)[:0]
+}
+
 // Ancestors returns the chain parent, grandparent, ... up to but excluding
 // the document root.
 func (n *Node) Ancestors() []*Node {

@@ -12,6 +12,11 @@ func IsVoid(tag string) bool {
 	return false
 }
 
+// IsRaw reports whether tag names a raw-text element (script, style): its
+// content is one verbatim text node that serializes without escaping and is
+// not extractable.
+func IsRaw(tag string) bool { return tag == "script" || tag == "style" }
+
 // TextSpan locates one text node's escaped content in a serialization:
 // bytes [Start,End) of the output.
 type TextSpan struct {
@@ -33,36 +38,52 @@ func AppendHTML(dst []byte, n *Node, spans *[]TextSpan) []byte {
 		}
 	case TextNode:
 		start := len(dst)
-		if n.Parent != nil && n.Parent.Raw {
-			dst = append(dst, n.Data...)
-		} else {
-			dst = appendEscaped(dst, n.Data, false)
-		}
+		dst = AppendText(dst, n.Data, n.Parent != nil && n.Parent.Raw)
 		if spans != nil {
 			*spans = append(*spans, TextSpan{Node: n, Start: start, End: len(dst)})
 		}
 	case ElementNode:
-		dst = append(dst, '<')
-		dst = append(dst, n.Tag...)
-		for _, a := range n.Attrs {
-			dst = append(dst, ' ')
-			dst = append(dst, a.Key...)
-			dst = append(dst, '=', '"')
-			dst = appendEscaped(dst, a.Val, true)
-			dst = append(dst, '"')
-		}
-		dst = append(dst, '>')
+		dst = AppendStartTag(dst, n.Tag, n.Attrs)
 		if IsVoid(n.Tag) {
 			return dst
 		}
 		for _, c := range n.Children {
 			dst = AppendHTML(dst, c, spans)
 		}
-		dst = append(dst, '<', '/')
-		dst = append(dst, n.Tag...)
-		dst = append(dst, '>')
+		dst = AppendEndTag(dst, n.Tag)
 	}
 	return dst
+}
+
+// AppendStartTag, AppendEndTag and AppendText are the pieces AppendHTML
+// writes an element and a text node with, for a caller that serializes a
+// document from the parser's events instead of from a tree. A void element
+// (IsVoid) has no end tag; raw is whether the text's parent is a raw-text
+// element.
+func AppendStartTag(dst []byte, tag string, attrs []Attr) []byte {
+	dst = append(dst, '<')
+	dst = append(dst, tag...)
+	for _, a := range attrs {
+		dst = append(dst, ' ')
+		dst = append(dst, a.Key...)
+		dst = append(dst, '=', '"')
+		dst = appendEscaped(dst, a.Val, true)
+		dst = append(dst, '"')
+	}
+	return append(dst, '>')
+}
+
+func AppendEndTag(dst []byte, tag string) []byte {
+	dst = append(dst, '<', '/')
+	dst = append(dst, tag...)
+	return append(dst, '>')
+}
+
+func AppendText(dst []byte, data string, raw bool) []byte {
+	if raw {
+		return append(dst, data...)
+	}
+	return appendEscaped(dst, data, false)
 }
 
 // appendEscaped appends s with & < > (and, for a double-quoted attribute

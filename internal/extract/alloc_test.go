@@ -20,11 +20,12 @@ func parsePage(t *testing.T, html string) *dom.Node {
 // extractOneAllocBudget is the steady-state allocation ceiling of the
 // single-page fast path on allocBudgetPage. The necessary allocations are
 // the ones that leave the call — the Texts slice and its strings where
-// collapsing changed bytes — plus the xpath result slices; everything else
-// (parse tree, tokenizer scratch, eval working sets) is pooled. Raising
-// this number is a regression: docs/PERFORMANCE.md explains the budget's
-// composition before touching it.
-const extractOneAllocBudget = 8
+// decoding or collapsing changed bytes; everything else (parser scratch,
+// the matcher's frames) is pooled, and no tree is built. Measured 2; it was
+// 8 while the path parsed a pooled tree. Raising this number is a
+// regression: docs/PERFORMANCE.md explains the budget's composition before
+// touching it.
+const extractOneAllocBudget = 4
 
 // allocBudgetPage is a fixed single-line page (pre-collapsed text, so text
 // data aliases the source instead of being re-allocated): the budget is
@@ -73,10 +74,10 @@ func TestExtractOneAllocBudget(t *testing.T) {
 // goroutines, closures and wait group. It does not grow with the batch.
 const runBatchAllocBudget = 16
 
-// TestRunAllocBudget is the bulk-request twin of the gate above: Run parses
-// into the same recycled workspaces ExtractOne does, so a 16-page batch of
-// large pages costs 16 single-page budgets plus the fixed batch term — not
-// the ~4,000 allocations a page that a fresh tree per page used to cost.
+// TestRunAllocBudget is the bulk-request twin of the gate above: Run takes
+// ExtractOne's path for each page, so a 16-page batch of large pages costs
+// 16 single-page budgets plus the fixed batch term — not the ~4,000
+// allocations a page that a fresh tree per page used to cost.
 func TestRunAllocBudget(t *testing.T) {
 	if race.Enabled {
 		t.Skip("race detector instruments allocations; budgets describe production builds")

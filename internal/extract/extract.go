@@ -23,14 +23,13 @@ import (
 	"time"
 
 	"autowrap/internal/dom"
-	"autowrap/internal/htmlparse"
 	"autowrap/internal/par"
 	"autowrap/internal/wrapper"
 )
 
 // Page is one unit of serving work. Root takes precedence when set;
-// otherwise HTML is parsed on a worker (the tolerant parser, so parsing
-// itself never fails — only an empty page is an error).
+// otherwise the wrapper reads HTML on a worker (through the tolerant
+// parser, so parsing itself never fails — only an empty page is an error).
 type Page struct {
 	// ID identifies the page in results (a URL, a file path).
 	ID string
@@ -49,11 +48,11 @@ type Result struct {
 	Texts []string
 	// Nodes are the matched text nodes of a page that arrived as Page.Root
 	// — nodes of the caller's own tree. They are nil when the page failed,
-	// and nil whenever the runtime parsed Page.HTML itself, through
-	// ExtractOne, Run and Stream alike: that parse tree is a recycled
-	// workspace, released before the result is handed over, so only Texts
-	// — which never alias it — survive. Callers that need the matched
-	// nodes parse the page themselves and pass the Root.
+	// and nil whenever the page arrived as Page.HTML, through ExtractOne,
+	// Run and Stream alike: the rule is matched while that page is
+	// tokenized and no tree is built, so there are only Texts. Callers
+	// that need the matched nodes parse the page themselves and pass the
+	// Root.
 	Nodes []*dom.Node
 	// Err is the page's failure, including recovered panics and — for
 	// pages never started — the run's cancellation cause.
@@ -252,10 +251,9 @@ func (r *Runtime) observe(res *Result) {
 // allocation entirely, so an HTTP handler can call it per request without
 // paying the batch machinery for one page.
 //
-// When the page arrives as raw HTML (Page.Root == nil), the parse tree is
-// a recycled workspace released before returning: the steady-state fast
-// path allocates only the Texts it hands back (see Result.Nodes for the
-// aliasing contract). TestExtractOneAllocBudget pins that budget.
+// When the page arrives as raw HTML (Page.Root == nil) no tree is built
+// (see Result.Nodes): the steady-state fast path allocates only the Texts
+// it hands back. TestExtractOneAllocBudget pins that budget.
 func (r *Runtime) ExtractOne(pg Page) Result {
 	res := r.one(pg, 0)
 	r.observe(&res)
@@ -265,9 +263,8 @@ func (r *Runtime) ExtractOne(pg Page) Result {
 // Run extracts every page of a batch on the worker pool. The returned
 // Batch always has one entry per page (index-aligned, so output is
 // independent of the worker count); per-page failures land in that page's
-// Result.Err and never abort the run. Each page takes ExtractOne's path —
-// raw HTML parses into a recycled workspace (see Result.Nodes), so a batch
-// costs its pages' ExtractOne budgets plus a fixed term
+// Result.Err and never abort the run. Each page takes ExtractOne's path,
+// so a batch costs its pages' ExtractOne budgets plus a fixed term
 // (TestRunAllocBudget). The error return is reserved for
 // cancellation: when ctx is done before every page was processed, Run
 // stops claiming new pages, marks the unstarted ones with ctx's error, and
@@ -313,10 +310,10 @@ func (s *Stats) tally(res *Result) {
 }
 
 // one extracts a single page with panic isolation — the one per-page path
-// under ExtractOne, Run and Stream. A page arriving as raw HTML is parsed
-// into a recycled workspace that is released before returning (also when
-// the wrapper panics), so Result.Nodes stays nil for it. Texts are always
-// safe: text Data aliases the page's HTML or is freshly allocated.
+// under ExtractOne, Run and Stream. A page arriving as raw HTML is read once
+// by one rule, so the rule is applied to the source itself (ApplyHTML) and
+// no tree exists to hand out: Result.Nodes stays nil for it. Texts are
+// always safe to keep: they alias the page's HTML or are freshly allocated.
 func (r *Runtime) one(pg Page, idx int) (out Result) {
 	out.ID, out.Index = pg.ID, idx
 	start := time.Now()
@@ -327,23 +324,17 @@ func (r *Runtime) one(pg Page, idx int) (out Result) {
 			out.Err = fmt.Errorf("extract: page %q panicked: %v\n%s", pg.ID, p, debug.Stack())
 		}
 	}()
-	root := pg.Root
-	if root == nil {
-		if pg.HTML == "" {
-			out.Err = fmt.Errorf("extract: page %q: neither Root nor HTML set", pg.ID)
-			return
+	switch {
+	case pg.Root != nil:
+		out.Nodes = r.p.ApplyPage(pg.Root)
+		out.Texts = make([]string, len(out.Nodes))
+		for i, n := range out.Nodes {
+			out.Texts[i] = strings.TrimSpace(n.Data)
 		}
-		t := htmlparse.AcquireTree()
-		defer t.Release()
-		root = t.Parse(pg.HTML)
-	}
-	nodes := r.p.ApplyPage(root)
-	if pg.Root != nil {
-		out.Nodes = nodes
-	}
-	out.Texts = make([]string, len(nodes))
-	for i, n := range nodes {
-		out.Texts[i] = strings.TrimSpace(n.Data)
+	case pg.HTML != "":
+		out.Texts = r.p.ApplyHTML(pg.HTML)
+	default:
+		out.Err = fmt.Errorf("extract: page %q: neither Root nor HTML set", pg.ID)
 	}
 	return
 }
@@ -372,8 +363,8 @@ func (st *Stream) Stats() Stats {
 // Stream extracts pages as they arrive on in, with bounded workers and a
 // bounded in-flight window, emitting results in input order regardless of
 // which worker finishes first — the streaming path keeps the same
-// determinism contract as Run, and the same per-page path (recycled parse
-// workspaces; see Result.Nodes). Cancelling ctx stops the stream at the next
+// determinism contract as Run, and the same per-page path (see
+// Result.Nodes). Cancelling ctx stops the stream at the next
 // page boundary; the results already emitted form a prefix of the input.
 func (r *Runtime) Stream(ctx context.Context, in <-chan Page) *Stream {
 	workers := r.opt.Workers

@@ -15,6 +15,7 @@ import (
 	"autowrap/internal/extract"
 	"autowrap/internal/htmlparse"
 	"autowrap/internal/lr"
+	"autowrap/internal/testutil/refapply"
 	"autowrap/internal/wrapper"
 	"autowrap/internal/xpinduct"
 )
@@ -243,8 +244,9 @@ func TestRunIsolatesPageErrors(t *testing.T) {
 // panicky panics on pages whose serialized form contains a marker.
 type panicky struct{}
 
-func (panicky) Lang() string { return "panic" }
-func (panicky) Rule() string { return "panic()" }
+func (panicky) Lang() string                     { return "panic" }
+func (panicky) Rule() string                     { return "panic()" }
+func (p panicky) ApplyHTML(html string) []string { return refapply.Texts(p, html) }
 func (panicky) ApplyPage(root *dom.Node) []*dom.Node {
 	if strings.Contains(dom.Serialize(root), "boom") {
 		panic("wrapper exploded")
@@ -319,8 +321,9 @@ func TestPanicReleasesWorkspace(t *testing.T) {
 // slowWrapper delays each page so cancellation can land mid-run.
 type slowWrapper struct{ d time.Duration }
 
-func (s slowWrapper) Lang() string { return "slow" }
-func (s slowWrapper) Rule() string { return "slow" }
+func (s slowWrapper) Lang() string                   { return "slow" }
+func (s slowWrapper) Rule() string                   { return "slow" }
+func (s slowWrapper) ApplyHTML(html string) []string { return refapply.Texts(s, html) }
 func (s slowWrapper) ApplyPage(root *dom.Node) []*dom.Node {
 	time.Sleep(s.d)
 	return corpus.ExtractableTexts(root)
@@ -426,8 +429,9 @@ type gatedWrapper struct {
 	processed *atomic.Int64
 }
 
-func (g gatedWrapper) Lang() string { return "gated" }
-func (g gatedWrapper) Rule() string { return "gated" }
+func (g gatedWrapper) Lang() string                   { return "gated" }
+func (g gatedWrapper) Rule() string                   { return "gated" }
+func (g gatedWrapper) ApplyHTML(html string) []string { return refapply.Texts(g, html) }
 func (g gatedWrapper) ApplyPage(root *dom.Node) []*dom.Node {
 	if strings.Contains(dom.Serialize(root), "gate") {
 		<-g.release

@@ -36,6 +36,21 @@ func TestParseUnquotedAttrStopsAtSlashGt(t *testing.T) {
 	}
 }
 
+// TestParseUnquotedAttrEndsAtWhitespace: every byte skipSpace, isSpace and
+// the whitespace collapse treat as whitespace ends an unquoted value too —
+// form feed included.
+func TestParseUnquotedAttrEndsAtWhitespace(t *testing.T) {
+	for _, sep := range []string{" ", "\t", "\n", "\r", "\f"} {
+		a := findFirst(Parse("<a href=x"+sep+"id=y>t</a>"), "a")
+		if href, _ := a.Attr("href"); href != "x" {
+			t.Errorf("separator %q: href = %q", sep, href)
+		}
+		if id, _ := a.Attr("id"); id != "y" {
+			t.Errorf("separator %q: id = %q", sep, id)
+		}
+	}
+}
+
 func TestParseValuelessAttribute(t *testing.T) {
 	doc := Parse(`<input disabled type=checkbox>`)
 	in := findFirst(doc, "input")

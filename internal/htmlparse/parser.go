@@ -1,161 +1,255 @@
 package htmlparse
 
 import (
+	"strings"
+
 	"autowrap/internal/dom"
 )
 
-// autoClose maps a tag to the set of open tags it implicitly closes when it
-// starts. This captures the common sloppy patterns of script-generated HTML
-// (e.g. a new <tr> closes an open <td> and <tr>).
-var autoClose = map[string][]string{
-	"li":     {"li"},
-	"tr":     {"td", "th", "tr"},
-	"td":     {"td", "th"},
-	"th":     {"td", "th"},
-	"p":      {"p"},
-	"option": {"option"},
-	"dt":     {"dd", "dt"},
-	"dd":     {"dd", "dt"},
-	"thead":  {"td", "th", "tr", "tbody"},
-	"tbody":  {"td", "th", "tr", "thead"},
+// Handler receives a page as the parser's event sequence: the one set of
+// tolerance rules (implicit closes, stray and force-closing end tags, raw
+// script/style text, text runs coalesced across dropped comments,
+// whitespace collapse) decides what the document is, and a handler decides
+// what to keep of it. The tree builder behind Parse is one handler; a
+// compiled rule that reads a page once is another, and builds no tree.
+//
+// Events arrive in document order and describe a well-formed document:
+// every container is ended, innermost first, before its parent is.
+type Handler interface {
+	// StartElement reports an element under the innermost open element.
+	// tag is lowercase. attrs, in source order with lowercase keys and
+	// decoded values, is the parser's scratch: valid during the call only,
+	// though its strings may be kept. container reports whether the
+	// element opens a level — EndElement will be called for it, and what
+	// comes before that is inside it. An element that is void,
+	// self-closing or deeper than the parser nests is a leaf.
+	StartElement(tag string, attrs []dom.Attr, container bool)
+	// EndElement closes the innermost open container, whose tag it repeats.
+	EndElement(tag string)
+	// WantText reports whether the handler wants the text directly under
+	// the innermost open element. The parser asks before it decodes,
+	// coalesces and collapses a run, so text nobody wants costs a scan for
+	// the next '<'.
+	WantText() bool
+	// Text delivers one text node under the innermost open element: a
+	// whole run, whitespace-collapsed and never empty, or with raw set the
+	// verbatim content of a script or style element. data aliases the page
+	// or is freshly allocated; the handler may keep it.
+	Text(data string, raw bool)
 }
 
-// Parse builds a document tree from HTML source. It never returns an error:
-// any input yields a tree (tolerant, tidy-like behaviour). Whitespace-only
-// text between elements is dropped; other text keeps its original spacing.
-//
-// Consecutive text runs — split by the tokenizer at a literal '<', or by a
-// dropped comment/doctype — coalesce into a single text node. This keeps
-// the tree a fixed point of serialize→reparse (escaping erases the split
-// points), which stored-page extraction relies on: text-node identity must
-// not shift between the original parse and a reparse of the serialization.
-//
-// Parse allocates a fresh tree the caller owns forever. Hot paths that
-// discard the tree after use should go through AcquireTree/Tree.Parse/
-// Release instead, which recycles node and scratch storage.
-func Parse(src string) *dom.Node {
-	var t Tree
-	return t.parse(src)
-}
+// maxDepth is how many elements the parser holds open at once (Blink's
+// limit). Past it a start tag still adds its element but opens no level, and
+// an end tag is paired off against a count of those instead of the open
+// elements, so whatever walks a parsed tree recurses to a bounded depth and
+// a page of a million unclosed tags costs a million leaves, not a stack.
+const maxDepth = 512
 
-// parse is the one parser implementation, shared by the package-level Parse
-// (throwaway workspace) and the pooled Tree path. All nodes come from the
-// tree's arena; any tree returned by a previous parse on the same workspace
-// is invalidated.
-func (t *Tree) parse(src string) *dom.Node {
-	if t.used > 0 { // a second Parse without a Release; a pooled tree arrives reset
-		t.reset()
-	}
-	t.tz.src = src
-	doc := t.newNode()
-	doc.Type = dom.DocumentNode
-	t.stack = append(t.stack, doc)
-	top := func() *dom.Node { return t.stack[len(t.stack)-1] }
-
+// parser is the one implementation of the tolerance rules, and the scratch
+// it needs from page to page. It keeps the tags of the open elements itself;
+// handlers that need more per level keep their own stack beside it.
+type parser struct {
+	tz tokenizer
+	// open holds the tags of the open containers, outermost first.
+	open []string
+	// overflow counts the start tags refused a level whose end tags have
+	// not come by yet.
+	overflow int
 	// Text accumulates as a single pending run in the common case; runs
-	// split by a dropped comment/doctype or a literal '<' coalesce through
-	// textBuf. flushText collapses whitespace into scratch and only
-	// allocates a fresh string when collapsing actually changed the bytes.
-	var pending string
-	flushText := func() {
-		data := pending
-		pending = ""
-		if len(t.textBuf) > 0 {
-			data = string(t.textBuf)
-			t.textBuf = t.textBuf[:0]
-		}
-		if data == "" {
-			return
-		}
-		t.scratch = collapseAppend(t.scratch[:0], data)
-		if len(t.scratch) == 0 {
-			return // whitespace-only run
-		}
-		text := t.newNode()
-		text.Type = dom.TextNode
-		if string(t.scratch) == data {
-			text.Data = data // already collapsed: no copy
-		} else {
-			text.Data = string(t.scratch)
-		}
-		top().Append(text)
-	}
+	// split by a dropped comment/doctype or a literal '<', and runs with
+	// character references to decode, go through textBuf. scratch holds
+	// the whitespace-collapsed form of the run being flushed.
+	pending string
+	textBuf []byte
+	scratch []byte
+}
 
-	for {
-		tok, ok := t.tz.next()
-		if !ok {
-			break
-		}
-		switch tok.typ {
+// run parses src on a reset parser, delivering it to h.
+func (p *parser) run(src string, h Handler) {
+	p.tz.src = src
+	for p.tz.next() {
+		switch p.tz.typ {
 		case tokComment, tokDoctype:
 			// dropped: the extraction model does not use them. They do not
-			// flush the text buffer — once dropped, the text on either side
+			// flush the text run — once dropped, the text on either side
 			// is adjacent, exactly as a reparse of the serialization sees it.
 		case tokText:
-			if top().Raw {
-				if !isSpace(tok.data) {
-					raw := t.newNode()
-					raw.Type = dom.TextNode
-					raw.Data = tok.data
-					top().Append(raw)
-				}
-				continue
-			}
-			if pending == "" && len(t.textBuf) == 0 {
-				pending = tok.data
-			} else {
-				if len(t.textBuf) == 0 {
-					t.textBuf = append(t.textBuf, pending...)
-					pending = ""
-				}
-				t.textBuf = append(t.textBuf, tok.data...)
-			}
+			p.text(h)
 		case tokStartTag, tokSelfClosing:
-			flushText()
-			for _, victim := range autoClose[tok.data] {
-				if top().IsElement(victim) {
-					t.stack = t.stack[:len(t.stack)-1]
-				}
-			}
-			el := t.newNode()
-			el.Type = dom.ElementNode
-			el.Tag = tok.data
-			for _, a := range tok.attrs {
-				el.Attrs = append(el.Attrs, dom.Attr{Key: a.key, Val: a.val})
-			}
-			if tok.data == "script" || tok.data == "style" {
-				el.Raw = true
-			}
-			top().Append(el)
-			if tok.typ == tokStartTag && !dom.IsVoid(tok.data) {
-				t.stack = append(t.stack, el)
-			}
+			p.startTag(h)
 		case tokEndTag:
-			// Find the nearest matching open element; if none, drop the
-			// stray close tag (without splitting the surrounding text run).
-			// Everything above the match is force-closed.
-			for i := len(t.stack) - 1; i >= 1; i-- {
-				if t.stack[i].IsElement(tok.data) {
-					flushText()
-					t.stack = t.stack[:i]
-					break
-				}
-			}
+			p.endTag(h)
 		}
 	}
-	flushText()
-	return doc
+	p.flushText(h)
+	p.closeTo(0, h)
+}
+
+// text takes one text token: raw-element content goes out as it stands,
+// anything else joins the pending run. Whether the run is wanted cannot
+// change before it is flushed — only tags that flush move the innermost
+// element — so unwanted tokens are dropped one by one.
+func (p *parser) text(h Handler) {
+	if !h.WantText() {
+		return
+	}
+	data := p.tz.data
+	// A raw element's content is the token after its start tag and its end
+	// tag the one after that; unless the element got no level, and then
+	// its content is text of the level it would have been under.
+	if n := len(p.open); p.tz.raw && n > 0 && dom.IsRaw(p.open[n-1]) {
+		if !isSpace(data) {
+			h.Text(data, true)
+		}
+		return
+	}
+	decode := !p.tz.raw && strings.IndexByte(data, '&') >= 0
+	if p.pending == "" && len(p.textBuf) == 0 && !decode {
+		p.pending = data
+		return
+	}
+	p.textBuf = append(p.textBuf, p.pending...)
+	p.pending = ""
+	if decode {
+		p.textBuf = appendDecoded(p.textBuf, data)
+	} else {
+		p.textBuf = append(p.textBuf, data...)
+	}
+}
+
+// flushText ends the pending run and delivers it, whitespace-collapsed,
+// unless nothing is left of it. A run that is one piece of the source and
+// already its own collapsed form is delivered as that piece, uncopied.
+func (p *parser) flushText(h Handler) {
+	switch {
+	case len(p.textBuf) > 0:
+		p.scratch = collapseAppend(p.scratch[:0], p.textBuf)
+		p.textBuf = p.textBuf[:0]
+	case p.pending != "":
+		data := p.pending
+		p.pending = ""
+		if isCollapsed(data) {
+			h.Text(data, false)
+			return
+		}
+		p.scratch = collapseAppend(p.scratch[:0], data)
+	default:
+		return
+	}
+	if len(p.scratch) > 0 {
+		h.Text(string(p.scratch), false)
+	}
+}
+
+func (p *parser) startTag(h Handler) {
+	p.flushText(h)
+	tag := p.tz.data
+	p.autoClose(tag, h)
+	container := p.tz.typ == tokStartTag && !dom.IsVoid(tag)
+	if container && len(p.open) == maxDepth {
+		container = false
+		p.overflow++
+	}
+	h.StartElement(tag, p.tz.attrs, container)
+	if container {
+		p.open = append(p.open, tag)
+	}
+}
+
+// autoClose ends the open elements a starting tag implicitly closes — the
+// common sloppy patterns of script-generated HTML (a new <tr> closes an
+// open <td> and <tr>). Each victim is tried once, in the order listed,
+// against the innermost element at that moment.
+func (p *parser) autoClose(tag string, h Handler) {
+	switch tag {
+	case "li", "p", "option":
+		p.closeTop(tag, h)
+	case "td", "th":
+		p.closeTop("td", h)
+		p.closeTop("th", h)
+	case "dt", "dd":
+		p.closeTop("dd", h)
+		p.closeTop("dt", h)
+	case "tr", "thead", "tbody":
+		p.closeTop("td", h)
+		p.closeTop("th", h)
+		p.closeTop("tr", h)
+		switch tag {
+		case "thead":
+			p.closeTop("tbody", h)
+		case "tbody":
+			p.closeTop("thead", h)
+		}
+	}
+}
+
+func (p *parser) closeTop(tag string, h Handler) {
+	if n := len(p.open); n > 0 && p.open[n-1] == tag {
+		p.closeTo(n-1, h)
+	}
+}
+
+// endTag closes the nearest open element with the tag, force-closing
+// everything above it; with none open the stray tag is dropped, without
+// splitting the surrounding text run.
+func (p *parser) endTag(h Handler) {
+	if p.overflow > 0 {
+		p.overflow--
+		return
+	}
+	tag := p.tz.data
+	for i := len(p.open) - 1; i >= 0; i-- {
+		if p.open[i] == tag {
+			p.flushText(h)
+			p.closeTo(i, h)
+			return
+		}
+	}
+}
+
+// closeTo ends the open elements from the innermost down to level i. The
+// vacated slots are cleared: tags alias the page, which an idle parser must
+// not keep alive.
+func (p *parser) closeTo(i int, h Handler) {
+	for j := len(p.open) - 1; j >= i; j-- {
+		h.EndElement(p.open[j])
+		p.open[j] = ""
+	}
+	p.open = p.open[:i]
+	p.overflow = 0 // the leaves still awaiting an end tag were under open[maxDepth-1]
+}
+
+// reset drops what a parse left behind, including every reference into the
+// page — the tokenizer's source and attribute scratch; run itself leaves
+// open empty and cleared — and keeps the storage.
+func (p *parser) reset() {
+	attrs := p.tz.attrs[:cap(p.tz.attrs)]
+	clear(attrs)
+	p.tz = tokenizer{attrs: attrs[:0]}
+	p.overflow, p.pending = 0, ""
+	p.textBuf = p.textBuf[:0]
+}
+
+// maxPooledScratch bounds, in bytes, the text and attribute scratch an idle
+// parser may keep, as maxPooledNodes bounds a workspace's arena: one text
+// run of megabytes, or one tag of a million attributes, must not stay
+// pinned in a pool.
+const maxPooledScratch = 1 << 16
+
+func (p *parser) oversized() bool {
+	const attrSize = 32 // two string headers
+	return cap(p.textBuf)+cap(p.scratch)+attrSize*cap(p.tz.attrs) > maxPooledScratch
 }
 
 // collapseAppend appends s to dst with runs of whitespace normalized to
 // single spaces and the ends trimmed. Script-generated pages are full of
 // indentation noise; collapsing makes text-node identity stable across
 // serialize/reparse cycles.
-func collapseAppend(dst []byte, s string) []byte {
+func collapseAppend[S string | []byte](dst []byte, s S) []byte {
 	space := false
 	for i := 0; i < len(s); i++ {
 		c := s[i]
-		if c == ' ' || c == '\t' || c == '\n' || c == '\r' || c == '\f' {
+		if nameClass[c]&spaceByte != 0 {
 			space = true
 			continue
 		}
@@ -168,12 +262,29 @@ func collapseAppend(dst []byte, s string) []byte {
 	return dst
 }
 
+// isCollapsed reports whether collapseAppend would reproduce s: not empty,
+// no whitespace at either end, and none inside but single spaces.
+func isCollapsed(s string) bool {
+	if s == "" || s[len(s)-1] == ' ' {
+		return false
+	}
+	space := true // so that a leading space fails like a doubled one
+	for i := 0; i < len(s); i++ {
+		if nameClass[s[i]]&spaceByte == 0 {
+			space = false
+		} else if space || s[i] != ' ' {
+			return false
+		} else {
+			space = true
+		}
+	}
+	return true
+}
+
 // isSpace reports whether s is entirely HTML whitespace.
 func isSpace(s string) bool {
 	for i := 0; i < len(s); i++ {
-		switch s[i] {
-		case ' ', '\t', '\n', '\r', '\f':
-		default:
+		if nameClass[s[i]]&spaceByte == 0 {
 			return false
 		}
 	}

@@ -1,13 +1,11 @@
 package htmlparse
 
 import (
-	"runtime"
 	"strings"
 	"testing"
-	"time"
-	"unsafe"
 
 	"autowrap/internal/dom"
+	"autowrap/internal/testutil/pincheck"
 )
 
 // poolCases exercises the constructs where the pooled parser's recycled
@@ -124,32 +122,30 @@ func TestTextDataDoesNotAliasScratch(t *testing.T) {
 // or each idle workspace keeps a whole request body alive. The page lives in
 // a buffer with a cleanup attached; once the workspace is released and the
 // test's own references are dead, a collection must free it even though the
-// workspace itself is still reachable.
+// workspace itself is still reachable (pincheck.Freed).
 func TestReleasedTreeDoesNotPinSource(t *testing.T) {
-	tr := &Tree{} // held by the test, whatever the pool does with it
-	freed := make(chan struct{})
-	func() {
-		buf := []byte(`<html><body class="page" id=main><!-- c --><ul data-x='1' data-y="2" data-z=3>` +
-			strings.Repeat(`<li class="row"><a href="/x?a=1">plain text</a>  spaced   text <b>5 < 6</b></li>`, 50) +
-			`</ul><script>var a = "<li>";</script><p>tail` + "</p></body></html>")
-		runtime.AddCleanup(&buf[0], func(struct{}) { close(freed) }, struct{}{})
-		root := tr.Parse(unsafe.String(&buf[0], len(buf)))
-		if n := len(dom.Serialize(root)); n < len(buf)/2 {
-			t.Fatalf("fixture parsed to %d bytes of %d", n, len(buf))
+	pincheck.Freed(t, pincheck.Page, func(page string) any {
+		tr := &Tree{} // held by the test, whatever the pool does with it
+		root := tr.Parse(page)
+		if n := len(dom.Serialize(root)); n < len(page)/2 {
+			t.Fatalf("fixture parsed to %d bytes of %d", n, len(page))
 		}
 		tr.Release()
-	}()
-	for i := 0; i < 50; i++ {
-		runtime.GC()
-		select {
-		case <-freed:
-			runtime.KeepAlive(tr)
-			return
-		case <-time.After(10 * time.Millisecond):
-		}
-	}
-	runtime.KeepAlive(tr)
-	t.Fatal("a released workspace still references the page it parsed")
+		return tr
+	})
+}
+
+// TestResetParserDoesNotPinSource is its twin for Stream's scratch: the
+// parser alone, as Stream returns it to its pool.
+func TestResetParserDoesNotPinSource(t *testing.T) {
+	pincheck.Freed(t, pincheck.Page, func(page string) any {
+		p := new(parser)
+		var b treeBuilder
+		b.stack = append(b.stack, (*Tree)(&b).newNode())
+		p.run(page, &b)
+		p.reset()
+		return p
+	})
 }
 
 // TestReleaseZeroesNodes: after Release every used node is zero except for
@@ -159,8 +155,8 @@ func TestReleaseZeroesNodes(t *testing.T) {
 	tr := &Tree{}
 	tr.Parse(`<ul a="1" b='2' c=3>` + strings.Repeat("<li class=k>x</li>", 40) + "</ul><p class=k>narrow</p>")
 	tr.Release()
-	if tr.used != 0 || tr.tz.src != "" || len(tr.stack) != 0 {
-		t.Fatalf("workspace not reset: used=%d len(src)=%d stack=%d", tr.used, len(tr.tz.src), len(tr.stack))
+	if tr.used != 0 || tr.p.tz.src != "" || len(tr.stack) != 0 {
+		t.Fatalf("workspace not reset: used=%d len(src)=%d stack=%d", tr.used, len(tr.p.tz.src), len(tr.stack))
 	}
 	kept := 0
 	for i, n := range tr.arena {
@@ -177,8 +173,8 @@ func TestReleaseZeroesNodes(t *testing.T) {
 	if kept == 0 {
 		t.Fatal("reset threw the nodes' Children and Attrs storage away")
 	}
-	for _, a := range tr.tz.attrs[:cap(tr.tz.attrs)] {
-		if a != (attr{}) {
+	for _, a := range tr.p.tz.attrs[:cap(tr.p.tz.attrs)] {
+		if a != (dom.Attr{}) {
 			t.Fatalf("tokenizer scratch keeps a stale attribute %v", a)
 		}
 	}

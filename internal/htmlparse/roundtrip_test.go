@@ -91,38 +91,52 @@ func assertRoundTrip(t *testing.T, name, src string) {
 	}
 }
 
+// adversarialHTML is the package's odd-markup corpus: the messy constructs
+// the tolerant parser accepts. The round-trip table runs over it, the
+// tree ≡ stream table applies every hand-written rule to it, and both fuzz
+// targets start from it.
+var adversarialHTML = map[string]string{
+	"plain":            `<html><body><p>hello</p></body></html>`,
+	"lone lt in text":  `<p>5<6 and 7>2</p>`,
+	"comment in text":  `<p>a<!-- split -->b</p>`,
+	"doctype and text": `<!DOCTYPE html><p>a</p>text`,
+	"stray close":      `<div>a</span>b</div>`,
+	"unclosed tags":    `<div><b>x<i>y`,
+	"auto close":       `<table><tr><td>a<td>b<tr><td>c</table>`,
+	"void elements":    `<p>a<br>b<img src="x.png">c<hr></p>`,
+	"self closing":     `<div/><span/>text`,
+	"entities":         `<p>&amp;&lt;&gt;&quot;&copy;&deg;&#65;&#x42;&unknown;</p>`,
+	"nbsp runs":        `<p>a&nbsp;&nbsp;b</p>`,
+	"attr quoting":     `<a href='x.html' title="a&quot;b" data-x=bare empty>t</a>`,
+	"attr entity":      `<a title="5&lt;6&amp;7">x</a>`,
+	"attr lt":          `<a title="a<b">x</a>`,
+	"script raw":       `<script>if (a<b && c>d) { x = "</div>"; }</script><p>after</p>`,
+	"style raw":        `<style>td > .x { color: red }</style><td class="x">y</td>`,
+	"whitespace noise": "<div>\n\t  <span> padded   text </span>\n  </div>",
+	"mixed case tags":  `<DIV CLASS="Big"><SpAn>x</sPaN></DIV>`,
+	"deep nesting":     strings.Repeat("<div>", 60) + "core" + strings.Repeat("</div>", 60),
+	"table numbers":    `<table><tr><td>1</td><td>2</td></tr><tr><td>3</td><td>4</td></tr></table>`,
+	"text after html":  `<html><body>x</body></html>trailing`,
+	"only text":        `no markup at all`,
+	"lt at end":        `text ends <`,
+	"empty":            ``,
+	"unterminated tag": `<div class="x`,
+	"bad comment":      `<p>a<!-- never closed`,
+	"nested lists":     `<ul><li><a>1</a><ul><li><a>2</a><ul><li><a>3</a></li></ul></li></ul></li><li><a>4</a></li></ul>`,
+	"duplicate attrs":  `<div class="a" class="b">first</div><div class="b" class="a">second</div>`,
+	"unicode blanks":   "<td>&#160;</td><td>\u3000padded\u3000</td><td>&#xA0;x</td>",
+	"mangled script":   `<script>a</scriptx>b &amp; c<b>in</b></script><p>after</p>`,
+	"form feed":        "<a href=x\fid=y>t\fu</a>",
+	"split entity":     `<p>&l<!-- -->t; &am<!---->p;</p>`,
+	"leaf siblings":    `<div/>text<br>more<span>s</span><span>t</span>`,
+	"past max depth":   strings.Repeat("<a>", 600) + "deep<b>leaf</b>tail</zzz>" + strings.Repeat("</a>", 600) + "<p>after</p>",
+	"script too deep":  strings.Repeat("<div>", 512) + "<script>x<y &amp;</script><td>in",
+}
+
 // TestRoundTripAdversarialHTML covers the messy constructs the tolerant
 // parser accepts.
 func TestRoundTripAdversarialHTML(t *testing.T) {
-	cases := map[string]string{
-		"plain":            `<html><body><p>hello</p></body></html>`,
-		"lone lt in text":  `<p>5<6 and 7>2</p>`,
-		"comment in text":  `<p>a<!-- split -->b</p>`,
-		"doctype and text": `<!DOCTYPE html><p>a</p>text`,
-		"stray close":      `<div>a</span>b</div>`,
-		"unclosed tags":    `<div><b>x<i>y`,
-		"auto close":       `<table><tr><td>a<td>b<tr><td>c</table>`,
-		"void elements":    `<p>a<br>b<img src="x.png">c<hr></p>`,
-		"self closing":     `<div/><span/>text`,
-		"entities":         `<p>&amp;&lt;&gt;&quot;&copy;&deg;&#65;&#x42;&unknown;</p>`,
-		"nbsp runs":        `<p>a&nbsp;&nbsp;b</p>`,
-		"attr quoting":     `<a href='x.html' title="a&quot;b" data-x=bare empty>t</a>`,
-		"attr entity":      `<a title="5&lt;6&amp;7">x</a>`,
-		"attr lt":          `<a title="a<b">x</a>`,
-		"script raw":       `<script>if (a<b && c>d) { x = "</div>"; }</script><p>after</p>`,
-		"style raw":        `<style>td > .x { color: red }</style><td class="x">y</td>`,
-		"whitespace noise": "<div>\n\t  <span> padded   text </span>\n  </div>",
-		"mixed case tags":  `<DIV CLASS="Big"><SpAn>x</sPaN></DIV>`,
-		"deep nesting":     strings.Repeat("<div>", 60) + "core" + strings.Repeat("</div>", 60),
-		"table numbers":    `<table><tr><td>1</td><td>2</td></tr><tr><td>3</td><td>4</td></tr></table>`,
-		"text after html":  `<html><body>x</body></html>trailing`,
-		"only text":        `no markup at all`,
-		"lt at end":        `text ends <`,
-		"empty":            ``,
-		"unterminated tag": `<div class="x`,
-		"bad comment":      `<p>a<!-- never closed`,
-	}
-	for name, src := range cases {
+	for name, src := range adversarialHTML {
 		t.Run(name, func(t *testing.T) { assertRoundTrip(t, name, src) })
 	}
 }

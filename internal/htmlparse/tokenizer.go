@@ -5,7 +5,12 @@
 // and always produces a well-formed dom.Node tree.
 package htmlparse
 
-import "strings"
+import (
+	"strings"
+	"unicode/utf8"
+
+	"autowrap/internal/dom"
+)
 
 type tokenType uint8
 
@@ -18,87 +23,100 @@ const (
 	tokDoctype
 )
 
-type token struct {
-	typ  tokenType
-	data string // tag name (lowercased) or text content
-	// attrs aliases the tokenizer's scratch buffer: it is valid only until
-	// the next call to next(). The parser copies it into the node
-	// immediately.
-	attrs []attr
-}
-
-type attr struct{ key, val string }
-
 // tokenizer scans HTML source into a token stream. It never fails: malformed
-// constructs degrade to text.
+// constructs degrade to text. next writes the token into the tokenizer's own
+// fields rather than returning it: a token by value is 48 bytes copied out
+// of tag, out of next and into the parse loop, which was about half of what
+// tokenizing cost.
 type tokenizer struct {
 	src string
 	pos int
 	// rawTag, when set, makes the tokenizer consume everything up to the
 	// matching close tag as a single text token (script/style contents).
 	rawTag string
-	// attrs is the reusable attribute scratch handed out via token.attrs.
-	attrs []attr
+
+	// The current token, valid until the next call to next.
+	typ tokenType
+	// data is the tag name (lowercased) or, for tokText, the source bytes
+	// of the run with their character references still in them: the
+	// parser decodes only text somebody wants.
+	data string
+	// raw marks a tokText that is script/style content, never decoded.
+	raw bool
+	// attrs holds a start tag's attributes in reused storage; the parser
+	// hands it to the handler, which copies what it keeps.
+	attrs []dom.Attr
 }
 
-// next returns the next token, or false at end of input.
-func (t *tokenizer) next() (token, bool) {
-	if t.pos >= len(t.src) {
-		return token{}, false
+// next scans the next token into t, or returns false at end of input.
+func (t *tokenizer) next() bool {
+	src, start := t.src, t.pos
+	if start >= len(src) {
+		return false
 	}
 	if t.rawTag != "" {
-		return t.rawText(), true
+		t.rawText()
+		return true
 	}
-	if t.src[t.pos] == '<' {
-		if tok, ok := t.tag(); ok {
-			return tok, true
+	from := start
+	if src[start] == '<' {
+		if t.tag() {
+			return true
 		}
 		// A lone '<' that does not open a valid construct is literal text.
-		start := t.pos
-		t.pos++
-		for t.pos < len(t.src) && t.src[t.pos] != '<' {
-			t.pos++
-		}
-		return token{typ: tokText, data: decodeEntities(t.src[start:t.pos])}, true
+		from++
 	}
-	start := t.pos
-	for t.pos < len(t.src) && t.src[t.pos] != '<' {
-		t.pos++
+	end := len(src)
+	if i := strings.IndexByte(src[from:], '<'); i >= 0 {
+		end = from + i
 	}
-	return token{typ: tokText, data: decodeEntities(t.src[start:t.pos])}, true
+	t.pos = end
+	t.typ, t.data, t.raw = tokText, src[start:end], false
+	return true
 }
 
 // rawText consumes the raw content of a script/style element up to its
 // closing tag (case-insensitive), leaving the close tag for the next call.
-func (t *tokenizer) rawText() token {
+// The closing tag is the element's own: "</scripts>" is content, or the end
+// tag scanned next would bear another name, close nothing, and leave what
+// follows to be parsed as markup inside a raw element — which a reparse of
+// the serialization would read as text.
+func (t *tokenizer) rawText() {
 	close := "</script"
 	if t.rawTag == "style" {
 		close = "</style"
 	}
-	idx := foldIndex(t.src[t.pos:], close)
-	var content string
-	if idx < 0 {
-		content = t.src[t.pos:]
-		t.pos = len(t.src)
-	} else {
-		content = t.src[t.pos : t.pos+idx]
-		t.pos += idx
+	end := t.pos
+	for {
+		idx := foldIndex(t.src[end:], close)
+		if idx < 0 {
+			end = len(t.src)
+			break
+		}
+		end += idx
+		if after := end + len(close); after == len(t.src) || nameClass[t.src[after]]&nameByte == 0 {
+			break
+		}
+		end++
 	}
+	t.typ, t.data, t.raw = tokText, t.src[t.pos:end], true
+	t.pos = end
 	t.rawTag = ""
-	return token{typ: tokText, data: content}
 }
 
 // foldIndex is an ASCII-case-insensitive strings.Index: the offset of the
-// first match of sub (which must be lowercase ASCII) in s, or -1. Unlike
-// strings.Index(strings.ToLower(s), sub) it allocates nothing and reports
-// byte offsets into s itself even when s contains multi-byte runes whose
-// lowercase form has a different width.
+// first match of sub (which must be lowercase ASCII and start with '<') in
+// s, or -1. Unlike strings.Index(strings.ToLower(s), sub) it allocates
+// nothing and reports byte offsets into s itself even when s contains
+// multi-byte runes whose lowercase form has a different width.
 func foldIndex(s, sub string) int {
-	if len(sub) == 0 {
-		return 0
-	}
-	for i := 0; i+len(sub) <= len(s); i++ {
-		j := 0
+	for i := 0; ; i++ {
+		k := strings.IndexByte(s[i:], sub[0])
+		if k < 0 || i+k+len(sub) > len(s) {
+			return -1
+		}
+		i += k
+		j := 1
 		for ; j < len(sub); j++ {
 			c := s[i+j]
 			if c >= 'A' && c <= 'Z' {
@@ -112,55 +130,46 @@ func foldIndex(s, sub string) int {
 			return i
 		}
 	}
-	return -1
 }
 
-// tag parses a construct starting at '<'. Returns ok=false when the bytes do
-// not form a tag, comment or doctype.
-func (t *tokenizer) tag() (token, bool) {
+// tag scans the construct starting at '<' into t. It returns false, leaving
+// t untouched, when the bytes do not form a tag, comment or doctype.
+func (t *tokenizer) tag() bool {
 	src, p := t.src, t.pos
 	if p+1 >= len(src) {
-		return token{}, false
+		return false
 	}
-	switch {
-	case strings.HasPrefix(src[p:], "<!--"):
-		end := strings.Index(src[p+4:], "-->")
-		if end < 0 {
-			t.pos = len(src)
-			return token{typ: tokComment, data: src[p+4:]}, true
+	switch c := src[p+1]; {
+	case c == '!' && strings.HasPrefix(src[p:], "<!--"):
+		t.typ, t.pos = tokComment, len(src)
+		if end := strings.Index(src[p+4:], "-->"); end >= 0 {
+			t.pos = p + 4 + end + 3
 		}
-		t.pos = p + 4 + end + 3
-		return token{typ: tokComment, data: src[p+4 : p+4+end]}, true
-	case src[p+1] == '!' || src[p+1] == '?':
-		end := strings.IndexByte(src[p:], '>')
-		if end < 0 {
-			t.pos = len(src)
-			return token{typ: tokDoctype, data: src[p:]}, true
+	case c == '!' || c == '?':
+		t.typ, t.pos = tokDoctype, len(src)
+		if end := strings.IndexByte(src[p:], '>'); end >= 0 {
+			t.pos = p + end + 1
 		}
-		t.pos = p + end + 1
-		return token{typ: tokDoctype, data: src[p : p+end+1]}, true
-	case src[p+1] == '/':
+	case c == '/':
 		q := p + 2
 		name := scanName(src, &q)
 		if name == "" {
-			return token{}, false
+			return false
 		}
 		// Skip to '>'.
-		for q < len(src) && src[q] != '>' {
-			q++
+		if end := strings.IndexByte(src[q:], '>'); end >= 0 {
+			q += end + 1
+		} else {
+			q = len(src)
 		}
-		if q < len(src) {
-			q++
-		}
-		t.pos = q
-		return token{typ: tokEndTag, data: strings.ToLower(name)}, true
+		t.typ, t.data, t.pos = tokEndTag, name, q
 	default:
 		q := p + 1
 		name := scanName(src, &q)
 		if name == "" {
-			return token{}, false
+			return false
 		}
-		tok := token{typ: tokStartTag, data: strings.ToLower(name)}
+		t.typ, t.data = tokStartTag, name
 		t.attrs = t.attrs[:0]
 		for {
 			skipSpace(src, &q)
@@ -172,7 +181,7 @@ func (t *tokenizer) tag() (token, bool) {
 				break
 			}
 			if src[q] == '/' && q+1 < len(src) && src[q+1] == '>' {
-				tok.typ = tokSelfClosing
+				t.typ = tokSelfClosing
 				q += 2
 				break
 			}
@@ -181,49 +190,71 @@ func (t *tokenizer) tag() (token, bool) {
 				q++ // skip junk byte
 				continue
 			}
-			a := attr{key: strings.ToLower(key)}
+			val := ""
 			skipSpace(src, &q)
 			if q < len(src) && src[q] == '=' {
 				q++
 				skipSpace(src, &q)
-				a.val = scanAttrValue(src, &q)
+				val = scanAttrValue(src, &q)
 			}
-			t.attrs = append(t.attrs, a)
+			t.attrs = append(t.attrs, dom.Attr{Key: key, Val: val})
 		}
-		tok.attrs = t.attrs
 		t.pos = q
-		if tok.data == "script" || tok.data == "style" {
-			if tok.typ == tokStartTag {
-				t.rawTag = tok.data
-			}
+		if t.typ == tokStartTag && dom.IsRaw(name) {
+			t.rawTag = name
 		}
-		return tok, true
 	}
+	return true
 }
 
-func scanName(src string, q *int) string {
-	start := *q
-	for *q < len(src) {
-		c := src[*q]
-		if c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9' ||
-			c == '-' || c == '_' || c == ':' || c == '.' {
-			*q++
-			continue
-		}
-		break
+// Byte classes of nameClass.
+const (
+	nameByte  = 1 << iota // may appear in a tag or attribute name
+	upperByte             // A-Z: the name must be folded
+	spaceByte             // HTML whitespace
+)
+
+// nameClass classifies every byte once, so scanning a name or a run of
+// whitespace is one table load a byte.
+var nameClass = func() (tab [256]uint8) {
+	for c := 'a'; c <= 'z'; c++ {
+		tab[c] = nameByte
+		tab[c-'a'+'A'] = nameByte | upperByte
 	}
-	return src[start:*q]
+	for c := '0'; c <= '9'; c++ {
+		tab[c] = nameByte
+	}
+	for _, c := range "-_:." {
+		tab[c] = nameByte
+	}
+	for _, c := range " \t\n\r\f" {
+		tab[c] = spaceByte
+	}
+	return tab
+}()
+
+// scanName scans a tag or attribute name at *q and returns it lowercased —
+// the source bytes themselves when nothing in it folds.
+func scanName(src string, q *int) string {
+	start, i := *q, *q
+	var seen uint8
+	for i < len(src) && nameClass[src[i]]&nameByte != 0 {
+		seen |= nameClass[src[i]]
+		i++
+	}
+	*q = i
+	if seen&upperByte != 0 {
+		return strings.ToLower(src[start:i])
+	}
+	return src[start:i]
 }
 
 func skipSpace(src string, q *int) {
-	for *q < len(src) {
-		switch src[*q] {
-		case ' ', '\t', '\n', '\r', '\f':
-			*q++
-		default:
-			return
-		}
+	i := *q
+	for i < len(src) && nameClass[src[i]]&spaceByte != 0 {
+		i++
 	}
+	*q = i
 }
 
 func scanAttrValue(src string, q *int) string {
@@ -233,21 +264,19 @@ func scanAttrValue(src string, q *int) string {
 	switch src[*q] {
 	case '"', '\'':
 		quote := src[*q]
-		*q++
-		start := *q
-		for *q < len(src) && src[*q] != quote {
-			*q++
+		start := *q + 1
+		end := len(src)
+		*q = end
+		if i := strings.IndexByte(src[start:], quote); i >= 0 {
+			end = start + i
+			*q = end + 1
 		}
-		v := src[start:*q]
-		if *q < len(src) {
-			*q++
-		}
-		return decodeEntities(v)
+		return decodeEntities(src[start:end])
 	default:
 		start := *q
 		for *q < len(src) {
 			c := src[*q]
-			if c == ' ' || c == '\t' || c == '\n' || c == '\r' || c == '>' {
+			if nameClass[c]&spaceByte != 0 || c == '>' {
 				break
 			}
 			if c == '/' && *q+1 < len(src) && src[*q+1] == '>' {
@@ -271,35 +300,33 @@ var namedEntities = map[string]rune{
 // decodeEntities resolves named and numeric character references. Unknown
 // references are left verbatim (tolerant behaviour).
 func decodeEntities(s string) string {
-	amp := strings.IndexByte(s, '&')
-	if amp < 0 {
+	if strings.IndexByte(s, '&') < 0 {
 		return s
 	}
-	var sb strings.Builder
-	sb.Grow(len(s))
-	for i := 0; i < len(s); {
-		c := s[i]
-		if c != '&' {
-			sb.WriteByte(c)
-			i++
-			continue
+	var buf [128]byte // most values fit, and then the string is the one allocation
+	return string(appendDecoded(buf[:0], s))
+}
+
+// appendDecoded appends s to dst with its character references resolved,
+// copying the bytes between two ampersands whole.
+func appendDecoded(dst []byte, s string) []byte {
+	for {
+		amp := strings.IndexByte(s, '&')
+		if amp < 0 {
+			return append(dst, s...)
 		}
-		semi := strings.IndexByte(s[i+1:], ';')
-		if semi < 0 || semi > 10 {
-			sb.WriteByte(c)
-			i++
-			continue
+		dst = append(dst, s[:amp]...)
+		s = s[amp:]
+		if semi := strings.IndexByte(s[1:], ';'); semi >= 0 && semi <= 10 {
+			if r, ok := decodeRef(s[1 : 1+semi]); ok {
+				dst = utf8.AppendRune(dst, r)
+				s = s[semi+2:]
+				continue
+			}
 		}
-		ref := s[i+1 : i+1+semi]
-		if r, ok := decodeRef(ref); ok {
-			sb.WriteRune(r)
-			i += semi + 2
-			continue
-		}
-		sb.WriteByte(c)
-		i++
+		dst = append(dst, '&')
+		s = s[1:]
 	}
-	return sb.String()
 }
 
 func decodeRef(ref string) (rune, bool) {

@@ -2,6 +2,7 @@ package lr
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -9,6 +10,7 @@ import (
 	"autowrap/internal/dom"
 	"autowrap/internal/gen"
 	"autowrap/internal/htmlparse"
+	"autowrap/internal/testutil/pincheck"
 	"autowrap/internal/testutil/race"
 	"autowrap/internal/testutil/refhtml"
 )
@@ -61,7 +63,8 @@ func nodeTexts(nodes []*dom.Node) []string {
 
 // assertCompiledMatchesNative induces a wrapper from labels on c, compiles
 // it, and asserts native Wrapper.Extract ≡ Compiled.ApplyPage ≡ reference,
-// node for node and in order, on every page of the corpus. It returns the
+// node for node and in order, and ≡ Compiled.ApplyHTML text for text, on
+// every page of the corpus. It returns the
 // number of nodes the wrapper extracts.
 func assertCompiledMatchesNative(t *testing.T, name string, c *corpus.Corpus, ind *Inductor, labels []int) int {
 	t.Helper()
@@ -86,6 +89,13 @@ func assertCompiledMatchesNative(t *testing.T, name string, c *corpus.Corpus, in
 		}
 		if !sameNodes(got, native[i]) {
 			t.Fatalf("%s page %d, %s: ApplyPage = %q, native Extract = %q", name, i, compiled.Rule(), nodeTexts(got), nodeTexts(native[i]))
+		}
+		var trimmed []string
+		for _, n := range got {
+			trimmed = append(trimmed, strings.TrimSpace(n.Data))
+		}
+		if viaHTML := compiled.ApplyHTML(page.HTML); !slices.Equal(viaHTML, trimmed) {
+			t.Fatalf("%s page %d, %s: ApplyHTML = %q, ApplyPage = %q", name, i, compiled.Rule(), viaHTML, trimmed)
 		}
 		total += len(got)
 	}
@@ -239,4 +249,79 @@ func TestLRApplyAllocBudget(t *testing.T) {
 	if avg > 2 {
 		t.Fatalf("ApplyPage allocates %.1f times per page, budget is 2", avg)
 	}
+}
+
+// TestStreamWritesTheSerialization: the bytes the ApplyHTML handler writes
+// from the parser's events are dom.AppendHTML's over the parsed tree, and
+// its spans are the extractable texts' — the premise of matching the
+// delimiters without a tree. (Every rule against every page, both
+// languages, is internal/htmlparse's tree ≡ stream table and fuzz.)
+func TestStreamWritesTheSerialization(t *testing.T) {
+	pages := map[string]string{}
+	for name, src := range hostileHTML {
+		pages[name] = src
+	}
+	site, err := gen.DealerSite(gen.DealerConfig{Seed: 3, Pool: gen.BusinessPool(7, 400, 0), NumPages: 2, Drift: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, p := range site.Corpus.Pages {
+		pages[fmt.Sprintf("generated %d", i)] = p.HTML
+	}
+	for name, src := range pages {
+		root := htmlparse.Parse(src)
+		var spans []dom.TextSpan
+		want := dom.AppendHTML(nil, root, &spans)
+		sc := new(applyScratch)
+		htmlparse.Stream(src, sc)
+		if string(sc.html) != string(want) {
+			t.Fatalf("%s: stream wrote\n  %q\ntree serializes to\n  %q", name, sc.html, want)
+		}
+		k := 0
+		for _, sp := range spans {
+			if !corpus.IsExtractableText(sp.Node) {
+				continue
+			}
+			if k >= len(sc.spans) || sc.spans[k].Start != sp.Start || sc.spans[k].End != sp.End ||
+				sc.texts[k] != strings.TrimSpace(sp.Node.Data) {
+				t.Fatalf("%s: extractable text %d %q at [%d,%d) missing from the stream's spans", name, k, sp.Node.Data, sp.Start, sp.End)
+			}
+			k++
+		}
+		if k != len(sc.spans) {
+			t.Fatalf("%s: stream kept %d spans, the tree has %d extractable texts", name, len(sc.spans), k)
+		}
+	}
+}
+
+// TestLRApplyHTMLAllocBudget is TestLRApplyAllocBudget for the path serving
+// takes: the result slice, and nothing per record — texts alias the page.
+func TestLRApplyHTMLAllocBudget(t *testing.T) {
+	if race.Enabled {
+		t.Skip("race detector bypasses sync.Pool; budgets describe production builds")
+	}
+	page := "<html><body><table>" +
+		strings.Repeat("<tr><td class='k'>label</td><td class='v'>value text</td></tr>", 160) +
+		"</table></body></html>"
+	c := &Compiled{Left: `"v">`, Right: "</td>"}
+	if got := c.ApplyHTML(page); len(got) != 160 || got[0] != "value text" {
+		t.Fatalf("fixture extraction = %q", got)
+	}
+	if avg := testing.AllocsPerRun(100, func() { c.ApplyHTML(page) }); avg > 1 {
+		t.Fatalf("ApplyHTML allocates %.1f times per page, budget is 1", avg)
+	}
+}
+
+// TestReleasedScratchDoesNotPinSource: the stream's spans carry texts that
+// alias the page; a scratch back in its pool must not.
+func TestReleasedScratchDoesNotPinSource(t *testing.T) {
+	pincheck.Freed(t, pincheck.Page, func(page string) any {
+		sc := new(applyScratch)
+		htmlparse.Stream(page, sc)
+		if len(sc.texts) < 4 {
+			t.Fatalf("fixture kept %q", sc.texts)
+		}
+		sc.release()
+		return sc
+	})
 }

@@ -84,11 +84,14 @@ func bucketQuantile(buckets *[histBuckets]int64, total int64, q, maxUS float64) 
 	for i := 0; i < histBuckets; i++ {
 		seen += buckets[i]
 		if seen >= rank {
-			if i == 0 {
-				return 0.5
+			// The midpoint of the bucket — [0,1) or [2^(i-1), 2^i) — but
+			// never more than the slowest request there was: when every
+			// request falls in one bucket, a p50 above the max is a lie.
+			mid := 0.5
+			if i > 0 {
+				mid = 1.5 * float64(int64(1)<<(i-1))
 			}
-			lo := float64(int64(1) << (i - 1))
-			return lo * 1.5 // midpoint of [2^(i-1), 2^i)
+			return math.Min(mid, maxUS)
 		}
 	}
 	return maxUS

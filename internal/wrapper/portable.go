@@ -14,6 +14,11 @@ import "autowrap/internal/dom"
 // parsed xpath expression, lr.Compiled a delimiter matcher over the page's
 // serialized character stream); internal/store owns the stable wire form
 // and the Wrapper -> Portable compilation dispatch.
+//
+// A rule has two evaluations, held equal by a differential fuzz. ApplyPage
+// reads a tree, for callers that hold one or share one parse among several
+// readers; ApplyHTML reads the page itself, for the one rule that reads one
+// page once — serving — and builds no tree.
 type Portable interface {
 	// Lang names the wrapper language the rule is written in ("xpath",
 	// "lr"); codecs key the wire format on it.
@@ -26,4 +31,9 @@ type Portable interface {
 	// in document order. It must be safe for concurrent use: the extraction
 	// runtime shares one Portable across its worker pool.
 	ApplyPage(root *dom.Node) []*dom.Node
+	// ApplyHTML evaluates the rule against a page's source and returns the
+	// records' trimmed contents: by contract exactly strings.TrimSpace(n.Data)
+	// for each n of ApplyPage(htmlparse.Parse(html)), in that order. Safe for
+	// concurrent use, as ApplyPage is.
+	ApplyHTML(html string) []string
 }

@@ -1,6 +1,7 @@
 package xpath
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -109,6 +110,12 @@ func TestParseAdversarialButValid(t *testing.T) {
 		"/a[1073741824]", // exactly the cap
 		"  //a/text()  ", // surrounding space is trimmed
 		"/a-b_c:d[@data-x='1']",
+		"/a[@data.x='1']", // every byte the HTML tokenizer takes for a name
+		`/a[@b="it's"]`,
+		"/a[@b='it''s']", // a literal's own quote, doubled
+		"/a[@b='" + "''" + "']",
+		`/a[@b="say ""hi"""]`,
+		"/a[@onload='init(''a'')'][@b='x]y']",
 	}
 	for _, src := range good {
 		t.Run(src, func(t *testing.T) {
@@ -122,8 +129,8 @@ func TestParseAdversarialButValid(t *testing.T) {
 			if err != nil {
 				t.Fatalf("reparse of %q (from %q): %v", e.String(), src, err)
 			}
-			if e2.String() != e.String() {
-				t.Fatalf("render not stable: %q -> %q", e.String(), e2.String())
+			if !reflect.DeepEqual(e2, e) {
+				t.Fatalf("Parse(String()) is not the identity: %q -> %q", e.String(), e2.String())
 			}
 		})
 	}
@@ -131,11 +138,12 @@ func TestParseAdversarialButValid(t *testing.T) {
 
 // FuzzParse hammers the parser: any input may be rejected but must never
 // panic, and accepted inputs must render to a string that reparses to the
-// same rendering.
+// same expression.
 func FuzzParse(f *testing.F) {
 	for _, seed := range []string{
 		"//div[@class='dealerlinks']/table[1]/tr/td[2]/text()",
 		"/a[@b='v']", "//text()", "/a[12]", "///", "/a[@b='v", "", "/*",
+		`/a[@b="it's"]`, "/a[@b='it''s'][@c.d='']",
 	} {
 		f.Add(seed)
 	}
@@ -149,8 +157,8 @@ func FuzzParse(f *testing.F) {
 		if err != nil {
 			t.Fatalf("accepted %q but rendered form %q does not reparse: %v", src, rendered, err)
 		}
-		if e2.String() != rendered {
-			t.Fatalf("render unstable: %q -> %q -> %q", src, rendered, e2.String())
+		if !reflect.DeepEqual(e2, e) {
+			t.Fatalf("Parse(String()) is not the identity: %q -> %q -> %q", src, rendered, e2.String())
 		}
 	})
 }

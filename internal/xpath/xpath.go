@@ -147,16 +147,23 @@ func (p *parser) pred() (Pred, error) {
 		} else {
 			return Pred{}, fmt.Errorf("expected quoted attribute value")
 		}
-		start := p.pos
-		for p.pos < len(p.src) && p.src[p.pos] != quote {
+		// A literal holds its own quote doubled (XPath 2.0), so any value
+		// can be written: see Quote.
+		var val strings.Builder
+		for {
+			end := strings.IndexByte(p.src[p.pos:], quote)
+			if end < 0 {
+				return Pred{}, fmt.Errorf("unterminated attribute value")
+			}
+			val.WriteString(p.src[p.pos : p.pos+end])
+			p.pos += end + 1
+			if p.pos >= len(p.src) || p.src[p.pos] != quote {
+				break
+			}
+			val.WriteByte(quote)
 			p.pos++
 		}
-		if p.pos >= len(p.src) {
-			return Pred{}, fmt.Errorf("unterminated attribute value")
-		}
-		val := p.src[start:p.pos]
-		p.pos++
-		return Pred{Attr: strings.ToLower(attr), Value: val}, nil
+		return Pred{Attr: strings.ToLower(attr), Value: val.String()}, nil
 	}
 	start := p.pos
 	for p.pos < len(p.src) && p.src[p.pos] >= '0' && p.src[p.pos] <= '9' {
@@ -197,12 +204,14 @@ func (p *parser) eat(s string) bool {
 
 func (p *parser) eatWord(s string) bool { return p.eat(s) }
 
+// name scans a tag or attribute name: the bytes the HTML tokenizer takes for
+// one, or a rule learned from a page could name what no rule can.
 func (p *parser) name() string {
 	start := p.pos
 	for p.pos < len(p.src) {
 		c := p.src[p.pos]
 		if c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9' ||
-			c == '-' || c == '_' || c == ':' {
+			c == '-' || c == '_' || c == ':' || c == '.' {
 			p.pos++
 			continue
 		}
@@ -211,7 +220,14 @@ func (p *parser) name() string {
 	return p.src[start:p.pos]
 }
 
-// String renders the expression back to xpath syntax.
+// Quote renders s as a string literal: single-quoted, a single quote inside
+// it doubled. Parse reads it back to s, whatever s holds.
+func Quote(s string) string {
+	return "'" + strings.ReplaceAll(s, "'", "''") + "'"
+}
+
+// String renders the expression back to xpath syntax; Parse of the result
+// is the expression again.
 func (e *Expr) String() string {
 	var sb strings.Builder
 	for _, st := range e.Steps {
@@ -223,7 +239,7 @@ func (e *Expr) String() string {
 		sb.WriteString(st.Tag)
 		for _, pr := range st.Preds {
 			if pr.Attr != "" {
-				fmt.Fprintf(&sb, "[@%s='%s']", pr.Attr, pr.Value)
+				fmt.Fprintf(&sb, "[@%s=%s]", pr.Attr, Quote(pr.Value))
 			} else {
 				fmt.Fprintf(&sb, "[%d]", pr.Index)
 			}

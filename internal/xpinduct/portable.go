@@ -59,4 +59,9 @@ func (c *Compiled) ApplyPage(root *dom.Node) []*dom.Node {
 	return out
 }
 
+// ApplyHTML implements wrapper.Portable: the expression matched while the
+// page is tokenized (xpath.Expr.ApplyHTML applies the extractable-text
+// filter itself).
+func (c *Compiled) ApplyHTML(html string) []string { return c.expr.ApplyHTML(html) }
+
 var _ wrapper.Portable = (*Compiled)(nil)

@@ -2,16 +2,22 @@ package xpinduct
 
 import (
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 
 	"autowrap/internal/bitset"
+	"autowrap/internal/corpus"
+	"autowrap/internal/dom"
 	"autowrap/internal/gen"
+	"autowrap/internal/xpath"
 )
 
 // TestRuleEvalMatchesExtractionOnGeneratedSites closes the loop between the
 // feature semantics and the concrete xpath language on realistic markup:
 // for random label subsets over generated dealer sites, the rendered rule,
-// evaluated by the xpath engine, selects exactly the wrapper's extraction.
+// evaluated by the xpath engine — on the tree and on the token stream —
+// selects exactly the wrapper's extraction.
 func TestRuleEvalMatchesExtractionOnGeneratedSites(t *testing.T) {
 	pool := gen.BusinessPool(77, 400, 0)
 	rng := rand.New(rand.NewSource(123))
@@ -50,6 +56,99 @@ func TestRuleEvalMatchesExtractionOnGeneratedSites(t *testing.T) {
 					site.Name, site.Layout, labels.Indices(),
 					viaXPath.Count(), w.Extract().Count(), w.Rule())
 			}
+			// And the same rule matched on the token stream, page by page.
+			compiled, err := Compile(w)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for pi, p := range c.Pages {
+				var want []string
+				for _, n := range p.Texts {
+					if w.Extract().Has(c.OrdinalOf(n)) {
+						want = append(want, strings.TrimSpace(n.Data))
+					}
+				}
+				if got := compiled.ApplyHTML(p.HTML); !slices.Equal(got, want) {
+					t.Fatalf("site %s page %d rule %q: ApplyHTML %q, extraction %q", site.Name, pi, w.Rule(), got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestOddAttributesSurviveTheRule: every HTML attribute of every ancestor is
+// a feature, name and value verbatim, so whatever the tokenizer accepts the
+// rendered rule must be able to say — a '.' in a name, the literal's own
+// quote in a value — or a site can be learned and never stored. Native
+// Extract ≡ ApplyPage ≡ ApplyHTML of the compiled rule, and the predicates
+// still discriminate.
+func TestOddAttributesSurviveTheRule(t *testing.T) {
+	odd := [][2]string{
+		{"data.x", "1"}, {"xml:lang", "en-GB"}, {"data-k_2", "v"},
+		{"onload", "init('a')"}, {"title", `say "hi"`}, {"alt", `it's "both"`},
+		{"data-b", "a]b[@c='d"}, {"empty", ""}, {"q", "'"}, {"qq", "''"},
+	}
+	page := func(mutate int) string {
+		body := dom.NewElement("body")
+		for i, kv := range odd {
+			v := kv[1]
+			if i == mutate {
+				v += "x"
+			}
+			body.Attrs = append(body.Attrs, dom.Attr{Key: kv[0], Val: v})
+		}
+		ul := body.Append(dom.NewElement("ul"))
+		for _, name := range []string{"Ann & Co", "Bob's"} {
+			ul.Append(dom.NewElement("li")).Append(dom.NewText(name))
+		}
+		body.Append(dom.NewElement("p")).Append(dom.NewText("footer"))
+		doc := dom.NewDocument()
+		doc.Append(dom.NewElement("html")).Append(body)
+		return dom.Serialize(doc)
+	}
+	c := corpus.ParseHTML([]string{page(-1), page(-1)})
+	labels := c.EmptySet()
+	for ord := 0; ord < c.NumTexts(); ord++ {
+		if c.Text(ord).Parent.Tag == "li" {
+			labels.Add(ord)
+		}
+	}
+	w, err := New(c, Options{}).Induce(labels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !w.Extract().Equal(labels) {
+		t.Fatalf("induced rule %q extracts %v, labels %v", w.Rule(), w.Extract().Indices(), labels.Indices())
+	}
+	p, err := Compile(w)
+	if err != nil {
+		t.Fatalf("the learner's own rule does not compile: %v", err)
+	}
+	if p.Rule() != w.Rule() {
+		t.Fatalf("compiled rule renders %q, learned %q", p.Rule(), w.Rule())
+	}
+	for _, kv := range odd {
+		if want := "[@" + kv[0] + "=" + xpath.Quote(kv[1]) + "]"; !strings.Contains(p.Rule(), want) {
+			t.Fatalf("rule %q lacks the predicate %s", p.Rule(), want)
+		}
+	}
+	for i, pg := range c.Pages {
+		var native, viaPage []string
+		for _, n := range pg.Texts {
+			if w.Extract().Has(c.OrdinalOf(n)) {
+				native = append(native, strings.TrimSpace(n.Data))
+			}
+		}
+		for _, n := range p.ApplyPage(pg.Root) {
+			viaPage = append(viaPage, strings.TrimSpace(n.Data))
+		}
+		if viaHTML := p.ApplyHTML(pg.HTML); !slices.Equal(native, viaPage) || !slices.Equal(native, viaHTML) || len(native) != 2 {
+			t.Fatalf("page %d: Extract %q, ApplyPage %q, ApplyHTML %q", i, native, viaPage, viaHTML)
+		}
+	}
+	for i := range odd {
+		if got := p.ApplyHTML(page(i)); len(got) != 0 {
+			t.Fatalf("with %s changed the rule still extracts %q", odd[i][0], got)
 		}
 	}
 }

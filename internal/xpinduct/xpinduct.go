@@ -80,18 +80,12 @@ type builder struct {
 type frame struct {
 	n  *dom.Node
 	cn int // same-tag child number; 0 for a root and for non-elements
-	// counts tallies n's element children by tag as the walk passes them:
-	// a parent has few distinct child tags, so a short list, not a map.
-	counts []tagCount
+	// counts tallies n's element children by tag as the walk passes them.
+	counts dom.ChildCounter
 	// memo[pos-1] is the range of builder.ids holding the features n
 	// contributes as a text node's pos-th ancestor. The zero range has not
 	// been built: a built one holds at least tag and child number.
 	memo [][2]int
-}
-
-type tagCount struct {
-	tag string
-	n   int
 }
 
 // visit walks the subtree of n in document order — the order the corpus
@@ -109,27 +103,16 @@ func (b *builder) visit(n *dom.Node, cn int) {
 	}
 	b.stack = b.stack[:at+1]
 	f := &b.stack[at]
-	f.n, f.cn, f.counts, f.memo = n, cn, f.counts[:0], f.memo[:0]
+	f.n, f.cn, f.memo = n, cn, f.memo[:0]
+	f.counts.Reset()
 	for _, ch := range n.Children {
 		k := 0
 		if ch.Type == dom.ElementNode {
-			k = b.stack[at].childNumber(ch.Tag)
+			k = b.stack[at].counts.Next(ch.Tag)
 		}
 		b.visit(ch, k)
 	}
 	b.stack = b.stack[:at]
-}
-
-// childNumber counts one more element child with the given tag.
-func (f *frame) childNumber(tag string) int {
-	for i := range f.counts {
-		if f.counts[i].tag == tag {
-			f.counts[i].n++
-			return f.counts[i].n
-		}
-	}
-	f.counts = append(f.counts, tagCount{tag, 1})
-	return 1
 }
 
 // text attaches to the next text node the features of its ancestors: the
@@ -232,9 +215,9 @@ func renderRule(fs *wrapper.FeatureSpace, featIDs []int32) string {
 		for _, kv := range si.attrs {
 			sb.WriteString("[@")
 			sb.WriteString(kv[0])
-			sb.WriteString("='")
-			sb.WriteString(kv[1])
-			sb.WriteString("']")
+			sb.WriteString("=")
+			sb.WriteString(xpath.Quote(kv[1]))
+			sb.WriteString("]")
 		}
 	}
 	sb.WriteString("/text()")
