@@ -22,6 +22,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -595,6 +596,90 @@ func BenchmarkServeExtractHTTP(b *testing.B) {
 		resp.Body.Close()
 	}
 	b.ReportMetric(float64(b.N)/time.Since(start).Seconds(), "req/sec")
+}
+
+// BenchmarkServeExtractBulkHTTP is the recorded benchmark's extract_bulk
+// request in one process: 16 large pages in one JSON body, escaped as
+// encoding/json escapes HTML, over a real HTTP round trip, alternating an
+// XPATH and an LR site — the body codec, the extract pool and both rule
+// evaluations on the token stream. cpu-us/page is the process's CPU time
+// from getrusage over the pages served: the client's share is in it too.
+func BenchmarkServeExtractBulkHTTP(b *testing.B) {
+	st := store.New()
+	var bodies [][]byte
+	for _, site := range []struct {
+		name        string
+		newInductor func(*autowrap.Corpus) autowrap.Inductor
+	}{
+		{"xpath", autowrap.NewXPathInductor},
+		{"lr", func(c *autowrap.Corpus) autowrap.Inductor { return autowrap.NewLRInductor(c, 0) }},
+	} {
+		p, pages := bulkFixture(b, site.newInductor)
+		if _, err := st.Put(site.name, p, store.Meta{
+			Profile: &store.Profile{Pages: len(pages), MeanRecords: 175},
+		}); err != nil {
+			b.Fatal(err)
+		}
+		req := serve.ExtractRequest{Site: site.name}
+		for _, pg := range pages {
+			req.Pages = append(req.Pages, serve.PageInput{ID: pg.ID, HTML: pg.HTML})
+		}
+		body, err := json.Marshal(req)
+		if err != nil {
+			b.Fatal(err)
+		}
+		bodies = append(bodies, body)
+	}
+	d := serve.NewDispatcher(st, serve.Options{Monitor: drift.NewMonitor(drift.Policy{Window: 64})})
+	srv, err := serve.NewServer(serve.ServerConfig{Dispatcher: d})
+	if err != nil {
+		b.Fatal(err)
+	}
+	hs := httptest.NewServer(srv.Handler())
+	defer hs.Close()
+	client := hs.Client()
+	post := func(body []byte) *http.Response {
+		resp, err := client.Post(hs.URL+"/v1/extract", "application/json", bytes.NewReader(body))
+		if err != nil {
+			b.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			b.Fatalf("status %d", resp.StatusCode)
+		}
+		return resp
+	}
+	// Verify the wire path once per site, then time request round trips.
+	for _, body := range bodies {
+		resp := post(body)
+		var out serve.ExtractResponse
+		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+			b.Fatal(err)
+		}
+		resp.Body.Close()
+		if len(out.Results) != 16 || len(out.Results[15].Records) < 150 {
+			b.Fatalf("wire check: %d results", len(out.Results))
+		}
+	}
+	var before, after syscall.Rusage
+	b.ReportAllocs()
+	b.ResetTimer()
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &before); err != nil {
+		b.Fatal(err)
+	}
+	for i := 0; i < b.N; i++ {
+		resp := post(bodies[i%len(bodies)])
+		if _, err := io.Copy(io.Discard, resp.Body); err != nil {
+			b.Fatal(err)
+		}
+		resp.Body.Close()
+	}
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &after); err != nil {
+		b.Fatal(err)
+	}
+	pages := float64(16 * b.N)
+	cpu := time.Duration(after.Utime.Nano() + after.Stime.Nano() - before.Utime.Nano() - before.Stime.Nano())
+	b.ReportMetric(pages/b.Elapsed().Seconds(), "pages/sec")
+	b.ReportMetric(float64(cpu.Microseconds())/pages, "cpu-us/page")
 }
 
 // forwardFixture boots a one-shard serving fleet twice over: a local

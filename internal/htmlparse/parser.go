@@ -1,10 +1,6 @@
 package htmlparse
 
-import (
-	"strings"
-
-	"autowrap/internal/dom"
-)
+import "autowrap/internal/dom"
 
 // Handler receives a page as the parser's event sequence: the one set of
 // tolerance rules (implicit closes, stray and force-closing end tags, raw
@@ -55,13 +51,15 @@ type parser struct {
 	// overflow counts the start tags refused a level whose end tags have
 	// not come by yet.
 	overflow int
-	// Text accumulates as a single pending run in the common case; runs
+	// Text accumulates as a single pending run in the common case, with
+	// classifyText's verdict on whether it is already collapsed; runs
 	// split by a dropped comment/doctype or a literal '<', and runs with
 	// character references to decode, go through textBuf. scratch holds
 	// the whitespace-collapsed form of the run being flushed.
-	pending string
-	textBuf []byte
-	scratch []byte
+	pending          string
+	pendingCollapsed bool
+	textBuf          []byte
+	scratch          []byte
 }
 
 // run parses src on a reset parser, delivering it to h.
@@ -88,7 +86,9 @@ func (p *parser) run(src string, h Handler) {
 // text takes one text token: raw-element content goes out as it stands,
 // anything else joins the pending run. Whether the run is wanted cannot
 // change before it is flushed — only tags that flush move the innermost
-// element — so unwanted tokens are dropped one by one.
+// element — so unwanted tokens are dropped one by one, having cost the
+// tokenizer's search for their end, and a wanted one is scanned once more,
+// by classifyText.
 func (p *parser) text(h Handler) {
 	if !h.WantText() {
 		return
@@ -103,9 +103,10 @@ func (p *parser) text(h Handler) {
 		}
 		return
 	}
-	decode := !p.tz.raw && strings.IndexByte(data, '&') >= 0
+	amp, collapsed := classifyText(data)
+	decode := amp && !p.tz.raw
 	if p.pending == "" && len(p.textBuf) == 0 && !decode {
-		p.pending = data
+		p.pending, p.pendingCollapsed = data, collapsed
 		return
 	}
 	p.textBuf = append(p.textBuf, p.pending...)
@@ -128,7 +129,7 @@ func (p *parser) flushText(h Handler) {
 	case p.pending != "":
 		data := p.pending
 		p.pending = ""
-		if isCollapsed(data) {
+		if p.pendingCollapsed {
 			h.Text(data, false)
 			return
 		}
@@ -226,14 +227,13 @@ func (p *parser) reset() {
 	attrs := p.tz.attrs[:cap(p.tz.attrs)]
 	clear(attrs)
 	p.tz = tokenizer{attrs: attrs[:0]}
-	p.overflow, p.pending = 0, ""
+	p.overflow, p.pending, p.pendingCollapsed = 0, "", false
 	p.textBuf = p.textBuf[:0]
 }
 
 // maxPooledScratch bounds, in bytes, the text and attribute scratch an idle
 // parser may keep, as maxPooledNodes bounds a workspace's arena: one text
-// run of megabytes, or one tag of a million attributes, must not stay
-// pinned in a pool.
+// run of megabytes must not stay pinned in a pool.
 const maxPooledScratch = 1 << 16
 
 func (p *parser) oversized() bool {
@@ -262,23 +262,29 @@ func collapseAppend[S string | []byte](dst []byte, s S) []byte {
 	return dst
 }
 
-// isCollapsed reports whether collapseAppend would reproduce s: not empty,
-// no whitespace at either end, and none inside but single spaces.
-func isCollapsed(s string) bool {
-	if s == "" || s[len(s)-1] == ' ' {
-		return false
-	}
+// classifyText tells in one scan of a text run what flushing it needs to
+// know: whether it holds a '&' (a character reference to decode), and
+// whether it is already its own collapsed form — not empty, no whitespace
+// at either end, and none inside but single spaces — which collapseAppend
+// would reproduce.
+func classifyText(s string) (amp, collapsed bool) {
+	collapsed = true
 	space := true // so that a leading space fails like a doubled one
 	for i := 0; i < len(s); i++ {
-		if nameClass[s[i]]&spaceByte == 0 {
+		c := s[i]
+		switch nameClass[c] & (spaceByte | ampByte) {
+		case 0:
 			space = false
-		} else if space || s[i] != ' ' {
-			return false
-		} else {
+		case spaceByte:
+			if space || c != ' ' {
+				collapsed = false
+			}
 			space = true
+		default:
+			amp, space = true, false
 		}
 	}
-	return true
+	return amp, collapsed && !space
 }
 
 // isSpace reports whether s is entirely HTML whitespace.

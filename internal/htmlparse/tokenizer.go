@@ -43,10 +43,17 @@ type tokenizer struct {
 	data string
 	// raw marks a tokText that is script/style content, never decoded.
 	raw bool
-	// attrs holds a start tag's attributes in reused storage; the parser
-	// hands it to the handler, which copies what it keeps.
+	// attrs holds a start tag's attributes in reused storage, at most
+	// maxAttrs of them; the parser hands it to the handler, which copies
+	// what it keeps.
 	attrs []dom.Attr
 }
+
+// maxAttrs is how many attributes a start tag keeps, as maxDepth is how
+// many elements the parser holds open. The attributes past it are scanned —
+// a '>' inside a quoted value still does not end the tag — and dropped, so
+// a tag of millions of attributes costs a scan, not gigabytes of them.
+const maxAttrs = 512
 
 // next scans the next token into t, or returns false at end of input.
 func (t *tokenizer) next() bool {
@@ -156,8 +163,10 @@ func (t *tokenizer) tag() bool {
 		if name == "" {
 			return false
 		}
-		// Skip to '>'.
-		if end := strings.IndexByte(src[q:], '>'); end >= 0 {
+		// Skip to '>', which nearly always follows the name.
+		if q < len(src) && src[q] == '>' {
+			q++
+		} else if end := strings.IndexByte(src[q:], '>'); end >= 0 {
 			q += end + 1
 		} else {
 			q = len(src)
@@ -197,7 +206,9 @@ func (t *tokenizer) tag() bool {
 				skipSpace(src, &q)
 				val = scanAttrValue(src, &q)
 			}
-			t.attrs = append(t.attrs, dom.Attr{Key: key, Val: val})
+			if len(t.attrs) < maxAttrs {
+				t.attrs = append(t.attrs, dom.Attr{Key: key, Val: decodeEntities(val)})
+			}
 		}
 		t.pos = q
 		if t.typ == tokStartTag && dom.IsRaw(name) {
@@ -212,10 +223,11 @@ const (
 	nameByte  = 1 << iota // may appear in a tag or attribute name
 	upperByte             // A-Z: the name must be folded
 	spaceByte             // HTML whitespace
+	ampByte               // '&': the text run holds a character reference
 )
 
 // nameClass classifies every byte once, so scanning a name or a run of
-// whitespace is one table load a byte.
+// whitespace, or classifying a text run, is one table load a byte.
 var nameClass = func() (tab [256]uint8) {
 	for c := 'a'; c <= 'z'; c++ {
 		tab[c] = nameByte
@@ -230,6 +242,7 @@ var nameClass = func() (tab [256]uint8) {
 	for _, c := range " \t\n\r\f" {
 		tab[c] = spaceByte
 	}
+	tab['&'] = ampByte
 	return tab
 }()
 
@@ -257,6 +270,9 @@ func skipSpace(src string, q *int) {
 	*q = i
 }
 
+// scanAttrValue scans an attribute value at *q and returns its source
+// bytes, character references still in them: a value past maxAttrs is
+// dropped undecoded.
 func scanAttrValue(src string, q *int) string {
 	if *q >= len(src) {
 		return ""
@@ -271,7 +287,7 @@ func scanAttrValue(src string, q *int) string {
 			end = start + i
 			*q = end + 1
 		}
-		return decodeEntities(src[start:end])
+		return src[start:end]
 	default:
 		start := *q
 		for *q < len(src) {
@@ -284,7 +300,7 @@ func scanAttrValue(src string, q *int) string {
 			}
 			*q++
 		}
-		return decodeEntities(src[start:*q])
+		return src[start:*q]
 	}
 }
 

@@ -2,6 +2,7 @@ package serve_test
 
 import (
 	"net/http"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -94,6 +95,114 @@ func TestNestingBomb(t *testing.T) {
 		out := decode[serve.ExtractResponse](t, resp)
 		if len(out.Results) != 1 || out.Results[0].Error != "" || !slices.Equal(out.Results[0].Records, []string{"alpha-0-0"}) {
 			t.Fatalf("response: %d results", len(out.Results))
+		}
+	})
+}
+
+// TestAttributeBomb is the second row of the robustness table, a size bomb
+// in the HTML itself: one start tag of millions of attributes, as large as
+// the default body cap lets in. Before the tokenizer kept at most maxAttrs
+// of them, such a page made Stream allocate 3 GB and Parse 6.5 GB — a
+// 32-byte dom.Attr each, in slices doubling to hold them. Every route must
+// now answer from little more memory than the page itself.
+func TestAttributeBomb(t *testing.T) {
+	if race.Enabled {
+		t.Skip("tens of megabytes a page; the race job's budget goes to concurrency")
+	}
+	const record = `<div class="a">alpha-0-0</div>`
+	bomb := func(bytes int) string {
+		head, tail := "<html><body>"+record+"<a", ">x</a></body></html>"
+		return head + strings.Repeat(" b", (bytes-len(head)-len(tail))/2) + tail
+	}
+	// allocated runs fn and reports the bytes it allocated, across every
+	// goroutine — the HTTP server's included.
+	allocated := func(fn func()) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		fn()
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+
+	t.Run("ExtractOne", func(t *testing.T) {
+		page := bomb(32 << 20)
+		xp, err := xpinduct.CompileRule(`//text()`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tc := range []struct {
+			p    wrapper.Portable
+			want []string
+		}{{xp, []string{"alpha-0-0", "x"}}, {wrapperFor("a"), []string{"alpha-0-0"}}} {
+			var res extract.Result
+			n := allocated(func() {
+				res = extract.New(tc.p, extract.Options{}).ExtractOne(extract.Page{ID: "bomb", HTML: page})
+			})
+			if res.Err != nil || !slices.Equal(res.Texts, tc.want) {
+				t.Fatalf("%s: texts %q, err %v", tc.p.Lang(), res.Texts, res.Err)
+			}
+			if n > 8*uint64(len(page)) {
+				t.Fatalf("%s: a %d-byte page allocated %d bytes", tc.p.Lang(), len(page), n)
+			}
+		}
+	})
+
+	// The tree keeps the first maxAttrs attributes, and what it keeps is a
+	// fixed point of serialize → reparse.
+	t.Run("corpus", func(t *testing.T) {
+		page := bomb(4 << 20)
+		var c *corpus.Corpus
+		var html string
+		n := allocated(func() {
+			c = corpus.ParseHTML([]string{page})
+			html = dom.Serialize(c.Pages[0].Root)
+		})
+		if n > 8*uint64(len(page)) {
+			t.Fatalf("a %d-byte page allocated %d bytes to parse and serialize", len(page), n)
+		}
+		kept := -1
+		c.Pages[0].Root.Walk(func(n *dom.Node) bool {
+			if n.IsElement("a") {
+				kept = len(n.Attrs)
+			}
+			return true
+		})
+		if kept != 512 {
+			t.Fatalf("the bomb's tag kept %d attributes, want 512", kept)
+		}
+		if again := dom.Serialize(htmlparse.Parse(html)); again != html {
+			t.Fatal("the capped tree is not a fixed point of serialize → reparse")
+		}
+		if c.NumTexts() != 2 {
+			t.Fatalf("the corpus indexes %d texts, want 2", c.NumTexts())
+		}
+	})
+
+	t.Run("POST /v1/extract", func(t *testing.T) {
+		_, hs := newTestServer(t, twoVersionStore(t), nil)
+		head, tail := `{"site":"shop","page":{"id":"bomb","html":"`, `"}}`
+		page := strings.ReplaceAll(bomb(32<<20-len(head)-len(tail)-2), `"`, `\"`)
+		body := head + page + tail
+		if len(body) > 32<<20 {
+			t.Fatalf("the request is %d bytes, over the cap", len(body))
+		}
+		var out serve.ExtractResponse
+		n := allocated(func() {
+			resp, err := http.Post(hs.URL+"/v1/extract", "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("status %d", resp.StatusCode)
+			}
+			out = decode[serve.ExtractResponse](t, resp)
+		})
+		if len(out.Results) != 1 || out.Results[0].Error != "" || !slices.Equal(out.Results[0].Records, []string{"alpha-0-0"}) {
+			t.Fatalf("response: %+v", out.Results)
+		}
+		if n > 8*uint64(len(body)) {
+			t.Fatalf("a %d-byte request allocated %d bytes", len(body), n)
 		}
 	})
 }

@@ -23,6 +23,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -52,8 +53,9 @@ type Options struct {
 	// window is reset against the new profile.
 	Monitor *drift.Monitor
 	// RecentPages, when positive, keeps the last N raw page HTMLs served
-	// per site (a bounded ring; string headers only, the request already
-	// owns the bytes). This is the fuel for autonomous repair: a drifted
+	// per site (a bounded ring). The ring copies each page it keeps: a page
+	// handed to Extract may be a view of a request body that is reused once
+	// the request is answered. This is the fuel for autonomous repair: a drifted
 	// site's freshest pages are by definition the ones that just failed to
 	// extract, and the maintenance scanner re-learns from exactly those —
 	// no operator round-trip to collect a new corpus. 0 disables the cache
@@ -108,6 +110,8 @@ type siteState struct {
 }
 
 // rememberPages records served page HTMLs into the site's bounded ring.
+// The ring outlives the request and a page may be a view of its body (see
+// Dispatcher.Extract), so what it keeps it copies.
 func (st *siteState) rememberPages(cap int, pages []extract.Page) {
 	st.pageMu.Lock()
 	defer st.pageMu.Unlock()
@@ -118,7 +122,7 @@ func (st *siteState) rememberPages(cap int, pages []extract.Page) {
 		if pages[i].HTML == "" {
 			continue // pre-parsed pages carry no raw HTML to re-learn from
 		}
-		st.pages[st.pageNext] = pages[i].HTML
+		st.pages[st.pageNext] = strings.Clone(pages[i].HTML)
 		st.pageNext = (st.pageNext + 1) % len(st.pages)
 		if st.pageN < len(st.pages) {
 			st.pageN++
@@ -247,6 +251,13 @@ type Extraction struct {
 // CPU-bound and not interruptible), cancellation stops further pages from
 // starting. A single-page request therefore either fails before starting
 // (expired context) or returns its full result.
+//
+// A page's HTML may be a view of memory the caller reuses once it has
+// consumed the Extraction — the HTTP handler passes views of its pooled
+// request body. Extract reads no page after it returns (Run waits for every
+// page it started), the Results' Texts may alias the pages and are the
+// caller's to copy or consume first, and whatever Extract keeps beyond the
+// call, the recent-page ring, it copies.
 func (d *Dispatcher) Extract(ctx context.Context, site string, pages []extract.Page) (*Extraction, error) {
 	sv, st, err := d.runtime(site)
 	if err != nil {

@@ -560,6 +560,8 @@ func (s *Server) finishExtract(w http.ResponseWriter, r *http.Request, sc *extra
 		// flagged at both levels (the response body carries err too).
 		code = siteStatusCode(err)
 	}
+	// The pages are views of sc.body and the Texts may alias them: they are
+	// encoded here, before the caller releases the scratch.
 	sc.out = appendExtractResponse(sc.out[:0], ext, err)
 	writeRawJSON(w, code, sc.out)
 }

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"unicode/utf16"
 	"unicode/utf8"
+	"unsafe"
 
 	"autowrap/internal/extract"
 )
@@ -22,17 +23,21 @@ import (
 // the encoder reproduces encoding/json's escaping (including its HTML-safe
 // </>/& and the Encoder's trailing newline) byte for byte —
 // but the steady-state request path allocates only the strings that outlive
-// the request: the site name, page IDs and page HTML.
+// the request: the site name and the page IDs. Page HTML is served from
+// where it landed in the body buffer.
 
-// pageIn is one decoded page before it becomes an extract.Page.
+// pageIn is one decoded page before it becomes an extract.Page. id is a
+// real string; html is a view of the scratch's body (see extractScratch).
 type pageIn struct{ id, html string }
 
 // extractScratch is the per-request workspace of handleExtract, recycled
 // through a sync.Pool. Every request gets exclusive ownership from
-// acquireScratch to releaseScratch; nothing handed to the dispatcher or the
-// response writer may alias the scratch after release (strings decoded from
-// the body are fresh copies precisely so extraction results and the
-// recent-page ring never point into pooled memory).
+// acquireScratch to releaseScratch. A decoded page's HTML is a view of
+// body, valid until release: finishExtract encodes every result that
+// aliases it (Texts) into out before the handler releases the scratch, and
+// the one holder that outlives the request, the dispatcher's recent-page
+// ring, copies what it keeps. The site and page IDs are real copies — the
+// site becomes a map key, and both are echoed in results.
 type extractScratch struct {
 	body []byte // raw request body; string values are unescaped in place
 	out  []byte // response buffer
@@ -54,8 +59,9 @@ var scratchPool = sync.Pool{New: func() any { return new(extractScratch) }}
 func acquireScratch() *extractScratch { return scratchPool.Get().(*extractScratch) }
 
 // releaseScratch resets the workspace and returns it to the pool, dropping
-// oversized buffers and every string reference (so pooled scratches never
-// pin request HTML in memory).
+// oversized buffers and every string reference up to the slices' capacity:
+// a pooled scratch pins no request's IDs, and the next request's decode
+// finds every page slot zero (see pageArray).
 func releaseScratch(sc *extractScratch) {
 	if cap(sc.body) > maxPooledBuf {
 		sc.body = nil
@@ -66,13 +72,9 @@ func releaseScratch(sc *extractScratch) {
 	sc.body, sc.out = sc.body[:0], sc.out[:0]
 	sc.site, sc.timeoutMS = "", 0
 	sc.single, sc.hasSingle = pageIn{}, false
-	for i := range sc.pages {
-		sc.pages[i] = pageIn{}
-	}
+	clear(sc.pages[:cap(sc.pages)])
 	sc.pages = sc.pages[:0]
-	for i := range sc.in {
-		sc.in[i] = extract.Page{}
-	}
+	clear(sc.in[:cap(sc.in)])
 	sc.in = sc.in[:0]
 	scratchPool.Put(sc)
 }
@@ -130,9 +132,12 @@ var errTrailing = errors.New("trailing data after JSON body")
 
 // decodeExtractRequest parses an ExtractRequest from the scratch's body
 // buffer into the scratch fields. String values are unescaped in place (a
-// JSON escape sequence never expands), then copied out as real strings —
-// the only per-page allocations of the decode. Unknown fields are skipped
-// and keys match case-insensitively, like encoding/json.
+// JSON escape sequence never expands); the site and page IDs are then
+// copied out as real strings — the only allocations of the decode — and
+// page HTML stays where it is, as a view (see extractScratch). It accepts
+// and rejects the bodies json.Decoder.Decode did, with the same field
+// values: unknown fields skipped, keys case-folded, null a no-op, and a
+// repeated key decoded over what the earlier one left.
 func decodeExtractRequest(sc *extractScratch) error {
 	d := jsonCursor{b: sc.body}
 	d.ws()
@@ -178,45 +183,20 @@ func decodeExtractRequest(sc *extractScratch) error {
 			}
 			sc.timeoutMS = n
 		case keyIs(key, "page"):
+			// encoding/json: null sets the pointer to nil, and an object
+			// decodes into the page the pointer already holds, if any.
 			if d.tryNull() {
-				sc.hasSingle = false
+				sc.single, sc.hasSingle = pageIn{}, false
 				break
 			}
-			pg, err := d.page()
-			if err != nil {
+			if err := d.page(&sc.single); err != nil {
 				return err
 			}
-			sc.single, sc.hasSingle = pg, true
+			sc.hasSingle = true
 		case keyIs(key, "pages"):
-			sc.pages = sc.pages[:0]
-			if d.tryNull() {
-				break
-			}
-			if err := d.expect('['); err != nil {
+			var err error
+			if sc.pages, err = d.pageArray(sc.pages); err != nil {
 				return err
-			}
-			d.ws()
-			if d.tryByte(']') {
-				break
-			}
-			for {
-				if d.tryNull() {
-					sc.pages = append(sc.pages, pageIn{})
-				} else {
-					pg, err := d.page()
-					if err != nil {
-						return err
-					}
-					sc.pages = append(sc.pages, pg)
-				}
-				d.ws()
-				if d.tryByte(']') {
-					break
-				}
-				if err := d.expect(','); err != nil {
-					return err
-				}
-				d.ws()
 			}
 		default:
 			if err := d.skip(0); err != nil {
@@ -306,39 +286,74 @@ func (d *jsonCursor) strField(dst *string) error {
 	return err
 }
 
-// strings decodes an array of strings over old, the field's value so far,
-// the way encoding/json decodes into a slice it has already filled (a
-// duplicated key): elements are overwritten in place, a null element keeps
-// what its slot held — even a slot beyond old's length that an earlier,
-// longer array left behind — and the slice is cut to the new length. null
-// for the whole array is a nil slice.
+// strings decodes an array of strings over old, the field's value so far
+// (see array). null for the whole array is a nil slice, and [] a fresh
+// empty one, as encoding/json leaves them.
 func (d *jsonCursor) strings(old []string) ([]string, error) {
 	if d.tryNull() {
 		return nil, nil
 	}
-	if err := d.expect('['); err != nil {
+	out, err := array(d, old, d.strField)
+	if err != nil {
 		return nil, err
 	}
-	d.ws()
-	if d.tryByte(']') {
-		return []string{}, nil
+	if len(out) == 0 {
+		out = []string{}
 	}
+	return out, nil
+}
+
+// pageArray decodes a pages array over old, the field's value so far (see
+// array), with a null element keeping its slot. Where encoding/json leaves
+// a nil or fresh empty slice — null, or [] — pageArray zeroes old's storage
+// instead, which the next array over it reads the same way and which keeps
+// the pooled slice.
+func (d *jsonCursor) pageArray(old []pageIn) ([]pageIn, error) {
+	if !d.tryNull() {
+		out, err := array(d, old, func(pg *pageIn) error {
+			if d.tryNull() {
+				return nil
+			}
+			return d.page(pg)
+		})
+		if err != nil || len(out) > 0 {
+			return out, err
+		}
+	}
+	clear(old[:cap(old)])
+	return old[:0], nil
+}
+
+// array decodes a JSON array over old the way encoding/json decodes into a
+// slice it has already filled (a duplicated key): elem decodes each element
+// into its slot — even a slot beyond old's length that an earlier, longer
+// array left behind — and the slice is cut to the new length. [] yields
+// old[:0].
+func array[T any](d *jsonCursor, old []T, elem func(*T) error) ([]T, error) {
+	if err := d.expect('['); err != nil {
+		return old, err
+	}
+	d.ws()
 	out := old[:0]
+	if d.tryByte(']') {
+		return out, nil
+	}
 	for {
 		if len(out) == cap(out) {
-			out = append(out, "")
+			var zero T
+			out = append(out, zero)
 		} else {
 			out = out[:len(out)+1]
 		}
-		if err := d.strField(&out[len(out)-1]); err != nil {
-			return nil, err
+		if err := elem(&out[len(out)-1]); err != nil {
+			return out, err
 		}
 		d.ws()
 		if d.tryByte(']') {
 			return out, nil
 		}
 		if err := d.expect(','); err != nil {
-			return nil, err
+			return out, err
 		}
 		d.ws()
 	}
@@ -359,6 +374,9 @@ func (d *jsonCursor) endOfValue() error {
 type jsonCursor struct {
 	b []byte
 	i int
+	// ascii reports that the string str scanned last held no raw byte ≥
+	// 0x80, and so is valid UTF-8 without a second scan.
+	ascii bool
 }
 
 func (d *jsonCursor) ws() {
@@ -408,160 +426,187 @@ func (d *jsonCursor) end() error {
 	return nil
 }
 
-// page parses one {"id": ..., "html": ...} object.
-func (d *jsonCursor) page() (pageIn, error) {
-	var pg pageIn
+// page decodes one {"id": ..., "html": ...} object into pg, over what pg
+// already holds: a field the object leaves out, or sets to null, keeps its
+// value, as in encoding/json.
+func (d *jsonCursor) page(pg *pageIn) error {
 	if err := d.expect('{'); err != nil {
-		return pg, err
+		return err
 	}
 	d.ws()
 	if d.tryByte('}') {
-		return pg, nil
+		return nil
 	}
 	for {
 		key, err := d.str()
 		if err != nil {
-			return pg, err
+			return err
 		}
 		d.ws()
 		if err := d.expect(':'); err != nil {
-			return pg, err
+			return err
 		}
 		d.ws()
 		switch {
 		case keyIs(key, "id"):
-			if d.tryNull() { // encoding/json: null leaves the field untouched
-				break
-			}
-			v, err := d.str()
-			if err != nil {
-				return pg, err
-			}
-			pg.id = toWireString(v)
+			err = d.strField(&pg.id)
 		case keyIs(key, "html"):
-			if d.tryNull() {
-				break
+			if !d.tryNull() {
+				var v []byte
+				if v, err = d.str(); err == nil {
+					pg.html = d.view(v)
+				}
 			}
-			v, err := d.str()
-			if err != nil {
-				return pg, err
-			}
-			pg.html = toWireString(v)
 		default:
-			if err := d.skip(0); err != nil {
-				return pg, err
-			}
+			err = d.skip(0)
+		}
+		if err != nil {
+			return err
 		}
 		d.ws()
 		if d.tryByte('}') {
-			return pg, nil
+			return nil
 		}
 		if err := d.expect(','); err != nil {
-			return pg, err
+			return err
 		}
 		d.ws()
 	}
 }
 
+// view is what decoded page HTML becomes: the string the bytes v already
+// are, valid as long as the body buffer is (see extractScratch). Only a
+// string holding invalid UTF-8 is copied, to coerce it as toWireString does.
+// v must be the string str scanned last.
+func (d *jsonCursor) view(v []byte) string {
+	if !d.ascii && !utf8.Valid(v) {
+		return toWireString(v)
+	}
+	return unsafe.String(unsafe.SliceData(v), len(v))
+}
+
 // str scans a JSON string and returns its decoded bytes — a view into the
 // body buffer, valid until the buffer is recycled. Escape-free strings are
 // returned as-is; strings with escapes are unescaped in place (the decoded
-// form is never longer than the encoded one).
+// form is never longer than the encoded one). It sets d.ascii.
 func (d *jsonCursor) str() ([]byte, error) {
 	if err := d.expect('"'); err != nil {
 		return nil, err
 	}
 	start := d.i
+	var high byte
 	for d.i < len(d.b) {
 		c := d.b[d.i]
-		if c == '"' {
-			v := d.b[start:d.i]
-			d.i++
-			return v, nil
-		}
-		if c == '\\' {
-			return d.strSlow(start)
-		}
-		if c < 0x20 {
+		if strStop[c] {
+			if c == '"' {
+				v := d.b[start:d.i]
+				d.i++
+				d.ascii = high < utf8.RuneSelf
+				return v, nil
+			}
+			if c == '\\' {
+				return d.strSlow(start, high)
+			}
 			return nil, fmt.Errorf("invalid control character %q in string at offset %d", c, d.i)
 		}
+		high |= c
 		d.i++
 	}
 	return nil, errors.New("unterminated string")
 }
 
 // strSlow finishes scanning a string that contains escapes, rewriting the
-// decoded bytes over the encoded ones from the first backslash on.
-func (d *jsonCursor) strSlow(start int) ([]byte, error) {
-	w := d.i // write cursor; d.i is at the first backslash
-	for d.i < len(d.b) {
-		c := d.b[d.i]
+// decoded bytes over the encoded ones from the first backslash on; high is
+// the OR of the bytes before it. A plain byte is a table test and a store.
+// \u00XX below 0x80 — every escape an HTML-escaping encoder writes for <, >,
+// & and the controls — and the short escapes decode inline; only other \u
+// escapes reach u4 and the surrogate rules.
+func (d *jsonCursor) strSlow(start int, high byte) ([]byte, error) {
+	b := d.b
+	i, w := d.i, d.i // read and write cursors; i is at the first backslash
+	for i < len(b) {
+		c := b[i]
+		if !strStop[c] {
+			b[w] = c
+			w++
+			i++
+			high |= c
+			continue
+		}
 		switch {
 		case c == '"':
-			v := d.b[start:w]
-			d.i++
-			return v, nil
+			d.i = i + 1
+			// Bytes ≥ 0x80 that an escape wrote are whole UTF-8 encodings;
+			// only raw ones can leave the string invalid.
+			d.ascii = high < utf8.RuneSelf
+			return b[start:w], nil
 		case c < 0x20:
-			return nil, fmt.Errorf("invalid control character %q in string at offset %d", c, d.i)
-		case c != '\\':
-			d.b[w] = c
-			w++
-			d.i++
-		default:
-			d.i++
-			if d.i >= len(d.b) {
-				return nil, errors.New("unterminated escape")
+			return nil, fmt.Errorf("invalid control character %q in string at offset %d", c, i)
+		}
+		if i+1 >= len(b) {
+			return nil, errors.New("unterminated escape")
+		}
+		e := b[i+1]
+		if e == 'u' && i+5 < len(b) && b[i+2] == '0' && b[i+3] == '0' {
+			if hi, lo := hexVal[b[i+4]], hexVal[b[i+5]]; uint8(hi) < 8 && lo >= 0 {
+				b[w] = byte(hi)<<4 | byte(lo)
+				w++
+				i += 6
+				continue
 			}
-			e := d.b[d.i]
-			d.i++
-			switch e {
-			case '"', '\\', '/':
-				d.b[w] = e
-				w++
-			case 'b':
-				d.b[w] = '\b'
-				w++
-			case 'f':
-				d.b[w] = '\f'
-				w++
-			case 'n':
-				d.b[w] = '\n'
-				w++
-			case 'r':
-				d.b[w] = '\r'
-				w++
-			case 't':
-				d.b[w] = '\t'
-				w++
-			case 'u':
-				r, err := d.u4()
+		}
+		if s := shortEscape[e]; s != 0 {
+			b[w] = s
+			w++
+			i += 2
+			continue
+		}
+		if e != 'u' {
+			return nil, fmt.Errorf("invalid escape character %q in string", e)
+		}
+		d.i = i + 2
+		r, err := d.u4()
+		if err != nil {
+			return nil, err
+		}
+		if utf16.IsSurrogate(r) {
+			r2 := rune(utf8.RuneError)
+			if d.i+1 < len(b) && b[d.i] == '\\' && b[d.i+1] == 'u' {
+				save := d.i
+				d.i += 2
+				lo, err := d.u4()
 				if err != nil {
 					return nil, err
 				}
-				if utf16.IsSurrogate(r) {
-					r2 := rune(utf8.RuneError)
-					if d.i+1 < len(d.b) && d.b[d.i] == '\\' && d.b[d.i+1] == 'u' {
-						save := d.i
-						d.i += 2
-						lo, err := d.u4()
-						if err != nil {
-							return nil, err
-						}
-						if dec := utf16.DecodeRune(r, lo); dec != utf8.RuneError {
-							r2 = dec
-						} else {
-							d.i = save // lone surrogate: re-scan the second escape
-						}
-					}
-					r = r2
+				if dec := utf16.DecodeRune(r, lo); dec != utf8.RuneError {
+					r2 = dec
+				} else {
+					d.i = save // lone surrogate: re-scan the second escape
 				}
-				w += utf8.EncodeRune(d.b[w:w+utf8.UTFMax], r)
-			default:
-				return nil, fmt.Errorf("invalid escape character %q in string", e)
 			}
+			r = r2
 		}
+		w += utf8.EncodeRune(b[w:w+utf8.UTFMax], r)
+		i = d.i
 	}
 	return nil, errors.New("unterminated string")
+}
+
+// strStop marks the bytes that end a run of plain string bytes: the quote,
+// the backslash and the control characters.
+var strStop = func() (t [256]bool) {
+	for c := 0; c < 0x20; c++ {
+		t[c] = true
+	}
+	t['"'], t['\\'] = true, true
+	return
+}()
+
+// shortEscape maps the byte after a backslash to what the two-byte escape
+// decodes to, and every other byte to 0 (no short escape decodes to NUL).
+var shortEscape = [256]byte{
+	'"': '"', '\\': '\\', '/': '/',
+	'b': '\b', 'f': '\f', 'n': '\n', 'r': '\r', 't': '\t',
 }
 
 // u4 decodes the four hex digits of a \uXXXX escape (cursor past the 'u').
@@ -771,10 +816,10 @@ func keyIs(key []byte, name string) bool {
 }
 
 // toWireString copies a decoded value out of the body buffer into a real
-// string — the allocation that lets extraction results, the recent-page
-// ring and job payloads safely outlive the pooled buffer. Invalid UTF-8 is
-// coerced to U+FFFD exactly as encoding/json's decoder did, so downstream
-// output stays byte-identical.
+// string — the allocation that lets the site name, page IDs and job
+// payloads safely outlive the pooled buffer. Invalid UTF-8 is coerced to
+// U+FFFD exactly as encoding/json's decoder did, so downstream output stays
+// byte-identical.
 func toWireString(v []byte) string {
 	if utf8.Valid(v) {
 		return string(v)

@@ -9,16 +9,18 @@ import (
 // FuzzDecodeExtractRequest throws the chaos corpus — and everything the
 // fuzzer grows from it — at the pooled wire decoder and holds it to three
 // promises: it errors exactly when encoding/json errors, it never
-// panics, and nothing it returns aliases the pooled body buffer. The
-// fixed seeds are the shapes that historically break hand-rolled
-// decoders (truncation at structural boundaries, type confusion, raw
-// NULs, invalid UTF-8, scanner state abuse); chaos.NewBodies extends
-// them with seeded mutations of a valid request.
+// panics, and nothing that outlives the request aliases the pooled body
+// buffer — the site, the page IDs, a recent-page ring filled from the
+// request (checkExtractDecode) and the strings a maintenance decode of the
+// same bytes returns (checkMaintenanceDecode). The fixed seeds are the
+// shapes that historically break hand-rolled decoders (truncation at
+// structural boundaries, type confusion, raw NULs, invalid UTF-8, scanner
+// state abuse, repeated keys); chaos.NewBodies extends them with seeded
+// mutations of a valid request.
 func FuzzDecodeExtractRequest(f *testing.F) {
-	f.Add([]byte(`{"site":"shop","page":{"id":"p1","html":"<html><body>x</body></html>"}}`))
-	f.Add([]byte(`{"site":"shop","pages":[{"id":"a","html":"<p>1</p>"},{"html":"<p>2</p>"}]}`))
-	f.Add([]byte(`{"site":"s","timeout_ms":250}`))
-	f.Add([]byte(`{"site":"esc","page":{"html":"Aé☃ 😀 q\\\"r"}}`))
+	for _, body := range extractBodies {
+		f.Add([]byte(body))
+	}
 	for _, seed := range chaos.Seeds() {
 		f.Add(seed)
 	}
@@ -28,51 +30,8 @@ func FuzzDecodeExtractRequest(f *testing.F) {
 	}
 
 	f.Fuzz(func(t *testing.T, body []byte) {
-		ref, refErr := decodeRef(body)
-
-		// Decode through the real pool so reuse bugs (a scratch not fully
-		// reset between requests) are reachable, not just fresh-struct ones.
-		sc := acquireScratch()
-		defer releaseScratch(sc)
-		sc.body = append(sc.body[:0], body...)
-		fastErr := decodeExtractRequest(sc)
-
-		if (refErr == nil) != (fastErr == nil) {
-			t.Fatalf("%q: error mismatch: encoding/json=%v fast=%v", body, refErr, fastErr)
-		}
-		if refErr != nil {
-			return
-		}
-
-		// Capture every retained string, then scribble over the body buffer
-		// the way the pool's next user would: the strings must not move.
-		site, timeoutMS := sc.site, sc.timeoutMS
-		hasSingle, single := sc.hasSingle, sc.single
-		pages := append([]pageIn(nil), sc.pages...)
-		for i := range sc.body {
-			sc.body[i] = 'Z'
-		}
-
-		if site != ref.Site {
-			t.Fatalf("%q: site = %q, want %q", body, site, ref.Site)
-		}
-		if timeoutMS != ref.TimeoutMS {
-			t.Fatalf("%q: timeout_ms = %d, want %d", body, timeoutMS, ref.TimeoutMS)
-		}
-		if hasSingle != (ref.Page != nil) {
-			t.Fatalf("%q: hasSingle = %v, want %v", body, hasSingle, ref.Page != nil)
-		}
-		if ref.Page != nil && (single.id != ref.Page.ID || single.html != ref.Page.HTML) {
-			t.Fatalf("%q: page = %+v, want %+v", body, single, *ref.Page)
-		}
-		if len(pages) != len(ref.Pages) {
-			t.Fatalf("%q: %d pages, want %d", body, len(pages), len(ref.Pages))
-		}
-		for i := range pages {
-			if pages[i].id != ref.Pages[i].ID || pages[i].html != ref.Pages[i].HTML {
-				t.Fatalf("%q: pages[%d] = %+v, want %+v", body, i, pages[i], ref.Pages[i])
-			}
-		}
+		checkExtractDecode(t, body)
+		checkMaintenanceDecode(t, body, false)
 	})
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -39,88 +40,145 @@ func decodeFast(t *testing.T, body []byte) (*extractScratch, error) {
 	return sc, err
 }
 
+// checkExtractDecode holds decodeExtractRequest to the reference on one
+// body, through a pooled scratch as the handler uses one: an error exactly
+// when the reference errors, the same fields otherwise — page HTML read as
+// the view of the body it is, before release — and, once the scratch is
+// released and its body scribbled over as the pool's next user would, the
+// same site, page IDs and recent-page ring: nothing that outlives the
+// request aliases the body.
+func checkExtractDecode(t *testing.T, body []byte) {
+	t.Helper()
+	ref, refErr := decodeRef(body)
+	sc := acquireScratch()
+	sc.body = append(sc.body[:0], body...)
+	fastErr := decodeExtractRequest(sc)
+	if (refErr == nil) != (fastErr == nil) || refErr != nil {
+		releaseScratch(sc)
+		if (refErr == nil) != (fastErr == nil) {
+			t.Fatalf("%q: error mismatch: encoding/json=%v fast=%v", body, refErr, fastErr)
+		}
+		return
+	}
+	if sc.site != ref.Site || sc.timeoutMS != ref.TimeoutMS || sc.hasSingle != (ref.Page != nil) {
+		t.Fatalf("%q: site %q timeout_ms %d page set %v, want %q %d %v",
+			body, sc.site, sc.timeoutMS, sc.hasSingle, ref.Site, ref.TimeoutMS, ref.Page != nil)
+	}
+	// The pages the handler would serve, in request order, and their
+	// reference values.
+	var served []extract.Page
+	var want []PageInput
+	if sc.hasSingle {
+		served = append(served, extract.Page{ID: sc.single.id, HTML: sc.single.html})
+		want = append(want, *ref.Page)
+	}
+	if len(sc.pages) != len(ref.Pages) {
+		t.Fatalf("%q: %d pages, want %d", body, len(sc.pages), len(ref.Pages))
+	}
+	for _, pg := range sc.pages {
+		served = append(served, extract.Page{ID: pg.id, HTML: pg.html})
+	}
+	want = append(want, ref.Pages...)
+	var wantRing []string
+	for i, pg := range served {
+		if pg.ID != want[i].ID || pg.HTML != want[i].HTML {
+			t.Fatalf("%q: page %d = %+v, want %+v", body, i, pg, want[i])
+		}
+		if pg.HTML != "" {
+			wantRing = append(wantRing, want[i].HTML)
+		}
+	}
+	var ring siteState
+	ring.rememberPages(len(served)+1, served)
+
+	site, buf := sc.site, sc.body[:cap(sc.body)]
+	releaseScratch(sc)
+	for i := range buf {
+		buf[i] = 'Z'
+	}
+	if site != ref.Site {
+		t.Fatalf("%q: site = %q after release, want %q", body, site, ref.Site)
+	}
+	for i, pg := range served {
+		if pg.ID != want[i].ID {
+			t.Fatalf("%q: page %d id = %q after release, want %q", body, i, pg.ID, want[i].ID)
+		}
+	}
+	if got := ring.recentPages(); !slices.Equal(got, wantRing) {
+		t.Fatalf("%q: recent-page ring = %q after release, want %q", body, got, wantRing)
+	}
+}
+
+// extractBodies are the request shapes the decode contract names, valid
+// and invalid; the decoders must agree on every one.
+var extractBodies = []string{
+	`{"site":"shop","page":{"id":"p1","html":"<html><body>x</body></html>"}}`,
+	`{"site":"shop","pages":[{"id":"a","html":"<p>1</p>"},{"html":"<p>2</p>"}]}`,
+	`{"site":"shop","pages":[]}`,
+	`{"site":"shop","pages":null}`,
+	`{"site":"shop","page":null}`,
+	`{}`,
+	`{"site":""}`,
+	`{"site":"s","timeout_ms":250}`,
+	`{"site":"s","timeout_ms":-3}`,
+	`{"SITE":"upper","Pages":[{"ID":"x","HTML":"<i>y</i>"}]}`,
+	`{"site":"esc","page":{"id":"a\tb","html":"<p>\u0041\u00e9\u2603 \ud83d\ude00 q\\\"r</p>"}}`,
+	`{"site":"lone","page":{"html":"\ud800 tail"}}`,
+	`{"site":"ctrl","page":{"html":"line1\nline2\r\t\u0001"}}`,
+	`{"site":"html","page":{"html":"\u003cp class=\"a\"\u003eA \u0026amp; B\u003c/p\u003e\u007F\u0080\u00ff ÿþ"}}`,
+	`{"site":"short","page":{"html":"\"\\\/\b\f\n\r\t\u00"}}`,
+	"  {\n\t\"site\" : \"ws\" , \"pages\" : [ {\"html\":\"<p>a</p>\"} ] }  \n",
+	`{"site":"extra","unknown":{"deep":[1,2,{"x":null}],"s":"v"},"page":{"html":"h","junk":true}}`,
+	`{"site":"dupes","site":"last-wins"}`,
+	`{"site":"solidus","page":{"html":"a\/b"}}`,
+	`{"site":"nulls","page":null,"pages":null,"timeout_ms":null}`,
+	`null`,
+	`{"site":null}`,
+	`{"num":1.25e+3,"site":"n"}`,
+	`{"num":-0,"site":"n"}`,
+	// a repeated key decodes over what the earlier one left
+	`{"site":"s","pages":[{"id":"a","html":"x"}],"pages":[{"html":"y"}]}`,
+	`{"site":"s","pages":[{"id":"a","html":"x"}],"pages":[null]}`,
+	`{"site":"s","page":{"id":"a","html":"x"},"page":{"html":"y"}}`,
+	`{"site":"s","pages":[{"id":"a"},{"id":"b","html":"x"}],"pages":[{"html":"y"}],"pages":[null,null]}`,
+	`{"site":"s","page":{"id":"a","html":"x"},"page":null,"page":{"html":"y"}}`,
+	`{"site":"s","pages":[{"id":"a","html":"x"}],"pages":[],"pages":[null]}`,
+	`{"site":"s","pages":[{"id":"a","html":"x"}],"pages":null,"pages":[null]}`,
+	`{"site":"s","pages":[{"id":"a","html":"x","id":null,"html":null}]}`,
+	// invalid bodies: both decoders must reject
+	``,
+	`{"site":"x"`,
+	`{"site":"x"} trailing`,
+	`{"site":"x"}{}`,
+	`["not an object"]`,
+	`{"site":42}`,
+	`{"site":"x","timeout_ms":"fast"}`,
+	`{"site":"x","timeout_ms":1.5}`,
+	`{"site":"x","pages":{"html":"h"}}`,
+	`{"site":"x","page":["h"]}`,
+	`{"site":"x","page":{"html":"unterminated}`,
+	`{"site":"bad\escape"}`,
+	`{"site":"x","page":{"html":"\u00"}}`,
+	`{"site":"x","page":{"html":"\u00g0"}}`,
+	`{"site":"x","page":{"html":"tab	inside"}}`,
+	`{"site":"x",}`,
+	`{"site" "x"}`,
+	`{"":00}`,
+	`{"num":01,"site":"x"}`,
+	`{"num":1.,"site":"x"}`,
+	`{"num":1e,"site":"x"}`,
+	`{"num":1e+,"site":"x"}`,
+	`{"site":"x","timeout_ms":00}`,
+	`{"site":"x"}}`,
+}
+
 // TestDecodeExtractRequestMatchesEncodingJSON pins the hand-rolled decoder
 // to encoding/json semantics over the request shapes the service accepts:
 // same decoded fields on valid bodies, an error wherever the reference
 // errors.
 func TestDecodeExtractRequestMatchesEncodingJSON(t *testing.T) {
-	cases := []string{
-		`{"site":"shop","page":{"id":"p1","html":"<html><body>x</body></html>"}}`,
-		`{"site":"shop","pages":[{"id":"a","html":"<p>1</p>"},{"html":"<p>2</p>"}]}`,
-		`{"site":"shop","pages":[]}`,
-		`{"site":"shop","pages":null}`,
-		`{"site":"shop","page":null}`,
-		`{}`,
-		`{"site":""}`,
-		`{"site":"s","timeout_ms":250}`,
-		`{"site":"s","timeout_ms":-3}`,
-		`{"SITE":"upper","Pages":[{"ID":"x","HTML":"<i>y</i>"}]}`,
-		`{"site":"esc","page":{"id":"a\tb","html":"<p>\u0041\u00e9\u2603 \ud83d\ude00 q\\\"r</p>"}}`,
-		`{"site":"lone","page":{"html":"\ud800 tail"}}`,
-		`{"site":"ctrl","page":{"html":"line1\nline2\r\t\u0001"}}`,
-		"  {\n\t\"site\" : \"ws\" , \"pages\" : [ {\"html\":\"<p>a</p>\"} ] }  \n",
-		`{"site":"extra","unknown":{"deep":[1,2,{"x":null}],"s":"v"},"page":{"html":"h","junk":true}}`,
-		`{"site":"dupes","site":"last-wins"}`,
-		`{"site":"solidus","page":{"html":"a\/b"}}`,
-		`{"site":"nulls","page":null,"pages":null,"timeout_ms":null}`,
-		`null`,
-		`{"site":null}`,
-		`{"num":1.25e+3,"site":"n"}`,
-		`{"num":-0,"site":"n"}`,
-		// invalid bodies: both decoders must reject
-		``,
-		`{"site":"x"`,
-		`{"site":"x"} trailing`,
-		`{"site":"x"}{}`,
-		`["not an object"]`,
-		`{"site":42}`,
-		`{"site":"x","timeout_ms":"fast"}`,
-		`{"site":"x","timeout_ms":1.5}`,
-		`{"site":"x","pages":{"html":"h"}}`,
-		`{"site":"x","page":["h"]}`,
-		`{"site":"x","page":{"html":"unterminated}`,
-		`{"site":"bad\escape"}`,
-		`{"site":"x",}`,
-		`{"site" "x"}`,
-		`{"":00}`,
-		`{"num":01,"site":"x"}`,
-		`{"num":1.,"site":"x"}`,
-		`{"num":1e,"site":"x"}`,
-		`{"num":1e+,"site":"x"}`,
-		`{"site":"x","timeout_ms":00}`,
-		`{"site":"x"}}`,
-	}
-	for _, body := range cases {
-		ref, refErr := decodeRef([]byte(body))
-		sc, fastErr := decodeFast(t, []byte(body))
-		if (refErr == nil) != (fastErr == nil) {
-			t.Errorf("%q: error mismatch: encoding/json=%v fast=%v", body, refErr, fastErr)
-			continue
-		}
-		if refErr != nil {
-			continue
-		}
-		if sc.site != ref.Site {
-			t.Errorf("%q: site = %q, want %q", body, sc.site, ref.Site)
-		}
-		if sc.timeoutMS != ref.TimeoutMS {
-			t.Errorf("%q: timeout_ms = %d, want %d", body, sc.timeoutMS, ref.TimeoutMS)
-		}
-		if sc.hasSingle != (ref.Page != nil) {
-			t.Errorf("%q: hasSingle = %v, want %v", body, sc.hasSingle, ref.Page != nil)
-		}
-		if ref.Page != nil && (sc.single.id != ref.Page.ID || sc.single.html != ref.Page.HTML) {
-			t.Errorf("%q: page = %+v, want %+v", body, sc.single, *ref.Page)
-		}
-		if len(sc.pages) != len(ref.Pages) {
-			t.Errorf("%q: %d pages, want %d", body, len(sc.pages), len(ref.Pages))
-			continue
-		}
-		for i := range sc.pages {
-			if sc.pages[i].id != ref.Pages[i].ID || sc.pages[i].html != ref.Pages[i].HTML {
-				t.Errorf("%q: pages[%d] = %+v, want %+v", body, i, sc.pages[i], ref.Pages[i])
-			}
-		}
+	for _, body := range extractBodies {
+		checkExtractDecode(t, []byte(body))
 	}
 }
 
@@ -142,21 +200,25 @@ func TestDecodeInvalidUTF8MatchesEncodingJSON(t *testing.T) {
 	}
 }
 
-// TestDecodedStringsDoNotAliasBody pins the ownership contract: every
-// string handed past the handler (site, ids, HTML) must survive the body
-// buffer being recycled and scribbled over.
+// TestDecodedStringsDoNotAliasBody pins the ownership contract: the site
+// and page IDs, which outlive the request, survive the body buffer being
+// recycled and scribbled over; page HTML is a view of the buffer, exact
+// until then.
 func TestDecodedStringsDoNotAliasBody(t *testing.T) {
 	body := []byte(`{"site":"shop","pages":[{"id":"p-1","html":"<p>keep \u0041 this</p>"}]}`)
 	sc, err := decodeFast(t, body)
 	if err != nil {
 		t.Fatal(err)
 	}
-	site, id, html := sc.site, sc.pages[0].id, sc.pages[0].html
+	if html := sc.pages[0].html; html != "<p>keep A this</p>" {
+		t.Fatalf("html = %q before release", html)
+	}
+	site, id := sc.site, sc.pages[0].id
 	for i := range sc.body {
 		sc.body[i] = 'Z'
 	}
-	if site != "shop" || id != "p-1" || html != "<p>keep A this</p>" {
-		t.Fatalf("decoded strings changed after buffer reuse: %q %q %q", site, id, html)
+	if site != "shop" || id != "p-1" {
+		t.Fatalf("decoded strings changed after buffer reuse: %q %q", site, id)
 	}
 }
 
@@ -231,9 +293,9 @@ func TestAppendExtractResponseByteIdentical(t *testing.T) {
 }
 
 // decodeAllocBudget is the per-request decode ceiling for a warm scratch on
-// a single-page request: one allocation per retained string (site, id,
-// html). See docs/PERFORMANCE.md before raising it.
-const decodeAllocBudget = 4
+// a single-page request: one allocation per retained string (site, id; the
+// html is a view of the body). See docs/PERFORMANCE.md before raising it.
+const decodeAllocBudget = 2
 
 // TestDecodeExtractRequestAllocBudget gates the decoder's steady-state
 // allocations: with a warm scratch, decoding allocates only the strings
