@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"path/filepath"
 	"runtime"
 	"strings"
@@ -36,6 +35,7 @@ import (
 	"autowrap/internal/lr"
 	"autowrap/internal/segment"
 	"autowrap/internal/serve"
+	"autowrap/internal/serve/servetest"
 	"autowrap/internal/shard"
 	"autowrap/internal/stats"
 	"autowrap/internal/store"
@@ -556,7 +556,7 @@ func BenchmarkServeExtractHTTP(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	hs := httptest.NewServer(srv.Handler())
+	hs := servetest.NewServer(srv.Handler())
 	defer hs.Close()
 	client := hs.Client()
 	body, err := json.Marshal(serve.ExtractRequest{
@@ -635,7 +635,7 @@ func BenchmarkServeExtractBulkHTTP(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	hs := httptest.NewServer(srv.Handler())
+	hs := servetest.NewServer(srv.Handler())
 	defer hs.Close()
 	client := hs.Client()
 	post := func(body []byte) *http.Response {
@@ -699,21 +699,21 @@ func forwardFixture(b *testing.B) (localURL, fwdURL string, body []byte) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	localFront := httptest.NewServer(local.Handler())
+	localFront := servetest.NewServer(local.Handler())
 	b.Cleanup(localFront.Close)
 
 	shardSrv, err := serve.NewServer(serve.ServerConfig{Dispatcher: d, Shard: 0, Ring: ring})
 	if err != nil {
 		b.Fatal(err)
 	}
-	shardHS := httptest.NewServer(shardSrv.Handler())
+	shardHS := servetest.NewServer(shardSrv.Handler())
 	b.Cleanup(shardHS.Close)
 	fwd, err := serve.NewForwardRouter(ring,
 		[]string{strings.TrimPrefix(shardHS.URL, "http://")}, serve.ForwardOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	fwdFront := httptest.NewServer(fwd.Handler())
+	fwdFront := servetest.NewServer(fwd.Handler())
 	b.Cleanup(fwdFront.Close)
 
 	body, err = json.Marshal(serve.ExtractRequest{
@@ -789,13 +789,13 @@ func BenchmarkForwardRepair(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	shardHS := httptest.NewServer(shardSrv.Handler())
+	shardHS := servetest.NewServer(shardSrv.Handler())
 	b.Cleanup(shardHS.Close)
 	fwd, err := serve.NewForwardRouter(ring, []string{strings.TrimPrefix(shardHS.URL, "http://")}, serve.ForwardOptions{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	front := httptest.NewServer(fwd.Handler())
+	front := servetest.NewServer(fwd.Handler())
 	b.Cleanup(front.Close)
 	client := &http.Client{}
 	post := func() {

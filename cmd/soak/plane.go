@@ -99,7 +99,7 @@ type harness struct {
 	baseURL string
 	addr    string
 	ln      net.Listener
-	hs      *http.Server
+	hs      *serve.HTTPServer
 	// plane is what the listener serves and the drain drains: the one node
 	// when shards == 1, the router over them otherwise. servers are the
 	// nodes themselves, for the checks that read a node's own ledgers.
@@ -355,7 +355,7 @@ func (h *harness) boot() error {
 	h.ln = ln
 	h.addr = ln.Addr().String()
 	h.baseURL = "http://" + h.addr
-	h.hs = &http.Server{Handler: h.plane.Handler()}
+	h.hs = serve.NewHTTPServer(h.plane.Handler(), h.log)
 	go func() {
 		if err := h.hs.Serve(ln); !errors.Is(err, http.ErrServerClosed) {
 			h.serveErr <- err

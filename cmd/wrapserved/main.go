@@ -300,10 +300,10 @@ func run(o options) error {
 		}()
 	}
 
-	hs := &http.Server{Addr: o.addr, Handler: p.Handler()}
+	hs := serve.NewHTTPServer(p.Handler(), logger)
 	errc := make(chan error, 1)
 	go func() {
-		if err := hs.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
+		if err := hs.ListenAndServe(o.addr); !errors.Is(err, http.ErrServerClosed) {
 			errc <- err
 			return
 		}

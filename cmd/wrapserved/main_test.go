@@ -17,6 +17,7 @@ import (
 
 	"autowrap/internal/lr"
 	"autowrap/internal/serve"
+	"autowrap/internal/serve/servetest"
 	"autowrap/internal/shard"
 	"autowrap/internal/store"
 	"autowrap/internal/testutil/leakcheck"
@@ -251,7 +252,7 @@ func TestBootFront(t *testing.T) {
 				own := newFixture(t)
 				sp := mustBoot(t, "-store", own.store, "-store-backend", be, "-dict", own.dict,
 					"-role", "shard", "-shards", "2", "-shard-index", fmt.Sprint(k))
-				hs := httptest.NewServer(sp.Handler())
+				hs := servetest.NewServer(sp.Handler())
 				t.Cleanup(hs.Close)
 				peers = append(peers, strings.TrimPrefix(hs.URL, "http://"))
 			}

@@ -8,7 +8,6 @@ package autowrap_test
 import (
 	"errors"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"testing"
@@ -17,12 +16,13 @@ import (
 	"autowrap/internal/audit"
 	"autowrap/internal/lr"
 	"autowrap/internal/serve"
+	"autowrap/internal/serve/servetest"
 	"autowrap/internal/store"
 )
 
 // bootDurable seeds a two-version site into the given backend and boots
 // a server persisting through it with a live audit ledger.
-func bootDurable(t *testing.T, be autowrap.StoreBackend, seed func(*store.Store) error, auditPath string) *httptest.Server {
+func bootDurable(t *testing.T, be autowrap.StoreBackend, seed func(*store.Store) error, auditPath string) *servetest.Server {
 	t.Helper()
 	st := store.New()
 	put := func(site, class string, candidate bool) error {
@@ -61,7 +61,7 @@ func bootDurable(t *testing.T, be autowrap.StoreBackend, seed func(*store.Store)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hs := httptest.NewServer(srv.Handler())
+	hs := servetest.NewServer(srv.Handler())
 	t.Cleanup(hs.Close)
 	return hs
 }

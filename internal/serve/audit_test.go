@@ -3,13 +3,13 @@ package serve_test
 import (
 	"fmt"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"autowrap/internal/audit"
 	"autowrap/internal/serve"
+	"autowrap/internal/serve/servetest"
 	"autowrap/internal/shard"
 	"autowrap/internal/store"
 	"autowrap/internal/store/logstore"
@@ -31,7 +31,7 @@ func getJSON[T any](t *testing.T, url string) T {
 
 // auditServer builds a single server over the two-version store with a
 // log backend and a live ledger, both rooted in a temp dir.
-func auditServer(t *testing.T) (*httptest.Server, *store.Store, string, string) {
+func auditServer(t *testing.T) (*servetest.Server, *store.Store, string, string) {
 	t.Helper()
 	leakcheck.Check(t)
 	dir := t.TempDir()
@@ -60,7 +60,7 @@ func auditServer(t *testing.T) (*httptest.Server, *store.Store, string, string) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	hs := httptest.NewServer(srv.Handler())
+	hs := servetest.NewServer(srv.Handler())
 	t.Cleanup(hs.Close)
 	return hs, st, logDir, auditPath
 }
@@ -195,7 +195,7 @@ func auditFleet(t *testing.T, shards, nSites int) (*fleetFixture, *logstore.Back
 	if err != nil {
 		t.Fatal(err)
 	}
-	hs := httptest.NewServer(router.Handler())
+	hs := servetest.NewServer(router.Handler())
 	t.Cleanup(hs.Close)
 	return &fleetFixture{router: router, hs: hs, ring: ring, sites: sites}, lb, led, logDir
 }

@@ -217,7 +217,7 @@ func (f *ShardRouter) SetDraining(v bool) {
 // back to cancellation only when ctx expires. Over the forwarding
 // transport this is POST /v1/drain to every peer, which also flips the
 // peer's readiness. The ordering contract is SetDraining(true) →
-// http.Server.Shutdown → Drain: readiness flips first, in-flight
+// HTTPServer.Shutdown → Drain: readiness flips first, in-flight
 // requests finish second, job planes close last, shards after the front.
 func (f *ShardRouter) Drain(ctx context.Context) error {
 	errs := make([]error, len(f.clients))

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"net/http"
-	"net/http/httptest"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -14,6 +13,7 @@ import (
 	"autowrap/internal/drift"
 	"autowrap/internal/jobs"
 	"autowrap/internal/serve"
+	"autowrap/internal/serve/servetest"
 	"autowrap/internal/shard"
 	"autowrap/internal/store"
 	"autowrap/internal/store/filestore"
@@ -28,7 +28,7 @@ import (
 // placeholder Repairer so the learn/repair routes accept submissions.
 type fleetFixture struct {
 	router *serve.ShardRouter
-	hs     *httptest.Server
+	hs     *servetest.Server
 	ring   *shard.Ring
 	sites  []string
 }
@@ -87,7 +87,7 @@ func newFleet(t *testing.T, shards, nSites int, storePath string, withJobs bool)
 			t.Errorf("drain fleet: %v", err)
 		}
 	})
-	hs := httptest.NewServer(router.Handler())
+	hs := servetest.NewServer(router.Handler())
 	t.Cleanup(hs.Close)
 	return &fleetFixture{router: router, hs: hs, ring: ring, sites: sites}
 }

@@ -52,6 +52,9 @@ type Gate struct {
 	opt   GateOptions
 	slots chan struct{} // execution permits, capacity MaxInFlight
 	queue chan struct{} // wait permits, capacity MaxQueue
+	// release is what Acquire hands every admitted request, built once so
+	// that admission allocates nothing.
+	release func()
 
 	inflight atomic.Int64
 	waiting  atomic.Int64
@@ -63,11 +66,16 @@ type Gate struct {
 // NewGate builds an admission gate; zero options select defaults.
 func NewGate(opt GateOptions) *Gate {
 	opt = opt.withDefaults()
-	return &Gate{
+	g := &Gate{
 		opt:   opt,
 		slots: make(chan struct{}, opt.MaxInFlight),
 		queue: make(chan struct{}, opt.MaxQueue),
 	}
+	g.release = func() {
+		g.inflight.Add(-1)
+		<-g.slots
+	}
+	return g
 }
 
 // RetryAfter is the configured client back-off hint.
@@ -112,10 +120,7 @@ func (g *Gate) Acquire(ctx context.Context) (release func(), err error) {
 func (g *Gate) admit() func() {
 	g.inflight.Add(1)
 	g.admitted.Add(1)
-	return func() {
-		g.inflight.Add(-1)
-		<-g.slots
-	}
+	return g.release
 }
 
 // GateSnapshot is a point-in-time view of the gate for /metrics.

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"autowrap/internal/serve"
+	"autowrap/internal/testutil/race"
 )
 
 func TestGateFastPath(t *testing.T) {
@@ -28,6 +29,25 @@ func TestGateFastPath(t *testing.T) {
 	rel2()
 	if got := g.Snapshot().InFlight; got != 0 {
 		t.Fatalf("in-flight after release = %d", got)
+	}
+}
+
+// TestGateAcquireAllocFree: admission and release allocate nothing — the
+// release func is the gate's own, not a closure a request.
+func TestGateAcquireAllocFree(t *testing.T) {
+	if race.Enabled {
+		t.Skip("race detector instruments allocation; budgets describe production builds")
+	}
+	g := serve.NewGate(serve.GateOptions{MaxInFlight: 2})
+	ctx := context.Background()
+	if n := testing.AllocsPerRun(1000, func() {
+		release, err := g.Acquire(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		release()
+	}); n != 0 {
+		t.Fatalf("Acquire + release allocates %.1f times, want 0", n)
 	}
 }
 

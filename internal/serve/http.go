@@ -109,7 +109,7 @@ func (c ServerConfig) withDefaults() ServerConfig {
 
 // Server is the HTTP extraction service: the dispatcher's hot path behind
 // admission control, plus health, metrics and the wrapper-lifecycle admin
-// routes. Build one with NewServer, mount Handler on an http.Server, and
+// routes. Build one with NewServer, serve Handler with an HTTPServer, and
 // call SetDraining(true) before shutdown so load balancers stop sending.
 //
 //	POST /v1/extract   extract records from one page or a batch
@@ -213,7 +213,7 @@ func (s *Server) stopMaintainer() {
 // rejected (the caller flipped draining), accepted jobs — queued as well
 // as running — execute to completion, and only when ctx expires first is
 // the remainder canceled; then the workers exit. It is the last step of
-// every role's shutdown (SetDraining(true) → http.Server.Shutdown →
+// every role's shutdown (SetDraining(true) → HTTPServer.Shutdown →
 // Drain) and what POST /v1/drain does for a front end; whoever asks first
 // does the work, so an HTTP-initiated fleet drain followed by SIGTERM
 // cannot double-drain the manager. Nil manager or a repeat call is a no-op.

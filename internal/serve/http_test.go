@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
@@ -16,11 +15,12 @@ import (
 	"autowrap/internal/drift"
 	"autowrap/internal/jobs"
 	"autowrap/internal/serve"
+	"autowrap/internal/serve/servetest"
 	"autowrap/internal/store"
 	"autowrap/internal/testutil/leakcheck"
 )
 
-func newTestServer(t *testing.T, st *store.Store, gate *serve.Gate) (*serve.Server, *httptest.Server) {
+func newTestServer(t *testing.T, st *store.Store, gate *serve.Gate) (*serve.Server, *servetest.Server) {
 	t.Helper()
 	leakcheck.Check(t)
 	d := serve.NewDispatcher(st, serve.Options{})
@@ -28,7 +28,7 @@ func newTestServer(t *testing.T, st *store.Store, gate *serve.Gate) (*serve.Serv
 	if err != nil {
 		t.Fatal(err)
 	}
-	hs := httptest.NewServer(srv.Handler())
+	hs := servetest.NewServer(srv.Handler())
 	t.Cleanup(hs.Close)
 	return srv, hs
 }
@@ -363,7 +363,7 @@ func TestHTTPLearnCorpusDirConfined(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hs := httptest.NewServer(srv.Handler())
+	hs := servetest.NewServer(srv.Handler())
 	t.Cleanup(hs.Close)
 	// No root configured → corpus_dir disabled entirely.
 	resp := postJSON(t, hs.URL+"/v1/learn", serve.LearnRequest{Site: "s", CorpusDir: root})
@@ -382,7 +382,7 @@ func TestHTTPLearnCorpusDirConfined(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hs2 := httptest.NewServer(srv2.Handler())
+	hs2 := servetest.NewServer(srv2.Handler())
 	t.Cleanup(hs2.Close)
 	for _, dir := range []string{"/etc", "../..", root + "/../outside"} {
 		resp := postJSON(t, hs2.URL+"/v1/learn", serve.LearnRequest{Site: "s", CorpusDir: dir})
@@ -447,7 +447,7 @@ func TestHTTPPageCap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hs := httptest.NewServer(srv.Handler())
+	hs := servetest.NewServer(srv.Handler())
 	defer hs.Close()
 	pages := []serve.PageInput{{HTML: "a"}, {HTML: "b"}, {HTML: "c"}}
 	resp := postJSON(t, hs.URL+"/v1/extract", serve.ExtractRequest{Site: "shop", Pages: pages})

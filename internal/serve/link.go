@@ -4,8 +4,9 @@
 // writer goroutine behind it: one writev carries the request head and the
 // caller's body (never copied), one buffered read usually carries the
 // whole response, and the response body goes to its consumer as it
-// arrives. The shard side is net/http's server, unchanged; these are the
-// wire bytes any HTTP client sends it.
+// arrives. The shard side is HTTPServer (httpserver.go), and the response
+// head is read with the request head's line reader (h1.go); these are the
+// wire bytes any HTTP client sends.
 //
 // Rules of the link:
 //
@@ -30,7 +31,6 @@ package serve
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -49,9 +49,8 @@ const (
 	linkIdleTimeout = 90 * time.Second // an idle connection this old is closed, not reused
 	linkDialTimeout = 2 * time.Second
 	linkKeepAlive   = 30 * time.Second // TCP keep-alive probes
-	// linkReadBuf is each connection's read buffer. A response line longer
-	// than it is refused, and a body no longer than it is awaited whole
-	// before any of the response is relayed (see readHead).
+	// linkReadBuf is each connection's read buffer. A body no longer than it
+	// is awaited whole before any of the response is relayed (see readHead).
 	linkReadBuf = 16 << 10
 	// linkMaxHead caps the status line and headers of one response.
 	linkMaxHead = 64 << 10
@@ -91,6 +90,7 @@ type peerConn struct {
 	idleSince time.Time
 
 	head []byte      // request head scratch
+	hr   headReader  // the response head's lines
 	iov  [2][]byte   // head and body of the request being written
 	wv   net.Buffers // iov as writev consumes it; a field so that it is not allocated per write
 
@@ -264,12 +264,13 @@ var errMalformedResponse = errors.New("malformed HTTP response")
 // status, the framing, whether the peer will keep the connection open, and
 // the relayed headers' values.
 func (pc *peerConn) readHead() error {
-	line, err := pc.br.ReadSlice('\n')
+	pc.hr.reset(pc.br, linkMaxHead)
+	line, err := pc.hr.line()
 	if err != nil {
-		return fmt.Errorf("reading status line: %w", err)
+		return fmt.Errorf("reading status line: %w", headErr(err))
 	}
 	// "HTTP/1.x SSS", then a space and the reason or the end of the line.
-	if len(line) < 13 || string(line[:7]) != "HTTP/1." || (line[7] != '0' && line[7] != '1') || line[8] != ' ' || line[12] > ' ' {
+	if len(line) < 12 || string(line[:7]) != "HTTP/1." || (line[7] != '0' && line[7] != '1') || line[8] != ' ' || len(line) > 12 && line[12] != ' ' {
 		return fmt.Errorf("%w: status line %.40q", errMalformedResponse, line)
 	}
 	status, err := strconv.Atoi(string(line[9:12]))
@@ -280,22 +281,18 @@ func (pc *peerConn) readHead() error {
 	pc.keepAlive = line[7] == '1' // HTTP/1.0 closes unless it says otherwise
 	pc.length, pc.chunked = -1, false
 	pc.hbuf, pc.hdr = pc.hbuf[:0], [len(relayedHeaders)][2]int{}
-	for size := len(line); ; {
-		if line, err = pc.br.ReadSlice('\n'); err != nil {
-			return fmt.Errorf("reading headers: %w", err)
+	for {
+		if line, err = pc.hr.line(); err != nil {
+			return fmt.Errorf("reading headers: %w", headErr(err))
 		}
-		if size += len(line); size > linkMaxHead {
-			return fmt.Errorf("%w: headers exceed %d bytes", errMalformedResponse, linkMaxHead)
-		}
-		line = bytes.TrimRight(line, "\r\n")
 		if len(line) == 0 {
 			break
 		}
-		colon := bytes.IndexByte(line, ':')
-		if colon < 0 {
+		k, v, ok := cutByte(line, ':')
+		if !ok || !isToken(k) {
 			return fmt.Errorf("%w: header line %.40q", errMalformedResponse, line)
 		}
-		k, v := line[:colon], bytes.Trim(line[colon+1:], " \t")
+		v = trimOWS(v)
 		switch {
 		case foldEq(k, "Transfer-Encoding"):
 			if !foldEq(v, "chunked") {
@@ -303,9 +300,9 @@ func (pc *peerConn) readHead() error {
 			}
 			pc.chunked = true
 		case foldEq(k, "Connection"):
-			if foldEq(v, "close") {
+			if hasToken(v, "close") {
 				pc.keepAlive = false
-			} else if foldEq(v, "keep-alive") {
+			} else if hasToken(v, "keep-alive") {
 				pc.keepAlive = true
 			}
 		default:
@@ -340,9 +337,13 @@ func (pc *peerConn) readHead() error {
 	return nil
 }
 
-// foldEq reports whether b is the header name or token s in any case.
-func foldEq(b []byte, s string) bool {
-	return len(b) == len(s) && bytes.EqualFold(b, []byte(s))
+// headErr names a head past the link's limit as the malformed response it
+// is; any other error is the connection's.
+func headErr(err error) error {
+	if err == errHeadTooLarge {
+		return fmt.Errorf("%w: head exceeds %d bytes", errMalformedResponse, linkMaxHead)
+	}
+	return err
 }
 
 // header returns the value of relayed header i, empty if the response did
@@ -375,13 +376,12 @@ func (pc *peerConn) copyBody(w io.Writer) error {
 		return pc.copyN(w, pc.length)
 	}
 	for {
-		line, err := pc.br.ReadSlice('\n')
+		line, err := pc.chunkLine()
 		if err != nil {
 			return fmt.Errorf("reading chunk size: %w", err)
 		}
-		digits, _, _ := bytes.Cut(bytes.TrimRight(line, "\r\n"), []byte{';'}) // chunk extensions are ignored
-		n, err := strconv.ParseInt(string(bytes.Trim(digits, " \t")), 16, 64)
-		if err != nil || n < 0 {
+		n, ok := chunkSize(line)
+		if !ok {
 			return fmt.Errorf("%w: chunk size %.40q", errMalformedResponse, line)
 		}
 		if n == 0 {
@@ -390,19 +390,27 @@ func (pc *peerConn) copyBody(w io.Writer) error {
 		if err := pc.copyN(w, n); err != nil {
 			return err
 		}
-		if line, err = pc.br.ReadSlice('\n'); err != nil || len(bytes.TrimRight(line, "\r\n")) != 0 {
+		if line, err = pc.chunkLine(); err != nil || len(line) != 0 {
 			return fmt.Errorf("%w: chunk not followed by CRLF", errMalformedResponse)
 		}
 	}
+	pc.hr.reset(pc.br, linkMaxHead)
 	for { // the trailer section, to its blank line
-		line, err := pc.br.ReadSlice('\n')
+		line, err := pc.hr.line()
 		if err != nil {
-			return fmt.Errorf("reading trailer: %w", err)
+			return fmt.Errorf("reading trailer: %w", headErr(err))
 		}
-		if len(bytes.TrimRight(line, "\r\n")) == 0 {
+		if len(line) == 0 {
 			return nil
 		}
 	}
+}
+
+// chunkLine reads one line of chunk framing.
+func (pc *peerConn) chunkLine() ([]byte, error) {
+	pc.hr.reset(pc.br, maxChunkLine)
+	line, err := pc.hr.line()
+	return line, headErr(err)
 }
 
 // copyN streams the next n bytes of the connection to w, straight out of

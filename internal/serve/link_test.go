@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"maps"
 	"math/rand"
 	"net"
 	"net/http"
@@ -169,6 +170,30 @@ func postTo(h http.Handler, path, body string) *httptest.ResponseRecorder {
 	return rec
 }
 
+// frontOverHTTP serves fr behind HTTPServer on a loopback port and returns
+// a post with postTo's shape: the front's answer as its client reads it.
+func frontOverHTTP(t testing.TB, fr *ShardRouter) func(path, body string) *httptest.ResponseRecorder {
+	front := newLoopback(fr.Handler())
+	t.Cleanup(front.Close)
+	client := &http.Client{Transport: &http.Transport{}}
+	t.Cleanup(client.CloseIdleConnections)
+	return func(path, body string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		resp, err := client.Post(front.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Errorf("posting %s to the front: %v", path, err)
+			return rec
+		}
+		defer resp.Body.Close()
+		rec.Code = resp.StatusCode
+		maps.Copy(rec.Header(), resp.Header)
+		if _, err := io.Copy(rec.Body, resp.Body); err != nil {
+			t.Errorf("reading the front's answer to %s: %v", path, err)
+		}
+		return rec
+	}
+}
+
 const extractBody = `{"site":"shop","page":{"html":"<b>x</b>"}}`
 
 // TestLinkRelaysEveryFraming: what the peer answers is what the client
@@ -243,7 +268,8 @@ func TestLinkRelaysEveryFraming(t *testing.T) {
 // TestLinkFaults is the peer seam's row of the robustness table: each fault
 // of the link is one named outcome at the front — a 503 wrapping
 // ErrShardUnavailable and naming shard and address — never a panic, a hang
-// or a connection kept for the next request to trip over.
+// or a connection kept for the next request to trip over. The front runs
+// behind HTTPServer, as in the daemon.
 func TestLinkFaults(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -268,7 +294,7 @@ func TestLinkFaults(t *testing.T) {
 				return peerAnswer{raw: c.raw, close: true}
 			})
 			fr, link := linkFront(t, peer.addr(), time.Second)
-			rec := postTo(fr.Handler(), "/v1/extract", extractBody)
+			rec := frontOverHTTP(t, fr)("/v1/extract", extractBody)
 			want := fmt.Sprintf("%v: shard 0 (%s): /v1/extract: ", ErrShardUnavailable, peer.addr())
 			if rec.Code != http.StatusServiceUnavailable || !strings.Contains(rec.Body.String(), want) {
 				t.Fatalf("answered %d %s, want 503 naming %q", rec.Code, rec.Body, want)
@@ -287,8 +313,9 @@ func TestLinkFaults(t *testing.T) {
 		addr := peer.addr()
 		peer.close()
 		fr, _ := linkFront(t, addr, time.Second)
+		post := frontOverHTTP(t, fr)
 		for _, path := range []string{"/v1/extract", "/v1/repair", "/v1/learn", "/v1/promote"} {
-			rec := postTo(fr.Handler(), path, `{"site":"shop","version":2,"pages":["a","b"]}`)
+			rec := post(path, `{"site":"shop","version":2,"pages":["a","b"]}`)
 			want := fmt.Sprintf("%v: shard 0 (%s): %s: ", ErrShardUnavailable, addr, path)
 			if rec.Code != http.StatusServiceUnavailable || !strings.Contains(rec.Body.String(), want) {
 				t.Fatalf("%s answered %d %s, want 503 naming %q", path, rec.Code, rec.Body, want)
@@ -304,24 +331,24 @@ func TestLinkFaults(t *testing.T) {
 		peer := newScriptedPeer(t, "127.0.0.1:0", script)
 		addr := peer.addr()
 		fr, link := linkFront(t, addr, time.Second)
-		h := fr.Handler()
+		post := frontOverHTTP(t, fr)
 		var wg sync.WaitGroup
 		for i := 0; i < 4; i++ { // four connections into the pool
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				if rec := postTo(h, "/v1/extract", extractBody); rec.Code != 200 {
+				if rec := post("/v1/extract", extractBody); rec.Code != 200 {
 					t.Errorf("before the restart: %d %s", rec.Code, rec.Body)
 				}
 			}()
 		}
 		wg.Wait()
-		if link.idleCount() == 0 {
-			t.Fatal("nothing pooled before the restart")
-		}
+		// The client reads the relayed answer before the front's handler has
+		// returned the peer's connection to the pool.
+		waitFor(t, "a connection pooled before the restart", func() bool { return link.idleCount() > 0 })
 		peer.close()
 		reborn := newScriptedPeer(t, addr, script)
-		if rec := postTo(h, "/v1/extract", extractBody); rec.Code != 200 || rec.Body.String() != "ok\n" {
+		if rec := post("/v1/extract", extractBody); rec.Code != 200 || rec.Body.String() != "ok\n" {
 			t.Fatalf("first request after the restart: %d %s, want the new peer's 200", rec.Code, rec.Body)
 		}
 		if n, _ := reborn.counts(); n != 1 {
@@ -338,7 +365,7 @@ func TestLinkFaults(t *testing.T) {
 		})
 		fr, link := linkFront(t, peer.addr(), 30*time.Second)
 		start := time.Now()
-		rec := postTo(fr.Handler(), "/v1/extract", `{"site":"shop","timeout_ms":50,"page":{"html":"<b>x</b>"}}`)
+		rec := frontOverHTTP(t, fr)("/v1/extract", `{"site":"shop","timeout_ms":50,"page":{"html":"<b>x</b>"}}`)
 		if took := time.Since(start); rec.Code != http.StatusServiceUnavailable || took < 50*time.Millisecond || took > 5*time.Second {
 			t.Fatalf("answered %d after %v, want 503 once timeout_ms (50) has passed: %s", rec.Code, took, rec.Body)
 		}
@@ -367,7 +394,7 @@ func TestLinkMidBodyFailureAbortsTheResponse(t *testing.T) {
 				return peerAnswer{raw: raw, close: true}
 			})
 			fr, link := linkFront(t, peer.addr(), time.Second)
-			front := httptest.NewServer(fr.Handler())
+			front := newLoopback(fr.Handler())
 			defer front.Close()
 			resp, err := http.Post(front.URL+"/v1/extract", "application/json", strings.NewReader(extractBody))
 			if err == nil {
@@ -399,7 +426,7 @@ func TestForwardHonoursItsCaller(t *testing.T) {
 			})
 			fr, link := linkFront(t, peer.addr(), 30*time.Second)
 			returned := make(chan time.Time, 1)
-			front := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			front := newLoopback(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 				fr.Handler().ServeHTTP(w, r)
 				returned <- time.Now()
 			}))
@@ -550,10 +577,11 @@ func TestLinkUnderChurn(t *testing.T) {
 }
 
 // forwardAllocBudget is what one forwarded extract may allocate over the
-// same request through the in-process router: the shard's net/http server
-// reading and answering one request is most of it (≈ 30), the link's share
-// is the relayed header values and the context's AfterFunc. Measured: 35.
-const forwardAllocBudget = 40
+// same request through the in-process router: the link's share — the
+// relayed header values and the context's AfterFunc — and the shard's
+// second decode of the body. The shard's HTTPServer adds nothing on a
+// pooled connection. Measured: 6.
+const forwardAllocBudget = 6
 
 // TestForwardExtractAllocBudget gates the forward hop's allocations the way
 // the recorded benchmark counts them (serve.forward_allocs): process-wide
@@ -579,9 +607,9 @@ func TestForwardExtractAllocBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hs := httptest.NewServer(newShard().Handler())
+	hs := newLoopback(newShard().Handler())
 	defer hs.Close()
-	fwd, err := NewForwardRouter(ring, []string{strings.TrimPrefix(hs.URL, "http://")}, ForwardOptions{})
+	fwd, err := NewForwardRouter(ring, []string{hs.addr()}, ForwardOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

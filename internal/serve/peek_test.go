@@ -127,10 +127,10 @@ func newPeekFleet(t testing.TB) *peekFleet {
 		}
 		t.Cleanup(func() { srv.Close() })
 		srv.SetDraining(true)
-		hs := httptest.NewServer(srv.Handler())
+		hs := newLoopback(srv.Handler())
 		t.Cleanup(hs.Close)
 		p.shards = append(p.shards, srv)
-		peers = append(peers, strings.TrimPrefix(hs.URL, "http://"))
+		peers = append(peers, hs.addr())
 	}
 	fr, err := NewForwardRouter(p.ring, peers, ForwardOptions{Log: log.New(io.Discard, "", 0)})
 	if err != nil {

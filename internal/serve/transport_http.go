@@ -71,13 +71,13 @@ func (c *httpShard) forward(w http.ResponseWriter, r *http.Request, method, path
 	if err != nil {
 		// The status is out, so the failure cannot be a 503 any more. Ending
 		// the handler normally would end the client's response as if it were
-		// whole; under net/http's server this panic drops the client's
-		// connection instead (and logs no stack). A handler driven directly,
-		// as tests and the bench's in-process ladder do, just returns.
+		// whole; under HTTPServer this panic drops the client's connection
+		// instead (and logs nothing more). A handler driven directly, as
+		// tests and the bench's in-process ladder do, just returns.
 		if r.Context().Err() == nil {
 			c.log.Printf("serve: shard %d (%s): %s: relay broke off mid-body: %v", c.shard, c.link.addr, path, err)
 		}
-		if r.Context().Value(http.ServerContextKey) != nil {
+		if abortable(r) {
 			panic(http.ErrAbortHandler)
 		}
 	}

@@ -12,7 +12,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"net/http/httptest"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -24,6 +23,7 @@ import (
 	"autowrap/internal/dataset"
 	"autowrap/internal/gen"
 	"autowrap/internal/serve"
+	"autowrap/internal/serve/servetest"
 )
 
 // waitJob polls GET /v1/jobs/{id} until the job reaches a terminal state
@@ -146,7 +146,7 @@ func TestHTTPServiceEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hs := httptest.NewServer(srv.Handler())
+	hs := servetest.NewServer(srv.Handler())
 	defer hs.Close()
 	defer srv.Close() // drains the implicitly created job manager
 
@@ -292,7 +292,7 @@ func maintPairSeed(t *testing.T, seed int64) (clean, mutated *gen.Site, annot au
 // of the clean site, monitor, repairer, job manager) and returns the
 // pieces the maintenance tests drive.
 func learnedServerFromSites(t *testing.T, clean *gen.Site, annot autowrap.Annotator,
-	gate *autowrap.AdmissionGate, recentPages int) (*autowrap.Server, *httptest.Server, *autowrap.Monitor) {
+	gate *autowrap.AdmissionGate, recentPages int) (*autowrap.Server, *servetest.Server, *autowrap.Monitor) {
 	t.Helper()
 	ctx := context.Background()
 	newInductor := func(c *autowrap.Corpus) (autowrap.Inductor, error) {
@@ -332,7 +332,7 @@ func learnedServerFromSites(t *testing.T, clean *gen.Site, annot autowrap.Annota
 	if err != nil {
 		t.Fatal(err)
 	}
-	hs := httptest.NewServer(srv.Handler())
+	hs := servetest.NewServer(srv.Handler())
 	t.Cleanup(hs.Close)
 	t.Cleanup(func() { srv.Close() })
 	return srv, hs, monitor
@@ -649,7 +649,7 @@ func TestFacadeShardedFleet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	hs := httptest.NewServer(router.Handler())
+	hs := servetest.NewServer(router.Handler())
 	defer hs.Close()
 
 	var h serve.FleetHealthzResponse

@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -30,6 +29,7 @@ import (
 	"autowrap/internal/dataset"
 	"autowrap/internal/gen"
 	"autowrap/internal/serve"
+	"autowrap/internal/serve/servetest"
 	"autowrap/internal/shard"
 	"autowrap/internal/store/filestore"
 )
@@ -200,7 +200,7 @@ func TestTransportParityLocalVsForward(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	localFront := httptest.NewServer(localRouter.Handler())
+	localFront := servetest.NewServer(localRouter.Handler())
 	defer localFront.Close()
 
 	// Deployment B: shard-role servers behind real listeners, fronted by
@@ -214,7 +214,7 @@ func TestTransportParityLocalVsForward(t *testing.T) {
 		ap := filepath.Join(dir, fmt.Sprintf("shard%d-audit.jsonl", k))
 		shardAudits = append(shardAudits, ap)
 		srv := shardServer(t, ring, k, sp, ap, annot)
-		hs := httptest.NewServer(srv.Handler())
+		hs := servetest.NewServer(srv.Handler())
 		t.Cleanup(hs.Close)
 		peers = append(peers, strings.TrimPrefix(hs.URL, "http://"))
 	}
@@ -222,7 +222,7 @@ func TestTransportParityLocalVsForward(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fwdFront := httptest.NewServer(fwdRouter.Handler())
+	fwdFront := servetest.NewServer(fwdRouter.Handler())
 	defer fwdFront.Close()
 
 	// Byte-identical extract responses for every site, single and batch.
@@ -338,7 +338,7 @@ func TestForwardRingAgreement(t *testing.T) {
 	sp := filepath.Join(dir, "shard0.json")
 	copyFile(t, regPath, sp)
 	srv := shardServer(t, ring3, 0, sp, "", nil)
-	hs := httptest.NewServer(srv.Handler())
+	hs := servetest.NewServer(srv.Handler())
 	defer hs.Close()
 	addr := strings.TrimPrefix(hs.URL, "http://")
 
@@ -358,7 +358,7 @@ func TestForwardRingAgreement(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	front := httptest.NewServer(fr.Handler())
+	front := servetest.NewServer(fr.Handler())
 	defer front.Close()
 	code, body := rawPost(t, front.URL+"/v1/extract", serve.ExtractRequest{
 		Site: sites[0].Name, Page: &serve.PageInput{HTML: sites[0].Corpus.Pages[0].HTML}})
@@ -397,12 +397,12 @@ func TestForwardPartialAvailability(t *testing.T) {
 	ring := shard.NewRing(shards, 64)
 
 	var peers []string
-	var backends []*httptest.Server
+	var backends []*servetest.Server
 	for k := 0; k < shards; k++ {
 		sp := filepath.Join(dir, fmt.Sprintf("shard%d.json", k))
 		copyFile(t, regPath, sp)
 		srv := shardServer(t, ring, k, sp, "", nil)
-		hs := httptest.NewServer(srv.Handler())
+		hs := servetest.NewServer(srv.Handler())
 		t.Cleanup(hs.Close)
 		backends = append(backends, hs)
 		peers = append(peers, strings.TrimPrefix(hs.URL, "http://"))
@@ -413,7 +413,7 @@ func TestForwardPartialAvailability(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	front := httptest.NewServer(fr.Handler())
+	front := servetest.NewServer(fr.Handler())
 	defer front.Close()
 
 	const victim = 1
