@@ -174,7 +174,7 @@ func peerAddrs(client *http.Client, addr string) map[int]string {
 		return nil
 	}
 	defer resp.Body.Close()
-	var h serve.FleetHealthzResponse
+	var h serve.HealthzResponse
 	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil || len(h.Peers) == 0 {
 		return nil
 	}

@@ -106,10 +106,11 @@ func (h *harness) startMonitor() {
 			if ticks%3 == 0 {
 				h.sampleHeap()
 			}
-			gate, err := h.fetchGate()
+			m, err := h.fetchMetrics()
 			if err != nil {
 				continue // drain may already have closed the listener
 			}
+			gate := m.Gate
 			if gate.InFlight < 0 || gate.InFlight > int64(gate.MaxInFlight) {
 				h.viol.add("metrics-consistent", fmt.Sprintf("gate in_flight %d outside [0,%d]", gate.InFlight, gate.MaxInFlight))
 			}
@@ -149,25 +150,14 @@ func (h *harness) checkNoStuckJobs(limit time.Duration) {
 
 // --- metrics access ---
 
-// fetchGate returns the fleet-summed gate snapshot from /metrics,
-// whichever plane shape is serving.
-func (h *harness) fetchGate() (serve.GateSnapshot, error) {
-	raw, err := h.getJSON("/metrics")
-	if err != nil {
-		return serve.GateSnapshot{}, err
-	}
-	if h.o.shards > 1 {
-		var m serve.FleetMetricsResponse
-		if err := json.Unmarshal(raw, &m); err != nil {
-			return serve.GateSnapshot{}, err
-		}
-		return m.Gate, nil
-	}
+// fetchMetrics reads and decodes /metrics.
+func (h *harness) fetchMetrics() (serve.MetricsResponse, error) {
 	var m serve.MetricsResponse
-	if err := json.Unmarshal(raw, &m); err != nil {
-		return serve.GateSnapshot{}, err
+	raw, err := h.getJSON("/metrics")
+	if err == nil {
+		err = json.Unmarshal(raw, &m)
 	}
-	return m.Gate, nil
+	return m, err
 }
 
 func (h *harness) getJSON(path string) ([]byte, error) {
@@ -253,11 +243,12 @@ func (h *harness) awaitJobsIdle(budget time.Duration) {
 // identity is exact: each Acquire resolved to exactly one of
 // admitted/rejected/timed-out, and both sides counted the same events.
 func (h *harness) checkGateLedger() {
-	gate, err := h.fetchGate()
+	m, err := h.fetchMetrics()
 	if err != nil {
 		h.viol.add("gate-ledger", fmt.Sprintf("cannot fetch final gate snapshot: %v", err))
 		return
 	}
+	gate := m.Gate
 	if gate.InFlight != 0 || gate.Waiting != 0 {
 		h.viol.add("gate-ledger", fmt.Sprintf("traffic stopped but gate shows %d in flight, %d waiting", gate.InFlight, gate.Waiting))
 	}
@@ -268,21 +259,13 @@ func (h *harness) checkGateLedger() {
 	}
 }
 
-// checkMetricsConsistent asserts the fleet /metrics rollups agree with
+// checkMetricsConsistent asserts the /metrics rollups agree with
 // themselves exactly once traffic has settled: the fleet-wide merge, the
 // per-shard sum and the per-site sum are three views of one ledger.
 func (h *harness) checkMetricsConsistent() {
-	if h.o.shards == 1 {
-		return // single server exposes no rollups to cross-check
-	}
-	raw, err := h.getJSON("/metrics")
+	m, err := h.fetchMetrics()
 	if err != nil {
 		h.viol.add("metrics-consistent", fmt.Sprintf("cannot fetch final metrics: %v", err))
-		return
-	}
-	var m serve.FleetMetricsResponse
-	if err := json.Unmarshal(raw, &m); err != nil {
-		h.viol.add("metrics-consistent", fmt.Sprintf("final metrics undecodable: %v", err))
 		return
 	}
 	type sums struct{ requests, pages, records, errors int64 }

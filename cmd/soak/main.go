@@ -1,6 +1,7 @@
 // Command soak is the deterministic soak-and-chaos harness for the
-// serving plane: it boots a complete wrapserved fleet in-process (1 shard
-// or N, behind a real TCP listener), drives mixed extract/learn/repair
+// serving plane: it boots a complete wrapserved fleet in-process (a ring
+// of -shards nodes under one router, behind a real TCP listener — one is
+// the standalone server, a fleet of one), drives mixed extract/learn/repair
 // traffic from generated sitegen corpora at a target QPS, and concurrently
 // injects the faults a production fleet meets — template-drift storms,
 // malformed and truncated bodies, corrupt store entries written between
@@ -84,7 +85,7 @@ func main() {
 	var o options
 	flag.DurationVar(&o.duration, "duration", 45*time.Second, "total soak budget (traffic runs ~72% of it; healing and teardown use the rest)")
 	flag.Int64Var(&o.seed, "seed", 1, "master seed for corpora, traffic mix and the whole fault schedule")
-	flag.IntVar(&o.shards, "shards", 1, "serving shards (1 = single server, >1 = consistent-hash fleet)")
+	flag.IntVar(&o.shards, "shards", 1, "serving shards: the consistent-hash ring's partitions, one in-process node each (1 = a fleet of one, the standalone server)")
 	flag.IntVar(&o.qps, "qps", 120, "target request rate across all traffic workers")
 	flag.IntVar(&o.sites, "sites", 4, "learned dealer sites serving extract traffic")
 	flag.IntVar(&o.vnodes, "vnodes", shard.DefaultVNodes, "virtual nodes per shard on the routing ring")

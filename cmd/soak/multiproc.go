@@ -339,7 +339,7 @@ func (m *multiproc) checkPartialAvailability(ring *shard.Ring, sites []*soakSite
 		return
 	}
 	defer resp.Body.Close()
-	var h serve.FleetHealthzResponse
+	var h serve.HealthzResponse
 	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
 		m.viol.add("multiproc-partial", fmt.Sprintf("front healthz decode: %v", err))
 		return

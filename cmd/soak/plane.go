@@ -100,14 +100,10 @@ type harness struct {
 	addr    string
 	ln      net.Listener
 	hs      *serve.HTTPServer
-	// plane is what the listener serves and the drain drains: the one node
-	// when shards == 1, the router over them otherwise. servers are the
-	// nodes themselves, for the checks that read a node's own ledgers.
-	plane interface {
-		Handler() http.Handler
-		SetDraining(bool)
-		Drain(context.Context) error
-	}
+	// plane is what the listener serves and the drain drains: the router
+	// over the nodes. servers are the nodes themselves, for the checks that
+	// read a node's own ledgers.
+	plane     *serve.ShardRouter
 	servers   []*serve.Server
 	client    *http.Client
 	transport *http.Transport
@@ -260,8 +256,8 @@ func (h *harness) learnStore() (*store.Store, error) {
 }
 
 // boot builds the daemon's nodes by calling the daemon's constructor,
-// serve.NewNode — one node, or a fleet of them under a router — and
-// mounts the result on a real localhost listener. Running in-process
+// serve.NewNode — one per partition of the ring, under one router — and
+// mounts the router on a real localhost listener. Running in-process
 // keeps every internal ledger inspectable while traffic still crosses a
 // genuine TCP + HTTP boundary.
 func (h *harness) boot() error {
@@ -294,14 +290,19 @@ func (h *harness) boot() error {
 	}
 	h.aud = aud
 
-	node := func(k int, st *store.Store, idPrefix string) (*serve.Server, error) {
+	ring := shard.NewRing(h.o.shards, h.o.vnodes)
+	router, err := serve.NewShardRouter(ring, func(k int) (*serve.Server, error) {
+		st, err := h.backend.LoadPartition(ring, k)
+		if err != nil {
+			return nil, err
+		}
 		cfg := serve.NodeConfig{
 			Store:          st,
 			RecentPages:    64,
 			Monitor:        &drift.Policy{Window: 8, MinPages: 4},
 			Gate:           serve.GateOptions{MaxInFlight: gateInFlight, MaxQueue: gateQueue, RetryAfter: 50 * time.Millisecond},
 			Spec:           h.spec,
-			Jobs:           jobs.Options{Workers: jobWorkers, QueueDepth: jobQueueDepth, IDPrefix: idPrefix},
+			Jobs:           jobs.Options{Workers: jobWorkers, QueueDepth: jobQueueDepth},
 			Shard:          k,
 			Backend:        h.backend,
 			Audit:          h.aud,
@@ -322,31 +323,11 @@ func (h *harness) boot() error {
 			h.servers = append(h.servers, srv)
 		}
 		return srv, err
+	})
+	if err != nil {
+		return err
 	}
-	if h.o.shards == 1 {
-		st, err := h.backend.Load()
-		if err != nil {
-			return err
-		}
-		srv, err := node(0, st, "")
-		if err != nil {
-			return err
-		}
-		h.plane = srv
-	} else {
-		ring := shard.NewRing(h.o.shards, h.o.vnodes)
-		router, err := serve.NewShardRouter(ring, func(k int) (*serve.Server, error) {
-			st, err := h.backend.LoadPartition(ring, k)
-			if err != nil {
-				return nil, err
-			}
-			return node(k, st, fmt.Sprintf("s%d-", k))
-		})
-		if err != nil {
-			return err
-		}
-		h.plane = router
-	}
+	h.plane = router
 
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

@@ -42,6 +42,7 @@
 //	GET  /v1/jobs      every retained job; GET /v1/jobs/{id} one job
 //	POST /v1/jobs/{id}/cancel
 //	GET  /v1/audit     the lifecycle audit ledger's counters + newest records
+//	POST /v1/drain     {"timeout_ms":n} optional; flip /healthz to 503, run the job planes dry
 //
 // Durability is pluggable (-store-backend). The default, file, keeps the
 // original format: one atomic JSON registry at -store, rewritten in full
@@ -77,23 +78,26 @@
 // operator in the loop, and a repair that loses held-out validation leaves
 // the incumbent serving.
 //
-// Whatever the role, the process serves one or more nodes: a node is a
-// slice of the registry with the whole serving stack round it (monitor,
-// dispatcher, gate, job plane, optional auto-repair), assembled in one
-// place, serve.NewNode. Standalone is one node over the whole registry.
-// With -shards N (> 1) the daemon runs a consistent-hash fleet: N nodes
-// behind the one listener, each owning the sites the ring assigns it. All
-// endpoints are unchanged; requests and lifecycle events route to the
-// owning node, /metrics aggregates across the fleet, and admin mutations
-// persist through the one shared backend. -vnodes tunes the ring (must
-// match across restarts for a stable assignment); size -shards to the
-// host's cores. Capacities are per node and multiply: -max-inflight,
-// -queue, -learn-workers and -job-queue size each node, so a 4-shard fleet
-// admits 4x the standalone traffic. -role shard is one such node as its
-// own process — partition -shard-index of a -shards ring, refusing sites
-// the ring assigns elsewhere (421) and requests pinned to a different ring
-// (503) — and -role front owns no node at all: it forwards to the shard
-// processes at -peers after a ring-agreement handshake with each.
+// Whatever the role, the process is one router over a consistent-hash
+// ring of -shards partitions, and each partition is a node here, a shard
+// process elsewhere, or not served here. A node is a slice of the registry
+// with the whole serving stack round it (monitor, dispatcher, gate, job
+// plane, optional auto-repair), assembled in one place, serve.NewNode.
+// Standalone is a fleet of one: a ring of one partition, one node over the
+// whole registry. With -shards N every partition is a node behind the one
+// listener, each owning the sites the ring assigns it; requests and
+// lifecycle events route to the owning node, /metrics aggregates across
+// the nodes, and admin mutations persist through the one shared backend.
+// -vnodes tunes the ring (must match across restarts for a stable
+// assignment); size -shards to the host's cores. Capacities are per node
+// and multiply: -max-inflight, -queue, -learn-workers and -job-queue size
+// each node, so a 4-shard fleet admits 4x the standalone traffic. -role
+// shard is one such node as its own process — partition -shard-index of a
+// -shards ring, refusing sites the ring assigns elsewhere (421) — and
+// -role front owns no node at all: it forwards every partition to the
+// shard processes at -peers after a ring-agreement handshake with each.
+// Every role refuses requests pinned to a different ring (503), answers
+// /healthz and /metrics in one shape, and serves POST /v1/drain.
 //
 // Every role drains the same way. On SIGTERM or SIGINT the daemon flips
 // /healthz to 503 (load balancers steer away, new job submissions are
@@ -273,16 +277,7 @@ func openLedger(o options, logger *log.Logger) (*audit.Ledger, error) {
 	return led, nil
 }
 
-// plane is what a process serves and drains, whatever its role: one node
-// (*serve.Server), or a router over in-process nodes or over peers
-// (*serve.ShardRouter).
-type plane interface {
-	Handler() http.Handler
-	SetDraining(bool)
-	Drain(context.Context) error
-}
-
-// run boots the role's plane and serves it until a signal drains it.
+// run boots the role's router and serves it until a signal drains it.
 func run(o options) error {
 	logger := log.New(os.Stderr, "wrapserved: ", log.LstdFlags)
 	p, closeStores, err := boot(o, logger)
@@ -339,16 +334,15 @@ func run(o options) error {
 }
 
 // boot validates the flags, opens what the role keeps on disk and
-// assembles its plane. -role front holds no store: it owns the ring (size
+// assembles its router. -role front holds no store: it owns the ring (size
 // = number of -peers, in ring order) and forwards every request to the
 // owning shard process, after a handshake with each peer — fingerprint and
 // shard index must agree; an unreachable peer degrades that partition
-// instead of failing the boot. Every other role is built from nodes over
-// one backend and one ledger: one node standalone, one per ring partition
-// under a router with -shards N, exactly partition -shard-index with -role
-// shard. The returned func closes backend and ledger once the plane has
-// drained.
-func boot(o options, logger *log.Logger) (plane, func(), error) {
+// instead of failing the boot. Every other role is a router over nodes
+// built on one backend and one ledger: a node for every partition of the
+// -shards ring, or with -role shard for partition -shard-index alone. The
+// returned func closes backend and ledger once the router has drained.
+func boot(o options, logger *log.Logger) (*serve.ShardRouter, func(), error) {
 	switch o.role {
 	case "":
 	case "shard":
@@ -421,63 +415,38 @@ func boot(o options, logger *log.Logger) (plane, func(), error) {
 		led.Close()
 	}
 
-	// A nil ring is the standalone server: one node over the whole
-	// registry, wire-identical to before there were fleets.
-	var ring *shard.Ring
-	if o.role == "shard" || o.shards > 1 {
-		ring = shard.NewRing(o.shards, o.vnodes)
-	}
-	sites := 0
+	// One router over the ring, whatever the role: every partition is a
+	// node of this process, or with -role shard only -shard-index is and
+	// the others are answered 421. Standalone is the ring of one.
+	ring := shard.NewRing(o.shards, o.vnodes)
+	sites, served := 0, 0
 	tmpl.Backend = be // shared; each node reports only its own events
 	tmpl.Audit = led
 	tmpl.Log = logger
-	node := func(k int) (*serve.Server, error) {
+	router, err := serve.NewShardRouter(ring, func(k int) (*serve.Server, error) {
+		if o.role == "shard" && k != o.shardIndex {
+			return nil, nil // another process's partition
+		}
 		cfg := tmpl
 		cfg.Shard = k
+		// Boot from the owned partition only, at a validation cost
+		// proportional to it: the backend may hold the full registry
+		// (every shard process sharing one seed file) or a pre-split one.
 		var err error
-		if ring == nil {
-			cfg.Store, err = be.Load()
-		} else {
-			// Boot from the owned partition only, at a validation cost
-			// proportional to it: the backend may hold the full registry
-			// (every shard process sharing one seed file) or a pre-split
-			// one. The s<k>- job-id prefix lets a router send a job
-			// lookup straight to the node that ran it.
-			cfg.Store, err = be.LoadPartition(ring, k)
-			cfg.Jobs.IDPrefix = fmt.Sprintf("s%d-", k)
-		}
-		if err != nil {
+		if cfg.Store, err = be.LoadPartition(ring, k); err != nil {
 			return nil, err
 		}
-		// Only a node that is its own process enforces the ring — it can
-		// be reached past the front, or by a front that disagrees on the
-		// topology. In-process nodes sit behind the router that owns it.
-		if o.role == "shard" {
-			cfg.Ring = ring
-		}
 		sites += cfg.Store.Len()
+		served++
 		return serve.NewNode(cfg)
-	}
-
-	var p plane
-	what := "standalone"
-	switch {
-	case o.role == "shard":
-		p, err = node(o.shardIndex)
-		what = fmt.Sprintf("shard %d/%d, ring %s", o.shardIndex, o.shards, ring.Fingerprint())
-	case ring != nil:
-		p, err = serve.NewShardRouter(ring, node)
-		what = fmt.Sprintf("%d shards, %d vnodes each", o.shards, ring.VNodes())
-	default:
-		p, err = node(0)
-	}
+	})
 	if err != nil {
 		closeStores()
 		return nil, nil, err
 	}
-	logger.Printf("serving %d site(s) from %s on %s (%s; maintenance plane %s, auto-repair %s)",
-		sites, o.storePath, o.addr, what, enabledWord(tmpl.Spec != nil), enabledWord(o.autoRepair))
-	return p, closeStores, nil
+	logger.Printf("serving %d site(s) from %s on %s (%d of %d partition(s), ring %s; maintenance plane %s, auto-repair %s)",
+		sites, o.storePath, o.addr, served, ring.Shards(), ring.Fingerprint(), enabledWord(tmpl.Spec != nil), enabledWord(o.autoRepair))
+	return router, closeStores, nil
 }
 
 // splitPeers parses the -peers list, dropping empty elements so a

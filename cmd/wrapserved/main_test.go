@@ -74,7 +74,7 @@ func newFixture(t *testing.T) fixture {
 }
 
 // bootArgs parses a command line the way main does and boots it.
-func bootArgs(t *testing.T, args ...string) (plane, func(), error) {
+func bootArgs(t *testing.T, args ...string) (*serve.ShardRouter, func(), error) {
 	t.Helper()
 	fs := flag.NewFlagSet("wrapserved", flag.ContinueOnError)
 	o := defineFlags(fs)
@@ -86,7 +86,7 @@ func bootArgs(t *testing.T, args ...string) (plane, func(), error) {
 
 // mustBoot boots a command line that must come up; the plane is drained
 // and its stores closed when the test ends, unless the test already did.
-func mustBoot(t *testing.T, args ...string) plane {
+func mustBoot(t *testing.T, args ...string) *serve.ShardRouter {
 	t.Helper()
 	p, closeStores, err := bootArgs(t, args...)
 	if err != nil {
@@ -100,7 +100,7 @@ func mustBoot(t *testing.T, args ...string) plane {
 }
 
 // drain is run's shutdown sequence less the listener.
-func drain(t *testing.T, p plane, budget time.Duration) error {
+func drain(t *testing.T, p *serve.ShardRouter, budget time.Duration) error {
 	t.Helper()
 	p.SetDraining(true)
 	ctx, cancel := context.WithTimeout(context.Background(), budget)
@@ -109,7 +109,7 @@ func drain(t *testing.T, p plane, budget time.Duration) error {
 }
 
 // call serves one request in-process and returns status and body.
-func call(p plane, method, path, body string, header ...string) (int, []byte) {
+func call(p *serve.ShardRouter, method, path, body string, header ...string) (int, []byte) {
 	req := httptest.NewRequest(method, path, strings.NewReader(body))
 	for i := 0; i+1 < len(header); i += 2 {
 		req.Header.Set(header[i], header[i+1])
@@ -134,7 +134,7 @@ func repairBody(site string) string {
 }
 
 // wantExtract checks that site serves its three records through p.
-func wantExtract(t *testing.T, p plane, site string) {
+func wantExtract(t *testing.T, p *serve.ShardRouter, site string) {
 	t.Helper()
 	code, body := call(p, "POST", "/v1/extract", extractBody(site))
 	var resp serve.ExtractResponse
@@ -145,7 +145,7 @@ func wantExtract(t *testing.T, p plane, site string) {
 
 // wantRepairID submits a repair for site and checks the id of the job it
 // was accepted as.
-func wantRepairID(t *testing.T, p plane, site, id string) {
+func wantRepairID(t *testing.T, p *serve.ShardRouter, site, id string) {
 	t.Helper()
 	code, body := call(p, "POST", "/v1/repair", repairBody(site))
 	var acc serve.JobAccepted
@@ -173,15 +173,18 @@ func TestBootStandalone(t *testing.T) {
 			code, body := call(p, "GET", "/healthz", "")
 			var h serve.HealthzResponse
 			decodeInto(t, body, &h)
-			if code != 200 || h.Status != "ok" || h.Sites != 2 || strings.Contains(string(body), `"ring"`) || strings.Contains(string(body), `"shards"`) {
-				t.Errorf("/healthz: %d %s, want a standalone HealthzResponse over 2 sites", code, body)
+			if code != 200 || h.Status != "ok" || h.Shards != 1 || h.Sites != 2 || h.Ring == nil || h.Ring.Shards != 1 || h.Ring.Shard != 0 {
+				t.Errorf("/healthz: %d %s, want partition 0 of a ring of one, over 2 sites", code, body)
 			}
 			for _, site := range f.sites {
 				wantExtract(t, p, site)
 			}
-			wantRepairID(t, p, f.sites[0], "job-000001")
-			if code, body := call(p, "POST", "/v1/drain", ""); code != 404 {
-				t.Errorf("/v1/drain on a standalone server: %d %s, want 404", code, body)
+			wantRepairID(t, p, f.sites[0], "s0-job-000001")
+			code, body = call(p, "POST", "/v1/drain", "")
+			var d serve.DrainResponse
+			decodeInto(t, body, &d)
+			if code != 200 || !d.JobsQuiesced {
+				t.Errorf("/v1/drain: %d %s", code, body)
 			}
 		})
 	}
@@ -194,18 +197,17 @@ func TestBootFleet(t *testing.T) {
 			f := newFixture(t)
 			p := mustBoot(t, "-store", f.store, "-store-backend", be, "-dict", f.dict, "-shards", "2")
 			code, body := call(p, "GET", "/healthz", "")
-			var h serve.FleetHealthzResponse
+			var h serve.HealthzResponse
 			decodeInto(t, body, &h)
-			if code != 200 || h.Shards != 2 || h.Sites != 2 || h.Ring != nil {
-				t.Errorf("/healthz: %d %s, want an in-process FleetHealthzResponse of 2 shards, 2 sites", code, body)
+			if code != 200 || h.Shards != 2 || h.Sites != 2 || h.Ring == nil || h.Ring.Shard != -1 || h.Ring.Hash != f.ring.Fingerprint() {
+				t.Errorf("/healthz: %d %s, want both partitions of ring %s, 2 sites", code, body, f.ring.Fingerprint())
 			}
 			for k, site := range f.sites {
 				wantExtract(t, p, site)
 				wantRepairID(t, p, site, fmt.Sprintf("s%d-job-000001", k))
 			}
-			// An in-process node does not enforce the ring: the router owns it.
-			if code, body := call(p, "POST", "/v1/extract", extractBody(f.sites[0]), serve.RingHashHeader, "bogus"); code != 200 {
-				t.Errorf("extract through the router with a stray ring header: %d %s", code, body)
+			if code, body := call(p, "POST", "/v1/extract", extractBody(f.sites[0]), serve.RingHashHeader, "bogus"); code != http.StatusServiceUnavailable {
+				t.Errorf("extract pinned to another ring: %d %s, want 503", code, body)
 			}
 		})
 	}
@@ -258,7 +260,7 @@ func TestBootFront(t *testing.T) {
 			}
 			p := mustBoot(t, "-role", "front", "-peers", strings.Join(peers, ","))
 			code, body := call(p, "GET", "/healthz", "")
-			var h serve.FleetHealthzResponse
+			var h serve.HealthzResponse
 			decodeInto(t, body, &h)
 			if code != 200 || h.Shards != 2 || h.Sites != 2 || len(h.Peers) != 2 || !h.Peers[0].OK || !h.Peers[1].OK {
 				t.Errorf("/healthz: %d %s, want 2 live peers with a site each", code, body)
@@ -322,7 +324,7 @@ func TestBootErrors(t *testing.T) {
 }
 
 // jobStates lists the state of every job the plane retains.
-func jobStates(t *testing.T, p plane) (states []string) {
+func jobStates(t *testing.T, p *serve.ShardRouter) (states []string) {
 	t.Helper()
 	_, body := call(p, "GET", "/v1/jobs", "")
 	var list []serve.JobSnapshot

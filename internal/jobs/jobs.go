@@ -205,6 +205,32 @@ type Metrics struct {
 	Kinds      map[string]KindMetrics `json:"kinds,omitempty"`
 }
 
+// Add folds another manager's ledger into m, so that several job planes
+// read as one: counts and capacities add, and each kind's mean run time
+// is taken over the summed population.
+func (m *Metrics) Add(o Metrics) {
+	m.Queued += o.Queued
+	m.Running += o.Running
+	m.Workers += o.Workers
+	m.QueueDepth += o.QueueDepth
+	for kind, km := range o.Kinds {
+		if m.Kinds == nil {
+			m.Kinds = make(map[string]KindMetrics, len(o.Kinds))
+		}
+		sum := m.Kinds[kind]
+		sum.Submitted += km.Submitted
+		sum.Done += km.Done
+		sum.Failed += km.Failed
+		sum.Canceled += km.Canceled
+		sum.TotalRunMS += km.TotalRunMS
+		sum.MeanRunMS = 0
+		if ran := sum.Done + sum.Failed; ran > 0 {
+			sum.MeanRunMS = float64(sum.TotalRunMS) / float64(ran)
+		}
+		m.Kinds[kind] = sum
+	}
+}
+
 // Manager runs the maintenance plane: a bounded job queue drained by a
 // fixed worker pool. Build one with New; it is safe for concurrent use.
 type Manager struct {

@@ -229,7 +229,7 @@ func TestFleetAuditSharedLedger(t *testing.T) {
 	if len(shardsSeen) < 2 {
 		t.Fatalf("one chain should collect events across shards, saw only %v", shardsSeen)
 	}
-	m := getJSON[serve.FleetMetricsResponse](t, f.hs.URL+"/metrics")
+	m := getJSON[serve.MetricsResponse](t, f.hs.URL+"/metrics")
 	if m.Audit == nil || m.Audit.Events != out.Stats.Events {
 		t.Fatalf("fleet metrics audit counters diverge: %+v vs %+v", m.Audit, out.Stats)
 	}

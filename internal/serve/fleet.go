@@ -1,18 +1,19 @@
-// The sharded serving plane's front end. A ShardRouter owns N shard
-// clients — each the transport handle of one shard with its own
-// partition of the store, dispatcher, admission gate, drift monitor and
-// job plane — and routes every request to the shard the consistent-hash
-// ring assigns the request's site. The router never touches a shard
-// directly: everything goes through the ShardClient seam, so the same
-// routing logic fronts an in-process fleet (localShard, the `-shards N`
-// daemon) and a multi-process one (httpShard, `-role front -peers ...`
-// forwarding to independently booted shard processes). Nothing on the
-// extract hot path is shared between shards: the router's only
-// cross-shard state is the ring (immutable) and the pooled wire codec
+// The serving plane's one HTTP surface. Every process — standalone, an
+// in-process fleet, a shard process, a forwarding front — is a ShardRouter
+// over a consistent-hash ring, and each partition of the ring is one of
+// three things here: local (an in-process node behind localShard),
+// forwarded (a shard process behind httpShard) or not served here
+// (absentShard, 421). Standalone is a ring of one with partition 0 local;
+// `-shards N` has every partition local; `-role shard` has only its own;
+// `-role front` forwards them all. The router never touches a node
+// directly: everything goes through the ShardClient seam. Nothing on the
+// extract hot path is shared between partitions: the router's only
+// cross-partition state is the ring (immutable) and the pooled wire codec
 // (per-request scratch). Lifecycle events (promote, rollback, repair,
 // learn) route the same way, so a hot-swap bumps epochs only in the
-// owning shard; /metrics and /v1/sites are the aggregation points that
-// make the fleet look like one server to clients.
+// owning node; /healthz, /metrics, /v1/sites, /v1/jobs and /v1/audit
+// merge over the partitions served here, in one shape whatever their
+// number.
 
 package serve
 
@@ -35,24 +36,28 @@ import (
 	"autowrap/internal/store"
 )
 
-// ShardRouter fronts a fleet behind the single-server HTTP surface:
-// same routes, same wire shapes (plus fleet-level fields on /healthz and
-// /metrics). Build one with NewShardRouter (in-process shards) or
-// NewForwardRouter (remote shard processes) and mount Handler, exactly
-// like a Server.
+// ShardRouter routes every request to the partition the ring assigns its
+// site and merges the observation routes over the partitions it serves.
+// Build one with NewShardRouter (in-process nodes) or NewForwardRouter
+// (shard processes), or take a node's Handler, and mount Handler.
 type ShardRouter struct {
-	ring    *shard.Ring
+	ring *shard.Ring
+	// clients[k] is partition k: local, forwarded or absent.
 	clients []ShardClient
-	// shards holds the in-process Servers behind localShard clients; a
-	// forwarding router has none (Shard returns nil).
+	// served lists the partitions answered here, local or forwarded: the
+	// fan-outs run over them.
+	served []int
+	// shards[k] is the in-process node of a local partition, nil otherwise.
 	shards []*Server
-	// peers are the remote shard addresses, index-aligned with clients
-	// (empty for an in-process fleet). hasRemote makes the front a relay:
-	// it peeks at a body for its route and leaves the decode to the owner.
-	peers     []string
-	hasRemote bool
-	// Front-door decode limits; an in-process fleet borrows shard 0's
-	// (they are fleet-uniform), a forwarding front brings its own.
+	// peers[k] is the address of a forwarded partition (nil when none is
+	// forwarded). A router with peers is a relay: it peeks at a body for
+	// its route and leaves the decode to the owner.
+	peers []string
+	// self is the local partition when the process serves exactly one,
+	// -1 otherwise (/healthz's ring.shard).
+	self int
+	// Front-door decode limits: the first local node's (they are
+	// process-uniform), or a forwarding front's own.
 	maxBodyBytes   int64
 	requestTimeout time.Duration
 	started        time.Time
@@ -60,13 +65,15 @@ type ShardRouter struct {
 	log            *log.Logger
 }
 
-// NewShardRouter builds an in-process fleet. build is called once per
-// shard ID, in order, and returns that shard's node (NewNode over the
-// shard's store partition, or a Server wired by hand).
+// NewShardRouter builds the router over in-process nodes. build is called
+// once per partition, in order, and returns that partition's node
+// (NewNode over the partition's store, or a Server wired by hand) — or
+// nil for a partition this process does not serve, which is then answered
+// 421. At least one partition must be served.
 // Persistence is the store backend's job: wire one shared store.Backend
-// into every shard's ServerConfig (with ServerConfig.Shard set to the
-// shard's id) and each lifecycle event is reported by — and costs —
-// only the mutating shard.
+// into every node's ServerConfig (with ServerConfig.Shard set to the
+// partition) and each lifecycle event is reported by — and costs — only
+// the mutating node.
 func NewShardRouter(ring *shard.Ring, build func(shardID int) (*Server, error)) (*ShardRouter, error) {
 	if ring == nil {
 		return nil, fmt.Errorf("serve: NewShardRouter: nil ring")
@@ -74,27 +81,48 @@ func NewShardRouter(ring *shard.Ring, build func(shardID int) (*Server, error)) 
 	if build == nil {
 		return nil, fmt.Errorf("serve: NewShardRouter: nil build")
 	}
-	f := &ShardRouter{
-		ring:    ring,
-		clients: make([]ShardClient, ring.Shards()),
-		shards:  make([]*Server, ring.Shards()),
-		started: time.Now(),
-		log:     log.Default(),
-	}
-	for k := range f.shards {
+	f := newRouter(ring)
+	var home absentShard
+	for k := range f.clients {
 		s, err := build(k)
 		if err != nil {
 			return nil, fmt.Errorf("serve: building shard %d: %w", k, err)
 		}
 		if s == nil {
-			return nil, fmt.Errorf("serve: building shard %d: build returned nil", k)
+			continue
 		}
-		f.shards[k] = s
-		f.clients[k] = localShard{s}
+		if home.home == nil {
+			home.home, home.local = s, k
+		}
+		f.shards[k], f.clients[k] = s, localShard{s}
+		f.served = append(f.served, k)
 	}
-	f.maxBodyBytes = f.shards[0].cfg.MaxBodyBytes
-	f.requestTimeout = f.shards[0].cfg.RequestTimeout
+	if home.home == nil {
+		return nil, fmt.Errorf("serve: NewShardRouter: build served none of the %d partitions", ring.Shards())
+	}
+	for k := range f.clients {
+		if f.clients[k] == nil {
+			home.shard = k
+			f.clients[k] = home
+		}
+	}
+	if len(f.served) == 1 {
+		f.self = home.local
+	}
+	f.maxBodyBytes = home.home.cfg.MaxBodyBytes
+	f.requestTimeout = home.home.cfg.RequestTimeout
+	f.log = home.home.cfg.Log
 	return f, nil
+}
+
+func newRouter(ring *shard.Ring) *ShardRouter {
+	return &ShardRouter{
+		ring:    ring,
+		clients: make([]ShardClient, ring.Shards()),
+		shards:  make([]*Server, ring.Shards()),
+		self:    -1,
+		started: time.Now(),
+	}
 }
 
 // ForwardOptions tune a forwarding front end (NewForwardRouter); the
@@ -111,8 +139,8 @@ type ForwardOptions struct {
 	Log *log.Logger
 }
 
-// NewForwardRouter builds the multi-process fleet front: shard k of ring
-// is the wrapserved process at peers[k] (host:port), reached over
+// NewForwardRouter builds the multi-process fleet front: partition k of
+// ring is the wrapserved process at peers[k] (host:port), reached over
 // httpShard clients. On boot the router performs the ring-agreement
 // handshake with every reachable peer — fingerprint, shard count and
 // partition index must all match, or construction fails naming the peer;
@@ -134,19 +162,14 @@ func NewForwardRouter(ring *shard.Ring, peers []string, opt ForwardOptions) (*Sh
 	if opt.Log == nil {
 		opt.Log = log.Default()
 	}
-	f := &ShardRouter{
-		ring:           ring,
-		clients:        make([]ShardClient, len(peers)),
-		shards:         make([]*Server, len(peers)),
-		peers:          append([]string(nil), peers...),
-		hasRemote:      true,
-		maxBodyBytes:   defaultMaxBodyBytes, // capped at the front door, before any byte is forwarded
-		requestTimeout: opt.RequestTimeout,
-		started:        time.Now(),
-		log:            opt.Log,
-	}
+	f := newRouter(ring)
+	f.peers = append([]string(nil), peers...)
+	f.maxBodyBytes = defaultMaxBodyBytes // capped at the front door, before any byte is forwarded
+	f.requestTimeout = opt.RequestTimeout
+	f.log = opt.Log
 	for k, addr := range peers {
 		f.clients[k] = newHTTPShard(k, addr, ring.Fingerprint(), opt.RequestTimeout, opt.Log)
+		f.served = append(f.served, k)
 	}
 	if !opt.SkipHandshake {
 		if err := f.handshake(); err != nil {
@@ -160,8 +183,9 @@ func NewForwardRouter(ring *shard.Ring, peers []string, opt ForwardOptions) (*Sh
 // peer's /healthz must report a RingInfo whose hash matches this ring
 // and whose partition index matches the peer's slot. A reachable peer
 // that disagrees — wrong shard count, wrong vnodes, booted for the wrong
-// partition, or not in shard role at all — fails the front's boot; an
-// unreachable peer is logged and tolerated (partial availability).
+// partition, or not serving exactly one partition in process — fails the
+// front's boot; an unreachable peer is logged and tolerated (partial
+// availability).
 func (f *ShardRouter) handshake() error {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
@@ -173,7 +197,7 @@ func (f *ShardRouter) handshake() error {
 			continue
 		}
 		if h.Ring == nil {
-			return fmt.Errorf("serve: fleet handshake: %w: peer %d (%s) is not a shard-role server (no ring info)",
+			return fmt.Errorf("serve: fleet handshake: %w: peer %d (%s) reports no ring",
 				ErrRingMismatch, k, f.peers[k])
 		}
 		if h.Ring.Hash != f.ring.Fingerprint() {
@@ -189,96 +213,69 @@ func (f *ShardRouter) handshake() error {
 	return nil
 }
 
-// Ring returns the fleet's routing ring.
-func (f *ShardRouter) Ring() *shard.Ring { return f.ring }
-
-// Shard returns one in-process shard's Server (nil on a forwarding
-// router; panics on an out-of-range ID, like any slice index).
+// Shard returns the in-process node of partition k (nil for a forwarded
+// or absent partition; panics on an out-of-range ID, like any slice index).
 func (f *ShardRouter) Shard(k int) *Server { return f.shards[k] }
 
-// Peers returns the remote shard addresses (nil for an in-process fleet).
-func (f *ShardRouter) Peers() []string { return f.peers }
-
-// SetDraining flips readiness on the router and every in-process shard
-// at once: /healthz answers 503 fleet-wide while every shard keeps
-// admitting — the first step of the drain ordering (steer traffic away,
-// drop nothing). Remote shards' readiness belongs to their own
-// processes; the front steers traffic away by flipping itself.
+// SetDraining flips readiness on the router and every in-process node at
+// once: /healthz answers 503 while every node keeps admitting — the first
+// step of the drain ordering (steer traffic away, drop nothing). Remote
+// shards' readiness belongs to their own processes; the front steers
+// traffic away by flipping itself.
 func (f *ShardRouter) SetDraining(v bool) {
 	f.draining.Store(v)
-	for _, c := range f.clients {
-		c.SetDraining(v)
+	for _, k := range f.served {
+		f.clients[k].SetDraining(v)
 	}
 }
 
-// Drain finishes the fleet's shutdown after the HTTP listener has
-// stopped accepting: every shard's job plane is quiesced concurrently —
-// queued jobs run to completion, nothing accepted is dropped — falling
-// back to cancellation only when ctx expires. Over the forwarding
-// transport this is POST /v1/drain to every peer, which also flips the
-// peer's readiness. The ordering contract is SetDraining(true) →
-// HTTPServer.Shutdown → Drain: readiness flips first, in-flight
+// Drain finishes the process's shutdown after the HTTP listener has
+// stopped accepting: every served partition's job plane is quiesced
+// concurrently — queued jobs run to completion, nothing accepted is
+// dropped — falling back to cancellation only when ctx expires. For a
+// forwarded partition this is POST /v1/drain to its peer, which also
+// flips the peer's readiness. The ordering contract is SetDraining(true)
+// → HTTPServer.Shutdown → Drain: readiness flips first, in-flight
 // requests finish second, job planes close last, shards after the front.
 func (f *ShardRouter) Drain(ctx context.Context) error {
 	errs := make([]error, len(f.clients))
-	var wg sync.WaitGroup
-	for k, c := range f.clients {
-		wg.Add(1)
-		go func(k int, c ShardClient) {
-			defer wg.Done()
-			errs[k] = c.Drain(ctx)
-		}(k, c)
-	}
-	wg.Wait()
+	f.fanOut(ctx, func(ctx context.Context, k int, c ShardClient) { errs[k] = c.Drain(ctx) })
 	return errors.Join(errs...)
 }
 
-// Handler returns the fleet's route table — the same routes as a
-// single Server's Handler, served fleet-wide.
-func (f *ShardRouter) Handler() http.Handler { return http.HandlerFunc(f.route) }
-
-func (f *ShardRouter) route(w http.ResponseWriter, r *http.Request) {
-	switch r.URL.Path {
-	case "/v1/extract":
-		f.handleExtract(w, r)
-	case "/healthz":
-		f.handleHealthz(w, r)
-	case "/metrics":
-		f.handleMetrics(w, r)
-	case "/v1/sites":
-		f.handleSites(w, r)
-	case "/v1/promote":
-		f.handleLifecycle(w, r, store.OpPromote)
-	case "/v1/rollback":
-		f.handleLifecycle(w, r, store.OpRollback)
-	case "/v1/repair":
-		f.handleRepair(w, r)
-	case "/v1/learn":
-		f.handleLearn(w, r)
-	case "/v1/audit":
-		if !requireMethod(w, r, http.MethodGet) {
-			return
-		}
-		f.handleAudit(w, r)
-	case "/v1/jobs":
-		if !requireMethod(w, r, http.MethodGet) {
-			return
-		}
-		f.handleJobs(w, r)
-	default:
-		f.routeJob(w, r)
+// handleDrain serves POST /v1/drain: a front's request that this process
+// run its job planes dry, the second half of the ordered fleet drain. The
+// process flips its readiness and quiesces its jobs but keeps its
+// listener up — in-flight and stray direct requests still complete;
+// stopping the process belongs to whoever started it.
+func (f *ShardRouter) handleDrain(w http.ResponseWriter, r *http.Request) {
+	if !requirePost(w, r) {
+		return
 	}
+	var req DrainRequest
+	if r.ContentLength != 0 && !readJSONLimited(w, r, &req, f.maxBodyBytes) {
+		return
+	}
+	f.SetDraining(true)
+	// The nodes' job deadline: 10x the request timeout.
+	ctx, cancel := context.WithTimeout(r.Context(), clampTimeout(10*f.requestTimeout, req.TimeoutMS))
+	defer cancel()
+	resp := DrainResponse{Status: "draining", JobsQuiesced: true}
+	if err := f.Drain(ctx); err != nil {
+		resp.JobsQuiesced = false
+		resp.Error = err.Error()
+	}
+	writeJSON(w, http.StatusOK, resp)
 }
 
 // --- hot path ---
 
 // handleExtract reads the body into the pooled scratch, finds the site in
-// it and hands the scratch to the owning shard's client: one ring lookup,
-// and one parse wherever the shard is. An in-process fleet decodes here —
-// same in-place parse as a single server, zero allocations on top of it —
-// and the shard serves from the decoded scratch; a forwarding front only
-// peeks (see decodeRouted) and the shard's process decodes the client's
-// own bytes.
+// it and hands the scratch to the owning partition's client: one ring
+// lookup, and one parse wherever the node is. In front of in-process
+// nodes the router decodes here, in place, and the node serves from the
+// decoded scratch; in front of peers it only peeks (see decodeRouted) and
+// the shard's process decodes the client's own bytes.
 func (f *ShardRouter) handleExtract(w http.ResponseWriter, r *http.Request) {
 	if !requirePost(w, r) {
 		return
@@ -291,22 +288,21 @@ func (f *ShardRouter) handleExtract(w http.ResponseWriter, r *http.Request) {
 	if !f.decodeRouted(w, sc.body, &sc.site, &sc.timeoutMS, func() error { return decodeExtractRequest(sc) }) {
 		return
 	}
-	// An empty site falls through to finishExtract's own 400 (the local
-	// transport) or the peer's (the forwarding one routes it to shard
-	// Owner("") and the peer answers the same 400).
+	// An empty site falls through to the owner's own 400: a node's, or
+	// the peer's (the ring routes it to shard Owner("")).
 	f.owner(sc.site).Extract(w, r, sc)
 }
 
 // decodeRouted learns from an extract, learn or repair body what the owning
-// shard's client needs. In front of remote peers that is the route alone:
-// peekRoute fills *site and *timeoutMS and leaves body as the client sent
-// it, for the peer to decode. In front of in-process shards — and to word
-// the 400 of a body the peek refused, which no decoder accepts — decode
-// runs the route's own decoder over body. The error response is already
-// written when it returns false.
+// partition's client needs. In front of remote peers that is the route
+// alone: peekRoute fills *site and *timeoutMS and leaves body as the client
+// sent it, for the peer to decode. In front of in-process nodes — and to
+// word the 400 of a body the peek refused, which no decoder accepts —
+// decode runs the route's own decoder over body. The error response is
+// already written when it returns false.
 func (f *ShardRouter) decodeRouted(w http.ResponseWriter, body []byte, site *string, timeoutMS *int, decode func() error) bool {
 	var err error
-	if f.hasRemote {
+	if f.peers != nil {
 		if *site, *timeoutMS, err = peekRoute(body); err == nil {
 			return true
 		}
@@ -323,10 +319,26 @@ func (f *ShardRouter) decodeRouted(w http.ResponseWriter, body []byte, site *str
 
 // --- health + metrics ---
 
-// PeerStatus is one shard process's row in the fleet /healthz peers
-// list (forwarding fronts only): reachable peers report their site
-// count, a dead peer carries the named per-shard error — the fleet
-// degrades to partial availability, never to a global failure.
+// HealthzResponse is the GET /healthz body, the same on every role.
+type HealthzResponse struct {
+	Status string `json:"status"` // "ok" | "draining"
+	// Shards is the ring size.
+	Shards int `json:"shards"`
+	// Sites sums registered sites across the reachable partitions served
+	// here.
+	Sites     int   `json:"sites"`
+	UptimeSec int64 `json:"uptime_sec"`
+	// Ring is this process's half of the ring-agreement handshake.
+	Ring *RingInfo `json:"ring"`
+	// Peers is the per-process availability breakdown (forwarding fronts
+	// only).
+	Peers []PeerStatus `json:"peers,omitempty"`
+}
+
+// PeerStatus is one shard process's row in a front's /healthz peers list:
+// reachable peers report their site count, a dead peer carries the named
+// per-shard error — the fleet degrades to partial availability, never to
+// a global failure.
 type PeerStatus struct {
 	Shard int    `json:"shard"`
 	Addr  string `json:"addr"`
@@ -335,66 +347,54 @@ type PeerStatus struct {
 	Error string `json:"error,omitempty"`
 }
 
-// FleetHealthzResponse is GET /healthz on a fleet.
-type FleetHealthzResponse struct {
-	Status string `json:"status"` // "ok" | "draining"
-	Shards int    `json:"shards"`
-	// Sites sums registered sites across all reachable shard partitions.
-	Sites     int   `json:"sites"`
-	UptimeSec int64 `json:"uptime_sec"`
-	// Ring is the fleet's topology fingerprint — what every forwarded
-	// request is pinned to (forwarding fronts only).
-	Ring *RingInfo `json:"ring,omitempty"`
-	// Peers is the per-process availability breakdown (forwarding fronts
-	// only).
-	Peers []PeerStatus `json:"peers,omitempty"`
-}
-
+// handleHealthz answers 503 while the router, or any in-process node of
+// it, is draining; a draining peer is its own process's business.
 func (f *ShardRouter) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	resp := FleetHealthzResponse{
+	resp := HealthzResponse{
 		Status:    "ok",
-		Shards:    len(f.clients),
+		Shards:    f.ring.Shards(),
 		UptimeSec: int64(time.Since(f.started).Seconds()),
-	}
-	type peerView struct {
-		h   HealthzResponse
-		err error
-	}
-	views := make([]peerView, len(f.clients))
-	f.fanOut(r.Context(), func(ctx context.Context, k int, c ShardClient) {
-		views[k].h, views[k].err = c.Healthz(ctx)
-	})
-	for k := range views {
-		resp.Sites += views[k].h.Sites
-	}
-	if f.hasRemote {
-		resp.Ring = &RingInfo{
+		Ring: &RingInfo{
 			Hash:   f.ring.Fingerprint(),
 			Shards: f.ring.Shards(),
 			VNodes: f.ring.VNodes(),
-			Shard:  -1, // the front owns the ring, no partition
+			Shard:  f.self,
+		},
+	}
+	type view struct {
+		h   HealthzResponse
+		err error
+	}
+	views := make([]view, len(f.clients))
+	f.fanOut(r.Context(), func(ctx context.Context, k int, c ShardClient) {
+		views[k].h, views[k].err = c.Healthz(ctx)
+	})
+	draining := f.draining.Load()
+	for _, k := range f.served {
+		v := &views[k]
+		resp.Sites += v.h.Sites
+		if f.shards[k] != nil {
+			draining = draining || v.h.Status == "draining"
+			continue
 		}
-		resp.Peers = make([]PeerStatus, len(f.clients))
-		for k := range views {
-			p := PeerStatus{Shard: k, Addr: f.peers[k], OK: views[k].err == nil, Sites: views[k].h.Sites}
-			if views[k].err != nil {
-				p.Error = fmt.Sprintf("%v: shard %d (%s): %v", ErrShardUnavailable, k, f.peers[k], views[k].err)
-			}
-			resp.Peers[k] = p
+		p := PeerStatus{Shard: k, Addr: f.peers[k], OK: v.err == nil, Sites: v.h.Sites}
+		if v.err != nil {
+			p.Error = fmt.Sprintf("%v: shard %d (%s): %v", ErrShardUnavailable, k, f.peers[k], v.err)
 		}
+		resp.Peers = append(resp.Peers, p)
 	}
 	code := http.StatusOK
-	if f.draining.Load() {
+	if draining {
 		resp.Status = "draining"
 		code = http.StatusServiceUnavailable
 	}
 	writeJSON(w, code, resp)
 }
 
-// ShardStatus is one shard's row in the fleet /metrics breakdown.
+// ShardStatus is one served partition's row in the /metrics breakdown.
 type ShardStatus struct {
 	Shard int `json:"shard"`
-	// Addr is the shard process's address (forwarding fronts only).
+	// Addr is the shard process's address (forwarded partitions only).
 	Addr string `json:"addr,omitempty"`
 	// Sites counts the shard's partition.
 	Sites int `json:"sites"`
@@ -408,49 +408,56 @@ type ShardStatus struct {
 	Error string `json:"error,omitempty"`
 }
 
-// FleetMetricsResponse is GET /metrics on a fleet: the fleet-wide merge
-// up front, the per-shard breakdown (where hot-shard skew shows), and
-// the familiar per-site list with shard ownership stamped on.
-type FleetMetricsResponse struct {
+// MetricsResponse is the GET /metrics body, the same on every role: the
+// merge over the partitions served here up front, the per-partition
+// breakdown (where hot-shard skew shows), and the per-site list with
+// shard ownership stamped on.
+type MetricsResponse struct {
 	UptimeSec int64 `json:"uptime_sec"`
-	Shards    int   `json:"shards"`
-	VNodes    int   `json:"vnodes"`
-	// Fleet merges every site ledger across every shard. Latency
+	// Shards and VNodes are the ring's.
+	Shards int `json:"shards"`
+	VNodes int `json:"vnodes"`
+	// Fleet merges every site ledger of every served partition. Latency
 	// quantiles come from the merged histogram population — never from
 	// averaging per-shard quantiles, which would answer a different
 	// question.
 	Fleet MetricsSnapshot `json:"fleet"`
-	// Gate sums the shard gates' counters and capacities.
+	// Gate sums the nodes' gate counters and capacities.
 	Gate GateSnapshot `json:"gate"`
-	// Audit is the lifecycle ledger's counters: the shared ledger's for
-	// an in-process fleet, the per-shard ledgers' sum for a multi-process
-	// one (absent when auditing is off everywhere).
-	Audit    *audit.Stats  `json:"audit,omitempty"`
+	// Jobs sums the nodes' job-plane ledgers (absent when no node has a
+	// job plane).
+	Jobs *jobs.Metrics `json:"jobs,omitempty"`
+	// Audit sums the lifecycle ledgers' counters, each ledger once:
+	// in-process nodes share one, every shard process has its own (absent
+	// when auditing is off everywhere).
+	Audit *audit.Stats `json:"audit,omitempty"`
+	// Accum is Fleet before the quantiles are taken: what a front merges
+	// so its own quantiles come from the combined population.
+	Accum    WireAccum     `json:"accum"`
 	PerShard []ShardStatus `json:"per_shard"`
 	Sites    []SiteStatus  `json:"sites"`
 }
 
 func (f *ShardRouter) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	now := time.Now()
-	resp := FleetMetricsResponse{
+	resp := MetricsResponse{
 		UptimeSec: int64(time.Since(f.started).Seconds()),
-		Shards:    len(f.clients),
+		Shards:    f.ring.Shards(),
 		VNodes:    f.ring.VNodes(),
-		PerShard:  make([]ShardStatus, len(f.clients)),
+		PerShard:  make([]ShardStatus, 0, len(f.served)),
+		Sites:     []SiteStatus{},
 	}
-	type shardView struct {
+	type view struct {
 		rep ShardReport
 		err error
 	}
-	views := make([]shardView, len(f.clients))
+	views := make([]view, len(f.clients))
 	f.fanOut(r.Context(), func(ctx context.Context, k int, c ShardClient) {
 		views[k].rep, views[k].err = c.Metrics(ctx, now)
 	})
 	var fleet metricsAccum
-	var sites []SiteStatus
-	var auditSum audit.Stats
-	haveAudit := false
-	for k := range views {
+	ledgers := ledgerSet{}
+	for _, k := range f.served {
 		rep := &views[k].rep
 		row := ShardStatus{
 			Shard:   k,
@@ -459,22 +466,27 @@ func (f *ShardRouter) handleMetrics(w http.ResponseWriter, r *http.Request) {
 			Gate:    rep.Gate,
 			Jobs:    rep.Jobs,
 		}
-		if f.hasRemote {
+		if f.peers != nil {
 			row.Addr = f.peers[k]
 		}
 		if err := views[k].err; err != nil {
 			row.Error = fmt.Sprintf("%v: shard %d (%s): %v", ErrShardUnavailable, k, f.peers[k], err)
-			resp.PerShard[k] = row
+			resp.PerShard = append(resp.PerShard, row)
 			continue
 		}
 		fleet.add(&rep.accum)
-		for i := range rep.Sites {
-			rep.Sites[i].Shard = k
+		resp.Sites = append(resp.Sites, stamped(rep.Sites, k)...)
+		if rep.AuditStats != nil && ledgers.first(f.shards[k]) {
+			if resp.Audit == nil {
+				resp.Audit = &audit.Stats{}
+			}
+			addAuditStats(resp.Audit, *rep.AuditStats)
 		}
-		sites = append(sites, rep.Sites...)
-		if rep.AuditStats != nil {
-			haveAudit = true
-			addAuditStats(&auditSum, *rep.AuditStats)
+		if rep.Jobs != nil {
+			if resp.Jobs == nil {
+				resp.Jobs = &jobs.Metrics{}
+			}
+			resp.Jobs.Add(*rep.Jobs)
 		}
 		resp.Gate.InFlight += row.Gate.InFlight
 		resp.Gate.Waiting += row.Gate.Waiting
@@ -483,55 +495,47 @@ func (f *ShardRouter) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		resp.Gate.TimedOut += row.Gate.TimedOut
 		resp.Gate.MaxInFlight += row.Gate.MaxInFlight
 		resp.Gate.MaxQueue += row.Gate.MaxQueue
-		resp.PerShard[k] = row
+		resp.PerShard = append(resp.PerShard, row)
 	}
 	resp.Fleet = fleet.snapshot()
-	sort.Slice(sites, func(i, j int) bool { return sites[i].Site < sites[j].Site })
-	resp.Sites = sites
-	if !f.hasRemote {
-		// In-process shards share one ledger; read it once, not N times.
-		if led := f.auditLedger(); led != nil {
-			a := led.Stats()
-			resp.Audit = &a
-		}
-	} else if haveAudit {
-		resp.Audit = &auditSum
-	}
+	resp.Accum = wireAccumFrom(&fleet)
+	sortSites(resp.Sites)
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// fanOut runs one observation call per shard concurrently — in-process
+// fanOut runs one call per served partition concurrently — in-process
 // calls are cheap, forwarded ones overlap their network latency — and
 // waits for all of them.
 func (f *ShardRouter) fanOut(ctx context.Context, call func(ctx context.Context, k int, c ShardClient)) {
 	var wg sync.WaitGroup
-	for k, c := range f.clients {
+	for _, k := range f.served {
 		wg.Add(1)
-		go func(k int, c ShardClient) {
+		go func(k int) {
 			defer wg.Done()
-			call(ctx, k, c)
-		}(k, c)
+			call(ctx, k, f.clients[k])
+		}(k)
 	}
 	wg.Wait()
 }
 
-// auditLedger returns an in-process fleet's shared ledger: the shards
-// are built over one Ledger instance, so the first shard that has one
-// speaks for the fleet.
-func (f *ShardRouter) auditLedger() *audit.Ledger {
-	for _, s := range f.shards {
-		if s == nil {
-			continue
-		}
-		if led := s.Audit(); led != nil {
-			return led
-		}
+// ledgerSet tells the first partition to report a ledger from the ones
+// sharing it: in-process nodes are built over one ledger, which must count
+// once. A forwarded partition's ledger is its process's own.
+type ledgerSet map[*audit.Ledger]bool
+
+func (seen ledgerSet) first(local *Server) bool {
+	if local == nil || local.Audit() == nil {
+		return true
 	}
-	return nil
+	if seen[local.Audit()] {
+		return false
+	}
+	seen[local.Audit()] = true
+	return true
 }
 
-// addAuditStats folds one shard ledger's counters into a fleet sum: every
-// shard process keeps its own chain, so counts add and LastSeq is the max.
+// addAuditStats folds one ledger's counters into a sum: every ledger
+// keeps its own chain, so counts add and LastSeq is the max.
 func addAuditStats(sum *audit.Stats, s audit.Stats) {
 	sum.Records += s.Records
 	sum.Events += s.Events
@@ -539,47 +543,44 @@ func addAuditStats(sum *audit.Stats, s audit.Stats) {
 	sum.LastSeq = max(sum.LastSeq, s.LastSeq)
 }
 
-// handleAudit serves the fleet's lifecycle ledger. An in-process fleet
-// has one shared chain, answered from any shard's view. A multi-process
-// fleet has one chain per shard process; the front merges their recent
-// records by time (the merged list is an observability view — each
-// shard's chain stays independently verifiable with
-// `wrapserved -audit-verify`, a merged list of two chains is not one
-// chain) and sums the counters.
+// handleAudit serves the lifecycle ledgers of the partitions served here.
+// One ledger — a standalone node's, an in-process fleet's shared one, a
+// shard process's own — answers as itself. Several, one per shard process
+// behind a front, are merged: their recent records by time (the merged
+// list is an observability view — each shard's chain stays independently
+// verifiable with `wrapserved -audit-verify`, a merged list of two chains
+// is not one chain) and their counters summed.
 func (f *ShardRouter) handleAudit(w http.ResponseWriter, r *http.Request) {
-	if !f.hasRemote {
-		for _, s := range f.shards {
-			if s.Audit() != nil {
-				s.handleAudit(w, r)
-				return
-			}
-		}
-		f.shards[0].handleAudit(w, r)
-		return
-	}
 	n := 100
 	if q := r.URL.Query().Get("n"); q != "" {
 		if v, err := strconv.Atoi(q); err == nil && v > 0 {
 			n = v
 		}
 	}
-	merged := AuditResponse{Records: []audit.Record{}}
 	views := make([]AuditResponse, len(f.clients))
 	errs := make([]error, len(f.clients))
 	f.fanOut(r.Context(), func(ctx context.Context, k int, c ShardClient) {
 		views[k], errs[k] = c.AuditView(ctx, n)
 	})
-	for k := range views {
+	var chains []AuditResponse
+	ledgers := ledgerSet{}
+	for _, k := range f.served {
 		if errs[k] != nil {
 			f.log.Printf("serve: fleet audit: shard %d (%s): %v", k, f.peers[k], errs[k])
 			continue
 		}
-		if !views[k].Enabled {
-			continue
+		if views[k].Enabled && ledgers.first(f.shards[k]) {
+			chains = append(chains, views[k])
 		}
-		merged.Enabled = true
-		merged.Records = append(merged.Records, views[k].Records...)
-		addAuditStats(&merged.Stats, views[k].Stats)
+	}
+	if len(chains) == 1 {
+		writeJSON(w, http.StatusOK, chains[0])
+		return
+	}
+	merged := AuditResponse{Enabled: len(chains) > 0, Records: []audit.Record{}}
+	for _, c := range chains {
+		merged.Records = append(merged.Records, c.Records...)
+		addAuditStats(&merged.Stats, c.Stats)
 	}
 	sort.SliceStable(merged.Records, func(i, j int) bool {
 		if merged.Records[i].TimeMS != merged.Records[j].TimeMS {
@@ -593,39 +594,43 @@ func (f *ShardRouter) handleAudit(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, merged)
 }
 
-// siteStatuses concatenates every shard's site list, stamps shard
-// ownership, and re-sorts by site name so the fleet view reads like one
+// stamped marks each site row with the partition that serves it.
+func stamped(sites []SiteStatus, k int) []SiteStatus {
+	for i := range sites {
+		sites[i].Shard = k
+	}
+	return sites
+}
+
+func sortSites(sites []SiteStatus) {
+	sort.Slice(sites, func(i, j int) bool { return sites[i].Site < sites[j].Site })
+}
+
+// handleSites concatenates every served partition's site list, stamps
+// shard ownership, and re-sorts by site name so the view reads like one
 // registry. Unreachable shards contribute nothing (partial view, logged).
-func (f *ShardRouter) siteStatuses(ctx context.Context, now time.Time) []SiteStatus {
+func (f *ShardRouter) handleSites(w http.ResponseWriter, r *http.Request) {
 	views := make([]ShardReport, len(f.clients))
 	errs := make([]error, len(f.clients))
-	f.fanOut(ctx, func(ctx context.Context, k int, c ShardClient) {
-		views[k], errs[k] = c.Metrics(ctx, now)
+	f.fanOut(r.Context(), func(ctx context.Context, k int, c ShardClient) {
+		views[k], errs[k] = c.Metrics(ctx, time.Now())
 	})
-	var out []SiteStatus
-	for k := range views {
+	out := []SiteStatus{}
+	for _, k := range f.served {
 		if errs[k] != nil {
 			f.log.Printf("serve: fleet sites: shard %d (%s): %v", k, f.peers[k], errs[k])
 			continue
 		}
-		statuses := views[k].Sites
-		for i := range statuses {
-			statuses[i].Shard = k
-		}
-		out = append(out, statuses...)
+		out = append(out, stamped(views[k].Sites, k)...)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Site < out[j].Site })
-	return out
-}
-
-func (f *ShardRouter) handleSites(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, f.siteStatuses(r.Context(), time.Now()))
+	sortSites(out)
+	writeJSON(w, http.StatusOK, out)
 }
 
 // --- lifecycle routing ---
 
 // handleLifecycle decodes a promote/rollback at the front door and
-// applies it on the owning shard: the hot-swap (store mutation, epoch
+// applies it on the owning partition: the hot-swap (store mutation, epoch
 // bump, runtime rebuild) happens only where the site lives.
 func (f *ShardRouter) handleLifecycle(w http.ResponseWriter, r *http.Request, op store.Op) {
 	if !requirePost(w, r) {
@@ -638,9 +643,10 @@ func (f *ShardRouter) handleLifecycle(w http.ResponseWriter, r *http.Request, op
 	f.owner(req.Site).Lifecycle(w, r, op, req)
 }
 
-// handleRepair routes a drift repair to the owning shard's job plane:
-// the re-learn occupies that shard's workers and hot-swaps that shard's
-// binding, leaving every other shard untouched.
+// handleRepair routes a drift repair to the owning partition's job plane:
+// the re-learn occupies that node's workers and hot-swaps that node's
+// binding, leaving every other partition untouched. Poll GET
+// /v1/jobs/{id} for the outcome.
 func (f *ShardRouter) handleRepair(w http.ResponseWriter, r *http.Request) {
 	if !requirePost(w, r) {
 		return
@@ -654,8 +660,8 @@ func (f *ShardRouter) handleRepair(w http.ResponseWriter, r *http.Request) {
 	f.owner(req.Site).Repair(w, r, req.repair(), sc.body)
 }
 
-// handleLearn routes a learn to the shard the ring assigns the new site
-// — which is exactly where extract requests for it will land once it
+// handleLearn routes a learn to the partition the ring assigns the new
+// site — which is exactly where extract requests for it will land once it
 // serves.
 func (f *ShardRouter) handleLearn(w http.ResponseWriter, r *http.Request) {
 	if !requirePost(w, r) {
@@ -672,7 +678,7 @@ func (f *ShardRouter) handleLearn(w http.ResponseWriter, r *http.Request) {
 
 // readMaintenance reads a learn or repair body into sc and decodes it into
 // req as far as the owner's client needs it (decodeRouted): all of it for
-// an in-process shard, Site and TimeoutMS for a peer, which gets sc.body.
+// an in-process node, Site and TimeoutMS for a peer, which gets sc.body.
 func (f *ShardRouter) readMaintenance(w http.ResponseWriter, r *http.Request, sc *extractScratch, req *LearnRequest, learn bool) bool {
 	return readBodyInto(w, r, sc, f.maxBodyBytes) &&
 		f.decodeRouted(w, sc.body, &req.Site, &req.TimeoutMS, func() error {
@@ -680,17 +686,17 @@ func (f *ShardRouter) readMaintenance(w http.ResponseWriter, r *http.Request, sc
 		})
 }
 
-// owner resolves a site to its shard client. The empty site maps to some
-// shard, whose finish handler answers the uniform "site is required" 400.
+// owner resolves a site to its partition's client. The empty site maps to
+// some partition, whose node answers the uniform "site is required" 400.
 func (f *ShardRouter) owner(site string) ShardClient {
 	return f.clients[f.ring.Owner(site)]
 }
 
 // --- jobs ---
 
-// handleJobs merges every shard's retained jobs into one list, ordered
-// by submission time (IDs tie-break: they are unique fleet-wide thanks
-// to per-shard prefixes). Unreachable shards contribute nothing.
+// handleJobs merges every served partition's retained jobs into one list,
+// ordered by submission time (IDs tie-break: they are unique fleet-wide
+// thanks to per-shard prefixes). Unreachable shards contribute nothing.
 func (f *ShardRouter) handleJobs(w http.ResponseWriter, r *http.Request) {
 	out := []jobs.Snapshot{}
 	views := make([][]jobs.Snapshot, len(f.clients))
@@ -698,7 +704,7 @@ func (f *ShardRouter) handleJobs(w http.ResponseWriter, r *http.Request) {
 	f.fanOut(r.Context(), func(ctx context.Context, k int, c ShardClient) {
 		views[k], errs[k] = c.Jobs(ctx)
 	})
-	for k := range views {
+	for _, k := range f.served {
 		if errs[k] != nil {
 			f.log.Printf("serve: fleet jobs: shard %d (%s): %v", k, f.peers[k], errs[k])
 			continue
@@ -714,10 +720,10 @@ func (f *ShardRouter) handleJobs(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-// routeJob resolves the parameterized jobs routes fleet-wide. Fleet job
-// IDs carry their shard's prefix ("s3-job-000042"), so the owner is
-// parsed straight out of the ID; IDs without a parseable prefix fall
-// back to asking every shard, and the one that knows it answers.
+// routeJob resolves the parameterized jobs routes. Job IDs carry their
+// partition's prefix ("s3-job-000042"), so the owner is parsed straight
+// out of the ID; IDs without a parseable prefix fall back to asking every
+// served partition, and the one that knows it answers.
 func (f *ShardRouter) routeJob(w http.ResponseWriter, r *http.Request) {
 	id, cancel, ok := parseJobPath(r.URL.Path)
 	if !ok {
@@ -733,23 +739,23 @@ func (f *ShardRouter) routeJob(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// dispatchJob routes a job-by-ID call: straight to the shard named by
+// dispatchJob routes a job-by-ID call: straight to the partition named by
 // the ID's "s<k>-" prefix when it parses, otherwise a scan over every
-// shard. Reports whether some shard handled it.
+// served partition. Reports whether some partition handled it.
 func (f *ShardRouter) dispatchJob(id string, call func(ShardClient) bool) bool {
 	if k, ok := shardOfJobID(id); ok && k < len(f.clients) {
 		return call(f.clients[k])
 	}
-	for _, c := range f.clients {
-		if call(c) {
+	for _, k := range f.served {
+		if call(f.clients[k]) {
 			return true
 		}
 	}
 	return false
 }
 
-// shardOfJobID parses the fleet job-ID prefix "s<k>-..." (the IDPrefix
-// wrapserved gives each shard's manager).
+// shardOfJobID parses the job-ID prefix "s<k>-..." (the IDPrefix NewNode
+// gives each node's manager).
 func shardOfJobID(id string) (int, bool) {
 	if len(id) < 3 || id[0] != 's' {
 		return 0, false

@@ -2,6 +2,7 @@ package serve_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net/http"
 	"path/filepath"
@@ -10,7 +11,8 @@ import (
 	"testing"
 	"time"
 
-	"autowrap/internal/drift"
+	"autowrap/internal/corpus"
+	"autowrap/internal/engine"
 	"autowrap/internal/jobs"
 	"autowrap/internal/serve"
 	"autowrap/internal/serve/servetest"
@@ -25,12 +27,19 @@ import (
 // a promote flips the extracted family detectably, exactly like the
 // single-dispatcher tests. Every shard gets its own partition,
 // dispatcher, gate and (optionally) job plane; withJobs also wires a
-// placeholder Repairer so the learn/repair routes accept submissions.
+// learn recipe (failingSpec) so the learn/repair routes accept
+// submissions.
 type fleetFixture struct {
 	router *serve.ShardRouter
 	hs     *servetest.Server
 	ring   *shard.Ring
 	sites  []string
+}
+
+// failingSpec is a learn recipe whose jobs fail at once: the learn and
+// repair routes accept submissions, and routing is what is under test.
+func failingSpec(string, *corpus.Corpus) (engine.SiteSpec, error) {
+	return engine.SiteSpec{}, errors.New("no learner in this test")
 }
 
 func newFleet(t *testing.T, shards, nSites int, storePath string, withJobs bool) *fleetFixture {
@@ -61,16 +70,16 @@ func newFleet(t *testing.T, shards, nSites int, storePath string, withJobs bool)
 		be = fb
 	}
 	router, err := serve.NewShardRouter(ring, func(k int) (*serve.Server, error) {
-		cfg := serve.ServerConfig{
-			Dispatcher: serve.NewDispatcher(full.Partition(ring, k), serve.Options{}),
-			Backend:    be,
-			Shard:      k,
+		cfg := serve.NodeConfig{
+			Store:   full.Partition(ring, k),
+			Backend: be,
+			Shard:   k,
 		}
 		if withJobs {
-			cfg.Jobs = jobs.New(jobs.Options{Workers: 1, QueueDepth: 8, IDPrefix: fmt.Sprintf("s%d-", k)})
-			cfg.Repairer = &drift.Repairer{} // submittable; jobs fail fast without Store/Spec
+			cfg.Jobs = jobs.Options{Workers: 1, QueueDepth: 8}
+			cfg.Spec = failingSpec
 		}
-		return serve.NewServer(cfg)
+		return serve.NewNode(cfg)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -259,7 +268,7 @@ func TestFleetMetricsAggregation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	m := decode[serve.FleetMetricsResponse](t, resp)
+	m := decode[serve.MetricsResponse](t, resp)
 	if m.Shards != 2 || m.VNodes != 64 {
 		t.Fatalf("metrics shape: shards=%d vnodes=%d", m.Shards, m.VNodes)
 	}
@@ -381,7 +390,7 @@ func TestFleetDrainOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := decode[serve.FleetHealthzResponse](t, resp)
+	h := decode[serve.HealthzResponse](t, resp)
 	if resp.StatusCode != http.StatusServiceUnavailable || h.Status != "draining" {
 		t.Fatalf("healthz while draining: %d/%s, want 503/draining", resp.StatusCode, h.Status)
 	}

@@ -59,19 +59,13 @@ type ServerConfig struct {
 	// one backend and each reports only its own partition's events —
 	// an event on shard k never rewrites shard j's data.
 	Backend store.Backend
-	// Shard is this server's shard id in a fleet (0 standalone); it tags
+	// Shard is this server's partition of the ring (0 standalone); it tags
 	// backend appends and audit records.
 	Shard int
-	// Ring, when set, puts the server in shard role: it is one
-	// independently booted partition (index Shard) of a fleet routed by
-	// this ring. A shard-role server (a) refuses requests whose
-	// RingHashHeader disagrees with the ring's fingerprint (503,
-	// ErrRingMismatch), (b) refuses lifecycle and extract requests for
-	// sites the ring assigns elsewhere (421, ErrNotOwner), (c) reports
-	// its RingInfo on /healthz and its bucket-level accumulator on
-	// /metrics for the front end's merges, and (d) serves POST /v1/drain.
-	// Nil (the default) is the standalone server, wire-identical to
-	// before the fleet transport existed.
+	// Ring is the ring Handler routes over, with this node serving
+	// partition Shard and every other partition answered 421
+	// (ErrNotOwner): one independently booted partition of a fleet. Nil
+	// is a ring of one, whose only partition is this node's.
 	Ring *shard.Ring
 	// Audit, when set, records every lifecycle event (learn, candidate,
 	// promote, rollback, drift trip, auto-repair) in the hash-chained
@@ -107,35 +101,23 @@ func (c ServerConfig) withDefaults() ServerConfig {
 	return c
 }
 
-// Server is the HTTP extraction service: the dispatcher's hot path behind
-// admission control, plus health, metrics and the wrapper-lifecycle admin
-// routes. Build one with NewServer, serve Handler with an HTTPServer, and
-// call SetDraining(true) before shutdown so load balancers stop sending.
-//
-//	POST /v1/extract   extract records from one page or a batch
-//	GET  /healthz      liveness + readiness (503 while draining)
-//	GET  /metrics      per-site QPS/latency/health + gate + job counters
-//	GET  /v1/sites     serving state of every site
-//	POST /v1/promote   make a stored version the serving one (hot-swap)
-//	POST /v1/rollback  revert to the previously promoted version
-//	POST /v1/learn     enqueue a learn job (202 + job id): learn a site
-//	                   from posted pages or a server-side corpus dir,
-//	                   validate, promote, hot-swap
-//	POST /v1/repair    enqueue a drift-repair job (202 + job id):
-//	                   re-learn from posted pages, validate, promote on
-//	                   a strict held-out win
-//	GET  /v1/jobs      every retained job, submission order
-//	GET  /v1/jobs/{id} one job's state/progress/result
-//	POST /v1/jobs/{id}/cancel  cancel a queued or running job
+// Server is one node: the dispatcher's hot path behind admission control,
+// the job plane and the wrapper lifecycle over one partition of the
+// registry. It has no routes of its own — a ShardRouter serves it, and
+// Handler is the router over this one node. Build one with NewServer (or
+// NewNode), and call SetDraining(true) before shutdown so load balancers
+// stop sending.
 type Server struct {
 	cfg ServerConfig
 	// jobTimeout is the per-job learn/repair deadline: 10x RequestTimeout,
 	// learning being orders of magnitude heavier than extraction. A job's
 	// timeout_ms may shorten it, never extend it.
 	jobTimeout time.Duration
-	started    time.Time
 	draining   atomic.Bool
 	ownJobs    bool // the manager is the server's to drain on Close, not the caller's
+	// router is Handler's route table over this node, built on first use.
+	routerOnce sync.Once
+	router     *ShardRouter
 	// drainedJobs makes the job plane's drain one-shot: /v1/drain, the
 	// process's own shutdown and Close may all ask, the first does the work.
 	drainedJobs atomic.Bool
@@ -158,12 +140,15 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	if cfg.Dispatcher == nil {
 		return nil, fmt.Errorf("serve: ServerConfig.Dispatcher is required")
 	}
+	if cfg.Ring != nil && (cfg.Shard < 0 || cfg.Shard >= cfg.Ring.Shards()) {
+		return nil, fmt.Errorf("serve: ServerConfig.Shard %d is not a partition of a %d-shard ring", cfg.Shard, cfg.Ring.Shards())
+	}
 	if cfg.Backend != nil {
 		cfg.Backend.Attach(cfg.Shard, cfg.Dispatcher.Store())
 	}
 	ownJobs := cfg.Jobs == nil && cfg.Repairer != nil
 	cfg = cfg.withDefaults()
-	return &Server{cfg: cfg, jobTimeout: 10 * cfg.RequestTimeout, started: time.Now(), ownJobs: ownJobs}, nil
+	return &Server{cfg: cfg, jobTimeout: 10 * cfg.RequestTimeout, ownJobs: ownJobs}, nil
 }
 
 // Close releases what the server owns: it stops a started maintainer and,
@@ -214,9 +199,9 @@ func (s *Server) stopMaintainer() {
 // as running — execute to completion, and only when ctx expires first is
 // the remainder canceled; then the workers exit. It is the last step of
 // every role's shutdown (SetDraining(true) → HTTPServer.Shutdown →
-// Drain) and what POST /v1/drain does for a front end; whoever asks first
-// does the work, so an HTTP-initiated fleet drain followed by SIGTERM
-// cannot double-drain the manager. Nil manager or a repeat call is a no-op.
+// Drain) and what POST /v1/drain asks of it; whoever asks first does the
+// work, so an HTTP-initiated fleet drain followed by SIGTERM cannot
+// double-drain the manager. Nil manager or a repeat call is a no-op.
 func (s *Server) Drain(ctx context.Context) error {
 	m := s.cfg.Jobs
 	if m == nil || !s.drainedJobs.CompareAndSwap(false, true) {
@@ -247,35 +232,6 @@ func (s *Server) hookTrips() {
 			mon.SetOnTrip(s.onTrip)
 		}
 	})
-}
-
-// handleDrain serves POST /v1/drain on shard-role servers: the front
-// end's half of the ordered fleet drain (front stops admitting first,
-// then asks each shard to run its job plane dry). The shard flips its
-// readiness and quiesces jobs but keeps its listener up — in-flight and
-// stray direct requests still complete; stopping the process belongs to
-// whoever started it. Standalone servers don't expose the route (404).
-func (s *Server) handleDrain(w http.ResponseWriter, r *http.Request) {
-	if s.cfg.Ring == nil {
-		http.NotFound(w, r)
-		return
-	}
-	if !requirePost(w, r) {
-		return
-	}
-	var req DrainRequest
-	if r.ContentLength != 0 && !s.readJSON(w, r, &req) {
-		return
-	}
-	s.SetDraining(true)
-	ctx, cancel := context.WithTimeout(r.Context(), clampTimeout(s.jobTimeout, req.TimeoutMS))
-	defer cancel()
-	resp := DrainResponse{Status: "draining", JobsQuiesced: true}
-	if err := s.Drain(ctx); err != nil {
-		resp.JobsQuiesced = false
-		resp.Error = err.Error()
-	}
-	writeJSON(w, http.StatusOK, resp)
 }
 
 // --- wire types ---
@@ -331,14 +287,8 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSON(w, code, errorBody{Error: fmt.Sprintf(format, args...)})
 }
 
-// readJSON decodes a bounded JSON body, rejecting trailing garbage.
-func (s *Server) readJSON(w http.ResponseWriter, r *http.Request, v any) bool {
-	return readJSONLimited(w, r, v, s.cfg.MaxBodyBytes)
-}
-
-// readJSONLimited is readJSON with an explicit byte cap — the fleet
-// router decodes at the front door with its own limit, servers with
-// theirs, through the same code.
+// readJSONLimited decodes a JSON body of at most max bytes, rejecting
+// trailing garbage.
 func readJSONLimited(w http.ResponseWriter, r *http.Request, v any, max int64) bool {
 	body := http.MaxBytesReader(w, r.Body, max)
 	dec := json.NewDecoder(body)
@@ -368,42 +318,6 @@ func requirePost(w http.ResponseWriter, r *http.Request) bool {
 	return true
 }
 
-// refuseNotOwned is the shard-role ownership check: a shard booted for
-// partition k must never serve — let alone mutate — a site the ring
-// assigns elsewhere, whether it got here through a misconfigured front
-// or a direct hit. 421 Misdirected Request with the named error; the
-// response is already written when it returns true. Standalone servers
-// (no Ring) own everything.
-func (s *Server) refuseNotOwned(w http.ResponseWriter, site string) bool {
-	if s.cfg.Ring == nil || site == "" {
-		return false
-	}
-	if k := s.cfg.Ring.Owner(site); k != s.cfg.Shard {
-		writeError(w, http.StatusMisdirectedRequest,
-			"%v: site %q belongs to shard %d, this is shard %d", ErrNotOwner, site, k, s.cfg.Shard)
-		return true
-	}
-	return false
-}
-
-// checkRingHash enforces per-request ring agreement on a shard-role
-// server: a request pinned (via RingHashHeader) to a different ring
-// fingerprint is refused with 503 and the named mismatch error before it
-// can touch the wrong partition. Requests without the header — direct
-// operator calls — pass; ownership is still checked per site.
-func (s *Server) checkRingHash(w http.ResponseWriter, r *http.Request) bool {
-	if s.cfg.Ring == nil {
-		return true
-	}
-	h := r.Header.Get(RingHashHeader)
-	if h == "" || h == s.cfg.Ring.Fingerprint() {
-		return true
-	}
-	writeError(w, http.StatusServiceUnavailable,
-		"%v: request pinned to ring %s, shard %d built ring %s", ErrRingMismatch, h, s.cfg.Shard, s.cfg.Ring.Fingerprint())
-	return false
-}
-
 // siteStatusCode maps dispatcher site-level errors to HTTP statuses.
 func siteStatusCode(err error) int {
 	switch {
@@ -422,43 +336,6 @@ func siteStatusCode(err error) int {
 
 // --- hot path ---
 
-// handleExtract is the allocation-disciplined serving path: body bytes land
-// in a pooled buffer, the request decodes in place (see wire.go), page HTML
-// flows straight into the parser via the dispatcher, and the response is
-// appended into a pooled buffer and written with an explicit
-// Content-Length. The wire shapes are unchanged from the encoding/json
-// implementation; only the steady-state allocation profile is different.
-//
-// The handler is split at the decoded-request boundary: decodeExtract
-// fills the scratch, finishExtract serves from it. The fleet's
-// ShardRouter decodes once at the front door, reads sc.site to pick the
-// owning shard, and calls that shard's finishExtract — same pooled
-// buffers, no second parse.
-func (s *Server) handleExtract(w http.ResponseWriter, r *http.Request) {
-	if !requirePost(w, r) {
-		return
-	}
-	sc := acquireScratch()
-	defer releaseScratch(sc)
-	if !s.decodeExtract(w, r, sc) {
-		return
-	}
-	s.finishExtract(w, r, sc)
-}
-
-// decodeExtract reads and parses the request body into the scratch,
-// answering the error response itself when it returns false.
-func (s *Server) decodeExtract(w http.ResponseWriter, r *http.Request, sc *extractScratch) bool {
-	if !s.readBody(w, r, sc) {
-		return false
-	}
-	if err := decodeExtractRequest(sc); err != nil {
-		writeDecodeError(w, err)
-		return false
-	}
-	return true
-}
-
 // writeDecodeError answers the 400 of a body the wire decoders refused.
 func writeDecodeError(w http.ResponseWriter, err error) {
 	if err == errTrailing {
@@ -468,51 +345,33 @@ func writeDecodeError(w http.ResponseWriter, err error) {
 	writeError(w, http.StatusBadRequest, "bad JSON: %v", err)
 }
 
-// readMaintenance reads the body of a learn or repair request into a pooled
-// scratch and decodes it there, answering the error response itself when it
-// returns false. Only the decoded strings outlive the call. max is the byte
-// cap — servers and the fleet's front door decode through the same code
-// with their own limits.
-func readMaintenance(w http.ResponseWriter, r *http.Request, req *LearnRequest, learn bool, max int64) bool {
-	sc := acquireScratch()
-	defer releaseScratch(sc)
-	if !readBodyInto(w, r, sc, max) {
-		return false
-	}
-	if err := decodeMaintenanceRequest(sc.body, req, learn); err != nil {
-		writeDecodeError(w, err)
-		return false
-	}
-	return true
-}
-
-// finishExtract validates the decoded request and serves it: admission
-// through this server's gate, extraction through this server's
-// dispatcher. sc must have been filled by decodeExtract (any server's —
-// the limits are fleet-uniform).
+// finishExtract validates the extract request the router decoded into sc
+// and serves it: admission through this node's gate, extraction through
+// this node's dispatcher. This is the allocation-disciplined serving path:
+// the body landed in a pooled buffer and decoded in place (see wire.go),
+// page HTML flows straight into the parser via the dispatcher, and the
+// response is appended into a pooled buffer and written with an explicit
+// Content-Length.
 func (s *Server) finishExtract(w http.ResponseWriter, r *http.Request, sc *extractScratch) {
 	if sc.site == "" {
 		writeError(w, http.StatusBadRequest, "site is required")
 		return
 	}
-	if s.refuseNotOwned(w, sc.site) {
-		return
-	}
-	pages := sc.pages
+	n := len(sc.pages)
 	if sc.hasSingle {
-		if len(pages) > 0 {
+		if n > 0 {
 			writeError(w, http.StatusBadRequest, "set page or pages, not both")
 			return
 		}
-		pages = append(sc.pages[:0], sc.single)
+		n = 1
 	}
-	if len(pages) == 0 {
+	if n == 0 {
 		writeError(w, http.StatusBadRequest, "no pages")
 		return
 	}
-	if len(pages) > s.cfg.MaxPages {
+	if n > s.cfg.MaxPages {
 		writeError(w, http.StatusRequestEntityTooLarge,
-			"%d pages exceeds the per-request cap of %d", len(pages), s.cfg.MaxPages)
+			"%d pages exceeds the per-request cap of %d", n, s.cfg.MaxPages)
 		return
 	}
 
@@ -537,17 +396,16 @@ func (s *Server) finishExtract(w http.ResponseWriter, r *http.Request, sc *extra
 	}
 	defer release()
 
-	if cap(sc.in) < len(pages) {
-		sc.in = make([]extract.Page, len(pages))
+	if cap(sc.in) < n {
+		sc.in = make([]extract.Page, n)
 	} else {
-		sc.in = sc.in[:len(pages)]
+		sc.in = sc.in[:n]
 	}
-	for i := range pages {
-		id := pages[i].id
-		if id == "" {
-			id = defaultPageID(i)
-		}
-		sc.in[i] = extract.Page{ID: id, HTML: pages[i].html}
+	if sc.hasSingle {
+		sc.in[0] = sc.single.page(0)
+	}
+	for i := range sc.pages {
+		sc.in[i] = sc.pages[i].page(i)
 	}
 	ext, err := s.cfg.Dispatcher.Extract(ctx, sc.site, sc.in)
 	if ext == nil {
@@ -568,91 +426,32 @@ func (s *Server) finishExtract(w http.ResponseWriter, r *http.Request, sc *extra
 
 // --- health + metrics ---
 
-// HealthzResponse is the GET /healthz body.
-type HealthzResponse struct {
-	Status string `json:"status"` // "ok" | "draining"
-	Sites  int    `json:"sites"`
-	// UptimeSec is the server's age.
-	UptimeSec int64 `json:"uptime_sec"`
-	// Ring is the shard-role server's half of the ring-agreement
-	// handshake (absent on standalone servers).
-	Ring *RingInfo `json:"ring,omitempty"`
-}
-
-// healthz is this node's health view: what GET /healthz answers, and what
-// an in-process fleet router reads without the HTTP round trip.
+// healthz is this node's health view, as the router reads it: its site
+// count, and whether it is draining.
 func (s *Server) healthz() HealthzResponse {
-	resp := HealthzResponse{
-		Status:    "ok",
-		Sites:     s.cfg.Dispatcher.Store().Len(),
-		UptimeSec: int64(time.Since(s.started).Seconds()),
-	}
-	if ring := s.cfg.Ring; ring != nil {
-		resp.Ring = &RingInfo{
-			Hash:   ring.Fingerprint(),
-			Shards: ring.Shards(),
-			VNodes: ring.VNodes(),
-			Shard:  s.cfg.Shard,
-		}
-	}
+	resp := HealthzResponse{Status: "ok", Sites: s.cfg.Dispatcher.Store().Len()}
 	if s.draining.Load() {
 		resp.Status = "draining"
 	}
 	return resp
 }
 
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	resp := s.healthz()
-	code := http.StatusOK
-	if resp.Status == "draining" {
-		code = http.StatusServiceUnavailable
-	}
-	writeJSON(w, code, resp)
-}
-
-// MetricsResponse is the GET /metrics body.
-type MetricsResponse struct {
-	UptimeSec int64        `json:"uptime_sec"`
-	Gate      GateSnapshot `json:"gate"`
-	// Jobs is the maintenance plane's ledger (absent when disabled).
-	Jobs *jobs.Metrics `json:"jobs,omitempty"`
-	// Audit is the lifecycle ledger's counters (absent when disabled).
-	Audit *audit.Stats `json:"audit,omitempty"`
-	// Accum is the shard-role server's bucket-level accumulator — what a
-	// forwarding front end merges so fleet latency quantiles come from
-	// the combined histogram population (absent on standalone servers).
-	Accum *WireAccum   `json:"accum,omitempty"`
-	Sites []SiteStatus `json:"sites"`
-}
-
-// metrics is this node's /metrics view at now, less the accumulator only a
-// shard-role server puts on the wire: what GET /metrics answers, and what
-// an in-process fleet router reads without the HTTP round trip.
-func (s *Server) metrics(now time.Time) MetricsResponse {
-	resp := MetricsResponse{
-		UptimeSec: int64(now.Sub(s.started).Seconds()),
-		Gate:      s.cfg.Gate.Snapshot(),
-		Sites:     s.cfg.Dispatcher.Status(),
+// report is this node's contribution to /metrics at now.
+func (s *Server) report(now time.Time) ShardReport {
+	rep := ShardReport{
+		Gate:  s.cfg.Gate.Snapshot(),
+		Sites: s.cfg.Dispatcher.Status(),
+		accum: s.cfg.Dispatcher.metricsAccumNow(now),
 	}
 	if s.cfg.Jobs != nil {
 		m := s.cfg.Jobs.Metrics()
-		resp.Jobs = &m
+		rep.Jobs = &m
 	}
 	if s.cfg.Audit != nil {
 		a := s.cfg.Audit.Stats()
-		resp.Audit = &a
+		rep.AuditStats = &a
 	}
-	return resp
-}
-
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	now := time.Now()
-	resp := s.metrics(now)
-	if s.cfg.Ring != nil {
-		acc := s.cfg.Dispatcher.metricsAccumNow(now)
-		resp.Accum = wireAccumFrom(&acc)
-	}
-	writeJSON(w, http.StatusOK, resp)
+	return rep
 }
 
 // AuditResponse is the GET /v1/audit body: the ledger's counters plus
@@ -665,19 +464,7 @@ type AuditResponse struct {
 	Records []audit.Record `json:"records"`
 }
 
-func (s *Server) handleAudit(w http.ResponseWriter, r *http.Request) {
-	n := 100
-	if q := r.URL.Query().Get("n"); q != "" {
-		if v, err := strconv.Atoi(q); err == nil && v > 0 {
-			n = v
-		}
-	}
-	writeJSON(w, http.StatusOK, s.auditResponse(n))
-}
-
-// auditResponse builds the ledger view handleAudit serves — shared with
-// the fleet transport so a local shard and a forwarded shard report the
-// same shape.
+// auditResponse is this node's view of its ledger, n records at most.
 func (s *Server) auditResponse(n int) AuditResponse {
 	resp := AuditResponse{Records: []audit.Record{}}
 	if s.cfg.Audit != nil {
@@ -689,10 +476,6 @@ func (s *Server) auditResponse(n int) AuditResponse {
 		}
 	}
 	return resp
-}
-
-func (s *Server) handleSites(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.cfg.Dispatcher.Status())
 }
 
 // --- admin ---
@@ -761,39 +544,32 @@ func (s *Server) finishAdmin(w http.ResponseWriter, entry store.Entry, err, pers
 	})
 }
 
-// handleLifecycle serves POST /v1/promote and POST /v1/rollback.
-func (s *Server) handleLifecycle(w http.ResponseWriter, r *http.Request, op store.Op) {
-	if !requirePost(w, r) {
-		return
+// admitLifecycle answers the 400 of a promote that names no site or no
+// version, or a rollback that names no site; it reports whether the
+// request got past that.
+func admitLifecycle(w http.ResponseWriter, op store.Op, req AdminRequest) bool {
+	switch {
+	case op == store.OpRollback && req.Site == "":
+		writeError(w, http.StatusBadRequest, "site is required")
+		return false
+	case op != store.OpRollback && (req.Site == "" || req.Version < 1):
+		writeError(w, http.StatusBadRequest, "site and version >= 1 are required")
+		return false
 	}
-	var req AdminRequest
-	if !s.readJSON(w, r, &req) {
-		return
-	}
-	s.finishLifecycle(w, op, req)
+	return true
 }
 
 // finishLifecycle applies a decoded promote (store.OpPromote) or rollback
-// (store.OpRollback) against this server's dispatcher — the fleet router
-// decodes once and calls the owning shard's finishLifecycle, so the
-// hot-swap (and its epoch bump) happens only in the shard that serves the
-// site.
+// (store.OpRollback) against this node's dispatcher — the router calls
+// the owning partition's, so the hot-swap (and its epoch bump) happens
+// only in the node that serves the site.
 func (s *Server) finishLifecycle(w http.ResponseWriter, op store.Op, req AdminRequest) {
-	rollback := op == store.OpRollback
-	switch {
-	case rollback && req.Site == "":
-		writeError(w, http.StatusBadRequest, "site is required")
-		return
-	case !rollback && (req.Site == "" || req.Version < 1):
-		writeError(w, http.StatusBadRequest, "site and version >= 1 are required")
-		return
-	}
-	if s.refuseNotOwned(w, req.Site) {
+	if !admitLifecycle(w, op, req) {
 		return
 	}
 	apply := func() (store.Entry, error) { return s.cfg.Dispatcher.Promote(req.Site, req.Version) }
 	event, detail := audit.EventPromote, "admin promote"
-	if rollback {
+	if op == store.OpRollback {
 		apply = func() (store.Entry, error) { return s.cfg.Dispatcher.Rollback(req.Site) }
 		event, detail = audit.EventRollback, "admin rollback"
 	}
@@ -1020,35 +796,37 @@ func (s *Server) submitMaintenance(w http.ResponseWriter, kind jobs.Kind, site s
 	})
 }
 
-// handleRepair enqueues a drift-repair job and returns 202 immediately:
-// repair is maintenance-plane work, and holding an HTTP request open
-// through a full re-learn would serialize operators (and automation)
-// behind the learn pool. Poll GET /v1/jobs/{id} for the outcome.
-func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request) {
-	if !requirePost(w, r) {
-		return
+// maintenanceOff answers 501 for a learn or repair (what) on a node
+// without a repairer, and reports whether it did.
+func (s *Server) maintenanceOff(w http.ResponseWriter, what string) bool {
+	if s.cfg.Repairer != nil {
+		return false
 	}
-	var req LearnRequest
-	if !readMaintenance(w, r, &req, false, s.cfg.MaxBodyBytes) {
-		return
-	}
-	s.finishRepair(w, req.repair())
+	writeError(w, http.StatusNotImplemented, "%s is not configured on this server (no annotator)", what)
+	return true
 }
 
-// finishRepair validates a decoded repair request and enqueues it on
-// this server's job plane. The fleet router routes by req.Site, so the
-// re-learn runs on — and hot-swaps — only the owning shard.
-func (s *Server) finishRepair(w http.ResponseWriter, req RepairRequest) {
-	if s.cfg.Repairer == nil {
-		writeError(w, http.StatusNotImplemented,
-			"repair is not configured on this server (no annotator)")
-		return
+// admitRepair answers the 501 of a node that cannot repair and the 400 of
+// a repair that names no site or brings fewer than 2 pages; it reports
+// whether the request got past both.
+func (s *Server) admitRepair(w http.ResponseWriter, req RepairRequest) bool {
+	if s.maintenanceOff(w, "repair") {
+		return false
 	}
 	if req.Site == "" || len(req.Pages) < 2 {
 		writeError(w, http.StatusBadRequest, "site and at least 2 pages are required")
-		return
+		return false
 	}
-	if s.refuseNotOwned(w, req.Site) {
+	return true
+}
+
+// finishRepair validates a decoded repair request and enqueues a
+// drift-repair job on this node's job plane, answering 202 at once:
+// holding an HTTP request open through a full re-learn would serialize
+// operators (and automation) behind the learn pool. The router routes by
+// req.Site, so the re-learn runs on — and hot-swaps — only the owning node.
+func (s *Server) finishRepair(w http.ResponseWriter, req RepairRequest) {
+	if !s.admitRepair(w, req) {
 		return
 	}
 	if len(req.Pages) > s.cfg.MaxPages {
@@ -1061,30 +839,13 @@ func (s *Server) finishRepair(w http.ResponseWriter, req RepairRequest) {
 		func() ([]string, error) { return pages, nil })
 }
 
-// handleLearn enqueues a new-site learn job: corpus in (inline or by
-// server-side path), validated + promoted wrapper out, hot-swapped into
-// the dispatcher — the over-the-wire half of the engine's batch learning.
-func (s *Server) handleLearn(w http.ResponseWriter, r *http.Request) {
-	if !requirePost(w, r) {
-		return
-	}
-	var req LearnRequest
-	if !readMaintenance(w, r, &req, true, s.cfg.MaxBodyBytes) {
-		return
-	}
-	s.finishLearn(w, req)
-}
-
-// finishLearn validates a decoded learn request and enqueues it. A
-// brand-new site routed here by the fleet router lands on the shard the
-// ring assigns it, so once learned it serves from the right place.
+// finishLearn validates a decoded learn request and enqueues a new-site
+// learn job: corpus in (inline or by server-side path), validated +
+// promoted wrapper out, hot-swapped into the dispatcher. A brand-new site
+// routed here by the router lands on the partition the ring assigns it, so
+// once learned it serves from the right place.
 func (s *Server) finishLearn(w http.ResponseWriter, req LearnRequest) {
-	if s.cfg.Repairer == nil {
-		writeError(w, http.StatusNotImplemented,
-			"learn is not configured on this server (no annotator)")
-		return
-	}
-	if s.refuseNotOwned(w, req.Site) {
+	if s.maintenanceOff(w, "learn") {
 		return
 	}
 	switch {
@@ -1179,39 +940,25 @@ func readCorpusDir(dir string, maxPages int) ([]string, error) {
 	return pages, nil
 }
 
-// handleJobs lists every retained job.
-func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
+// finishJob answers GET /v1/jobs/{id}, or POST /v1/jobs/{id}/cancel when
+// cancel is set, if this node's job plane knows the job; it reports false,
+// having written nothing, if it does not.
+func (s *Server) finishJob(w http.ResponseWriter, id string, cancel bool) bool {
 	if s.cfg.Jobs == nil {
-		writeJSON(w, http.StatusOK, []jobs.Snapshot{})
-		return
+		return false
 	}
-	writeJSON(w, http.StatusOK, s.cfg.Jobs.List())
-}
-
-// handleJobGet serves GET /v1/jobs/{id}; the router extracted id.
-func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request, id string) {
-	if s.cfg.Jobs == nil {
-		writeError(w, http.StatusNotFound, "no job manager on this server")
-		return
-	}
-	snap, err := s.cfg.Jobs.Get(id)
-	if err != nil {
-		writeError(w, http.StatusNotFound, "%v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, snap)
-}
-
-// handleJobCancel serves POST /v1/jobs/{id}/cancel; the router extracted id.
-func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request, id string) {
-	if s.cfg.Jobs == nil {
-		writeError(w, http.StatusNotFound, "no job manager on this server")
-		return
+	if !cancel {
+		snap, err := s.cfg.Jobs.Get(id)
+		if err != nil {
+			return false
+		}
+		writeJSON(w, http.StatusOK, snap)
+		return true
 	}
 	snap, err := s.cfg.Jobs.Cancel(id)
 	switch {
 	case errors.Is(err, jobs.ErrNotFound):
-		writeError(w, http.StatusNotFound, "%v", err)
+		return false
 	case errors.Is(err, jobs.ErrFinished):
 		writeError(w, http.StatusConflict, "%v", err)
 	case err != nil:
@@ -1219,4 +966,5 @@ func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request, id stri
 	default:
 		writeJSON(w, http.StatusOK, snap)
 	}
+	return true
 }

@@ -509,13 +509,13 @@ func TestServerShutdown(t *testing.T) {
 }
 
 // serveAllocBudget is what one small extract costs in allocations, server
-// and handler together, as TestServeExtractAllocBudget counts them. All 14
+// and handler together, as TestServeExtractAllocBudget counts them. All 13
 // are the handler's: the deadline's context and timer (4), writeRawJSON's
-// header values (2), the site copy, the single page's slice, the
-// Extraction, its Results and what ExtractOne returns. The connection loop
-// adds none once a keep-alive client repeats its header lines — a new
-// Content-Length value would be one string.
-const serveAllocBudget = 14
+// header values (2), the site copy, the Extraction, its Results and what
+// ExtractOne returns. The connection loop adds none once a keep-alive
+// client repeats its header lines — a new Content-Length value would be
+// one string.
+const serveAllocBudget = 13
 
 // TestServeExtractAllocBudget counts the allocations of one small extract
 // through HTTPServer on loopback: process-wide mallocs per request, from a

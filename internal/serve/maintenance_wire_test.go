@@ -192,7 +192,7 @@ func TestDecodeNestingLimit(t *testing.T) {
 
 // TestMaintenanceHandlersAnswerAsBefore posts every body of the table and of
 // the chaos corpus to /v1/repair and /v1/learn and to the handlers those
-// routes had before — json.Decoder through readJSON, then the same finish
+// routes had before — json.Decoder through readJSONLimited, then the same finish
 // step — on a twin server. Status and body must agree: byte for byte for
 // everything the server words itself, up to the decoder's own wording after
 // "bad JSON: ", and up to the job id of a 202.
@@ -221,13 +221,13 @@ func TestMaintenanceHandlersAnswerAsBefore(t *testing.T) {
 		return func(w http.ResponseWriter, r *http.Request) {
 			if path == "/v1/repair" {
 				var req RepairRequest
-				if s.readJSON(w, r, &req) {
+				if readJSONLimited(w, r, &req, s.cfg.MaxBodyBytes) {
 					s.finishRepair(w, req)
 				}
 				return
 			}
 			var req LearnRequest
-			if s.readJSON(w, r, &req) {
+			if readJSONLimited(w, r, &req, s.cfg.MaxBodyBytes) {
 				s.finishLearn(w, req)
 			}
 		}

@@ -3,6 +3,7 @@ package serve
 import (
 	"fmt"
 	"log"
+	"strconv"
 	"time"
 
 	"autowrap/internal/audit"
@@ -36,8 +37,9 @@ type NodeConfig struct {
 	// and auto-repair. Nil leaves the maintenance plane off: both routes
 	// answer 501 and the node runs no job workers.
 	Spec drift.LearnSpec
-	// Jobs sizes the job plane (used only with Spec). Inside a ring give
-	// each node its own IDPrefix so that job ids are unique fleet-wide.
+	// Jobs sizes the job plane (used only with Spec). Its IDPrefix is the
+	// node's own, "s<Shard>-", whatever is set here: job ids are unique
+	// fleet-wide, and name the partition a router finds them on.
 	Jobs jobs.Options
 	// Maintainer, when set, arms auto-repair: the node starts the loop and
 	// stops it when it begins to drain. It needs Spec, Monitor and
@@ -90,6 +92,7 @@ func NewNode(cfg NodeConfig) (*Server, error) {
 	}
 	if cfg.Spec != nil {
 		sc.Repairer = &drift.Repairer{Store: cfg.Store, Spec: cfg.Spec, Monitor: mon}
+		cfg.Jobs.IDPrefix = "s" + strconv.Itoa(cfg.Shard) + "-"
 		sc.Jobs = jobs.New(cfg.Jobs)
 	}
 	s, err := NewServer(sc)

@@ -91,7 +91,7 @@ func TestNodeMatchesHandAssembly(t *testing.T) {
 		Gate:       NewGate(GateOptions{MaxInFlight: 64}),
 		MaxPages:   maxPages,
 		Repairer:   &drift.Repairer{Store: handStore, Spec: noLearner, Monitor: mon},
-		Jobs:       jobs.New(jobs.Options{}),
+		Jobs:       jobs.New(jobs.Options{IDPrefix: "s0-"}),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -153,8 +153,8 @@ func TestNodeMatchesHandAssembly(t *testing.T) {
 			t.Errorf("%s: the node answers\n%s\nthe hand-assembled server\n%s", rq.name, got, want)
 		}
 	}
-	if got := answer(node.Handler(), "POST", "/v1/repair", repair); !strings.HasPrefix(got, "202\n") || !strings.Contains(got, `"job_id":"job-000002"`) {
-		t.Errorf("second repair on a standalone node answers\n%s\nwant 202 and job-000002", got)
+	if got := answer(node.Handler(), "POST", "/v1/repair", repair); !strings.HasPrefix(got, "202\n") || !strings.Contains(got, `"job_id":"s0-job-000002"`) {
+		t.Errorf("second repair on a standalone node answers\n%s\nwant 202 and s0-job-000002", got)
 	}
 
 	if race.Enabled {

@@ -1,13 +1,13 @@
-// The fleet's shard transport seam. A ShardRouter never talks to a shard
+// The shard transport seam. A ShardRouter never talks to a partition
 // directly: every path — the extract hot path, lifecycle mutations, the
 // observation fan-outs and the drain — goes through a ShardClient, and
-// the two implementations decide what a "shard" is. localShard wraps an
-// in-process *Server with the same direct calls the router always made
-// (byte-identical wire behavior, zero extra allocations); httpShard
-// relays to an independently booted shard process over the peer link
-// (link.go). The router's logic — ring lookup, one decode per request,
-// bucket-level metric merging, ordered drain — is written once against
-// the seam and cannot diverge between the two deployments.
+// the three implementations decide what a partition is here. localShard
+// wraps an in-process *Server with direct calls (zero extra
+// allocations); httpShard relays to an independently booted shard process
+// over the peer link (link.go); absentShard is a partition this process
+// does not serve (421). The router's logic — ring lookup, one decode per
+// request, bucket-level metric merging, ordered drain — is written once
+// against the seam and cannot diverge between deployments.
 
 package serve
 
@@ -23,16 +23,16 @@ import (
 )
 
 // RingHashHeader carries the front end's ring fingerprint on every
-// forwarded request. A shard-role server compares it against its own
-// ring and refuses mismatches with ErrRingMismatch, so a front and a
-// peer that disagree on the assignment function can never silently serve
-// the wrong partition.
+// forwarded request. Every router compares it against its own ring and
+// refuses mismatches with ErrRingMismatch, so a front and a peer that
+// disagree on the assignment function can never silently serve the wrong
+// partition.
 const RingHashHeader = "X-Ring-Hash"
 
 var (
-	// ErrRingMismatch is a shard refusing a request pinned to a different
-	// ring fingerprint (503): the front and the shard were booted with
-	// different shard counts, vnode counts, or ring versions.
+	// ErrRingMismatch is a process refusing a request pinned to a
+	// different ring fingerprint (503): the front and the shard were
+	// booted with different shard counts, vnode counts, or ring versions.
 	ErrRingMismatch = errors.New("ring agreement mismatch")
 	// ErrNotOwner is a shard refusing a site the ring assigns to a
 	// different shard (421): the request was routed — or aimed directly —
@@ -44,48 +44,48 @@ var (
 	ErrShardUnavailable = errors.New("shard unavailable")
 )
 
-// ShardReport is one shard's contribution to the fleet /metrics merge:
-// the site-ledger accumulator (bucket-level, so fleet quantiles come
-// from the merged population, never from averaging per-shard quantiles),
-// the gate and job counters, and the shard's site rows.
+// ShardReport is one partition's contribution to the /metrics merge: the
+// site-ledger accumulator (bucket-level, so merged quantiles come from
+// the merged population, never from averaging per-shard quantiles), the
+// gate and job counters, and the partition's site rows.
 type ShardReport struct {
 	Gate GateSnapshot
 	Jobs *jobs.Metrics
 	// Sites is the shard's partition, one row per site.
 	Sites []SiteStatus
-	// AuditStats is the shard's ledger counters. A forwarding front sums
-	// them (each shard process owns its own ledger file); an in-process
-	// fleet ignores them and reads the shared ledger once.
+	// AuditStats is the shard's ledger counters. The router sums them
+	// over distinct ledgers: every shard process owns its own ledger file,
+	// in-process nodes share one.
 	AuditStats *audit.Stats
 	accum      metricsAccum
 }
 
-// ShardClient is the transport seam between the fleet router and one
-// shard. Write-path methods (Extract, Lifecycle, Learn, Repair, JobGet,
+// ShardClient is the transport seam between the router and one
+// partition. Write-path methods (Extract, Lifecycle, Learn, Repair, JobGet,
 // JobCancel) answer on the ResponseWriter themselves — passthrough
 // semantics, so a shard's 429/503 backpressure and error bodies reach
 // the client unchanged — and take the client's *http.Request, whose
 // context bounds them: a client that hangs up, or a front shutting down,
 // ends the call. Read-path methods return data for the router to merge.
-// Implementations: localShard (in-process) and httpShard (forwarding
-// front end). The body-carrying methods are handed the body both ways,
-// decoded and as bytes, because the two read different halves: an
-// in-process shard serves what the router decoded, a peer is sent the
-// client's bytes and decodes them itself.
+// Implementations: localShard (in-process), httpShard (forwarded) and
+// absentShard (not served here). The body-carrying methods are handed the
+// body both ways, decoded and as bytes, because the two read different
+// halves: an in-process shard serves what the router decoded, a peer is
+// sent the client's bytes and decodes them itself.
 type ShardClient interface {
 	// Extract serves the extract request the router read into sc and
-	// routed by sc.site. The router of an in-process fleet decoded it (sc
-	// holds the pages; sc.body is spent); a forwarding front only peeked —
-	// sc.site and sc.timeoutMS are set and sc.body is still the client's
-	// bytes.
+	// routed by sc.site. In front of in-process partitions the router
+	// decoded it (sc holds the pages; sc.body is spent); in front of
+	// forwarded ones it only peeked — sc.site and sc.timeoutMS are set and
+	// sc.body is still the client's bytes.
 	Extract(w http.ResponseWriter, r *http.Request, sc *extractScratch)
 	// Lifecycle applies a promote (store.OpPromote) or rollback
 	// (store.OpRollback).
 	Lifecycle(w http.ResponseWriter, r *http.Request, op store.Op, req AdminRequest)
 	// Learn and Repair enqueue maintenance jobs on the shard's job plane.
-	// req is what the router decoded: everything in an in-process fleet,
-	// Site and TimeoutMS alone at a forwarding front, where body is the
-	// client's bytes (valid until the method returns).
+	// req is what the router decoded: everything in front of in-process
+	// partitions, Site and TimeoutMS alone in front of forwarded ones,
+	// where body is the client's bytes (valid until the method returns).
 	Learn(w http.ResponseWriter, r *http.Request, req LearnRequest, body []byte)
 	Repair(w http.ResponseWriter, r *http.Request, req RepairRequest, body []byte)
 	// Jobs lists the shard's retained jobs. JobGet and JobCancel resolve
@@ -94,7 +94,7 @@ type ShardClient interface {
 	Jobs(ctx context.Context) ([]jobs.Snapshot, error)
 	JobGet(w http.ResponseWriter, r *http.Request, id string) bool
 	JobCancel(w http.ResponseWriter, r *http.Request, id string) bool
-	// Metrics returns the shard's merged ledgers for the fleet /metrics
+	// Metrics returns the shard's merged ledgers for the /metrics
 	// aggregation; Healthz its liveness view; AuditView its slice of the
 	// lifecycle ledger (n caps records).
 	Metrics(ctx context.Context, now time.Time) (ShardReport, error)
@@ -108,10 +108,9 @@ type ShardClient interface {
 	Drain(ctx context.Context) error
 }
 
-// WireAccum is a shard's site-ledger accumulator on the wire — the
-// bucket-level histogram a front end needs to merge fleet quantiles
-// correctly. A shard-role server attaches it to /metrics (the "accum"
-// field); it is absent everywhere else.
+// WireAccum is a process's merged site-ledger accumulator on the wire —
+// the bucket-level histogram a front end needs to merge fleet quantiles
+// correctly. Every /metrics carries it (the "accum" field).
 type WireAccum struct {
 	Requests  int64 `json:"requests"`
 	Pages     int64 `json:"pages"`
@@ -126,9 +125,9 @@ type WireAccum struct {
 	QPS     float64 `json:"qps"`
 }
 
-// wireAccumFrom exports an accumulator for a shard's /metrics.
-func wireAccumFrom(a *metricsAccum) *WireAccum {
-	w := &WireAccum{
+// wireAccumFrom exports an accumulator for /metrics.
+func wireAccumFrom(a *metricsAccum) WireAccum {
+	w := WireAccum{
 		Requests:  a.requests,
 		Pages:     a.pages,
 		PageFails: a.pageFails,
@@ -163,10 +162,11 @@ func (w *WireAccum) toAccum() metricsAccum {
 	return a
 }
 
-// RingInfo is a shard-role server's half of the ring-agreement handshake,
-// reported on /healthz: the ring fingerprint plus the parameters behind
-// it and the partition this process serves. A front end checks it on
-// connect; per-request agreement rides on RingHashHeader.
+// RingInfo is a process's half of the ring-agreement handshake, reported
+// on /healthz: the ring fingerprint plus the parameters behind it and the
+// partition this process serves — -1 unless it serves exactly one, in
+// process. A front end checks it on connect; per-request agreement rides
+// on RingHashHeader.
 type RingInfo struct {
 	Hash   string `json:"hash"`
 	Shards int    `json:"shards"`
@@ -174,18 +174,17 @@ type RingInfo struct {
 	Shard  int    `json:"shard"`
 }
 
-// DrainRequest is the POST /v1/drain body (shard role only). TimeoutMS
-// bounds how long the shard waits for queued jobs to run dry before
-// canceling the remainder; it may shorten the server-side default, never
-// extend it.
+// DrainRequest is the POST /v1/drain body. TimeoutMS bounds how long the
+// process waits for queued jobs to run dry before canceling the
+// remainder; it may shorten the server-side default, never extend it.
 type DrainRequest struct {
 	TimeoutMS int `json:"timeout_ms,omitempty"`
 }
 
-// DrainResponse reports a shard's drain outcome: the job plane's queued
-// work ran to completion (jobs_quiesced) or was cut off by the deadline
-// (error carries why). The shard keeps serving in-flight work either
-// way; stopping the process is its owner's call.
+// DrainResponse reports a drain's outcome: the job planes' queued work
+// ran to completion (jobs_quiesced) or was cut off by the deadline (error
+// carries why). The process keeps serving in-flight work either way;
+// stopping it is its owner's call.
 type DrainResponse struct {
 	Status       string `json:"status"` // always "draining"
 	JobsQuiesced bool   `json:"jobs_quiesced"`

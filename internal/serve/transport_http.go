@@ -160,16 +160,13 @@ func (c *httpShard) Metrics(ctx context.Context, now time.Time) (ShardReport, er
 	if err := c.getJSON(ctx, "/metrics", &m); err != nil {
 		return ShardReport{}, err
 	}
-	rep := ShardReport{
+	return ShardReport{
 		Gate:       m.Gate,
 		Jobs:       m.Jobs,
 		Sites:      m.Sites,
 		AuditStats: m.Audit,
-	}
-	if m.Accum != nil {
-		rep.accum = m.Accum.toAccum()
-	}
-	return rep, nil
+		accum:      m.Accum.toAccum(),
+	}, nil
 }
 
 func (c *httpShard) Healthz(ctx context.Context) (HealthzResponse, error) {

@@ -9,10 +9,8 @@ import (
 	"autowrap/internal/store"
 )
 
-// localShard is the in-process ShardClient: the same direct calls into a
-// shard's *Server the pre-seam router made, with identical wire behavior
-// and zero allocations beyond the server's own. A fleet of localShards
-// is exactly the single-process `-shards N` deployment.
+// localShard is the in-process ShardClient: direct calls into the
+// partition's node, with zero allocations beyond the node's own.
 type localShard struct {
 	s *Server
 }
@@ -41,36 +39,16 @@ func (c localShard) Jobs(ctx context.Context) ([]jobs.Snapshot, error) {
 	return m.List(), nil
 }
 
-func (c localShard) JobGet(w http.ResponseWriter, r *http.Request, id string) bool {
-	m := c.s.Jobs()
-	if m == nil {
-		return false
-	}
-	if _, err := m.Get(id); err != nil {
-		return false
-	}
-	c.s.handleJobGet(w, r, id)
-	return true
+func (c localShard) JobGet(w http.ResponseWriter, _ *http.Request, id string) bool {
+	return c.s.finishJob(w, id, false)
 }
 
-func (c localShard) JobCancel(w http.ResponseWriter, r *http.Request, id string) bool {
-	m := c.s.Jobs()
-	if m == nil {
-		return false
-	}
-	if _, err := m.Get(id); err != nil {
-		return false
-	}
-	c.s.handleJobCancel(w, r, id)
-	return true
+func (c localShard) JobCancel(w http.ResponseWriter, _ *http.Request, id string) bool {
+	return c.s.finishJob(w, id, true)
 }
 
 func (c localShard) Metrics(ctx context.Context, now time.Time) (ShardReport, error) {
-	m := c.s.metrics(now)
-	return ShardReport{
-		Gate: m.Gate, Jobs: m.Jobs, Sites: m.Sites, AuditStats: m.Audit,
-		accum: c.s.Dispatcher().metricsAccumNow(now),
-	}, nil
+	return c.s.report(now), nil
 }
 
 func (c localShard) Healthz(ctx context.Context) (HealthzResponse, error) {
@@ -84,3 +62,64 @@ func (c localShard) AuditView(ctx context.Context, n int) (AuditResponse, error)
 func (c localShard) SetDraining(v bool) { c.s.SetDraining(v) }
 
 func (c localShard) Drain(ctx context.Context) error { return c.s.Drain(ctx) }
+
+// absentShard is a partition this process does not serve: every partition
+// but its own, on a -role shard process or behind Server.Handler over a
+// ring. A request routed to it is answered 421 (ErrNotOwner) naming the
+// owner — after the checks the home node makes ahead of ownership, so a
+// malformed request reads the same whichever partition it names. An empty
+// site, which the ring maps somewhere too, is the home node's to refuse:
+// it never acts on one. The router's fan-outs skip absent partitions.
+type absentShard struct {
+	shard int     // the partition
+	local int     // the partition home serves
+	home  *Server // this process's node
+}
+
+func (c absentShard) refuse(w http.ResponseWriter, site string) {
+	writeError(w, http.StatusMisdirectedRequest,
+		"%v: site %q belongs to shard %d, this is shard %d", ErrNotOwner, site, c.shard, c.local)
+}
+
+func (c absentShard) Extract(w http.ResponseWriter, r *http.Request, sc *extractScratch) {
+	if sc.site == "" {
+		c.home.finishExtract(w, r, sc)
+		return
+	}
+	c.refuse(w, sc.site)
+}
+
+func (c absentShard) Lifecycle(w http.ResponseWriter, _ *http.Request, op store.Op, req AdminRequest) {
+	if admitLifecycle(w, op, req) {
+		c.refuse(w, req.Site)
+	}
+}
+
+func (c absentShard) Learn(w http.ResponseWriter, _ *http.Request, req LearnRequest, _ []byte) {
+	if req.Site == "" {
+		c.home.finishLearn(w, req)
+		return
+	}
+	if !c.home.maintenanceOff(w, "learn") {
+		c.refuse(w, req.Site)
+	}
+}
+
+func (c absentShard) Repair(w http.ResponseWriter, _ *http.Request, req RepairRequest, _ []byte) {
+	if c.home.admitRepair(w, req) {
+		c.refuse(w, req.Site)
+	}
+}
+
+func (absentShard) Jobs(context.Context) ([]jobs.Snapshot, error)             { return nil, nil }
+func (absentShard) JobGet(http.ResponseWriter, *http.Request, string) bool    { return false }
+func (absentShard) JobCancel(http.ResponseWriter, *http.Request, string) bool { return false }
+func (absentShard) Metrics(context.Context, time.Time) (ShardReport, error) {
+	return ShardReport{}, nil
+}
+func (absentShard) Healthz(context.Context) (HealthzResponse, error) { return HealthzResponse{}, nil }
+func (absentShard) AuditView(context.Context, int) (AuditResponse, error) {
+	return AuditResponse{}, nil
+}
+func (absentShard) SetDraining(bool)            {}
+func (absentShard) Drain(context.Context) error { return nil }

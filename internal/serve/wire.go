@@ -30,6 +30,15 @@ import (
 // real string; html is a view of the scratch's body (see extractScratch).
 type pageIn struct{ id, html string }
 
+// page is the dispatcher's input for the i-th page of a request, named
+// "page-<i>" when the request gave it no ID.
+func (p pageIn) page(i int) extract.Page {
+	if p.id == "" {
+		p.id = defaultPageID(i)
+	}
+	return extract.Page{ID: p.id, HTML: p.html}
+}
+
 // extractScratch is the per-request workspace of handleExtract, recycled
 // through a sync.Pool. Every request gets exclusive ownership from
 // acquireScratch to releaseScratch. A decoded page's HTML is a view of
@@ -79,14 +88,8 @@ func releaseScratch(sc *extractScratch) {
 	scratchPool.Put(sc)
 }
 
-// readBody reads the request body into the scratch buffer, enforcing the
-// byte cap. The error is already on the wire when ok is false.
-func (s *Server) readBody(w http.ResponseWriter, r *http.Request, sc *extractScratch) bool {
-	return readBodyInto(w, r, sc, s.cfg.MaxBodyBytes)
-}
-
-// readBodyInto is readBody with an explicit cap, shared with the fleet
-// router's front-door decode.
+// readBodyInto reads the request body into the scratch buffer, enforcing
+// the byte cap max. The error is already on the wire when ok is false.
 func readBodyInto(w http.ResponseWriter, r *http.Request, sc *extractScratch, max int64) bool {
 	if r.ContentLength > max {
 		writeError(w, http.StatusRequestEntityTooLarge, "body exceeds %d bytes", max)

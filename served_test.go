@@ -652,7 +652,7 @@ func TestFacadeShardedFleet(t *testing.T) {
 	hs := servetest.NewServer(router.Handler())
 	defer hs.Close()
 
-	var h serve.FleetHealthzResponse
+	var h serve.HealthzResponse
 	resp, err := http.Get(hs.URL + "/healthz")
 	if err != nil {
 		t.Fatal(err)

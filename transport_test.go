@@ -16,6 +16,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log"
+	"net"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -90,34 +92,35 @@ func shardServer(t *testing.T, ring *shard.Ring, k int, storePath, auditPath str
 		}
 		t.Cleanup(func() { led.Close() })
 	}
-	cfg := serve.ServerConfig{
-		Dispatcher: serve.NewDispatcher(part, serve.Options{}),
-		Backend:    be,
-		Shard:      k,
-		Ring:       ring,
-		Audit:      led,
+	cfg := serve.NodeConfig{
+		Store:   part,
+		Backend: be,
+		Shard:   k,
+		Ring:    ring,
+		Audit:   led,
 	}
 	if annot != nil {
-		newInductor := func(c *autowrap.Corpus) (autowrap.Inductor, error) {
-			return autowrap.NewXPathInductor(c), nil
-		}
-		cfg.Repairer = &autowrap.Repairer{
-			Store: part,
-			Spec: func(site string, c *autowrap.Corpus) (autowrap.BatchSite, error) {
-				return autowrap.BatchSite{Annotator: annot, NewInductor: newInductor,
-					Config: autowrap.NewLearnConfig(autowrap.GenericModels(c), autowrap.Options{})}, nil
-			},
-		}
-		cfg.Jobs = autowrap.NewJobManager(autowrap.JobOptions{
-			Workers: 1, QueueDepth: 4, IDPrefix: fmt.Sprintf("s%d-", k),
-		})
+		cfg.Spec = xpathSpec(annot)
+		cfg.Jobs = autowrap.JobOptions{Workers: 1, QueueDepth: 4}
 	}
-	srv, err := serve.NewServer(cfg)
+	srv, err := serve.NewNode(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { srv.Close() })
 	return srv
+}
+
+// xpathSpec is the learn recipe of the maintenance plane under test: the
+// xpath inductor over annot.
+func xpathSpec(annot autowrap.Annotator) func(string, *autowrap.Corpus) (autowrap.BatchSite, error) {
+	newInductor := func(c *autowrap.Corpus) (autowrap.Inductor, error) {
+		return autowrap.NewXPathInductor(c), nil
+	}
+	return func(site string, c *autowrap.Corpus) (autowrap.BatchSite, error) {
+		return autowrap.BatchSite{Annotator: annot, NewInductor: newInductor,
+			Config: autowrap.NewLearnConfig(autowrap.GenericModels(c), autowrap.Options{})}, nil
+	}
 }
 
 // elapsedRe masks the one legitimately nondeterministic byte sequence
@@ -172,29 +175,18 @@ func TestTransportParityLocalVsForward(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { ledLocal.Close() })
-	newInductor := func(c *autowrap.Corpus) (autowrap.Inductor, error) {
-		return autowrap.NewXPathInductor(c), nil
-	}
 	localRouter, err := serve.NewShardRouter(ring, func(k int) (*serve.Server, error) {
 		part, err := beLocal.LoadPartition(ring, k)
 		if err != nil {
 			return nil, err
 		}
-		return serve.NewServer(serve.ServerConfig{
-			Dispatcher: serve.NewDispatcher(part, serve.Options{}),
-			Backend:    beLocal,
-			Shard:      k,
-			Audit:      ledLocal,
-			Repairer: &autowrap.Repairer{
-				Store: part,
-				Spec: func(site string, c *autowrap.Corpus) (autowrap.BatchSite, error) {
-					return autowrap.BatchSite{Annotator: annot, NewInductor: newInductor,
-						Config: autowrap.NewLearnConfig(autowrap.GenericModels(c), autowrap.Options{})}, nil
-				},
-			},
-			Jobs: autowrap.NewJobManager(autowrap.JobOptions{
-				Workers: 1, QueueDepth: 4, IDPrefix: fmt.Sprintf("s%d-", k),
-			}),
+		return serve.NewNode(serve.NodeConfig{
+			Store:   part,
+			Backend: beLocal,
+			Shard:   k,
+			Audit:   ledLocal,
+			Spec:    xpathSpec(annot),
+			Jobs:    autowrap.JobOptions{Workers: 1, QueueDepth: 4},
 		})
 	})
 	if err != nil {
@@ -295,7 +287,7 @@ func TestTransportParityLocalVsForward(t *testing.T) {
 	}
 
 	// Gate ledgers match: both fleets admitted the same requests.
-	var mLocal, mFwd serve.FleetMetricsResponse
+	var mLocal, mFwd serve.MetricsResponse
 	getJSON(t, localFront.URL+"/metrics", &mLocal)
 	getJSON(t, fwdFront.URL+"/metrics", &mFwd)
 	if mLocal.Gate.Admitted != mFwd.Gate.Admitted || mLocal.Gate.Rejected != mFwd.Gate.Rejected ||
@@ -433,7 +425,7 @@ func TestForwardPartialAvailability(t *testing.T) {
 	}
 
 	// The front itself stays healthy and names the dead peer.
-	var h serve.FleetHealthzResponse
+	var h serve.HealthzResponse
 	resp, err := http.Get(front.URL + "/healthz")
 	if err != nil {
 		t.Fatal(err)
@@ -450,6 +442,88 @@ func TestForwardPartialAvailability(t *testing.T) {
 	}
 	if !h.Peers[1-victim].OK {
 		t.Fatalf("surviving peer reported down: %+v", h.Peers)
+	}
+}
+
+// TestForwardRingMismatchMidFlight is the robustness-table row "ring
+// mismatch mid-flight": a front boots over two agreeing shard processes,
+// then shard 1's process is replaced, on the same address, by one booted
+// for a different ring. Partition 1's sites answer 503 naming the
+// mismatch, the shard and its address; partition 0's keep answering 200;
+// and no answer carries records other than the ones its site served
+// before the swap.
+func TestForwardRingMismatchMidFlight(t *testing.T) {
+	dir := t.TempDir()
+	sites, _, regPath := learnRegistry(t, dir, 4)
+	ring := shard.NewRing(2, 64)
+	var peers []string
+	var backends []*servetest.Server
+	for k := 0; k < 2; k++ {
+		sp := filepath.Join(dir, fmt.Sprintf("shard%d.json", k))
+		copyFile(t, regPath, sp)
+		hs := servetest.NewServer(shardServer(t, ring, k, sp, "", nil).Handler())
+		t.Cleanup(hs.Close)
+		backends = append(backends, hs)
+		peers = append(peers, strings.TrimPrefix(hs.URL, "http://"))
+	}
+	fr, err := serve.NewForwardRouter(ring, peers, serve.ForwardOptions{RequestTimeout: 2 * time.Second})
+	if err != nil {
+		t.Fatal(err)
+	}
+	front := servetest.NewServer(fr.Handler())
+	defer front.Close()
+
+	extract := func(site *gen.Site) (int, []byte) {
+		return rawPost(t, front.URL+"/v1/extract", serve.ExtractRequest{
+			Site: site.Name, Page: &serve.PageInput{ID: "p0", HTML: site.Corpus.Pages[0].HTML}})
+	}
+	before := map[string][]byte{}
+	owners := map[int]bool{}
+	for _, site := range sites {
+		code, body := extract(site)
+		if code != http.StatusOK {
+			t.Fatalf("%s before the swap: %d %s", site.Name, code, body)
+		}
+		before[site.Name] = body
+		owners[ring.Owner(site.Name)] = true
+	}
+	if !owners[0] || !owners[1] {
+		t.Skip("ring assigned every generated site to one partition")
+	}
+
+	// Shard 1's process goes away and another comes up on its address,
+	// booted as partition 1 of a ring with other vnodes.
+	backends[1].Close()
+	ln, err := net.Listen("tcp", peers[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp := filepath.Join(dir, "stranger.json")
+	copyFile(t, regPath, sp)
+	stranger := serve.NewHTTPServer(shardServer(t, shard.NewRing(2, 32), 1, sp, "", nil).Handler(), log.New(io.Discard, "", 0))
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		_ = stranger.Serve(ln)
+	}()
+	t.Cleanup(func() {
+		stranger.Close()
+		<-served
+	})
+
+	for _, site := range sites {
+		code, body := extract(site)
+		if ring.Owner(site.Name) == 0 {
+			if code != http.StatusOK || !bytes.Equal(body, before[site.Name]) {
+				t.Errorf("%s (partition 0) after the swap: %d %s, want the 200 it answered before: %s", site.Name, code, body, before[site.Name])
+			}
+			continue
+		}
+		for _, want := range []string{serve.ErrRingMismatch.Error(), "shard 1", peers[1]} {
+			if code != http.StatusServiceUnavailable || !strings.Contains(string(body), want) {
+				t.Errorf("%s (partition 1) after the swap: %d %s, want 503 naming %q", site.Name, code, body, want)
+			}
+		}
 	}
 }
 
