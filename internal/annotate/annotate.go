@@ -23,6 +23,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"strings"
+	"unicode/utf8"
 
 	"autowrap/internal/bitset"
 	"autowrap/internal/corpus"
@@ -99,26 +100,61 @@ func (d *Dictionary) Annotate(c *corpus.Corpus) *bitset.Set {
 	return c.MatchingText(d.MatchesText)
 }
 
+// lowerBuf is how long a text MatchesText lowers on its own stack.
+const lowerBuf = 256
+
 // MatchesText reports whether the text contains an exact mention of some
-// dictionary entry.
+// dictionary entry. An ASCII text of up to lowerBuf bytes is lowered into a
+// stack buffer and its words looked up as views of it, which allocates
+// nothing. Any other text is lowered by strings.ToLower: a rune such as the
+// Kelvin sign lowers to an ASCII letter, which a byte-wise fold would miss.
 func (d *Dictionary) MatchesText(text string) bool {
-	var buf [16]string // a text node is rarely longer: its words stay on the stack
-	words := appendWords(buf[:0], strings.ToLower(text))
-	for i, w := range words {
-		for _, entry := range d.byFirst[w] {
-			if len(entry) <= len(words)-i && equalWords(words[i:i+len(entry)], entry) {
+	var buf [lowerBuf]byte
+	var lower []byte
+	if len(text) <= lowerBuf && isASCII(text) {
+		lower = buf[:len(text)]
+		for i := 0; i < len(text); i++ {
+			c := text[i]
+			if 'A' <= c && c <= 'Z' {
+				c += 'a' - 'A'
+			}
+			lower[i] = c
+		}
+	} else {
+		lower = append(buf[:0], strings.ToLower(text)...)
+	}
+	// Every entry under a word is tried against the word after it before
+	// the rest of the text is scanned for its third.
+	for a, b := nextWord(lower, 0); a < b; {
+		c, e := nextWord(lower, b)
+		for _, entry := range d.byFirst[string(lower[a:b])] {
+			if len(entry) == 1 || string(lower[c:e]) == entry[1] && followedBy(lower, e, entry[2:]) {
 				return true
 			}
 		}
+		a, b = c, e
 	}
 	return false
 }
 
-func equalWords(a, b []string) bool {
-	for i := range b {
-		if a[i] != b[i] {
+func isASCII(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if s[i] >= utf8.RuneSelf {
 			return false
 		}
+	}
+	return true
+}
+
+// followedBy reports whether the words of lower from byte at on begin with
+// words.
+func followedBy(lower []byte, at int, words []string) bool {
+	for _, w := range words {
+		a, b := nextWord(lower, at)
+		if a == b || string(lower[a:b]) != w {
+			return false
+		}
+		at = b
 	}
 	return true
 }
@@ -129,28 +165,32 @@ func Tokenize(s string) []string {
 	return appendWords(nil, strings.ToLower(s))
 }
 
-// appendWords appends the words of an already lowered string to dst. A word
-// is a run of the bytes a–z and 0–9. Every other byte is a boundary, the
-// bytes of a multi-byte rune included — none of them is a word byte, so the
-// split is the one a rune-by-rune scan makes.
+// appendWords appends the words of an already lowered string to dst.
 func appendWords(dst []string, lower string) []string {
-	start := -1
-	for i := 0; i < len(lower); i++ {
-		c := lower[i]
-		if c >= 'a' && c <= 'z' || c >= '0' && c <= '9' {
-			if start < 0 {
-				start = i
-			}
-		} else if start >= 0 {
-			dst = append(dst, lower[start:i])
-			start = -1
-		}
-	}
-	if start >= 0 {
-		dst = append(dst, lower[start:])
+	for a, b := nextWord(lower, 0); a < b; a, b = nextWord(lower, b) {
+		dst = append(dst, lower[a:b])
 	}
 	return dst
 }
+
+// nextWord returns the bounds of the first word of lower at or after byte
+// from, or an empty range at the end. A word is a run of the bytes a–z and
+// 0–9. Every other byte is a boundary, the bytes of a multi-byte rune
+// included — none of them is a word byte, so the split is the one a
+// rune-by-rune scan makes.
+func nextWord[S string | []byte](lower S, from int) (start, end int) {
+	start = from
+	for start < len(lower) && !isWordByte(lower[start]) {
+		start++
+	}
+	end = start
+	for end < len(lower) && isWordByte(lower[end]) {
+		end++
+	}
+	return start, end
+}
+
+func isWordByte(c byte) bool { return c >= 'a' && c <= 'z' || c >= '0' && c <= '9' }
 
 // Regexp labels text nodes whose content matches the pattern.
 type Regexp struct {

@@ -58,62 +58,97 @@ type Corpus struct {
 // TextTokenID is the interned id of the "#text" pseudo tag; it is always 0.
 const TextTokenID int32 = 0
 
-// New builds a corpus from parsed documents. Documents are serialized once
-// to produce the canonical HTML and text spans used by string-based
-// inductors.
+// New builds a corpus from parsed documents. Each document is serialized
+// once, in the same preorder walk that records its tokens, text ordinals and
+// text spans, to produce the canonical HTML and text spans used by
+// string-based inductors.
 func New(docs []*dom.Node) *Corpus {
 	c := &Corpus{
 		tokenIDs: map[string]int32{dom.TextTag: TextTokenID},
 		tokens:   []string{dom.TextTag},
 	}
-	// The serialization buffer and its span list are reused from page to
-	// page; each page keeps an exact-size copy of the first and, of the
-	// second, only the spans of its extractable texts.
+	// The serialization buffer is reused from page to page; each page
+	// keeps an exact-size copy. The pages of a site are alike, so each
+	// page's lists start as long as the last page's, and the corpus's
+	// make room for the pages left at the last page's size.
 	var (
-		buf   []byte
-		spans []dom.TextSpan
+		buf  []byte
+		last Page
 	)
 	for i, doc := range docs {
-		buf, spans = buf[:0], spans[:0]
-		buf = dom.AppendHTML(buf, doc, &spans)
-		p := &Page{Index: i, Root: doc, HTML: string(buf)}
-		// Nearly every text node is extractable: size for all of them.
-		p.Texts = make([]*dom.Node, 0, len(spans))
-		p.Spans = make([][2]int, 0, len(spans))
-		p.TextPos = make([]int, 0, len(spans))
-		c.texts = slices.Grow(c.texts, len(spans))
-		c.pageOf = slices.Grow(c.pageOf, len(spans))
-		c.inPage = slices.Grow(c.inPage, len(spans))
-		next := 0 // the walk and the serializer meet text nodes in the same order
-		doc.Walk(func(n *dom.Node) bool {
-			switch n.Type {
-			case dom.TextNode:
-				p.Tokens = append(p.Tokens, TextTokenID)
-				// A text the serializer does not reach (under a void
-				// element, which the parser never builds) keeps [0,0).
-				var span [2]int
-				for k := next; k < len(spans); k++ {
-					if spans[k].Node == n {
-						span, next = [2]int{spans[k].Start, spans[k].End}, k+1
-						break
-					}
-				}
-				if IsExtractableText(n) {
-					p.Spans = append(p.Spans, span)
-					c.texts = append(c.texts, n)
-					c.pageOf = append(c.pageOf, i)
-					c.inPage = append(c.inPage, len(p.Texts))
-					p.TextPos = append(p.TextPos, len(p.Tokens)-1)
-					p.Texts = append(p.Texts, n)
-				}
-			case dom.ElementNode:
-				p.Tokens = append(p.Tokens, c.internToken(n.Tag))
-			}
-			return true
-		})
+		p := &Page{
+			Index:   i,
+			Root:    doc,
+			Texts:   make([]*dom.Node, 0, len(last.Texts)),
+			Spans:   make([][2]int, 0, len(last.Texts)),
+			Tokens:  make([]int32, 0, len(last.Tokens)),
+			TextPos: make([]int, 0, len(last.Texts)),
+		}
+		if n := len(last.Texts) * (len(docs) - i); cap(c.texts)-len(c.texts) < n {
+			c.texts = slices.Grow(c.texts, n)
+			c.pageOf = slices.Grow(c.pageOf, n)
+			c.inPage = slices.Grow(c.inPage, n)
+		}
+		x := indexer{c: c, p: p, buf: buf[:0]}
+		x.walk(doc, true)
+		buf = x.buf
+		p.HTML = string(buf)
 		c.Pages = append(c.Pages, p)
+		last = *p
 	}
 	return c
+}
+
+// indexer is New's walk of one page: the serializer's preorder pass
+// (dom.AppendHTML's, piece for piece) that also records the page's tokens
+// and its extractable texts with their ordinals and spans.
+type indexer struct {
+	c   *Corpus
+	p   *Page
+	buf []byte
+}
+
+// walk visits n and its subtree in preorder, serializing it when emit is
+// set. A void element serializes no children, which the parser never
+// builds; a hand-built tree's are still tokens, and their texts keep the
+// span [0,0).
+func (x *indexer) walk(n *dom.Node, emit bool) {
+	p := x.p
+	switch n.Type {
+	case dom.DocumentNode:
+		for _, ch := range n.Children {
+			x.walk(ch, emit)
+		}
+	case dom.TextNode:
+		var span [2]int
+		if emit {
+			span[0] = len(x.buf)
+			x.buf = dom.AppendText(x.buf, n.Data, n.Parent != nil && n.Parent.Raw)
+			span[1] = len(x.buf)
+		}
+		p.Tokens = append(p.Tokens, TextTokenID)
+		if IsExtractableText(n) {
+			c := x.c
+			p.Spans = append(p.Spans, span)
+			c.texts = append(c.texts, n)
+			c.pageOf = append(c.pageOf, p.Index)
+			c.inPage = append(c.inPage, len(p.Texts))
+			p.TextPos = append(p.TextPos, len(p.Tokens)-1)
+			p.Texts = append(p.Texts, n)
+		}
+	case dom.ElementNode:
+		p.Tokens = append(p.Tokens, x.c.internToken(n.Tag))
+		void := dom.IsVoid(n.Tag)
+		if emit {
+			x.buf = dom.AppendStartTag(x.buf, n.Tag, n.Attrs)
+		}
+		for _, ch := range n.Children {
+			x.walk(ch, emit && !void)
+		}
+		if emit && !void {
+			x.buf = dom.AppendEndTag(x.buf, n.Tag)
+		}
+	}
 }
 
 // ParseHTML builds a corpus by parsing raw HTML pages.

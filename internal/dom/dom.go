@@ -40,16 +40,16 @@ type Attr struct {
 
 // Node is a node in a parsed HTML document.
 type Node struct {
-	Type     NodeType
+	Type NodeType
+	// Raw marks elements whose children must serialize without escaping
+	// (script, style).
+	Raw bool
+
 	Tag      string // element tag name (lowercase) or "#text"/"#document"
 	Data     string // text content for TextNode
 	Attrs    []Attr
 	Parent   *Node
 	Children []*Node
-
-	// Raw marks elements whose children must serialize without escaping
-	// (script, style).
-	Raw bool
 }
 
 // NewDocument returns an empty document root.

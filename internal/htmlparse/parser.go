@@ -222,17 +222,18 @@ func (p *parser) closeTo(i int, h Handler) {
 
 // reset drops what a parse left behind, including every reference into the
 // page — the tokenizer's source and attribute scratch; run itself leaves
-// open empty and cleared — and keeps the storage.
+// open empty and cleared, and the tokenizer its key set — and keeps the
+// storage.
 func (p *parser) reset() {
 	attrs := p.tz.attrs[:cap(p.tz.attrs)]
 	clear(attrs)
-	p.tz = tokenizer{attrs: attrs[:0]}
+	p.tz = tokenizer{attrs: attrs[:0], keys: p.tz.keys}
 	p.overflow, p.pending, p.pendingCollapsed = 0, "", false
 	p.textBuf = p.textBuf[:0]
 }
 
 // maxPooledScratch bounds, in bytes, the text and attribute scratch an idle
-// parser may keep, as maxPooledNodes bounds a workspace's arena: one text
+// parser may keep, as maxPooledNodes bounds a workspace's slabs: one text
 // run of megabytes must not stay pinned in a pool.
 const maxPooledScratch = 1 << 16
 

@@ -1,16 +1,17 @@
 package htmlparse
 
 import (
+	"strings"
 	"sync"
 
 	"autowrap/internal/dom"
 )
 
-// Tree is a reusable parse workspace: a node arena plus tokenizer and text
-// scratch that survive across parses. In steady state a recycled Tree parses
-// a page with no node allocations at all — nodes, their Children and Attrs
-// slices, the open-element stack and the parser's own scratch are all
-// reused at their converged capacities.
+// Tree is a reusable parse workspace: the node, attribute and child slabs
+// of a tree builder that survive across parses. In steady state a recycled
+// Tree parses a page with no allocations at all — nodes, their Attrs and
+// Children and the open-element stack are reused at their converged
+// capacities, and the parser's scratch is Stream's pooled one.
 //
 // The tree returned by Parse is owned by the workspace: it is valid until
 // the next Parse on the same workspace or until Release, both of which zero
@@ -29,10 +30,7 @@ import (
 // A Tree is not safe for concurrent use; the pool hands each goroutine its
 // own.
 type Tree struct {
-	arena []*dom.Node
-	used  int
-	stack []*dom.Node
-	p     parser
+	b treeBuilder
 }
 
 // Parse builds a document tree from HTML source. It never returns an error:
@@ -45,42 +43,87 @@ type Tree struct {
 // points), which stored-page extraction relies on: text-node identity must
 // not shift between the original parse and a reparse of the serialization.
 //
-// Parse allocates a fresh tree the caller owns forever. Hot paths that
-// discard the tree after use should go through AcquireTree/Tree.Parse/
-// Release instead, which recycles node and scratch storage.
+// Parse builds into fresh slabs that the returned tree owns forever: a page
+// costs a few allocations, not one per node. Hot paths that discard the
+// tree after use should go through AcquireTree/Tree.Parse/Release instead,
+// which recycles the slabs.
 func Parse(src string) *dom.Node {
-	var t Tree
-	return t.parse(src)
+	var b treeBuilder
+	return b.build(src)
 }
 
-// parse is the tree-building use of the one parser, shared by the
-// package-level Parse (throwaway workspace) and the pooled Tree path. All
-// nodes come from the tree's arena; any tree returned by a previous parse
-// on the same workspace is invalidated.
-func (t *Tree) parse(src string) *dom.Node {
-	if t.used > 0 { // a second Parse without a Release; a pooled tree arrives reset
-		t.reset()
+// treeBuilder is the Handler that builds a tree: the parser's events woven
+// into slab nodes under a stack of the open ones. Nodes come in document
+// order, so a node's children are numbered after it and before its next
+// sibling; the builder only counts them during the parse, and finish lays
+// every node's Children out in one array.
+type treeBuilder struct {
+	nodes slab[dom.Node]
+	attrs slab[dom.Attr]
+	// kids holds every node's Children back to back.
+	kids []*dom.Node
+	// children counts each node's children, by node number, until finish.
+	children []int32
+	stack    []openNode
+}
+
+// openNode is an open container and its node number.
+type openNode struct {
+	n *dom.Node
+	i int32
+}
+
+// nodeHint estimates how many nodes src parses into: about one a '<' —
+// an element has its start tag and, mostly, an end tag, and a text node
+// mostly sits between two tags. Generated listing pages hold 0.87–1.1 '<'
+// a node, so a first chunk of 9/8 of the count usually holds the page and
+// wastes little of itself.
+func nodeHint(src string) int { return strings.Count(src, "<")*9/8 + 16 }
+
+// build parses src into the builder's slabs and returns the document node.
+// The parser scratch is Stream's pooled one: nothing the tree keeps points
+// into it.
+func (b *treeBuilder) build(src string) *dom.Node {
+	if len(b.children) > 0 { // a second Parse without a Release; a pooled tree arrives reset
+		b.reset()
 	}
-	doc := t.newNode()
-	doc.Type = dom.DocumentNode
-	t.stack = append(t.stack, doc)
-	t.p.run(src, (*treeBuilder)(t))
+	if b.children == nil { // a fresh builder: size it for the page
+		hint := nodeHint(src)
+		b.nodes.hint, b.attrs.hint = hint, hint/4
+		b.children = make([]int32, 0, min(hint, 4*maxChunk))
+		b.stack = make([]openNode, 0, 32)
+	}
+	doc := b.node(dom.DocumentNode)
+	b.stack = append(b.stack, openNode{doc, 0})
+	Stream(src, b)
+	b.stack = b.stack[:0]
+	b.finish()
 	return doc
 }
 
-// treeBuilder is the Handler that builds a Tree: the parser's events woven
-// into arena nodes under a stack of the open ones.
-type treeBuilder Tree
+// node hands out the next slab node, the last child of the innermost open
+// element.
+func (b *treeBuilder) node(typ dom.NodeType) *dom.Node {
+	n := &b.nodes.alloc(1)[0]
+	n.Type = typ
+	if k := len(b.stack); k > 0 {
+		n.Parent = b.stack[k-1].n
+		b.children[b.stack[k-1].i]++
+	}
+	b.children = append(b.children, 0)
+	return n
+}
 
 func (b *treeBuilder) StartElement(tag string, attrs []dom.Attr, container bool) {
-	el := (*Tree)(b).newNode()
-	el.Type = dom.ElementNode
+	el := b.node(dom.ElementNode)
 	el.Tag = tag
-	el.Attrs = append(el.Attrs, attrs...)
+	if len(attrs) > 0 {
+		el.Attrs = b.attrs.alloc(len(attrs))
+		copy(el.Attrs, attrs)
+	}
 	el.Raw = dom.IsRaw(tag)
-	b.stack[len(b.stack)-1].Append(el)
 	if container {
-		b.stack = append(b.stack, el)
+		b.stack = append(b.stack, openNode{el, int32(len(b.children) - 1)})
 	}
 }
 
@@ -89,42 +132,112 @@ func (b *treeBuilder) EndElement(string) { b.stack = b.stack[:len(b.stack)-1] }
 func (b *treeBuilder) WantText() bool { return true }
 
 func (b *treeBuilder) Text(data string, raw bool) {
-	text := (*Tree)(b).newNode()
-	text.Type = dom.TextNode
-	text.Data = data
-	b.stack[len(b.stack)-1].Append(text)
+	b.node(dom.TextNode).Data = data
 }
 
-// newNode hands out the next arena node, growing the arena one node at a
-// time (each node is its own heap object, so growing the index slice never
-// invalidates pointers already woven into the tree). Recycled nodes were
-// zeroed by reset.
-func (t *Tree) newNode() *dom.Node {
-	if t.used == len(t.arena) {
-		t.arena = append(t.arena, &dom.Node{})
+// finish gives every node its Children, laid out in node order in one
+// array. Each node's slice is capped at its length, so an Append to a
+// parsed node copies its children instead of overwriting the next node's.
+// A parent precedes its children, so one pass in node order both carves a
+// node's slice and appends the node to its parent's.
+func (b *treeBuilder) finish() {
+	total := len(b.children)
+	if cap(b.kids) < total-1 {
+		b.kids = make([]*dom.Node, total-1)
 	}
-	n := t.arena[t.used]
-	t.used++
-	return n
-}
-
-// reset zeroes everything the last parse wrote: node Tag/Data/Attrs and the
-// tokenizer alias the source string, and would otherwise keep a request's
-// HTML alive for as long as the workspace sits idle. Nodes keep their
-// (cleared) Children and Attrs storage.
-func (t *Tree) reset() {
-	for _, n := range t.arena[:t.used] {
-		clear(n.Attrs)
-		*n = dom.Node{Attrs: n.Attrs[:0], Children: n.Children[:0]}
+	kids, i := b.kids[:total-1], 0
+	for _, chunk := range b.nodes.chunks {
+		for j := range chunk {
+			if i == total {
+				return
+			}
+			n := &chunk[j]
+			if k := int(b.children[i]); k > 0 {
+				n.Children, kids = kids[:0:k], kids[k:]
+			}
+			if n.Parent != nil {
+				n.Parent.Children = append(n.Parent.Children, n)
+			}
+			i++
+		}
 	}
-	t.used = 0
-	t.stack = t.stack[:0]
-	t.p.reset()
 }
 
-// maxPooledNodes bounds how large a workspace the pool will retain: a
-// pathological page must not pin megabytes of arena forever. Oversized
-// workspaces are dropped on Release and the pool refills with fresh ones.
+// reset zeroes everything the last parse wrote: node Tag/Data/Attrs alias
+// the source string, and would otherwise keep a request's HTML alive for as
+// long as the workspace sits idle. The slabs themselves are kept.
+func (b *treeBuilder) reset() {
+	b.nodes.reset()
+	b.attrs.reset()
+	b.children = b.children[:0]
+	b.stack = b.stack[:0]
+}
+
+// maxChunk bounds, in elements, one chunk of a slab: a page past it grows by
+// more chunks of this size, so what a slab holds beyond its page stays
+// within one chunk.
+const maxChunk = 1 << 12
+
+// slab hands out runs of T carved from a few large chunks instead of one
+// heap object each. A chunk never moves or grows, so a run stays where it
+// was handed out, and each run is capped at its length, so appending to one
+// copies it instead of overwriting its neighbour. The chunks are sized to
+// hold hint elements between them; past it each holds a quarter of all
+// before it, so a hint that falls a little short costs a little more.
+type slab[T any] struct {
+	chunks [][]T
+	cur    int // index of the chunk being carved; len(chunks) before the first
+	n      int // elements of chunks[cur] handed out
+	size   int // elements in all chunks
+	hint   int // elements the page is expected to need
+}
+
+// alloc hands out the next k elements, zero unless a reset slab had them.
+func (s *slab[T]) alloc(k int) []T {
+	if s.cur == len(s.chunks) || s.n+k > len(s.chunks[s.cur]) {
+		s.next(k)
+	}
+	run := s.chunks[s.cur][s.n : s.n+k : s.n+k]
+	s.n += k
+	return run
+}
+
+// next moves to the following chunk, recycling it if it holds k elements
+// and making a new one in its place if it does not.
+func (s *slab[T]) next(k int) {
+	if s.cur < len(s.chunks) {
+		s.cur++
+	}
+	s.n = 0
+	if s.cur < len(s.chunks) && len(s.chunks[s.cur]) >= k {
+		return
+	}
+	size := max(s.hint-s.size, s.size/4, 16)
+	chunk := make([]T, max(k, min(size, maxChunk)))
+	if s.cur < len(s.chunks) {
+		s.size -= len(s.chunks[s.cur])
+		s.chunks[s.cur] = chunk
+	} else {
+		s.chunks = append(s.chunks, chunk)
+	}
+	s.size += len(chunk)
+}
+
+// reset zeroes what was handed out and rewinds to the first chunk.
+func (s *slab[T]) reset() {
+	for i := 0; i < s.cur && i < len(s.chunks); i++ {
+		clear(s.chunks[i])
+	}
+	if s.cur < len(s.chunks) {
+		clear(s.chunks[s.cur][:s.n])
+	}
+	s.cur, s.n = 0, 0
+}
+
+// maxPooledNodes bounds how large a workspace the pool will retain, in
+// nodes and in attributes: a pathological page must not pin megabytes of
+// slab forever. Oversized workspaces are dropped on Release and the pool
+// refills with fresh ones.
 const maxPooledNodes = 1 << 14
 
 var treePool = sync.Pool{New: func() any { return new(Tree) }}
@@ -132,19 +245,19 @@ var treePool = sync.Pool{New: func() any { return new(Tree) }}
 // AcquireTree takes a parse workspace from the pool. Pair with Release.
 func AcquireTree() *Tree { return treePool.Get().(*Tree) }
 
-// Parse parses src into the workspace, recycling node and scratch storage
-// from previous parses. The returned tree is invalidated by the next Parse
-// or Release on this workspace; see the Tree doc for the ownership rules.
-func (t *Tree) Parse(src string) *dom.Node { return t.parse(src) }
+// Parse parses src into the workspace, recycling the slabs of previous
+// parses. The returned tree is invalidated by the next Parse or Release on
+// this workspace; see the Tree doc for the ownership rules.
+func (t *Tree) Parse(src string) *dom.Node { return t.b.build(src) }
 
 // Release returns the workspace to the pool, cleared of every reference to
 // the page it parsed. The last parsed tree must no longer be referenced.
 // Oversized workspaces are dropped instead of pooled.
 func (t *Tree) Release() {
-	if len(t.arena) > maxPooledNodes || t.p.oversized() {
+	if t.b.nodes.size > maxPooledNodes || t.b.attrs.size > maxPooledNodes {
 		return
 	}
-	t.reset()
+	t.b.reset()
 	treePool.Put(t)
 }
 

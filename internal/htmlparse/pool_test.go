@@ -47,20 +47,21 @@ func TestTreeParseMatchesParse(t *testing.T) {
 	}
 }
 
-// TestTreeParseRecyclesNodes proves the arena actually recycles: after a
+// TestTreeParseRecyclesNodes proves the slabs actually recycle: after a
 // first parse warms the workspace, reparsing a page of the same shape must
-// not grow the arena.
+// not grow them.
 func TestTreeParseRecyclesNodes(t *testing.T) {
 	tr := AcquireTree()
 	defer tr.Release()
 	src := "<html><body><div class='x'><p>a</p><p>b</p></div></body></html>"
 	tr.Parse(src)
-	warm := len(tr.arena)
+	nodes, attrs, kids := tr.b.nodes.size, tr.b.attrs.size, cap(tr.b.kids)
 	for i := 0; i < 10; i++ {
 		tr.Parse(src)
 	}
-	if len(tr.arena) != warm {
-		t.Fatalf("arena grew from %d to %d nodes on identical reparses", warm, len(tr.arena))
+	if tr.b.nodes.size != nodes || tr.b.attrs.size != attrs || cap(tr.b.kids) != kids {
+		t.Fatalf("slabs grew from %d/%d/%d to %d/%d/%d (nodes/attrs/children) on identical reparses",
+			nodes, attrs, kids, tr.b.nodes.size, tr.b.attrs.size, cap(tr.b.kids))
 	}
 }
 
@@ -78,7 +79,7 @@ func TestTreeParseAllocs(t *testing.T) {
 	}
 }
 
-// TestTreeReleaseDropsOversized: a pathological parse must not pin its arena
+// TestTreeReleaseDropsOversized: a pathological parse must not pin its slabs
 // in the pool forever.
 func TestTreeReleaseDropsOversized(t *testing.T) {
 	tr := &Tree{}
@@ -87,8 +88,8 @@ func TestTreeReleaseDropsOversized(t *testing.T) {
 		sb.WriteString("<br>")
 	}
 	tr.Parse(sb.String())
-	if len(tr.arena) <= maxPooledNodes {
-		t.Skipf("arena only reached %d nodes", len(tr.arena))
+	if tr.b.nodes.size <= maxPooledNodes {
+		t.Skipf("node slab only reached %d nodes", tr.b.nodes.size)
 	}
 	tr.Release() // must not panic; the workspace is simply dropped
 }
@@ -141,41 +142,38 @@ func TestResetParserDoesNotPinSource(t *testing.T) {
 	pincheck.Freed(t, pincheck.Page, func(page string) any {
 		p := new(parser)
 		var b treeBuilder
-		b.stack = append(b.stack, (*Tree)(&b).newNode())
+		b.stack = append(b.stack, openNode{b.node(dom.DocumentNode), 0})
 		p.run(page, &b)
 		p.reset()
 		return p
 	})
 }
 
-// TestReleaseZeroesNodes: after Release every used node is zero except for
-// its recycled (and cleared) Children and Attrs storage, the tokenizer
-// scratch holds nothing.
+// TestReleaseZeroesNodes: after Release no slab holds anything the parse
+// wrote — every node and attribute is zero — and the slabs themselves are
+// kept for the next parse.
 func TestReleaseZeroesNodes(t *testing.T) {
 	tr := &Tree{}
 	tr.Parse(`<ul a="1" b='2' c=3>` + strings.Repeat("<li class=k>x</li>", 40) + "</ul><p class=k>narrow</p>")
 	tr.Release()
-	if tr.used != 0 || tr.p.tz.src != "" || len(tr.stack) != 0 {
-		t.Fatalf("workspace not reset: used=%d len(src)=%d stack=%d", tr.used, len(tr.p.tz.src), len(tr.stack))
+	if len(tr.b.children) != 0 || len(tr.b.stack) != 0 {
+		t.Fatalf("workspace not reset: %d nodes, stack %d", len(tr.b.children), len(tr.b.stack))
 	}
-	kept := 0
-	for i, n := range tr.arena {
-		if n.Type != 0 || n.Tag != "" || n.Data != "" || n.Raw || n.Parent != nil || len(n.Attrs) != 0 || len(n.Children) != 0 {
-			t.Fatalf("arena node %d not zeroed: %+v", i, n)
-		}
-		for _, a := range n.Attrs[:cap(n.Attrs)] {
-			if a != (dom.Attr{}) {
-				t.Fatalf("arena node %d keeps a stale attribute %v", i, a)
+	for c, chunk := range tr.b.nodes.chunks {
+		for i, n := range chunk {
+			if n.Type != 0 || n.Tag != "" || n.Data != "" || n.Raw || n.Parent != nil || n.Attrs != nil || n.Children != nil {
+				t.Fatalf("slab node %d/%d not zeroed: %+v", c, i, n)
 			}
 		}
-		kept += cap(n.Children) + cap(n.Attrs)
 	}
-	if kept == 0 {
-		t.Fatal("reset threw the nodes' Children and Attrs storage away")
-	}
-	for _, a := range tr.p.tz.attrs[:cap(tr.p.tz.attrs)] {
-		if a != (dom.Attr{}) {
-			t.Fatalf("tokenizer scratch keeps a stale attribute %v", a)
+	for c, chunk := range tr.b.attrs.chunks {
+		for i, a := range chunk {
+			if a != (dom.Attr{}) {
+				t.Fatalf("slab attribute %d/%d keeps %v", c, i, a)
+			}
 		}
+	}
+	if tr.b.nodes.size == 0 || tr.b.attrs.size == 0 || cap(tr.b.kids) == 0 {
+		t.Fatal("reset threw the slabs away")
 	}
 }

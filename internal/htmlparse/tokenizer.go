@@ -44,9 +44,12 @@ type tokenizer struct {
 	// raw marks a tokText that is script/style content, never decoded.
 	raw bool
 	// attrs holds a start tag's attributes in reused storage, at most
-	// maxAttrs of them; the parser hands it to the handler, which copies
-	// what it keeps.
+	// maxAttrs of them and the first of each name; the parser hands it to
+	// the handler, which copies what it keeps.
 	attrs []dom.Attr
+	// keys is the set of attrs' names while a tag of more than keepScan
+	// attributes is scanned, empty otherwise.
+	keys map[string]struct{}
 }
 
 // maxAttrs is how many attributes a start tag keeps, as maxDepth is how
@@ -54,6 +57,45 @@ type tokenizer struct {
 // a '>' inside a quoted value still does not end the tag — and dropped, so
 // a tag of millions of attributes costs a scan, not gigabytes of them.
 const maxAttrs = 512
+
+// keepScan is how many kept attributes keep looks through one by one; a tag
+// with more has their keys put in a set.
+const keepScan = 8
+
+// keep reports whether the start tag being scanned keeps its attribute
+// named key: the first of repeated attributes wins, as in HTML, so the
+// tree, the token stream, the serialization and the learner's features all
+// see one value for a name; and at most maxAttrs are kept. The check costs
+// a short scan on an ordinary tag and a set lookup on a tag of hundreds of
+// attributes, so a tag of millions of copies of one name costs a lookup a
+// copy.
+func (t *tokenizer) keep(key string) bool {
+	n := len(t.attrs)
+	switch {
+	case n >= maxAttrs:
+		return false
+	case n < keepScan:
+		for i := range t.attrs {
+			if t.attrs[i].Key == key {
+				return false
+			}
+		}
+		return true
+	}
+	if len(t.keys) == 0 {
+		if t.keys == nil {
+			t.keys = make(map[string]struct{}, maxAttrs)
+		}
+		for _, a := range t.attrs {
+			t.keys[a.Key] = struct{}{}
+		}
+	}
+	if _, dup := t.keys[key]; dup {
+		return false
+	}
+	t.keys[key] = struct{}{}
+	return true
+}
 
 // next scans the next token into t, or returns false at end of input.
 func (t *tokenizer) next() bool {
@@ -206,9 +248,12 @@ func (t *tokenizer) tag() bool {
 				skipSpace(src, &q)
 				val = scanAttrValue(src, &q)
 			}
-			if len(t.attrs) < maxAttrs {
+			if t.keep(key) {
 				t.attrs = append(t.attrs, dom.Attr{Key: key, Val: decodeEntities(val)})
 			}
+		}
+		if len(t.keys) > 0 {
+			clear(t.keys) // they alias the page
 		}
 		t.pos = q
 		if t.typ == tokStartTag && dom.IsRaw(name) {

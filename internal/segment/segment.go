@@ -42,29 +42,30 @@ func (o Options) withDefaults() Options {
 // never cross page boundaries; a page containing fewer than two boundary
 // nodes contributes none.
 func Segments(c *corpus.Corpus, x *bitset.Set, opt Options) [][]int32 {
-	opt = opt.withDefaults()
-	var segs [][]int32
-	perPage := make([][]int, len(c.Pages))
-	x.ForEach(func(ord int) {
-		p := c.PageOf(ord)
-		perPage[p] = append(perPage[p], c.IndexInPage(ord))
-	})
-	for pi, idxs := range perPage {
-		page := c.Pages[pi]
-		for i := 0; i+1 < len(idxs); i++ {
-			start := page.TextPos[idxs[i]]
-			end := page.TextPos[idxs[i+1]]
-			if end <= start {
-				continue
-			}
-			seg := page.Tokens[start:end]
-			if len(seg) > opt.MaxSegmentTokens {
-				seg = seg[:opt.MaxSegmentTokens]
-			}
-			segs = append(segs, seg)
-		}
-	}
+	segs, _ := cut(c, x, opt.withDefaults(), -1)
 	return segs
+}
+
+// cut counts the record segments x induces and builds the first limit of
+// them (all of them for a negative limit), in one pass over x. Ordinals are
+// numbered page by page, so consecutive members of x on one page bound a
+// segment and a page change starts the next page's run.
+func cut(c *corpus.Corpus, x *bitset.Set, opt Options, limit int) (segs [][]int32, n int) {
+	prevPage, prevPos := -1, 0
+	x.ForEach(func(ord int) {
+		pi := c.PageOf(ord)
+		page := c.Pages[pi]
+		pos := page.TextPos[c.IndexInPage(ord)]
+		if pi == prevPage && pos > prevPos {
+			if limit < 0 || n < limit {
+				seg := page.Tokens[prevPos:pos]
+				segs = append(segs, seg[:min(len(seg), opt.MaxSegmentTokens)])
+			}
+			n++
+		}
+		prevPage, prevPos = pi, pos
+	})
+	return segs, n
 }
 
 // Features are the two list-goodness measures of Sec. 6.1.
@@ -83,11 +84,15 @@ type Features struct {
 // Compute derives the features of the list x. ok is false when x induces
 // fewer than two segments, in which case the features are undefined and the
 // publication model must fall back to a penalty.
+//
+// samplePairs takes adjacent pairs first, so of more than MaxPairs+1
+// segments it reads the first MaxPairs+1 only: those are all Compute cuts,
+// while it counts the rest.
 func Compute(c *corpus.Corpus, x *bitset.Set, opt Options) (Features, bool) {
 	opt = opt.withDefaults()
-	segs := Segments(c, x, opt)
-	if len(segs) < 2 {
-		return Features{NumSegments: len(segs)}, false
+	segs, n := cut(c, x, opt, opt.MaxPairs+1)
+	if n < 2 {
+		return Features{NumSegments: n}, false
 	}
 	pairs := samplePairs(len(segs), opt.MaxPairs)
 	var schemaSizes []int
@@ -103,7 +108,7 @@ func Compute(c *corpus.Corpus, x *bitset.Set, opt Options) (Features, bool) {
 	return Features{
 		SchemaSize:  median(schemaSizes),
 		Alignment:   maxDist,
-		NumSegments: len(segs),
+		NumSegments: n,
 	}, true
 }
 

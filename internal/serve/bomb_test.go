@@ -4,8 +4,10 @@ import (
 	"net/http"
 	"runtime"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"autowrap/internal/corpus"
 	"autowrap/internal/dom"
@@ -105,14 +107,33 @@ func TestNestingBomb(t *testing.T) {
 // of them, such a page made Stream allocate 3 GB and Parse 6.5 GB — a
 // 32-byte dom.Attr each, in slices doubling to hold them. Every route must
 // now answer from little more memory than the page itself.
+//
+// The tokenizer also keeps only the first of repeated attributes, checked
+// while fewer than maxAttrs are kept. The second bomb aims at that check:
+// 511 distinct names, then millions of copies of the 511th, each of which
+// a scan of the kept attributes would compare with all 511.
 func TestAttributeBomb(t *testing.T) {
 	if race.Enabled {
 		t.Skip("tens of megabytes a page; the race job's budget goes to concurrency")
 	}
 	const record = `<div class="a">alpha-0-0</div>`
-	bomb := func(bytes int) string {
+	// bomb fills one start tag with attributes k0, k1, ... up to the given
+	// size — with repeat, k510 over and over past the 511th.
+	bomb := func(bytes int, repeat bool) string {
 		head, tail := "<html><body>"+record+"<a", ">x</a></body></html>"
-		return head + strings.Repeat(" b", (bytes-len(head)-len(tail))/2) + tail
+		buf := make([]byte, 0, bytes)
+		buf = append(buf, head...)
+		for i := 0; ; i++ {
+			if repeat {
+				i = min(i, 510)
+			}
+			attr := strconv.AppendInt([]byte(" k"), int64(i), 10)
+			if len(buf)+len(attr)+len(tail) > bytes {
+				break
+			}
+			buf = append(buf, attr...)
+		}
+		return string(append(buf, tail...))
 	}
 	// allocated runs fn and reports the bytes it allocated, across every
 	// goroutine — the HTTP server's included.
@@ -125,63 +146,78 @@ func TestAttributeBomb(t *testing.T) {
 	}
 
 	t.Run("ExtractOne", func(t *testing.T) {
-		page := bomb(32 << 20)
 		xp, err := xpinduct.CompileRule(`//text()`)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, tc := range []struct {
-			p    wrapper.Portable
-			want []string
-		}{{xp, []string{"alpha-0-0", "x"}}, {wrapperFor("a"), []string{"alpha-0-0"}}} {
-			var res extract.Result
-			n := allocated(func() {
-				res = extract.New(tc.p, extract.Options{}).ExtractOne(extract.Page{ID: "bomb", HTML: page})
-			})
-			if res.Err != nil || !slices.Equal(res.Texts, tc.want) {
-				t.Fatalf("%s: texts %q, err %v", tc.p.Lang(), res.Texts, res.Err)
+		// took[repeat] is the slower rule's time on that bomb: the check
+		// that drops repeats must be as linear as the scan it rides on.
+		var took [2]time.Duration
+		for r, repeat := range []bool{false, true} {
+			page := bomb(32<<20, repeat)
+			for _, tc := range []struct {
+				p    wrapper.Portable
+				want []string
+			}{{xp, []string{"alpha-0-0", "x"}}, {wrapperFor("a"), []string{"alpha-0-0"}}} {
+				var res extract.Result
+				start := time.Now()
+				n := allocated(func() {
+					res = extract.New(tc.p, extract.Options{}).ExtractOne(extract.Page{ID: "bomb", HTML: page})
+				})
+				took[r] = max(took[r], time.Since(start))
+				if res.Err != nil || !slices.Equal(res.Texts, tc.want) {
+					t.Fatalf("%s: texts %q, err %v", tc.p.Lang(), res.Texts, res.Err)
+				}
+				if n > 8*uint64(len(page)) {
+					t.Fatalf("%s: a %d-byte page allocated %d bytes", tc.p.Lang(), len(page), n)
+				}
 			}
-			if n > 8*uint64(len(page)) {
-				t.Fatalf("%s: a %d-byte page allocated %d bytes", tc.p.Lang(), len(page), n)
-			}
+		}
+		if took[1] > 10*took[0] {
+			t.Fatalf("the repeated-name bomb took %v, the distinct-name one %v: the repeat check is not linear", took[1], took[0])
 		}
 	})
 
-	// The tree keeps the first maxAttrs attributes, and what it keeps is a
-	// fixed point of serialize → reparse.
+	// The tree keeps the first maxAttrs attributes, the first of each name,
+	// and what it keeps is a fixed point of serialize → reparse.
 	t.Run("corpus", func(t *testing.T) {
-		page := bomb(4 << 20)
-		var c *corpus.Corpus
-		var html string
-		n := allocated(func() {
-			c = corpus.ParseHTML([]string{page})
-			html = dom.Serialize(c.Pages[0].Root)
-		})
-		if n > 8*uint64(len(page)) {
-			t.Fatalf("a %d-byte page allocated %d bytes to parse and serialize", len(page), n)
-		}
-		kept := -1
-		c.Pages[0].Root.Walk(func(n *dom.Node) bool {
-			if n.IsElement("a") {
-				kept = len(n.Attrs)
+		for _, tc := range []struct {
+			repeat bool
+			want   int
+		}{{false, 512}, {true, 511}} {
+			page := bomb(4<<20, tc.repeat)
+			var c *corpus.Corpus
+			var html string
+			n := allocated(func() {
+				c = corpus.ParseHTML([]string{page})
+				html = dom.Serialize(c.Pages[0].Root)
+			})
+			if n > 8*uint64(len(page)) {
+				t.Fatalf("a %d-byte page allocated %d bytes to parse and serialize", len(page), n)
 			}
-			return true
-		})
-		if kept != 512 {
-			t.Fatalf("the bomb's tag kept %d attributes, want 512", kept)
-		}
-		if again := dom.Serialize(htmlparse.Parse(html)); again != html {
-			t.Fatal("the capped tree is not a fixed point of serialize → reparse")
-		}
-		if c.NumTexts() != 2 {
-			t.Fatalf("the corpus indexes %d texts, want 2", c.NumTexts())
+			kept := -1
+			c.Pages[0].Root.Walk(func(n *dom.Node) bool {
+				if n.IsElement("a") {
+					kept = len(n.Attrs)
+				}
+				return true
+			})
+			if kept != tc.want {
+				t.Fatalf("repeat=%v: the bomb's tag kept %d attributes, want %d", tc.repeat, kept, tc.want)
+			}
+			if again := dom.Serialize(htmlparse.Parse(html)); again != html {
+				t.Fatal("the capped tree is not a fixed point of serialize → reparse")
+			}
+			if c.NumTexts() != 2 {
+				t.Fatalf("the corpus indexes %d texts, want 2", c.NumTexts())
+			}
 		}
 	})
 
 	t.Run("POST /v1/extract", func(t *testing.T) {
 		_, hs := newTestServer(t, twoVersionStore(t), nil)
 		head, tail := `{"site":"shop","page":{"id":"bomb","html":"`, `"}}`
-		page := strings.ReplaceAll(bomb(32<<20-len(head)-len(tail)-2), `"`, `\"`)
+		page := strings.ReplaceAll(bomb(32<<20-len(head)-len(tail)-2, false), `"`, `\"`)
 		body := head + page + tail
 		if len(body) > 32<<20 {
 			t.Fatalf("the request is %d bytes, over the cap", len(body))

@@ -32,6 +32,9 @@ type FeatureSpace struct {
 	attrs     []Attr
 	attrIDs   map[Attr]int32
 	byKey     map[featKey]int32
+	// slab is what is left of the array nodes' first feature lists are
+	// carved from.
+	slab []int32
 
 	// renderRule converts an intersected feature set into the wrapper
 	// language's native syntax.
@@ -84,15 +87,34 @@ func (fs *FeatureSpace) FeatureID(a Attr, value string) int32 {
 	return fid
 }
 
+// featSlab is how many feature ids one array of node feature lists holds.
+const featSlab = 1 << 13
+
 // Attach gives the text node with the given ordinal every feature in fids.
 // A feature the node already has is skipped.
+//
+// A node's first list is carved from a shared array, capped at its length,
+// so a later Attach to the same node copies it instead of writing over the
+// next node's list: a text node costs no allocation of its own.
 func (fs *FeatureSpace) Attach(ord int, fids []int32) {
-	feats := slices.Grow(fs.nodeFeats[ord], len(fids))
+	feats, carve := fs.nodeFeats[ord], fs.nodeFeats[ord] == nil
+	if carve {
+		if len(fs.slab) < len(fids) {
+			fs.slab = make([]int32, max(featSlab, len(fids)))
+		}
+		feats = fs.slab[:0:len(fids)]
+	} else {
+		feats = slices.Grow(feats, len(fids))
+	}
 	for _, fid := range fids {
 		if bits := fs.featBits[fid]; !bits.Has(ord) {
 			bits.Add(ord)
 			feats = append(feats, fid)
 		}
+	}
+	if carve {
+		feats = feats[:len(feats):len(feats)]
+		fs.slab = fs.slab[len(feats):]
 	}
 	fs.nodeFeats[ord] = feats
 }

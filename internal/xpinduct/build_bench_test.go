@@ -29,13 +29,15 @@ func BenchmarkNewLarge(b *testing.B) {
 	}
 }
 
-// buildAllocBudget is New's allocation ceiling on largeSite (≈ 9,500 text
-// nodes). What must be allocated is what leaves the call: one feature list a
-// text node, one bitset a feature, the interning maps — ≈ 10,600 in all. The
-// text-by-text construction this replaced made 169,000 (a map key per
-// (text, ancestor, feature), an ancestor slice per text); a return to
-// anything per (text, ancestor) breaks the budget several times over.
-const buildAllocBudget = 12_000
+// buildAllocBudget is New's allocation ceiling on largeSite (≈ 6,500 text
+// nodes). What must be allocated is what leaves the call: one bitset a
+// feature, an attribute name and child number string a feature first met,
+// the interning maps, and the feature lists — carved from shared arrays, a
+// few dozen for all the text nodes: ≈ 4,100 in all, and the budget is 1.25
+// × that. One list a text node, as the lists were before, breaks it; the
+// text-by-text construction before that made 169,000 (a map key per (text,
+// ancestor, feature), an ancestor slice per text).
+const buildAllocBudget = 5_200
 
 func TestBuildAllocBudget(t *testing.T) {
 	if race.Enabled {

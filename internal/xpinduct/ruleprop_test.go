@@ -76,6 +76,35 @@ func TestRuleEvalMatchesExtractionOnGeneratedSites(t *testing.T) {
 	}
 }
 
+// TestRepeatedAttributeRuleMatchesExtraction: a tag that repeats an
+// attribute name keeps the first copy only, so the learner interns one
+// feature for the name and the compiled rule — which, like Node.Attr,
+// reads one value a name — selects what the wrapper extracts. When every
+// copy became a feature the rule demanded both @class='rec' and
+// @class='y' of one element, and its compiled form matched nothing.
+func TestRepeatedAttributeRuleMatchesExtraction(t *testing.T) {
+	page := func(name string) string {
+		return `<html><body><ul><li class="other">Beta</li><li class="rec" class="y">` + name + `</li></ul></body></html>`
+	}
+	c := corpus.ParseHTML([]string{page("Alpha"), page("Gamma")})
+	labels := c.MatchingText(func(s string) bool { return s == "Alpha" || s == "Gamma" })
+	w, err := New(c, Options{}).Induce(labels)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := Compile(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, pg := range c.Pages {
+		got = append(got, p.ApplyHTML(pg.HTML)...)
+	}
+	if want := c.Contents(w.Extract()); !slices.Equal(got, want) || len(want) != 2 {
+		t.Fatalf("rule %q: compiled %q, extraction %q", w.Rule(), got, want)
+	}
+}
+
 // TestOddAttributesSurviveTheRule: every HTML attribute of every ancestor is
 // a feature, name and value verbatim, so whatever the tokenizer accepts the
 // rendered rule must be able to say — a '.' in a name, the literal's own
