@@ -32,16 +32,16 @@ func BenchmarkRepairLarge(b *testing.B) {
 // repairAllocBudget is the allocation ceiling of one repair of the table
 // churn site (12 pages of 150–200 records). What is left, by the allocation
 // profile, is per feature, per candidate and per decoded text, not per
-// node: the feature build's bitsets and interned attribute names (≈ 3,000),
+// node: the feature build's bitsets and interned attribute names (≈ 2,100),
 // ranking's edit-distance and common-substring tables (≈ 1,300),
 // induction's and enumeration's sets (≈ 1,500), segment sampling (≈ 250),
 // the decoded texts of the parse (≈ 200), and a few dozen a page for the
-// parse's slabs and the corpus index: ≈ 8,600 in all. The training parse
+// parse's slabs and the corpus index: ≈ 7,800 in all. The training parse
 // made ≈ 42,000 of its own before it built into slabs — a node and its
 // child slice each — and the annotator ≈ 7,000 lowered copies; the budget
 // is 1.25 × what is measured. Allocation volume is what the collector
 // bills the serving goroutines for while a heal runs beside them.
-const repairAllocBudget = 10_800
+const repairAllocBudget = 9_700
 
 func TestRepairAllocBudget(t *testing.T) {
 	if race.Enabled {

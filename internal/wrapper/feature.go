@@ -69,12 +69,25 @@ func NewFeatureSpace(name string, c *corpus.Corpus,
 // FeatureID interns the feature (a, value) — and a, when it is new — and
 // returns the feature's id.
 func (fs *FeatureSpace) FeatureID(a Attr, value string) int32 {
+	return fs.FeatureOf(fs.AttrID(a), value)
+}
+
+// AttrID interns the attribute a and returns its id. A constructor that
+// names one attribute for many features can ask once and intern each
+// feature with FeatureOf.
+func (fs *FeatureSpace) AttrID(a Attr) int32 {
 	aid, ok := fs.attrIDs[a]
 	if !ok {
 		aid = int32(len(fs.attrs))
 		fs.attrIDs[a] = aid
 		fs.attrs = append(fs.attrs, a)
 	}
+	return aid
+}
+
+// FeatureOf interns the feature (the attribute with id aid, value) and
+// returns its id.
+func (fs *FeatureSpace) FeatureOf(aid int32, value string) int32 {
 	key := featKey{aid, value}
 	fid, ok := fs.byKey[key]
 	if !ok {

@@ -31,13 +31,13 @@ func BenchmarkNewLarge(b *testing.B) {
 
 // buildAllocBudget is New's allocation ceiling on largeSite (≈ 6,500 text
 // nodes). What must be allocated is what leaves the call: one bitset a
-// feature, an attribute name and child number string a feature first met,
-// the interning maps, and the feature lists — carved from shared arrays, a
-// few dozen for all the text nodes: ≈ 4,100 in all, and the budget is 1.25
-// × that. One list a text node, as the lists were before, breaks it; the
-// text-by-text construction before that made 169,000 (a map key per (text,
-// ancestor, feature), an ancestor slice per text).
-const buildAllocBudget = 5_200
+// feature, an attribute name a feature first met, the interning maps, and
+// the feature lists — carved from shared arrays, a few dozen for all the
+// text nodes: ≈ 3,000 in all, and the budget is 1.25 × that. One list a
+// text node, as the lists were before, breaks it; the text-by-text
+// construction before that made 169,000 (a map key per (text, ancestor,
+// feature), an ancestor slice per text).
+const buildAllocBudget = 3_750
 
 func TestBuildAllocBudget(t *testing.T) {
 	if race.Enabled {

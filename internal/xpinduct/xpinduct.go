@@ -74,6 +74,13 @@ type builder struct {
 	ids   []int32 // the feature ids open nodes remember, back to back
 	feats []int32 // one text node's features, reused
 	ord   int     // ordinal of the next extractable text node
+
+	// Every node interns a tag and a child-number feature at each position
+	// it is met at, so those attributes' ids are kept by position, and the
+	// child-number features' ids by position and number, plus one (zero
+	// is not yet asked for).
+	posAttrs [][2]int32
+	posCNs   [][]int32
 }
 
 // frame is one open node.
@@ -142,8 +149,23 @@ func (b *builder) features(f *frame, pos int) [2]int {
 	}
 	if f.memo[pos-1][1] == 0 {
 		start := len(b.ids)
-		b.intern(wrapper.Attr{Kind: "tag", Pos: pos}, f.n.Tag)
-		b.intern(wrapper.Attr{Kind: "cn", Pos: pos}, strconv.Itoa(f.cn))
+		for len(b.posAttrs) < pos {
+			at := len(b.posAttrs) + 1
+			b.posAttrs = append(b.posAttrs, [2]int32{
+				b.fs.AttrID(wrapper.Attr{Kind: "tag", Pos: at}),
+				b.fs.AttrID(wrapper.Attr{Kind: "cn", Pos: at}),
+			})
+			b.posCNs = append(b.posCNs, nil)
+		}
+		attrs, cns := b.posAttrs[pos-1], &b.posCNs[pos-1]
+		b.ids = append(b.ids, b.fs.FeatureOf(attrs[0], f.n.Tag))
+		if f.cn >= len(*cns) {
+			*cns = append(*cns, make([]int32, f.cn+1-len(*cns))...)
+		}
+		if (*cns)[f.cn] == 0 {
+			(*cns)[f.cn] = b.fs.FeatureOf(attrs[1], strconv.Itoa(f.cn)) + 1
+		}
+		b.ids = append(b.ids, (*cns)[f.cn]-1)
 		for _, a := range f.n.Attrs {
 			if !b.ignored[a.Key] {
 				b.intern(wrapper.Attr{Kind: "@" + a.Key, Pos: pos}, a.Val)
