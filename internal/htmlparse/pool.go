@@ -104,11 +104,12 @@ func (b *treeBuilder) build(src string) *dom.Node {
 // node hands out the next slab node, the last child of the innermost open
 // element.
 func (b *treeBuilder) node(typ dom.NodeType) *dom.Node {
-	n := &b.nodes.alloc(1)[0]
+	n := b.nodes.one()
 	n.Type = typ
 	if k := len(b.stack); k > 0 {
-		n.Parent = b.stack[k-1].n
-		b.children[b.stack[k-1].i]++
+		top := b.stack[k-1]
+		n.Parent = top.n
+		b.children[top.i]++
 	}
 	b.children = append(b.children, 0)
 	return n
@@ -200,6 +201,15 @@ func (s *slab[T]) alloc(k int) []T {
 	run := s.chunks[s.cur][s.n : s.n+k : s.n+k]
 	s.n += k
 	return run
+}
+
+// one hands out the next element, as alloc(1) does.
+func (s *slab[T]) one() *T {
+	if s.cur == len(s.chunks) || s.n == len(s.chunks[s.cur]) {
+		s.next(1)
+	}
+	s.n++
+	return &s.chunks[s.cur][s.n-1]
 }
 
 // next moves to the following chunk, recycling it if it holds k elements
