@@ -8,10 +8,10 @@ import (
 )
 
 // Tree is a reusable parse workspace: the node, attribute and child slabs
-// of a tree builder that survive across parses. In steady state a recycled
-// Tree parses a page with no allocations at all — nodes, their Attrs and
-// Children and the open-element stack are reused at their converged
-// capacities, and the parser's scratch is Stream's pooled one.
+// of a tree builder, and a parser's scratch, that survive across parses. In
+// steady state a recycled Tree parses a page with no allocations at all —
+// nodes, their Attrs and Children, the open-element stack and the parser's
+// own scratch are all reused at their converged capacities.
 //
 // The tree returned by Parse is owned by the workspace: it is valid until
 // the next Parse on the same workspace or until Release, both of which zero
@@ -31,6 +31,7 @@ import (
 // own.
 type Tree struct {
 	b treeBuilder
+	p parser
 }
 
 // Parse builds a document tree from HTML source. It never returns an error:
@@ -48,8 +49,10 @@ type Tree struct {
 // tree after use should go through AcquireTree/Tree.Parse/Release instead,
 // which recycles the slabs.
 func Parse(src string) *dom.Node {
+	p := parserPool.Get().(*parser)
+	defer p.release()
 	var b treeBuilder
-	return b.build(src)
+	return b.build(src, p)
 }
 
 // treeBuilder is the Handler that builds a tree: the parser's events woven
@@ -80,10 +83,9 @@ type openNode struct {
 // wastes little of itself.
 func nodeHint(src string) int { return strings.Count(src, "<")*9/8 + 16 }
 
-// build parses src into the builder's slabs and returns the document node.
-// The parser scratch is Stream's pooled one: nothing the tree keeps points
-// into it.
-func (b *treeBuilder) build(src string) *dom.Node {
+// build parses src with p into the builder's slabs and returns the document
+// node. Nothing the tree keeps points into p's scratch.
+func (b *treeBuilder) build(src string, p *parser) *dom.Node {
 	if len(b.children) > 0 { // a second Parse without a Release; a pooled tree arrives reset
 		b.reset()
 	}
@@ -95,7 +97,7 @@ func (b *treeBuilder) build(src string) *dom.Node {
 	}
 	doc := b.node(dom.DocumentNode)
 	b.stack = append(b.stack, openNode{doc, 0})
-	Stream(src, b)
+	p.run(src, b)
 	b.stack = b.stack[:0]
 	b.finish()
 	return doc
@@ -188,28 +190,29 @@ const maxChunk = 1 << 12
 type slab[T any] struct {
 	chunks [][]T
 	cur    int // index of the chunk being carved; len(chunks) before the first
-	n      int // elements of chunks[cur] handed out
+	free   []T // what chunks[cur] has not handed out
 	size   int // elements in all chunks
 	hint   int // elements the page is expected to need
 }
 
 // alloc hands out the next k elements, zero unless a reset slab had them.
 func (s *slab[T]) alloc(k int) []T {
-	if s.cur == len(s.chunks) || s.n+k > len(s.chunks[s.cur]) {
+	if len(s.free) < k {
 		s.next(k)
 	}
-	run := s.chunks[s.cur][s.n : s.n+k : s.n+k]
-	s.n += k
+	run := s.free[:k:k]
+	s.free = s.free[k:]
 	return run
 }
 
 // one hands out the next element, as alloc(1) does.
 func (s *slab[T]) one() *T {
-	if s.cur == len(s.chunks) || s.n == len(s.chunks[s.cur]) {
+	if len(s.free) == 0 {
 		s.next(1)
 	}
-	s.n++
-	return &s.chunks[s.cur][s.n-1]
+	e := &s.free[0]
+	s.free = s.free[1:]
+	return e
 }
 
 // next moves to the following chunk, recycling it if it holds k elements
@@ -218,8 +221,8 @@ func (s *slab[T]) next(k int) {
 	if s.cur < len(s.chunks) {
 		s.cur++
 	}
-	s.n = 0
 	if s.cur < len(s.chunks) && len(s.chunks[s.cur]) >= k {
+		s.free = s.chunks[s.cur]
 		return
 	}
 	size := max(s.hint-s.size, s.size/4, 16)
@@ -231,17 +234,20 @@ func (s *slab[T]) next(k int) {
 		s.chunks = append(s.chunks, chunk)
 	}
 	s.size += len(chunk)
+	s.free = chunk
 }
 
 // reset zeroes what was handed out and rewinds to the first chunk.
 func (s *slab[T]) reset() {
-	for i := 0; i < s.cur && i < len(s.chunks); i++ {
-		clear(s.chunks[i])
+	if s.cur == len(s.chunks) {
+		return // nothing handed out yet
 	}
-	if s.cur < len(s.chunks) {
-		clear(s.chunks[s.cur][:s.n])
+	for _, c := range s.chunks[:s.cur] {
+		clear(c)
 	}
-	s.cur, s.n = 0, 0
+	c := s.chunks[s.cur]
+	clear(c[:len(c)-len(s.free)])
+	s.cur, s.free = 0, s.chunks[0]
 }
 
 // maxPooledNodes bounds how large a workspace the pool will retain, in
@@ -258,13 +264,17 @@ func AcquireTree() *Tree { return treePool.Get().(*Tree) }
 // Parse parses src into the workspace, recycling the slabs of previous
 // parses. The returned tree is invalidated by the next Parse or Release on
 // this workspace; see the Tree doc for the ownership rules.
-func (t *Tree) Parse(src string) *dom.Node { return t.b.build(src) }
+func (t *Tree) Parse(src string) *dom.Node {
+	doc := t.b.build(src, &t.p)
+	t.p.reset()
+	return doc
+}
 
 // Release returns the workspace to the pool, cleared of every reference to
 // the page it parsed. The last parsed tree must no longer be referenced.
 // Oversized workspaces are dropped instead of pooled.
 func (t *Tree) Release() {
-	if t.b.nodes.size > maxPooledNodes || t.b.attrs.size > maxPooledNodes {
+	if t.b.nodes.size > maxPooledNodes || t.b.attrs.size > maxPooledNodes || t.p.oversized() {
 		return
 	}
 	t.b.reset()
@@ -280,6 +290,12 @@ var parserPool = sync.Pool{New: func() any { return new(parser) }}
 func Stream(src string, h Handler) {
 	p := parserPool.Get().(*parser)
 	p.run(src, h)
+	p.release()
+}
+
+// release returns a pooled parser to its pool, reset, unless it grew
+// oversized.
+func (p *parser) release() {
 	if p.oversized() {
 		return
 	}

@@ -72,7 +72,7 @@ func TestTreeParseAllocs(t *testing.T) {
 	tr := AcquireTree()
 	defer tr.Release()
 	src := "<html><body><table><tr><td>alpha</td><td>beta</td></tr></table></body></html>"
-	tr.Parse(src) // warm the arena
+	tr.Parse(src) // warm the slabs
 	avg := testing.AllocsPerRun(100, func() { tr.Parse(src) })
 	if avg > 0 {
 		t.Fatalf("pooled reparse allocates %.1f times per run, want 0", avg)
@@ -150,14 +150,14 @@ func TestResetParserDoesNotPinSource(t *testing.T) {
 }
 
 // TestReleaseZeroesNodes: after Release no slab holds anything the parse
-// wrote — every node and attribute is zero — and the slabs themselves are
-// kept for the next parse.
+// wrote — every node and attribute is zero — the slabs themselves are kept
+// for the next parse, and the tokenizer scratch holds nothing.
 func TestReleaseZeroesNodes(t *testing.T) {
 	tr := &Tree{}
 	tr.Parse(`<ul a="1" b='2' c=3>` + strings.Repeat("<li class=k>x</li>", 40) + "</ul><p class=k>narrow</p>")
 	tr.Release()
-	if len(tr.b.children) != 0 || len(tr.b.stack) != 0 {
-		t.Fatalf("workspace not reset: %d nodes, stack %d", len(tr.b.children), len(tr.b.stack))
+	if len(tr.b.children) != 0 || len(tr.b.stack) != 0 || tr.p.tz.src != "" {
+		t.Fatalf("workspace not reset: %d nodes, stack %d, len(src)=%d", len(tr.b.children), len(tr.b.stack), len(tr.p.tz.src))
 	}
 	for c, chunk := range tr.b.nodes.chunks {
 		for i, n := range chunk {
@@ -171,6 +171,11 @@ func TestReleaseZeroesNodes(t *testing.T) {
 			if a != (dom.Attr{}) {
 				t.Fatalf("slab attribute %d/%d keeps %v", c, i, a)
 			}
+		}
+	}
+	for _, a := range tr.p.tz.attrs[:cap(tr.p.tz.attrs)] {
+		if a != (dom.Attr{}) {
+			t.Fatalf("tokenizer scratch keeps a stale attribute %v", a)
 		}
 	}
 	if tr.b.nodes.size == 0 || tr.b.attrs.size == 0 || cap(tr.b.kids) == 0 {
