@@ -18,6 +18,16 @@ func New(n int) *Set {
 	return &Set{words: make([]uint64, (n+63)/64), n: n}
 }
 
+// Over returns an empty set over a universe of n elements whose words are
+// the given ones: (n+63)/64 zero words, carved by the caller from an array
+// it shares among many sets and gives up to this one.
+func Over(n int, words []uint64) Set {
+	if len(words) != (n+63)/64 {
+		panic("bitset: wrong number of words for the universe")
+	}
+	return Set{words: words[:len(words):len(words)], n: n}
+}
+
 // Full returns a set with all n elements present.
 func Full(n int) *Set {
 	s := New(n)
@@ -214,6 +224,18 @@ func (s *Set) Signature() uint64 {
 		for i := 0; i < 64; i += 8 {
 			h = (h ^ (w >> uint(i) & 0xff)) * prime64
 		}
+	}
+	return h
+}
+
+// Hash returns a hash of the set contents for lookups that verify with
+// Equal: it mixes a word at a time, eight times fewer steps than
+// Signature, and nothing may depend on its value.
+func (s *Set) Hash() uint64 {
+	var h uint64
+	for _, w := range s.words {
+		h = (h ^ w) * 0x9e3779b97f4a7c15
+		h ^= h >> 29
 	}
 	return h
 }

@@ -130,18 +130,27 @@ func LearnContext(ctx context.Context, ind wrapper.Inductor, labels *bitset.Set,
 }
 
 // sortCandidates orders by total score, breaking ties deterministically:
-// more covered labels, then smaller output, then output signature. The keys
-// are computed once per candidate, not once per comparison.
+// more covered labels, then smaller output, then output signature. Cover
+// and size are computed once per candidate, not once per comparison; the
+// signature, which only a tie on all three reads, on the first comparison
+// that needs it.
 func sortCandidates(cands []Candidate, labels *bitset.Set) {
 	type keyed struct {
 		Candidate
 		cover, size int
 		sig         uint64
+		hasSig      bool
 	}
 	ks := make([]keyed, len(cands))
 	for i, c := range cands {
 		out := c.Wrapper.Extract()
-		ks[i] = keyed{c, bitset.AndCount(labels, out), out.Count(), out.Signature()}
+		ks[i] = keyed{Candidate: c, cover: bitset.AndCount(labels, out), size: out.Count()}
+	}
+	sig := func(k *keyed) uint64 {
+		if !k.hasSig {
+			k.sig, k.hasSig = k.Wrapper.Extract().Signature(), true
+		}
+		return k.sig
 	}
 	sort.SliceStable(ks, func(i, j int) bool {
 		a, b := &ks[i], &ks[j]
@@ -154,7 +163,7 @@ func sortCandidates(cands []Candidate, labels *bitset.Set) {
 		if a.size != b.size {
 			return a.size < b.size
 		}
-		return a.sig < b.sig
+		return sig(a) < sig(b)
 	})
 	for i := range ks {
 		cands[i] = ks[i].Candidate

@@ -34,6 +34,10 @@ type Page struct {
 	// as the interned "#text" token); TextPos[i] is the position of
 	// Texts[i] inside Tokens. The record segmentation of Fig. 7 slices
 	// this sequence.
+	//
+	// Texts, Spans, Tokens and TextPos are windows of arrays the corpus's
+	// pages share, each capped at its length: appending to one copies it
+	// rather than writing over the next page's.
 	Tokens  []int32
 	TextPos []int
 }
@@ -42,9 +46,9 @@ type Page struct {
 type Corpus struct {
 	Pages []*Page
 
-	texts  []*dom.Node // ordinal -> node
-	pageOf []int       // ordinal -> page index
-	inPage []int       // ordinal -> index within page.Texts
+	texts  []*dom.Node // ordinal -> node: every page's Texts, back to back
+	pageOf []int32     // ordinal -> page index
+	first  []int       // page index -> ordinal of its first text
 
 	// ordinal inverts texts. Learning never asks, so it is built on the
 	// first OrdinalOf.
@@ -62,50 +66,88 @@ const TextTokenID int32 = 0
 // once, in the same preorder walk that records its tokens, text ordinals and
 // text spans, to produce the canonical HTML and text spans used by
 // string-based inductors.
-func New(docs []*dom.Node) *Corpus {
+func New(docs []*dom.Node) *Corpus { return index(docs, nil) }
+
+// index is New, told the documents' source lengths when it has them (nil
+// when not). Every page's lists are appended to arrays the corpus's pages
+// share, and each page takes its windows of them once the last page is
+// indexed. Before each page after the first the arrays make room for the
+// pages left: as much a source byte as the pages so far took, or without
+// source lengths as much a page.
+func index(docs []*dom.Node, src []string) *Corpus {
 	c := &Corpus{
 		tokenIDs: map[string]int32{dom.TextTag: TextTokenID},
 		tokens:   []string{dom.TextTag},
+		Pages:    make([]*Page, len(docs)),
+		first:    make([]int, len(docs)+1),
 	}
-	// The serialization buffer is reused from page to page; each page
-	// keeps an exact-size copy. The pages of a site are alike, so each
-	// page's lists start as long as the last page's, and the corpus's
-	// make room for the pages left at the last page's size.
+	weight := func(i int) int {
+		if src == nil {
+			return 1
+		}
+		return len(src[i]) + 1
+	}
 	var (
-		buf  []byte
-		last Page
+		x      = indexer{c: c}
+		tokens = make([]int, len(docs)+1) // page index -> offset of its first token
+		done   int                        // weight of the pages indexed
+		left   int                        // weight of the pages not yet indexed
 	)
+	for i := range docs {
+		left += weight(i)
+	}
 	for i, doc := range docs {
-		p := &Page{
-			Index:   i,
-			Root:    doc,
-			Texts:   make([]*dom.Node, 0, len(last.Texts)),
-			Spans:   make([][2]int, 0, len(last.Texts)),
-			Tokens:  make([]int32, 0, len(last.Tokens)),
-			TextPos: make([]int, 0, len(last.Texts)),
+		if done > 0 {
+			x.reserve(left, done)
 		}
-		if n := len(last.Texts) * (len(docs) - i); cap(c.texts)-len(c.texts) < n {
-			c.texts = slices.Grow(c.texts, n)
-			c.pageOf = slices.Grow(c.pageOf, n)
-			c.inPage = slices.Grow(c.inPage, n)
-		}
-		x := indexer{c: c, p: p, buf: buf[:0]}
+		p := &Page{Index: i, Root: doc}
+		c.first[i], tokens[i] = len(c.texts), len(x.tokens)
+		x.p, x.buf, x.tok0 = p, x.buf[:0], len(x.tokens)
 		x.walk(doc, true)
-		buf = x.buf
-		p.HTML = string(buf)
-		c.Pages = append(c.Pages, p)
-		last = *p
+		p.HTML = string(x.buf)
+		c.Pages[i] = p
+		done, left = done+weight(i), left-weight(i)
+	}
+	c.first[len(docs)], tokens[len(docs)] = len(c.texts), len(x.tokens)
+	for i, p := range c.Pages {
+		lo, hi := c.first[i], c.first[i+1]
+		p.Texts = c.texts[lo:hi:hi]
+		p.Spans = x.spans[lo:hi:hi]
+		p.TextPos = x.textPos[lo:hi:hi]
+		p.Tokens = x.tokens[tokens[i]:tokens[i+1]:tokens[i+1]]
 	}
 	return c
 }
 
-// indexer is New's walk of one page: the serializer's preorder pass
-// (dom.AppendHTML's, piece for piece) that also records the page's tokens
-// and its extractable texts with their ordinals and spans.
+// indexer is New's walk of one page at a time: the serializer's preorder
+// pass (dom.AppendHTML's, piece for piece) that also records the page's
+// tokens and its extractable texts with their ordinals and spans, appended
+// to the corpus-wide arrays.
 type indexer struct {
 	c   *Corpus
 	p   *Page
-	buf []byte
+	buf []byte // the page's serialization; reused from page to page
+
+	spans   [][2]int
+	tokens  []int32
+	textPos []int // ordinal -> offset of its token within its page's
+	tok0    int   // offset of the page's first token in tokens
+}
+
+// reserve makes room in every array for what pages of weight left should
+// take, at the rate pages of weight done took, and 1/16 more.
+func (x *indexer) reserve(left, done int) {
+	c := x.c
+	more := func(have int) int { return int(int64(have) * int64(left) / int64(done) * 17 / 16) }
+	if n := more(len(c.texts)); cap(c.texts)-len(c.texts) < n {
+		c.texts = slices.Grow(c.texts, n)
+		c.pageOf = slices.Grow(c.pageOf, n)
+		x.spans = slices.Grow(x.spans, n)
+		x.textPos = slices.Grow(x.textPos, n)
+	}
+	if n := more(len(x.tokens)); cap(x.tokens)-len(x.tokens) < n {
+		x.tokens = slices.Grow(x.tokens, n)
+	}
 }
 
 // walk visits n and its subtree in preorder, serializing it when emit is
@@ -113,7 +155,6 @@ type indexer struct {
 // builds; a hand-built tree's are still tokens, and their texts keep the
 // span [0,0).
 func (x *indexer) walk(n *dom.Node, emit bool) {
-	p := x.p
 	switch n.Type {
 	case dom.DocumentNode:
 		for _, ch := range n.Children {
@@ -126,18 +167,16 @@ func (x *indexer) walk(n *dom.Node, emit bool) {
 			x.buf = dom.AppendText(x.buf, n.Data, n.Parent != nil && n.Parent.Raw)
 			span[1] = len(x.buf)
 		}
-		p.Tokens = append(p.Tokens, TextTokenID)
+		x.tokens = append(x.tokens, TextTokenID)
 		if IsExtractableText(n) {
 			c := x.c
-			p.Spans = append(p.Spans, span)
+			x.spans = append(x.spans, span)
+			x.textPos = append(x.textPos, len(x.tokens)-1-x.tok0)
 			c.texts = append(c.texts, n)
-			c.pageOf = append(c.pageOf, p.Index)
-			c.inPage = append(c.inPage, len(p.Texts))
-			p.TextPos = append(p.TextPos, len(p.Tokens)-1)
-			p.Texts = append(p.Texts, n)
+			c.pageOf = append(c.pageOf, int32(x.p.Index))
 		}
 	case dom.ElementNode:
-		p.Tokens = append(p.Tokens, x.c.internToken(n.Tag))
+		x.tokens = append(x.tokens, x.c.internToken(n.Tag))
 		void := dom.IsVoid(n.Tag)
 		if emit {
 			x.buf = dom.AppendStartTag(x.buf, n.Tag, n.Attrs)
@@ -157,7 +196,7 @@ func ParseHTML(pages []string) *Corpus {
 	for i, src := range pages {
 		docs[i] = htmlparse.Parse(src)
 	}
-	return New(docs)
+	return index(docs, pages)
 }
 
 func isRawText(n *dom.Node) bool {
@@ -211,10 +250,10 @@ func (c *Corpus) NumTexts() int { return len(c.texts) }
 func (c *Corpus) Text(ord int) *dom.Node { return c.texts[ord] }
 
 // PageOf returns the page index owning the given ordinal.
-func (c *Corpus) PageOf(ord int) int { return c.pageOf[ord] }
+func (c *Corpus) PageOf(ord int) int { return int(c.pageOf[ord]) }
 
 // IndexInPage returns the position of ordinal within its page's Texts slice.
-func (c *Corpus) IndexInPage(ord int) int { return c.inPage[ord] }
+func (c *Corpus) IndexInPage(ord int) int { return ord - c.first[c.pageOf[ord]] }
 
 // OrdinalOf returns the global ordinal of a text node, or -1 when the node
 // is not part of the extractable universe.

@@ -59,25 +59,25 @@ func (r *Result) Signatures() []uint64 {
 	return out
 }
 
-// dedup tracks unique wrappers by extraction output.
+// dedup tracks unique wrappers by extraction output, found by its Hash.
 type dedup struct {
-	bySig map[uint64][]int
-	items []Item
+	byHash map[uint64][]int
+	items  []Item
 }
 
-func newDedup() *dedup { return &dedup{bySig: make(map[uint64][]int)} }
+func newDedup() *dedup { return &dedup{byHash: make(map[uint64][]int)} }
 
 // add registers the wrapper unless an output-equal one is present; returns
 // whether it was new.
 func (d *dedup) add(w wrapper.Wrapper, labels *bitset.Set) bool {
 	out := w.Extract()
-	sig := out.Signature()
-	for _, i := range d.bySig[sig] {
+	h := out.Hash()
+	for _, i := range d.byHash[h] {
 		if d.items[i].Wrapper.Extract().Equal(out) {
 			return false
 		}
 	}
-	d.bySig[sig] = append(d.bySig[sig], len(d.items))
+	d.byHash[h] = append(d.byHash[h], len(d.items))
 	d.items = append(d.items, Item{Wrapper: w, Labels: labels})
 	return true
 }
@@ -161,7 +161,7 @@ func BottomUp(ind wrapper.Inductor, labels *bitset.Set, opt Options) (*Result, e
 	inZ := make(map[uint64][]*bitset.Set)      // membership for dedup
 	expanded := make(map[uint64][]*bitset.Set) // already-processed sets
 	contains := func(m map[uint64][]*bitset.Set, s *bitset.Set) bool {
-		for _, t := range m[s.Signature()] {
+		for _, t := range m[s.Hash()] {
 			if t.Equal(s) {
 				return true
 			}
@@ -169,7 +169,8 @@ func BottomUp(ind wrapper.Inductor, labels *bitset.Set, opt Options) (*Result, e
 		return false
 	}
 	insert := func(m map[uint64][]*bitset.Set, s *bitset.Set) {
-		m[s.Signature()] = append(m[s.Signature()], s)
+		h := s.Hash()
+		m[h] = append(m[h], s)
 	}
 
 	var z []entry

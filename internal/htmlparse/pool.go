@@ -76,12 +76,60 @@ type openNode struct {
 	i int32
 }
 
-// nodeHint estimates how many nodes src parses into: about one a '<' —
-// an element has its start tag and, mostly, an end tag, and a text node
-// mostly sits between two tags. Generated listing pages hold 0.87–1.1 '<'
-// a node, so a first chunk of 9/8 of the count usually holds the page and
-// wastes little of itself.
-func nodeHint(src string) int { return strings.Count(src, "<")*9/8 + 16 }
+// nodeHint estimates how many nodes and attributes src parses into: a node
+// a start tag and a run of text between two tags that is not all white
+// space (which the parser drops), plus the document, and an attribute an
+// '=' inside a start tag. It steps from '<' to '<', so it reads a tag and
+// a text run's leading white space, not the page. A run that a comment
+// splits, or a '<' inside a script, counts one node too many, and a '='
+// inside an attribute value one attribute too many; a thirty-second more
+// and sixteen cover the elements a parse implies, so the first chunk holds
+// the page. An attribute with no value is not counted: a page of them
+// takes a second attribute chunk.
+func nodeHint(src string) (nodes, attrs int) {
+	nodes = 1
+	i := strings.IndexByte(src, '<')
+	if i < 0 || hasText(src[:i]) {
+		nodes++
+	}
+	for i >= 0 {
+		start := i+1 < len(src) && nameClass[src[i+1]]&nameByte != 0
+		if start {
+			nodes++
+		}
+		end := strings.IndexByte(src[i+1:], '<')
+		if end < 0 {
+			end = len(src)
+		} else {
+			end += i + 1
+		}
+		if gt := strings.IndexByte(src[i:end], '>'); gt >= 0 {
+			if start {
+				attrs += strings.Count(src[i:i+gt], "=")
+			}
+			if hasText(src[i+gt+1 : end]) {
+				nodes++
+			}
+		}
+		if end == len(src) {
+			break
+		}
+		i = end
+	}
+	return nodes + nodes/32 + 16, attrs + attrs/32 + 16
+}
+
+// hasText reports whether s holds a byte that is not HTML white space.
+func hasText(s string) bool {
+	for i := 0; i < len(s); i++ {
+		switch s[i] {
+		case ' ', '\t', '\n', '\r', '\f':
+		default:
+			return true
+		}
+	}
+	return false
+}
 
 // build parses src with p into the builder's slabs and returns the document
 // node. Nothing the tree keeps points into p's scratch.
@@ -90,9 +138,9 @@ func (b *treeBuilder) build(src string, p *parser) *dom.Node {
 		b.reset()
 	}
 	if b.children == nil { // a fresh builder: size it for the page
-		hint := nodeHint(src)
-		b.nodes.hint, b.attrs.hint = hint, hint/4
-		b.children = make([]int32, 0, min(hint, 4*maxChunk))
+		nodes, attrs := nodeHint(src)
+		b.nodes.hint, b.attrs.hint = nodes, attrs
+		b.children = make([]int32, 0, min(nodes, 4*maxChunk))
 		b.stack = make([]openNode, 0, 32)
 	}
 	doc := b.node(dom.DocumentNode)

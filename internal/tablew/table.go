@@ -42,7 +42,6 @@ func New(c *corpus.Corpus) *wrapper.FeatureSpace {
 		fs.AddFeature(ord, AttrRow, itoa(row.ChildNumber()))
 		fs.AddFeature(ord, AttrCol, itoa(cell.ChildNumber()))
 	}
-	fs.Seal()
 	return fs
 }
 

@@ -17,24 +17,36 @@ import (
 // constructors over this type.
 //
 // Attributes and features are interned to dense ids in first-seen order
-// (FeatureID). The numbering is observable — Features() exposes it
-// and sorted feature lists follow it — so a constructor's rules are
-// reproducible only while it first names each attribute and feature in the
-// same order.
+// (FeatureID). The numbering is observable — Features() is sorted by it —
+// so a constructor's rules are reproducible only while it first names each
+// feature in the same order. A text node's own list is kept in the order
+// its features were attached, not sorted: nothing reads it in id order.
+// Induce sorts what it returns, and a node has at most one feature of an
+// attribute (a parsed element keeps the first of a repeated attribute),
+// which Subdivide and AttrValue pick out wherever it sits.
+//
+// A FeatureSpace is not safe for concurrent use: Induce stamps features in
+// a scratch array of the space's.
 type FeatureSpace struct {
 	name string
 	c    *corpus.Corpus
 
-	nodeFeats [][]int32 // ordinal -> sorted feature ids
-	featBits  []*bitset.Set
+	nodeFeats [][]int32 // ordinal -> feature ids, in the order attached
+	featBits  []bitset.Set
 	featAttr  []int32 // feature id -> attr id
 	featVal   []string
 	attrs     []Attr
 	attrIDs   map[Attr]int32
 	byKey     map[featKey]int32
 	// slab is what is left of the array nodes' first feature lists are
-	// carved from.
-	slab []int32
+	// carved from, and words what is left of the array features' bitsets
+	// are.
+	slab  []int32
+	words []uint64
+	// stamp[fid] counts the labels, of the one Induce running, that have
+	// feature fid — as long as every label before them had it too. Zero
+	// between calls.
+	stamp []int32
 
 	// renderRule converts an intersected feature set into the wrapper
 	// language's native syntax.
@@ -51,8 +63,7 @@ type featKey struct {
 
 // NewFeatureSpace creates an empty feature space over the corpus's text
 // universe. Constructors populate it via AddFeature (or FeatureID and
-// Attach, when they can name a feature once and attach it to many nodes)
-// and then call Seal.
+// Attach, when they can name a feature once and attach it to many nodes).
 func NewFeatureSpace(name string, c *corpus.Corpus,
 	render func(fs *FeatureSpace, featIDs []int32) string) *FeatureSpace {
 	fs := &FeatureSpace{
@@ -93,15 +104,25 @@ func (fs *FeatureSpace) FeatureOf(aid int32, value string) int32 {
 	if !ok {
 		fid = int32(len(fs.featBits))
 		fs.byKey[key] = fid
-		fs.featBits = append(fs.featBits, bitset.New(fs.c.NumTexts()))
+		n := fs.c.NumTexts()
+		w := (n + 63) / 64
+		if len(fs.words) < w {
+			fs.words = make([]uint64, w*featBitsChunk)
+		}
+		fs.featBits = append(fs.featBits, bitset.Over(n, fs.words[:w]))
+		fs.words = fs.words[w:]
 		fs.featAttr = append(fs.featAttr, aid)
 		fs.featVal = append(fs.featVal, value)
 	}
 	return fid
 }
 
-// featSlab is how many feature ids one array of node feature lists holds.
-const featSlab = 1 << 13
+// featSlab is how many feature ids one array of node feature lists holds,
+// and featBitsChunk how many features' bitsets one array of words does.
+const (
+	featSlab      = 1 << 13
+	featBitsChunk = 32
+)
 
 // Attach gives the text node with the given ordinal every feature in fids.
 // A feature the node already has is skipped.
@@ -120,7 +141,7 @@ func (fs *FeatureSpace) Attach(ord int, fids []int32) {
 		feats = slices.Grow(feats, len(fids))
 	}
 	for _, fid := range fids {
-		if bits := fs.featBits[fid]; !bits.Has(ord) {
+		if bits := &fs.featBits[fid]; !bits.Has(ord) {
 			bits.Add(ord)
 			feats = append(feats, fid)
 		}
@@ -136,13 +157,6 @@ func (fs *FeatureSpace) Attach(ord int, fids []int32) {
 // ordinal. Adding the same feature twice to a node is a no-op.
 func (fs *FeatureSpace) AddFeature(ord int, a Attr, value string) {
 	fs.Attach(ord, []int32{fs.FeatureID(a, value)})
-}
-
-// Seal sorts per-node feature lists; must be called once after population.
-func (fs *FeatureSpace) Seal() {
-	for _, f := range fs.nodeFeats {
-		slices.Sort(f)
-	}
 }
 
 // Name implements Inductor.
@@ -189,19 +203,52 @@ func (w *FeatureWrapper) Features() []int32 { return w.featIDs }
 func (w *FeatureWrapper) Space() *FeatureSpace { return w.fs }
 
 // Induce implements Inductor: φ(L) = {n | F(n) ⊇ ∩ F(ℓ)}.
+//
+// The labels' lists are intersected by stamping: the k-th label advances
+// the stamp of each of its features that the k−1 labels before it all
+// had, so a feature every label has ends stamped with their count. Only
+// the intersection is sorted.
 func (fs *FeatureSpace) Induce(labels *bitset.Set) (Wrapper, error) {
 	fs.induceCalls++
 	ords := labels.Indices()
 	if len(ords) == 0 {
 		return nil, fmt.Errorf("%s: cannot induce from an empty label set", fs.name)
 	}
-	inter := append([]int32(nil), fs.nodeFeats[ords[0]]...)
+	if len(fs.stamp) < len(fs.featBits) {
+		fs.stamp = make([]int32, len(fs.featBits))
+	}
+	first := fs.nodeFeats[ords[0]]
+	for _, fid := range first {
+		fs.stamp[fid] = 1
+	}
+	k := int32(1)
 	for _, ord := range ords[1:] {
-		inter = intersectSorted(inter, fs.nodeFeats[ord])
-		if len(inter) == 0 {
+		left := 0
+		for _, fid := range fs.nodeFeats[ord] {
+			if fs.stamp[fid] == k {
+				fs.stamp[fid] = k + 1
+				left++
+			}
+		}
+		k++
+		if left == 0 {
 			break
 		}
 	}
+	n := 0
+	for _, fid := range first {
+		if fs.stamp[fid] == k {
+			n++
+		}
+	}
+	inter := make([]int32, 0, n)
+	for _, fid := range first {
+		if fs.stamp[fid] == k {
+			inter = append(inter, fid)
+		}
+		fs.stamp[fid] = 0
+	}
+	slices.Sort(inter)
 	var out *bitset.Set
 	if len(inter) == 0 {
 		// No shared features: the wrapper generalizes to everything.
@@ -209,7 +256,7 @@ func (fs *FeatureSpace) Induce(labels *bitset.Set) (Wrapper, error) {
 	} else {
 		out = fs.featBits[inter[0]].Clone()
 		for _, fid := range inter[1:] {
-			out.AndWith(fs.featBits[fid])
+			out.AndWith(&fs.featBits[fid])
 		}
 	}
 	return &FeatureWrapper{fs: fs, featIDs: inter, out: out}, nil
@@ -247,17 +294,14 @@ func (fs *FeatureSpace) Subdivide(s *bitset.Set, a Attr) []*bitset.Set {
 	groups := make(map[int32]*bitset.Set)
 	var order []int32
 	s.ForEach(func(ord int) {
-		for _, fid := range fs.nodeFeats[ord] {
-			if fs.featAttr[fid] == aid {
-				g, ok := groups[fid]
-				if !ok {
-					g = bitset.New(fs.c.NumTexts())
-					groups[fid] = g
-					order = append(order, fid)
-				}
-				g.Add(ord)
-				break
+		if fid, ok := fs.featureOf(ord, aid); ok {
+			g, ok := groups[fid]
+			if !ok {
+				g = bitset.New(fs.c.NumTexts())
+				groups[fid] = g
+				order = append(order, fid)
 			}
+			g.Add(ord)
 		}
 	})
 	out := make([]*bitset.Set, 0, len(order))
@@ -274,12 +318,23 @@ func (fs *FeatureSpace) AttrValue(ord int, a Attr) (string, bool) {
 	if !ok {
 		return "", false
 	}
-	for _, fid := range fs.nodeFeats[ord] {
-		if fs.featAttr[fid] == aid {
-			return fs.featVal[fid], true
-		}
+	if fid, ok := fs.featureOf(ord, aid); ok {
+		return fs.featVal[fid], true
 	}
 	return "", false
+}
+
+// featureOf returns node ord's feature of the attribute with id aid. Should
+// a hand-built space give a node two, it is the lower id — the one a sorted
+// list would have held first.
+func (fs *FeatureSpace) featureOf(ord int, aid int32) (int32, bool) {
+	found := int32(-1)
+	for _, fid := range fs.nodeFeats[ord] {
+		if fs.featAttr[fid] == aid && (found < 0 || fid < found) {
+			found = fid
+		}
+	}
+	return found, found >= 0
 }
 
 // FeatureAttr resolves the attribute of a feature id.
@@ -287,24 +342,6 @@ func (fs *FeatureSpace) FeatureAttr(fid int32) Attr { return fs.attrs[fs.featAtt
 
 // FeatureValue resolves the value of a feature id.
 func (fs *FeatureSpace) FeatureValue(fid int32) string { return fs.featVal[fid] }
-
-func intersectSorted(a, b []int32) []int32 {
-	out := a[:0]
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] == b[j]:
-			out = append(out, a[i])
-			i++
-			j++
-		case a[i] < b[j]:
-			i++
-		default:
-			j++
-		}
-	}
-	return out
-}
 
 var (
 	_ Inductor        = (*FeatureSpace)(nil)

@@ -27,7 +27,6 @@ func buildSpace(t *testing.T) (*corpus.Corpus, *FeatureSpace) {
 			fs.AddFeature(ord, Attr{Kind: "shape"}, shapes[ord])
 		}
 	}
-	fs.Seal()
 	return c, fs
 }
 

@@ -31,35 +31,51 @@ type Options struct {
 
 // New builds the XPATH inductor over the corpus in one walk of each page
 // with the stack of open nodes. Same-tag child numbers are counted as a
-// parent's children go by, once per parent. A node contributes the same
-// features to every text node pos levels below it, so it interns them the
-// first time such a text node is met and remembers the ids: the feature map
-// is consulted per (node, pos), and a text node costs a copy of its
-// ancestors' remembered ids.
+// parent's children go by, once per parent. An element's features are the
+// same (kind, value) pairs — its tag, its child number, its HTML attributes
+// — at whatever position below it a text node sits, so each element
+// interns its pairs once, the first time a text node below it is met, and
+// a text node reads its ancestors' feature ids from a dense table by
+// position and pair: the feature map is consulted once per feature.
 //
 // Features are interned in the order a text-by-text, ancestor-by-ancestor
 // construction first meets them (tag, child number, then the HTML attributes
-// in source order), so feature ids — and with them Features(), Rule() and
-// Extract() of every induced wrapper — do not depend on how the space was
-// built.
+// in source order) — the table misses exactly there — so feature ids, and
+// with them Features(), Rule() and Extract() of every induced wrapper, do
+// not depend on how the space was built.
 func New(c *corpus.Corpus, opt Options) *wrapper.FeatureSpace {
 	b := builder{
 		fs:       wrapper.NewFeatureSpace("xpath", c, renderRule),
 		maxDepth: opt.MaxDepth,
 		ignored:  make(map[string]bool, len(opt.IgnoreAttrs)),
+		pairIDs:  make(map[pair]int32),
+		kindIDs:  make(map[string]int32),
+		kinds:    []string{"tag", "cn"},
 	}
 	for _, k := range opt.IgnoreAttrs {
 		b.ignored[strings.ToLower(k)] = true
 	}
 	for _, p := range c.Pages {
 		b.visit(p.Root, 0)
-		b.ids = b.ids[:0] // no node is open: nothing remembers them
+		b.pairs = b.pairs[:0] // no node is open: nothing holds them
 	}
 	if b.ord != c.NumTexts() {
 		panic("xpinduct: page trees changed since the corpus indexed them")
 	}
-	b.fs.Seal()
 	return b.fs
+}
+
+// Kinds of pair: an element's tag and child number; every other kind is an
+// HTML attribute's.
+const (
+	kindTag = iota
+	kindCN
+)
+
+// pair is an element's (kind, value) pair, a feature less its position.
+type pair struct {
+	kind int32
+	val  string
 }
 
 // builder is the state of New's walk.
@@ -71,16 +87,25 @@ type builder struct {
 	// stack holds the open nodes, outermost first. Popped frames keep
 	// their slices for the next node opened at that depth.
 	stack []frame
-	ids   []int32 // the feature ids open nodes remember, back to back
+	pairs []int32 // the pair ids of the page's nodes, back to back
 	feats []int32 // one text node's features, reused
 	ord   int     // ordinal of the next extractable text node
 
-	// Every node interns a tag and a child-number feature at each position
-	// it is met at, so those attributes' ids are kept by position, and the
-	// child-number features' ids by position and number, plus one (zero
-	// is not yet asked for).
+	// Pairs are interned to dense ids: pairIDs by kind and value, but a
+	// child number's by number, plus one (zero is not yet asked for), in
+	// cnPairs. kinds names each kind as an Attr names it ("tag", "cn",
+	// "@" and the attribute key); kindIDs finds an attribute key's kind.
+	pairIDs map[pair]int32
+	cnPairs []int32
+	pairOf  []pair // pair id -> pair
+	kinds   []string
+	kindIDs map[string]int32
+	// feat[pos-1][p] is the id, plus one, of pair p's feature at position
+	// pos; zero while it is not interned. Every element interns a tag and a
+	// child-number feature at each position it is met at, so those two
+	// attributes' ids are kept by position in posAttrs.
+	feat     [][]int32
 	posAttrs [][2]int32
-	posCNs   [][]int32
 }
 
 // frame is one open node.
@@ -89,10 +114,10 @@ type frame struct {
 	cn int // same-tag child number; 0 for a root and for non-elements
 	// counts tallies n's element children by tag as the walk passes them.
 	counts dom.ChildCounter
-	// memo[pos-1] is the range of builder.ids holding the features n
-	// contributes as a text node's pos-th ancestor. The zero range has not
-	// been built: a built one holds at least tag and child number.
-	memo [][2]int
+	// pairs is the range of builder.pairs holding n's pair ids. The zero
+	// range has not been built: a built one holds at least tag and child
+	// number.
+	pairs [2]int
 }
 
 // visit walks the subtree of n in document order — the order the corpus
@@ -110,7 +135,7 @@ func (b *builder) visit(n *dom.Node, cn int) {
 	}
 	b.stack = b.stack[:at+1]
 	f := &b.stack[at]
-	f.n, f.cn, f.memo = n, cn, f.memo[:0]
+	f.n, f.cn, f.pairs = n, cn, [2]int{}
 	f.counts.Reset()
 	for _, ch := range n.Children {
 		k := 0
@@ -134,50 +159,89 @@ func (b *builder) text(n *dom.Node) {
 		if b.maxDepth > 0 && pos > b.maxDepth {
 			break
 		}
-		m := b.features(&b.stack[i], pos)
-		b.feats = append(b.feats, b.ids[m[0]:m[1]]...)
+		b.features(&b.stack[i], pos)
 	}
 	b.fs.Attach(b.ord, b.feats)
 	b.ord++
 }
 
-// features returns the range of b.ids holding the features f's node
-// contributes at relative position pos, interning them on first use.
-func (b *builder) features(f *frame, pos int) [2]int {
-	for len(f.memo) < pos {
-		f.memo = append(f.memo, [2]int{})
+// features appends to b.feats the features f's node contributes at
+// relative position pos, interning those the table does not hold yet.
+func (b *builder) features(f *frame, pos int) {
+	if f.pairs[1] == 0 {
+		b.internPairs(f)
 	}
-	if f.memo[pos-1][1] == 0 {
-		start := len(b.ids)
-		for len(b.posAttrs) < pos {
-			at := len(b.posAttrs) + 1
-			b.posAttrs = append(b.posAttrs, [2]int32{
-				b.fs.AttrID(wrapper.Attr{Kind: "tag", Pos: at}),
-				b.fs.AttrID(wrapper.Attr{Kind: "cn", Pos: at}),
-			})
-			b.posCNs = append(b.posCNs, nil)
-		}
-		attrs, cns := b.posAttrs[pos-1], &b.posCNs[pos-1]
-		b.ids = append(b.ids, b.fs.FeatureOf(attrs[0], f.n.Tag))
-		if f.cn >= len(*cns) {
-			*cns = append(*cns, make([]int32, f.cn+1-len(*cns))...)
-		}
-		if (*cns)[f.cn] == 0 {
-			(*cns)[f.cn] = b.fs.FeatureOf(attrs[1], strconv.Itoa(f.cn)) + 1
-		}
-		b.ids = append(b.ids, (*cns)[f.cn]-1)
-		for _, a := range f.n.Attrs {
-			if !b.ignored[a.Key] {
-				b.intern(wrapper.Attr{Kind: "@" + a.Key, Pos: pos}, a.Val)
-			}
-		}
-		f.memo[pos-1] = [2]int{start, len(b.ids)}
+	for len(b.feat) < pos {
+		at := len(b.feat) + 1
+		b.posAttrs = append(b.posAttrs, [2]int32{
+			b.fs.AttrID(wrapper.Attr{Kind: "tag", Pos: at}),
+			b.fs.AttrID(wrapper.Attr{Kind: "cn", Pos: at}),
+		})
+		b.feat = append(b.feat, nil)
 	}
-	return f.memo[pos-1]
+	row := b.feat[pos-1]
+	if len(row) < len(b.pairOf) {
+		row = append(row, make([]int32, len(b.pairOf)-len(row))...)
+		b.feat[pos-1] = row
+	}
+	for _, p := range b.pairs[f.pairs[0]:f.pairs[1]] {
+		if row[p] == 0 {
+			row[p] = b.intern(p, pos) + 1
+		}
+		b.feats = append(b.feats, row[p]-1)
+	}
 }
 
-func (b *builder) intern(a wrapper.Attr, value string) {
-	b.ids = append(b.ids, b.fs.FeatureID(a, value))
+// intern interns pair p's feature at position pos.
+func (b *builder) intern(p int32, pos int) int32 {
+	pr := b.pairOf[p]
+	var aid int32
+	switch pr.kind {
+	case kindTag, kindCN:
+		aid = b.posAttrs[pos-1][pr.kind]
+	default:
+		aid = b.fs.AttrID(wrapper.Attr{Kind: b.kinds[pr.kind], Pos: pos})
+	}
+	return b.fs.FeatureOf(aid, pr.val)
+}
+
+// internPairs interns f's node's pairs, in the order its features are
+// named — tag, child number, then the attributes in source order — and
+// records their range in b.pairs.
+func (b *builder) internPairs(f *frame) {
+	start := len(b.pairs)
+	b.pairs = append(b.pairs, b.pairID(pair{kindTag, f.n.Tag}))
+	if f.cn >= len(b.cnPairs) {
+		b.cnPairs = append(b.cnPairs, make([]int32, f.cn+1-len(b.cnPairs))...)
+	}
+	if b.cnPairs[f.cn] == 0 {
+		b.cnPairs[f.cn] = b.pairID(pair{kindCN, strconv.Itoa(f.cn)}) + 1
+	}
+	b.pairs = append(b.pairs, b.cnPairs[f.cn]-1)
+	for _, a := range f.n.Attrs {
+		if b.ignored[a.Key] {
+			continue
+		}
+		kind, ok := b.kindIDs[a.Key]
+		if !ok {
+			kind = int32(len(b.kinds))
+			b.kindIDs[a.Key] = kind
+			b.kinds = append(b.kinds, "@"+a.Key)
+		}
+		b.pairs = append(b.pairs, b.pairID(pair{kind, a.Val}))
+	}
+	f.pairs = [2]int{start, len(b.pairs)}
+}
+
+// pairID interns pr.
+func (b *builder) pairID(pr pair) int32 {
+	id, ok := b.pairIDs[pr]
+	if !ok {
+		id = int32(len(b.pairOf))
+		b.pairIDs[pr] = id
+		b.pairOf = append(b.pairOf, pr)
+	}
+	return id
 }
 
 // renderRule converts an intersected feature set into the equivalent xpath
