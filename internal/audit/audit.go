@@ -34,6 +34,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"slices"
 	"sync"
 	"time"
 )
@@ -173,7 +174,16 @@ type Ledger struct {
 	leaves    [][]byte // record hashes since the last checkpoint
 	stats     Stats
 	recent    []Record
-	recovered int64 // bytes of torn tail Open dropped
+	recovered int64  // bytes of torn tail Open dropped
+	pending   []byte // the lines of the append being made, reused
+}
+
+// Entry is one lifecycle event, as AppendAll takes it.
+type Entry struct {
+	Event   string
+	Site    string
+	Version int
+	Detail  string
 }
 
 // Open opens (creating if needed) the ledger at path, replaying and
@@ -243,6 +253,15 @@ func (l *Ledger) RecoveredBytes() int64 {
 // a no-op. Every CheckpointEvery events a checkpoint record follows
 // automatically.
 func (l *Ledger) Append(shard int, event, site string, version int, detail string) error {
+	return l.AppendAll(shard, Entry{Event: event, Site: site, Version: version, Detail: detail})
+}
+
+// AppendAll chains and persists the events in order, with the checkpoints
+// that appending them one by one would put among them, under one lock and
+// with one write and one fsync for all. On failure none of them is
+// chained: the next append continues from the record before them. On a
+// nil ledger it is a no-op.
+func (l *Ledger) AppendAll(shard int, events ...Entry) error {
 	if l == nil {
 		return nil
 	}
@@ -251,18 +270,40 @@ func (l *Ledger) Append(shard int, event, site string, version int, detail strin
 	if l.f == nil {
 		return fmt.Errorf("audit: ledger closed")
 	}
-	if err := l.appendLocked(shard, event, site, version, detail); err != nil {
-		return err
+	seq, prev, leaves, stats, recent := l.seq, l.prev, slices.Clone(l.leaves), l.stats, l.recent
+	l.pending = l.pending[:0]
+	err := func() error {
+		for _, e := range events {
+			if err := l.chain(shard, e.Event, e.Site, e.Version, e.Detail); err != nil {
+				return err
+			}
+			if len(l.leaves) >= l.opt.CheckpointEvery {
+				root := merkleRoot(l.leaves)
+				l.leaves = l.leaves[:0]
+				if err := l.chain(shard, EventCheckpoint, "", 0, hex.EncodeToString(root)); err != nil {
+					return err
+				}
+			}
+		}
+		if _, err := l.f.Write(l.pending); err != nil {
+			return fmt.Errorf("audit: append: %w", err)
+		}
+		if !l.opt.NoSync {
+			if err := l.f.Sync(); err != nil {
+				return fmt.Errorf("audit: sync: %w", err)
+			}
+		}
+		return nil
+	}()
+	if err != nil {
+		l.seq, l.prev, l.leaves, l.stats, l.recent = seq, prev, leaves, stats, recent
 	}
-	if len(l.leaves) >= l.opt.CheckpointEvery {
-		root := merkleRoot(l.leaves)
-		l.leaves = l.leaves[:0]
-		return l.appendLocked(shard, EventCheckpoint, "", 0, hex.EncodeToString(root))
-	}
-	return nil
+	return err
 }
 
-func (l *Ledger) appendLocked(shard int, event, site string, version int, detail string) error {
+// chain makes the next record, appends its line to l.pending and advances
+// the chain past it.
+func (l *Ledger) chain(shard int, event, site string, version int, detail string) error {
 	prev := l.prev
 	if l.seq == 0 {
 		prev = Genesis
@@ -282,15 +323,7 @@ func (l *Ledger) appendLocked(shard int, event, site string, version int, detail
 	if err != nil {
 		return fmt.Errorf("audit: %w", err)
 	}
-	line = append(line, '\n')
-	if _, err := l.f.Write(line); err != nil {
-		return fmt.Errorf("audit: append: %w", err)
-	}
-	if !l.opt.NoSync {
-		if err := l.f.Sync(); err != nil {
-			return fmt.Errorf("audit: sync: %w", err)
-		}
-	}
+	l.pending = append(append(l.pending, line...), '\n')
 	l.seq = rec.Seq
 	l.prev = rec.Hash
 	l.stats.Records++

@@ -239,3 +239,72 @@ func TestLedgerClosedAppend(t *testing.T) {
 		t.Fatalf("append on closed ledger: %v", err)
 	}
 }
+
+// TestAppendAllMatchesSequentialAppends: events appended in batches make
+// the ledger that appending them one by one makes — the same records in
+// the same order, checkpoints where a batch crosses a checkpoint boundary
+// included — apart from the times, and with them the hashes, links and
+// Merkle roots. The batched file verifies and reopens.
+func TestAppendAllMatchesSequentialAppends(t *testing.T) {
+	dir := t.TempDir()
+	opt := audit.Options{CheckpointEvery: 5}
+	batched := openLedger(t, filepath.Join(dir, "batched.jsonl"), opt)
+	single := openLedger(t, filepath.Join(dir, "single.jsonl"), opt)
+	events := []string{audit.EventLearn, audit.EventCandidate, audit.EventPromote, audit.EventRollback}
+	i := 0
+	for _, n := range []int{1, 2, 3, 2, 4, 1, 6, 2} {
+		var batch []audit.Entry
+		for k := 0; k < n; k++ {
+			e := audit.Entry{Event: events[i%len(events)], Site: fmt.Sprintf("site-%d", i%3), Version: i % 4, Detail: fmt.Sprintf("event %d", i)}
+			batch = append(batch, e)
+			if err := single.Append(3, e.Event, e.Site, e.Version, e.Detail); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		}
+		if err := batched.AppendAll(3, batch...); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if b, s := batched.Stats(), single.Stats(); b != s {
+		t.Fatalf("batched stats %+v, one by one %+v", b, s)
+	}
+	for _, l := range []*audit.Ledger{batched, single} {
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	rep, err := audit.VerifyFile(batched.Path())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Events != uint64(i) || rep.Checkpoints != uint64(i/5) {
+		t.Fatalf("batched ledger: %+v", rep)
+	}
+	read := func(path string) []audit.Record {
+		l := openLedger(t, path, opt)
+		defer l.Close()
+		recs := l.Recent(0)
+		for k := range recs {
+			recs[k].TimeMS, recs[k].Prev, recs[k].Hash = 0, "", ""
+			if recs[k].Event == audit.EventCheckpoint {
+				recs[k].Detail = ""
+			}
+		}
+		return recs
+	}
+	b, s := read(batched.Path()), read(single.Path())
+	if len(b) != len(s) {
+		t.Fatalf("batched ledger has %d records, one by one %d", len(b), len(s))
+	}
+	for k := range b {
+		if b[k] != s[k] {
+			t.Fatalf("record %d: batched %+v, one by one %+v", k, b[k], s[k])
+		}
+	}
+	closed := openLedger(t, filepath.Join(dir, "closed.jsonl"), opt)
+	closed.Close()
+	if err := closed.AppendAll(0, audit.Entry{Event: audit.EventLearn}); err == nil {
+		t.Fatal("AppendAll on a closed ledger succeeded")
+	}
+}

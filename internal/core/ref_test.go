@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 
@@ -104,6 +105,78 @@ func TestLearnRanksLikeReference(t *testing.T) {
 						t.Fatalf("%s: best is %s, reference %s", name, res.Best.Wrapper.Rule(), want[0].Wrapper.Rule())
 					}
 				}
+			}
+		}
+	}
+}
+
+// fixedWrapper is a wrapper that is only its extraction.
+type fixedWrapper struct{ out *bitset.Set }
+
+func (w fixedWrapper) Extract() *bitset.Set { return w.out }
+func (w fixedWrapper) Rule() string         { return fmt.Sprint(w.out.Indices()) }
+
+// eagerSort is sortCandidates as it was before the signature became lazy:
+// cover, size and signature all computed up front, once a candidate.
+func eagerSort(cands []Candidate, labels *bitset.Set) {
+	type keyed struct {
+		Candidate
+		cover, size int
+		sig         uint64
+	}
+	ks := make([]keyed, len(cands))
+	for i, c := range cands {
+		out := c.Wrapper.Extract()
+		ks[i] = keyed{c, bitset.AndCount(labels, out), out.Count(), out.Signature()}
+	}
+	sort.SliceStable(ks, func(i, j int) bool {
+		a, b := &ks[i], &ks[j]
+		if a.Score.Total != b.Score.Total {
+			return a.Score.Total > b.Score.Total
+		}
+		if a.cover != b.cover {
+			return a.cover > b.cover
+		}
+		if a.size != b.size {
+			return a.size < b.size
+		}
+		return a.sig < b.sig
+	})
+	for i := range ks {
+		cands[i] = ks[i].Candidate
+	}
+}
+
+// TestSortCandidatesMatchesEagerKeys: candidates that tie on score, on
+// cover and on size in every combination — few scores, few sizes, and
+// duplicate extractions — order as they did with every key computed up
+// front.
+func TestSortCandidatesMatchesEagerKeys(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	const universe = 150
+	labels := bitset.New(universe)
+	for i := 0; i < universe; i += 3 {
+		labels.Add(i)
+	}
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(60)
+		cands := make([]Candidate, n)
+		for i := range cands {
+			out := bitset.New(universe)
+			for k := 1 + rng.Intn(4); k > 0; k-- {
+				out.Add(rng.Intn(12) * (1 + rng.Intn(2)))
+			}
+			if i > 0 && rng.Intn(5) == 0 {
+				out = cands[rng.Intn(i)].Wrapper.Extract().Clone()
+			}
+			cands[i] = Candidate{Wrapper: fixedWrapper{out}, Score: rank.Score{Total: float64(rng.Intn(3))}}
+		}
+		lazy, eager := slices.Clone(cands), slices.Clone(cands)
+		sortCandidates(lazy, labels)
+		eagerSort(eager, labels)
+		for i := range lazy {
+			if lazy[i].Wrapper != eager[i].Wrapper {
+				t.Fatalf("trial %d: rank %d is %s, eagerly keyed %s", trial, i, lazy[i].Wrapper.Rule(), eager[i].Wrapper.Rule())
 			}
 		}
 	}

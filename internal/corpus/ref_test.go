@@ -108,3 +108,28 @@ func TestIndexMatchesReference(t *testing.T) {
 	inner.Append(dom.NewElement("i")).Append(dom.NewText("in"))
 	assertIndexMatchesReference(t, "hand-built", corpus.New([]*dom.Node{doc, doc.Clone()}))
 }
+
+// TestPageListsAreCappedWindows: a page's lists are windows of arrays the
+// corpus's pages share, so appending to one must copy it, not write over
+// the next page's.
+func TestPageListsAreCappedWindows(t *testing.T) {
+	dealers, err := dataset.Dealers(dataset.DealersOptions{NumSites: 1, NumPages: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := dealers.Sites[0].Corpus
+	for i, p := range c.Pages[:len(c.Pages)-1] {
+		next := c.Pages[i+1]
+		texts, spans := slices.Clone(next.Texts), slices.Clone(next.Spans)
+		tokens, textPos := slices.Clone(next.Tokens), slices.Clone(next.TextPos)
+		_ = append(p.Texts, &dom.Node{})
+		_ = append(p.Spans, [2]int{-1, -1})
+		_ = append(p.Tokens, -1)
+		_ = append(p.TextPos, -1)
+		if !slices.Equal(next.Texts, texts) || !slices.Equal(next.Spans, spans) ||
+			!slices.Equal(next.Tokens, tokens) || !slices.Equal(next.TextPos, textPos) {
+			t.Fatalf("appending to page %d's lists wrote into page %d's", i, i+1)
+		}
+	}
+	assertIndexMatchesReference(t, "after appends", c)
+}

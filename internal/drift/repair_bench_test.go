@@ -2,6 +2,7 @@ package drift_test
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"autowrap/internal/testutil/race"
@@ -11,12 +12,17 @@ var churnLayouts = []string{"table", "divs", "linklist", "dl", "headings"}
 
 // BenchmarkRepairLarge times one heal of the recorded benchmark's churn
 // site, in process: 12 pages of 150–200 records, templates alternating so
-// every repair promotes against an incumbent that extracts nothing.
+// every repair promotes against an incumbent that extracts nothing. Beside
+// B/op it reports gc/op, the collections a repair sets off: what its
+// allocation volume costs the goroutines serving beside it.
 func BenchmarkRepairLarge(b *testing.B) {
 	for _, layout := range churnLayouts {
 		b.Run(layout, func(b *testing.B) {
 			c := newChurnSite(b, layout)
 			rep := c.repairer()
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -25,23 +31,34 @@ func BenchmarkRepairLarge(b *testing.B) {
 					b.Fatalf("repair %d: promoted=%v err=%v", i, report != nil && report.Promoted, err)
 				}
 			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			b.ReportMetric(float64(after.NumGC-before.NumGC)/float64(b.N), "gc/op")
 		})
 	}
 }
 
 // repairAllocBudget is the allocation ceiling of one repair of the table
-// churn site (12 pages of 150–200 records). What is left, by the allocation
-// profile, is per feature, per candidate and per decoded text, not per
-// node: the feature build's bitsets and interned attribute names (≈ 2,100),
-// ranking's edit-distance and common-substring tables (≈ 1,300),
-// induction's and enumeration's sets (≈ 1,500), segment sampling (≈ 250),
-// the decoded texts of the parse (≈ 200), and a few dozen a page for the
-// parse's slabs and the corpus index: ≈ 7,800 in all. The training parse
-// made ≈ 42,000 of its own before it built into slabs — a node and its
-// child slice each — and the annotator ≈ 7,000 lowered copies; the budget
-// is 1.25 × what is measured. Allocation volume is what the collector
-// bills the serving goroutines for while a heal runs beside them.
-const repairAllocBudget = 9_700
+// churn site (12 pages of 150–200 records), and repairByteBudget its
+// ceiling in bytes. What is left, by the allocation profile, is per
+// wrapper, per candidate and per decoded text, not per node, text or
+// feature: enumeration's label subsets, extractions and partitions
+// (≈ 2,300), ranking's segmentation with its edit-distance and
+// common-substring tables (≈ 1,600), the parse's decoded texts and slabs
+// (≈ 280), the feature build's pairs, feature lists and bitset words
+// (≈ 250) and the corpus's serializations and shared arrays (≈ 170):
+// ≈ 4,500 in all. The feature build made ≈ 2,700 more when it took a
+// bitset a feature, the training parse ≈ 42,000 before it built into
+// slabs, and the annotator ≈ 7,000 lowered copies. The bytes are the tree
+// slabs (≈ 45 %), the feature space (≈ 20 %), the corpus's serializations
+// and index (≈ 15 %) and enumeration and ranking: ≈ 5.5 MB, where slabs
+// sized by '<' and an index a page made 6.4 MB. The budgets are 1.25 × the
+// allocations and 1.15 × the bytes measured. Allocation volume is what the
+// collector bills the serving goroutines for while a heal runs beside them.
+const (
+	repairAllocBudget = 5_650
+	repairByteBudget  = 6_400_000
+)
 
 func TestRepairAllocBudget(t *testing.T) {
 	if race.Enabled {
@@ -50,13 +67,29 @@ func TestRepairAllocBudget(t *testing.T) {
 	c := newChurnSite(t, "table")
 	rep := c.repairer()
 	k := 0
-	avg := testing.AllocsPerRun(4, func() {
+	repair := func() {
 		k++
 		if report, err := rep.Repair(context.Background(), c.name, c.tmpl[k%2]); err != nil || !report.Promoted {
 			t.Fatalf("repair %d: promoted=%v err=%v", k, report != nil && report.Promoted, err)
 		}
-	})
-	if avg > repairAllocBudget {
-		t.Fatalf("one repair: %.0f allocations, budget %d", avg, repairAllocBudget)
+	}
+	// As testing.AllocsPerRun counts, on one P after a warm-up run, and
+	// bytes beside the count.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	repair()
+	const runs = 4
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		repair()
+	}
+	runtime.ReadMemStats(&after)
+	allocs, bytes := (after.Mallocs-before.Mallocs)/runs, (after.TotalAlloc-before.TotalAlloc)/runs
+	t.Logf("one repair: %d allocations, %d bytes", allocs, bytes)
+	if allocs > repairAllocBudget {
+		t.Errorf("one repair: %d allocations, budget %d", allocs, repairAllocBudget)
+	}
+	if bytes > repairByteBudget {
+		t.Errorf("one repair: %d bytes, budget %d", bytes, repairByteBudget)
 	}
 }

@@ -79,56 +79,41 @@ type openNode struct {
 // nodeHint estimates how many nodes and attributes src parses into: a node
 // a start tag and a run of text between two tags that is not all white
 // space (which the parser drops), plus the document, and an attribute an
-// '=' inside a start tag. It steps from '<' to '<', so it reads a tag and
-// a text run's leading white space, not the page. A run that a comment
-// splits, or a '<' inside a script, counts one node too many, and a '='
-// inside an attribute value one attribute too many; a thirty-second more
-// and sixteen cover the elements a parse implies, so the first chunk holds
-// the page. An attribute with no value is not counted: a page of them
-// takes a second attribute chunk.
+// '=' inside a start tag. One pass steps over text to the next '<' and
+// through a tag to its '>'. A run that a comment splits, or a '<' inside a
+// script, counts one node too many, and a '=' inside an attribute value
+// one attribute too many; a thirty-second more and sixteen cover the
+// elements a parse implies, so the first chunk holds the page. An
+// attribute with no value is not counted: a page of them takes a second
+// attribute chunk.
 func nodeHint(src string) (nodes, attrs int) {
 	nodes = 1
-	i := strings.IndexByte(src, '<')
-	if i < 0 || hasText(src[:i]) {
-		nodes++
-	}
-	for i >= 0 {
+	for i := 0; i < len(src); i++ { // src[i] is a '<' or outside every tag
+		if src[i] != '<' {
+			end := len(src)
+			if k := strings.IndexByte(src[i:], '<'); k >= 0 {
+				end = i + k
+			}
+			for ; i < end; i++ {
+				if nameClass[src[i]]&spaceByte == 0 {
+					nodes++
+					break
+				}
+			}
+			i = end - 1
+			continue
+		}
 		start := i+1 < len(src) && nameClass[src[i+1]]&nameByte != 0
 		if start {
 			nodes++
 		}
-		end := strings.IndexByte(src[i+1:], '<')
-		if end < 0 {
-			end = len(src)
-		} else {
-			end += i + 1
-		}
-		if gt := strings.IndexByte(src[i:end], '>'); gt >= 0 {
-			if start {
-				attrs += strings.Count(src[i:i+gt], "=")
-			}
-			if hasText(src[i+gt+1 : end]) {
-				nodes++
+		for i++; i < len(src) && src[i] != '>'; i++ {
+			if start && src[i] == '=' {
+				attrs++
 			}
 		}
-		if end == len(src) {
-			break
-		}
-		i = end
 	}
 	return nodes + nodes/32 + 16, attrs + attrs/32 + 16
-}
-
-// hasText reports whether s holds a byte that is not HTML white space.
-func hasText(s string) bool {
-	for i := 0; i < len(s); i++ {
-		switch s[i] {
-		case ' ', '\t', '\n', '\r', '\f':
-		default:
-			return true
-		}
-	}
-	return false
 }
 
 // build parses src with p into the builder's slabs and returns the document

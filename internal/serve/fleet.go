@@ -654,10 +654,11 @@ func (f *ShardRouter) handleRepair(w http.ResponseWriter, r *http.Request) {
 	sc := acquireScratch()
 	defer releaseScratch(sc)
 	var req LearnRequest
-	if !f.readMaintenance(w, r, sc, &req, false) {
+	body, ok := f.readMaintenance(w, r, sc, &req, false)
+	if !ok {
 		return
 	}
-	f.owner(req.Site).Repair(w, r, req.repair(), sc.body)
+	f.owner(req.Site).Repair(w, r, req.repair(), body)
 }
 
 // handleLearn routes a learn to the partition the ring assigns the new
@@ -670,20 +671,28 @@ func (f *ShardRouter) handleLearn(w http.ResponseWriter, r *http.Request) {
 	sc := acquireScratch()
 	defer releaseScratch(sc)
 	var req LearnRequest
-	if !f.readMaintenance(w, r, sc, &req, true) {
+	body, ok := f.readMaintenance(w, r, sc, &req, true)
+	if !ok {
 		return
 	}
-	f.owner(req.Site).Learn(w, r, req, sc.body)
+	f.owner(req.Site).Learn(w, r, req, body)
 }
 
 // readMaintenance reads a learn or repair body into sc and decodes it into
 // req as far as the owner's client needs it (decodeRouted): all of it for
-// an in-process node, Site and TimeoutMS for a peer, which gets sc.body.
-func (f *ShardRouter) readMaintenance(w http.ResponseWriter, r *http.Request, sc *extractScratch, req *LearnRequest, learn bool) bool {
-	return readBodyInto(w, r, sc, f.maxBodyBytes) &&
+// an in-process node, Site and TimeoutMS for a peer, which gets the body.
+// The pages an in-process node decodes are views of the body, and its job
+// outlives the request, so the body leaves sc, which goes back to its pool
+// without it: a repair-sized buffer is the job's to drop, not the pool's
+// to keep.
+func (f *ShardRouter) readMaintenance(w http.ResponseWriter, r *http.Request, sc *extractScratch, req *LearnRequest, learn bool) ([]byte, bool) {
+	ok := readBodyInto(w, r, sc, f.maxBodyBytes) &&
 		f.decodeRouted(w, sc.body, &req.Site, &req.TimeoutMS, func() error {
 			return decodeMaintenanceRequest(sc.body, req, learn)
 		})
+	body := sc.body
+	sc.body = nil
+	return body, ok
 }
 
 // owner resolves a site to its partition's client. The empty site maps to

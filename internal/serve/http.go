@@ -217,7 +217,7 @@ func (s *Server) Drain(ctx context.Context) error {
 // worker that observed the tripping page.
 func (s *Server) onTrip(site string, st drift.Stats) {
 	s.cfg.Log.Printf("DRIFT TRIPPED (shard %d): %s", s.cfg.Shard, st)
-	s.audit(audit.EventDriftTrip, site, 0, st.String())
+	s.audit(audit.Entry{Event: audit.EventDriftTrip, Site: site, Detail: st.String()})
 	if m := s.maint.Load(); m != nil {
 		m.Kick(site)
 	}
@@ -511,13 +511,13 @@ func (s *Server) persistPromotion(site string, op store.Op, version int) error {
 	return s.cfg.Backend.AppendPromotion(s.cfg.Shard, site, op, version)
 }
 
-// audit records a lifecycle event in the ledger. Ledger trouble is
-// logged, never bounced to the client — the mutation itself is already
-// durable through the backend, and the ledger's own chain makes a gap
-// visible to Verify-driven monitoring.
-func (s *Server) audit(event, site string, version int, detail string) {
-	if err := s.cfg.Audit.Append(s.cfg.Shard, event, site, version, detail); err != nil {
-		s.cfg.Log.Printf("serve: audit %s %s: %v", event, site, err)
+// audit records lifecycle events in the ledger, with one fsync for all.
+// Ledger trouble is logged, never bounced to the client — the mutation
+// itself is already durable through the backend, and the ledger's own
+// chain makes a gap visible to Verify-driven monitoring.
+func (s *Server) audit(events ...audit.Entry) {
+	if err := s.cfg.Audit.AppendAll(s.cfg.Shard, events...); err != nil {
+		s.cfg.Log.Printf("serve: audit %s %s: %v", events[0].Event, events[0].Site, err)
 	}
 }
 
@@ -581,7 +581,7 @@ func (s *Server) finishLifecycle(w http.ResponseWriter, op store.Op, req AdminRe
 	}
 	s.lifecycleMu.Unlock()
 	if err == nil && perr == nil {
-		s.audit(event, req.Site, entry.Version, detail)
+		s.audit(audit.Entry{Event: event, Site: req.Site, Version: entry.Version, Detail: detail})
 	}
 	s.finishAdmin(w, entry, err, perr)
 }
@@ -707,12 +707,10 @@ func (s *Server) RunMaintenance(ctx context.Context, site string, pages []string
 		return nil, fmt.Errorf("stored but refresh failed: %w", err)
 	}
 	// The repairer staged report.Candidate (and possibly promoted it)
-	// in the in-memory registry; report the same events to the backend.
+	// in the in-memory registry; report the same to the backend as one
+	// record, so no replay can find the version stored but not promoted.
 	s.lifecycleMu.Lock()
-	perr := s.persistEntry(report.Candidate, false)
-	if perr == nil && report.Promoted {
-		perr = s.persistPromotion(site, store.OpPromote, report.Candidate.Version)
-	}
+	perr := s.persistEntry(report.Candidate, report.Promoted)
 	s.lifecycleMu.Unlock()
 	if perr != nil {
 		s.cfg.Log.Printf("serve: persisting store after %s job: %v", site, perr)
@@ -722,14 +720,16 @@ func (s *Server) RunMaintenance(ctx context.Context, site string, pages []string
 	if report.Promoted {
 		verdict = "promoted"
 	}
-	event, detail := audit.EventCandidate, "repair staged v"+strconv.Itoa(report.Candidate.Version)
+	events := []audit.Entry{{Event: audit.EventCandidate, Site: site, Version: report.Candidate.Version,
+		Detail: "repair staged v" + strconv.Itoa(report.Candidate.Version)}}
 	if prev == 0 {
-		event, detail = audit.EventLearn, "learned new site"
+		events[0].Event, events[0].Detail = audit.EventLearn, "learned new site"
 	}
-	s.audit(event, site, report.Candidate.Version, detail)
 	if report.Promoted {
-		s.audit(audit.EventPromote, site, report.Candidate.Version, "validated: "+verdict)
+		events = append(events, audit.Entry{Event: audit.EventPromote, Site: site,
+			Version: report.Candidate.Version, Detail: "validated: " + verdict})
 	}
+	s.audit(events...)
 	return &RepairResponse{
 		Site:               site,
 		Promoted:           report.Promoted,

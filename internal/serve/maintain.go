@@ -214,8 +214,8 @@ func (m *Maintainer) submit(site string, now time.Time) bool {
 		m.opt.Log.Printf("serve: auto-repair %s not enqueued: %v", site, err)
 		return false
 	}
-	m.server.audit(audit.EventAutoRepair, site, 0,
-		fmt.Sprintf("job %s: re-learning from %d recent pages", snap.ID, len(pages)))
+	m.server.audit(audit.Entry{Event: audit.EventAutoRepair, Site: site,
+		Detail: fmt.Sprintf("job %s: re-learning from %d recent pages", snap.ID, len(pages))})
 	m.mu.Lock()
 	// The runner may already have finished and cleared the slot; only an
 	// occupied slot gets the real job id.

@@ -43,7 +43,8 @@ func decodeMaintenanceRef(body []byte, learn bool) (LearnRequest, error) {
 // checkMaintenanceDecode holds the cursor decoder to the reference on one
 // body: an error exactly when the reference errors, "trailing data" exactly
 // when the reference says so (it is a different response body), the same
-// fields otherwise — and none of them aliasing the body buffer.
+// fields otherwise — the pages views of the body buffer, which the job
+// keeps, and the other strings not aliasing it.
 func checkMaintenanceDecode(t *testing.T, body []byte, learn bool) {
 	t.Helper()
 	ref, refErr := decodeMaintenanceRef(body, learn)
@@ -56,11 +57,13 @@ func checkMaintenanceDecode(t *testing.T, body []byte, learn bool) {
 	if refErr != nil {
 		return
 	}
-	for i := range buf {
-		buf[i] = 'Z' // what the scratch pool's next user would do
+	if !slices.Equal(got.Pages, ref.Pages) || (got.Pages == nil) != (ref.Pages == nil) {
+		t.Fatalf("%q (learn=%v): pages\n cursor %q\n  json  %q", body, learn, got.Pages, ref.Pages)
 	}
-	if got.Site != ref.Site || got.CorpusDir != ref.CorpusDir || got.TimeoutMS != ref.TimeoutMS ||
-		!slices.Equal(got.Pages, ref.Pages) || (got.Pages == nil) != (ref.Pages == nil) {
+	for i := range buf {
+		buf[i] = 'Z' // what a scratch's next user would do, were the body pooled
+	}
+	if got.Site != ref.Site || got.CorpusDir != ref.CorpusDir || got.TimeoutMS != ref.TimeoutMS {
 		t.Fatalf("%q (learn=%v):\n cursor %+v\n  json  %+v", body, learn, got, ref)
 	}
 }
@@ -280,5 +283,39 @@ func TestMaintenanceHandlersAnswerAsBefore(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestMaintenanceBodyLeavesTheScratch: a repair's or learn's pages are
+// views of its body, which the job keeps, so the scratch the request read
+// into goes back to its pool without the body — a pooled scratch must not
+// keep a repair-sized buffer, and must never hand out one a job reads.
+func TestMaintenanceBodyLeavesTheScratch(t *testing.T) {
+	jm := jobs.New(jobs.Options{QueueDepth: 16})
+	t.Cleanup(func() { jm.Drain(context.Background()) })
+	srv, err := NewServer(ServerConfig{
+		Dispatcher: NewDispatcher(store.New(), Options{}),
+		Repairer:   &drift.Repairer{}, // jobs fail on it; the submission is the test
+		Jobs:       jm,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	page := "<p>" + strings.Repeat("x", 150_000) + "</p>"
+	body, err := json.Marshal(LearnRequest{Site: "shop", Pages: []string{page, page}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{"/v1/repair", "/v1/learn"} {
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body)))
+		if rec.Code != http.StatusAccepted {
+			t.Fatalf("%s: %d %s", path, rec.Code, rec.Body)
+		}
+		sc := acquireScratch()
+		if cap(sc.body) >= len(body) {
+			t.Fatalf("%s: a pooled scratch keeps a %d-byte buffer after a %d-byte body", path, cap(sc.body), len(body))
+		}
+		releaseScratch(sc)
 	}
 }

@@ -219,7 +219,8 @@ func decodeExtractRequest(sc *extractScratch) error {
 
 // decodeMaintenanceRequest parses the body of POST /v1/repair or
 // /v1/learn into req with the cursor /v1/extract uses: page bodies are
-// unescaped in place inside body and copied out once. It accepts and rejects
+// unescaped in place inside body and stay there, as views, so the body
+// belongs to the job from then on (see readMaintenance). It accepts and rejects
 // the bodies json.Decoder.Decode did, with the same field values — unknown
 // keys skipped, keys case-folded, null a no-op (a nil slice for pages), the
 // last of a duplicated key winning — so a caller cannot tell the decoders
@@ -259,7 +260,7 @@ func decodeMaintenanceRequest(body []byte, req *LearnRequest, learn bool) error 
 				req.TimeoutMS, err = d.integer()
 			}
 		case keyIs(key, "pages"):
-			req.Pages, err = d.strings(req.Pages)
+			req.Pages, err = d.views(req.Pages)
 		default:
 			err = d.skip(0)
 		}
@@ -289,14 +290,24 @@ func (d *jsonCursor) strField(dst *string) error {
 	return err
 }
 
-// strings decodes an array of strings over old, the field's value so far
-// (see array). null for the whole array is a nil slice, and [] a fresh
-// empty one, as encoding/json leaves them.
-func (d *jsonCursor) strings(old []string) ([]string, error) {
+// views decodes an array of strings over old, the field's value so far
+// (see array), each string a view of the body (see view); a null element
+// leaves the element as it was. null for the whole array is a nil slice,
+// and [] a fresh empty one, as encoding/json leaves them.
+func (d *jsonCursor) views(old []string) ([]string, error) {
 	if d.tryNull() {
 		return nil, nil
 	}
-	out, err := array(d, old, d.strField)
+	out, err := array(d, old, func(dst *string) error {
+		if d.tryNull() {
+			return nil
+		}
+		v, err := d.str()
+		if err == nil {
+			*dst = d.view(v)
+		}
+		return err
+	})
 	if err != nil {
 		return nil, err
 	}

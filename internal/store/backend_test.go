@@ -82,6 +82,40 @@ func TestApplyReplaysLifecycle(t *testing.T) {
 	sameRegistry(t, src, replay)
 }
 
+// TestApplyPutIsCandidateThenPromote: a promoted heal is logged as one put
+// where it was a candidate and a promote, so the two must replay to the
+// same registry — after an incumbent, and as a site's first version.
+func TestApplyPutIsCandidateThenPromote(t *testing.T) {
+	src := store.New()
+	lifecycleScript(t, src)
+	apply := func(s *store.Store, op store.Op, site string, version int, e *store.Entry) {
+		t.Helper()
+		if err := s.Apply(op, site, version, e); err != nil {
+			t.Fatalf("apply %s %s v%d: %v", op, site, version, err)
+		}
+	}
+	twoOps, oneOp := store.New(), store.New()
+	for _, site := range src.Sites() {
+		for k, e := range src.History(site) {
+			e := e
+			if k == 0 {
+				apply(twoOps, store.OpPut, site, e.Version, &e)
+				apply(oneOp, store.OpPut, site, e.Version, &e)
+				continue
+			}
+			apply(twoOps, store.OpCandidate, site, e.Version, &e)
+			apply(twoOps, store.OpPromote, site, e.Version, nil)
+			apply(oneOp, store.OpPut, site, e.Version, &e)
+		}
+	}
+	e := src.History("a.example.com")[0]
+	e.Site = "c.example.com"
+	apply(twoOps, store.OpCandidate, e.Site, 1, &e)
+	apply(twoOps, store.OpPromote, e.Site, 1, nil)
+	apply(oneOp, store.OpPut, e.Site, 1, &e)
+	sameRegistry(t, twoOps, oneOp)
+}
+
 // TestApplyRejectsInvalidEvents pins that Apply enforces Load-grade
 // invariants instead of trusting its input.
 func TestApplyRejectsInvalidEvents(t *testing.T) {

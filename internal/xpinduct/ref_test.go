@@ -17,8 +17,9 @@ import (
 // refSpace is the feature construction New replaced, kept as the reference
 // the one-pass build is compared with: for every text node, walk its
 // ancestor chain, recount each ancestor's same-tag siblings, and intern one
-// concatenated key per (text, ancestor, feature). It shares nothing with
-// wrapper.FeatureSpace.
+// concatenated key per (text, ancestor, feature). Its lists are sorted, as
+// wrapper.FeatureSpace's were, and it induces as FeatureSpace did then, by
+// intersecting sorted lists; it shares nothing with wrapper.FeatureSpace.
 type refSpace struct {
 	attrs     []wrapper.Attr
 	attrIDs   map[wrapper.Attr]int32
@@ -80,8 +81,8 @@ func (rs *refSpace) add(ord int, a wrapper.Attr, value string) {
 	}
 }
 
-// induce is φ(L) by definition: intersect the labels' features, extract
-// every node that has them all.
+// induce is φ(L): intersect the labels' sorted lists, extract every node
+// that has them all.
 func (rs *refSpace) induce(c *corpus.Corpus, labels *bitset.Set) (inter []int32, out *bitset.Set) {
 	first := true
 	labels.ForEach(func(ord int) {
@@ -89,9 +90,7 @@ func (rs *refSpace) induce(c *corpus.Corpus, labels *bitset.Set) (inter []int32,
 			inter, first = slices.Clone(rs.nodeFeats[ord]), false
 			return
 		}
-		inter = slices.DeleteFunc(inter, func(fid int32) bool {
-			return !slices.Contains(rs.nodeFeats[ord], fid)
-		})
+		inter = intersectSorted(inter, rs.nodeFeats[ord])
 	})
 	out = c.EmptySet()
 	for ord, feats := range rs.nodeFeats {
@@ -107,6 +106,54 @@ func (rs *refSpace) induce(c *corpus.Corpus, labels *bitset.Set) (inter []int32,
 		}
 	}
 	return inter, out
+}
+
+func intersectSorted(a, b []int32) []int32 {
+	out := a[:0]
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] == b[j]:
+			out = append(out, a[i])
+			i++
+			j++
+		case a[i] < b[j]:
+			i++
+		default:
+			j++
+		}
+	}
+	return out
+}
+
+// featureOf is node ord's feature of attribute a: the first in its sorted
+// list.
+func (rs *refSpace) featureOf(ord int, a wrapper.Attr) (int32, bool) {
+	for _, fid := range rs.nodeFeats[ord] {
+		if rs.attrs[rs.featAttr[fid]] == a {
+			return fid, true
+		}
+	}
+	return 0, false
+}
+
+// subdivide partitions s by the value of attribute a, the groups in the
+// order their first members come.
+func (rs *refSpace) subdivide(c *corpus.Corpus, s *bitset.Set, a wrapper.Attr) []*bitset.Set {
+	var groups []*bitset.Set
+	byFeat := map[int32]*bitset.Set{}
+	s.ForEach(func(ord int) {
+		if fid, ok := rs.featureOf(ord, a); ok {
+			g := byFeat[fid]
+			if g == nil {
+				g = c.EmptySet()
+				byFeat[fid] = g
+				groups = append(groups, g)
+			}
+			g.Add(ord)
+		}
+	})
+	return groups
 }
 
 // checkAgainstRef holds New to the reference on one corpus: the same
@@ -151,6 +198,20 @@ func checkAgainstRef(t *testing.T, name string, c *corpus.Corpus, opt Options, r
 		}
 		if got, want := w.Rule(), renderRule(fs, inter); got != want {
 			t.Fatalf("%s: labels %v: rule %q, reference %q", name, labels.Indices(), got, want)
+		}
+		// Subdivide and AttrValue read the unsorted lists.
+		for _, a := range fs.Attrs(labels) {
+			got, want := fs.Subdivide(labels, a), rs.subdivide(c, labels, a)
+			if !slices.EqualFunc(got, want, (*bitset.Set).Equal) {
+				t.Fatalf("%s: labels %v: subdivision by %v differs from the reference", name, labels.Indices(), a)
+			}
+			labels.ForEach(func(ord int) {
+				v, ok := fs.AttrValue(ord, a)
+				fid, refOK := rs.featureOf(ord, a)
+				if ok != refOK || ok && v != rs.featVal[fid] {
+					t.Fatalf("%s: node %d: %v is %q (%v), reference %q (%v)", name, ord, a, v, ok, rs.featVal[fid], refOK)
+				}
+			})
 		}
 	}
 }
