@@ -34,7 +34,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
-	"slices"
 	"sync"
 	"time"
 )
@@ -270,7 +269,9 @@ func (l *Ledger) AppendAll(shard int, events ...Entry) error {
 	if l.f == nil {
 		return fmt.Errorf("audit: ledger closed")
 	}
-	seq, prev, leaves, stats, recent := l.seq, l.prev, slices.Clone(l.leaves), l.stats, l.recent
+	// What the batch appends lands past these slices' lengths, and a
+	// checkpoint starts a fresh leaves array, so restoring them undoes it.
+	seq, prev, leaves, stats, recent := l.seq, l.prev, l.leaves, l.stats, l.recent
 	l.pending = l.pending[:0]
 	err := func() error {
 		for _, e := range events {
@@ -279,7 +280,7 @@ func (l *Ledger) AppendAll(shard int, events ...Entry) error {
 			}
 			if len(l.leaves) >= l.opt.CheckpointEvery {
 				root := merkleRoot(l.leaves)
-				l.leaves = l.leaves[:0]
+				l.leaves = nil
 				if err := l.chain(shard, EventCheckpoint, "", 0, hex.EncodeToString(root)); err != nil {
 					return err
 				}

@@ -48,7 +48,7 @@ func New(c *corpus.Corpus, opt Options) *wrapper.FeatureSpace {
 		fs:       wrapper.NewFeatureSpace("xpath", c, renderRule),
 		maxDepth: opt.MaxDepth,
 		ignored:  make(map[string]bool, len(opt.IgnoreAttrs)),
-		pairIDs:  make(map[pair]int32),
+		pairIDs:  []map[string]int32{{}, {}},
 		kindIDs:  make(map[string]int32),
 		kinds:    []string{"tag", "cn"},
 	}
@@ -91,11 +91,11 @@ type builder struct {
 	feats []int32 // one text node's features, reused
 	ord   int     // ordinal of the next extractable text node
 
-	// Pairs are interned to dense ids: pairIDs by kind and value, but a
-	// child number's by number, plus one (zero is not yet asked for), in
-	// cnPairs. kinds names each kind as an Attr names it ("tag", "cn",
-	// "@" and the attribute key); kindIDs finds an attribute key's kind.
-	pairIDs map[pair]int32
+	// Pairs are interned to dense ids: pairIDs[kind] by value, but a child
+	// number's by number, plus one (zero is not yet asked for), in cnPairs.
+	// kinds names each kind as an Attr names it ("tag", "cn", "@" and the
+	// attribute key); kindIDs finds an attribute key's kind.
+	pairIDs []map[string]int32
 	cnPairs []int32
 	pairOf  []pair // pair id -> pair
 	kinds   []string
@@ -210,12 +210,12 @@ func (b *builder) intern(p int32, pos int) int32 {
 // records their range in b.pairs.
 func (b *builder) internPairs(f *frame) {
 	start := len(b.pairs)
-	b.pairs = append(b.pairs, b.pairID(pair{kindTag, f.n.Tag}))
+	b.pairs = append(b.pairs, b.pairID(kindTag, f.n.Tag))
 	if f.cn >= len(b.cnPairs) {
 		b.cnPairs = append(b.cnPairs, make([]int32, f.cn+1-len(b.cnPairs))...)
 	}
 	if b.cnPairs[f.cn] == 0 {
-		b.cnPairs[f.cn] = b.pairID(pair{kindCN, strconv.Itoa(f.cn)}) + 1
+		b.cnPairs[f.cn] = b.pairID(kindCN, strconv.Itoa(f.cn)) + 1
 	}
 	b.pairs = append(b.pairs, b.cnPairs[f.cn]-1)
 	for _, a := range f.n.Attrs {
@@ -227,19 +227,20 @@ func (b *builder) internPairs(f *frame) {
 			kind = int32(len(b.kinds))
 			b.kindIDs[a.Key] = kind
 			b.kinds = append(b.kinds, "@"+a.Key)
+			b.pairIDs = append(b.pairIDs, map[string]int32{})
 		}
-		b.pairs = append(b.pairs, b.pairID(pair{kind, a.Val}))
+		b.pairs = append(b.pairs, b.pairID(kind, a.Val))
 	}
 	f.pairs = [2]int{start, len(b.pairs)}
 }
 
-// pairID interns pr.
-func (b *builder) pairID(pr pair) int32 {
-	id, ok := b.pairIDs[pr]
+// pairID interns the pair (kind, val).
+func (b *builder) pairID(kind int32, val string) int32 {
+	id, ok := b.pairIDs[kind][val]
 	if !ok {
 		id = int32(len(b.pairOf))
-		b.pairIDs[pr] = id
-		b.pairOf = append(b.pairOf, pr)
+		b.pairIDs[kind][val] = id
+		b.pairOf = append(b.pairOf, pair{kind, val})
 	}
 	return id
 }
