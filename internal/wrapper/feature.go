@@ -32,17 +32,21 @@ type FeatureSpace struct {
 	c    *corpus.Corpus
 
 	nodeFeats [][]int32 // ordinal -> feature ids, in the order attached
-	featBits  []bitset.Set
-	featAttr  []int32 // feature id -> attr id
+	members   []members // feature id -> the text nodes that have it
+	featAttr  []int32   // feature id -> attr id
 	featVal   []string
 	attrs     []Attr
 	attrIDs   map[Attr]int32
 	byKey     map[featKey]int32
-	// slab is what is left of the array nodes' first feature lists are
-	// carved from, and words what is left of the array features' bitsets
-	// are.
+	// slab, lists and words are what is left of the arrays nodes' first
+	// feature lists, features' member lists and features' bitset words
+	// are carved from.
 	slab  []int32
+	lists []int32
 	words []uint64
+	// denseAt is the length at which a member list takes as many bytes as
+	// a bitset over the universe.
+	denseAt int
 	// stamp[fid] counts the labels, of the one Induce running, that have
 	// feature fid — as long as every label before them had it too. Zero
 	// between calls.
@@ -54,6 +58,31 @@ type FeatureSpace struct {
 
 	induceCalls int64
 }
+
+// members holds the text nodes that have one feature: a sorted list of
+// their ordinals while the list is shorter than a bitset over the universe,
+// and the bitset's words (non-nil) from then on. Most features of a listing
+// site are a child number a few records share: a bitset each would zero
+// and keep universe/8 bytes for them.
+type members struct {
+	list []int32
+	bits []uint64
+}
+
+// has reports whether the text node with ordinal ord is a member.
+func (m *members) has(ord int32) bool {
+	if m.bits != nil {
+		return m.bits[ord>>6]&(1<<(ord&63)) != 0
+	}
+	if n := len(m.list); n == 0 || m.list[n-1] < ord {
+		return false
+	}
+	_, found := slices.BinarySearch(m.list, ord)
+	return found
+}
+
+// set returns the bitset of a dense feature's members.
+func (fs *FeatureSpace) set(m *members) bitset.Set { return bitset.Over(fs.c.NumTexts(), m.bits) }
 
 // featKey identifies a feature: an interned attribute and its value.
 type featKey struct {
@@ -70,6 +99,7 @@ func NewFeatureSpace(name string, c *corpus.Corpus,
 		name:       name,
 		c:          c,
 		nodeFeats:  make([][]int32, c.NumTexts()),
+		denseAt:    2 * ((c.NumTexts() + 63) / 64),
 		attrIDs:    make(map[Attr]int32),
 		byKey:      make(map[featKey]int32),
 		renderRule: render,
@@ -102,15 +132,9 @@ func (fs *FeatureSpace) FeatureOf(aid int32, value string) int32 {
 	key := featKey{aid, value}
 	fid, ok := fs.byKey[key]
 	if !ok {
-		fid = int32(len(fs.featBits))
+		fid = int32(len(fs.members))
 		fs.byKey[key] = fid
-		n := fs.c.NumTexts()
-		w := (n + 63) / 64
-		if len(fs.words) < w {
-			fs.words = make([]uint64, w*featBitsChunk)
-		}
-		fs.featBits = append(fs.featBits, bitset.Over(n, fs.words[:w]))
-		fs.words = fs.words[w:]
+		fs.members = append(fs.members, members{})
 		fs.featAttr = append(fs.featAttr, aid)
 		fs.featVal = append(fs.featVal, value)
 	}
@@ -118,11 +142,42 @@ func (fs *FeatureSpace) FeatureOf(aid int32, value string) int32 {
 }
 
 // featSlab is how many feature ids one array of node feature lists holds,
-// and featBitsChunk how many features' bitsets one array of words does.
+// listSlab how many ordinals one array of member lists does, and
+// featBitsChunk how many features' bitsets one array of words does.
 const (
 	featSlab      = 1 << 13
+	listSlab      = 1 << 12
 	featBitsChunk = 32
 )
+
+// addMember makes the text node with ordinal ord a member of m, which it
+// is not, where Attach's in-order append cannot: into the middle of the
+// list, or past its capacity. A full list grows by carving one twice as
+// long from the shared array, and a full list denseAt long becomes a
+// bitset carved from the shared words.
+func (fs *FeatureSpace) addMember(m *members, ord int32) {
+	if n := len(m.list); n == cap(m.list) {
+		if n >= fs.denseAt {
+			w := (fs.c.NumTexts() + 63) / 64
+			if len(fs.words) < w {
+				fs.words = make([]uint64, w*featBitsChunk)
+			}
+			m.bits, fs.words = fs.words[:w:w], fs.words[w:]
+			for _, o := range append(m.list, ord) {
+				m.bits[o>>6] |= 1 << (o & 63)
+			}
+			m.list = nil
+			return
+		}
+		c := max(4, 2*n)
+		if len(fs.lists) < c {
+			fs.lists = make([]int32, max(listSlab, c))
+		}
+		m.list, fs.lists = append(fs.lists[:0:c], m.list...), fs.lists[c:]
+	}
+	i, _ := slices.BinarySearch(m.list, ord)
+	m.list = slices.Insert(m.list, i, ord)
+}
 
 // Attach gives the text node with the given ordinal every feature in fids.
 // A feature the node already has is skipped.
@@ -140,11 +195,24 @@ func (fs *FeatureSpace) Attach(ord int, fids []int32) {
 	} else {
 		feats = slices.Grow(feats, len(fids))
 	}
+	o := int32(ord)
 	for _, fid := range fids {
-		if bits := &fs.featBits[fid]; !bits.Has(ord) {
-			bits.Add(ord)
-			feats = append(feats, fid)
+		m := &fs.members[fid]
+		switch n := len(m.list); {
+		case m.bits != nil:
+			w, bit := &m.bits[o>>6], uint64(1)<<(o&63)
+			if *w&bit != 0 {
+				continue
+			}
+			*w |= bit
+		case n < cap(m.list) && (n == 0 || m.list[n-1] < o):
+			m.list = append(m.list, o) // nodes mostly come in order
+		case m.has(o):
+			continue
+		default:
+			fs.addMember(m, o)
 		}
+		feats = append(feats, fid)
 	}
 	if carve {
 		feats = feats[:len(feats):len(feats)]
@@ -214,8 +282,8 @@ func (fs *FeatureSpace) Induce(labels *bitset.Set) (Wrapper, error) {
 	if len(ords) == 0 {
 		return nil, fmt.Errorf("%s: cannot induce from an empty label set", fs.name)
 	}
-	if len(fs.stamp) < len(fs.featBits) {
-		fs.stamp = make([]int32, len(fs.featBits))
+	if len(fs.stamp) < len(fs.members) {
+		fs.stamp = make([]int32, len(fs.members))
 	}
 	first := fs.nodeFeats[ords[0]]
 	for _, fid := range first {
@@ -249,17 +317,46 @@ func (fs *FeatureSpace) Induce(labels *bitset.Set) (Wrapper, error) {
 		fs.stamp[fid] = 0
 	}
 	slices.Sort(inter)
-	var out *bitset.Set
-	if len(inter) == 0 {
+	return &FeatureWrapper{fs: fs, featIDs: inter, out: fs.having(inter)}, nil
+}
+
+// having returns the set of text nodes that have every feature in fids:
+// every node for no features; the members of the shortest list that have
+// the rest, when a feature is a list; the conjunction of the bitsets, when
+// every feature is one.
+func (fs *FeatureSpace) having(fids []int32) *bitset.Set {
+	if len(fids) == 0 {
 		// No shared features: the wrapper generalizes to everything.
-		out = fs.c.FullSet()
-	} else {
-		out = fs.featBits[inter[0]].Clone()
-		for _, fid := range inter[1:] {
-			out.AndWith(&fs.featBits[fid])
+		return fs.c.FullSet()
+	}
+	var shortest *members
+	for _, fid := range fids {
+		if m := &fs.members[fid]; m.bits == nil && (shortest == nil || len(m.list) < len(shortest.list)) {
+			shortest = m
 		}
 	}
-	return &FeatureWrapper{fs: fs, featIDs: inter, out: out}, nil
+	if shortest == nil {
+		first := fs.set(&fs.members[fids[0]])
+		out := first.Clone()
+		for _, fid := range fids[1:] {
+			bits := fs.set(&fs.members[fid])
+			out.AndWith(&bits)
+		}
+		return out
+	}
+	out := fs.c.EmptySet()
+	for _, ord := range shortest.list {
+		all := true
+		for _, fid := range fids {
+			if all = fs.members[fid].has(ord); !all {
+				break
+			}
+		}
+		if all {
+			out.Add(int(ord))
+		}
+	}
+	return out
 }
 
 // Attrs implements FeatureInductor.

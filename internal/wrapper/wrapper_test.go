@@ -1,6 +1,10 @@
 package wrapper
 
 import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -214,5 +218,103 @@ func TestAttrString(t *testing.T) {
 	}
 	if (Attr{Kind: "row"}).String() != "row" {
 		t.Fatal("bare attr")
+	}
+}
+
+// TestAttachInAnyOrder: features attached to nodes in a shuffled order,
+// twice over and in duplicate, to a universe large enough that some stay
+// member lists and some become bitsets — every node holds each of its
+// features once, and Induce, Subdivide and AttrValue answer as a plain
+// model of the attachments does.
+func TestAttachInAnyOrder(t *testing.T) {
+	var page strings.Builder
+	for i := 0; i < 300; i++ {
+		fmt.Fprintf(&page, "<p>t%d</p>", i)
+	}
+	c := corpus.ParseHTML([]string{page.String()})
+	rng := rand.New(rand.NewSource(7))
+	fs := NewFeatureSpace("any-order", c, nil)
+	model := make([]map[string]string, c.NumTexts()) // ordinal -> kind -> value
+	type attach struct {
+		ord       int
+		kind, val string
+	}
+	var plan []attach
+	for ord := range model {
+		model[ord] = map[string]string{}
+		for _, kind := range []string{"common", "mid", "rare"} {
+			if kind == "rare" && rng.Intn(3) > 0 {
+				continue
+			}
+			val := map[string]string{
+				"common": strconv.Itoa(ord % 2), "mid": strconv.Itoa(ord % 25), "rare": strconv.Itoa(rng.Intn(150)),
+			}[kind]
+			model[ord][kind] = val
+			plan = append(plan, attach{ord, kind, val})
+		}
+	}
+	plan = append(plan, plan[:40]...) // duplicates
+	rng.Shuffle(len(plan), func(i, j int) { plan[i], plan[j] = plan[j], plan[i] })
+	for _, a := range plan {
+		fs.AddFeature(a.ord, Attr{Kind: a.kind}, a.val)
+	}
+	for ord, want := range model {
+		if got := len(fs.nodeFeats[ord]); got != len(want) {
+			t.Fatalf("node %d holds %d features, attached %d", ord, got, len(want))
+		}
+	}
+	for trial := 0; trial < 300; trial++ {
+		labels := c.EmptySet()
+		for n := 1 + rng.Intn(3); n > 0; n-- {
+			labels.Add(rng.Intn(c.NumTexts()))
+		}
+		ords := labels.Indices()
+		shared := map[string]string{}
+		for kind, val := range model[ords[0]] {
+			all := true
+			for _, ord := range ords[1:] {
+				all = all && model[ord][kind] == val
+			}
+			if all {
+				shared[kind] = val
+			}
+		}
+		want := c.EmptySet()
+		for ord, feats := range model {
+			all := true
+			for kind, val := range shared {
+				all = all && feats[kind] == val
+			}
+			if all {
+				want.Add(ord)
+			}
+		}
+		w, err := fs.Induce(labels)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids := w.(*FeatureWrapper).Features()
+		if !slices.IsSorted(ids) || len(ids) != len(shared) || !w.Extract().Equal(want) {
+			t.Fatalf("labels %v: features %v, extracts %v; shared %v, want %v", ords, ids, w.Extract().Indices(), shared, want.Indices())
+		}
+		for _, kind := range []string{"common", "mid", "rare"} {
+			v, ok := fs.AttrValue(ords[0], Attr{Kind: kind})
+			if mv, mok := model[ords[0]][kind]; ok != mok || v != mv {
+				t.Fatalf("node %d: %s is %q (%v), attached %q (%v)", ords[0], kind, v, ok, mv, mok)
+			}
+			var count int
+			for _, g := range fs.Subdivide(labels, Attr{Kind: kind}) {
+				count += g.Count()
+			}
+			wantCount := 0
+			for _, ord := range ords {
+				if _, ok := model[ord][kind]; ok {
+					wantCount++
+				}
+			}
+			if count != wantCount {
+				t.Fatalf("labels %v: subdivision by %s covers %d, want %d", ords, kind, count, wantCount)
+			}
+		}
 	}
 }
