@@ -13,8 +13,8 @@ import (
 // FeatureSpace is the shared implementation of feature-based inductors
 // (paper Sec. 4.2): every text node carries a set of (attribute, value)
 // features; induction intersects the label features and extraction takes
-// the conjunction of the per-feature bitsets. TABLE and XPATH are thin
-// constructors over this type.
+// the nodes that have them all — the conjunction of the features' member
+// sets. TABLE and XPATH are thin constructors over this type.
 //
 // Attributes and features are interned to dense ids in first-seen order
 // (FeatureID). The numbering is observable — Features() is sorted by it —
