@@ -18,9 +18,10 @@ func New(n int) *Set {
 	return &Set{words: make([]uint64, (n+63)/64), n: n}
 }
 
-// Over returns an empty set over a universe of n elements whose words are
-// the given ones: (n+63)/64 zero words, carved by the caller from an array
-// it shares among many sets and gives up to this one.
+// Over returns the set over a universe of n elements whose words are the
+// given ones — (n+63)/64 of them, no bit set at or past n — carved by the
+// caller from an array it shares among many sets. The set and the caller
+// share the words.
 func Over(n int, words []uint64) Set {
 	if len(words) != (n+63)/64 {
 		panic("bitset: wrong number of words for the universe")
