@@ -251,15 +251,11 @@ func TopDown(ind wrapper.FeatureInductor, labels *bitset.Set, opt Options) (*Res
 	seen := make(map[uint64][]int32)
 	piece := make([]uint64, nw)
 	add := func() { // piece joins Z unless it is empty or already there
-		var h, any uint64
-		for _, w := range piece {
-			any |= w
-			h = (h ^ w) * 0x9e3779b97f4a7c15
-			h ^= h >> 29
-		}
-		if any == 0 {
+		ps := bitset.Over(len(ords), piece)
+		if ps.Empty() {
 			return
 		}
+		h := ps.Hash()
 		for _, i := range seen[h] {
 			if slices.Equal(set(int(i)), piece) {
 				return
