@@ -47,18 +47,18 @@ func BenchmarkRepairLarge(b *testing.B) {
 // common-substring tables (≈ 1,600), the parse's decoded texts and slabs
 // (≈ 280), the feature build's pairs, feature and member lists and bitset
 // words (≈ 280) and the corpus's serializations and shared arrays
-// (≈ 170): ≈ 4,550 in all. The feature build made ≈ 2,700 more when it
+// (≈ 170): ≈ 4,500 in all. The feature build made ≈ 2,700 more when it
 // took a bitset a feature, the training parse ≈ 42,000 before it built
 // into slabs, and the annotator ≈ 7,000 lowered copies. The bytes are the
 // tree slabs (≈ 45 %), the feature space (≈ 20 %), the corpus's
-// serializations and index (≈ 15 %) and enumeration and ranking: ≈ 5.4 MB,
+// serializations and index (≈ 15 %) and enumeration and ranking: ≈ 5.3 MB,
 // where slabs sized by '<', an index a page and a bitset a feature made
 // 6.4 MB. The budgets are 1.25 × the allocations and 1.15 × the bytes
 // measured. Allocation volume is what the collector bills the serving
 // goroutines for while a heal runs beside them.
 const (
-	repairAllocBudget = 5_700
-	repairByteBudget  = 6_300_000
+	repairAllocBudget = 5_650
+	repairByteBudget  = 6_250_000
 )
 
 func TestRepairAllocBudget(t *testing.T) {

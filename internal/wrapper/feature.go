@@ -163,9 +163,10 @@ func (fs *FeatureSpace) addMember(m *members, ord int32) {
 				fs.words = make([]uint64, w*featBitsChunk)
 			}
 			m.bits, fs.words = fs.words[:w:w], fs.words[w:]
-			for _, o := range append(m.list, ord) {
+			for _, o := range m.list {
 				m.bits[o>>6] |= 1 << (o & 63)
 			}
+			m.bits[ord>>6] |= 1 << (ord & 63)
 			m.list = nil
 			return
 		}

@@ -35,12 +35,12 @@ func BenchmarkNewLarge(b *testing.B) {
 // features' member lists and bitsets, carved from shared arrays (a few
 // dozen of each), the feature and attribute tables and their maps as they
 // grow, a name an attribute key, and the builder's pair maps and
-// per-position rows: ≈ 330, and the budget is 1.25 × that. A bitset of its
+// per-position rows: ≈ 300, and the budget is 1.25 × that. A bitset of its
 // own a feature, as before, breaks it (≈ 3,000 in all), and so does one
 // feature list a text node; the text-by-text construction before those
 // made 169,000 (a map key per (text, ancestor, feature), an ancestor slice
 // per text).
-const buildAllocBudget = 410
+const buildAllocBudget = 380
 
 func TestBuildAllocBudget(t *testing.T) {
 	if race.Enabled {
