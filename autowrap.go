@@ -117,16 +117,17 @@ type (
 	// StoredMeta carries provenance (score, label count) into a store Put.
 	StoredMeta = store.Meta
 
-	// Extractor is the streaming extraction runtime: pages in, records
-	// out, on a bounded worker pool with per-page error isolation.
+	// Extractor is the extraction runtime: pages in, records out — one
+	// page on the caller's goroutine (ExtractOne) or a batch on a bounded
+	// worker pool (Run) — with per-page error isolation.
 	Extractor = extract.Runtime
 	// ExtractPage is one unit of serving work (raw HTML or parsed Root).
 	ExtractPage = extract.Page
 	// ExtractBatch is an Extractor.Run outcome: index-aligned results
 	// plus throughput stats.
 	ExtractBatch = extract.Batch
-	// ExtractOptions bounds an Extractor (worker count, stream window) and
-	// carries the OnResult health tap a Monitor hooks into.
+	// ExtractOptions bounds an Extractor's worker count and carries the
+	// OnResult health tap a Monitor hooks into.
 	ExtractOptions = extract.Options
 
 	// Monitor aggregates serving-time health signals per site and trips a
@@ -446,12 +447,12 @@ func LoadWrapperStore(path string) (*WrapperStore, error) { return store.Load(pa
 // stored; compile failures are joined into err without blocking the rest.
 func StoreBatch(s *WrapperStore, batch *BatchResult) (int, error) { return s.PutBatch(batch) }
 
-// NewExtractor builds the streaming extraction runtime serving one
-// compiled wrapper: Run for index-aligned batches, Stream for channels,
-// both on a bounded worker pool with per-page error isolation and output
-// independent of the worker count. Every completed page updates the
-// extractor's lifetime Health counters and fires opt.OnResult, the tap a
-// Monitor's SiteHealth.Observe hooks into.
+// NewExtractor builds the extraction runtime serving one compiled
+// wrapper: ExtractOne for a single page on the caller's goroutine, Run for
+// index-aligned batches on a bounded worker pool, both with per-page error
+// isolation and output independent of the worker count. Every completed
+// page updates the extractor's lifetime Health counters and fires
+// opt.OnResult, the tap a Monitor's SiteHealth.Observe hooks into.
 func NewExtractor(p Portable, opt ExtractOptions) *Extractor { return extract.New(p, opt) }
 
 // NewDispatcher builds the store-backed multi-site serving dispatcher:

@@ -349,34 +349,6 @@ func BenchmarkExtract8Workers(b *testing.B) { benchExtract(b, 8) }
 // BenchmarkExtractMaxWorkers saturates the host (GOMAXPROCS workers).
 func BenchmarkExtractMaxWorkers(b *testing.B) { benchExtract(b, 0) }
 
-// BenchmarkExtractStream pushes the same batch through the channel-based
-// streaming path (in-order delivery) at GOMAXPROCS workers.
-func BenchmarkExtractStream(b *testing.B) {
-	p, pages := extractFixture(b)
-	rt := extract.New(p, extract.Options{})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		in := make(chan extract.Page)
-		go func() {
-			defer close(in)
-			for _, pg := range pages {
-				in <- pg
-			}
-		}()
-		st := rt.Stream(context.Background(), in)
-		n := 0
-		for res := range st.Results() {
-			if res.Err != nil {
-				b.Fatal(res.Err)
-			}
-			n += len(res.Texts)
-		}
-		if n == 0 {
-			b.Fatal("stream extracted nothing")
-		}
-	}
-}
-
 // bulkFixture renders 16 large dealer pages (150–200 records, ≈ 22 KB each —
 // the recorded benchmark's extract_bulk page shape) and compiles the rule an
 // inductor gives on their gold labels.

@@ -1,11 +1,11 @@
 // Package extract is the serving half of the learn/serve split: a
 // high-throughput extraction runtime that applies one compiled wrapper
-// (wrapper.Portable) to a stream of pages. It mirrors the engine's
+// (wrapper.Portable) to pages at serving time. It mirrors the engine's
 // deployment contract on the other side of the store: bounded workers on
 // the internal/par pool, per-page error and panic isolation, context
 // cancellation, throughput stats (pages/sec, records/sec), and output that
-// is byte-identical whatever the worker count — Run writes index-aligned
-// results, Stream reorders completions back into input order.
+// is byte-identical whatever the worker count: ExtractOne serves one page on
+// the caller's goroutine, Run a batch into index-aligned results.
 //
 // Every completed page additionally feeds the runtime's lifetime Health
 // counters and the optional Options.OnResult tap; both are allocation-light
@@ -18,7 +18,6 @@ import (
 	"fmt"
 	"runtime/debug"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -41,15 +40,15 @@ type Page struct {
 
 // Result is one page's extraction outcome.
 type Result struct {
-	// ID and Index echo the input page and its position in the stream.
+	// ID and Index echo the input page and its position in the batch.
 	ID    string
 	Index int
 	// Texts are the extracted records' trimmed contents in document order.
 	Texts []string
 	// Nodes are the matched text nodes of a page that arrived as Page.Root
 	// — nodes of the caller's own tree. They are nil when the page failed,
-	// and nil whenever the page arrived as Page.HTML, through ExtractOne,
-	// Run and Stream alike: the rule is matched while that page is
+	// and nil whenever the page arrived as Page.HTML, through ExtractOne
+	// and Run alike: the rule is matched while that page is
 	// tokenized and no tree is built, so there are only Texts. Callers
 	// that need the matched nodes parse the page themselves and pass the
 	// Root.
@@ -130,16 +129,9 @@ func (b *Batch) Failed() []Result {
 type Options struct {
 	// Workers bounds the pool; <= 0 selects GOMAXPROCS.
 	Workers int
-	// Buffer bounds Stream's in-flight window — pages that have been
-	// consumed from the input but not yet emitted as results, whether
-	// queued, being extracted, or completed and waiting for an earlier
-	// page (in-order delivery can hold at most Buffer completed results
-	// behind a slow head-of-line page). <= 0 selects 2 x workers; values
-	// below Workers throttle the pool to Buffer concurrent pages.
-	Buffer int
 	// OnResult, when set, is called once per completed page — successes
-	// and failures alike — on the worker goroutine that extracted it,
-	// before the result is delivered. It is the serving-side health tap:
+	// and failures alike — on the goroutine that extracted it (the
+	// caller's, for ExtractOne), before the result is delivered. It is the serving-side health tap:
 	// a drift monitor hooks here to observe empty extractions, failures
 	// and record counts without touching the result path. The callback
 	// runs concurrently from every worker and sits on the serving fast
@@ -165,7 +157,7 @@ func New(p wrapper.Portable, opt Options) *Runtime {
 func (r *Runtime) Wrapper() wrapper.Portable { return r.p }
 
 // Health is the runtime's lifetime health ledger: monotonic counters over
-// every page the runtime has served, across Run and Stream calls alike.
+// every page the runtime has served, across ExtractOne and Run calls alike.
 // Updates are a handful of atomic adds on the worker that extracted the
 // page, so reading them never perturbs the serving fast path. Fields are
 // read with HealthCounts; the struct itself is internal to Runtime.
@@ -191,32 +183,6 @@ type HealthCounts struct {
 	Records int64 `json:"records"`
 }
 
-// EmptyFrac is the fraction of completed pages that succeeded with zero
-// records (0 when nothing was served yet).
-func (h HealthCounts) EmptyFrac() float64 {
-	if h.Pages == 0 {
-		return 0
-	}
-	return float64(h.Empty) / float64(h.Pages)
-}
-
-// FailFrac is the fraction of completed pages that errored.
-func (h HealthCounts) FailFrac() float64 {
-	if h.Pages == 0 {
-		return 0
-	}
-	return float64(h.Failed) / float64(h.Pages)
-}
-
-// MeanRecords is the mean record count over non-failed pages.
-func (h HealthCounts) MeanRecords() float64 {
-	ok := h.Pages - h.Failed
-	if ok <= 0 {
-		return 0
-	}
-	return float64(h.Records) / float64(ok)
-}
-
 // Health snapshots the runtime's lifetime health counters.
 func (r *Runtime) Health() HealthCounts {
 	return HealthCounts{
@@ -228,7 +194,7 @@ func (r *Runtime) Health() HealthCounts {
 }
 
 // observe updates the health ledger and fires the OnResult tap for one
-// completed page. Called on the worker goroutine, for Run and Stream both.
+// completed page, on the goroutine that extracted it.
 func (r *Runtime) observe(res *Result) {
 	r.health.pages.Add(1)
 	switch {
@@ -310,7 +276,7 @@ func (s *Stats) tally(res *Result) {
 }
 
 // one extracts a single page with panic isolation — the one per-page path
-// under ExtractOne, Run and Stream. A page arriving as raw HTML is read once
+// under ExtractOne and Run. A page arriving as raw HTML is read once
 // by one rule, so the rule is applied to the source itself (ApplyHTML) and
 // no tree exists to hand out: Result.Nodes stays nil for it. Texts are
 // always safe to keep: they alias the page's HTML or are freshly allocated.
@@ -337,144 +303,4 @@ func (r *Runtime) one(pg Page, idx int) (out Result) {
 		out.Err = fmt.Errorf("extract: page %q: neither Root nor HTML set", pg.ID)
 	}
 	return
-}
-
-// Stream is a running streaming extraction: results arrive on Results in
-// input order. Read Stats only after Results is closed.
-type Stream struct {
-	results chan Result
-	done    chan struct{}
-	stats   Stats
-}
-
-// Results delivers one Result per consumed page, in input order, and
-// closes when the input channel closes (or the context is cancelled; the
-// emitted results are then a prefix of the input order). The consumer must
-// drain Results or cancel the context — the window is bounded, so an
-// abandoned stream otherwise blocks its workers.
-func (st *Stream) Results() <-chan Result { return st.results }
-
-// Stats blocks until the stream has finished, then reports aggregates.
-func (st *Stream) Stats() Stats {
-	<-st.done
-	return st.stats
-}
-
-// Stream extracts pages as they arrive on in, with bounded workers and a
-// bounded in-flight window, emitting results in input order regardless of
-// which worker finishes first — the streaming path keeps the same
-// determinism contract as Run, and the same per-page path (see
-// Result.Nodes). Cancelling ctx stops the stream at the next
-// page boundary; the results already emitted form a prefix of the input.
-func (r *Runtime) Stream(ctx context.Context, in <-chan Page) *Stream {
-	workers := r.opt.Workers
-	if workers <= 0 {
-		workers = par.Workers(0, 1<<30)
-	}
-	buffer := r.opt.Buffer
-	if buffer <= 0 {
-		buffer = 2 * workers
-	}
-
-	type job struct {
-		idx  int
-		page Page
-	}
-	st := &Stream{results: make(chan Result), done: make(chan struct{})}
-	st.stats.Workers = workers
-	jobs := make(chan job, buffer)
-	outs := make(chan Result, buffer)
-
-	// credits caps the in-flight window: the dispatcher takes one per page
-	// consumed, the collector returns one per result emitted. This is what
-	// keeps the reorder buffer bounded — a slow head-of-line page stalls
-	// dispatch after Buffer pages instead of letting every later completion
-	// pile up in memory. It also guarantees at most Buffer results are ever
-	// outstanding, so worker sends into outs (capacity Buffer) never block.
-	credits := make(chan struct{}, buffer)
-	for i := 0; i < buffer; i++ {
-		credits <- struct{}{}
-	}
-
-	// Dispatcher: sequence the input.
-	go func() {
-		defer close(jobs)
-		idx := 0
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case pg, ok := <-in:
-				if !ok {
-					return
-				}
-				select {
-				case <-credits:
-				case <-ctx.Done():
-					return
-				}
-				select {
-				case jobs <- job{idx: idx, page: pg}:
-					idx++
-				case <-ctx.Done():
-					return
-				}
-			}
-		}
-	}()
-
-	// Workers: extract, push completions.
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for j := range jobs {
-				res := r.one(j.page, j.idx)
-				r.observe(&res)
-				select {
-				case outs <- res:
-				case <-ctx.Done():
-					return
-				}
-			}
-		}()
-	}
-	go func() {
-		wg.Wait()
-		close(outs)
-	}()
-
-	// Collector: reorder completions into input order and emit.
-	go func() {
-		defer close(st.done)
-		defer close(st.results)
-		start := time.Now()
-		defer func() { st.stats.Wall = time.Since(start) }()
-		pending := make(map[int]Result)
-		next := 0
-		for res := range outs {
-			pending[res.Index] = res
-			for {
-				head, ok := pending[next]
-				if !ok {
-					break
-				}
-				delete(pending, next)
-				select {
-				case st.results <- head:
-				case <-ctx.Done():
-					// Consumer is gone; drain workers and stop.
-					for range outs {
-					}
-					return
-				}
-				st.stats.Pages++
-				st.stats.tally(&head)
-				next++
-				credits <- struct{}{} // never blocks: ≤ Buffer outstanding
-			}
-		}
-	}()
-	return st
 }

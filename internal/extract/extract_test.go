@@ -89,7 +89,7 @@ func TestRunExtractsRecords(t *testing.T) {
 	}
 }
 
-// outcome is what the three entry points must agree on for one page.
+// outcome is what the two entry points must agree on for one page.
 type outcome struct {
 	ID       string
 	Index    int
@@ -115,28 +115,6 @@ func runOutcomes(t *testing.T, rt *extract.Runtime, in []extract.Page) []outcome
 	return out
 }
 
-// streamResults pushes in through Stream and collects what it delivers.
-func streamResults(rt *extract.Runtime, in []extract.Page) []extract.Result {
-	ch := make(chan extract.Page, len(in))
-	for _, pg := range in {
-		ch <- pg
-	}
-	close(ch)
-	var out []extract.Result
-	for res := range rt.Stream(context.Background(), ch).Results() {
-		out = append(out, res)
-	}
-	return out
-}
-
-func streamOutcomes(rt *extract.Runtime, in []extract.Page) []outcome {
-	var out []outcome
-	for _, res := range streamResults(rt, in) {
-		out = append(out, outcomeOf(res))
-	}
-	return out
-}
-
 // mixedPages is a batch exercising every per-page branch: raw HTML, a
 // caller-owned tree, a page that matches nothing and one that fails.
 func mixedPages(n int) []extract.Page {
@@ -148,9 +126,9 @@ func mixedPages(n int) []extract.Page {
 }
 
 // TestRunDeterministicAcrossWorkers is the serving-side determinism
-// contract, for all three entry points at once: Run ≡ Stream ≡ per-page
-// ExtractOne on Texts, Err and ID (and Index, for the two that number
-// pages), whatever the worker count — for an XPATH and an LR wrapper.
+// contract, for both entry points at once: Run ≡ per-page ExtractOne on
+// Texts, Err and ID (and Index, which Run numbers), whatever the worker
+// count — for an XPATH and an LR wrapper.
 func TestRunDeterministicAcrossWorkers(t *testing.T) {
 	in := mixedPages(25)
 	lrRule := &lr.Compiled{Left: `<td class="v">`, Right: "</td>"}
@@ -172,15 +150,12 @@ func TestRunDeterministicAcrossWorkers(t *testing.T) {
 			if got := runOutcomes(t, rt, in); !reflect.DeepEqual(got, ref) {
 				t.Fatalf("%s workers=%d: Run differs from per-page ExtractOne:\n got %+v\nwant %+v", name, workers, got, ref)
 			}
-			if got := streamOutcomes(rt, in); !reflect.DeepEqual(got, ref) {
-				t.Fatalf("%s workers=%d: Stream differs from per-page ExtractOne:\n got %+v\nwant %+v", name, workers, got, ref)
-			}
 		}
 	}
 }
 
 // TestNodesOnlyForCallerOwnedTrees pins the one Nodes contract of
-// ExtractOne, Run and Stream: a page the runtime parsed itself comes back
+// ExtractOne and Run: a page the runtime parsed itself comes back
 // with Texts only (its tree went back to the pool), a page that
 // arrived as Page.Root comes back with the matched nodes of that very tree.
 func TestNodesOnlyForCallerOwnedTrees(t *testing.T) {
@@ -201,9 +176,9 @@ func TestNodesOnlyForCallerOwnedTrees(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got = append(got, batch.Results, streamResults(rt, in))
+	got = append(got, batch.Results)
 
-	for k, entry := range []string{"ExtractOne", "Run", "Stream"} {
+	for k, entry := range []string{"ExtractOne", "Run"} {
 		html, tree := got[k][0], got[k][1]
 		if html.Err != nil || tree.Err != nil || len(html.Texts) != 3 || !reflect.DeepEqual(html.Texts, tree.Texts) {
 			t.Fatalf("%s: results = %+v / %+v", entry, html, tree)
@@ -275,7 +250,7 @@ func TestRunIsolatesPanics(t *testing.T) {
 // TestPanicReleasesWorkspace: a wrapper that panics mid-apply must not leak
 // or poison the recycled tree its page was parsed into — on one worker, the
 // page right after every panic extracts exactly what a fresh parse gives,
-// through all three entry points.
+// through both entry points.
 func TestPanicReleasesWorkspace(t *testing.T) {
 	rt := extract.New(panicky{}, extract.Options{Workers: 1})
 	var in []extract.Page
@@ -309,13 +284,6 @@ func TestPanicReleasesWorkspace(t *testing.T) {
 	for i, res := range batch.Results {
 		check("Run", i, res)
 	}
-	streamed := streamResults(rt, in)
-	if len(streamed) != len(in) {
-		t.Fatalf("stream delivered %d of %d pages", len(streamed), len(in))
-	}
-	for i, res := range streamed {
-		check("Stream", i, res)
-	}
 }
 
 // slowWrapper delays each page so cancellation can land mid-run.
@@ -347,173 +315,6 @@ func TestRunCancellation(t *testing.T) {
 		if res.Err != nil && !strings.Contains(res.Err.Error(), "not started") {
 			t.Fatalf("unexpected page error: %v", res.Err)
 		}
-	}
-}
-
-func TestStreamEmitsInInputOrder(t *testing.T) {
-	for _, workers := range []int{1, 3, 8} {
-		rt := extract.New(compiled(t), extract.Options{Workers: workers})
-		in := make(chan extract.Page)
-		const n = 40
-		go func() {
-			defer close(in)
-			for _, pg := range pages(n) {
-				in <- pg
-			}
-		}()
-		st := rt.Stream(context.Background(), in)
-		var got []int
-		records := 0
-		for res := range st.Results() {
-			if res.Err != nil {
-				t.Fatalf("workers=%d page %s: %v", workers, res.ID, res.Err)
-			}
-			got = append(got, res.Index)
-			records += len(res.Texts)
-		}
-		if len(got) != n {
-			t.Fatalf("workers=%d emitted %d of %d results", workers, len(got), n)
-		}
-		for i, idx := range got {
-			if idx != i {
-				t.Fatalf("workers=%d out of order at %d: %v", workers, i, got[:i+1])
-			}
-		}
-		s := st.Stats()
-		if s.Pages != n || s.Records != records || s.Extracted != n {
-			t.Fatalf("workers=%d stream stats = %+v (records %d)", workers, s, records)
-		}
-	}
-}
-
-func TestStreamCancellation(t *testing.T) {
-	rt := extract.New(slowWrapper{d: 10 * time.Millisecond}, extract.Options{Workers: 2})
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	in := make(chan extract.Page)
-	go func() {
-		defer close(in)
-		for _, pg := range pages(200) {
-			select {
-			case in <- pg:
-			case <-ctx.Done():
-				return
-			}
-		}
-	}()
-	st := rt.Stream(ctx, in)
-	seen := 0
-	for res := range st.Results() {
-		seen++
-		if res.Index != seen-1 {
-			t.Fatalf("hole in emitted prefix at %d: %+v", seen-1, res)
-		}
-		if seen == 5 {
-			cancel()
-		}
-	}
-	if seen >= 200 {
-		t.Fatal("cancellation did not stop the stream")
-	}
-	// Stats must become available (no deadlock) and cover the emitted prefix.
-	s := st.Stats()
-	if s.Pages != seen {
-		t.Fatalf("stats.Pages = %d, emitted %d", s.Pages, seen)
-	}
-}
-
-// gatedWrapper blocks on pages containing "gate" until released, and
-// counts pages processed — for observing the stream's in-flight window.
-type gatedWrapper struct {
-	release   chan struct{}
-	processed *atomic.Int64
-}
-
-func (g gatedWrapper) Lang() string                   { return "gated" }
-func (g gatedWrapper) Rule() string                   { return "gated" }
-func (g gatedWrapper) ApplyHTML(html string) []string { return refapply.Texts(g, html) }
-func (g gatedWrapper) ApplyPage(root *dom.Node) []*dom.Node {
-	if strings.Contains(dom.Serialize(root), "gate") {
-		<-g.release
-	}
-	g.processed.Add(1)
-	return corpus.ExtractableTexts(root)
-}
-
-// TestStreamWindowIsBounded pins the backpressure contract: with a slow
-// head-of-line page, the stream consumes at most Buffer pages from the
-// input — later completions must not pile up in the reorder buffer.
-func TestStreamWindowIsBounded(t *testing.T) {
-	const buffer = 4
-	g := gatedWrapper{release: make(chan struct{}), processed: &atomic.Int64{}}
-	rt := extract.New(g, extract.Options{Workers: 2, Buffer: buffer})
-	const n = 100
-	in := make(chan extract.Page)
-	fed := make(chan int, 1)
-	go func() {
-		defer close(in)
-		sent := 0
-		for i := 0; i < n; i++ {
-			html := page(i, 2)
-			if i == 0 {
-				html = `<html><body><p>gate page</p></body></html>`
-			}
-			in <- extract.Page{ID: fmt.Sprintf("p%03d", i), HTML: html}
-			sent++
-		}
-		fed <- sent
-	}()
-	st := rt.Stream(context.Background(), in)
-
-	// With page 0 blocked, the stream may hold at most buffer pages
-	// in flight; give it ample time to overrun if it were unbounded.
-	time.Sleep(100 * time.Millisecond)
-	if got := g.processed.Load(); got > buffer {
-		t.Fatalf("stream processed %d pages behind a blocked head-of-line, window is %d", got, buffer)
-	}
-	select {
-	case sent := <-fed:
-		t.Fatalf("input fully consumed (%d pages) despite blocked head-of-line", sent)
-	default:
-	}
-
-	close(g.release)
-	var got []int
-	for res := range st.Results() {
-		if res.Err != nil {
-			t.Fatal(res.Err)
-		}
-		got = append(got, res.Index)
-	}
-	if len(got) != n {
-		t.Fatalf("emitted %d of %d results after release", len(got), n)
-	}
-	for i, idx := range got {
-		if idx != i {
-			t.Fatalf("out of order at %d: %v", i, got[:i+1])
-		}
-	}
-}
-
-func TestStreamPreParsedRoots(t *testing.T) {
-	rt := extract.New(compiled(t), extract.Options{Workers: 2})
-	c := corpus.ParseHTML([]string{page(0, 3), page(1, 2)})
-	in := make(chan extract.Page, 2)
-	for i, p := range c.Pages {
-		in <- extract.Page{ID: fmt.Sprintf("root%d", i), Root: p.Root}
-	}
-	close(in)
-	st := rt.Stream(context.Background(), in)
-	var texts []string
-	for res := range st.Results() {
-		if res.Err != nil {
-			t.Fatal(res.Err)
-		}
-		texts = append(texts, res.Texts...)
-	}
-	want := []string{"rec-0-0", "rec-0-1", "rec-0-2", "rec-1-0", "rec-1-1"}
-	if !reflect.DeepEqual(texts, want) {
-		t.Fatalf("texts = %v, want %v", texts, want)
 	}
 }
 
@@ -575,27 +376,19 @@ func TestHealthCountersAndOnResult(t *testing.T) {
 	if h.Records != wantRecords {
 		t.Fatalf("health records = %d, want %d", h.Records, wantRecords)
 	}
-	if h.EmptyFrac() <= 0 || h.FailFrac() <= 0 || h.MeanRecords() <= 0 {
-		t.Fatalf("health ratios = %.3f/%.3f/%.3f", h.EmptyFrac(), h.FailFrac(), h.MeanRecords())
-	}
 
-	// The hook also fires on the streaming path.
+	// The hook also fires on the single-page path.
 	hooked.Store(0)
-	ch := make(chan extract.Page, len(in))
 	for _, pg := range in {
-		ch <- pg
-	}
-	close(ch)
-	st := rtHooked.Stream(context.Background(), ch)
-	for range st.Results() {
+		rtHooked.ExtractOne(pg)
 	}
 	if got := hooked.Load(); got != int64(len(in)) {
-		t.Fatalf("stream OnResult fired %d times for %d pages", got, len(in))
+		t.Fatalf("ExtractOne OnResult fired %d times for %d pages", got, len(in))
 	}
 }
 
 // TestExtractOneMatchesRun pins the single-page serving path: ExtractOne
-// returns the same result Run and Stream give for the page, with the same
+// returns the same result Run gives for the page, with the same
 // health accounting and OnResult tap, minus the batch machinery.
 func TestExtractOneMatchesRun(t *testing.T) {
 	var taps atomic.Int64
@@ -615,17 +408,14 @@ func TestExtractOneMatchesRun(t *testing.T) {
 	if !reflect.DeepEqual(outcomeOf(res), outcomeOf(batch.Results[0])) {
 		t.Fatalf("ExtractOne %+v != Run %+v", outcomeOf(res), outcomeOf(batch.Results[0]))
 	}
-	if streamed := streamOutcomes(rt, []extract.Page{pg}); !reflect.DeepEqual(streamed, []outcome{outcomeOf(res)}) {
-		t.Fatalf("ExtractOne %+v != Stream %+v", outcomeOf(res), streamed)
-	}
 	if res.ID != "one" || res.Index != 0 || res.Elapsed <= 0 {
 		t.Fatalf("result metadata = %+v", res)
 	}
-	if got := rt.Health(); got.Pages != 3 || got.Records != 9 {
-		t.Fatalf("health after ExtractOne + Run + Stream = %+v, want 3 pages / 9 records", got)
+	if got := rt.Health(); got.Pages != 2 || got.Records != 6 {
+		t.Fatalf("health after ExtractOne + Run = %+v, want 2 pages / 6 records", got)
 	}
-	if taps.Load() != 3 {
-		t.Fatalf("OnResult fired %d times, want 3", taps.Load())
+	if taps.Load() != 2 {
+		t.Fatalf("OnResult fired %d times, want 2", taps.Load())
 	}
 
 	// Failures are isolated the same way as in Run.

@@ -395,8 +395,8 @@ func (d *Dispatcher) Status() []SiteStatus {
 // accumulator — the building block for a dispatcher-wide (and, merged
 // across shards, fleet-wide) metrics aggregate. Sites that never served
 // a request have no ledger yet and contribute nothing.
-func (d *Dispatcher) metricsAccumNow(now time.Time) metricsAccum {
-	var acc metricsAccum
+func (d *Dispatcher) metricsAccumNow(now time.Time) WireAccum {
+	var acc WireAccum
 	d.sites.Range(func(_, v any) bool {
 		acc.addSite(&v.(*siteState).metrics, now)
 		return true

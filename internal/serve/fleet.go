@@ -455,7 +455,7 @@ func (f *ShardRouter) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	f.fanOut(r.Context(), func(ctx context.Context, k int, c ShardClient) {
 		views[k].rep, views[k].err = c.Metrics(ctx, now)
 	})
-	var fleet metricsAccum
+	var fleet WireAccum
 	ledgers := ledgerSet{}
 	for _, k := range f.served {
 		rep := &views[k].rep
@@ -498,7 +498,7 @@ func (f *ShardRouter) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		resp.PerShard = append(resp.PerShard, row)
 	}
 	resp.Fleet = fleet.snapshot()
-	resp.Accum = wireAccumFrom(&fleet)
+	resp.Accum = fleet
 	sortSites(resp.Sites)
 	writeJSON(w, http.StatusOK, resp)
 }

@@ -249,89 +249,90 @@ type MetricsSnapshot struct {
 	LatencyMeanMs float64 `json:"latency_mean_ms"`
 }
 
-// metricsAccum merges per-site ledgers into one aggregate. Latency is
-// merged at the bucket level — summing histograms and then taking
-// quantiles of the combined population — because quantiles themselves do
-// not compose: averaging per-site p99s answers "what is the p99 of an
-// average site", not "what is the fleet's p99". QPS rings sum (each
-// site's trailing rate is an independent share of the fleet's), counters
-// add, max is max.
-type metricsAccum struct {
-	requests  int64
-	pages     int64
-	pageFails int64
-	records   int64
-	errors    int64
-	buckets   [histBuckets]int64
-	count     int64
-	sum       int64 // microseconds
-	max       int64 // microseconds
-	qps       float64
+// WireAccum merges per-site ledgers into one aggregate, and is that
+// aggregate on the wire: every /metrics carries its process's as "accum",
+// the bucket-level histogram a front end needs to merge fleet quantiles
+// correctly. Latency is merged at the bucket level — summing histograms and
+// then taking quantiles of the combined population — because quantiles
+// themselves do not compose: averaging per-site p99s answers "what is the
+// p99 of an average site", not "what is the fleet's p99". QPS rings sum
+// (each site's trailing rate is an independent share of the fleet's),
+// counters add, max is max. A peer from a different build whose
+// latency_buckets is longer or shorter decodes into the overlap; its
+// counters still merge.
+type WireAccum struct {
+	Requests  int64 `json:"requests"`
+	Pages     int64 `json:"pages"`
+	PageFails int64 `json:"page_failures"`
+	Records   int64 `json:"records"`
+	Errors    int64 `json:"request_errors"`
+	// Buckets is the power-of-two latency histogram.
+	Buckets [histBuckets]int64 `json:"latency_buckets"`
+	Count   int64              `json:"latency_count"`
+	SumUS   int64              `json:"latency_sum_us"`
+	MaxUS   int64              `json:"latency_max_us"`
+	QPS     float64            `json:"qps"`
 }
 
 // addSite folds one live site ledger into the accumulator. The reads are
 // unsynchronized atomic loads; a request landing mid-fold skews one counter
 // by one, which /metrics tolerates.
-func (a *metricsAccum) addSite(m *SiteMetrics, now time.Time) {
-	a.requests += m.requests.Load()
-	a.pages += m.pages.Load()
-	a.pageFails += m.pageFails.Load()
-	a.records += m.records.Load()
-	a.errors += m.errors.Load()
-	for i := 0; i < histBuckets; i++ {
-		a.buckets[i] += m.latency.buckets[i].Load()
+func (a *WireAccum) addSite(m *SiteMetrics, now time.Time) {
+	a.Requests += m.requests.Load()
+	a.Pages += m.pages.Load()
+	a.PageFails += m.pageFails.Load()
+	a.Records += m.records.Load()
+	a.Errors += m.errors.Load()
+	for i := range a.Buckets {
+		a.Buckets[i] += m.latency.buckets[i].Load()
 	}
-	a.count += m.latency.count.Load()
-	a.sum += m.latency.sum.Load()
-	if mx := m.latency.max.Load(); mx > a.max {
-		a.max = mx
-	}
-	a.qps += m.qps.Rate(now)
+	a.Count += m.latency.count.Load()
+	a.SumUS += m.latency.sum.Load()
+	a.MaxUS = max(a.MaxUS, m.latency.max.Load())
+	a.QPS += m.qps.Rate(now)
 }
 
 // add folds another accumulator in — how per-shard aggregates combine
 // into the fleet-wide one without touching the site ledgers twice.
-func (a *metricsAccum) add(b *metricsAccum) {
-	a.requests += b.requests
-	a.pages += b.pages
-	a.pageFails += b.pageFails
-	a.records += b.records
-	a.errors += b.errors
-	for i := 0; i < histBuckets; i++ {
-		a.buckets[i] += b.buckets[i]
+func (a *WireAccum) add(b *WireAccum) {
+	a.Requests += b.Requests
+	a.Pages += b.Pages
+	a.PageFails += b.PageFails
+	a.Records += b.Records
+	a.Errors += b.Errors
+	for i := range a.Buckets {
+		a.Buckets[i] += b.Buckets[i]
 	}
-	a.count += b.count
-	a.sum += b.sum
-	if b.max > a.max {
-		a.max = b.max
-	}
-	a.qps += b.qps
+	a.Count += b.Count
+	a.SumUS += b.SumUS
+	a.MaxUS = max(a.MaxUS, b.MaxUS)
+	a.QPS += b.QPS
 }
 
 // snapshot renders the accumulated population in the same wire shape as
 // a single site's snapshot.
-func (a *metricsAccum) snapshot() MetricsSnapshot {
+func (a *WireAccum) snapshot() MetricsSnapshot {
 	s := MetricsSnapshot{
-		Requests:     a.requests,
-		Pages:        a.pages,
-		PageFails:    a.pageFails,
-		Records:      a.records,
-		Errors:       a.errors,
-		QPS:          a.qps,
-		LatencyP50Ms: bucketQuantile(&a.buckets, a.count, 0.50, float64(a.max)) / 1000,
-		LatencyP90Ms: bucketQuantile(&a.buckets, a.count, 0.90, float64(a.max)) / 1000,
-		LatencyP99Ms: bucketQuantile(&a.buckets, a.count, 0.99, float64(a.max)) / 1000,
-		LatencyMaxMs: float64(a.max) / 1000,
+		Requests:     a.Requests,
+		Pages:        a.Pages,
+		PageFails:    a.PageFails,
+		Records:      a.Records,
+		Errors:       a.Errors,
+		QPS:          a.QPS,
+		LatencyP50Ms: bucketQuantile(&a.Buckets, a.Count, 0.50, float64(a.MaxUS)) / 1000,
+		LatencyP90Ms: bucketQuantile(&a.Buckets, a.Count, 0.90, float64(a.MaxUS)) / 1000,
+		LatencyP99Ms: bucketQuantile(&a.Buckets, a.Count, 0.99, float64(a.MaxUS)) / 1000,
+		LatencyMaxMs: float64(a.MaxUS) / 1000,
 	}
-	if a.count > 0 {
-		s.LatencyMeanMs = float64(a.sum) / float64(a.count) / 1000
+	if a.Count > 0 {
+		s.LatencyMeanMs = float64(a.SumUS) / float64(a.Count) / 1000
 	}
 	return s
 }
 
 // Snapshot reads the ledger: an aggregate of one.
 func (m *SiteMetrics) Snapshot() MetricsSnapshot {
-	var a metricsAccum
+	var a WireAccum
 	a.addSite(m, time.Now())
 	return a.snapshot()
 }

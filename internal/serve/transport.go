@@ -57,7 +57,7 @@ type ShardReport struct {
 	// over distinct ledgers: every shard process owns its own ledger file,
 	// in-process nodes share one.
 	AuditStats *audit.Stats
-	accum      metricsAccum
+	accum      WireAccum
 }
 
 // ShardClient is the transport seam between the router and one
@@ -106,60 +106,6 @@ type ShardClient interface {
 	// Drain quiesces the shard's job plane: queued jobs run to
 	// completion, bounded by ctx.
 	Drain(ctx context.Context) error
-}
-
-// WireAccum is a process's merged site-ledger accumulator on the wire —
-// the bucket-level histogram a front end needs to merge fleet quantiles
-// correctly. Every /metrics carries it (the "accum" field).
-type WireAccum struct {
-	Requests  int64 `json:"requests"`
-	Pages     int64 `json:"pages"`
-	PageFails int64 `json:"page_failures"`
-	Records   int64 `json:"records"`
-	Errors    int64 `json:"request_errors"`
-	// Buckets is the power-of-two latency histogram (histBuckets entries).
-	Buckets []int64 `json:"latency_buckets"`
-	Count   int64   `json:"latency_count"`
-	SumUS   int64   `json:"latency_sum_us"`
-	MaxUS   int64   `json:"latency_max_us"`
-	QPS     float64 `json:"qps"`
-}
-
-// wireAccumFrom exports an accumulator for /metrics.
-func wireAccumFrom(a *metricsAccum) WireAccum {
-	w := WireAccum{
-		Requests:  a.requests,
-		Pages:     a.pages,
-		PageFails: a.pageFails,
-		Records:   a.records,
-		Errors:    a.errors,
-		Buckets:   make([]int64, histBuckets),
-		Count:     a.count,
-		SumUS:     a.sum,
-		MaxUS:     a.max,
-		QPS:       a.qps,
-	}
-	copy(w.Buckets, a.buckets[:])
-	return w
-}
-
-// toAccum is the inverse, rebuilding the mergeable form on the front end.
-// A short or overlong bucket slice (a peer from a different build) keeps
-// whatever overlaps; counters still merge.
-func (w *WireAccum) toAccum() metricsAccum {
-	a := metricsAccum{
-		requests:  w.Requests,
-		pages:     w.Pages,
-		pageFails: w.PageFails,
-		records:   w.Records,
-		errors:    w.Errors,
-		count:     w.Count,
-		sum:       w.SumUS,
-		max:       w.MaxUS,
-		qps:       w.QPS,
-	}
-	copy(a.buckets[:], w.Buckets)
-	return a
 }
 
 // RingInfo is a process's half of the ring-agreement handshake, reported

@@ -165,7 +165,7 @@ func (c *httpShard) Metrics(ctx context.Context, now time.Time) (ShardReport, er
 		Jobs:       m.Jobs,
 		Sites:      m.Sites,
 		AuditStats: m.Audit,
-		accum:      m.Accum.toAccum(),
+		accum:      m.Accum,
 	}, nil
 }
 

@@ -143,78 +143,28 @@ var errTrailing = errors.New("trailing data after JSON body")
 // repeated key decoded over what the earlier one left.
 func decodeExtractRequest(sc *extractScratch) error {
 	d := jsonCursor{b: sc.body}
-	d.ws()
-	// encoding/json treats a top-level null as a no-op decode into the
-	// struct; match it so the two decoders error on exactly the same bodies.
-	if d.tryNull() {
-		return d.end()
-	}
-	if err := d.expect('{'); err != nil {
-		return err
-	}
-	d.ws()
-	if d.tryByte('}') {
-		return d.end()
-	}
-	for {
-		key, err := d.str()
-		if err != nil {
-			return err
-		}
-		d.ws()
-		if err := d.expect(':'); err != nil {
-			return err
-		}
-		d.ws()
+	return d.body(d.end, d.str, func(key []byte) error {
 		switch {
 		case keyIs(key, "site"):
-			if d.tryNull() { // encoding/json: null leaves the field untouched
-				break
-			}
-			v, err := d.str()
-			if err != nil {
-				return err
-			}
-			sc.site = toWireString(v)
+			return d.strField(&sc.site)
 		case keyIs(key, "timeout_ms"):
-			if d.tryNull() {
-				break
-			}
-			n, err := d.integer()
-			if err != nil {
-				return err
-			}
-			sc.timeoutMS = n
+			return d.intField(&sc.timeoutMS)
 		case keyIs(key, "page"):
 			// encoding/json: null sets the pointer to nil, and an object
 			// decodes into the page the pointer already holds, if any.
 			if d.tryNull() {
 				sc.single, sc.hasSingle = pageIn{}, false
-				break
-			}
-			if err := d.page(&sc.single); err != nil {
-				return err
+				return nil
 			}
 			sc.hasSingle = true
+			return d.page(&sc.single)
 		case keyIs(key, "pages"):
 			var err error
-			if sc.pages, err = d.pageArray(sc.pages); err != nil {
-				return err
-			}
-		default:
-			if err := d.skip(0); err != nil {
-				return err
-			}
-		}
-		d.ws()
-		if d.tryByte('}') {
-			return d.end()
-		}
-		if err := d.expect(','); err != nil {
+			sc.pages, err = d.pageArray(sc.pages)
 			return err
 		}
-		d.ws()
-	}
+		return d.skip(0)
+	})
 }
 
 // decodeMaintenanceRequest parses the body of POST /v1/repair or
@@ -229,19 +179,50 @@ func decodeExtractRequest(sc *extractScratch) error {
 // field of a learn request only; a repair skips it like any unknown key.
 func decodeMaintenanceRequest(body []byte, req *LearnRequest, learn bool) error {
 	d := jsonCursor{b: body}
+	return d.body(d.endOfValue, d.str, func(key []byte) error {
+		switch {
+		case keyIs(key, "site"):
+			return d.strField(&req.Site)
+		case keyIs(key, "corpus_dir") && learn:
+			return d.strField(&req.CorpusDir)
+		case keyIs(key, "timeout_ms"):
+			return d.intField(&req.TimeoutMS)
+		case keyIs(key, "pages"):
+			var err error
+			req.Pages, err = d.views(req.Pages)
+			return err
+		}
+		return d.skip(0)
+	})
+}
+
+// body decodes a whole request body: the object, through member (see
+// object), then end's check that nothing follows it. A top-level null is a
+// no-op decode, as encoding/json treats it, so a decoder errors on exactly
+// the bodies encoding/json did.
+func (d *jsonCursor) body(end func() error, key func() ([]byte, error), member func(key []byte) error) error {
 	d.ws()
-	if d.tryNull() {
-		return d.endOfValue()
+	if !d.tryNull() {
+		if err := d.object(key, member); err != nil {
+			return err
+		}
 	}
+	return end()
+}
+
+// object walks one JSON object: key reads each key — str for a decoder,
+// peekStr for the routing peek, which must change no byte — and member
+// consumes that key's value, the cursor at its first byte.
+func (d *jsonCursor) object(key func() ([]byte, error), member func(key []byte) error) error {
 	if err := d.expect('{'); err != nil {
 		return err
 	}
 	d.ws()
 	if d.tryByte('}') {
-		return d.endOfValue()
+		return nil
 	}
 	for {
-		key, err := d.str()
+		k, err := key()
 		if err != nil {
 			return err
 		}
@@ -250,26 +231,12 @@ func decodeMaintenanceRequest(body []byte, req *LearnRequest, learn bool) error 
 			return err
 		}
 		d.ws()
-		switch {
-		case keyIs(key, "site"):
-			err = d.strField(&req.Site)
-		case keyIs(key, "corpus_dir") && learn:
-			err = d.strField(&req.CorpusDir)
-		case keyIs(key, "timeout_ms"):
-			if !d.tryNull() {
-				req.TimeoutMS, err = d.integer()
-			}
-		case keyIs(key, "pages"):
-			req.Pages, err = d.views(req.Pages)
-		default:
-			err = d.skip(0)
-		}
-		if err != nil {
+		if err := member(k); err != nil {
 			return err
 		}
 		d.ws()
 		if d.tryByte('}') {
-			return d.endOfValue()
+			return nil
 		}
 		if err := d.expect(','); err != nil {
 			return err
@@ -286,6 +253,18 @@ func (d *jsonCursor) strField(dst *string) error {
 	v, err := d.str()
 	if err == nil {
 		*dst = toWireString(v)
+	}
+	return err
+}
+
+// intField decodes an integer value into *dst; null leaves it untouched.
+func (d *jsonCursor) intField(dst *int) error {
+	if d.tryNull() {
+		return nil
+	}
+	n, err := d.integer()
+	if err == nil {
+		*dst = n
 	}
 	return err
 }
@@ -444,48 +423,22 @@ func (d *jsonCursor) end() error {
 // already holds: a field the object leaves out, or sets to null, keeps its
 // value, as in encoding/json.
 func (d *jsonCursor) page(pg *pageIn) error {
-	if err := d.expect('{'); err != nil {
-		return err
-	}
-	d.ws()
-	if d.tryByte('}') {
-		return nil
-	}
-	for {
-		key, err := d.str()
-		if err != nil {
-			return err
-		}
-		d.ws()
-		if err := d.expect(':'); err != nil {
-			return err
-		}
-		d.ws()
+	return d.object(d.str, func(key []byte) error {
 		switch {
 		case keyIs(key, "id"):
-			err = d.strField(&pg.id)
+			return d.strField(&pg.id)
 		case keyIs(key, "html"):
-			if !d.tryNull() {
-				var v []byte
-				if v, err = d.str(); err == nil {
-					pg.html = d.view(v)
-				}
+			if d.tryNull() {
+				return nil
 			}
-		default:
-			err = d.skip(0)
-		}
-		if err != nil {
+			v, err := d.str()
+			if err == nil {
+				pg.html = d.view(v)
+			}
 			return err
 		}
-		d.ws()
-		if d.tryByte('}') {
-			return nil
-		}
-		if err := d.expect(','); err != nil {
-			return err
-		}
-		d.ws()
-	}
+		return d.skip(0)
+	})
 }
 
 // view is what decoded page HTML becomes: the string the bytes v already
@@ -701,31 +654,7 @@ func (d *jsonCursor) skip(depth int) error {
 		_, err := d.str()
 		return err
 	case c == '{':
-		d.i++
-		d.ws()
-		if d.tryByte('}') {
-			return nil
-		}
-		for {
-			if _, err := d.str(); err != nil {
-				return err
-			}
-			d.ws()
-			if err := d.expect(':'); err != nil {
-				return err
-			}
-			if err := d.skip(depth + 1); err != nil {
-				return err
-			}
-			d.ws()
-			if d.tryByte('}') {
-				return nil
-			}
-			if err := d.expect(','); err != nil {
-				return err
-			}
-			d.ws()
-		}
+		return d.object(d.str, func([]byte) error { return d.skip(depth + 1) })
 	case c == '[':
 		d.i++
 		d.ws()
@@ -867,59 +796,28 @@ func toWireString(v []byte) string {
 // accepts.
 func peekRoute(body []byte) (site string, timeoutMS int, err error) {
 	d := jsonCursor{b: body}
-	d.ws()
-	if d.tryNull() {
-		return "", 0, d.endOfValue()
-	}
-	if err := d.expect('{'); err != nil {
-		return "", 0, err
-	}
-	d.ws()
-	if d.tryByte('}') {
-		return "", 0, d.endOfValue()
-	}
-	for {
-		key, err := d.peekStr()
-		if err != nil {
-			return "", 0, err
-		}
-		d.ws()
-		if err := d.expect(':'); err != nil {
-			return "", 0, err
-		}
-		d.ws()
+	// The maintenance decoders' end check, the laxer of the two: a stray
+	// closer after an extract body is the shard's 400.
+	err = d.body(d.endOfValue, d.peekStr, func(key []byte) error {
 		switch {
 		case keyIs(key, "site"):
-			if !d.tryNull() {
-				var v []byte
-				if v, err = d.peekStr(); err == nil {
-					site = toWireString(v)
-				}
+			if d.tryNull() {
+				return nil
 			}
+			v, err := d.peekStr()
+			if err == nil {
+				site = toWireString(v)
+			}
+			return err
 		case keyIs(key, "timeout_ms"):
-			if !d.tryNull() {
-				timeoutMS, err = d.integer()
-			}
-		default:
-			err = d.stepOver()
+			return d.intField(&timeoutMS)
 		}
-		if err != nil {
-			return "", 0, err
-		}
-		d.ws()
-		if d.tryByte('}') {
-			// The maintenance decoders' end check, the laxer of the two: a
-			// stray closer after an extract body is the shard's 400.
-			if err := d.endOfValue(); err != nil {
-				return "", 0, err
-			}
-			return site, timeoutMS, nil
-		}
-		if err := d.expect(','); err != nil {
-			return "", 0, err
-		}
-		d.ws()
+		return d.stepOver()
+	})
+	if err != nil {
+		return "", 0, err
 	}
+	return site, timeoutMS, nil
 }
 
 // peekStr is str for a body that must stay as it is: a string without
