@@ -131,11 +131,12 @@ type Options struct {
 	Workers int
 	// OnResult, when set, is called once per completed page — successes
 	// and failures alike — on the goroutine that extracted it (the
-	// caller's, for ExtractOne), before the result is delivered. It is the serving-side health tap:
-	// a drift monitor hooks here to observe empty extractions, failures
-	// and record counts without touching the result path. The callback
-	// runs concurrently from every worker and sits on the serving fast
-	// path, so it must be safe for concurrent use and allocation-light.
+	// caller's, for ExtractOne), before the result is delivered. It is the
+	// serving-side health tap: a drift monitor hooks here to observe empty
+	// extractions, failures and record counts without touching the result
+	// path. The callback runs concurrently from every worker and sits on
+	// the serving fast path, so it must be safe for concurrent use and
+	// allocation-light.
 	OnResult func(*Result)
 }
 
