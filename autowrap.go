@@ -193,7 +193,7 @@ type (
 	// Build one with NewMaintainer.
 	Maintainer = serve.Maintainer
 	// MaintainerOptions tunes the loop (scan interval, per-site rate
-	// limit, minimum cached pages).
+	// limit).
 	MaintainerOptions = serve.MaintainerOptions
 
 	// StoreBackend is the pluggable durability seam under the registry:

@@ -314,7 +314,6 @@ func (h *harness) boot() error {
 			cfg.Maintainer = &serve.MaintainerOptions{
 				Interval: 250 * time.Millisecond,
 				MinGap:   1500 * time.Millisecond,
-				MinPages: 4,
 				Log:      h.log,
 			}
 		}

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -117,8 +118,39 @@ func TestPeerAccumOtherBucketCount(t *testing.T) {
 		}
 		wantAccum := WireAccum{Requests: 5, Pages: 6, PageFails: 1, Records: 9, Errors: 2,
 			Buckets: want, Count: 5, SumUS: 700, MaxUS: 300, QPS: 1.5}
-		if rep.accum != wantAccum {
-			t.Fatalf("%d buckets: accum = %+v, want %+v", n, rep.accum, wantAccum)
+		if rep.Accum != wantAccum {
+			t.Fatalf("%d buckets: accum = %+v, want %+v", n, rep.Accum, wantAccum)
 		}
+	}
+}
+
+// TestFrontAuditKeepsNewestN: a front over two shard processes merges their
+// ledgers' records by time and, as one ledger's Recent(n) does, returns the
+// newest n of them, oldest first, while the counters sum over both.
+func TestFrontAuditKeepsNewestN(t *testing.T) {
+	ledger := func(shard int, times ...int64) string {
+		var recs []string
+		for i, ms := range times {
+			recs = append(recs, fmt.Sprintf(`{"seq":%d,"time_unix_ms":%d,"shard":%d,"event":"promote","prev":"","hash":""}`, i+1, ms, shard))
+		}
+		return fmt.Sprintf(`{"enabled":true,"stats":{"records":%d,"events":%d,"last_seq":%d},"records":[%s]}`,
+			len(times), len(times), len(times), strings.Join(recs, ","))
+	}
+	fr := peerFront(t, ledger(0, 10, 30, 50), ledger(1, 20, 40, 60))
+	rec := httptest.NewRecorder()
+	fr.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/v1/audit?n=4", nil))
+	var resp AuditResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+		t.Fatalf("/v1/audit: %v: %s", err, rec.Body)
+	}
+	var got []int64
+	for _, r := range resp.Records {
+		got = append(got, r.TimeMS)
+	}
+	if want := []int64{30, 40, 50, 60}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("?n=4 over two ledgers of 3 returned records at %v, want %v", got, want)
+	}
+	if resp.Stats.Records != 6 || resp.Stats.LastSeq != 3 {
+		t.Fatalf("merged stats = %+v, want 6 records, last seq 3", resp.Stats)
 	}
 }

@@ -238,8 +238,9 @@ func (f *ShardRouter) SetDraining(v bool) {
 // → HTTPServer.Shutdown → Drain: readiness flips first, in-flight
 // requests finish second, job planes close last, shards after the front.
 func (f *ShardRouter) Drain(ctx context.Context) error {
-	errs := make([]error, len(f.clients))
-	f.fanOut(ctx, func(ctx context.Context, k int, c ShardClient) { errs[k] = c.Drain(ctx) })
+	_, errs := gather(f, ctx, func(c ShardClient, ctx context.Context) (struct{}, error) {
+		return struct{}{}, c.Drain(ctx)
+	})
 	return errors.Join(errs...)
 }
 
@@ -361,25 +362,17 @@ func (f *ShardRouter) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			Shard:  f.self,
 		},
 	}
-	type view struct {
-		h   HealthzResponse
-		err error
-	}
-	views := make([]view, len(f.clients))
-	f.fanOut(r.Context(), func(ctx context.Context, k int, c ShardClient) {
-		views[k].h, views[k].err = c.Healthz(ctx)
-	})
+	views, errs := gather(f, r.Context(), ShardClient.Healthz)
 	draining := f.draining.Load()
 	for _, k := range f.served {
-		v := &views[k]
-		resp.Sites += v.h.Sites
+		resp.Sites += views[k].Sites
 		if f.shards[k] != nil {
-			draining = draining || v.h.Status == "draining"
+			draining = draining || views[k].Status == "draining"
 			continue
 		}
-		p := PeerStatus{Shard: k, Addr: f.peers[k], OK: v.err == nil, Sites: v.h.Sites}
-		if v.err != nil {
-			p.Error = fmt.Sprintf("%v: shard %d (%s): %v", ErrShardUnavailable, k, f.peers[k], v.err)
+		p := PeerStatus{Shard: k, Addr: f.peers[k], OK: errs[k] == nil, Sites: views[k].Sites}
+		if errs[k] != nil {
+			p.Error = f.unavailable(k, errs[k])
 		}
 		resp.Peers = append(resp.Peers, p)
 	}
@@ -447,40 +440,35 @@ func (f *ShardRouter) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		PerShard:  make([]ShardStatus, 0, len(f.served)),
 		Sites:     []SiteStatus{},
 	}
-	type view struct {
-		rep ShardReport
-		err error
-	}
-	views := make([]view, len(f.clients))
-	f.fanOut(r.Context(), func(ctx context.Context, k int, c ShardClient) {
-		views[k].rep, views[k].err = c.Metrics(ctx, now)
+	reps, errs := gather(f, r.Context(), func(c ShardClient, ctx context.Context) (MetricsResponse, error) {
+		return c.Metrics(ctx, now)
 	})
 	var fleet WireAccum
 	ledgers := ledgerSet{}
 	for _, k := range f.served {
-		rep := &views[k].rep
+		rep := &reps[k]
 		row := ShardStatus{
 			Shard:   k,
 			Sites:   len(rep.Sites),
-			Metrics: rep.accum.snapshot(),
+			Metrics: rep.Accum.snapshot(),
 			Gate:    rep.Gate,
 			Jobs:    rep.Jobs,
 		}
 		if f.peers != nil {
 			row.Addr = f.peers[k]
 		}
-		if err := views[k].err; err != nil {
-			row.Error = fmt.Sprintf("%v: shard %d (%s): %v", ErrShardUnavailable, k, f.peers[k], err)
+		if errs[k] != nil {
+			row.Error = f.unavailable(k, errs[k])
 			resp.PerShard = append(resp.PerShard, row)
 			continue
 		}
-		fleet.add(&rep.accum)
+		fleet.add(&rep.Accum)
 		resp.Sites = append(resp.Sites, stamped(rep.Sites, k)...)
-		if rep.AuditStats != nil && ledgers.first(f.shards[k]) {
+		if rep.Audit != nil && ledgers.first(f.shards[k]) {
 			if resp.Audit == nil {
 				resp.Audit = &audit.Stats{}
 			}
-			addAuditStats(resp.Audit, *rep.AuditStats)
+			addAuditStats(resp.Audit, *rep.Audit)
 		}
 		if rep.Jobs != nil {
 			if resp.Jobs == nil {
@@ -503,19 +491,43 @@ func (f *ShardRouter) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// fanOut runs one call per served partition concurrently — in-process
+// gather calls read on every served partition concurrently — in-process
 // calls are cheap, forwarded ones overlap their network latency — and
-// waits for all of them.
-func (f *ShardRouter) fanOut(ctx context.Context, call func(ctx context.Context, k int, c ShardClient)) {
+// returns the answers and errors indexed by partition, zero for one not
+// served here.
+func gather[T any](f *ShardRouter, ctx context.Context, read func(ShardClient, context.Context) (T, error)) ([]T, []error) {
+	out, errs := make([]T, len(f.clients)), make([]error, len(f.clients))
 	var wg sync.WaitGroup
 	for _, k := range f.served {
 		wg.Add(1)
-		go func(k int) {
+		go func() {
 			defer wg.Done()
-			call(ctx, k, f.clients[k])
-		}(k)
+			out[k], errs[k] = read(f.clients[k], ctx)
+		}()
 	}
 	wg.Wait()
+	return out, errs
+}
+
+// unavailable words the error of a shard process the fleet could not
+// reach, for its row in /healthz or /metrics.
+func (f *ShardRouter) unavailable(k int, err error) string {
+	return fmt.Sprintf("%v: shard %d (%s): %v", ErrShardUnavailable, k, f.peers[k], err)
+}
+
+// answered lists the served partitions whose answer came back, logging
+// each that did not: an observation route (what) merges the partitions it
+// can reach.
+func (f *ShardRouter) answered(what string, errs []error) []int {
+	ks := make([]int, 0, len(f.served))
+	for _, k := range f.served {
+		if errs[k] != nil {
+			f.log.Printf("serve: fleet %s: shard %d (%s): %v", what, k, f.peers[k], errs[k])
+			continue
+		}
+		ks = append(ks, k)
+	}
+	return ks
 }
 
 // ledgerSet tells the first partition to report a ledger from the ones
@@ -549,7 +561,7 @@ func addAuditStats(sum *audit.Stats, s audit.Stats) {
 // behind a front, are merged: their recent records by time (the merged
 // list is an observability view — each shard's chain stays independently
 // verifiable with `wrapserved -audit-verify`, a merged list of two chains
-// is not one chain) and their counters summed.
+// is not one chain) and their counters summed, the newest n records kept.
 func (f *ShardRouter) handleAudit(w http.ResponseWriter, r *http.Request) {
 	n := 100
 	if q := r.URL.Query().Get("n"); q != "" {
@@ -557,18 +569,12 @@ func (f *ShardRouter) handleAudit(w http.ResponseWriter, r *http.Request) {
 			n = v
 		}
 	}
-	views := make([]AuditResponse, len(f.clients))
-	errs := make([]error, len(f.clients))
-	f.fanOut(r.Context(), func(ctx context.Context, k int, c ShardClient) {
-		views[k], errs[k] = c.AuditView(ctx, n)
+	views, errs := gather(f, r.Context(), func(c ShardClient, ctx context.Context) (AuditResponse, error) {
+		return c.AuditView(ctx, n)
 	})
 	var chains []AuditResponse
 	ledgers := ledgerSet{}
-	for _, k := range f.served {
-		if errs[k] != nil {
-			f.log.Printf("serve: fleet audit: shard %d (%s): %v", k, f.peers[k], errs[k])
-			continue
-		}
+	for _, k := range f.answered("audit", errs) {
 		if views[k].Enabled && ledgers.first(f.shards[k]) {
 			chains = append(chains, views[k])
 		}
@@ -591,6 +597,7 @@ func (f *ShardRouter) handleAudit(w http.ResponseWriter, r *http.Request) {
 		}
 		return merged.Records[i].Seq < merged.Records[j].Seq
 	})
+	merged.Records = merged.Records[max(0, len(merged.Records)-n):]
 	writeJSON(w, http.StatusOK, merged)
 }
 
@@ -610,17 +617,11 @@ func sortSites(sites []SiteStatus) {
 // shard ownership, and re-sorts by site name so the view reads like one
 // registry. Unreachable shards contribute nothing (partial view, logged).
 func (f *ShardRouter) handleSites(w http.ResponseWriter, r *http.Request) {
-	views := make([]ShardReport, len(f.clients))
-	errs := make([]error, len(f.clients))
-	f.fanOut(r.Context(), func(ctx context.Context, k int, c ShardClient) {
-		views[k], errs[k] = c.Metrics(ctx, time.Now())
+	views, errs := gather(f, r.Context(), func(c ShardClient, ctx context.Context) (MetricsResponse, error) {
+		return c.Metrics(ctx, time.Now())
 	})
 	out := []SiteStatus{}
-	for _, k := range f.served {
-		if errs[k] != nil {
-			f.log.Printf("serve: fleet sites: shard %d (%s): %v", k, f.peers[k], errs[k])
-			continue
-		}
+	for _, k := range f.answered("sites", errs) {
 		out = append(out, stamped(views[k].Sites, k)...)
 	}
 	sortSites(out)
@@ -643,56 +644,32 @@ func (f *ShardRouter) handleLifecycle(w http.ResponseWriter, r *http.Request, op
 	f.owner(req.Site).Lifecycle(w, r, op, req)
 }
 
-// handleRepair routes a drift repair to the owning partition's job plane:
-// the re-learn occupies that node's workers and hot-swaps that node's
-// binding, leaving every other partition untouched. Poll GET
-// /v1/jobs/{id} for the outcome.
-func (f *ShardRouter) handleRepair(w http.ResponseWriter, r *http.Request) {
+// handleMaintenance routes a learn (learn set) or a drift repair to the
+// owning partition's job plane: the re-learn occupies that node's workers
+// and hot-swaps that node's binding, leaving every other partition
+// untouched, and a new site is learned where extract requests for it will
+// land. Poll GET /v1/jobs/{id} for the outcome. The body is decoded as far
+// as the owner's client needs it (decodeRouted): all of it for an
+// in-process node, Site and TimeoutMS for a peer, which gets the body. The
+// pages an in-process node decodes are views of the body, and its job
+// outlives the request, so the body leaves the scratch, which goes back to
+// its pool without it: a repair-sized buffer is the job's to drop, not the
+// pool's to keep.
+func (f *ShardRouter) handleMaintenance(w http.ResponseWriter, r *http.Request, learn bool) {
 	if !requirePost(w, r) {
 		return
 	}
 	sc := acquireScratch()
 	defer releaseScratch(sc)
-	var req LearnRequest
-	body, ok := f.readMaintenance(w, r, sc, &req, false)
-	if !ok {
-		return
-	}
-	f.owner(req.Site).Repair(w, r, req.repair(), body)
-}
-
-// handleLearn routes a learn to the partition the ring assigns the new
-// site — which is exactly where extract requests for it will land once it
-// serves.
-func (f *ShardRouter) handleLearn(w http.ResponseWriter, r *http.Request) {
-	if !requirePost(w, r) {
-		return
-	}
-	sc := acquireScratch()
-	defer releaseScratch(sc)
-	var req LearnRequest
-	body, ok := f.readMaintenance(w, r, sc, &req, true)
-	if !ok {
-		return
-	}
-	f.owner(req.Site).Learn(w, r, req, body)
-}
-
-// readMaintenance reads a learn or repair body into sc and decodes it into
-// req as far as the owner's client needs it (decodeRouted): all of it for
-// an in-process node, Site and TimeoutMS for a peer, which gets the body.
-// The pages an in-process node decodes are views of the body, and its job
-// outlives the request, so the body leaves sc, which goes back to its pool
-// without it: a repair-sized buffer is the job's to drop, not the pool's
-// to keep.
-func (f *ShardRouter) readMaintenance(w http.ResponseWriter, r *http.Request, sc *extractScratch, req *LearnRequest, learn bool) ([]byte, bool) {
-	ok := readBodyInto(w, r, sc, f.maxBodyBytes) &&
-		f.decodeRouted(w, sc.body, &req.Site, &req.TimeoutMS, func() error {
-			return decodeMaintenanceRequest(sc.body, req, learn)
-		})
+	ok := readBodyInto(w, r, sc, f.maxBodyBytes)
 	body := sc.body
 	sc.body = nil
-	return body, ok
+	var req LearnRequest
+	if ok && f.decodeRouted(w, body, &req.Site, &req.TimeoutMS, func() error {
+		return decodeMaintenanceRequest(body, &req, learn)
+	}) {
+		f.owner(req.Site).Maintain(w, r, req, body, learn)
+	}
 }
 
 // owner resolves a site to its partition's client. The empty site maps to
@@ -708,16 +685,8 @@ func (f *ShardRouter) owner(site string) ShardClient {
 // thanks to per-shard prefixes). Unreachable shards contribute nothing.
 func (f *ShardRouter) handleJobs(w http.ResponseWriter, r *http.Request) {
 	out := []jobs.Snapshot{}
-	views := make([][]jobs.Snapshot, len(f.clients))
-	errs := make([]error, len(f.clients))
-	f.fanOut(r.Context(), func(ctx context.Context, k int, c ShardClient) {
-		views[k], errs[k] = c.Jobs(ctx)
-	})
-	for _, k := range f.served {
-		if errs[k] != nil {
-			f.log.Printf("serve: fleet jobs: shard %d (%s): %v", k, f.peers[k], errs[k])
-			continue
-		}
+	views, errs := gather(f, r.Context(), ShardClient.Jobs)
+	for _, k := range f.answered("jobs", errs) {
 		out = append(out, views[k]...)
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -739,11 +708,11 @@ func (f *ShardRouter) routeJob(w http.ResponseWriter, r *http.Request) {
 		http.NotFound(w, r)
 		return
 	}
-	method, call := http.MethodGet, func(c ShardClient) bool { return c.JobGet(w, r, id) }
+	method := http.MethodGet
 	if cancel {
-		method, call = http.MethodPost, func(c ShardClient) bool { return c.JobCancel(w, r, id) }
+		method = http.MethodPost
 	}
-	if requireMethod(w, r, method) && !f.dispatchJob(id, call) {
+	if requireMethod(w, r, method) && !f.dispatchJob(w, r, id, cancel) {
 		writeError(w, http.StatusNotFound, "%v: %q", jobs.ErrNotFound, id)
 	}
 }
@@ -751,12 +720,12 @@ func (f *ShardRouter) routeJob(w http.ResponseWriter, r *http.Request) {
 // dispatchJob routes a job-by-ID call: straight to the partition named by
 // the ID's "s<k>-" prefix when it parses, otherwise a scan over every
 // served partition. Reports whether some partition handled it.
-func (f *ShardRouter) dispatchJob(id string, call func(ShardClient) bool) bool {
+func (f *ShardRouter) dispatchJob(w http.ResponseWriter, r *http.Request, id string, cancel bool) bool {
 	if k, ok := shardOfJobID(id); ok && k < len(f.clients) {
-		return call(f.clients[k])
+		return f.clients[k].Job(w, r, id, cancel)
 	}
 	for _, k := range f.served {
-		if call(f.clients[k]) {
+		if f.clients[k].Job(w, r, id, cancel) {
 			return true
 		}
 	}

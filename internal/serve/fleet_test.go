@@ -2,9 +2,11 @@ package serve_test
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -12,6 +14,7 @@ import (
 	"time"
 
 	"autowrap/internal/corpus"
+	"autowrap/internal/drift"
 	"autowrap/internal/engine"
 	"autowrap/internal/jobs"
 	"autowrap/internal/serve"
@@ -432,6 +435,73 @@ func TestFleetDrainOrdering(t *testing.T) {
 		}
 		if snap.State != jobs.StateDone {
 			t.Fatalf("job %s state = %s after Drain, want done (queued jobs must not be dropped)", id, snap.State)
+		}
+	}
+}
+
+// TestUnownedPartitionAnswersLikeItsOwner: on a -role shard process —
+// a ring of 2 whose only node here is partition 0 — a request for a site
+// the ring gives partition 1 is refused with the checks the home node makes
+// ahead of ownership (501 without a repairer, 400 for a malformed body),
+// and only a well-formed one gets the 421 naming shard 1. A job id of
+// partition 1 is not found here.
+func TestUnownedPartitionAnswersLikeItsOwner(t *testing.T) {
+	ring := shard.NewRing(2, shard.DefaultVNodes)
+	site := ""
+	for i := 0; site == ""; i++ {
+		if s := fmt.Sprintf("site-%d", i); ring.Owner(s) == 1 {
+			site = s
+		}
+	}
+	shardHandler := func(repairer *drift.Repairer) http.Handler {
+		router, err := serve.NewShardRouter(ring, func(k int) (*serve.Server, error) {
+			if k != 0 {
+				return nil, nil
+			}
+			srv, err := serve.NewServer(serve.ServerConfig{
+				Dispatcher: serve.NewDispatcher(store.New(), serve.Options{}),
+				Repairer:   repairer,
+			})
+			if err == nil {
+				t.Cleanup(func() { srv.Close() })
+			}
+			return srv, err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return router.Handler()
+	}
+	bare, maintained := shardHandler(nil), shardHandler(&drift.Repairer{})
+	pages := `"pages":["<p>a</p>","<p>b</p>"]`
+	notOwner := fmt.Sprintf(`site %q belongs to shard 1, this is shard 0`, site)
+	for _, c := range []struct {
+		name       string
+		h          http.Handler
+		method     string
+		path, body string
+		code       int
+		want       string // in the error
+	}{
+		{"learn, no repairer", bare, http.MethodPost, "/v1/learn", `{"site":"` + site + `",` + pages + `}`, 501, "learn is not configured"},
+		{"repair, no repairer", bare, http.MethodPost, "/v1/repair", `{"site":"` + site + `",` + pages + `}`, 501, "repair is not configured"},
+		{"learn, empty site", maintained, http.MethodPost, "/v1/learn", `{"site":"",` + pages + `}`, 400, "site is required"},
+		{"repair, one page", maintained, http.MethodPost, "/v1/repair", `{"site":"` + site + `","pages":["<p>a</p>"]}`, 400, "at least 2 pages"},
+		{"promote, version 0", maintained, http.MethodPost, "/v1/promote", `{"site":"` + site + `"}`, 400, "version >= 1"},
+		{"learn", maintained, http.MethodPost, "/v1/learn", `{"site":"` + site + `",` + pages + `}`, 421, notOwner},
+		{"repair", maintained, http.MethodPost, "/v1/repair", `{"site":"` + site + `",` + pages + `}`, 421, notOwner},
+		{"promote", maintained, http.MethodPost, "/v1/promote", `{"site":"` + site + `","version":1}`, 421, notOwner},
+		{"rollback", maintained, http.MethodPost, "/v1/rollback", `{"site":"` + site + `"}`, 421, notOwner},
+		{"promote, no repairer", bare, http.MethodPost, "/v1/promote", `{"site":"` + site + `","version":1}`, 421, notOwner},
+		{"rollback, no repairer", bare, http.MethodPost, "/v1/rollback", `{"site":"` + site + `"}`, 421, notOwner},
+		{"job", maintained, http.MethodGet, "/v1/jobs/s1-job-000001", "", 404, "no such job"},
+		{"job cancel", maintained, http.MethodPost, "/v1/jobs/s1-job-000001/cancel", "", 404, "no such job"},
+	} {
+		rec := httptest.NewRecorder()
+		c.h.ServeHTTP(rec, httptest.NewRequest(c.method, c.path, strings.NewReader(c.body)))
+		var body struct{ Error string }
+		if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil || rec.Code != c.code || !strings.Contains(body.Error, c.want) {
+			t.Errorf("%s: %d %s, want %d with an error containing %q", c.name, rec.Code, strings.TrimSpace(rec.Body.String()), c.code, c.want)
 		}
 	}
 }

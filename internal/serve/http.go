@@ -436,12 +436,13 @@ func (s *Server) healthz() HealthzResponse {
 	return resp
 }
 
-// report is this node's contribution to /metrics at now.
-func (s *Server) report(now time.Time) ShardReport {
-	rep := ShardReport{
+// report is this node's contribution to /metrics at now: Gate, Jobs,
+// Audit, Accum and Sites.
+func (s *Server) report(now time.Time) MetricsResponse {
+	rep := MetricsResponse{
 		Gate:  s.cfg.Gate.Snapshot(),
 		Sites: s.cfg.Dispatcher.Status(),
-		accum: s.cfg.Dispatcher.metricsAccumNow(now),
+		Accum: s.cfg.Dispatcher.metricsAccumNow(now),
 	}
 	if s.cfg.Jobs != nil {
 		m := s.cfg.Jobs.Metrics()
@@ -449,7 +450,7 @@ func (s *Server) report(now time.Time) ShardReport {
 	}
 	if s.cfg.Audit != nil {
 		a := s.cfg.Audit.Stats()
-		rep.AuditStats = &a
+		rep.Audit = &a
 	}
 	return rep
 }
@@ -796,28 +797,25 @@ func (s *Server) submitMaintenance(w http.ResponseWriter, kind jobs.Kind, site s
 	})
 }
 
-// maintenanceOff answers 501 for a learn or repair (what) on a node
-// without a repairer, and reports whether it did.
-func (s *Server) maintenanceOff(w http.ResponseWriter, what string) bool {
-	if s.cfg.Repairer != nil {
-		return false
+// admitMaintenance answers the 501 of a node that cannot learn or repair
+// and the 400 of a request that names no site — or of a repair that brings
+// fewer than 2 pages; it reports whether the request got past both.
+func (s *Server) admitMaintenance(w http.ResponseWriter, site string, pages int, learn bool) bool {
+	what := "repair"
+	if learn {
+		what = "learn"
 	}
-	writeError(w, http.StatusNotImplemented, "%s is not configured on this server (no annotator)", what)
-	return true
-}
-
-// admitRepair answers the 501 of a node that cannot repair and the 400 of
-// a repair that names no site or brings fewer than 2 pages; it reports
-// whether the request got past both.
-func (s *Server) admitRepair(w http.ResponseWriter, req RepairRequest) bool {
-	if s.maintenanceOff(w, "repair") {
-		return false
-	}
-	if req.Site == "" || len(req.Pages) < 2 {
+	switch {
+	case s.cfg.Repairer == nil:
+		writeError(w, http.StatusNotImplemented, "%s is not configured on this server (no annotator)", what)
+	case learn && site == "":
+		writeError(w, http.StatusBadRequest, "site is required")
+	case !learn && (site == "" || pages < 2):
 		writeError(w, http.StatusBadRequest, "site and at least 2 pages are required")
-		return false
+	default:
+		return true
 	}
-	return true
+	return false
 }
 
 // finishRepair validates a decoded repair request and enqueues a
@@ -826,7 +824,7 @@ func (s *Server) admitRepair(w http.ResponseWriter, req RepairRequest) bool {
 // operators (and automation) behind the learn pool. The router routes by
 // req.Site, so the re-learn runs on — and hot-swaps — only the owning node.
 func (s *Server) finishRepair(w http.ResponseWriter, req RepairRequest) {
-	if !s.admitRepair(w, req) {
+	if !s.admitMaintenance(w, req.Site, len(req.Pages), false) {
 		return
 	}
 	if len(req.Pages) > s.cfg.MaxPages {
@@ -845,13 +843,10 @@ func (s *Server) finishRepair(w http.ResponseWriter, req RepairRequest) {
 // routed here by the router lands on the partition the ring assigns it, so
 // once learned it serves from the right place.
 func (s *Server) finishLearn(w http.ResponseWriter, req LearnRequest) {
-	if s.maintenanceOff(w, "learn") {
+	if !s.admitMaintenance(w, req.Site, len(req.Pages), true) {
 		return
 	}
 	switch {
-	case req.Site == "":
-		writeError(w, http.StatusBadRequest, "site is required")
-		return
 	case len(req.Pages) > 0 && req.CorpusDir != "":
 		writeError(w, http.StatusBadRequest, "set pages or corpus_dir, not both")
 		return

@@ -11,6 +11,10 @@ import (
 	"autowrap/internal/jobs"
 )
 
+// minRepairPages is the fewest cached recent pages an auto-repair
+// re-learns from (the repairer's hard floor is 2).
+const minRepairPages = 4
+
 // MaintainerOptions configures the autonomous repair loop.
 type MaintainerOptions struct {
 	// Interval is the scan period for latched trips that could not be
@@ -21,9 +25,6 @@ type MaintainerOptions struct {
 	// whose repair keeps losing validation must not monopolize the learn
 	// pool, and a flapping site must not pile up duplicate jobs.
 	MinGap time.Duration
-	// MinPages is the fewest cached recent pages worth re-learning from
-	// (default 4; the repairer's hard floor is 2).
-	MinPages int
 	// Log receives scanner decisions (default: log.Default()).
 	Log *log.Logger
 }
@@ -34,9 +35,6 @@ func (o MaintainerOptions) withDefaults() MaintainerOptions {
 	}
 	if o.MinGap <= 0 {
 		o.MinGap = time.Minute
-	}
-	if o.MinPages < 2 {
-		o.MinPages = 4
 	}
 	if o.Log == nil {
 		o.Log = log.Default()
@@ -193,7 +191,7 @@ func (m *Maintainer) Kick(site string) bool {
 
 func (m *Maintainer) submit(site string, now time.Time) bool {
 	pages := m.server.cfg.Dispatcher.RecentPages(site)
-	if len(pages) < m.opt.MinPages {
+	if len(pages) < minRepairPages {
 		return false // not enough fresh evidence yet; the scanner retries
 	}
 	snap, err := m.server.cfg.Jobs.Submit(jobs.KindRepair, site,

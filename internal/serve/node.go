@@ -9,7 +9,6 @@ import (
 	"autowrap/internal/audit"
 	"autowrap/internal/drift"
 	"autowrap/internal/jobs"
-	"autowrap/internal/shard"
 	"autowrap/internal/store"
 )
 
@@ -48,7 +47,6 @@ type NodeConfig struct {
 
 	// The rest are ServerConfig's fields of the same names.
 	Shard           int
-	Ring            *shard.Ring
 	Backend         store.Backend
 	Audit           *audit.Ledger
 	Log             *log.Logger
@@ -86,7 +84,6 @@ func NewNode(cfg NodeConfig) (*Server, error) {
 		LearnCorpusRoot: cfg.LearnCorpusRoot,
 		Backend:         cfg.Backend,
 		Shard:           cfg.Shard,
-		Ring:            cfg.Ring,
 		Audit:           cfg.Audit,
 		Log:             cfg.Log,
 	}

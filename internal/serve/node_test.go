@@ -204,7 +204,7 @@ func TestTripHookOutlivesDrain(t *testing.T) {
 		RecentPages: 16,
 		Monitor:     &drift.Policy{Window: 8, MinPages: 4},
 		Spec:        noLearner,
-		Maintainer:  &MaintainerOptions{Interval: time.Hour, MinPages: 4, Log: log.New(io.Discard, "", 0)},
+		Maintainer:  &MaintainerOptions{Interval: time.Hour, Log: log.New(io.Discard, "", 0)},
 		Shard:       3,
 		Audit:       led,
 		Log:         log.New(&logged, "", 0),
@@ -281,7 +281,7 @@ func TestTripsRaceDrain(t *testing.T) {
 		Monitor:     &drift.Policy{Window: 8, MinPages: 4},
 		Spec:        noLearner,
 		Jobs:        jobs.Options{QueueDepth: sites},
-		Maintainer:  &MaintainerOptions{Interval: time.Millisecond, MinPages: 4, Log: quiet},
+		Maintainer:  &MaintainerOptions{Interval: time.Millisecond, Log: quiet},
 		Audit:       led,
 		Log:         quiet,
 	})

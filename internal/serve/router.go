@@ -83,9 +83,9 @@ func (f *ShardRouter) route(w http.ResponseWriter, r *http.Request) {
 	case "/v1/rollback":
 		f.handleLifecycle(w, r, store.OpRollback)
 	case "/v1/repair":
-		f.handleRepair(w, r)
+		f.handleMaintenance(w, r, false)
 	case "/v1/learn":
-		f.handleLearn(w, r)
+		f.handleMaintenance(w, r, true)
 	case "/v1/audit":
 		if requireMethod(w, r, http.MethodGet) {
 			f.handleAudit(w, r)

@@ -17,7 +17,6 @@ import (
 	"net/http"
 	"time"
 
-	"autowrap/internal/audit"
 	"autowrap/internal/jobs"
 	"autowrap/internal/store"
 )
@@ -44,25 +43,9 @@ var (
 	ErrShardUnavailable = errors.New("shard unavailable")
 )
 
-// ShardReport is one partition's contribution to the /metrics merge: the
-// site-ledger accumulator (bucket-level, so merged quantiles come from
-// the merged population, never from averaging per-shard quantiles), the
-// gate and job counters, and the partition's site rows.
-type ShardReport struct {
-	Gate GateSnapshot
-	Jobs *jobs.Metrics
-	// Sites is the shard's partition, one row per site.
-	Sites []SiteStatus
-	// AuditStats is the shard's ledger counters. The router sums them
-	// over distinct ledgers: every shard process owns its own ledger file,
-	// in-process nodes share one.
-	AuditStats *audit.Stats
-	accum      WireAccum
-}
-
 // ShardClient is the transport seam between the router and one
-// partition. Write-path methods (Extract, Lifecycle, Learn, Repair, JobGet,
-// JobCancel) answer on the ResponseWriter themselves — passthrough
+// partition, one method per job. Write-path methods (Extract, Lifecycle,
+// Maintain, Job) answer on the ResponseWriter themselves — passthrough
 // semantics, so a shard's 429/503 backpressure and error bodies reach
 // the client unchanged — and take the client's *http.Request, whose
 // context bounds them: a client that hangs up, or a front shutting down,
@@ -82,22 +65,23 @@ type ShardClient interface {
 	// Lifecycle applies a promote (store.OpPromote) or rollback
 	// (store.OpRollback).
 	Lifecycle(w http.ResponseWriter, r *http.Request, op store.Op, req AdminRequest)
-	// Learn and Repair enqueue maintenance jobs on the shard's job plane.
-	// req is what the router decoded: everything in front of in-process
-	// partitions, Site and TimeoutMS alone in front of forwarded ones,
-	// where body is the client's bytes (valid until the method returns).
-	Learn(w http.ResponseWriter, r *http.Request, req LearnRequest, body []byte)
-	Repair(w http.ResponseWriter, r *http.Request, req RepairRequest, body []byte)
-	// Jobs lists the shard's retained jobs. JobGet and JobCancel resolve
-	// one job by ID, reporting false when the shard does not know it (the
-	// router then tries elsewhere or answers 404).
+	// Maintain enqueues a learn job (learn set) or a repair job on the
+	// shard's job plane. req is what the router decoded: everything in
+	// front of in-process partitions, Site and TimeoutMS alone in front of
+	// forwarded ones, where body is the client's bytes (valid until the
+	// method returns).
+	Maintain(w http.ResponseWriter, r *http.Request, req LearnRequest, body []byte, learn bool)
+	// Jobs lists the shard's retained jobs. Job answers GET /v1/jobs/{id},
+	// or its cancel, reporting false when the shard does not know the job
+	// (the router then tries elsewhere or answers 404).
 	Jobs(ctx context.Context) ([]jobs.Snapshot, error)
-	JobGet(w http.ResponseWriter, r *http.Request, id string) bool
-	JobCancel(w http.ResponseWriter, r *http.Request, id string) bool
-	// Metrics returns the shard's merged ledgers for the /metrics
-	// aggregation; Healthz its liveness view; AuditView its slice of the
-	// lifecycle ledger (n caps records).
-	Metrics(ctx context.Context, now time.Time) (ShardReport, error)
+	Job(w http.ResponseWriter, r *http.Request, id string, cancel bool) bool
+	// Metrics returns the shard's /metrics contribution — Gate, Jobs,
+	// Audit, Accum (bucket-level, so merged quantiles come from the merged
+	// population) and Sites — for the router to merge; Healthz its
+	// liveness view; AuditView its slice of the lifecycle ledger (n caps
+	// records).
+	Metrics(ctx context.Context, now time.Time) (MetricsResponse, error)
 	Healthz(ctx context.Context) (HealthzResponse, error)
 	AuditView(ctx context.Context, n int) (AuditResponse, error)
 	// SetDraining flips the shard's readiness when the shard shares the

@@ -16,7 +16,7 @@ import (
 )
 
 // httpShard is the forwarding ShardClient: the shard is an independently
-// booted wrapserved process, and every call to it — the six relaying ones
+// booted wrapserved process, and every call to it — the four relaying ones
 // and the five the front reads itself — is one exchange over the peer
 // link (link.go), bounded by the caller's context and the call budget.
 // Every request carries the front end's ring fingerprint (RingHashHeader)
@@ -128,12 +128,12 @@ func (c *httpShard) Lifecycle(w http.ResponseWriter, r *http.Request, op store.O
 	c.forward(w, r, http.MethodPost, path, body, 0, false)
 }
 
-func (c *httpShard) Learn(w http.ResponseWriter, r *http.Request, req LearnRequest, body []byte) {
-	c.forward(w, r, http.MethodPost, "/v1/learn", body, req.TimeoutMS, false)
-}
-
-func (c *httpShard) Repair(w http.ResponseWriter, r *http.Request, req RepairRequest, body []byte) {
-	c.forward(w, r, http.MethodPost, "/v1/repair", body, req.TimeoutMS, false)
+func (c *httpShard) Maintain(w http.ResponseWriter, r *http.Request, req LearnRequest, body []byte, learn bool) {
+	path := "/v1/repair"
+	if learn {
+		path = "/v1/learn"
+	}
+	c.forward(w, r, http.MethodPost, path, body, req.TimeoutMS, false)
 }
 
 func (c *httpShard) Jobs(ctx context.Context) ([]jobs.Snapshot, error) {
@@ -144,29 +144,23 @@ func (c *httpShard) Jobs(ctx context.Context) ([]jobs.Snapshot, error) {
 	return out, nil
 }
 
-// JobGet and JobCancel relay GET /v1/jobs/{id} and POST .../cancel. A peer
-// 404 reports false so the router can keep looking; a transport failure is
-// answered here (the job, if it exists, lives on an unreachable shard).
-func (c *httpShard) JobGet(w http.ResponseWriter, r *http.Request, id string) bool {
-	return c.forward(w, r, http.MethodGet, jobsPrefix+id, nil, 0, true)
+// Job relays GET /v1/jobs/{id}, or POST .../cancel. A peer 404 reports
+// false so the router can keep looking; a transport failure is answered
+// here (the job, if it exists, lives on an unreachable shard).
+func (c *httpShard) Job(w http.ResponseWriter, r *http.Request, id string, cancel bool) bool {
+	method, path := http.MethodGet, jobsPrefix+id
+	if cancel {
+		method, path = http.MethodPost, path+"/cancel"
+	}
+	return c.forward(w, r, method, path, nil, 0, true)
 }
 
-func (c *httpShard) JobCancel(w http.ResponseWriter, r *http.Request, id string) bool {
-	return c.forward(w, r, http.MethodPost, jobsPrefix+id+"/cancel", nil, 0, true)
-}
-
-func (c *httpShard) Metrics(ctx context.Context, now time.Time) (ShardReport, error) {
+func (c *httpShard) Metrics(ctx context.Context, now time.Time) (MetricsResponse, error) {
 	var m MetricsResponse
 	if err := c.getJSON(ctx, "/metrics", &m); err != nil {
-		return ShardReport{}, err
+		return MetricsResponse{}, err
 	}
-	return ShardReport{
-		Gate:       m.Gate,
-		Jobs:       m.Jobs,
-		Sites:      m.Sites,
-		AuditStats: m.Audit,
-		accum:      m.Accum,
-	}, nil
+	return m, nil
 }
 
 func (c *httpShard) Healthz(ctx context.Context) (HealthzResponse, error) {

@@ -23,12 +23,12 @@ func (c localShard) Lifecycle(w http.ResponseWriter, _ *http.Request, op store.O
 	c.s.finishLifecycle(w, op, req)
 }
 
-func (c localShard) Learn(w http.ResponseWriter, _ *http.Request, req LearnRequest, _ []byte) {
-	c.s.finishLearn(w, req)
-}
-
-func (c localShard) Repair(w http.ResponseWriter, _ *http.Request, req RepairRequest, _ []byte) {
-	c.s.finishRepair(w, req)
+func (c localShard) Maintain(w http.ResponseWriter, _ *http.Request, req LearnRequest, _ []byte, learn bool) {
+	if learn {
+		c.s.finishLearn(w, req)
+	} else {
+		c.s.finishRepair(w, req.repair())
+	}
 }
 
 func (c localShard) Jobs(ctx context.Context) ([]jobs.Snapshot, error) {
@@ -39,15 +39,11 @@ func (c localShard) Jobs(ctx context.Context) ([]jobs.Snapshot, error) {
 	return m.List(), nil
 }
 
-func (c localShard) JobGet(w http.ResponseWriter, _ *http.Request, id string) bool {
-	return c.s.finishJob(w, id, false)
+func (c localShard) Job(w http.ResponseWriter, _ *http.Request, id string, cancel bool) bool {
+	return c.s.finishJob(w, id, cancel)
 }
 
-func (c localShard) JobCancel(w http.ResponseWriter, _ *http.Request, id string) bool {
-	return c.s.finishJob(w, id, true)
-}
-
-func (c localShard) Metrics(ctx context.Context, now time.Time) (ShardReport, error) {
+func (c localShard) Metrics(ctx context.Context, now time.Time) (MetricsResponse, error) {
 	return c.s.report(now), nil
 }
 
@@ -95,27 +91,16 @@ func (c absentShard) Lifecycle(w http.ResponseWriter, _ *http.Request, op store.
 	}
 }
 
-func (c absentShard) Learn(w http.ResponseWriter, _ *http.Request, req LearnRequest, _ []byte) {
-	if req.Site == "" {
-		c.home.finishLearn(w, req)
-		return
-	}
-	if !c.home.maintenanceOff(w, "learn") {
-		c.refuse(w, req.Site)
-	}
-}
-
-func (c absentShard) Repair(w http.ResponseWriter, _ *http.Request, req RepairRequest, _ []byte) {
-	if c.home.admitRepair(w, req) {
+func (c absentShard) Maintain(w http.ResponseWriter, _ *http.Request, req LearnRequest, _ []byte, learn bool) {
+	if c.home.admitMaintenance(w, req.Site, len(req.Pages), learn) {
 		c.refuse(w, req.Site)
 	}
 }
 
 func (absentShard) Jobs(context.Context) ([]jobs.Snapshot, error)             { return nil, nil }
-func (absentShard) JobGet(http.ResponseWriter, *http.Request, string) bool    { return false }
-func (absentShard) JobCancel(http.ResponseWriter, *http.Request, string) bool { return false }
-func (absentShard) Metrics(context.Context, time.Time) (ShardReport, error) {
-	return ShardReport{}, nil
+func (absentShard) Job(http.ResponseWriter, *http.Request, string, bool) bool { return false }
+func (absentShard) Metrics(context.Context, time.Time) (MetricsResponse, error) {
+	return MetricsResponse{}, nil
 }
 func (absentShard) Healthz(context.Context) (HealthzResponse, error) { return HealthzResponse{}, nil }
 func (absentShard) AuditView(context.Context, int) (AuditResponse, error) {

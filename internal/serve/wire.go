@@ -170,7 +170,7 @@ func decodeExtractRequest(sc *extractScratch) error {
 // decodeMaintenanceRequest parses the body of POST /v1/repair or
 // /v1/learn into req with the cursor /v1/extract uses: page bodies are
 // unescaped in place inside body and stay there, as views, so the body
-// belongs to the job from then on (see readMaintenance). It accepts and rejects
+// belongs to the job from then on (see handleMaintenance). It accepts and rejects
 // the bodies json.Decoder.Decode did, with the same field values — unknown
 // keys skipped, keys case-folded, null a no-op (a nil slice for pages), the
 // last of a duplicated key winning — so a caller cannot tell the decoders
@@ -656,24 +656,9 @@ func (d *jsonCursor) skip(depth int) error {
 	case c == '{':
 		return d.object(d.str, func([]byte) error { return d.skip(depth + 1) })
 	case c == '[':
-		d.i++
-		d.ws()
-		if d.tryByte(']') {
-			return nil
-		}
-		for {
-			if err := d.skip(depth + 1); err != nil {
-				return err
-			}
-			d.ws()
-			if d.tryByte(']') {
-				return nil
-			}
-			if err := d.expect(','); err != nil {
-				return err
-			}
-			d.ws()
-		}
+		// Zero-size elements: the walk allocates nothing.
+		_, err := array(d, []struct{}(nil), func(*struct{}) error { return d.skip(depth + 1) })
+		return err
 	case c == 't':
 		return d.lit("true")
 	case c == 'f':

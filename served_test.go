@@ -350,7 +350,6 @@ func TestAutoRepairHealsWithoutAdminCall(t *testing.T) {
 	maintainer, err := autowrap.NewMaintainer(srv, autowrap.MaintainerOptions{
 		Interval: 25 * time.Millisecond,
 		MinGap:   50 * time.Millisecond,
-		MinPages: 4,
 	})
 	if err != nil {
 		t.Fatal(err)

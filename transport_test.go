@@ -70,11 +70,12 @@ func learnRegistry(t *testing.T, dir string, n int) ([]*gen.Site, autowrap.Annot
 	return ds.Sites, ds.Annotator, path
 }
 
-// shardServerConfig builds one shard-role server the way wrapserved
-// -role shard does: partition k of the ring, its own backend and audit
-// ledger, the ring pinned for per-request agreement checks.
-func shardServer(t *testing.T, ring *shard.Ring, k int, storePath, auditPath string,
-	annot autowrap.Annotator) *serve.Server {
+// shardHandler boots one shard process's route table the way wrapserved
+// -role shard does: a router over the ring whose only node is partition k,
+// with its own backend and audit ledger, every other partition answered
+// 421 and the ring pinned for per-request agreement checks.
+func shardHandler(t *testing.T, ring *shard.Ring, k int, storePath, auditPath string,
+	annot autowrap.Annotator) http.Handler {
 	t.Helper()
 	be, err := filestore.Open(storePath)
 	if err != nil {
@@ -96,19 +97,26 @@ func shardServer(t *testing.T, ring *shard.Ring, k int, storePath, auditPath str
 		Store:   part,
 		Backend: be,
 		Shard:   k,
-		Ring:    ring,
 		Audit:   led,
 	}
 	if annot != nil {
 		cfg.Spec = xpathSpec(annot)
 		cfg.Jobs = autowrap.JobOptions{Workers: 1, QueueDepth: 4}
 	}
-	srv, err := serve.NewNode(cfg)
+	router, err := serve.NewShardRouter(ring, func(shardID int) (*serve.Server, error) {
+		if shardID != k {
+			return nil, nil // another process's partition
+		}
+		srv, err := serve.NewNode(cfg)
+		if err == nil {
+			t.Cleanup(func() { srv.Close() })
+		}
+		return srv, err
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { srv.Close() })
-	return srv
+	return router.Handler()
 }
 
 // xpathSpec is the learn recipe of the maintenance plane under test: the
@@ -205,8 +213,7 @@ func TestTransportParityLocalVsForward(t *testing.T) {
 		copyFile(t, regPath, sp)
 		ap := filepath.Join(dir, fmt.Sprintf("shard%d-audit.jsonl", k))
 		shardAudits = append(shardAudits, ap)
-		srv := shardServer(t, ring, k, sp, ap, annot)
-		hs := servetest.NewServer(srv.Handler())
+		hs := servetest.NewServer(shardHandler(t, ring, k, sp, ap, annot))
 		t.Cleanup(hs.Close)
 		peers = append(peers, strings.TrimPrefix(hs.URL, "http://"))
 	}
@@ -329,8 +336,7 @@ func TestForwardRingAgreement(t *testing.T) {
 	ring3 := shard.NewRing(3, 64)
 	sp := filepath.Join(dir, "shard0.json")
 	copyFile(t, regPath, sp)
-	srv := shardServer(t, ring3, 0, sp, "", nil)
-	hs := servetest.NewServer(srv.Handler())
+	hs := servetest.NewServer(shardHandler(t, ring3, 0, sp, "", nil))
 	defer hs.Close()
 	addr := strings.TrimPrefix(hs.URL, "http://")
 
@@ -393,8 +399,7 @@ func TestForwardPartialAvailability(t *testing.T) {
 	for k := 0; k < shards; k++ {
 		sp := filepath.Join(dir, fmt.Sprintf("shard%d.json", k))
 		copyFile(t, regPath, sp)
-		srv := shardServer(t, ring, k, sp, "", nil)
-		hs := servetest.NewServer(srv.Handler())
+		hs := servetest.NewServer(shardHandler(t, ring, k, sp, "", nil))
 		t.Cleanup(hs.Close)
 		backends = append(backends, hs)
 		peers = append(peers, strings.TrimPrefix(hs.URL, "http://"))
@@ -461,7 +466,7 @@ func TestForwardRingMismatchMidFlight(t *testing.T) {
 	for k := 0; k < 2; k++ {
 		sp := filepath.Join(dir, fmt.Sprintf("shard%d.json", k))
 		copyFile(t, regPath, sp)
-		hs := servetest.NewServer(shardServer(t, ring, k, sp, "", nil).Handler())
+		hs := servetest.NewServer(shardHandler(t, ring, k, sp, "", nil))
 		t.Cleanup(hs.Close)
 		backends = append(backends, hs)
 		peers = append(peers, strings.TrimPrefix(hs.URL, "http://"))
@@ -500,7 +505,7 @@ func TestForwardRingMismatchMidFlight(t *testing.T) {
 	}
 	sp := filepath.Join(dir, "stranger.json")
 	copyFile(t, regPath, sp)
-	stranger := serve.NewHTTPServer(shardServer(t, shard.NewRing(2, 32), 1, sp, "", nil).Handler(), log.New(io.Discard, "", 0))
+	stranger := serve.NewHTTPServer(shardHandler(t, shard.NewRing(2, 32), 1, sp, "", nil), log.New(io.Discard, "", 0))
 	served := make(chan struct{})
 	go func() {
 		defer close(served)
