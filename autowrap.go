@@ -34,7 +34,8 @@
 // promotion. NewDispatcher and NewServer put all of it behind one HTTP
 // service — multi-site dispatch with hot-swapped wrapper versions,
 // admission control with backpressure, and drift repair over the wire;
-// cmd/wrapserved is the ready-made daemon, cmd/loadgen its load harness,
+// cmd/wrapserved is the ready-made daemon, whose nodes also repair a
+// drifted site on their own (-auto-repair), cmd/loadgen its load harness,
 // and cmd/wrapinduce the offline CLI (learn into a store, apply a stored
 // wrapper to fresh pages, roll back). See docs/ARCHITECTURE.md for the
 // end-to-end walkthrough.
@@ -121,7 +122,7 @@ type (
 	// page on the caller's goroutine (ExtractOne) or a batch on a bounded
 	// worker pool (Run) — with per-page error isolation.
 	Extractor = extract.Runtime
-	// ExtractPage is one unit of serving work (raw HTML or parsed Root).
+	// ExtractPage is one unit of serving work: a page's raw HTML.
 	ExtractPage = extract.Page
 	// ExtractBatch is an Extractor.Run outcome: index-aligned results
 	// plus throughput stats.
@@ -135,9 +136,9 @@ type (
 	// detection half of the wrapper-maintenance loop. Build one with
 	// NewMonitor.
 	Monitor = drift.Monitor
-	// HealthPolicy configures when a site trips (window size, empty and
-	// failure fractions, record-count collapse vs. the learn-time
-	// profile).
+	// HealthPolicy configures when a site trips (window size, empty
+	// fraction, record-count collapse vs. the learn-time profile; more
+	// than half the window failing always trips it).
 	HealthPolicy = drift.Policy
 	// HealthStats is a point-in-time snapshot of one site's window.
 	HealthStats = drift.Stats
@@ -188,13 +189,6 @@ type (
 	JobManager = jobs.Manager
 	// JobOptions sizes a JobManager (workers, queue depth, history).
 	JobOptions = jobs.Options
-	// Maintainer is the autonomous repair loop: drift trips auto-enqueue
-	// rate-limited repair jobs re-learning from recently served pages.
-	// Build one with NewMaintainer.
-	Maintainer = serve.Maintainer
-	// MaintainerOptions tunes the loop (scan interval, per-site rate
-	// limit).
-	MaintainerOptions = serve.MaintainerOptions
 
 	// StoreBackend is the pluggable durability seam under the registry:
 	// lifecycle events in, reproduced registries out. FileStoreBackend
@@ -529,16 +523,6 @@ func VerifyAuditLedger(path string) (AuditReport, error) { return audit.VerifyFi
 // an extract burst can never starve a learn, and vice versa.
 func NewJobManager(opt JobOptions) *JobManager { return jobs.New(opt) }
 
-// NewMaintainer builds the autonomous repair loop over a server: drift
-// trips enqueue rate-limited repair jobs that re-learn a site from the
-// dispatcher's recently served pages, so a drifted site heals with no
-// operator call. Requires a server with a Repairer and job manager, drift
-// monitoring, and DispatcherOptions.RecentPages > 0. Call Start to arm it
-// and Stop before shutdown.
-func NewMaintainer(s *Server, opt MaintainerOptions) (*Maintainer, error) {
-	return serve.NewMaintainer(s, opt)
-}
-
 // --- Maintenance: drift detection, automatic re-learning, promote/rollback ---
 
 // NewMonitor builds the per-site drift monitor; zero HealthPolicy fields
@@ -546,7 +530,8 @@ func NewMaintainer(s *Server, opt MaintainerOptions) (*Maintainer, error) {
 // failures, or mean records under 50% of the learn-time profile).
 // Register each served site with its stored profile, wire the returned
 // SiteHealth's Observe into the site's ExtractOptions.OnResult, and poll
-// Monitor.Tripped (or set HealthPolicy.OnTrip) to dispatch repairs.
+// Monitor.Tripped (or install a hook with Monitor.SetOnTrip) to dispatch
+// repairs.
 func NewMonitor(policy HealthPolicy) *Monitor { return drift.NewMonitor(policy) }
 
 // ProfileOf computes a wrapper's learn-time health profile: its per-page

@@ -136,14 +136,15 @@ type Stats struct {
 	LastSeq     uint64 `json:"last_seq"`
 }
 
+// recentRecords is how many records the in-memory ring keeps for
+// GET /v1/audit.
+const recentRecords = 512
+
 // Options tune a ledger; the zero value selects defaults.
 type Options struct {
 	// CheckpointEvery is the batch size between Merkle checkpoints.
 	// Default 64 events.
 	CheckpointEvery int
-	// Recent is how many records the in-memory ring keeps for
-	// GET /v1/audit. Default 512.
-	Recent int
 	// NoSync skips the fsync after each append (tests/benchmarks only).
 	NoSync bool
 }
@@ -151,9 +152,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.CheckpointEvery <= 0 {
 		o.CheckpointEvery = 64
-	}
-	if o.Recent <= 0 {
-		o.Recent = 512
 	}
 	return o
 }
@@ -223,8 +221,8 @@ func Open(path string, opt Options) (*Ledger, error) {
 		l.recovered = int64(len(data)) - torn
 	}
 	n := len(st.recent)
-	if n > opt.Recent {
-		st.recent = st.recent[n-opt.Recent:]
+	if n > recentRecords {
+		st.recent = st.recent[n-recentRecords:]
 	}
 	l.recent = st.recent
 	return l, nil
@@ -337,8 +335,8 @@ func (l *Ledger) chain(shard int, event, site string, version int, detail string
 		l.leaves = append(l.leaves, leaf)
 	}
 	l.recent = append(l.recent, rec)
-	if len(l.recent) > l.opt.Recent {
-		l.recent = l.recent[len(l.recent)-l.opt.Recent:]
+	if len(l.recent) > recentRecords {
+		l.recent = l.recent[len(l.recent)-recentRecords:]
 	}
 	return nil
 }

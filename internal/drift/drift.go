@@ -47,11 +47,9 @@ type Policy struct {
 	// may trip (default 8): a single bad page proves nothing.
 	MinPages int
 	// MaxEmptyFrac trips the site when the fraction of successful-but-empty
-	// pages in the window exceeds it (default 0.5).
+	// pages in the window exceeds it (default 0.5). Failed pages trip it
+	// above a fixed fraction, maxFailFrac.
 	MaxEmptyFrac float64
-	// MaxFailFrac trips the site when the fraction of failed pages in the
-	// window exceeds it (default 0.5).
-	MaxFailFrac float64
 	// CollapseFrac trips the site when the window's mean record count drops
 	// below CollapseFrac times the learn-time profile mean (default 0.5).
 	// Ignored for sites registered without a profile.
@@ -60,13 +58,11 @@ type Policy struct {
 	// repair) during which trip checks stay disarmed, letting the window
 	// refill with post-repair pages (default: Window).
 	Cooldown int
-	// OnTrip, when set, is called once per trip — the moment a site's
-	// window first violates the policy — with the site name and the stats
-	// that tripped it. It runs on the serving worker that observed the
-	// tripping page, outside the site's lock; keep it cheap (log, enqueue a
-	// repair) and concurrency-safe.
-	OnTrip func(site string, s Stats)
 }
+
+// maxFailFrac trips a site when more than this fraction of its window's
+// pages failed.
+const maxFailFrac = 0.5
 
 func (p Policy) withDefaults() Policy {
 	if p.Window <= 0 {
@@ -80,9 +76,6 @@ func (p Policy) withDefaults() Policy {
 	}
 	if p.MaxEmptyFrac <= 0 {
 		p.MaxEmptyFrac = 0.5
-	}
-	if p.MaxFailFrac <= 0 {
-		p.MaxFailFrac = 0.5
 	}
 	if p.CollapseFrac <= 0 {
 		p.CollapseFrac = 0.5
@@ -227,7 +220,7 @@ func (h *SiteHealth) violated() bool {
 	if float64(h.empties)/n > h.policy.MaxEmptyFrac {
 		return true
 	}
-	if float64(h.fails)/n > h.policy.MaxFailFrac {
+	if float64(h.fails)/n > maxFailFrac {
 		return true
 	}
 	if h.profileMean > 0 {
@@ -291,6 +284,7 @@ func (h *SiteHealth) Reset(profile *store.Profile) {
 // observation paths never contend with each other.
 type Monitor struct {
 	policy Policy
+	onTrip func(site string, s Stats) // SetOnTrip's hook, nil until set
 
 	mu    sync.RWMutex
 	sites map[string]*SiteHealth
@@ -318,7 +312,7 @@ func (m *Monitor) Register(site string, profile *store.Profile) *SiteHealth {
 	h := &SiteHealth{
 		site:    site,
 		policy:  m.policy,
-		onTrip:  m.policy.OnTrip,
+		onTrip:  m.onTrip,
 		records: make([]int32, m.policy.Window),
 		kinds:   make([]pageKind, m.policy.Window),
 	}
@@ -329,17 +323,19 @@ func (m *Monitor) Register(site string, profile *store.Profile) *SiteHealth {
 	return h
 }
 
-// SetOnTrip installs (or replaces) the trip hook on the monitor's policy
-// and on every already-registered site. The hook fires once per trip with
-// the site name and the tripping stats, on the serving worker that
-// observed the tripping page — keep it cheap and concurrency-safe (log,
-// enqueue a repair job). A maintenance plane built after the monitor (the
-// usual construction order in a serving daemon: store → monitor →
-// dispatcher → repairer → job queue) attaches itself here.
+// SetOnTrip installs (or replaces) the trip hook on the monitor and on
+// every already-registered site; it is the one way to install one. The
+// hook fires once per trip — the moment a site's window first violates the
+// policy — with the site name and the tripping stats, on the serving
+// worker that observed the tripping page, outside the site's lock: keep it
+// cheap and concurrency-safe (log, enqueue a repair job). A maintenance
+// plane built after the monitor (the usual construction order in a
+// serving daemon: store → monitor → dispatcher → repairer → job queue)
+// attaches itself here.
 func (m *Monitor) SetOnTrip(fn func(site string, s Stats)) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.policy.OnTrip = fn
+	m.onTrip = fn
 	for _, h := range m.sites {
 		h.mu.Lock()
 		h.onTrip = fn

@@ -107,13 +107,14 @@ func TestMinPagesAndCooldown(t *testing.T) {
 
 func TestOnTripFiresOnce(t *testing.T) {
 	var fired []string
-	m := drift.NewMonitor(drift.Policy{Window: 8, MinPages: 4, OnTrip: func(site string, s drift.Stats) {
+	m := drift.NewMonitor(drift.Policy{Window: 8, MinPages: 4})
+	m.SetOnTrip(func(site string, s drift.Stats) {
 		fired = append(fired, fmt.Sprintf("%s@%d", site, s.Pages))
-	}})
+	})
 	h := m.Register("shop", profile(5))
 	feed(h, 12, 0)
 	if len(fired) != 1 || !strings.HasPrefix(fired[0], "shop@") {
-		t.Fatalf("OnTrip calls = %v, want exactly one for shop", fired)
+		t.Fatalf("trip hook calls = %v, want exactly one for shop", fired)
 	}
 }
 

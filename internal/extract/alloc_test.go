@@ -5,17 +5,10 @@ import (
 	"strings"
 	"testing"
 
-	"autowrap/internal/dom"
 	"autowrap/internal/extract"
-	"autowrap/internal/htmlparse"
 	"autowrap/internal/testutil/race"
 	"autowrap/internal/xpinduct"
 )
-
-func parsePage(t *testing.T, html string) *dom.Node {
-	t.Helper()
-	return htmlparse.Parse(html)
-}
 
 // extractOneAllocBudget is the steady-state allocation ceiling of the
 // single-page fast path on allocBudgetPage. The necessary allocations are
@@ -53,9 +46,6 @@ func TestExtractOneAllocBudget(t *testing.T) {
 	res := rt.ExtractOne(pg)
 	if res.Err != nil || len(res.Texts) != 8 || res.Texts[0] != "value text" {
 		t.Fatalf("fixture extraction = %+v", res)
-	}
-	if res.Nodes != nil {
-		t.Fatalf("pooled fast path leaked %d tree nodes", len(res.Nodes))
 	}
 
 	avg := testing.AllocsPerRun(200, func() {
@@ -105,20 +95,5 @@ func TestRunAllocBudget(t *testing.T) {
 	budget := float64(len(in)*extractOneAllocBudget + runBatchAllocBudget)
 	if avg := testing.AllocsPerRun(50, run); avg > budget {
 		t.Fatalf("Run over %d large pages allocates %.1f times, budget is %.0f", len(in), avg, budget)
-	}
-}
-
-// TestExtractOnePreParsedKeepsNodes pins the other half of the Nodes
-// contract: a caller-supplied tree is never pooled, so the matched nodes
-// stay available.
-func TestExtractOnePreParsedKeepsNodes(t *testing.T) {
-	p, err := xpinduct.CompileRule(`//td[@class='v']/text()`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt := extract.New(p, extract.Options{})
-	res := rt.ExtractOne(extract.Page{ID: "tree", Root: parsePage(t, allocBudgetPage)})
-	if res.Err != nil || len(res.Nodes) != 8 {
-		t.Fatalf("pre-parsed extraction = %+v", res)
 	}
 }

@@ -17,25 +17,21 @@ import (
 	"context"
 	"fmt"
 	"runtime/debug"
-	"strings"
 	"sync/atomic"
 	"time"
 
-	"autowrap/internal/dom"
 	"autowrap/internal/par"
 	"autowrap/internal/wrapper"
 )
 
-// Page is one unit of serving work. Root takes precedence when set;
-// otherwise the wrapper reads HTML on a worker (through the tolerant
-// parser, so parsing itself never fails — only an empty page is an error).
+// Page is one unit of serving work: the wrapper reads its HTML on a worker
+// (through the tolerant parser, so parsing itself never fails — only an
+// empty page is an error).
 type Page struct {
 	// ID identifies the page in results (a URL, a file path).
 	ID string
 	// HTML is the raw page source.
 	HTML string
-	// Root is the pre-parsed page, for callers that already hold a tree.
-	Root *dom.Node
 }
 
 // Result is one page's extraction outcome.
@@ -44,15 +40,10 @@ type Result struct {
 	ID    string
 	Index int
 	// Texts are the extracted records' trimmed contents in document order.
+	// The rule is matched while the page is tokenized and no tree is
+	// built, so there are only Texts; callers that need the matched nodes
+	// parse the page themselves.
 	Texts []string
-	// Nodes are the matched text nodes of a page that arrived as Page.Root
-	// — nodes of the caller's own tree. They are nil when the page failed,
-	// and nil whenever the page arrived as Page.HTML, through ExtractOne
-	// and Run alike: the rule is matched while that page is
-	// tokenized and no tree is built, so there are only Texts. Callers
-	// that need the matched nodes parse the page themselves and pass the
-	// Root.
-	Nodes []*dom.Node
 	// Err is the page's failure, including recovered panics and — for
 	// pages never started — the run's cancellation cause.
 	Err error
@@ -218,9 +209,9 @@ func (r *Runtime) observe(res *Result) {
 // allocation entirely, so an HTTP handler can call it per request without
 // paying the batch machinery for one page.
 //
-// When the page arrives as raw HTML (Page.Root == nil) no tree is built
-// (see Result.Nodes): the steady-state fast path allocates only the Texts
-// it hands back. TestExtractOneAllocBudget pins that budget.
+// No tree is built (see Result.Texts): the steady-state fast path
+// allocates only the Texts it hands back. TestExtractOneAllocBudget pins
+// that budget.
 func (r *Runtime) ExtractOne(pg Page) Result {
 	res := r.one(pg, 0)
 	r.observe(&res)
@@ -277,9 +268,8 @@ func (s *Stats) tally(res *Result) {
 }
 
 // one extracts a single page with panic isolation — the one per-page path
-// under ExtractOne and Run. A page arriving as raw HTML is read once
-// by one rule, so the rule is applied to the source itself (ApplyHTML) and
-// no tree exists to hand out: Result.Nodes stays nil for it. Texts are
+// under ExtractOne and Run. A page is read once by one rule, so the rule is
+// applied to the source itself (ApplyHTML) and no tree is built. Texts are
 // always safe to keep: they alias the page's HTML or are freshly allocated.
 func (r *Runtime) one(pg Page, idx int) (out Result) {
 	out.ID, out.Index = pg.ID, idx
@@ -287,21 +277,15 @@ func (r *Runtime) one(pg Page, idx int) (out Result) {
 	defer func() {
 		out.Elapsed = time.Since(start)
 		if p := recover(); p != nil {
-			out.Texts, out.Nodes = nil, nil
+			out.Texts = nil
 			out.Err = fmt.Errorf("extract: page %q panicked: %v\n%s", pg.ID, p, debug.Stack())
 		}
 	}()
-	switch {
-	case pg.Root != nil:
-		out.Nodes = r.p.ApplyPage(pg.Root)
-		out.Texts = make([]string, len(out.Nodes))
-		for i, n := range out.Nodes {
-			out.Texts[i] = strings.TrimSpace(n.Data)
-		}
-	case pg.HTML != "":
-		out.Texts = r.p.ApplyHTML(pg.HTML)
-	default:
+	if pg.HTML == "" {
+		// Kept byte for byte: clients read it as a page's error on the wire.
 		out.Err = fmt.Errorf("extract: page %q: neither Root nor HTML set", pg.ID)
+		return
 	}
+	out.Texts = r.p.ApplyHTML(pg.HTML)
 	return
 }

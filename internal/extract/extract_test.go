@@ -91,15 +91,14 @@ func TestRunExtractsRecords(t *testing.T) {
 
 // outcome is what the two entry points must agree on for one page.
 type outcome struct {
-	ID       string
-	Index    int
-	Texts    []string
-	Failed   bool
-	HasNodes bool
+	ID     string
+	Index  int
+	Texts  []string
+	Failed bool
 }
 
 func outcomeOf(res extract.Result) outcome {
-	return outcome{ID: res.ID, Index: res.Index, Texts: res.Texts, Failed: res.Err != nil, HasNodes: res.Nodes != nil}
+	return outcome{ID: res.ID, Index: res.Index, Texts: res.Texts, Failed: res.Err != nil}
 }
 
 func runOutcomes(t *testing.T, rt *extract.Runtime, in []extract.Page) []outcome {
@@ -115,12 +114,11 @@ func runOutcomes(t *testing.T, rt *extract.Runtime, in []extract.Page) []outcome
 	return out
 }
 
-// mixedPages is a batch exercising every per-page branch: raw HTML, a
-// caller-owned tree, a page that matches nothing and one that fails.
+// mixedPages is a batch exercising every per-page branch: raw HTML, a page
+// that matches nothing and one that fails.
 func mixedPages(n int) []extract.Page {
 	in := pages(n)
-	in[1] = extract.Page{ID: "tree", Root: htmlparse.Parse(page(1, 3))}
-	in[2] = extract.Page{ID: "empty"} // neither Root nor HTML
+	in[2] = extract.Page{ID: "empty"} // no HTML
 	in[3] = extract.Page{ID: "no-match", HTML: `<html><body><p>nothing here</p></body></html>`}
 	return in
 }
@@ -154,48 +152,10 @@ func TestRunDeterministicAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestNodesOnlyForCallerOwnedTrees pins the one Nodes contract of
-// ExtractOne and Run: a page the runtime parsed itself comes back
-// with Texts only (its tree went back to the pool), a page that
-// arrived as Page.Root comes back with the matched nodes of that very tree.
-func TestNodesOnlyForCallerOwnedTrees(t *testing.T) {
-	rt := extract.New(compiled(t), extract.Options{Workers: 2})
-	root := htmlparse.Parse(page(5, 3))
-	var want []*dom.Node
-	root.Walk(func(n *dom.Node) bool {
-		if n.Type == dom.TextNode && strings.HasPrefix(n.Data, "rec-") {
-			want = append(want, n)
-		}
-		return true
-	})
-	in := []extract.Page{{ID: "html", HTML: page(5, 3)}, {ID: "tree", Root: root}}
-
-	var got [][]extract.Result
-	got = append(got, []extract.Result{rt.ExtractOne(in[0]), rt.ExtractOne(in[1])})
-	batch, err := rt.Run(context.Background(), in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got = append(got, batch.Results)
-
-	for k, entry := range []string{"ExtractOne", "Run"} {
-		html, tree := got[k][0], got[k][1]
-		if html.Err != nil || tree.Err != nil || len(html.Texts) != 3 || !reflect.DeepEqual(html.Texts, tree.Texts) {
-			t.Fatalf("%s: results = %+v / %+v", entry, html, tree)
-		}
-		if html.Nodes != nil {
-			t.Fatalf("%s: HTML page leaked %d nodes of a recycled tree", entry, len(html.Nodes))
-		}
-		if !reflect.DeepEqual(tree.Nodes, want) {
-			t.Fatalf("%s: Root page Nodes = %v, want the caller's %v", entry, tree.Nodes, want)
-		}
-	}
-}
-
 func TestRunIsolatesPageErrors(t *testing.T) {
 	rt := extract.New(compiled(t), extract.Options{Workers: 3})
 	in := pages(5)
-	in[2] = extract.Page{ID: "empty"} // neither Root nor HTML
+	in[2] = extract.Page{ID: "empty"} // no HTML
 	batch, err := rt.Run(context.Background(), in)
 	if err != nil {
 		t.Fatal(err)
@@ -261,7 +221,7 @@ func TestPanicReleasesWorkspace(t *testing.T) {
 	check := func(entry string, i int, res extract.Result) {
 		t.Helper()
 		if in[i].ID == "boom" {
-			if res.Err == nil || !strings.Contains(res.Err.Error(), "panicked") || res.Texts != nil || res.Nodes != nil {
+			if res.Err == nil || !strings.Contains(res.Err.Error(), "panicked") || res.Texts != nil {
 				t.Fatalf("%s page %d: panic not isolated: %+v", entry, i, res)
 			}
 			return
@@ -355,7 +315,7 @@ func TestHealthCountersAndOnResult(t *testing.T) {
 	in := pages(8)
 	in = append(in,
 		extract.Page{ID: "empty", HTML: "<html><body><p>no records here</p></body></html>"},
-		extract.Page{ID: "bad"}, // neither Root nor HTML: per-page error
+		extract.Page{ID: "bad"}, // no HTML: per-page error
 	)
 	for _, r := range []*extract.Runtime{rt, rtHooked} {
 		if _, err := r.Run(context.Background(), in); err != nil {
@@ -421,7 +381,7 @@ func TestExtractOneMatchesRun(t *testing.T) {
 	// Failures are isolated the same way as in Run.
 	bad := rt.ExtractOne(extract.Page{ID: "empty"})
 	if bad.Err == nil {
-		t.Fatal("page with neither Root nor HTML succeeded")
+		t.Fatal("page with no HTML succeeded")
 	}
 	if got := rt.Health(); got.Failed != 1 {
 		t.Fatalf("health after failed page = %+v", got)

@@ -97,7 +97,7 @@ func TestMetricsAccumWireShape(t *testing.T) {
 // TestPeerAccumOtherBucketCount: a peer from a build with more or fewer
 // latency buckets is merged over the overlap — a longer histogram's extra
 // buckets dropped, a shorter one's missing buckets zero — and every counter
-// comes through httpShard.Metrics whole.
+// comes through httpShard.metrics whole.
 func TestPeerAccumOtherBucketCount(t *testing.T) {
 	for _, n := range []int{40, 30} {
 		buckets := make([]string, n)
@@ -112,7 +112,7 @@ func TestPeerAccumOtherBucketCount(t *testing.T) {
 			`"latency_buckets":[` + strings.Join(buckets, ",") + `],` +
 			`"latency_count":5,"latency_sum_us":700,"latency_max_us":300,"qps":1.5}}`
 		fr := peerFront(t, body)
-		rep, err := fr.clients[0].Metrics(context.Background(), time.Now())
+		rep, err := fr.clients[0].metrics(context.Background(), time.Now())
 		if err != nil {
 			t.Fatalf("%d buckets: %v", n, err)
 		}

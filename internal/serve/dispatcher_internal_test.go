@@ -42,7 +42,7 @@ func TestUnknownSitesDoNotLeakSlots(t *testing.T) {
 
 // TestRecentPagesOutliveTheBody pins who copies a served page. The handler
 // serves pages as views of its pooled request body, so the recent-page ring
-// — and a repair job's payload taken from it, as Maintainer.submit takes
+// — and a repair job's payload taken from it, as maintainer.submit takes
 // one — must hold copies that survive the body being scribbled over and
 // the scratch serving the next request.
 func TestRecentPagesOutliveTheBody(t *testing.T) {
@@ -72,7 +72,7 @@ func TestRecentPagesOutliveTheBody(t *testing.T) {
 			t.Fatal(err)
 		}
 		rec := httptest.NewRecorder()
-		s.finishExtract(rec, httptest.NewRequest(http.MethodPost, "/v1/extract", nil), sc)
+		s.extract(rec, httptest.NewRequest(http.MethodPost, "/v1/extract", nil), sc)
 		if rec.Code != http.StatusOK {
 			t.Fatalf("status %d: %s", rec.Code, rec.Body)
 		}

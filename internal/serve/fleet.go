@@ -1,7 +1,7 @@
 // The serving plane's one HTTP surface. Every process — standalone, an
 // in-process fleet, a shard process, a forwarding front — is a ShardRouter
 // over a consistent-hash ring, and each partition of the ring is one of
-// three things here: local (an in-process node behind localShard),
+// three things here: local (an in-process node, its own client),
 // forwarded (a shard process behind httpShard) or not served here
 // (absentShard, 421). Standalone is a ring of one with partition 0 local;
 // `-shards N` has every partition local; `-role shard` has only its own;
@@ -42,13 +42,11 @@ import (
 // (shard processes), or take a node's Handler, and mount Handler.
 type ShardRouter struct {
 	ring *shard.Ring
-	// clients[k] is partition k: local, forwarded or absent.
+	// clients[k] is partition k: local (a *Server), forwarded or absent.
 	clients []ShardClient
 	// served lists the partitions answered here, local or forwarded: the
 	// fan-outs run over them.
 	served []int
-	// shards[k] is the in-process node of a local partition, nil otherwise.
-	shards []*Server
 	// peers[k] is the address of a forwarded partition (nil when none is
 	// forwarded). A router with peers is a relay: it peeks at a body for
 	// its route and leaves the decode to the owner.
@@ -94,7 +92,7 @@ func NewShardRouter(ring *shard.Ring, build func(shardID int) (*Server, error)) 
 		if home.home == nil {
 			home.home, home.local = s, k
 		}
-		f.shards[k], f.clients[k] = s, localShard{s}
+		f.clients[k] = s
 		f.served = append(f.served, k)
 	}
 	if home.home == nil {
@@ -119,7 +117,6 @@ func newRouter(ring *shard.Ring) *ShardRouter {
 	return &ShardRouter{
 		ring:    ring,
 		clients: make([]ShardClient, ring.Shards()),
-		shards:  make([]*Server, ring.Shards()),
 		self:    -1,
 		started: time.Now(),
 	}
@@ -190,7 +187,7 @@ func (f *ShardRouter) handshake() error {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	for k, c := range f.clients {
-		h, err := c.Healthz(ctx)
+		h, err := c.healthz(ctx)
 		if err != nil {
 			f.log.Printf("serve: fleet handshake: shard %d (%s) unreachable, continuing degraded: %v",
 				k, f.peers[k], err)
@@ -215,7 +212,10 @@ func (f *ShardRouter) handshake() error {
 
 // Shard returns the in-process node of partition k (nil for a forwarded
 // or absent partition; panics on an out-of-range ID, like any slice index).
-func (f *ShardRouter) Shard(k int) *Server { return f.shards[k] }
+func (f *ShardRouter) Shard(k int) *Server {
+	s, _ := f.clients[k].(*Server)
+	return s
+}
 
 // SetDraining flips readiness on the router and every in-process node at
 // once: /healthz answers 503 while every node keeps admitting — the first
@@ -291,7 +291,7 @@ func (f *ShardRouter) handleExtract(w http.ResponseWriter, r *http.Request) {
 	}
 	// An empty site falls through to the owner's own 400: a node's, or
 	// the peer's (the ring routes it to shard Owner("")).
-	f.owner(sc.site).Extract(w, r, sc)
+	f.owner(sc.site).extract(w, r, sc)
 }
 
 // decodeRouted learns from an extract, learn or repair body what the owning
@@ -362,11 +362,11 @@ func (f *ShardRouter) handleHealthz(w http.ResponseWriter, r *http.Request) {
 			Shard:  f.self,
 		},
 	}
-	views, errs := gather(f, r.Context(), ShardClient.Healthz)
+	views, errs := gather(f, r.Context(), ShardClient.healthz)
 	draining := f.draining.Load()
 	for _, k := range f.served {
 		resp.Sites += views[k].Sites
-		if f.shards[k] != nil {
+		if f.peers == nil {
 			draining = draining || views[k].Status == "draining"
 			continue
 		}
@@ -441,7 +441,7 @@ func (f *ShardRouter) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		Sites:     []SiteStatus{},
 	}
 	reps, errs := gather(f, r.Context(), func(c ShardClient, ctx context.Context) (MetricsResponse, error) {
-		return c.Metrics(ctx, now)
+		return c.metrics(ctx, now)
 	})
 	var fleet WireAccum
 	ledgers := ledgerSet{}
@@ -464,7 +464,7 @@ func (f *ShardRouter) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		}
 		fleet.add(&rep.Accum)
 		resp.Sites = append(resp.Sites, stamped(rep.Sites, k)...)
-		if rep.Audit != nil && ledgers.first(f.shards[k]) {
+		if rep.Audit != nil && ledgers.first(f.Shard(k)) {
 			if resp.Audit == nil {
 				resp.Audit = &audit.Stats{}
 			}
@@ -570,12 +570,12 @@ func (f *ShardRouter) handleAudit(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	views, errs := gather(f, r.Context(), func(c ShardClient, ctx context.Context) (AuditResponse, error) {
-		return c.AuditView(ctx, n)
+		return c.auditView(ctx, n)
 	})
 	var chains []AuditResponse
 	ledgers := ledgerSet{}
 	for _, k := range f.answered("audit", errs) {
-		if views[k].Enabled && ledgers.first(f.shards[k]) {
+		if views[k].Enabled && ledgers.first(f.Shard(k)) {
 			chains = append(chains, views[k])
 		}
 	}
@@ -618,7 +618,7 @@ func sortSites(sites []SiteStatus) {
 // registry. Unreachable shards contribute nothing (partial view, logged).
 func (f *ShardRouter) handleSites(w http.ResponseWriter, r *http.Request) {
 	views, errs := gather(f, r.Context(), func(c ShardClient, ctx context.Context) (MetricsResponse, error) {
-		return c.Metrics(ctx, time.Now())
+		return c.metrics(ctx, time.Now())
 	})
 	out := []SiteStatus{}
 	for _, k := range f.answered("sites", errs) {
@@ -641,7 +641,7 @@ func (f *ShardRouter) handleLifecycle(w http.ResponseWriter, r *http.Request, op
 	if !readJSONLimited(w, r, &req, f.maxBodyBytes) {
 		return
 	}
-	f.owner(req.Site).Lifecycle(w, r, op, req)
+	f.owner(req.Site).lifecycle(w, r, op, req)
 }
 
 // handleMaintenance routes a learn (learn set) or a drift repair to the
@@ -668,7 +668,7 @@ func (f *ShardRouter) handleMaintenance(w http.ResponseWriter, r *http.Request, 
 	if ok && f.decodeRouted(w, body, &req.Site, &req.TimeoutMS, func() error {
 		return decodeMaintenanceRequest(body, &req, learn)
 	}) {
-		f.owner(req.Site).Maintain(w, r, req, body, learn)
+		f.owner(req.Site).maintain(w, r, req, body, learn)
 	}
 }
 
@@ -685,7 +685,7 @@ func (f *ShardRouter) owner(site string) ShardClient {
 // thanks to per-shard prefixes). Unreachable shards contribute nothing.
 func (f *ShardRouter) handleJobs(w http.ResponseWriter, r *http.Request) {
 	out := []jobs.Snapshot{}
-	views, errs := gather(f, r.Context(), ShardClient.Jobs)
+	views, errs := gather(f, r.Context(), ShardClient.listJobs)
 	for _, k := range f.answered("jobs", errs) {
 		out = append(out, views[k]...)
 	}
@@ -722,10 +722,10 @@ func (f *ShardRouter) routeJob(w http.ResponseWriter, r *http.Request) {
 // served partition. Reports whether some partition handled it.
 func (f *ShardRouter) dispatchJob(w http.ResponseWriter, r *http.Request, id string, cancel bool) bool {
 	if k, ok := shardOfJobID(id); ok && k < len(f.clients) {
-		return f.clients[k].Job(w, r, id, cancel)
+		return f.clients[k].job(w, r, id, cancel)
 	}
 	for _, k := range f.served {
-		if f.clients[k].Job(w, r, id, cancel) {
+		if f.clients[k].job(w, r, id, cancel) {
 			return true
 		}
 	}

@@ -103,8 +103,9 @@ func (c ServerConfig) withDefaults() ServerConfig {
 
 // Server is one node: the dispatcher's hot path behind admission control,
 // the job plane and the wrapper lifecycle over one partition of the
-// registry. It has no routes of its own — a ShardRouter serves it, and
-// Handler is the router over this one node. Build one with NewServer (or
+// registry. It has no routes of its own — a ShardRouter serves it, calling
+// it directly as the ShardClient of its partition, and Handler is the
+// router over this one node. Build one with NewServer (or
 // NewNode), and call SetDraining(true) before shutdown so load balancers
 // stop sending.
 type Server struct {
@@ -126,11 +127,10 @@ type Server struct {
 	// registry actually mutated. Lifecycle events are rare (admin calls,
 	// repair completions); this never touches the extract hot path.
 	lifecycleMu sync.Mutex
-	// tripHook installs onTrip on the monitor once; maint is the started
-	// auto-repair loop onTrip kicks (nil: trips are logged and audited,
-	// nothing is enqueued).
-	tripHook sync.Once
-	maint    atomic.Pointer[Maintainer]
+	// maint is the auto-repair loop onTrip kicks, set by NewNode before it
+	// installs the hook (nil: trips are logged and audited, nothing is
+	// enqueued).
+	maint *maintainer
 }
 
 // NewServer builds the HTTP layer over a dispatcher and whatever other
@@ -151,7 +151,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	return &Server{cfg: cfg, jobTimeout: 10 * cfg.RequestTimeout, ownJobs: ownJobs}, nil
 }
 
-// Close releases what the server owns: it stops a started maintainer and,
+// Close releases what the server owns: it stops the auto-repair loop and,
 // unless Drain already ran, cancels what is left on a job manager the
 // server created (withDefaults' or a node's — its workers would otherwise
 // outlive the server). A manager the caller passed to NewServer is the
@@ -179,8 +179,8 @@ func (s *Server) Jobs() *jobs.Manager { return s.cfg.Jobs }
 // SetDraining flips readiness: while draining, /healthz answers 503 (so
 // traffic steers away) and job submissions are refused, but in-flight and
 // newly arriving extractions still complete — the process owner decides
-// when to stop accepting connections. Draining also stops a started
-// auto-repair maintainer: a node on its way out enqueues nothing new.
+// when to stop accepting connections. Draining also stops the auto-repair
+// loop, for good: a node on its way out enqueues nothing new.
 func (s *Server) SetDraining(v bool) {
 	s.draining.Store(v)
 	if v {
@@ -189,8 +189,8 @@ func (s *Server) SetDraining(v bool) {
 }
 
 func (s *Server) stopMaintainer() {
-	if m := s.maint.Load(); m != nil {
-		m.Stop()
+	if s.maint != nil {
+		s.maint.stop()
 	}
 }
 
@@ -210,28 +210,17 @@ func (s *Server) Drain(ctx context.Context) error {
 	return m.Quiesce(ctx)
 }
 
-// onTrip is the node's trip hook, on the monitor from hookTrips until the
-// process ends: a drift trip is logged with its shard and audited whether
-// or not anything can act on it — also while draining — and kicks
-// auto-repair only while a maintainer is started. It runs on the serving
+// onTrip is the node's trip hook, which NewNode installs on the monitor
+// for the node's whole life: a drift trip is logged with its shard and
+// audited whether or not anything can act on it — also while draining —
+// and kicks auto-repair until the loop stops. It runs on the serving
 // worker that observed the tripping page.
 func (s *Server) onTrip(site string, st drift.Stats) {
 	s.cfg.Log.Printf("DRIFT TRIPPED (shard %d): %s", s.cfg.Shard, st)
 	s.audit(audit.Entry{Event: audit.EventDriftTrip, Site: site, Detail: st.String()})
-	if m := s.maint.Load(); m != nil {
-		m.Kick(site)
+	if s.maint != nil {
+		s.maint.kick(site)
 	}
-}
-
-// hookTrips installs onTrip on the dispatcher's monitor, once. NewNode
-// calls it as soon as the server exists; Maintainer.Start does for a
-// hand-assembled server, whose monitor nobody hooked.
-func (s *Server) hookTrips() {
-	s.tripHook.Do(func() {
-		if mon := s.cfg.Dispatcher.Monitor(); mon != nil {
-			mon.SetOnTrip(s.onTrip)
-		}
-	})
 }
 
 // --- wire types ---
@@ -345,14 +334,14 @@ func writeDecodeError(w http.ResponseWriter, err error) {
 	writeError(w, http.StatusBadRequest, "bad JSON: %v", err)
 }
 
-// finishExtract validates the extract request the router decoded into sc
-// and serves it: admission through this node's gate, extraction through
+// extract validates the extract request the router decoded into sc and
+// serves it: admission through this node's gate, extraction through
 // this node's dispatcher. This is the allocation-disciplined serving path:
 // the body landed in a pooled buffer and decoded in place (see wire.go),
 // page HTML flows straight into the parser via the dispatcher, and the
 // response is appended into a pooled buffer and written with an explicit
 // Content-Length.
-func (s *Server) finishExtract(w http.ResponseWriter, r *http.Request, sc *extractScratch) {
+func (s *Server) extract(w http.ResponseWriter, r *http.Request, sc *extractScratch) {
 	if sc.site == "" {
 		writeError(w, http.StatusBadRequest, "site is required")
 		return
@@ -428,17 +417,17 @@ func (s *Server) finishExtract(w http.ResponseWriter, r *http.Request, sc *extra
 
 // healthz is this node's health view, as the router reads it: its site
 // count, and whether it is draining.
-func (s *Server) healthz() HealthzResponse {
+func (s *Server) healthz(context.Context) (HealthzResponse, error) {
 	resp := HealthzResponse{Status: "ok", Sites: s.cfg.Dispatcher.Store().Len()}
 	if s.draining.Load() {
 		resp.Status = "draining"
 	}
-	return resp
+	return resp, nil
 }
 
-// report is this node's contribution to /metrics at now: Gate, Jobs,
+// metrics is this node's contribution to /metrics at now: Gate, Jobs,
 // Audit, Accum and Sites.
-func (s *Server) report(now time.Time) MetricsResponse {
+func (s *Server) metrics(_ context.Context, now time.Time) (MetricsResponse, error) {
 	rep := MetricsResponse{
 		Gate:  s.cfg.Gate.Snapshot(),
 		Sites: s.cfg.Dispatcher.Status(),
@@ -452,7 +441,7 @@ func (s *Server) report(now time.Time) MetricsResponse {
 		a := s.cfg.Audit.Stats()
 		rep.Audit = &a
 	}
-	return rep
+	return rep, nil
 }
 
 // AuditResponse is the GET /v1/audit body: the ledger's counters plus
@@ -465,8 +454,8 @@ type AuditResponse struct {
 	Records []audit.Record `json:"records"`
 }
 
-// auditResponse is this node's view of its ledger, n records at most.
-func (s *Server) auditResponse(n int) AuditResponse {
+// auditView is this node's view of its ledger, n records at most.
+func (s *Server) auditView(_ context.Context, n int) (AuditResponse, error) {
 	resp := AuditResponse{Records: []audit.Record{}}
 	if s.cfg.Audit != nil {
 		resp.Enabled = true
@@ -476,7 +465,7 @@ func (s *Server) auditResponse(n int) AuditResponse {
 			resp.Records = recs
 		}
 	}
-	return resp
+	return resp, nil
 }
 
 // --- admin ---
@@ -560,11 +549,11 @@ func admitLifecycle(w http.ResponseWriter, op store.Op, req AdminRequest) bool {
 	return true
 }
 
-// finishLifecycle applies a decoded promote (store.OpPromote) or rollback
+// lifecycle applies a decoded promote (store.OpPromote) or rollback
 // (store.OpRollback) against this node's dispatcher — the router calls
 // the owning partition's, so the hot-swap (and its epoch bump) happens
 // only in the node that serves the site.
-func (s *Server) finishLifecycle(w http.ResponseWriter, op store.Op, req AdminRequest) {
+func (s *Server) lifecycle(w http.ResponseWriter, _ *http.Request, op store.Op, req AdminRequest) {
 	if !admitLifecycle(w, op, req) {
 		return
 	}
@@ -612,11 +601,6 @@ type LearnRequest struct {
 	CorpusDir string `json:"corpus_dir,omitempty"`
 	// TimeoutMS shortens the job's learn deadline, like RepairRequest's.
 	TimeoutMS int `json:"timeout_ms,omitempty"`
-}
-
-// repair is the repair request a body decoded without corpus_dir holds.
-func (r LearnRequest) repair() RepairRequest {
-	return RepairRequest{Site: r.Site, Pages: r.Pages, TimeoutMS: r.TimeoutMS}
 }
 
 // RepairResponse is a finished learn/repair job's result payload
@@ -818,32 +802,17 @@ func (s *Server) admitMaintenance(w http.ResponseWriter, site string, pages int,
 	return false
 }
 
-// finishRepair validates a decoded repair request and enqueues a
-// drift-repair job on this node's job plane, answering 202 at once:
+// maintain validates a decoded learn (learn set) or repair request and
+// enqueues the job on this node's job plane, answering 202 at once:
 // holding an HTTP request open through a full re-learn would serialize
-// operators (and automation) behind the learn pool. The router routes by
-// req.Site, so the re-learn runs on — and hot-swaps — only the owning node.
-func (s *Server) finishRepair(w http.ResponseWriter, req RepairRequest) {
-	if !s.admitMaintenance(w, req.Site, len(req.Pages), false) {
-		return
-	}
-	if len(req.Pages) > s.cfg.MaxPages {
-		writeError(w, http.StatusRequestEntityTooLarge,
-			"%d pages exceeds the per-request cap of %d", len(req.Pages), s.cfg.MaxPages)
-		return
-	}
-	pages := req.Pages
-	s.submitMaintenance(w, jobs.KindRepair, req.Site, clampTimeout(s.jobTimeout, req.TimeoutMS),
-		func() ([]string, error) { return pages, nil })
-}
-
-// finishLearn validates a decoded learn request and enqueues a new-site
-// learn job: corpus in (inline or by server-side path), validated +
-// promoted wrapper out, hot-swapped into the dispatcher. A brand-new site
-// routed here by the router lands on the partition the ring assigns it, so
-// once learned it serves from the right place.
-func (s *Server) finishLearn(w http.ResponseWriter, req LearnRequest) {
-	if !s.admitMaintenance(w, req.Site, len(req.Pages), true) {
+// operators (and automation) behind the learn pool. A learn brings its
+// corpus inline or by server-side path; a repair brings its pages inline —
+// its decoder skips corpus_dir, and admission has already refused fewer
+// than 2 pages, so only the page cap can refuse it past that. The router
+// routes by req.Site, so the job runs on — and hot-swaps — only the owning
+// node, and a brand-new site is learned where its extracts will land.
+func (s *Server) maintain(w http.ResponseWriter, _ *http.Request, req LearnRequest, _ []byte, learn bool) {
+	if !s.admitMaintenance(w, req.Site, len(req.Pages), learn) {
 		return
 	}
 	switch {
@@ -861,7 +830,10 @@ func (s *Server) finishLearn(w http.ResponseWriter, req LearnRequest) {
 			"%d pages exceeds the per-request cap of %d", len(req.Pages), s.cfg.MaxPages)
 		return
 	}
-	loadPages := func() ([]string, error) { return req.Pages, nil }
+	kind, loadPages := jobs.KindRepair, func() ([]string, error) { return req.Pages, nil }
+	if learn {
+		kind = jobs.KindLearn
+	}
 	if req.CorpusDir != "" {
 		dir, err := s.confineCorpusDir(req.CorpusDir)
 		if err != nil {
@@ -870,7 +842,7 @@ func (s *Server) finishLearn(w http.ResponseWriter, req LearnRequest) {
 		}
 		loadPages = func() ([]string, error) { return readCorpusDir(dir, s.cfg.MaxPages) }
 	}
-	s.submitMaintenance(w, jobs.KindLearn, req.Site, clampTimeout(s.jobTimeout, req.TimeoutMS), loadPages)
+	s.submitMaintenance(w, kind, req.Site, clampTimeout(s.jobTimeout, req.TimeoutMS), loadPages)
 }
 
 // confineCorpusDir resolves a learn request's corpus_dir against the
@@ -935,10 +907,18 @@ func readCorpusDir(dir string, maxPages int) ([]string, error) {
 	return pages, nil
 }
 
-// finishJob answers GET /v1/jobs/{id}, or POST /v1/jobs/{id}/cancel when
-// cancel is set, if this node's job plane knows the job; it reports false,
-// having written nothing, if it does not.
-func (s *Server) finishJob(w http.ResponseWriter, id string, cancel bool) bool {
+// listJobs lists this node's retained jobs (none without a job plane).
+func (s *Server) listJobs(context.Context) ([]jobs.Snapshot, error) {
+	if s.cfg.Jobs == nil {
+		return nil, nil
+	}
+	return s.cfg.Jobs.List(), nil
+}
+
+// job answers GET /v1/jobs/{id}, or POST /v1/jobs/{id}/cancel when cancel
+// is set, if this node's job plane knows the job; it reports false, having
+// written nothing, if it does not.
+func (s *Server) job(w http.ResponseWriter, _ *http.Request, id string, cancel bool) bool {
 	if s.cfg.Jobs == nil {
 		return false
 	}

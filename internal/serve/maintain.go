@@ -42,106 +42,72 @@ func (o MaintainerOptions) withDefaults() MaintainerOptions {
 	return o
 }
 
-// Maintainer is the paper's autonomous maintenance loop closed inside the
+// maintainer is the paper's autonomous maintenance loop closed inside the
 // serving process: it watches the drift monitor's trips and enqueues
 // repair jobs that re-learn a drifted site from the dispatcher's cached
 // recent pages — the pages that just failed to extract are exactly the
 // fresh corpus a repair needs — so a drifted site heals with no operator
-// call. Two triggers feed it: the monitor's OnTrip hook (immediate, on
-// the serving worker that observed the tripping page — the enqueue is an
-// O(1) channel send) and a periodic scan that retries latched trips the
-// hook couldn't act on (rate-limited, queue full, not enough pages yet).
+// call. Two triggers feed it: the node's trip hook (Server.onTrip,
+// immediate, on the serving worker that observed the tripping page — the
+// enqueue is an O(1) channel send) and a periodic scan that retries
+// latched trips the hook couldn't act on (rate-limited, queue full, not
+// enough pages yet). Only NewNode builds one, and it runs from there until
+// the node drains or closes: it is never restarted.
 //
 // Per-site discipline: at most one auto-repair job in flight, and at most
 // one submission per MinGap. A repair that wins validation resets the
 // site's trip (the repairer does that); one that loses leaves the trip
 // latched, and the scanner retries after the gap — bounded, not frantic.
-type Maintainer struct {
+type maintainer struct {
 	server *Server
 	opt    MaintainerOptions
 
-	mu      sync.Mutex
-	last    map[string]time.Time // site -> last submission
-	pending map[string]string    // site -> active auto job id
-	stop    chan struct{}        // recreated on every Start
-	done    chan struct{}
-	started bool
+	mu       sync.Mutex
+	last     map[string]time.Time // site -> last submission
+	pending  map[string]string    // site -> active auto job id
+	quit     chan struct{}        // closed by stop
+	done     chan struct{}        // closed when the scan loop has returned
+	stopOnce sync.Once
 }
 
-// NewMaintainer builds the auto-repair loop over a server. The server
-// must have a Repairer and a job manager, its dispatcher a Monitor and a
-// RecentPages cache — without any one of them there is nothing to watch,
-// nothing to enqueue, or nothing to re-learn from.
-func NewMaintainer(s *Server, opt MaintainerOptions) (*Maintainer, error) {
-	switch {
-	case s == nil:
-		return nil, fmt.Errorf("serve: maintainer needs a server")
-	case s.cfg.Repairer == nil:
-		return nil, fmt.Errorf("serve: maintainer needs a repairer (no annotator configured)")
-	case s.cfg.Jobs == nil:
-		return nil, fmt.Errorf("serve: maintainer needs a job manager")
-	case s.cfg.Dispatcher.Monitor() == nil:
-		return nil, fmt.Errorf("serve: maintainer needs drift monitoring enabled")
-	case s.cfg.Dispatcher.opt.RecentPages <= 0:
-		return nil, fmt.Errorf("serve: maintainer needs the dispatcher's recent-page cache (Options.RecentPages > 0)")
-	}
-	return &Maintainer{
+// startMaintainer launches the auto-repair scan loop over a node NewNode
+// has checked: it has a repairer and a job plane, and its dispatcher a
+// monitor and a recent-page cache.
+func startMaintainer(s *Server, opt MaintainerOptions) *maintainer {
+	m := &maintainer{
 		server:  s,
 		opt:     opt.withDefaults(),
 		last:    make(map[string]time.Time),
 		pending: make(map[string]string),
-	}, nil
-}
-
-// Start arms auto-repair and launches the scan loop: from here the
-// server's trip hook (Server.onTrip — installed now if NewNode has not
-// already) kicks this maintainer on every trip. Start is idempotent while
-// running, and a stopped maintainer can be started again (the control
-// channels are per-Start).
-func (m *Maintainer) Start() {
-	m.mu.Lock()
-	if m.started {
-		m.mu.Unlock()
-		return
+		quit:    make(chan struct{}),
+		done:    make(chan struct{}),
 	}
-	m.started = true
-	m.stop = make(chan struct{})
-	m.done = make(chan struct{})
-	stop, done := m.stop, m.done
-	m.mu.Unlock()
-	m.server.hookTrips()
-	m.server.maint.Store(m)
-	go m.loop(stop, done)
+	go m.loop()
+	return m
 }
 
-// Stop disarms auto-repair and stops the scan loop; the trip hook stays,
-// so trips are still logged and audited. Jobs already enqueued keep
-// running; the process owner drains the job manager.
-func (m *Maintainer) Stop() {
-	m.mu.Lock()
-	if !m.started {
-		m.mu.Unlock()
-		return
-	}
-	m.started = false
-	stop, done := m.stop, m.done
-	m.mu.Unlock()
-	m.server.maint.CompareAndSwap(m, nil)
-	close(stop)
-	<-done
+// stop disarms auto-repair for good and waits for the scan loop to
+// return; the trip hook stays, so trips are still logged and audited.
+// Jobs already enqueued keep running; the node's Drain runs them dry.
+// Draining and Close both call it: the first call does the work.
+func (m *maintainer) stop() {
+	m.stopOnce.Do(func() {
+		close(m.quit)
+		<-m.done
+	})
 }
 
-func (m *Maintainer) loop(stop <-chan struct{}, done chan<- struct{}) {
-	defer close(done)
+func (m *maintainer) loop() {
+	defer close(m.done)
 	ticker := time.NewTicker(m.opt.Interval)
 	defer ticker.Stop()
 	for {
 		select {
-		case <-stop:
+		case <-m.quit:
 			return
 		case <-ticker.C:
 			for _, site := range m.server.cfg.Dispatcher.Monitor().Tripped() {
-				m.Kick(site)
+				m.kick(site)
 			}
 		}
 	}
@@ -151,45 +117,49 @@ func (m *Maintainer) loop(stop <-chan struct{}, done chan<- struct{}) {
 // job id is not known yet.
 const pendingSubmitting = "(submitting)"
 
-// Kick considers one tripped site for auto-repair and reports whether a
-// job was enqueued. It is cheap enough for the trip hook's serving-worker
-// context: a few map lookups and, at most, one job submission.
-func (m *Maintainer) Kick(site string) bool {
+// kick considers one tripped site for auto-repair, and enqueues nothing
+// once the loop has stopped. It is cheap enough for the trip hook's
+// serving-worker context: a few map lookups and, at most, one job
+// submission.
+func (m *maintainer) kick(site string) {
+	select {
+	case <-m.quit:
+		return
+	default:
+	}
 	now := time.Now()
 	m.mu.Lock()
 	if id, busy := m.pending[site]; busy {
 		if id == pendingSubmitting {
 			m.mu.Unlock()
-			return false
+			return
 		}
 		// A job canceled while still queued never runs its cleanup;
 		// resolve the slot against the manager's view instead of trusting
 		// the runner to have cleared it.
 		if s, err := m.server.cfg.Jobs.Get(id); err == nil && !s.State.Terminal() {
 			m.mu.Unlock()
-			return false
+			return
 		}
 		delete(m.pending, site)
 	}
 	if t, ok := m.last[site]; ok && now.Sub(t) < m.opt.MinGap {
 		m.mu.Unlock()
-		return false
+		return
 	}
-	// Reserve the slot before submitting so a concurrent Kick (trip hook
+	// Reserve the slot before submitting so a concurrent kick (trip hook
 	// racing the scanner) cannot double-enqueue.
 	m.pending[site] = pendingSubmitting
 	m.mu.Unlock()
 
-	enqueued := m.submit(site, now)
-	if !enqueued {
+	if !m.submit(site, now) {
 		m.mu.Lock()
 		delete(m.pending, site)
 		m.mu.Unlock()
 	}
-	return enqueued
 }
 
-func (m *Maintainer) submit(site string, now time.Time) bool {
+func (m *maintainer) submit(site string, now time.Time) bool {
 	pages := m.server.cfg.Dispatcher.RecentPages(site)
 	if len(pages) < minRepairPages {
 		return false // not enough fresh evidence yet; the scanner retries
@@ -227,8 +197,8 @@ func (m *Maintainer) submit(site string, now time.Time) bool {
 
 // clearPending releases the site's one-auto-job-at-a-time slot. Runs on
 // the job worker whether the job succeeded, failed, or was canceled
-// mid-run (a job canceled while queued is resolved by Kick instead).
-func (m *Maintainer) clearPending(site string) {
+// mid-run (a job canceled while queued is resolved by kick instead).
+func (m *maintainer) clearPending(site string) {
 	m.mu.Lock()
 	delete(m.pending, site)
 	m.mu.Unlock()

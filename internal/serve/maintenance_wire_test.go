@@ -225,13 +225,13 @@ func TestMaintenanceHandlersAnswerAsBefore(t *testing.T) {
 			if path == "/v1/repair" {
 				var req RepairRequest
 				if readJSONLimited(w, r, &req, s.cfg.MaxBodyBytes) {
-					s.finishRepair(w, req)
+					s.maintain(w, r, LearnRequest{Site: req.Site, Pages: req.Pages, TimeoutMS: req.TimeoutMS}, nil, false)
 				}
 				return
 			}
 			var req LearnRequest
 			if readJSONLimited(w, r, &req, s.cfg.MaxBodyBytes) {
-				s.finishLearn(w, req)
+				s.maintain(w, r, req, nil, true)
 			}
 		}
 	}

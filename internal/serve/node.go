@@ -28,7 +28,7 @@ type NodeConfig struct {
 	Workers     int
 	RecentPages int
 	// Monitor is the drift policy the node's monitor runs; nil disables
-	// monitoring. Its OnTrip is the node's own (see Server.onTrip).
+	// monitoring. The monitor's trip hook is the node's own (Server.onTrip).
 	Monitor *drift.Policy
 	// Gate sizes admission control of POST /v1/extract.
 	Gate GateOptions
@@ -42,7 +42,7 @@ type NodeConfig struct {
 	Jobs jobs.Options
 	// Maintainer, when set, arms auto-repair: the node starts the loop and
 	// stops it when it begins to drain. It needs Spec, Monitor and
-	// RecentPages > 0.
+	// RecentPages > 0, and NewNode refuses it without them.
 	Maintainer *MaintainerOptions
 
 	// The rest are ServerConfig's fields of the same names.
@@ -59,14 +59,23 @@ type NodeConfig struct {
 // roles and the soak harness use — in the order its parts depend on each
 // other: drift monitor, dispatcher over the store partition, admission
 // gate, repairer and job plane (with Spec), the Server over all of them,
-// the trip hook (a method of that Server, installed for the node's whole
-// life), and last the auto-repair maintainer, started. The returned
-// Server owns the job workers and the maintainer: SetDraining(true) stops
-// the maintainer, Drain runs the job plane dry, Close releases whatever is
-// left. Mount Handler, or hand the Server to NewShardRouter's build.
+// the auto-repair loop (with Maintainer), started, and last the trip hook
+// (a method of that Server, installed for the node's whole life). This is
+// the only place auto-repair is built. The returned Server owns the job
+// workers and the loop: SetDraining(true) stops the loop, Drain runs the
+// job plane dry, Close releases whatever is left. Mount Handler, or hand
+// the Server to NewShardRouter's build.
 func NewNode(cfg NodeConfig) (*Server, error) {
-	if cfg.Store == nil {
+	switch {
+	case cfg.Store == nil:
 		return nil, fmt.Errorf("serve: NodeConfig.Store is required")
+	case cfg.Maintainer == nil: // no auto-repair, nothing more to check
+	case cfg.Spec == nil:
+		return nil, fmt.Errorf("serve: auto-repair needs a repairer (NodeConfig.Spec: no annotator configured)")
+	case cfg.Monitor == nil:
+		return nil, fmt.Errorf("serve: auto-repair needs drift monitoring (NodeConfig.Monitor)")
+	case cfg.RecentPages <= 0:
+		return nil, fmt.Errorf("serve: auto-repair needs the recent-page cache (NodeConfig.RecentPages > 0)")
 	}
 	var mon *drift.Monitor
 	if cfg.Monitor != nil {
@@ -97,14 +106,11 @@ func NewNode(cfg NodeConfig) (*Server, error) {
 		return nil, err
 	}
 	s.ownJobs = sc.Jobs != nil
-	s.hookTrips()
 	if cfg.Maintainer != nil {
-		m, err := NewMaintainer(s, *cfg.Maintainer)
-		if err != nil {
-			s.Close()
-			return nil, err
-		}
-		m.Start()
+		s.maint = startMaintainer(s, *cfg.Maintainer)
+	}
+	if mon != nil {
+		mon.SetOnTrip(s.onTrip)
 	}
 	return s, nil
 }

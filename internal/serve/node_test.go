@@ -184,6 +184,42 @@ func TestNodeMatchesHandAssembly(t *testing.T) {
 	}
 }
 
+// TestNewNodeRefusesAutoRepairWithoutItsParts: auto-repair re-learns with
+// the repairer (Spec), acts on the drift monitor's trips and re-learns from
+// the recent-page cache, so a Maintainer config without one of them fails
+// NewNode with an error naming the missing part, and the full config boots.
+func TestNewNodeRefusesAutoRepairWithoutItsParts(t *testing.T) {
+	leakcheck.Check(t)
+	for _, tc := range []struct {
+		missing string // "": nothing is, the node boots
+		drop    func(*NodeConfig)
+	}{
+		{"repairer", func(c *NodeConfig) { c.Spec = nil }},
+		{"drift monitoring", func(c *NodeConfig) { c.Monitor = nil }},
+		{"recent-page cache", func(c *NodeConfig) { c.RecentPages = 0 }},
+		{"", func(*NodeConfig) {}},
+	} {
+		cfg := NodeConfig{
+			Store:       nodeTestStore(t),
+			RecentPages: 16,
+			Monitor:     &drift.Policy{Window: 8},
+			Spec:        noLearner,
+			Maintainer:  &MaintainerOptions{Interval: time.Hour, Log: log.New(io.Discard, "", 0)},
+		}
+		tc.drop(&cfg)
+		node, err := NewNode(cfg)
+		if err == nil {
+			drainNode(t, node)
+		}
+		switch {
+		case tc.missing == "" && err != nil:
+			t.Errorf("the full config: NewNode: %v", err)
+		case tc.missing != "" && (err == nil || !strings.Contains(err.Error(), tc.missing)):
+			t.Errorf("without the %s: NewNode error %v, want one naming it", tc.missing, err)
+		}
+	}
+}
+
 // TestTripHookOutlivesDrain: the node's trip hook is the node's, not the
 // maintainer's. While auto-repair runs a trip is logged, audited and
 // enqueues a repair; once the node drains (which stops the maintainer) a

@@ -165,7 +165,7 @@ func (p *peekFleet) before(path string, body []byte) *httptest.ResponseRecorder 
 		if path == "/v1/learn" {
 			fwd, _ = json.Marshal(req)
 		} else {
-			fwd, _ = json.Marshal(req.repair())
+			fwd, _ = json.Marshal(RepairRequest{Site: req.Site, Pages: req.Pages, TimeoutMS: req.TimeoutMS})
 		}
 	}
 	r := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(fwd))

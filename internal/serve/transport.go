@@ -1,8 +1,8 @@
 // The shard transport seam. A ShardRouter never talks to a partition
 // directly: every path — the extract hot path, lifecycle mutations, the
 // observation fan-outs and the drain — goes through a ShardClient, and
-// the three implementations decide what a partition is here. localShard
-// wraps an in-process *Server with direct calls (zero extra
+// the three implementations decide what a partition is here. The node
+// itself, *Server, is an in-process partition (direct calls, zero extra
 // allocations); httpShard relays to an independently booted shard process
 // over the peer link (link.go); absentShard is a partition this process
 // does not serve (421). The router's logic — ring lookup, one decode per
@@ -44,46 +44,48 @@ var (
 )
 
 // ShardClient is the transport seam between the router and one
-// partition, one method per job. Write-path methods (Extract, Lifecycle,
-// Maintain, Job) answer on the ResponseWriter themselves — passthrough
+// partition, one method per job. Write-path methods (extract, lifecycle,
+// maintain, job) answer on the ResponseWriter themselves — passthrough
 // semantics, so a shard's 429/503 backpressure and error bodies reach
 // the client unchanged — and take the client's *http.Request, whose
 // context bounds them: a client that hangs up, or a front shutting down,
 // ends the call. Read-path methods return data for the router to merge.
-// Implementations: localShard (in-process), httpShard (forwarded) and
-// absentShard (not served here). The body-carrying methods are handed the
-// body both ways, decoded and as bytes, because the two read different
-// halves: an in-process shard serves what the router decoded, a peer is
-// sent the client's bytes and decodes them itself.
+// Implementations: *Server (in-process), httpShard (forwarded) and
+// absentShard (not served here); only this package implements or calls
+// the unexported methods, and SetDraining and Drain are the node's own
+// public ones. The body-carrying methods are handed the body both ways,
+// decoded and as bytes, because the two read different halves: an
+// in-process node serves what the router decoded, a peer is sent the
+// client's bytes and decodes them itself.
 type ShardClient interface {
-	// Extract serves the extract request the router read into sc and
+	// extract serves the extract request the router read into sc and
 	// routed by sc.site. In front of in-process partitions the router
 	// decoded it (sc holds the pages; sc.body is spent); in front of
 	// forwarded ones it only peeked — sc.site and sc.timeoutMS are set and
 	// sc.body is still the client's bytes.
-	Extract(w http.ResponseWriter, r *http.Request, sc *extractScratch)
-	// Lifecycle applies a promote (store.OpPromote) or rollback
+	extract(w http.ResponseWriter, r *http.Request, sc *extractScratch)
+	// lifecycle applies a promote (store.OpPromote) or rollback
 	// (store.OpRollback).
-	Lifecycle(w http.ResponseWriter, r *http.Request, op store.Op, req AdminRequest)
-	// Maintain enqueues a learn job (learn set) or a repair job on the
+	lifecycle(w http.ResponseWriter, r *http.Request, op store.Op, req AdminRequest)
+	// maintain enqueues a learn job (learn set) or a repair job on the
 	// shard's job plane. req is what the router decoded: everything in
 	// front of in-process partitions, Site and TimeoutMS alone in front of
 	// forwarded ones, where body is the client's bytes (valid until the
 	// method returns).
-	Maintain(w http.ResponseWriter, r *http.Request, req LearnRequest, body []byte, learn bool)
-	// Jobs lists the shard's retained jobs. Job answers GET /v1/jobs/{id},
-	// or its cancel, reporting false when the shard does not know the job
-	// (the router then tries elsewhere or answers 404).
-	Jobs(ctx context.Context) ([]jobs.Snapshot, error)
-	Job(w http.ResponseWriter, r *http.Request, id string, cancel bool) bool
-	// Metrics returns the shard's /metrics contribution — Gate, Jobs,
+	maintain(w http.ResponseWriter, r *http.Request, req LearnRequest, body []byte, learn bool)
+	// listJobs lists the shard's retained jobs. job answers GET
+	// /v1/jobs/{id}, or its cancel, reporting false when the shard does not
+	// know the job (the router then tries elsewhere or answers 404).
+	listJobs(ctx context.Context) ([]jobs.Snapshot, error)
+	job(w http.ResponseWriter, r *http.Request, id string, cancel bool) bool
+	// metrics returns the shard's /metrics contribution — Gate, Jobs,
 	// Audit, Accum (bucket-level, so merged quantiles come from the merged
-	// population) and Sites — for the router to merge; Healthz its
-	// liveness view; AuditView its slice of the lifecycle ledger (n caps
+	// population) and Sites — for the router to merge; healthz its
+	// liveness view; auditView its slice of the lifecycle ledger (n caps
 	// records).
-	Metrics(ctx context.Context, now time.Time) (MetricsResponse, error)
-	Healthz(ctx context.Context) (HealthzResponse, error)
-	AuditView(ctx context.Context, n int) (AuditResponse, error)
+	metrics(ctx context.Context, now time.Time) (MetricsResponse, error)
+	healthz(ctx context.Context) (HealthzResponse, error)
+	auditView(ctx context.Context, n int) (AuditResponse, error)
 	// SetDraining flips the shard's readiness when the shard shares the
 	// router's process; a remote shard's readiness is its own process's.
 	SetDraining(v bool)

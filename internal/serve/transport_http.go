@@ -112,14 +112,14 @@ func (c *httpShard) getJSON(ctx context.Context, path string, v any) error {
 	return json.Unmarshal(body, v)
 }
 
-func (c *httpShard) Extract(w http.ResponseWriter, r *http.Request, sc *extractScratch) {
+func (c *httpShard) extract(w http.ResponseWriter, r *http.Request, sc *extractScratch) {
 	c.forward(w, r, http.MethodPost, "/v1/extract", sc.body, sc.timeoutMS, false)
 }
 
-// Lifecycle re-encodes the request the router decoded: a promote or
+// lifecycle re-encodes the request the router decoded: a promote or
 // rollback body is some sixty bytes, and decoding it with encoding/json
 // at the front keeps that decoder's 400s where they were.
-func (c *httpShard) Lifecycle(w http.ResponseWriter, r *http.Request, op store.Op, req AdminRequest) {
+func (c *httpShard) lifecycle(w http.ResponseWriter, r *http.Request, op store.Op, req AdminRequest) {
 	path := "/v1/promote"
 	if op == store.OpRollback {
 		path = "/v1/rollback"
@@ -128,7 +128,7 @@ func (c *httpShard) Lifecycle(w http.ResponseWriter, r *http.Request, op store.O
 	c.forward(w, r, http.MethodPost, path, body, 0, false)
 }
 
-func (c *httpShard) Maintain(w http.ResponseWriter, r *http.Request, req LearnRequest, body []byte, learn bool) {
+func (c *httpShard) maintain(w http.ResponseWriter, r *http.Request, req LearnRequest, body []byte, learn bool) {
 	path := "/v1/repair"
 	if learn {
 		path = "/v1/learn"
@@ -136,7 +136,7 @@ func (c *httpShard) Maintain(w http.ResponseWriter, r *http.Request, req LearnRe
 	c.forward(w, r, http.MethodPost, path, body, req.TimeoutMS, false)
 }
 
-func (c *httpShard) Jobs(ctx context.Context) ([]jobs.Snapshot, error) {
+func (c *httpShard) listJobs(ctx context.Context) ([]jobs.Snapshot, error) {
 	var out []jobs.Snapshot
 	if err := c.getJSON(ctx, "/v1/jobs", &out); err != nil {
 		return nil, err
@@ -144,10 +144,10 @@ func (c *httpShard) Jobs(ctx context.Context) ([]jobs.Snapshot, error) {
 	return out, nil
 }
 
-// Job relays GET /v1/jobs/{id}, or POST .../cancel. A peer 404 reports
+// job relays GET /v1/jobs/{id}, or POST .../cancel. A peer 404 reports
 // false so the router can keep looking; a transport failure is answered
 // here (the job, if it exists, lives on an unreachable shard).
-func (c *httpShard) Job(w http.ResponseWriter, r *http.Request, id string, cancel bool) bool {
+func (c *httpShard) job(w http.ResponseWriter, r *http.Request, id string, cancel bool) bool {
 	method, path := http.MethodGet, jobsPrefix+id
 	if cancel {
 		method, path = http.MethodPost, path+"/cancel"
@@ -155,7 +155,7 @@ func (c *httpShard) Job(w http.ResponseWriter, r *http.Request, id string, cance
 	return c.forward(w, r, method, path, nil, 0, true)
 }
 
-func (c *httpShard) Metrics(ctx context.Context, now time.Time) (MetricsResponse, error) {
+func (c *httpShard) metrics(ctx context.Context, now time.Time) (MetricsResponse, error) {
 	var m MetricsResponse
 	if err := c.getJSON(ctx, "/metrics", &m); err != nil {
 		return MetricsResponse{}, err
@@ -163,7 +163,7 @@ func (c *httpShard) Metrics(ctx context.Context, now time.Time) (MetricsResponse
 	return m, nil
 }
 
-func (c *httpShard) Healthz(ctx context.Context) (HealthzResponse, error) {
+func (c *httpShard) healthz(ctx context.Context) (HealthzResponse, error) {
 	_, body, err := c.fetch(ctx, http.MethodGet, "/healthz", nil, c.timeout)
 	if err != nil {
 		return HealthzResponse{}, err
@@ -177,7 +177,7 @@ func (c *httpShard) Healthz(ctx context.Context) (HealthzResponse, error) {
 	return h, nil
 }
 
-func (c *httpShard) AuditView(ctx context.Context, n int) (AuditResponse, error) {
+func (c *httpShard) auditView(ctx context.Context, n int) (AuditResponse, error) {
 	var a AuditResponse
 	if err := c.getJSON(ctx, fmt.Sprintf("/v1/audit?n=%d", n), &a); err != nil {
 		return AuditResponse{}, err

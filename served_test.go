@@ -288,17 +288,15 @@ func maintPairSeed(t *testing.T, seed int64) (clean, mutated *gen.Site, annot au
 	return ds.Sites[0], dsm.Sites[0], ds.Annotator
 }
 
-// learnedServerFromSites boots the full serving stack (engine-learned v1
-// of the clean site, monitor, repairer, job manager) and returns the
-// pieces the maintenance tests drive.
-func learnedServerFromSites(t *testing.T, clean *gen.Site, annot autowrap.Annotator,
-	gate *autowrap.AdmissionGate, recentPages int) (*autowrap.Server, *servetest.Server, *autowrap.Monitor) {
+// learnedStore holds the engine-learned v1 of the clean site, and spec is
+// the re-learning recipe a repair of it runs.
+func learnedStore(t *testing.T, clean *gen.Site, annot autowrap.Annotator) (st *autowrap.WrapperStore,
+	spec func(string, *autowrap.Corpus) (autowrap.BatchSite, error)) {
 	t.Helper()
-	ctx := context.Background()
 	newInductor := func(c *autowrap.Corpus) (autowrap.Inductor, error) {
 		return autowrap.NewXPathInductor(c), nil
 	}
-	batch, err := autowrap.LearnBatch(ctx, []autowrap.BatchSite{{
+	batch, err := autowrap.LearnBatch(context.Background(), []autowrap.BatchSite{{
 		Name:        clean.Name,
 		Corpus:      clean.Corpus,
 		Annotator:   annot,
@@ -308,22 +306,28 @@ func learnedServerFromSites(t *testing.T, clean *gen.Site, annot autowrap.Annota
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := autowrap.NewWrapperStore()
+	st = autowrap.NewWrapperStore()
 	if n, err := autowrap.StoreBatch(st, batch); n != 1 || err != nil {
 		t.Fatalf("StoreBatch: n=%d err=%v", n, err)
 	}
+	return st, func(site string, c *autowrap.Corpus) (autowrap.BatchSite, error) {
+		return autowrap.BatchSite{Annotator: annot, NewInductor: newInductor,
+			Config: autowrap.NewLearnConfig(autowrap.GenericModels(c), autowrap.Options{})}, nil
+	}
+}
+
+// learnedServerFromSites boots the full serving stack by hand (engine-learned
+// v1 of the clean site, monitor, repairer, job manager) and returns the
+// pieces the maintenance tests drive.
+func learnedServerFromSites(t *testing.T, clean *gen.Site, annot autowrap.Annotator,
+	gate *autowrap.AdmissionGate, recentPages int) (*autowrap.Server, *servetest.Server, *autowrap.Monitor) {
+	t.Helper()
+	st, spec := learnedStore(t, clean, annot)
 	monitor := autowrap.NewMonitor(autowrap.HealthPolicy{Window: 8, MinPages: 4})
 	dispatcher := autowrap.NewDispatcher(st, autowrap.DispatcherOptions{
 		Monitor: monitor, RecentPages: recentPages,
 	})
-	repairer := &autowrap.Repairer{
-		Store: st,
-		Spec: func(site string, c *autowrap.Corpus) (autowrap.BatchSite, error) {
-			return autowrap.BatchSite{Annotator: annot, NewInductor: newInductor,
-				Config: autowrap.NewLearnConfig(autowrap.GenericModels(c), autowrap.Options{})}, nil
-		},
-		Monitor: monitor,
-	}
+	repairer := &autowrap.Repairer{Store: st, Spec: spec, Monitor: monitor}
 	srv, err := autowrap.NewServer(autowrap.ServerConfig{
 		Dispatcher: dispatcher,
 		Gate:       gate,
@@ -342,20 +346,25 @@ func learnedServerFromSites(t *testing.T, clean *gen.Site, annot autowrap.Annota
 // autonomous maintenance loop: a drift-tripped site heals via the scanner
 // — trip → auto-enqueued repair job re-learning from recently served
 // pages → validated promotion → hot-swap — with no /v1/repair call and no
-// admin intervention of any kind.
+// admin intervention of any kind. The node is booted as wrapserved boots
+// one with -auto-repair.
 func TestAutoRepairHealsWithoutAdminCall(t *testing.T) {
 	clean, mutated, annot := maintPair(t)
-	srv, hs, monitor := learnedServerFromSites(t, clean, annot, nil, 32)
-
-	maintainer, err := autowrap.NewMaintainer(srv, autowrap.MaintainerOptions{
-		Interval: 25 * time.Millisecond,
-		MinGap:   50 * time.Millisecond,
+	st, spec := learnedStore(t, clean, annot)
+	srv, err := serve.NewNode(serve.NodeConfig{
+		Store:       st,
+		RecentPages: 32,
+		Monitor:     &autowrap.HealthPolicy{Window: 8, MinPages: 4},
+		Spec:        spec,
+		Maintainer:  &serve.MaintainerOptions{Interval: 25 * time.Millisecond, MinGap: 50 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	maintainer.Start()
-	defer maintainer.Stop()
+	defer srv.Close()
+	hs := servetest.NewServer(srv.Handler())
+	defer hs.Close()
+	monitor := srv.Dispatcher().Monitor()
 
 	// Drifted traffic only — the site's records collapse, the monitor
 	// trips, and from here on nobody calls any admin endpoint.

@@ -1,5 +1,5 @@
 // End-to-end acceptance tests for the fleet transport seam (ISSUE 10):
-// the same fleet logic runs in-process (localShard: direct dispatcher
+// the same fleet logic runs in-process (the nodes themselves: direct
 // calls) and across real HTTP boundaries (httpShard: a forwarding front
 // end over independently booted shard servers), and the two transports
 // are observably identical — byte-identical extract responses, matching
@@ -169,7 +169,7 @@ func TestTransportParityLocalVsForward(t *testing.T) {
 	const shards = 2
 	ring := shard.NewRing(shards, 64)
 
-	// Deployment A: the in-process fleet (localShard transport), one
+	// Deployment A: the in-process fleet (the nodes are the transport), one
 	// shared backend + one shared audit ledger, as wrapserved -shards 2.
 	localStore := filepath.Join(dir, "local.json")
 	copyFile(t, regPath, localStore)
