@@ -35,10 +35,10 @@
 // service — multi-site dispatch with hot-swapped wrapper versions,
 // admission control with backpressure, and drift repair over the wire;
 // cmd/wrapserved is the ready-made daemon, whose nodes also repair a
-// drifted site on their own (-auto-repair), cmd/loadgen its load harness,
-// and cmd/wrapinduce the offline CLI (learn into a store, apply a stored
-// wrapper to fresh pages, roll back). See docs/ARCHITECTURE.md for the
-// end-to-end walkthrough.
+// drifted site on their own (-auto-repair), cmd/soak its soak and chaos
+// harness, and cmd/wrapinduce the offline CLI (learn into a store, apply a
+// stored wrapper to fresh pages, roll back). See docs/ARCHITECTURE.md for
+// the end-to-end walkthrough.
 package autowrap
 
 import (

@@ -14,15 +14,11 @@
 // 15 disc, 10 products). When the flag is not given, dealers defaults to 5
 // sites and disc/products to their paper scale — the historical behavior.
 // The output layout is one directory per site,
-// out/DATASET/site-name/page-NNN.html — exactly what cmd/loadgen walks to
-// build mixed-site replay traffic against a running wrapserved, so
-//
-//	sitegen -dataset dealers -sites 8 -out corpus
-//	loadgen -corpus corpus -qps 50
-//
-// generates a realistic multi-site load. Pair a -drift 0 run with a
-// -drift N run (dealers only) to also exercise the drift-repair path: same
-// record data, mutated template.
+// out/DATASET/site-name/page-NNN.html — what wrapinduce learns a site from
+// and what scripts/smoke-serve.sh replays as mixed-site traffic against a
+// running wrapserved. Pair a -drift 0 run with a -drift N run (dealers
+// only) to also exercise the drift-repair path: same record data, mutated
+// template.
 package main
 
 import (

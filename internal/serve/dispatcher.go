@@ -335,8 +335,8 @@ func (d *Dispatcher) Rollback(site string) (store.Entry, error) {
 type SiteStatus struct {
 	Site string `json:"site"`
 	// Shard is the owning shard in a sharded fleet (always 0 on a
-	// single-dispatcher server). The fleet router stamps it; clients like
-	// loadgen use it to attribute per-shard load.
+	// single-dispatcher server). The fleet router stamps it, so a client
+	// can tell which shard serves a site.
 	Shard int `json:"shard"`
 	// Versions counts stored versions; ActiveVersion is the promoted one (0
 	// when only candidates exist).

@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"errors"
+	"strconv"
 	"sync/atomic"
 	"time"
 )
@@ -23,7 +24,8 @@ type GateOptions struct {
 	// disables queueing — reject as soon as the slots are full).
 	MaxQueue int
 	// RetryAfter is the client back-off hint attached to rejections
-	// (default 1s).
+	// (default 1s). The header carries whole seconds, so it is rounded up:
+	// a sub-second hint reads 1, never 0 ("retry at once").
 	RetryAfter time.Duration
 }
 
@@ -61,15 +63,19 @@ type Gate struct {
 	admitted atomic.Int64
 	rejected atomic.Int64
 	timedOut atomic.Int64
+
+	// retryAfter is RetryAfter as the header value of every 429.
+	retryAfter string
 }
 
 // NewGate builds an admission gate; zero options select defaults.
 func NewGate(opt GateOptions) *Gate {
 	opt = opt.withDefaults()
 	g := &Gate{
-		opt:   opt,
-		slots: make(chan struct{}, opt.MaxInFlight),
-		queue: make(chan struct{}, opt.MaxQueue),
+		opt:        opt,
+		slots:      make(chan struct{}, opt.MaxInFlight),
+		queue:      make(chan struct{}, opt.MaxQueue),
+		retryAfter: strconv.FormatInt(int64((opt.RetryAfter+time.Second-1)/time.Second), 10),
 	}
 	g.release = func() {
 		g.inflight.Add(-1)
@@ -77,9 +83,6 @@ func NewGate(opt GateOptions) *Gate {
 	}
 	return g
 }
-
-// RetryAfter is the configured client back-off hint.
-func (g *Gate) RetryAfter() time.Duration { return g.opt.RetryAfter }
 
 // Acquire admits one request: it returns a release function to defer, or
 // ErrOverloaded when slots and queue are both full, or the context's error

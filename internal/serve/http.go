@@ -276,6 +276,13 @@ func writeError(w http.ResponseWriter, code int, format string, args ...any) {
 	writeJSON(w, code, errorBody{Error: fmt.Sprintf(format, args...)})
 }
 
+// writeOverloaded answers a full extract gate and a full job queue alike:
+// 429 with the gate's Retry-After hint.
+func (s *Server) writeOverloaded(w http.ResponseWriter, err error) {
+	w.Header().Set("Retry-After", s.cfg.Gate.retryAfter)
+	writeError(w, http.StatusTooManyRequests, "%v", err)
+}
+
 // readJSONLimited decodes a JSON body of at most max bytes, rejecting
 // trailing garbage.
 func readJSONLimited(w http.ResponseWriter, r *http.Request, v any, max int64) bool {
@@ -375,9 +382,7 @@ func (s *Server) extract(w http.ResponseWriter, r *http.Request, sc *extractScra
 	release, err := s.cfg.Gate.Acquire(ctx)
 	if err != nil {
 		if errors.Is(err, ErrOverloaded) {
-			w.Header().Set("Retry-After",
-				strconv.Itoa(int(s.cfg.Gate.RetryAfter()/time.Second)))
-			writeError(w, http.StatusTooManyRequests, "%v", err)
+			s.writeOverloaded(w, err)
 			return
 		}
 		writeError(w, siteStatusCode(err), "while queued: %v", err)
@@ -765,9 +770,7 @@ func (s *Server) submitMaintenance(w http.ResponseWriter, kind jobs.Kind, site s
 	if err != nil {
 		switch {
 		case errors.Is(err, jobs.ErrQueueFull):
-			w.Header().Set("Retry-After",
-				strconv.Itoa(int(s.cfg.Gate.RetryAfter()/time.Second)))
-			writeError(w, http.StatusTooManyRequests, "%v", err)
+			s.writeOverloaded(w, err)
 		case errors.Is(err, jobs.ErrDraining):
 			writeError(w, http.StatusServiceUnavailable, "%v", err)
 		default:

@@ -154,34 +154,93 @@ func TestHTTPExtractErrors(t *testing.T) {
 	}
 }
 
+// TestHTTPBackpressure429 pins both 429s — a full extract gate and a full
+// job queue — and their Retry-After hint: whole seconds rounded up, so a
+// sub-second back-off never tells a client to retry at once.
 func TestHTTPBackpressure429(t *testing.T) {
-	gate := serve.NewGate(serve.GateOptions{MaxInFlight: 1, MaxQueue: -1})
-	_, hs := newTestServer(t, twoVersionStore(t), gate)
+	for _, tc := range []struct {
+		retryAfter time.Duration
+		want       string
+	}{
+		{50 * time.Millisecond, "1"},
+		{time.Second, "1"},
+		{1500 * time.Millisecond, "2"},
+	} {
+		t.Run(tc.retryAfter.String(), func(t *testing.T) {
+			leakcheck.Check(t)
+			gate := serve.NewGate(serve.GateOptions{MaxInFlight: 1, MaxQueue: -1, RetryAfter: tc.retryAfter})
+			jm := jobs.New(jobs.Options{Workers: 1, QueueDepth: 1})
+			block := make(chan struct{})
+			t.Cleanup(func() { close(block); jm.Drain(context.Background()) })
+			srv, err := serve.NewServer(serve.ServerConfig{
+				Dispatcher: serve.NewDispatcher(twoVersionStore(t), serve.Options{}),
+				Gate:       gate,
+				Repairer:   &drift.Repairer{}, // never reached: the queue is full
+				Jobs:       jm,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			hs := servetest.NewServer(srv.Handler())
+			t.Cleanup(hs.Close)
 
-	// Occupy the only slot directly, then hit the endpoint: the request
-	// must be rejected at the door with 429 + Retry-After, not queued.
-	release, err := gate.Acquire(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp := postJSON(t, hs.URL+"/v1/extract", serve.ExtractRequest{
-		Site: "shop", Page: &serve.PageInput{HTML: testPage(0)}})
-	if resp.StatusCode != http.StatusTooManyRequests {
-		t.Fatalf("overloaded: status %d, want 429", resp.StatusCode)
-	}
-	if ra := resp.Header.Get("Retry-After"); ra == "" {
-		t.Fatal("429 without Retry-After header")
-	}
-	release()
+			// Occupy the only slot directly, then hit the endpoint: the
+			// request must be rejected at the door with 429 + Retry-After,
+			// not queued.
+			release, err := gate.Acquire(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp := postJSON(t, hs.URL+"/v1/extract", serve.ExtractRequest{
+				Site: "shop", Page: &serve.PageInput{HTML: testPage(0)}})
+			if resp.StatusCode != http.StatusTooManyRequests {
+				t.Fatalf("overloaded: status %d, want 429", resp.StatusCode)
+			}
+			if ra := resp.Header.Get("Retry-After"); ra != tc.want {
+				t.Fatalf("extract 429: Retry-After %q, want %q", ra, tc.want)
+			}
+			release()
 
-	// Slot free again: the same request now succeeds.
-	resp = postJSON(t, hs.URL+"/v1/extract", serve.ExtractRequest{
-		Site: "shop", Page: &serve.PageInput{HTML: testPage(0)}})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("after release: status %d, want 200", resp.StatusCode)
-	}
-	if snap := gate.Snapshot(); snap.Rejected != 1 {
-		t.Fatalf("gate rejected = %d, want 1", snap.Rejected)
+			// Slot free again: the same request now succeeds.
+			resp = postJSON(t, hs.URL+"/v1/extract", serve.ExtractRequest{
+				Site: "shop", Page: &serve.PageInput{HTML: testPage(0)}})
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("after release: status %d, want 200", resp.StatusCode)
+			}
+			if snap := gate.Snapshot(); snap.Rejected != 1 {
+				t.Fatalf("gate rejected = %d, want 1", snap.Rejected)
+			}
+
+			// Fill the job plane — one job running, one queued, both
+			// waiting on block: a learn submitted over HTTP then gets the
+			// same 429 and hint.
+			wait := func(ctx context.Context, _ func(string)) (any, error) {
+				select {
+				case <-block:
+				case <-ctx.Done():
+				}
+				return nil, ctx.Err()
+			}
+			running := make(chan struct{})
+			if _, err := jm.Submit(jobs.KindLearn, "s0", func(ctx context.Context, p func(string)) (any, error) {
+				close(running)
+				return wait(ctx, p)
+			}); err != nil {
+				t.Fatal(err)
+			}
+			<-running
+			if _, err := jm.Submit(jobs.KindLearn, "s1", wait); err != nil {
+				t.Fatal(err)
+			}
+			resp = postJSON(t, hs.URL+"/v1/learn", serve.LearnRequest{
+				Site: "new", Pages: []string{"<p>a</p>", "<p>b</p>"}})
+			if resp.StatusCode != http.StatusTooManyRequests {
+				t.Fatalf("job queue full: status %d, want 429", resp.StatusCode)
+			}
+			if ra := resp.Header.Get("Retry-After"); ra != tc.want {
+				t.Fatalf("job 429: Retry-After %q, want %q", ra, tc.want)
+			}
+		})
 	}
 }
 
