@@ -1,10 +1,9 @@
 package corpus
 
 import (
+	"fmt"
 	"strings"
 	"testing"
-
-	"autowrap/internal/dom"
 )
 
 func twoPages() *Corpus {
@@ -33,15 +32,42 @@ func TestOrdinalsAreGlobalAndOrdered(t *testing.T) {
 	}
 }
 
-func TestOrdinalOfRoundTrip(t *testing.T) {
+func TestTextRangesRoundTrip(t *testing.T) {
 	c := twoPages()
-	for ord := 0; ord < c.NumTexts(); ord++ {
-		if c.OrdinalOf(c.Text(ord)) != ord {
-			t.Fatalf("round trip failed at %d", ord)
+	for i := range c.Pages {
+		lo, hi := c.TextRange(i)
+		for ord := lo; ord < hi; ord++ {
+			if c.PageOf(ord) != i || lo+c.IndexInPage(ord) != ord {
+				t.Fatalf("round trip failed at %d", ord)
+			}
 		}
 	}
-	if c.OrdinalOf(dom.NewText("unattached")) != -1 {
-		t.Fatal("foreign node should map to -1")
+	if lo, hi := c.TextRange(1); lo != 2 || hi != 4 {
+		t.Fatalf("TextRange(1) = [%d, %d)", lo, hi)
+	}
+}
+
+// TestTextParentsAndElements: each text knows the element it sits in, and
+// each element its tag, attributes, parent and same-tag child number.
+func TestTextParentsAndElements(t *testing.T) {
+	c := ParseHTML([]string{`top<div id="d"><p>a</p><b>x</b><p class="k">b</p></div>`})
+	if lo, hi := c.ElementRange(0); lo != 0 || hi != 4 || c.NumElements() != 4 {
+		t.Fatalf("ElementRange = [%d, %d) of %d", lo, hi, c.NumElements())
+	}
+	var got []string
+	for e := 0; e < c.NumElements(); e++ {
+		el := c.Element(e)
+		got = append(got, fmt.Sprintf("%s[%d]<%d%v", el.Tag, el.ChildNumber, el.Parent, c.Attrs(e)))
+	}
+	if want := "div[1]<-1[{id d}] p[1]<0[] b[1]<0[] p[2]<0[{class k}]"; strings.Join(got, " ") != want {
+		t.Fatalf("elements %v, want %v", got, want)
+	}
+	var parents []int
+	for ord := 0; ord < c.NumTexts(); ord++ {
+		parents = append(parents, c.TextParent(ord))
+	}
+	if fmt.Sprint(parents) != "[-1 1 2 3]" {
+		t.Fatalf("text parents %v", parents)
 	}
 }
 
@@ -100,20 +126,6 @@ func TestSetHelpers(t *testing.T) {
 	}
 	if c.FullSet().Count() != 4 || !c.EmptySet().Empty() {
 		t.Fatal("FullSet/EmptySet wrong")
-	}
-}
-
-func TestSetOfNodes(t *testing.T) {
-	c := twoPages()
-	s, err := c.SetOfNodes([]*dom.Node{c.Text(0), c.Text(2)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !s.Has(0) || !s.Has(2) || s.Count() != 2 {
-		t.Fatalf("SetOfNodes = %v", s.Indices())
-	}
-	if _, err := c.SetOfNodes([]*dom.Node{dom.NewText("zzz")}); err == nil {
-		t.Fatal("expected error for foreign node")
 	}
 }
 

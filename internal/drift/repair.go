@@ -7,7 +7,6 @@ import (
 
 	"autowrap/internal/corpus"
 	"autowrap/internal/engine"
-	"autowrap/internal/htmlparse"
 	"autowrap/internal/store"
 	"autowrap/internal/wrapper"
 )
@@ -76,8 +75,8 @@ type Stages struct {
 	Parse time.Duration
 	// Annotate, Build, Enumerate and Rank are the re-learn's own stages.
 	engine.Stages
-	// Validate is the held-out comparison: each held-out page parsed once,
-	// candidate and incumbent applied to it.
+	// Validate is the held-out comparison: candidate and incumbent each
+	// read every held-out page from the token stream.
 	Validate time.Duration
 	// Promote is staging the candidate and, on a win, promoting it.
 	Promote time.Duration
@@ -234,20 +233,17 @@ func (r *Repairer) Repair(ctx context.Context, site string, fresh []string) (*Re
 }
 
 // evalOn tallies the extraction footprints of the candidate and, when there
-// is one, the incumbent on the raw held-out pages. Each page is parsed once,
-// into one recycled workspace: only the counts outlive it.
+// is one, the incumbent on the raw held-out pages. Each rule reads each page
+// from the token stream, as serving does: no tree is built.
 func evalOn(htmls []string, candidate, incumbent wrapper.Portable) (cand, inc Eval) {
-	tree := htmlparse.AcquireTree()
-	defer tree.Release()
 	cand.Pages = len(htmls)
 	if incumbent != nil {
 		inc.Pages = len(htmls)
 	}
 	for _, html := range htmls {
-		root := tree.Parse(html)
-		cand.add(len(candidate.ApplyPage(root)))
+		cand.add(len(candidate.ApplyHTML(html)))
 		if incumbent != nil {
-			inc.add(len(incumbent.ApplyPage(root)))
+			inc.add(len(incumbent.ApplyHTML(html)))
 		}
 	}
 	return cand, inc

@@ -43,22 +43,23 @@ func BenchmarkRepairLarge(b *testing.B) {
 // ceiling in bytes. What is left, by the allocation profile, is per
 // wrapper, per candidate and per decoded text, not per node, text or
 // feature: enumeration's label subsets, extractions and partitions
-// (≈ 2,300), ranking's segmentation with its edit-distance and
-// common-substring tables (≈ 1,600), the parse's decoded texts and slabs
-// (≈ 280), the feature build's pairs, feature and member lists and bitset
-// words (≈ 280) and the corpus's serializations and shared arrays
-// (≈ 170): ≈ 4,500 in all. The feature build made ≈ 2,700 more when it
-// took a bitset a feature, the training parse ≈ 42,000 before it built
-// into slabs, and the annotator ≈ 7,000 lowered copies. The bytes are the
-// tree slabs (≈ 45 %), the feature space (≈ 20 %), the corpus's
-// serializations and index (≈ 15 %) and enumeration and ranking: ≈ 5.3 MB,
-// where slabs sized by '<', an index a page and a bitset a feature made
+// (≈ 2,200), ranking's segmentation with its edit-distance and
+// common-substring tables (≈ 1,500), the feature build's pairs, feature
+// and member lists and bitset words (≈ 240), the corpus's serializations,
+// arrays and decoded texts (≈ 230) and validation's results (≈ 80):
+// ≈ 4,350 in all. The feature build made ≈ 2,700 more when it took a
+// bitset a feature, the training parse ≈ 42,000 before it built into
+// slabs, and the annotator ≈ 7,000 lowered copies. The bytes are the
+// feature space (≈ 36 %), the corpus (≈ 33 %: its serializations
+// ≈ 0.29 MB, its arrays ≈ 0.75 MB) and enumeration and ranking (≈ 30 %):
+// ≈ 3.1 MB, where the training pages' trees, which the corpus kept, and
+// validation's trees made 5.3 MB, and before them a bitset a feature
 // 6.4 MB. The budgets are 1.25 × the allocations and 1.15 × the bytes
 // measured. Allocation volume is what the collector bills the serving
 // goroutines for while a heal runs beside them.
 const (
-	repairAllocBudget = 5_650
-	repairByteBudget  = 6_250_000
+	repairAllocBudget = 5_440
+	repairByteBudget  = 3_540_000
 )
 
 func TestRepairAllocBudget(t *testing.T) {

@@ -20,6 +20,7 @@ import (
 	"autowrap/internal/rank"
 	"autowrap/internal/stats"
 	"autowrap/internal/store"
+	"autowrap/internal/testutil/refapply"
 	"autowrap/internal/wrapper"
 	"autowrap/internal/xpinduct"
 )
@@ -101,9 +102,7 @@ func htmlsOf(site *gen.Site) []string {
 func extractAll(p wrapper.Portable, site *gen.Site) []string {
 	var out []string
 	for _, page := range site.Corpus.Pages {
-		for _, n := range p.ApplyPage(page.Root) {
-			out = append(out, strings.TrimSpace(n.Data))
-		}
+		out = append(out, refapply.Texts(p, page.HTML)...)
 	}
 	return out
 }

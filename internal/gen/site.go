@@ -78,10 +78,9 @@ func finishSite(name, layout string, hostile bool, pages []*pageBuild, pageValue
 	}
 	byKey := make(map[key][]int)
 	for ord := 0; ord < c.NumTexts(); ord++ {
-		n := c.Text(ord)
 		tag := ""
-		if n.Parent != nil {
-			tag = n.Parent.Tag
+		if e := c.TextParent(ord); e >= 0 {
+			tag = c.Element(e).Tag
 		}
 		k := key{page: c.PageOf(ord), value: c.TextContent(ord), tag: tag}
 		byKey[k] = append(byKey[k], ord)

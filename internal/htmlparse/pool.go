@@ -76,18 +76,15 @@ type openNode struct {
 	i int32
 }
 
-// nodeHint estimates how many nodes and attributes src parses into: a node
-// a start tag and a run of text between two tags that is not all white
-// space (which the parser drops), plus the document, and an attribute an
-// '=' inside a start tag. One pass steps over text to the next '<' and
+// Census estimates in one pass how many elements, texts and attributes
+// src parses into: an element a start tag, a text a run between two tags
+// that is not all white space (which the parser drops), and an attribute
+// an '=' inside a start tag. The pass steps over text to the next '<' and
 // through a tag to its '>'. A run that a comment splits, or a '<' inside a
-// script, counts one node too many, and a '=' inside an attribute value
-// one attribute too many; a thirty-second more and sixteen cover the
-// elements a parse implies, so the first chunk holds the page. An
-// attribute with no value is not counted: a page of them takes a second
-// attribute chunk.
-func nodeHint(src string) (nodes, attrs int) {
-	nodes = 1
+// script, counts one text too many, and a '=' inside an attribute value one
+// attribute too many; the elements a parse implies are not counted, and
+// nor is an attribute with no value.
+func Census(src string) (elements, texts, attrs int) {
 	for i := 0; i < len(src); i++ { // src[i] is a '<' or outside every tag
 		if src[i] != '<' {
 			end := len(src)
@@ -96,7 +93,7 @@ func nodeHint(src string) (nodes, attrs int) {
 			}
 			for ; i < end; i++ {
 				if nameClass[src[i]]&spaceByte == 0 {
-					nodes++
+					texts++
 					break
 				}
 			}
@@ -105,7 +102,7 @@ func nodeHint(src string) (nodes, attrs int) {
 		}
 		start := i+1 < len(src) && nameClass[src[i+1]]&nameByte != 0
 		if start {
-			nodes++
+			elements++
 		}
 		for i++; i < len(src) && src[i] != '>'; i++ {
 			if start && src[i] == '=' {
@@ -113,6 +110,16 @@ func nodeHint(src string) (nodes, attrs int) {
 			}
 		}
 	}
+	return elements, texts, attrs
+}
+
+// nodeHint sizes a tree builder's slabs for src from its Census, and the
+// document: a thirty-second more and sixteen cover the elements a parse
+// implies, so the first chunk holds the page. A page of attributes with
+// no value takes a second attribute chunk.
+func nodeHint(src string) (nodes, attrs int) {
+	elements, texts, attrs := Census(src)
+	nodes = 1 + elements + texts
 	return nodes + nodes/32 + 16, attrs + attrs/32 + 16
 }
 

@@ -146,7 +146,7 @@ func TestParseAllocBudget(t *testing.T) {
 		}
 		page := site.Corpus.Pages[0].HTML
 		nodes, decoded := 0, 0
-		site.Corpus.Pages[0].Root.Walk(func(n *dom.Node) bool {
+		htmlparse.Parse(page).Walk(func(n *dom.Node) bool {
 			nodes++
 			if n.Type == dom.TextNode && strings.ContainsAny(n.Data, "&<>") {
 				decoded++

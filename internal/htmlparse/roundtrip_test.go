@@ -163,11 +163,10 @@ func TestRoundTripGeneratedSites(t *testing.T) {
 			for i, page := range site.Corpus.Pages {
 				name := fmt.Sprintf("%s/%s/p%d", ds.Name, site.Name, i)
 				// The corpus's canonical HTML is itself a serialization, so
-				// the property must hold starting from it.
+				// the property must hold starting from it. That the reparse
+				// indexes as the page the corpus built from the generator's
+				// source is corpus's TestIndexMatchesReference.
 				t1 := htmlparse.Parse(page.HTML)
-				if ok, diff := treeEqual(page.Root, t1, ""); !ok {
-					t.Fatalf("%s: reparse of canonical HTML changed the tree at %s", name, diff)
-				}
 				if h := dom.Serialize(t1); h != page.HTML {
 					t.Fatalf("%s: serialization not stable", name)
 				}

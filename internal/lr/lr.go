@@ -71,16 +71,11 @@ func New(c *corpus.Corpus, maxContext int) *Inductor {
 	ord := 0 // pages list their texts in ordinal order
 	for _, p := range c.Pages {
 		for _, span := range p.Spans {
-			lo := span[0] - maxContext
-			if lo < 0 {
-				lo = 0
-			}
-			hi := span[1] + maxContext
-			if hi > len(p.HTML) {
-				hi = len(p.HTML)
-			}
-			ind.lefts[ord] = p.HTML[lo:span[0]]
-			ind.rights[ord] = p.HTML[span[1]:hi]
+			start, end := int(span[0]), int(span[1])
+			lo := max(start-maxContext, 0)
+			hi := min(end+maxContext, len(p.HTML))
+			ind.lefts[ord] = p.HTML[lo:start]
+			ind.rights[ord] = p.HTML[end:hi]
 			ord++
 		}
 	}

@@ -10,6 +10,7 @@ import (
 	"autowrap/internal/dom"
 	"autowrap/internal/gen"
 	"autowrap/internal/htmlparse"
+	"autowrap/internal/testutil/corpustree"
 	"autowrap/internal/testutil/pincheck"
 	"autowrap/internal/testutil/race"
 	"autowrap/internal/testutil/refhtml"
@@ -77,14 +78,15 @@ func assertCompiledMatchesNative(t *testing.T, name string, c *corpus.Corpus, in
 		t.Fatalf("%s: compile: %v", name, err)
 	}
 	compiled := p
+	trees := corpustree.Of(c)
 	native := make([][]*dom.Node, len(c.Pages))
 	w.Extract().ForEach(func(ord int) {
-		native[c.PageOf(ord)] = append(native[c.PageOf(ord)], c.Text(ord))
+		native[c.PageOf(ord)] = append(native[c.PageOf(ord)], trees.Texts[ord])
 	})
 	total := 0
 	for i, page := range c.Pages {
-		got := compiled.ApplyPage(page.Root)
-		if want := refApplyPage(compiled, page.Root); !sameNodes(got, want) {
+		got := compiled.ApplyPage(trees.Roots[i])
+		if want := refApplyPage(compiled, trees.Roots[i]); !sameNodes(got, want) {
 			t.Fatalf("%s page %d, %s: ApplyPage = %q, reference = %q", name, i, compiled.Rule(), nodeTexts(got), nodeTexts(want))
 		}
 		if !sameNodes(got, native[i]) {
@@ -235,7 +237,7 @@ func TestLRApplyAllocBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := &Compiled{Left: ">", Right: "<"}
-	root := site.Corpus.Pages[0].Root
+	root := htmlparse.Parse(site.Corpus.Pages[0].HTML)
 	want := len(refApplyPage(c, root))
 	if want < 150 {
 		t.Fatalf("fixture matches only %d nodes", want)

@@ -202,9 +202,9 @@ func typedSegments(c *corpus.Corpus, types []Type, pick []wrapper.Wrapper, maxTo
 		}
 		// Typed copy of this page's token stream.
 		toks := append([]int32(nil), page.Tokens...)
+		first, _ := c.TextRange(pi)
 		for i, pos := range page.TextPos {
-			ord := c.OrdinalOf(page.Texts[i])
-			if ti, ok := typeOf[ord]; ok {
+			if ti, ok := typeOf[first+i]; ok {
 				toks[pos] = typedToken(ti)
 			}
 		}

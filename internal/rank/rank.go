@@ -8,6 +8,7 @@ package rank
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"autowrap/internal/bitset"
 	"autowrap/internal/corpus"
@@ -159,14 +160,25 @@ type Scorer struct {
 // better where samples exist; the generic ones are enough for
 // well-structured sites and are what every dictionary-driven learn in the
 // commands and the daemon uses.
+//
+// Each call returns a fresh Scorer and PublicationModel, which the caller
+// may change; the two distributions are built once and shared, as nothing
+// changes a KDE once built.
 func GenericScorer() *Scorer {
-	schema := stats.MustKDE([]int{2, 3, 3, 4, 4, 5, 5, 6}, stats.KDEOptions{Support: 64})
-	align := stats.MustKDE([]int{0, 0, 0, 1, 1, 2, 3, 5}, stats.KDEOptions{Support: 256})
+	kdes := genericKDEs()
 	return &Scorer{
 		Ann: NewAnnotationModel(0.95, 0.30),
-		Pub: &PublicationModel{Schema: schema, Align: align},
+		Pub: &PublicationModel{Schema: kdes[0], Align: kdes[1]},
 	}
 }
+
+// genericKDEs builds the generic schema-size and alignment distributions.
+var genericKDEs = sync.OnceValue(func() [2]*stats.KDE {
+	return [2]*stats.KDE{
+		stats.MustKDE([]int{2, 3, 3, 4, 4, 5, 5, 6}, stats.KDEOptions{Support: 64}),
+		stats.MustKDE([]int{0, 0, 0, 1, 1, 2, 3, 5}, stats.KDEOptions{Support: 256}),
+	}
+})
 
 // Score breaks down a candidate's score. Ranking compares Total.
 type Score struct {

@@ -203,3 +203,33 @@ func TestEndToEndRankingPicksGold(t *testing.T) {
 		t.Fatalf("full score picked %q, want gold", best)
 	}
 }
+
+// TestGenericScorerSharesItsDistributions: the generic distributions are
+// built once, every call scores alike, and what a caller changes in the
+// Scorer it got is not what the next call returns.
+func TestGenericScorerSharesItsDistributions(t *testing.T) {
+	c := recordSite(3, 5)
+	gold := setOf(c, "name")
+	labels := c.SetOf(gold.Indices()[0], gold.Indices()[3])
+	score := func(s *Scorer) Score { return s.Score(c, labels, gold, NTW) }
+
+	first, second := GenericScorer(), GenericScorer()
+	if first == second || first.Pub == second.Pub {
+		t.Fatal("two calls returned the same Scorer or PublicationModel")
+	}
+	if first.Pub.Schema != second.Pub.Schema || first.Pub.Align != second.Pub.Align {
+		t.Fatal("the generic distributions were built again")
+	}
+	want := score(first)
+	if got := score(second); got != want {
+		t.Fatalf("second call scores %+v, first %+v", got, want)
+	}
+	first.Pub = learnPub(t, c, gold)
+	first.Ann = NewAnnotationModel(0.5, 0.5)
+	if score(first) == want {
+		t.Fatal("the replaced models score as the generic ones: the fixture cannot tell them apart")
+	}
+	if got := score(GenericScorer()); got != want {
+		t.Fatalf("after a caller replaced its models the next call scores %+v, want %+v", got, want)
+	}
+}

@@ -51,7 +51,7 @@ func Segments(c *corpus.Corpus, x *bitset.Set, opt Options) [][]int32 {
 // numbered page by page, so consecutive members of x on one page bound a
 // segment and a page change starts the next page's run.
 func cut(c *corpus.Corpus, x *bitset.Set, opt Options, limit int) (segs [][]int32, n int) {
-	prevPage, prevPos := -1, 0
+	prevPage, prevPos := -1, int32(0)
 	x.ForEach(func(ord int) {
 		pi := c.PageOf(ord)
 		page := c.Pages[pi]

@@ -57,21 +57,25 @@ func TestNestingBomb(t *testing.T) {
 	t.Run("corpus", func(t *testing.T) {
 		page := bomb(4 << 20)
 		c := corpus.ParseHTML([]string{page})
-		depth := 0
-		for n := c.Pages[0].Root; len(n.Children) > 0; n = n.Children[len(n.Children)-1] {
-			depth++
+		depth, levels := 0, make([]int, c.NumElements())
+		for e := range levels {
+			levels[e] = 1
+			if p := c.Element(e).Parent; p >= 0 {
+				levels[e] += levels[p]
+			}
+			depth = max(depth, levels[e])
 		}
 		if depth > 600 {
-			t.Fatalf("the parsed tree is %d levels deep", depth)
+			t.Fatalf("the parsed page is %d levels deep", depth)
 		}
 		if c.NumTexts() != 2 {
 			t.Fatalf("the corpus indexes %d texts, want the two after the tags", c.NumTexts())
 		}
-		html := dom.Serialize(c.Pages[0].Root)
+		html := c.Pages[0].HTML
 		if again := dom.Serialize(htmlparse.Parse(html)); again != html {
 			t.Fatal("the capped tree is not a fixed point of serialize → reparse")
 		}
-		if got := wrapperFor("a").ApplyPage(c.Pages[0].Root); len(got) != 1 {
+		if got := wrapperFor("a").ApplyPage(htmlparse.Parse(html)); len(got) != 1 {
 			t.Fatalf("ApplyPage on the capped tree matched %d nodes", len(got))
 		}
 	})
@@ -190,18 +194,17 @@ func TestAttributeBomb(t *testing.T) {
 			var html string
 			n := allocated(func() {
 				c = corpus.ParseHTML([]string{page})
-				html = dom.Serialize(c.Pages[0].Root)
+				html = c.Pages[0].HTML
 			})
 			if n > 8*uint64(len(page)) {
 				t.Fatalf("a %d-byte page allocated %d bytes to parse and serialize", len(page), n)
 			}
 			kept := -1
-			c.Pages[0].Root.Walk(func(n *dom.Node) bool {
-				if n.IsElement("a") {
-					kept = len(n.Attrs)
+			for e := range c.NumElements() {
+				if c.Element(e).Tag == "a" {
+					kept = len(c.Attrs(e))
 				}
-				return true
-			})
+			}
 			if kept != tc.want {
 				t.Fatalf("repeat=%v: the bomb's tag kept %d attributes, want %d", tc.repeat, kept, tc.want)
 			}

@@ -13,10 +13,12 @@ import (
 	"autowrap/internal/core"
 	"autowrap/internal/corpus"
 	"autowrap/internal/engine"
+	"autowrap/internal/htmlparse"
 	"autowrap/internal/lr"
 	"autowrap/internal/rank"
 	"autowrap/internal/stats"
 	"autowrap/internal/store"
+	"autowrap/internal/testutil/corpustree"
 	"autowrap/internal/wrapper"
 	"autowrap/internal/xpinduct"
 )
@@ -79,9 +81,10 @@ func induceLR(t *testing.T, c *corpus.Corpus) wrapper.Wrapper {
 func applyOrdinals(t *testing.T, c *corpus.Corpus, p wrapper.Portable) []int {
 	t.Helper()
 	var ords []int
-	for _, page := range c.Pages {
-		for _, n := range p.ApplyPage(page.Root) {
-			ord := c.OrdinalOf(n)
+	trees := corpustree.Of(c)
+	for _, root := range trees.Roots {
+		for _, n := range p.ApplyPage(root) {
+			ord := trees.OrdinalOf(n)
 			if ord < 0 {
 				t.Fatalf("ApplyPage returned non-extractable node %q", n.PathString())
 			}
@@ -403,7 +406,7 @@ func TestFromBatchStoresWinners(t *testing.T) {
 		// The stored wrapper extracts the record list on a page it has
 		// never been applied to as a compiled artifact.
 		c := testCorpus(t)
-		nodes := p.ApplyPage(c.Pages[1].Root)
+		nodes := p.ApplyPage(htmlparse.Parse(c.Pages[1].HTML))
 		if len(nodes) == 0 {
 			t.Fatalf("site %q: stored wrapper extracted nothing", site)
 		}

@@ -8,6 +8,8 @@ import (
 
 	"autowrap/internal/bitset"
 	"autowrap/internal/corpus"
+	"autowrap/internal/dom"
+	"autowrap/internal/testutil/corpustree"
 	"autowrap/internal/wrapper"
 )
 
@@ -34,8 +36,9 @@ func refNew(c *corpus.Corpus) *refTable {
 		}
 		rt.lists[ord] = append(rt.lists[ord], fid)
 	}
+	texts := corpustree.Of(c).Texts
 	for ord := 0; ord < c.NumTexts(); ord++ {
-		cell := enclosingCell(c.Text(ord))
+		cell := refEnclosingCell(texts[ord])
 		if cell == nil || cell.Parent == nil || !cell.Parent.IsElement("tr") {
 			continue
 		}
@@ -46,6 +49,15 @@ func refNew(c *corpus.Corpus) *refTable {
 		slices.Sort(l)
 	}
 	return rt
+}
+
+func refEnclosingCell(n *dom.Node) *dom.Node {
+	for p := n.Parent; p != nil; p = p.Parent {
+		if p.IsElement("td") || p.IsElement("th") {
+			return p
+		}
+	}
+	return nil
 }
 
 // induce intersects the labels' sorted lists and extracts every node that

@@ -30,17 +30,16 @@ var (
 func New(c *corpus.Corpus) *wrapper.FeatureSpace {
 	fs := wrapper.NewFeatureSpace("table", c, renderRule)
 	for ord := 0; ord < c.NumTexts(); ord++ {
-		n := c.Text(ord)
-		cell := enclosingCell(n)
-		if cell == nil {
+		cell := enclosingCell(c, c.TextParent(ord))
+		if cell < 0 {
 			continue
 		}
-		row := cell.Parent // the <tr>
-		if row == nil || !row.IsElement("tr") {
+		row := c.Element(cell).Parent // the <tr>
+		if row < 0 || c.Element(row).Tag != "tr" {
 			continue
 		}
-		fs.AddFeature(ord, AttrRow, itoa(row.ChildNumber()))
-		fs.AddFeature(ord, AttrCol, itoa(cell.ChildNumber()))
+		fs.AddFeature(ord, AttrRow, itoa(c.Element(row).ChildNumber))
+		fs.AddFeature(ord, AttrCol, itoa(c.Element(cell).ChildNumber))
 	}
 	return fs
 }
@@ -63,13 +62,15 @@ func BuildGrid(rows, cols int, cellText func(r, c int) string) *corpus.Corpus {
 	return corpus.New([]*dom.Node{doc})
 }
 
-func enclosingCell(n *dom.Node) *dom.Node {
-	for p := n.Parent; p != nil; p = p.Parent {
-		if p.IsElement("td") || p.IsElement("th") {
-			return p
+// enclosingCell returns the nearest <td> or <th> among element e and its
+// ancestors, or -1.
+func enclosingCell(c *corpus.Corpus, e int) int {
+	for ; e >= 0; e = c.Element(e).Parent {
+		if tag := c.Element(e).Tag; tag == "td" || tag == "th" {
+			return e
 		}
 	}
-	return nil
+	return -1
 }
 
 func renderRule(fs *wrapper.FeatureSpace, featIDs []int32) string {

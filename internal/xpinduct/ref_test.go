@@ -11,6 +11,7 @@ import (
 	"autowrap/internal/bitset"
 	"autowrap/internal/corpus"
 	"autowrap/internal/gen"
+	"autowrap/internal/testutil/corpustree"
 	"autowrap/internal/wrapper"
 )
 
@@ -39,9 +40,10 @@ func refNew(c *corpus.Corpus, opt Options) *refSpace {
 		byKey:     make(map[string]int32),
 		nodeFeats: make([][]int32, c.NumTexts()),
 	}
+	texts := corpustree.Of(c).Texts
 	for ord := 0; ord < c.NumTexts(); ord++ {
 		pos := 0
-		for _, anc := range c.Text(ord).Ancestors() {
+		for _, anc := range texts[ord].Ancestors() {
 			pos++
 			if opt.MaxDepth > 0 && pos > opt.MaxDepth {
 				break

@@ -10,6 +10,7 @@ import (
 	"autowrap/internal/corpus"
 	"autowrap/internal/dom"
 	"autowrap/internal/gen"
+	"autowrap/internal/testutil/corpustree"
 	"autowrap/internal/xpath"
 )
 
@@ -27,7 +28,7 @@ func TestRuleEvalMatchesExtractionOnGeneratedSites(t *testing.T) {
 			t.Fatal(err)
 		}
 		c := site.Corpus
-		ind := New(c, Options{})
+		ind, trees := New(c, Options{}), corpustree.Of(c)
 		for trial := 0; trial < 6; trial++ {
 			labels := bitset.New(c.NumTexts())
 			n := 1 + rng.Intn(5)
@@ -44,9 +45,9 @@ func TestRuleEvalMatchesExtractionOnGeneratedSites(t *testing.T) {
 					site.Name, labels.Indices(), w.Rule(), err)
 			}
 			viaXPath := c.EmptySet()
-			for _, p := range c.Pages {
-				for _, node := range expr.Eval(p.Root) {
-					if ord := c.OrdinalOf(node); ord >= 0 {
+			for _, root := range trees.Roots {
+				for _, node := range expr.Eval(root) {
+					if ord := trees.OrdinalOf(node); ord >= 0 {
 						viaXPath.Add(ord)
 					}
 				}
@@ -63,9 +64,10 @@ func TestRuleEvalMatchesExtractionOnGeneratedSites(t *testing.T) {
 			}
 			for pi, p := range c.Pages {
 				var want []string
-				for _, n := range p.Texts {
-					if w.Extract().Has(c.OrdinalOf(n)) {
-						want = append(want, strings.TrimSpace(n.Data))
+				lo, hi := c.TextRange(pi)
+				for ord := lo; ord < hi; ord++ {
+					if w.Extract().Has(ord) {
+						want = append(want, c.TextContent(ord))
 					}
 				}
 				if got := compiled.ApplyHTML(p.HTML); !slices.Equal(got, want) {
@@ -138,7 +140,7 @@ func TestOddAttributesSurviveTheRule(t *testing.T) {
 	c := corpus.ParseHTML([]string{page(-1), page(-1)})
 	labels := c.EmptySet()
 	for ord := 0; ord < c.NumTexts(); ord++ {
-		if c.Text(ord).Parent.Tag == "li" {
+		if c.Element(c.TextParent(ord)).Tag == "li" {
 			labels.Add(ord)
 		}
 	}
@@ -161,14 +163,16 @@ func TestOddAttributesSurviveTheRule(t *testing.T) {
 			t.Fatalf("rule %q lacks the predicate %s", p.Rule(), want)
 		}
 	}
+	trees := corpustree.Of(c)
 	for i, pg := range c.Pages {
 		var native, viaPage []string
-		for _, n := range pg.Texts {
-			if w.Extract().Has(c.OrdinalOf(n)) {
-				native = append(native, strings.TrimSpace(n.Data))
+		lo, hi := c.TextRange(i)
+		for ord := lo; ord < hi; ord++ {
+			if w.Extract().Has(ord) {
+				native = append(native, c.TextContent(ord))
 			}
 		}
-		for _, n := range p.ApplyPage(pg.Root) {
+		for _, n := range p.ApplyPage(trees.Roots[i]) {
 			viaPage = append(viaPage, strings.TrimSpace(n.Data))
 		}
 		if viaHTML := p.ApplyHTML(pg.HTML); !slices.Equal(native, viaPage) || !slices.Equal(native, viaHTML) || len(native) != 2 {

@@ -13,7 +13,6 @@ import (
 	"strings"
 
 	"autowrap/internal/corpus"
-	"autowrap/internal/dom"
 	"autowrap/internal/wrapper"
 	"autowrap/internal/xpath"
 )
@@ -29,14 +28,14 @@ type Options struct {
 	IgnoreAttrs []string
 }
 
-// New builds the XPATH inductor over the corpus in one walk of each page
-// with the stack of open nodes. Same-tag child numbers are counted as a
-// parent's children go by, once per parent. An element's features are the
-// same (kind, value) pairs — its tag, its child number, its HTML attributes
-// — at whatever position below it a text node sits, so each element
-// interns its pairs once, the first time a text node below it is met, and
-// a text node reads its ancestors' feature ids from a dense table by
-// position and pair: the feature map is consulted once per feature.
+// New builds the XPATH inductor over the corpus, reading each text node's
+// ancestors off the corpus's element records: the parent element, its
+// parent, and so on to the top of the document. An element's features are
+// the same (kind, value) pairs — its tag, its child number, its HTML
+// attributes — at whatever position below it a text node sits, so each
+// element interns its pairs once, the first time a text node below it is
+// met, and a text node reads its ancestors' feature ids from a dense table
+// by position and pair: the feature map is consulted once per feature.
 //
 // Features are interned in the order a text-by-text, ancestor-by-ancestor
 // construction first meets them (tag, child number, then the HTML attributes
@@ -45,6 +44,7 @@ type Options struct {
 // not depend on how the space was built.
 func New(c *corpus.Corpus, opt Options) *wrapper.FeatureSpace {
 	b := builder{
+		c:        c,
 		fs:       wrapper.NewFeatureSpace("xpath", c, renderRule),
 		maxDepth: opt.MaxDepth,
 		ignored:  make(map[string]bool, len(opt.IgnoreAttrs)),
@@ -55,12 +55,15 @@ func New(c *corpus.Corpus, opt Options) *wrapper.FeatureSpace {
 	for _, k := range opt.IgnoreAttrs {
 		b.ignored[strings.ToLower(k)] = true
 	}
-	for _, p := range c.Pages {
-		b.visit(p.Root, 0)
-		b.pairs = b.pairs[:0] // no node is open: nothing holds them
-	}
-	if b.ord != c.NumTexts() {
-		panic("xpinduct: page trees changed since the corpus indexed them")
+	for i := range c.Pages {
+		lo, hi := c.ElementRange(i)
+		b.base = lo
+		b.spans = append(b.spans[:0], make([][2]int32, hi-lo)...)
+		b.pairs = b.pairs[:0] // no element of the page before holds them
+		lo, hi = c.TextRange(i)
+		for ord := lo; ord < hi; ord++ {
+			b.text(ord)
+		}
 	}
 	return b.fs
 }
@@ -78,18 +81,20 @@ type pair struct {
 	val  string
 }
 
-// builder is the state of New's walk.
+// builder is the state of New's pass.
 type builder struct {
+	c        *corpus.Corpus
 	fs       *wrapper.FeatureSpace
 	maxDepth int
 	ignored  map[string]bool
 
-	// stack holds the open nodes, outermost first. Popped frames keep
-	// their slices for the next node opened at that depth.
-	stack []frame
-	pairs []int32 // the pair ids of the page's nodes, back to back
+	// spans[e-base] is the range of pairs holding the pair ids of the
+	// page's element e. The zero range has not been built: a built one
+	// holds at least tag and child number.
+	base  int
+	spans [][2]int32
+	pairs []int32 // the pair ids of the page's elements, back to back
 	feats []int32 // one text node's features, reused
-	ord   int     // ordinal of the next extractable text node
 
 	// Pairs are interned to dense ids: pairIDs[kind] by value, but a child
 	// number's by number, plus one (zero is not yet asked for), in cnPairs.
@@ -108,68 +113,25 @@ type builder struct {
 	posAttrs [][2]int32
 }
 
-// frame is one open node.
-type frame struct {
-	n  *dom.Node
-	cn int // same-tag child number; 0 for a root and for non-elements
-	// counts tallies n's element children by tag as the walk passes them.
-	counts dom.ChildCounter
-	// pairs is the range of builder.pairs holding n's pair ids. The zero
-	// range has not been built: a built one holds at least tag and child
-	// number.
-	pairs [2]int
-}
-
-// visit walks the subtree of n in document order — the order the corpus
-// numbered its text nodes in.
-func (b *builder) visit(n *dom.Node, cn int) {
-	if corpus.IsExtractableText(n) {
-		b.text(n)
-	}
-	if len(n.Children) == 0 {
-		return
-	}
-	at := len(b.stack)
-	if at == cap(b.stack) {
-		b.stack = append(b.stack, frame{})
-	}
-	b.stack = b.stack[:at+1]
-	f := &b.stack[at]
-	f.n, f.cn, f.pairs = n, cn, [2]int{}
-	f.counts.Reset()
-	for _, ch := range n.Children {
-		k := 0
-		if ch.Type == dom.ElementNode {
-			k = b.stack[at].counts.Next(ch.Tag)
-		}
-		b.visit(ch, k)
-	}
-	b.stack = b.stack[:at]
-}
-
-// text attaches to the next text node the features of its ancestors: the
-// open nodes from the innermost out to, but excluding, the nearest document
-// node.
-func (b *builder) text(n *dom.Node) {
-	if c := b.fs.Corpus(); b.ord >= c.NumTexts() || c.Text(b.ord) != n {
-		panic("xpinduct: page trees changed since the corpus indexed them")
-	}
+// text attaches to the text node with the given ordinal the features of
+// its ancestors, from its parent element out.
+func (b *builder) text(ord int) {
 	b.feats = b.feats[:0]
-	for i, pos := len(b.stack)-1, 1; i >= 0 && b.stack[i].n.Type != dom.DocumentNode; i, pos = i-1, pos+1 {
+	for e, pos := b.c.TextParent(ord), 1; e >= 0; e, pos = b.c.Element(e).Parent, pos+1 {
 		if b.maxDepth > 0 && pos > b.maxDepth {
 			break
 		}
-		b.features(&b.stack[i], pos)
+		b.features(e, pos)
 	}
-	b.fs.Attach(b.ord, b.feats)
-	b.ord++
+	b.fs.Attach(ord, b.feats)
 }
 
-// features appends to b.feats the features f's node contributes at
+// features appends to b.feats the features element e contributes at
 // relative position pos, interning those the table does not hold yet.
-func (b *builder) features(f *frame, pos int) {
-	if f.pairs[1] == 0 {
-		b.internPairs(f)
+func (b *builder) features(e, pos int) {
+	span := &b.spans[e-b.base]
+	if span[1] == 0 {
+		b.internPairs(e, span)
 	}
 	for len(b.feat) < pos {
 		at := len(b.feat) + 1
@@ -184,7 +146,7 @@ func (b *builder) features(f *frame, pos int) {
 		row = append(row, make([]int32, len(b.pairOf)-len(row))...)
 		b.feat[pos-1] = row
 	}
-	for _, p := range b.pairs[f.pairs[0]:f.pairs[1]] {
+	for _, p := range b.pairs[span[0]:span[1]] {
 		if row[p] == 0 {
 			row[p] = b.intern(p, pos) + 1
 		}
@@ -205,20 +167,22 @@ func (b *builder) intern(p int32, pos int) int32 {
 	return b.fs.FeatureOf(aid, pr.val)
 }
 
-// internPairs interns f's node's pairs, in the order its features are
+// internPairs interns element e's pairs, in the order its features are
 // named — tag, child number, then the attributes in source order — and
 // records their range in b.pairs.
-func (b *builder) internPairs(f *frame) {
+func (b *builder) internPairs(e int, span *[2]int32) {
 	start := len(b.pairs)
-	b.pairs = append(b.pairs, b.pairID(kindTag, f.n.Tag))
-	if f.cn >= len(b.cnPairs) {
-		b.cnPairs = append(b.cnPairs, make([]int32, f.cn+1-len(b.cnPairs))...)
+	el := b.c.Element(e)
+	b.pairs = append(b.pairs, b.pairID(kindTag, el.Tag))
+	cn := el.ChildNumber
+	if cn >= len(b.cnPairs) {
+		b.cnPairs = append(b.cnPairs, make([]int32, cn+1-len(b.cnPairs))...)
 	}
-	if b.cnPairs[f.cn] == 0 {
-		b.cnPairs[f.cn] = b.pairID(kindCN, strconv.Itoa(f.cn)) + 1
+	if b.cnPairs[cn] == 0 {
+		b.cnPairs[cn] = b.pairID(kindCN, strconv.Itoa(cn)) + 1
 	}
-	b.pairs = append(b.pairs, b.cnPairs[f.cn]-1)
-	for _, a := range f.n.Attrs {
+	b.pairs = append(b.pairs, b.cnPairs[cn]-1)
+	for _, a := range b.c.Attrs(e) {
 		if b.ignored[a.Key] {
 			continue
 		}
@@ -231,7 +195,7 @@ func (b *builder) internPairs(f *frame) {
 		}
 		b.pairs = append(b.pairs, b.pairID(kind, a.Val))
 	}
-	f.pairs = [2]int{start, len(b.pairs)}
+	*span = [2]int32{int32(start), int32(len(b.pairs))}
 }
 
 // pairID interns the pair (kind, val).

@@ -8,6 +8,7 @@ import (
 	"autowrap/internal/bitset"
 	"autowrap/internal/corpus"
 	"autowrap/internal/enum"
+	"autowrap/internal/testutil/corpustree"
 	"autowrap/internal/wrapper"
 )
 
@@ -90,7 +91,7 @@ func TestRuleRendersAsXPath(t *testing.T) {
 // semantics to the concrete wrapper language.
 func TestRuleEvalMatchesExtraction(t *testing.T) {
 	c := dealerSite()
-	ind := New(c, Options{})
+	ind, trees := New(c, Options{}), corpustree.Of(c)
 	cases := [][]string{
 		{"PORTER FURNITURE", "ACME CHAIRS"},
 		{"PORTER FURNITURE"},
@@ -110,9 +111,9 @@ func TestRuleEvalMatchesExtraction(t *testing.T) {
 			t.Fatalf("rule %q does not parse: %v", w.Rule(), err)
 		}
 		viaXPath := c.EmptySet()
-		for _, p := range c.Pages {
-			for _, n := range expr.Eval(p.Root) {
-				if ord := c.OrdinalOf(n); ord >= 0 {
+		for _, root := range trees.Roots {
+			for _, n := range expr.Eval(root) {
+				if ord := trees.OrdinalOf(n); ord >= 0 {
 					viaXPath.Add(ord)
 				}
 			}

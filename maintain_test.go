@@ -13,6 +13,7 @@ import (
 	"autowrap"
 	"autowrap/internal/dataset"
 	"autowrap/internal/gen"
+	"autowrap/internal/testutil/refapply"
 )
 
 // maintPair builds one dealer site pristine and template-mutated (same
@@ -113,9 +114,7 @@ func TestMaintenanceLifecycleFacade(t *testing.T) {
 	}
 	var got []string
 	for _, p := range mutated.Corpus.Pages {
-		for _, n := range repaired.ApplyPage(p.Root) {
-			got = append(got, strings.TrimSpace(n.Data))
-		}
+		got = append(got, refapply.Texts(repaired, p.HTML)...)
 	}
 	var want []string
 	mutated.Gold["name"].ForEach(func(ord int) {

@@ -13,6 +13,7 @@ import (
 	"autowrap/internal/dataset"
 	"autowrap/internal/dom"
 	"autowrap/internal/experiments"
+	"autowrap/internal/testutil/corpustree"
 )
 
 const servedPages = 10
@@ -72,8 +73,9 @@ func testPortableMatchesNative(t *testing.T, kind string) {
 		mapped := full.EmptySet()
 		res.Best.TrainedOn.ForEach(func(ord int) {
 			page, inPage := train.PageOf(ord), train.IndexInPage(ord)
-			fullOrd := full.OrdinalOf(full.Pages[page].Texts[inPage])
-			if fullOrd < 0 {
+			lo, hi := full.TextRange(page)
+			fullOrd := lo + inPage
+			if fullOrd >= hi {
 				t.Fatalf("site %s: train node (%d,%d) missing from full corpus",
 					site.Name, page, inPage)
 			}
@@ -104,16 +106,16 @@ func testPortableMatchesNative(t *testing.T, kind string) {
 
 		// Held-out pages: the served wrapper must pick exactly the nodes the
 		// native extraction marks on those pages.
-		nativeSet := native.Extract()
+		nativeSet, trees := native.Extract(), corpustree.Of(full)
 		for p := trainPages; p < len(full.Pages); p++ {
-			page := full.Pages[p]
 			want := make(map[*dom.Node]bool)
-			for _, n := range page.Texts {
-				if nativeSet.Has(full.OrdinalOf(n)) {
-					want[n] = true
+			lo, hi := full.TextRange(p)
+			for ord := lo; ord < hi; ord++ {
+				if nativeSet.Has(ord) {
+					want[trees.Texts[ord]] = true
 				}
 			}
-			got := served.ApplyPage(page.Root)
+			got := served.ApplyPage(trees.Roots[p])
 			if len(got) != len(want) {
 				t.Fatalf("site %s page %d: served extracted %d nodes, native %d",
 					site.Name, p, len(got), len(want))
