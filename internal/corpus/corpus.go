@@ -6,7 +6,9 @@
 // A corpus keeps what learning reads of a page, in flat arrays, and no
 // tree: the canonical serialization with each text's span in it, the
 // tag-token sequence, each text's content and parent element, and one
-// record per element.
+// record per element. ParseHTML is the one way to build a corpus: a page
+// built as a tree (a generator's, a test's) is serialized and parsed like
+// any other.
 package corpus
 
 import (
@@ -82,34 +84,13 @@ type Corpus struct {
 const TextTokenID int32 = 0
 
 // ParseHTML builds a corpus by parsing raw HTML pages. The parser's events
-// go straight into the corpus's arrays: no tree is built.
+// go straight into the corpus's arrays: no tree is built. Every page's
+// lists are appended to arrays the corpus's pages share, and each page
+// takes its windows of them once the last page is indexed. Before each page
+// after the first the arrays make room for the pages left, at the rate per
+// source byte the pages so far took.
 func ParseHTML(pages []string) *Corpus {
-	return index(len(pages), func(i int) int { return len(pages[i]) + 1 },
-		func(i int, x *indexer) {
-			if i == 0 {
-				x.census(pages)
-			}
-			htmlparse.Stream(pages[i], x)
-		})
-}
-
-// New builds a corpus from documents built by hand. Each is walked into
-// the indexer ParseHTML streams into, so a tree indexes as the page it
-// serializes to would parse — save for what the parser never builds.
-// Children of a void element are tokens and texts, but not HTML, and their
-// texts keep the span [0,0). A document inside a document starts a new
-// chain of ancestors: its top elements have no parent.
-func New(docs []*dom.Node) *Corpus {
-	return index(len(docs), func(int) int { return 1 },
-		func(i int, x *indexer) { x.walk(docs[i]) })
-}
-
-// index builds a corpus of n pages, each fed to the indexer by page. Every
-// page's lists are appended to arrays the corpus's pages share, and each
-// page takes its windows of them once the last page is indexed. Before
-// each page after the first the arrays make room for the pages left, at
-// the rate per unit of weight the pages so far took.
-func index(n int, weight func(int) int, page func(int, *indexer)) *Corpus {
+	n := len(pages)
 	c := &Corpus{
 		tokenIDs:  map[string]int32{dom.TextTag: TextTokenID},
 		tokens:    []string{dom.TextTag},
@@ -120,22 +101,25 @@ func index(n int, weight func(int) int, page func(int, *indexer)) *Corpus {
 	var (
 		x      = indexer{c: c, open: make([]level, 0, 32)}
 		tokens = make([]int, n+1) // page index -> offset of its first token
-		done   int                // weight of the pages indexed
-		left   int                // weight of the pages not yet indexed
+		done   int                // source bytes of the pages indexed
+		left   int                // source bytes of the pages not yet indexed
 	)
-	for i := range n {
-		left += weight(i)
+	for _, src := range pages {
+		left += len(src) + 1
 	}
-	for i := range n {
+	if n > 0 {
+		x.census(pages)
+	}
+	for i, src := range pages {
 		if done > 0 {
 			x.reserve(left, done)
 		}
 		c.first[i], c.elemFirst[i], tokens[i] = len(c.texts), len(c.elems), len(x.tokens)
-		x.buf, x.tok0, x.page = x.buf[:0], len(x.tokens), int32(i)
-		x.open = append(x.open[:0], level{elem: -1})
-		page(i, &x)
+		x.buf, x.tok0, x.page, x.open = x.buf[:0], len(x.tokens), int32(i), x.open[:0]
+		x.push(-1)
+		htmlparse.Stream(src, &x)
 		c.Pages[i] = &Page{Index: i, HTML: string(x.buf)}
-		done, left = done+weight(i), left-weight(i)
+		done, left = done+len(src)+1, left-len(src)-1
 	}
 	c.first[n], c.elemFirst[n], tokens[n] = len(c.texts), len(c.elems), len(x.tokens)
 	for i, p := range c.Pages {
@@ -163,21 +147,18 @@ type indexer struct {
 	page    int32   // index of the page being indexed
 
 	// open holds a level for each open element, below them one for the
-	// document; muted counts the open void elements, inside which nothing
-	// serializes.
-	open  []level
-	muted int
+	// document.
+	open []level
 }
 
-// level is one open element, or a document.
+// level is one open element, or the document.
 type level struct {
-	elem   int32 // -1 for a document
-	void   bool
+	elem   int32            // -1 for the document
 	counts dom.ChildCounter // the element children so far, by tag
 }
 
-// reserve makes room in every array for what pages of weight left should
-// take, at the rate pages of weight done took, and 1/16 more.
+// reserve makes room in every array for what pages of left source bytes
+// should take, at the rate pages of done source bytes took, and 1/16 more.
 func (x *indexer) reserve(left, done int) {
 	more := func(have int) int { return int(int64(have) * int64(left) / int64(done) * 17 / 16) }
 	x.room(more(len(x.c.texts)), more(len(x.tokens)), more(len(x.c.elems)), more(len(x.c.attrs)))
@@ -222,8 +203,7 @@ func (x *indexer) room(texts, tokens, elems, attrs int) {
 }
 
 // StartElement implements htmlparse.Handler. A leaf that is not void still
-// serializes with its end tag; a void element that opens a level (only a
-// hand-built one does) mutes what is inside it.
+// serializes with its end tag.
 func (x *indexer) StartElement(tag string, attrs []dom.Attr, container bool) {
 	c := x.c
 	top := &x.open[len(x.open)-1]
@@ -237,48 +217,31 @@ func (x *indexer) StartElement(tag string, attrs []dom.Attr, container bool) {
 		attrEnd:     int32(len(c.attrs)),
 	})
 	x.tokens = append(x.tokens, id)
-	void := dom.IsVoid(tag)
-	if x.muted == 0 {
-		x.buf = dom.AppendStartTag(x.buf, tag, attrs)
-		if !container && !void {
-			x.buf = dom.AppendEndTag(x.buf, tag)
-		}
-	}
+	x.buf = dom.AppendStartTag(x.buf, tag, attrs)
 	if container {
-		x.push(e, void)
+		x.push(e)
+	} else if !dom.IsVoid(tag) {
+		x.buf = dom.AppendEndTag(x.buf, tag)
 	}
 }
 
 // EndElement implements htmlparse.Handler.
 func (x *indexer) EndElement(tag string) {
-	if x.pop() {
-		x.muted--
-	} else if x.muted == 0 {
-		x.buf = dom.AppendEndTag(x.buf, tag)
-	}
+	x.open = x.open[:len(x.open)-1]
+	x.buf = dom.AppendEndTag(x.buf, tag)
 }
 
-// push opens a level for element e, or with e -1 for a document.
-func (x *indexer) push(e int32, void bool) {
+// push opens a level for element e, or with e -1 for the document, keeping
+// the child counter's storage of the level that last stood there.
+func (x *indexer) push(e int32) {
 	at := len(x.open)
 	if at == cap(x.open) {
 		x.open = append(x.open, level{})
 	}
 	x.open = x.open[:at+1]
 	l := &x.open[at]
-	l.elem, l.void = e, void
+	l.elem = e
 	l.counts.Reset()
-	if void {
-		x.muted++
-	}
-}
-
-// pop closes the innermost level and reports whether it was a void
-// element's.
-func (x *indexer) pop() bool {
-	l := &x.open[len(x.open)-1]
-	x.open = x.open[:len(x.open)-1]
-	return l.void
 }
 
 // WantText implements htmlparse.Handler: every text is a token.
@@ -287,12 +250,9 @@ func (x *indexer) WantText() bool { return true }
 // Text implements htmlparse.Handler. A text is extractable (see
 // IsExtractableText) unless it is raw or white space.
 func (x *indexer) Text(data string, raw bool) {
-	var span [2]int32
-	if x.muted == 0 {
-		span[0] = int32(len(x.buf))
-		x.buf = dom.AppendText(x.buf, data, raw)
-		span[1] = int32(len(x.buf))
-	}
+	start := int32(len(x.buf))
+	x.buf = dom.AppendText(x.buf, data, raw)
+	span := [2]int32{start, int32(len(x.buf))}
 	x.tokens = append(x.tokens, TextTokenID)
 	if trimmed := strings.TrimSpace(data); !raw && trimmed != "" {
 		c := x.c
@@ -301,31 +261,6 @@ func (x *indexer) Text(data string, raw bool) {
 		c.texts = append(c.texts, trimmed)
 		c.textParent = append(c.textParent, x.open[len(x.open)-1].elem)
 		c.pageOf = append(c.pageOf, x.page)
-	}
-}
-
-// walk delivers the subtree of a hand-built n to the indexer as the parser
-// would deliver the page it serializes to, opening a level for every
-// element with children.
-func (x *indexer) walk(n *dom.Node) {
-	switch n.Type {
-	case dom.DocumentNode:
-		x.push(-1, false)
-		for _, ch := range n.Children {
-			x.walk(ch)
-		}
-		x.pop()
-	case dom.TextNode:
-		x.Text(n.Data, n.Parent != nil && n.Parent.Raw)
-	case dom.ElementNode:
-		x.StartElement(n.Tag, n.Attrs, len(n.Children) > 0)
-		if len(n.Children) == 0 {
-			return
-		}
-		for _, ch := range n.Children {
-			x.walk(ch)
-		}
-		x.EndElement(n.Tag)
 	}
 }
 

@@ -32,10 +32,7 @@ type refElem struct {
 	attrs       []dom.Attr
 }
 
-// refIndex is the tree indexer the corpus replaced. A void element
-// serializes no children, which the parser never builds; a hand-built
-// tree's are still tokens, and their texts keep the span [0,0). A
-// document node opens a new chain of ancestors.
+// refIndex is the tree indexer the corpus replaced, over a parsed tree.
 func refIndex(doc *dom.Node) refPage {
 	var (
 		r   refPage
@@ -48,20 +45,17 @@ func refIndex(doc *dom.Node) refPage {
 		}
 		return idx[n.Parent]
 	}
-	var walk func(n *dom.Node, emit bool)
-	walk = func(n *dom.Node, emit bool) {
+	var walk func(n *dom.Node)
+	walk = func(n *dom.Node) {
 		switch n.Type {
 		case dom.DocumentNode:
 			for _, ch := range n.Children {
-				walk(ch, emit)
+				walk(ch)
 			}
 		case dom.TextNode:
-			var span [2]int32
-			if emit {
-				span[0] = int32(len(buf))
-				buf = dom.AppendText(buf, n.Data, n.Parent != nil && n.Parent.Raw)
-				span[1] = int32(len(buf))
-			}
+			start := int32(len(buf))
+			buf = dom.AppendText(buf, n.Data, n.Parent != nil && n.Parent.Raw)
+			span := [2]int32{start, int32(len(buf))}
 			r.tokens = append(r.tokens, dom.TextTag)
 			if corpus.IsExtractableText(n) {
 				r.spans = append(r.spans, span)
@@ -73,19 +67,16 @@ func refIndex(doc *dom.Node) refPage {
 			idx[n] = len(r.elems)
 			r.elems = append(r.elems, refElem{n.Tag, parent(n), n.ChildNumber(), n.Attrs})
 			r.tokens = append(r.tokens, n.Tag)
-			void := dom.IsVoid(n.Tag)
-			if emit {
-				buf = dom.AppendStartTag(buf, n.Tag, n.Attrs)
-			}
+			buf = dom.AppendStartTag(buf, n.Tag, n.Attrs)
 			for _, ch := range n.Children {
-				walk(ch, emit && !void)
+				walk(ch)
 			}
-			if emit && !void {
+			if !dom.IsVoid(n.Tag) {
 				buf = dom.AppendEndTag(buf, n.Tag)
 			}
 		}
 	}
-	walk(doc, true)
+	walk(doc)
 	r.html = string(buf)
 	return r
 }
@@ -168,14 +159,11 @@ func parseAll(pages []string) []*dom.Node {
 	return docs
 }
 
-// assertStreamMatchesTree indexes pages both ways the corpus takes them —
-// streamed by ParseHTML, and as trees by New — and holds each to the tree
-// indexer over the parsed trees.
+// assertStreamMatchesTree holds the corpus ParseHTML streams from pages to
+// the tree indexer over the parsed trees.
 func assertStreamMatchesTree(t testing.TB, name string, pages []string) {
 	t.Helper()
-	docs := parseAll(pages)
-	assertIndexMatchesReference(t, name+" (streamed)", corpus.ParseHTML(pages), docs)
-	assertIndexMatchesReference(t, name+" (trees)", corpus.New(docs), docs)
+	assertIndexMatchesReference(t, name, corpus.ParseHTML(pages), parseAll(pages))
 }
 
 // deepMarkup nests a branch depth elements deep inside a few outer levels,
@@ -218,30 +206,16 @@ func TestIndexMatchesReference(t *testing.T) {
 		`<table><tr><td>a<td>b<tr><td>c</table><p>one<p>two<br>three`,
 		`<ul><li>x &amp; y<li><script>if (a < b) {}</script>z</ul><img src="i.png" alt='q"t'>`,
 		`<div class="a" id=b>  spaced   out  </div><!-- gone -->tail</span>`,
+		`<body><script>x < y</script><p class="a&b">  <i>a &lt; b</i> </p>  </body>`,
 		deepMarkup(70),
 		deepMarkup(140),
 		``,
 	})
-	// A hand-built tree can hold what the parser never builds: children
-	// under a void element (tokens, but no HTML and an empty span), text
-	// under script, whitespace-only text, a nested document.
-	doc := dom.NewDocument()
-	body := doc.Append(dom.NewElement("body"))
-	br := body.Append(dom.NewElement("br"))
-	br.Append(dom.NewText("hidden"))
-	br.Append(dom.NewElement("img")).Append(dom.NewElement("b")).Append(dom.NewText("deeper"))
-	body.Append(dom.NewElement("script")).Append(dom.NewText("x < y"))
-	body.Append(dom.NewElement("p", "class", "a&b")).AppendAll(dom.NewText("  "), dom.NewText("a < b"))
-	inner := body.Append(dom.NewDocument())
-	inner.Append(dom.NewElement("i")).Append(dom.NewText("in"))
-	body.Append(dom.NewElement("i")).Append(dom.NewText("out"))
-	docs := []*dom.Node{doc, doc.Clone()}
-	assertIndexMatchesReference(t, "hand-built", corpus.New(docs), docs)
 }
 
 // FuzzCorpusMatchesTree: whatever the markup, the corpus ParseHTML streams
 // from the parser's events is the one the tree indexer builds from the
-// parsed tree, and so is the corpus New walks from that tree.
+// parsed tree.
 func FuzzCorpusMatchesTree(f *testing.F) {
 	for _, seed := range []string{
 		`<html><body><ul><li>alpha</li><li>beta</li></ul></body></html>`,
@@ -250,6 +224,7 @@ func FuzzCorpusMatchesTree(f *testing.F) {
 		`<div><div><span>a</span>b<!-- c -->d</div></div></i>`,
 		`<dl><dt>k<dd>v<dt>k2</dl><select><option>1<option>2</select>`,
 		deepMarkup(70),
+		`<script>x < y</script><p class="a&b">  <i>a &lt; b</i> </p>`,
 	} {
 		f.Add(seed)
 	}

@@ -1,8 +1,8 @@
 // Package dom provides the document object model used throughout autowrap.
 //
 // The paper (Sec. 2.1) views a webpage both as an XML/HTML document tree and
-// as a flat vector of nodes; this package supplies the tree form plus the
-// preorder flattening, child numbering (the xpath td[2]-style index), and
+// as a flat vector of nodes; this package supplies the tree form, its
+// preorder walk, child numbering (the xpath td[2]-style index), and
 // serialization back to HTML (used by the LR/WIEN inductor, which treats
 // documents as character sequences).
 package dom
@@ -101,42 +101,9 @@ func (n *Node) Attr(key string) (string, bool) {
 	return "", false
 }
 
-// SetAttr sets or replaces an attribute value.
-func (n *Node) SetAttr(key, val string) {
-	for i := range n.Attrs {
-		if n.Attrs[i].Key == key {
-			n.Attrs[i].Val = val
-			return
-		}
-	}
-	n.Attrs = append(n.Attrs, Attr{Key: key, Val: val})
-}
-
 // IsElement reports whether n is an element with the given tag.
 func (n *Node) IsElement(tag string) bool {
 	return n.Type == ElementNode && n.Tag == tag
-}
-
-// Text returns the trimmed text content for a text node, or the
-// concatenated trimmed text of all descendant text nodes for other nodes.
-func (n *Node) Text() string {
-	if n.Type == TextNode {
-		return strings.TrimSpace(n.Data)
-	}
-	var sb strings.Builder
-	n.Walk(func(d *Node) bool {
-		if d.Type == TextNode {
-			t := strings.TrimSpace(d.Data)
-			if t != "" {
-				if sb.Len() > 0 {
-					sb.WriteByte(' ')
-				}
-				sb.WriteString(t)
-			}
-		}
-		return true
-	})
-	return sb.String()
 }
 
 // Walk visits n and all descendants in preorder. If fn returns false the
@@ -148,17 +115,6 @@ func (n *Node) Walk(fn func(*Node) bool) {
 	for _, c := range n.Children {
 		c.Walk(fn)
 	}
-}
-
-// Preorder returns all nodes of the subtree rooted at n in preorder,
-// including n itself.
-func (n *Node) Preorder() []*Node {
-	var out []*Node
-	n.Walk(func(d *Node) bool {
-		out = append(out, d)
-		return true
-	})
-	return out
 }
 
 // ChildNumber returns the 1-based position of n among its same-tag element
@@ -221,76 +177,8 @@ func (n *Node) Ancestors() []*Node {
 	return out
 }
 
-// Depth returns the number of element ancestors of n.
-func (n *Node) Depth() int { return len(n.Ancestors()) }
-
-// Root returns the topmost ancestor of n (the document node for attached
-// nodes).
-func (n *Node) Root() *Node {
-	r := n
-	for r.Parent != nil {
-		r = r.Parent
-	}
-	return r
-}
-
-// PathString renders the element path from the root to n, e.g.
-// "html/body/div[2]/td". Useful in error messages and debugging output.
-func (n *Node) PathString() string {
-	var parts []string
-	cur := n
-	if cur.Type == TextNode {
-		parts = append(parts, TextTag)
-		cur = cur.Parent
-	}
-	for ; cur != nil && cur.Type == ElementNode; cur = cur.Parent {
-		seg := cur.Tag
-		if k := cur.ChildNumber(); k > 1 {
-			seg += "[" + itoa(k) + "]"
-		}
-		parts = append(parts, seg)
-	}
-	// reverse
-	for i, j := 0, len(parts)-1; i < j; i, j = i+1, j-1 {
-		parts[i], parts[j] = parts[j], parts[i]
-	}
-	return strings.Join(parts, "/")
-}
-
 // SortAttrs orders attributes by key; used by tests that compare trees
 // structurally.
 func (n *Node) SortAttrs() {
 	sort.Slice(n.Attrs, func(i, j int) bool { return n.Attrs[i].Key < n.Attrs[j].Key })
-}
-
-// Clone deep-copies the subtree rooted at n. The clone is detached.
-func (n *Node) Clone() *Node {
-	c := &Node{Type: n.Type, Tag: n.Tag, Data: n.Data, Raw: n.Raw}
-	c.Attrs = append([]Attr(nil), n.Attrs...)
-	for _, ch := range n.Children {
-		c.Append(ch.Clone())
-	}
-	return c
-}
-
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	neg := v < 0
-	if neg {
-		v = -v
-	}
-	var buf [20]byte
-	i := len(buf)
-	for v > 0 {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-	}
-	if neg {
-		i--
-		buf[i] = '-'
-	}
-	return string(buf[i:])
 }

@@ -42,27 +42,6 @@ func TestAttrAccess(t *testing.T) {
 	if _, ok := n.Attr("missing"); ok {
 		t.Fatal("Attr(missing) should be absent")
 	}
-	n.SetAttr("class", "b")
-	if v, _ := n.Attr("class"); v != "b" {
-		t.Fatalf("SetAttr did not replace: %q", v)
-	}
-	n.SetAttr("new", "v")
-	if v, _ := n.Attr("new"); v != "v" {
-		t.Fatalf("SetAttr did not add: %q", v)
-	}
-}
-
-func TestPreorderOrder(t *testing.T) {
-	doc := sampleTree()
-	var tags []string
-	for _, n := range doc.Preorder() {
-		tags = append(tags, n.Tag)
-	}
-	want := []string{"#document", "html", "body", "div", "tr", "td", "u",
-		"#text", "br", "#text", "tr", "td", "#text"}
-	if strings.Join(tags, " ") != strings.Join(want, " ") {
-		t.Fatalf("preorder = %v, want %v", tags, want)
-	}
 }
 
 func TestChildNumberCountsSameTagOnly(t *testing.T) {
@@ -109,50 +88,6 @@ func TestAncestorsExcludesDocument(t *testing.T) {
 	want := "u td tr div body html"
 	if strings.Join(tags, " ") != want {
 		t.Fatalf("ancestors = %v, want %v", tags, want)
-	}
-	if txt.Depth() != 6 {
-		t.Fatalf("depth = %d, want 6", txt.Depth())
-	}
-}
-
-func TestTextAggregation(t *testing.T) {
-	doc := sampleTree()
-	got := doc.Text()
-	want := "PORTER FURNITURE 201 HWY.30 West WOODLAND FURNITURE"
-	if got != want {
-		t.Fatalf("Text() = %q, want %q", got, want)
-	}
-}
-
-func TestPathString(t *testing.T) {
-	doc := sampleTree()
-	var txt *Node
-	doc.Walk(func(n *Node) bool {
-		if n.Type == TextNode && strings.Contains(n.Data, "WOODLAND") {
-			txt = n
-		}
-		return true
-	})
-	got := txt.PathString()
-	want := "html/body/div/tr[2]/td/#text"
-	if got != want {
-		t.Fatalf("PathString = %q, want %q", got, want)
-	}
-}
-
-func TestCloneIsDeepAndDetached(t *testing.T) {
-	doc := sampleTree()
-	c := doc.Clone()
-	if c.Parent != nil {
-		t.Fatal("clone should be detached")
-	}
-	if Serialize(c) != Serialize(doc) {
-		t.Fatal("clone serialization differs")
-	}
-	// Mutating the clone must not affect the original.
-	c.Children[0].Children[0].Append(NewText("extra"))
-	if Serialize(c) == Serialize(doc) {
-		t.Fatal("mutating clone affected original")
 	}
 }
 
@@ -211,14 +146,5 @@ func TestRawScriptSerializesUnescaped(t *testing.T) {
 	want := "<script>if (a < b && c > d) {}</script>"
 	if got != want {
 		t.Fatalf("Serialize = %q, want %q", got, want)
-	}
-}
-
-func TestRootFindsDocument(t *testing.T) {
-	doc := sampleTree()
-	var deepest *Node
-	doc.Walk(func(n *Node) bool { deepest = n; return true })
-	if deepest.Root() != doc {
-		t.Fatal("Root did not find the document node")
 	}
 }

@@ -23,10 +23,10 @@ import (
 // nothing but unclosed start tags, as large as the default body cap lets
 // in. Before the parser bounded its depth, the tree it built was a path ten
 // million nodes long and the first recursive reader — dom.AppendHTML under
-// an LR rule, Node.Walk under a '//' step, corpus.New on a repair body —
-// ended the process with "fatal error: stack overflow", which no recover
-// catches. Every route a page can take must now give a result or a page
-// error.
+// an LR rule, Node.Walk under a '//' step, the corpus indexer's tree walk
+// on a repair body — ended the process with "fatal error: stack overflow",
+// which no recover catches. Every route a page can take must now give a
+// result or a page error.
 func TestNestingBomb(t *testing.T) {
 	if race.Enabled {
 		t.Skip("tens of megabytes a page; the race job's budget goes to concurrency")

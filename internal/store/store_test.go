@@ -86,7 +86,7 @@ func applyOrdinals(t *testing.T, c *corpus.Corpus, p wrapper.Portable) []int {
 		for _, n := range p.ApplyPage(root) {
 			ord := trees.OrdinalOf(n)
 			if ord < 0 {
-				t.Fatalf("ApplyPage returned non-extractable node %q", n.PathString())
+				t.Fatalf("ApplyPage returned non-extractable node %q", n.Data)
 			}
 			ords = append(ords, ord)
 		}

@@ -45,8 +45,9 @@ func New(c *corpus.Corpus) *wrapper.FeatureSpace {
 }
 
 // BuildGrid constructs a one-page corpus holding an rows×cols table whose
-// cell contents come from cellText. It is the scaffolding for the paper's
-// Example 1/2 tests and for property tests of enumeration algorithms.
+// cell contents come from cellText, parsed from the table's serialization
+// as every corpus is. It is the scaffolding for the paper's Example 1/2
+// tests and for property tests of enumeration algorithms.
 func BuildGrid(rows, cols int, cellText func(r, c int) string) *corpus.Corpus {
 	doc := dom.NewDocument()
 	html := doc.Append(dom.NewElement("html"))
@@ -59,7 +60,7 @@ func BuildGrid(rows, cols int, cellText func(r, c int) string) *corpus.Corpus {
 			td.Append(dom.NewText(cellText(r, cc)))
 		}
 	}
-	return corpus.New([]*dom.Node{doc})
+	return corpus.ParseHTML([]string{dom.Serialize(doc)})
 }
 
 // enclosingCell returns the nearest <td> or <th> among element e and its

@@ -67,20 +67,22 @@ done
 sort -u "$WORK/dict-all.txt" -o "$WORK/dict-all.txt"
 
 # burst ADDR TAG MIN_BUSY: send 300 two-page extracts, cycled over every
-# served site's pages, through 8 concurrent curls, and submit a 6-page
-# repair every second meanwhile. The verdict comes from the daemon's own
-# gate ledger, read before and after: every extract answered 200 or 429
-# (429 is backpressure, not failure) and every repair 202, 429 or 503;
-# gate.admitted grew by the 200s and gate.rejected by the 429s, exactly;
-# nothing is left in flight; and at least MIN_BUSY shards admitted part
-# of the burst.
+# served site's pages, from one curl that keeps up to 32 requests open at
+# once (more than the gate's 2 slots and 4 queue places, so it can turn
+# some away), and submit a 6-page repair every second meanwhile. The
+# verdict comes from the daemon's own gate ledger, read before and after:
+# every extract answered 200 or 429 (429 is backpressure, not failure) and
+# every repair 202, 429 or 503; gate.admitted grew by the 200s and
+# gate.rejected by the 429s, exactly; nothing is left in flight; and at
+# least MIN_BUSY shards admitted part of the burst, and some extracts were
+# turned away (else the rejected half of the check compared 0 with 0).
 burst() {
   local addr="$1" dir="$WORK/burst-$2" min_busy="$3"
   mkdir -p "$dir"
   curl -fsS "http://$addr/v1/sites" > "$dir/sites.json"
-  python3 - "$dir" "$WORK/corpus/DEALERS" <<'PY'
+  python3 - "$dir" "$WORK/corpus/DEALERS" "$addr" <<'PY'
 import glob, json, sys
-out, corpus = sys.argv[1], sys.argv[2]
+out, corpus, addr = sys.argv[1], sys.argv[2], sys.argv[3]
 sites = sorted(s["site"] for s in json.load(open(out + "/sites.json")) if s["active_version"] > 0)
 reqs = []
 for i, site in enumerate(sites):
@@ -90,9 +92,11 @@ for i, site in enumerate(sites):
         json.dump({"site": site, "pages": [{"id": str(j + k), "html": pages[j + k]} for k in (0, 1)]}, open(f, "w"))
         reqs.append(f)
     json.dump({"site": site, "pages": pages[:6]}, open("%s/repair-%d.json" % (out, i), "w"))
-with open(out + "/requests", "w") as f:
-    for n in range(300):
-        print(reqs[n % len(reqs)], file=f)
+# One curl config: a transfer per request, each with its own body and
+# write-out, separated by "next" (a trailing one would be a transfer with
+# no URL).
+transfer = 'url = "http://%s/v1/extract"\ndata-binary = "@%s"\noutput = "/dev/null"\nwrite-out = "%%{http_code}\\n"\n'
+open(out + "/requests", "w").write("next\n".join(transfer % (addr, reqs[n % len(reqs)]) for n in range(300)))
 PY
   curl -fsS "http://$addr/metrics" > "$dir/before.json"
   : > "$dir/repair-codes"
@@ -107,8 +111,8 @@ PY
     done
   ) &
   local repairs=$!
-  xargs -P 8 -I{} curl -s -o /dev/null -w '%{http_code}\n' -X POST --data-binary @{} \
-    "http://$addr/v1/extract" < "$dir/requests" > "$dir/codes" || true
+  curl --no-progress-meter --parallel --parallel-immediate --parallel-max 32 -K "$dir/requests" \
+    > "$dir/codes" || true
   touch "$dir/stop"
   wait "$repairs"
   python3 - "$dir" "$addr" "$min_busy" <<'PY'
@@ -131,6 +135,9 @@ gb, ga = before["gate"], after["gate"]
 admitted, rejected = ga["admitted"] - gb["admitted"], ga["rejected"] - gb["rejected"]
 assert admitted == codes["200"], "gate admitted %d, clients saw %d 200s" % (admitted, codes["200"])
 assert rejected == codes["429"], "gate rejected %d, clients saw %d 429s" % (rejected, codes["429"])
+# 32 open requests against 6 places at the gate: if none was turned away,
+# the rejected half of the ledger check above compared 0 with 0.
+assert codes["429"] > 0, "no extract was turned away with 429; the burst never filled the gate"
 assert ga["in_flight"] == 0, ga
 was = {r["shard"]: r["gate"]["admitted"] for r in before["per_shard"]}
 busy = sorted(r["shard"] for r in after["per_shard"] if r["gate"]["admitted"] > was.get(r["shard"], 0))

@@ -123,7 +123,7 @@ func testPortableMatchesNative(t *testing.T, kind string) {
 			for _, n := range got {
 				if !want[n] {
 					t.Fatalf("site %s page %d: served extracted unexpected node %q",
-						site.Name, p, n.PathString())
+						site.Name, p, n.Data)
 				}
 			}
 			if len(want) > 0 {
