@@ -31,14 +31,14 @@
 // serves them to unseen pages, and the maintenance loop (NewMonitor,
 // Repairer, WrapperStore.Promote/Rollback) detects template drift from
 // serving-time health signals and re-learns tripped sites with validated
-// promotion. NewDispatcher and NewServer put all of it behind one HTTP
-// service — multi-site dispatch with hot-swapped wrapper versions,
-// admission control with backpressure, and drift repair over the wire;
-// cmd/wrapserved is the ready-made daemon, whose nodes also repair a
-// drifted site on their own (-auto-repair), cmd/soak its soak and chaos
-// harness, and cmd/wrapinduce the offline CLI (learn into a store, apply a
-// stored wrapper to fresh pages, roll back). See docs/ARCHITECTURE.md for
-// the end-to-end walkthrough.
+// promotion. This package is the learner library; it does not wrap the
+// serving plane. cmd/wrapserved is the HTTP daemon that serves a store —
+// multi-site dispatch with hot-swapped wrapper versions, admission control
+// with backpressure, and drift repair over the wire, also on its own
+// (-auto-repair) — and it links no code of this package. cmd/soak is its
+// soak and chaos harness, and cmd/wrapinduce the offline CLI (learn into a
+// store, apply a stored wrapper to fresh pages, roll back). See
+// docs/ARCHITECTURE.md for the end-to-end walkthrough.
 package autowrap
 
 import (
@@ -47,7 +47,6 @@ import (
 	"os"
 
 	"autowrap/internal/annotate"
-	"autowrap/internal/audit"
 	"autowrap/internal/bitset"
 	"autowrap/internal/core"
 	"autowrap/internal/corpus"
@@ -57,16 +56,11 @@ import (
 	"autowrap/internal/enum"
 	"autowrap/internal/extract"
 	"autowrap/internal/htmlparse"
-	"autowrap/internal/jobs"
 	"autowrap/internal/lr"
 	"autowrap/internal/rank"
 	"autowrap/internal/segment"
-	"autowrap/internal/serve"
-	"autowrap/internal/shard"
 	"autowrap/internal/stats"
 	"autowrap/internal/store"
-	"autowrap/internal/store/filestore"
-	"autowrap/internal/store/logstore"
 	"autowrap/internal/wrapper"
 	"autowrap/internal/xpinduct"
 )
@@ -149,68 +143,6 @@ type (
 	// on fresh pages, stage the winner as a new store version, and promote
 	// it only after it beats the incumbent on a held-out sample.
 	Repairer = drift.Repairer
-
-	// Dispatcher routes extraction requests to per-site hot-swappable
-	// runtimes, all backed by one WrapperStore: a promote or rollback swaps
-	// the served wrapper atomically, without dropping in-flight requests
-	// and without a restart. Build one with NewDispatcher.
-	Dispatcher = serve.Dispatcher
-	// DispatcherOptions bounds a Dispatcher (extraction workers) and wires
-	// its drift Monitor.
-	DispatcherOptions = serve.Options
-	// Server is the HTTP extraction service over a Dispatcher: the
-	// /v1/extract hot path behind an AdmissionGate, /healthz, /metrics and
-	// the lifecycle admin routes. Build one with NewServer; cmd/wrapserved
-	// is the ready-made daemon.
-	Server = serve.Server
-	// ServerConfig wires a Server (dispatcher, gate, deadlines, repairer).
-	ServerConfig = serve.ServerConfig
-	// AdmissionGate bounds the serving hot path: a slot semaphore plus a
-	// bounded wait queue, shedding overload as 429 + Retry-After instead of
-	// collapsing. Build one with NewAdmissionGate.
-	AdmissionGate = serve.Gate
-	// AdmissionOptions sizes an AdmissionGate.
-	AdmissionOptions = serve.GateOptions
-
-	// ShardRing is the consistent-hash ring partitioning site names across
-	// a fleet of serving shards: byte-stable across restarts, minimal key
-	// movement when the shard count changes. Build one with NewShardRing.
-	ShardRing = shard.Ring
-	// ShardRouter fronts a fleet of per-shard Servers behind one handler,
-	// routing every request to the site's ring owner and aggregating
-	// /metrics across the fleet. Build one with NewShardRouter;
-	// cmd/wrapserved -shards N is the ready-made fleet daemon.
-	ShardRouter = serve.ShardRouter
-
-	// JobManager is the asynchronous maintenance plane: a bounded queue of
-	// learn/repair jobs drained by a worker pool isolated from the extract
-	// hot path. Build one with NewJobManager; a Server with a Repairer
-	// creates a default one.
-	JobManager = jobs.Manager
-	// JobOptions sizes a JobManager (workers, queue depth, history).
-	JobOptions = jobs.Options
-
-	// StoreBackend is the pluggable durability seam under the registry:
-	// lifecycle events in, reproduced registries out. FileStoreBackend
-	// (OpenFileStore) keeps the original atomic-JSON-file format;
-	// LogStoreBackend (OpenLogStore) appends one fsync'd record per
-	// event to a segmented, CRC-framed, crash-recovering log.
-	StoreBackend = store.Backend
-	// FileStoreBackend is the atomic-JSON-file StoreBackend.
-	FileStoreBackend = filestore.Backend
-	// LogStoreBackend is the append-only segmented-log StoreBackend.
-	LogStoreBackend = logstore.Backend
-	// LogStoreOptions tunes a LogStoreBackend (segment size, fsync).
-	LogStoreOptions = logstore.Options
-	// AuditLedger is the tamper-evident lifecycle ledger: a hash-chained
-	// JSON-lines file with periodic Merkle checkpoints recording every
-	// learn/candidate/promote/rollback/drift-trip/auto-repair fleet-wide.
-	// Open one with OpenAuditLedger; verify with VerifyAuditLedger.
-	AuditLedger = audit.Ledger
-	// AuditLedgerOptions tunes an AuditLedger (checkpoint cadence, ring).
-	AuditLedgerOptions = audit.Options
-	// AuditReport summarizes a verified ledger walk.
-	AuditReport = audit.Report
 )
 
 // Ranking variants (the paper's Sec. 7.3 ablations).
@@ -229,10 +161,6 @@ const (
 	EnumBottomUp = enum.AlgoBottomUp
 	EnumNaive    = enum.AlgoNaive
 )
-
-// JobKindRepair is the maintenance plane's repair job kind
-// (JobManager.Submit).
-const JobKindRepair = jobs.KindRepair
 
 // ZipcodePattern matches five-digit US zipcodes (the Appendix A regexp
 // annotator).
@@ -448,80 +376,6 @@ func StoreBatch(s *WrapperStore, batch *BatchResult) (int, error) { return s.Put
 // page updates the extractor's lifetime Health counters and fires
 // opt.OnResult, the tap a Monitor's SiteHealth.Observe hooks into.
 func NewExtractor(p Portable, opt ExtractOptions) *Extractor { return extract.New(p, opt) }
-
-// NewDispatcher builds the store-backed multi-site serving dispatcher:
-// requests are routed to one hot-swappable extraction runtime per site,
-// rebuilt lazily whenever the site's store epoch moves (Put, Promote,
-// Rollback — see WrapperStore.Epoch). In-flight requests always finish on
-// the runtime they started with; the swap only changes what the next
-// request loads.
-func NewDispatcher(s *WrapperStore, opt DispatcherOptions) *Dispatcher {
-	return serve.NewDispatcher(s, opt)
-}
-
-// NewServer builds the HTTP extraction service over a dispatcher:
-// POST /v1/extract behind admission control, GET /healthz and /metrics,
-// the lifecycle admin routes /v1/sites, /v1/promote, /v1/rollback, and —
-// when a Repairer is configured — the asynchronous maintenance plane:
-// POST /v1/learn and /v1/repair enqueue background jobs (202 + job id),
-// introspected via GET /v1/jobs[/{id}]. Mount Handler() on an
-// http.Server; cmd/wrapserved is the ready-made daemon with graceful
-// drain.
-func NewServer(cfg ServerConfig) (*Server, error) { return serve.NewServer(cfg) }
-
-// NewAdmissionGate builds the hot path's admission controller; zero
-// options select defaults (64 slots, 4x queue, 1s Retry-After).
-func NewAdmissionGate(opt AdmissionOptions) *AdmissionGate { return serve.NewGate(opt) }
-
-// NewShardRing builds the consistent-hash ring for a fleet of `shards`
-// serving shards with `vnodes` virtual nodes per shard (vnodes <= 0
-// selects the default, 128). The same (shards, vnodes) pair always
-// yields the same site assignment, across processes and restarts.
-func NewShardRing(shards, vnodes int) *ShardRing { return shard.NewRing(shards, vnodes) }
-
-// NewShardRouter builds the fleet front end over per-shard Servers. The
-// build callback is invoked once per shard, in order, and returns that
-// shard's fully-wired Server. Persistence is the store backend's job:
-// wire one shared StoreBackend into every shard's ServerConfig (with
-// ServerConfig.Shard set) and each lifecycle event is persisted by —
-// and costs — only the mutating shard. Mount Handler() on an
-// http.Server; cmd/wrapserved -shards N is the ready-made fleet daemon.
-func NewShardRouter(ring *ShardRing, build func(shardID int) (*Server, error)) (*ShardRouter, error) {
-	return serve.NewShardRouter(ring, build)
-}
-
-// OpenFileStore opens the atomic-JSON-file store backend over path —
-// the original on-disk registry format, byte-for-byte. The file need
-// not exist yet; Load on a missing file yields an empty registry.
-func OpenFileStore(path string) (*FileStoreBackend, error) { return filestore.Open(path) }
-
-// OpenLogStore opens (creating if needed) the append-only segmented-log
-// store backend at dir and replays it: every lifecycle event is one
-// CRC-framed, fsync'd record, rotation writes a snapshot and compacts,
-// and a torn tail from a crash is truncated instead of failing the
-// boot. Zero options select defaults (1 MiB segments, fsync on).
-func OpenLogStore(dir string, opt LogStoreOptions) (*LogStoreBackend, error) {
-	return logstore.Open(dir, opt)
-}
-
-// OpenAuditLedger opens (creating if needed) the hash-chained lifecycle
-// audit ledger at path, verifying the existing chain as it replays.
-// Zero options select defaults (Merkle checkpoint every 64 events).
-func OpenAuditLedger(path string, opt AuditLedgerOptions) (*AuditLedger, error) {
-	return audit.Open(path, opt)
-}
-
-// VerifyAuditLedger walks the ledger at path from genesis and pinpoints
-// the first broken link: any flipped byte, dropped line or reordered
-// record surfaces as an *audit.TamperError naming the offending
-// sequence number.
-func VerifyAuditLedger(path string) (AuditReport, error) { return audit.VerifyFile(path) }
-
-// NewJobManager builds the asynchronous maintenance plane's job queue +
-// worker pool; zero options select defaults (1 worker, queue depth 16,
-// history 256). The pool is fully isolated from the extraction hot path:
-// an extract burst can never starve a learn, and vice versa.
-func NewJobManager(opt JobOptions) *JobManager { return jobs.New(opt) }
 
 // --- Maintenance: drift detection, automatic re-learning, promote/rollback ---
 

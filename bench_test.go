@@ -26,12 +26,14 @@ import (
 	"time"
 
 	"autowrap"
+	"autowrap/internal/audit"
 	"autowrap/internal/dataset"
 	"autowrap/internal/drift"
 	"autowrap/internal/engine"
 	"autowrap/internal/experiments"
 	"autowrap/internal/extract"
 	"autowrap/internal/gen"
+	"autowrap/internal/jobs"
 	"autowrap/internal/lr"
 	"autowrap/internal/segment"
 	"autowrap/internal/serve"
@@ -885,7 +887,7 @@ func BenchmarkShardedDispatch8(b *testing.B) { benchShardedDispatch(b, 8) }
 // Tracked by the bench gate: this path must stay negligible next to the
 // learning it schedules.
 func BenchmarkJobsSubmit(b *testing.B) {
-	m := autowrap.NewJobManager(autowrap.JobOptions{
+	m := jobs.New(jobs.Options{
 		Workers: 2, QueueDepth: 256, History: 32,
 	})
 	noop := func(ctx context.Context, _ func(string)) (any, error) { return nil, nil }
@@ -894,7 +896,7 @@ func BenchmarkJobsSubmit(b *testing.B) {
 	start := time.Now()
 	for i := 0; i < b.N; i++ {
 		for {
-			if _, err := m.Submit(autowrap.JobKindRepair, "bench", noop); err == nil {
+			if _, err := m.Submit(jobs.KindRepair, "bench", noop); err == nil {
 				break
 			}
 			runtime.Gosched() // queue full: workers are draining, retry
@@ -991,8 +993,8 @@ func BenchmarkLogAppendGroup(b *testing.B) {
 // amortized Merkle checkpoint every 64 events — with fsync off. Tracked
 // by the bench gate: the tamper-evidence tax per lifecycle event.
 func BenchmarkAuditAppend(b *testing.B) {
-	led, err := autowrap.OpenAuditLedger(
-		filepath.Join(b.TempDir(), "audit.jsonl"), autowrap.AuditLedgerOptions{NoSync: true})
+	led, err := audit.Open(
+		filepath.Join(b.TempDir(), "audit.jsonl"), audit.Options{NoSync: true})
 	if err != nil {
 		b.Fatal(err)
 	}

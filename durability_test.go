@@ -18,11 +18,13 @@ import (
 	"autowrap/internal/serve"
 	"autowrap/internal/serve/servetest"
 	"autowrap/internal/store"
+	"autowrap/internal/store/filestore"
+	"autowrap/internal/store/logstore"
 )
 
 // bootDurable seeds a two-version site into the given backend and boots
 // a server persisting through it with a live audit ledger.
-func bootDurable(t *testing.T, be autowrap.StoreBackend, seed func(*store.Store) error, auditPath string) *servetest.Server {
+func bootDurable(t *testing.T, be store.Backend, seed func(*store.Store) error, auditPath string) *servetest.Server {
 	t.Helper()
 	st := store.New()
 	put := func(site, class string, candidate bool) error {
@@ -47,13 +49,13 @@ func bootDurable(t *testing.T, be autowrap.StoreBackend, seed func(*store.Store)
 	if err := seed(st); err != nil {
 		t.Fatal(err)
 	}
-	led, err := autowrap.OpenAuditLedger(auditPath, autowrap.AuditLedgerOptions{NoSync: true})
+	led, err := audit.Open(auditPath, audit.Options{NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { led.Close() })
-	srv, err := autowrap.NewServer(autowrap.ServerConfig{
-		Dispatcher: autowrap.NewDispatcher(st, autowrap.DispatcherOptions{}),
+	srv, err := serve.NewServer(serve.ServerConfig{
+		Dispatcher: serve.NewDispatcher(st, serve.Options{}),
 		Backend:    be,
 		Shard:      0,
 		Audit:      led,
@@ -89,7 +91,7 @@ func TestStoreBackendParityEndToEnd(t *testing.T) {
 
 	// File backend: attach the live partition, snapshot the seed, serve.
 	filePath := filepath.Join(dir, "wrappers.json")
-	fb, err := autowrap.OpenFileStore(filePath)
+	fb, err := filestore.Open(filePath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,7 +103,7 @@ func TestStoreBackendParityEndToEnd(t *testing.T) {
 
 	// Log backend: seed the empty log from the same registry, serve.
 	logDir := filepath.Join(dir, "wrappers.log")
-	lb, err := autowrap.OpenLogStore(logDir, autowrap.LogStoreOptions{NoSync: true})
+	lb, err := logstore.Open(logDir, logstore.Options{NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +119,7 @@ func TestStoreBackendParityEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lb2, err := autowrap.OpenLogStore(logDir, autowrap.LogStoreOptions{NoSync: true})
+	lb2, err := logstore.Open(logDir, logstore.Options{NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +152,7 @@ func TestStoreBackendParityEndToEnd(t *testing.T) {
 // fail with a TamperError naming the offending sequence number.
 func TestAuditTamperNamedBySeq(t *testing.T) {
 	dir := t.TempDir()
-	lb, err := autowrap.OpenLogStore(filepath.Join(dir, "wrappers.log"), autowrap.LogStoreOptions{NoSync: true})
+	lb, err := logstore.Open(filepath.Join(dir, "wrappers.log"), logstore.Options{NoSync: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,7 +161,7 @@ func TestAuditTamperNamedBySeq(t *testing.T) {
 	hs := bootDurable(t, lb, lb.SeedFrom, auditPath)
 	driveLifecycle(t, hs.URL)
 
-	if _, err := autowrap.VerifyAuditLedger(auditPath); err != nil {
+	if _, err := audit.VerifyFile(auditPath); err != nil {
 		t.Fatalf("untampered ledger must verify: %v", err)
 	}
 	data, err := os.ReadFile(auditPath)
@@ -171,7 +173,7 @@ func TestAuditTamperNamedBySeq(t *testing.T) {
 	if err := os.WriteFile(auditPath, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, verr := autowrap.VerifyAuditLedger(auditPath)
+	_, verr := audit.VerifyFile(auditPath)
 	var te *audit.TamperError
 	if !errors.As(verr, &te) {
 		t.Fatalf("tampered ledger verified clean: %v", verr)

@@ -5,7 +5,7 @@
 #
 #   scripts/loc.sh [-C checkout] [path ...]
 #
-# Prints one row per yardstick — internal/serve + cmd/ (ROADMAP item 5) and
+# Prints one row per yardstick — internal/serve + cmd/ (ROADMAP item 8) and
 # the whole repository outside bench/ — then one row per extra path given.
 # -C counts another checkout instead of this one, e.g. a clone of the parent
 # commit, for a before/after table.

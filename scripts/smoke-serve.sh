@@ -69,10 +69,12 @@ sort -u "$WORK/dict-all.txt" -o "$WORK/dict-all.txt"
 # burst ADDR TAG MIN_BUSY: send 300 two-page extracts, cycled over every
 # served site's pages, from one curl that keeps up to 32 requests open at
 # once (more than the gate's 2 slots and 4 queue places, so it can turn
-# some away), and submit a 6-page repair every second meanwhile. The
-# verdict comes from the daemon's own gate ledger, read before and after:
-# every extract answered 200 or 429 (429 is backpressure, not failure) and
-# every repair 202, 429 or 503; gate.admitted grew by the 200s and
+# some away), and submit a 6-page repair every 0.1 s meanwhile, cycling
+# over the served sites, until the burst is over and every served site
+# has had one. The verdict comes from the daemon's own gate ledger, read
+# before and after: every extract answered 200 or 429 (429 is
+# backpressure, not failure), every repair 202, 429 or 503, and at least
+# one repair went out per served site; gate.admitted grew by the 200s and
 # gate.rejected by the 429s, exactly; nothing is left in flight; and at
 # least MIN_BUSY shards admitted part of the burst, and some extracts were
 # turned away (else the rejected half of the check compared 0 with 0).
@@ -101,13 +103,13 @@ PY
   curl -fsS "http://$addr/metrics" > "$dir/before.json"
   : > "$dir/repair-codes"
   (
-    while [ ! -e "$dir/stop" ]; do
-      for f in "$dir"/repair-*.json; do
-        [ -e "$dir/stop" ] && break
-        curl -s -o /dev/null -w '%{http_code}\n' -X POST --data-binary @"$f" \
-          "http://$addr/v1/repair" >> "$dir/repair-codes"
-        sleep 1
-      done
+    bodies=("$dir"/repair-*.json)
+    sent=0
+    while [ ! -e "$dir/stop" ] || [ "$sent" -lt "${#bodies[@]}" ]; do
+      curl -s -o /dev/null -w '%{http_code}\n' -X POST --data-binary @"${bodies[sent % ${#bodies[@]}]}" \
+        "http://$addr/v1/repair" >> "$dir/repair-codes"
+      sent=$((sent + 1))
+      sleep 0.1
     done
   ) &
   local repairs=$!
@@ -116,13 +118,15 @@ PY
   touch "$dir/stop"
   wait "$repairs"
   python3 - "$dir" "$addr" "$min_busy" <<'PY'
-import collections, json, sys, time, urllib.request
+import collections, glob, json, sys, time, urllib.request
 out, addr, min_busy = sys.argv[1], sys.argv[2], int(sys.argv[3])
 codes = collections.Counter(open(out + "/codes").read().split())
 repairs = collections.Counter(open(out + "/repair-codes").read().split())
+served = len(glob.glob(out + "/repair-*.json"))
 assert sum(codes.values()) == 300, codes
 assert set(codes) <= {"200", "429"}, "extracts answered %s, want only 200 and 429" % dict(codes)
 assert set(repairs) <= {"202", "429", "503"}, "repairs answered %s" % dict(repairs)
+assert sum(repairs.values()) >= served, "%d repairs sent for %d served sites, want one a site" % (sum(repairs.values()), served)
 before = json.load(open(out + "/before.json"))
 # A handler releases its gate slot just after its response is sent, so
 # give the last one a moment before in_flight must read 0.
@@ -142,8 +146,8 @@ assert ga["in_flight"] == 0, ga
 was = {r["shard"]: r["gate"]["admitted"] for r in before["per_shard"]}
 busy = sorted(r["shard"] for r in after["per_shard"] if r["gate"]["admitted"] > was.get(r["shard"], 0))
 assert len(busy) >= min_busy, "burst admitted on shards %s, want at least %d" % (busy, min_busy)
-print("burst: %d extracts (%d ok, %d rejected) match the gate ledger; shards %s admitted; repairs %s"
-      % (sum(codes.values()), codes["200"], codes["429"], busy, dict(repairs)))
+print("burst: %d extracts (%d ok, %d rejected) match the gate ledger; shards %s admitted; %d repairs for %d served sites %s"
+      % (sum(codes.values()), codes["200"], codes["429"], busy, sum(repairs.values()), served, dict(repairs)))
 PY
 }
 

@@ -24,6 +24,8 @@ import (
 	"autowrap/internal/gen"
 	"autowrap/internal/serve"
 	"autowrap/internal/serve/servetest"
+	"autowrap/internal/shard"
+	"autowrap/internal/store/filestore"
 )
 
 // waitJob polls GET /v1/jobs/{id} until the job reaches a terminal state
@@ -128,9 +130,10 @@ func TestHTTPServiceEndToEnd(t *testing.T) {
 		t.Fatalf("StoreBatch: n=%d err=%v", n, err)
 	}
 
-	// Boot the whole serving stack on a random port, through the facade.
+	// Boot the whole serving stack on a random port: the facade's monitor
+	// and repairer under serve's dispatcher and server.
 	monitor := autowrap.NewMonitor(autowrap.HealthPolicy{Window: 8, MinPages: 4})
-	dispatcher := autowrap.NewDispatcher(st, autowrap.DispatcherOptions{Monitor: monitor})
+	dispatcher := serve.NewDispatcher(st, serve.Options{Monitor: monitor})
 	repairer := &autowrap.Repairer{
 		Store: st,
 		Spec: func(site string, c *autowrap.Corpus) (autowrap.BatchSite, error) {
@@ -139,7 +142,7 @@ func TestHTTPServiceEndToEnd(t *testing.T) {
 		},
 		Monitor: monitor,
 	}
-	srv, err := autowrap.NewServer(autowrap.ServerConfig{
+	srv, err := serve.NewServer(serve.ServerConfig{
 		Dispatcher: dispatcher,
 		Repairer:   repairer,
 	})
@@ -320,15 +323,15 @@ func learnedStore(t *testing.T, clean *gen.Site, annot autowrap.Annotator) (st *
 // v1 of the clean site, monitor, repairer, job manager) and returns the
 // pieces the maintenance tests drive.
 func learnedServerFromSites(t *testing.T, clean *gen.Site, annot autowrap.Annotator,
-	gate *autowrap.AdmissionGate, recentPages int) (*autowrap.Server, *servetest.Server, *autowrap.Monitor) {
+	gate *serve.Gate, recentPages int) (*serve.Server, *servetest.Server, *autowrap.Monitor) {
 	t.Helper()
 	st, spec := learnedStore(t, clean, annot)
 	monitor := autowrap.NewMonitor(autowrap.HealthPolicy{Window: 8, MinPages: 4})
-	dispatcher := autowrap.NewDispatcher(st, autowrap.DispatcherOptions{
+	dispatcher := serve.NewDispatcher(st, serve.Options{
 		Monitor: monitor, RecentPages: recentPages,
 	})
 	repairer := &autowrap.Repairer{Store: st, Spec: spec, Monitor: monitor}
-	srv, err := autowrap.NewServer(autowrap.ServerConfig{
+	srv, err := serve.NewServer(serve.ServerConfig{
 		Dispatcher: dispatcher,
 		Gate:       gate,
 		Repairer:   repairer,
@@ -445,7 +448,7 @@ func TestAutoRepairHealsWithoutAdminCall(t *testing.T) {
 // blocking repair serialized.
 func TestRepairAnswers202WhileExtractGateSaturated(t *testing.T) {
 	clean, mutated, annot := maintPair(t)
-	gate := autowrap.NewAdmissionGate(autowrap.AdmissionOptions{MaxInFlight: 1, MaxQueue: -1})
+	gate := serve.NewGate(serve.GateOptions{MaxInFlight: 1, MaxQueue: -1})
 	_, hs, _ := learnedServerFromSites(t, clean, annot, gate, 0)
 
 	// Saturate the gate: extract requests are now rejected at the door.
@@ -601,11 +604,12 @@ func TestHTTPLearnJobNewSite(t *testing.T) {
 	}
 }
 
-// TestFacadeShardedFleet pins the facade's sharding surface end to end:
-// learn a small batch, save it, reload each shard's slice with the
-// backend's LoadPartition, front the per-shard servers with
-// NewShardRouter, and extract every site through the one fleet handler —
-// each request dispatched by the ring to the shard that owns the site.
+// TestFacadeShardedFleet pins the sharded serving plane end to end over a
+// store the facade learned: learn a small batch, save it, reload each
+// shard's slice with the backend's LoadPartition, front the per-shard
+// servers with serve.NewShardRouter, and extract every site through the
+// one fleet handler — each request dispatched by the ring to the shard
+// that owns the site.
 func TestFacadeShardedFleet(t *testing.T) {
 	ds, err := dataset.Dealers(dataset.DealersOptions{NumSites: 3, NumPages: 8})
 	if err != nil {
@@ -637,19 +641,19 @@ func TestFacadeShardedFleet(t *testing.T) {
 
 	// Two shards over the saved registry: each server loads only its own
 	// partition from the shared file backend and persists through it.
-	ring := autowrap.NewShardRing(2, 64)
-	be, err := autowrap.OpenFileStore(path)
+	ring := shard.NewRing(2, 64)
+	be, err := filestore.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	router, err := autowrap.NewShardRouter(ring,
-		func(k int) (*autowrap.Server, error) {
+	router, err := serve.NewShardRouter(ring,
+		func(k int) (*serve.Server, error) {
 			part, err := be.LoadPartition(ring, k)
 			if err != nil {
 				return nil, err
 			}
-			return autowrap.NewServer(autowrap.ServerConfig{
-				Dispatcher: autowrap.NewDispatcher(part, autowrap.DispatcherOptions{}),
+			return serve.NewServer(serve.ServerConfig{
+				Dispatcher: serve.NewDispatcher(part, serve.Options{}),
 				Backend:    be,
 				Shard:      k,
 			})

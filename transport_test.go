@@ -30,6 +30,7 @@ import (
 	"autowrap/internal/audit"
 	"autowrap/internal/dataset"
 	"autowrap/internal/gen"
+	"autowrap/internal/jobs"
 	"autowrap/internal/serve"
 	"autowrap/internal/serve/servetest"
 	"autowrap/internal/shard"
@@ -101,7 +102,7 @@ func shardHandler(t *testing.T, ring *shard.Ring, k int, storePath, auditPath st
 	}
 	if annot != nil {
 		cfg.Spec = xpathSpec(annot)
-		cfg.Jobs = autowrap.JobOptions{Workers: 1, QueueDepth: 4}
+		cfg.Jobs = jobs.Options{Workers: 1, QueueDepth: 4}
 	}
 	router, err := serve.NewShardRouter(ring, func(shardID int) (*serve.Server, error) {
 		if shardID != k {
@@ -194,7 +195,7 @@ func TestTransportParityLocalVsForward(t *testing.T) {
 			Shard:   k,
 			Audit:   ledLocal,
 			Spec:    xpathSpec(annot),
-			Jobs:    autowrap.JobOptions{Workers: 1, QueueDepth: 4},
+			Jobs:    jobs.Options{Workers: 1, QueueDepth: 4},
 		})
 	})
 	if err != nil {
